@@ -102,20 +102,6 @@ impl DatapathConfig {
         }
         report
     }
-
-    /// Legacy check returning only the first defect's message.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if any parameter is zero. Prefer
-    /// [`check`](DatapathConfig::check), which returns a full typed report.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use DatapathConfig::check, which returns a full Report"
-    )]
-    pub fn validate(&self) -> Result<(), String> {
-        self.check().into_result()
-    }
 }
 
 /// Fallible builder for [`DatapathConfig`].
@@ -246,10 +232,6 @@ mod tests {
             let report = bad.check();
             assert!(report.has_errors());
             assert!(report.has_code("L0201"));
-            // The deprecated shim surfaces the same defect.
-            #[allow(deprecated)]
-            let legacy = bad.validate();
-            assert!(legacy.is_err());
         }
     }
 }

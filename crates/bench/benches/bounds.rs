@@ -17,8 +17,8 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use aladdin_core::{MemKind, SimHarness, SocConfig};
-use aladdin_dse::{sweep_points, sweep_points_streaming_pruned, PointOutcome, PointSpec};
+use aladdin_core::{MemKind, SimHarness, SocConfig, TraceSource};
+use aladdin_dse::{sweep_engine, sweep_points, PointOutcome, PointSpec};
 use aladdin_lint::bounds_for_point;
 use aladdin_workloads::by_name;
 
@@ -95,11 +95,19 @@ fn main() {
             aladdin_dse::reset_sweep_cache();
             black_box(sweep_points(&trace, &specs, &harness));
         });
+        let pruned_sweep = || {
+            sweep_engine(
+                &TraceSource::Memory(&trace),
+                &specs,
+                &harness,
+                true,
+                &|_, _| {},
+            )
+        };
         let mut pruned_count = 0u64;
         let cold_pruned_s = median_secs(|| {
             aladdin_dse::reset_sweep_cache();
-            let (outcomes, perf) =
-                sweep_points_streaming_pruned(&trace, &specs, &harness, &|_, _| {});
+            let (outcomes, perf) = pruned_sweep();
             pruned_count = perf.pruned;
             black_box(outcomes);
         });
@@ -110,17 +118,12 @@ fn main() {
             black_box(sweep_points(&trace, &specs, &harness));
         });
         let warm_pruned_s = median_secs(|| {
-            black_box(sweep_points_streaming_pruned(
-                &trace,
-                &specs,
-                &harness,
-                &|_, _| {},
-            ));
+            black_box(pruned_sweep());
         });
 
         // Sanity: pruning must never change the surviving results.
         aladdin_dse::reset_sweep_cache();
-        let (outcomes, _) = sweep_points_streaming_pruned(&trace, &specs, &harness, &|_, _| {});
+        let (outcomes, _) = pruned_sweep();
         let survivors = outcomes
             .iter()
             .filter(|o| matches!(o, PointOutcome::Done(_)))

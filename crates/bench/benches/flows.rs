@@ -10,15 +10,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig};
-use aladdin_ir::Trace;
+use aladdin_bench::{run_flow, square_dp};
+use aladdin_core::{DmaOptLevel, MemKind, SocConfig};
 use aladdin_workloads::by_name;
-
-fn run(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig, kind: MemKind) -> u64 {
-    simulate(trace, dp, soc, &FlowSpec::new(kind))
-        .expect("flow completes")
-        .total_cycles
-}
 
 fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
     let mut samples = Vec::new();
@@ -35,11 +29,7 @@ fn bench<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
 }
 
 fn dp() -> DatapathConfig {
-    DatapathConfig {
-        lanes: 4,
-        partition: 4,
-        ..DatapathConfig::default()
-    }
+    square_dp(4)
 }
 
 fn main() {
@@ -48,10 +38,10 @@ fn main() {
         let trace = by_name(name).expect("kernel").run().trace;
         let group = format!("flow/{name}");
         bench(&group, "isolated", || {
-            run(black_box(&trace), &dp(), &soc, MemKind::Isolated)
+            run_flow(black_box(&trace), &dp(), &soc, MemKind::Isolated)
         });
         bench(&group, "dma_baseline", || {
-            run(
+            run_flow(
                 black_box(&trace),
                 &dp(),
                 &soc,
@@ -59,7 +49,7 @@ fn main() {
             )
         });
         bench(&group, "dma_full", || {
-            run(
+            run_flow(
                 black_box(&trace),
                 &dp(),
                 &soc,
@@ -67,7 +57,7 @@ fn main() {
             )
         });
         bench(&group, "cache", || {
-            run(black_box(&trace), &dp(), &soc, MemKind::Cache)
+            run_flow(black_box(&trace), &dp(), &soc, MemKind::Cache)
         });
     }
 }

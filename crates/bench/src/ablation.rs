@@ -14,27 +14,12 @@
 //!    and larger chunks.
 
 use aladdin_accel::{schedule, DatapathConfig, LaneSync, SpadMemory};
-use aladdin_core::{simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SocConfig};
-use aladdin_ir::Trace;
+use aladdin_core::{DmaOptLevel, MemKind, SocConfig};
 use aladdin_workloads::by_name;
 
-fn run_dma(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig, opt: DmaOptLevel) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Dma(opt))).expect("flow completes")
-}
-
-fn run_cache(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Cache)).expect("flow completes")
-}
+use crate::{run_flow, square_dp};
 
 const KERNELS: [&str; 4] = ["stencil-stencil2d", "md-knn", "spmv-crs", "fft-transpose"];
-
-fn dp(lanes: u32) -> DatapathConfig {
-    DatapathConfig {
-        lanes,
-        partition: lanes,
-        ..DatapathConfig::default()
-    }
-}
 
 /// Run all ablations and print their tables.
 pub fn run() {
@@ -60,8 +45,8 @@ fn write_policy() {
         wb.cache.write_policy = aladdin_mem::WritePolicy::WriteBack;
         let mut wt = wb;
         wt.cache.write_policy = aladdin_mem::WritePolicy::WriteThrough;
-        let r_wb = run_cache(&trace, &dp(4), &wb);
-        let r_wt = run_cache(&trace, &dp(4), &wt);
+        let r_wb = run_flow(&trace, &square_dp(4), &wb, MemKind::Cache);
+        let r_wt = run_flow(&trace, &square_dp(4), &wt, MemKind::Cache);
         let wb_traffic = u64::from(wb.cache.line_bytes) * r_wb.cache_stats.unwrap().writebacks;
         let wt_traffic = 8 * r_wt.cache_stats.unwrap().writethroughs;
         println!(
@@ -100,8 +85,15 @@ fn tree_reduction() {
         let trace = by_name(name).expect("kernel").run().trace;
         let (balanced, stats) = aladdin_ir::rebalance_reductions(&trace, 4);
         let soc = SocConfig::default();
-        let serial_cycles = run_dma(&trace, &dp(8), &soc, DmaOptLevel::Full).total_cycles;
-        let balanced_cycles = run_dma(&balanced, &dp(8), &soc, DmaOptLevel::Full).total_cycles;
+        let serial_cycles =
+            run_flow(&trace, &square_dp(8), &soc, MemKind::Dma(DmaOptLevel::Full)).total_cycles;
+        let balanced_cycles = run_flow(
+            &balanced,
+            &square_dp(8),
+            &soc,
+            MemKind::Dma(DmaOptLevel::Full),
+        )
+        .total_cycles;
         println!(
             "{:<20} {:>10} {:>10} {:>7.2}x {:>8}",
             name,
@@ -141,7 +133,10 @@ fn lane_sync() {
     for name in KERNELS {
         let trace = by_name(name).expect("kernel").run().trace;
         let run_sync = |sync| {
-            let cfg = DatapathConfig { sync, ..dp(8) };
+            let cfg = DatapathConfig {
+                sync,
+                ..square_dp(8)
+            };
             let mut mem = SpadMemory::new(&trace, &cfg);
             schedule(&trace, &cfg, &mut mem, 0).cycles
         };
@@ -181,8 +176,8 @@ fn prefetcher() {
         on.cache.prefetch.enabled = true;
         let mut off = on;
         off.cache.prefetch.enabled = false;
-        let c_on = run_cache(&trace, &dp(4), &on).total_cycles;
-        let c_off = run_cache(&trace, &dp(4), &off).total_cycles;
+        let c_on = run_flow(&trace, &square_dp(4), &on, MemKind::Cache).total_cycles;
+        let c_off = run_flow(&trace, &square_dp(4), &off, MemKind::Cache).total_cycles;
         println!(
             "{:<20} {:>10} {:>10} {:>7.2}x",
             name,
@@ -218,7 +213,7 @@ fn mshrs() {
             .map(|&m| {
                 let mut soc = SocConfig::default();
                 soc.cache.mshrs = m;
-                run_cache(&trace, &dp(8), &soc).total_cycles
+                run_flow(&trace, &square_dp(8), &soc, MemKind::Cache).total_cycles
             })
             .collect();
         println!(
@@ -260,7 +255,7 @@ fn ready_granularity() {
                     ready_bits_granule: g,
                     ..SocConfig::default()
                 };
-                run_dma(&trace, &dp(4), &soc, DmaOptLevel::Full).total_cycles
+                run_flow(&trace, &square_dp(4), &soc, MemKind::Dma(DmaOptLevel::Full)).total_cycles
             })
             .collect();
         println!(
@@ -295,7 +290,13 @@ fn chunk_size() {
             .map(|&c| {
                 let mut soc = SocConfig::default();
                 soc.dma.chunk_bytes = c;
-                run_dma(&trace, &dp(4), &soc, DmaOptLevel::Pipelined).total_cycles
+                run_flow(
+                    &trace,
+                    &square_dp(4),
+                    &soc,
+                    MemKind::Dma(DmaOptLevel::Pipelined),
+                )
+                .total_cycles
             })
             .collect();
         println!(

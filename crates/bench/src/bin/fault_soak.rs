@@ -14,15 +14,12 @@
 //! is 1 if any run violates the contract.
 
 use aladdin_accel::DatapathConfig;
+use aladdin_bench::{run_flow, square_dp};
 use aladdin_core::{
     simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SimError, SimHarness, SocConfig,
 };
 use aladdin_ir::Trace;
 use aladdin_workloads::by_name;
-
-fn run(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig, kind: MemKind) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(kind)).expect("clean flow completes")
-}
 
 fn try_run(
     trace: &Trace,
@@ -78,18 +75,14 @@ fn main() {
         .nth(1)
         .map_or(4, |s| s.parse().unwrap_or(4));
     let soc = SocConfig::default();
-    let dp = DatapathConfig {
-        lanes: 2,
-        partition: 2,
-        ..DatapathConfig::default()
-    };
+    let dp = square_dp(2);
     let mut failures = 0u32;
     let mut runs = 0u32;
     for kernel in ["aes-aes", "fft-transpose"] {
         let trace = by_name(kernel).expect("known kernel").run().trace;
-        let base_iso = run(&trace, &dp, &soc, MemKind::Isolated);
-        let base_dma = run(&trace, &dp, &soc, MemKind::Dma(DmaOptLevel::Full));
-        let base_cache = run(&trace, &dp, &soc, MemKind::Cache);
+        let base_iso = run_flow(&trace, &dp, &soc, MemKind::Isolated);
+        let base_dma = run_flow(&trace, &dp, &soc, MemKind::Dma(DmaOptLevel::Full));
+        let base_cache = run_flow(&trace, &dp, &soc, MemKind::Cache);
         for seed in 0..seeds {
             let h = SimHarness::with_seed(seed);
             failures += soak_one(

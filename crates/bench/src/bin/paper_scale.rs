@@ -6,31 +6,9 @@
 //! cargo run --release -p aladdin-bench --bin paper_scale
 //! ```
 
-use aladdin_accel::DatapathConfig;
-use aladdin_bench::{banner, write_csv};
-use aladdin_core::{simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SocConfig};
+use aladdin_bench::{banner, run_flow, square_dp, write_csv};
+use aladdin_core::{DmaOptLevel, FlowResult, MemKind, SocConfig};
 use aladdin_workloads::{evaluation_kernels, paper_scale_kernels};
-
-fn run_dma(
-    trace: &aladdin_ir::Trace,
-    dp: &DatapathConfig,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Dma(opt))).expect("flow completes")
-}
-
-fn run_cache(trace: &aladdin_ir::Trace, dp: &DatapathConfig, soc: &SocConfig) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Cache)).expect("flow completes")
-}
-
-fn dp(lanes: u32) -> DatapathConfig {
-    DatapathConfig {
-        lanes,
-        partition: lanes,
-        ..DatapathConfig::default()
-    }
-}
 
 /// Best-EDP cache run over the Figure 3 cache-size sweep (a fixed size
 /// would unfairly penalize whichever scale overflows it — the paper
@@ -41,7 +19,7 @@ fn best_cache(trace: &aladdin_ir::Trace, soc: &SocConfig) -> FlowResult {
         .map(|&size| {
             let mut s = *soc;
             s.cache.size_bytes = size;
-            run_cache(trace, &dp(4), &s)
+            run_flow(trace, &square_dp(4), &s, MemKind::Cache)
         })
         .min_by(|a, b| a.edp().partial_cmp(&b.edp()).expect("finite"))
         .expect("non-empty sweep")
@@ -57,16 +35,26 @@ fn main() {
     let mut rows = Vec::new();
     for (paper, scaled) in paper_scale_kernels().iter().zip(evaluation_kernels()) {
         let trace = paper.run().trace;
-        let breakdown = run_dma(&trace, &dp(16), &soc, DmaOptLevel::Baseline);
+        let breakdown = run_flow(
+            &trace,
+            &square_dp(16),
+            &soc,
+            MemKind::Dma(DmaOptLevel::Baseline),
+        );
         let f = breakdown.phases.fractions();
 
-        let d = run_dma(&trace, &dp(4), &soc, DmaOptLevel::Full);
+        let d = run_flow(&trace, &square_dp(4), &soc, MemKind::Dma(DmaOptLevel::Full));
         let c = best_cache(&trace, &soc);
         let ratio = d.edp() / c.edp();
 
         // The verdict at the repository's default (scaled) sizes.
         let strace = scaled.run().trace;
-        let sd = run_dma(&strace, &dp(4), &soc, DmaOptLevel::Full);
+        let sd = run_flow(
+            &strace,
+            &square_dp(4),
+            &soc,
+            MemKind::Dma(DmaOptLevel::Full),
+        );
         let sc = best_cache(&strace, &soc);
         let sratio = sd.edp() / sc.edp();
         let same_side = (ratio < 1.0) == (sratio < 1.0)

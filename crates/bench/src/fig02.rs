@@ -4,36 +4,20 @@
 //! (b) per-benchmark flush / DMA / compute breakdown at 16-way
 //! parallelism, over the full kernel set.
 
-use aladdin_accel::DatapathConfig;
-use aladdin_core::{simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SocConfig};
+use aladdin_core::{DmaOptLevel, MemKind, SocConfig};
 use aladdin_workloads::{all_kernels, by_name};
 
-fn run_dma(
-    trace: &aladdin_ir::Trace,
-    dp: &DatapathConfig,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Dma(opt))).expect("flow completes")
-}
-
-fn sixteen_way() -> DatapathConfig {
-    DatapathConfig {
-        lanes: 16,
-        partition: 16,
-        ..DatapathConfig::default()
-    }
-}
+use crate::{run_flow, square_dp};
 
 /// Regenerate Figure 2a.
 pub fn run_2a() {
     crate::banner("Figure 2a: md-knn execution timeline (16 lanes, baseline DMA)");
     let trace = by_name("md-knn").expect("kernel").run().trace;
-    let r = run_dma(
+    let r = run_flow(
         &trace,
-        &sixteen_way(),
+        &square_dp(16),
         &SocConfig::default(),
-        DmaOptLevel::Baseline,
+        MemKind::Dma(DmaOptLevel::Baseline),
     );
     let f = r.phases.fractions();
     println!("total runtime: {} cycles", r.total_cycles);
@@ -82,7 +66,12 @@ pub fn run_2b() {
     let kernels = all_kernels();
     for k in &kernels {
         let trace = k.run().trace;
-        let r = run_dma(&trace, &sixteen_way(), &soc, DmaOptLevel::Baseline);
+        let r = run_flow(
+            &trace,
+            &square_dp(16),
+            &soc,
+            MemKind::Dma(DmaOptLevel::Baseline),
+        );
         let f = r.phases.fractions();
         let bound = if r.phases.is_data_movement_bound() {
             movement_bound += 1;

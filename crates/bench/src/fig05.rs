@@ -4,34 +4,22 @@
 //! simulation: the flush / DMA / compute activity windows of one kernel
 //! under each cumulative optimization.
 
-use aladdin_accel::DatapathConfig;
-use aladdin_core::{simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SocConfig};
+use aladdin_core::{DmaOptLevel, MemKind, SocConfig};
 use aladdin_workloads::by_name;
 
-fn run_dma(
-    trace: &aladdin_ir::Trace,
-    dp: &DatapathConfig,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Dma(opt))).expect("flow completes")
-}
+use crate::{run_flow, square_dp};
 
 /// Regenerate Figure 5.
 pub fn run() {
     crate::banner("Figure 5: DMA latency-reduction techniques (stencil2d, 4 lanes)");
     let trace = by_name("stencil-stencil2d").expect("kernel").run().trace;
-    let dp = DatapathConfig {
-        lanes: 4,
-        partition: 4,
-        ..DatapathConfig::default()
-    };
+    let dp = square_dp(4);
     let soc = SocConfig::default();
 
     let mut rows = Vec::new();
-    let base_total = run_dma(&trace, &dp, &soc, DmaOptLevel::Baseline).total_cycles;
+    let base_total = run_flow(&trace, &dp, &soc, MemKind::Dma(DmaOptLevel::Baseline)).total_cycles;
     for opt in DmaOptLevel::ALL {
-        let r = run_dma(&trace, &dp, &soc, opt);
+        let r = run_flow(&trace, &dp, &soc, MemKind::Dma(opt));
         let p = r.phases;
         // Render a 60-char timeline with phase letters.
         let width = 60usize;

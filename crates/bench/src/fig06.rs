@@ -1,26 +1,10 @@
 //! Figure 6: (a) cumulative DMA optimizations at 4 lanes; (b) the effect
 //! of datapath parallelism with all optimizations applied.
 
-use aladdin_accel::DatapathConfig;
-use aladdin_core::{simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SocConfig};
+use aladdin_core::{DmaOptLevel, MemKind, SocConfig};
 use aladdin_workloads::evaluation_kernels;
 
-fn run_dma(
-    trace: &aladdin_ir::Trace,
-    dp: &DatapathConfig,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Dma(opt))).expect("flow completes")
-}
-
-fn dp(lanes: u32) -> DatapathConfig {
-    DatapathConfig {
-        lanes,
-        partition: lanes,
-        ..DatapathConfig::default()
-    }
-}
+use crate::{run_flow, square_dp};
 
 /// Regenerate Figure 6a.
 pub fn run_6a() {
@@ -35,7 +19,7 @@ pub fn run_6a() {
         let trace = k.run().trace;
         let mut base = 0u64;
         for opt in DmaOptLevel::ALL {
-            let r = run_dma(&trace, &dp(4), &soc, opt);
+            let r = run_flow(&trace, &square_dp(4), &soc, MemKind::Dma(opt));
             if opt == DmaOptLevel::Baseline {
                 base = r.total_cycles;
             }
@@ -92,7 +76,12 @@ pub fn run_6b() {
         let trace = k.run().trace;
         let mut one_lane = 0u64;
         for lanes in [1u32, 2, 4, 8, 16] {
-            let r = run_dma(&trace, &dp(lanes), &soc, DmaOptLevel::Full);
+            let r = run_flow(
+                &trace,
+                &square_dp(lanes),
+                &soc,
+                MemKind::Dma(DmaOptLevel::Full),
+            );
             if lanes == 1 {
                 one_lane = r.total_cycles;
             }

@@ -1,17 +1,11 @@
 //! Figure 7: effect of datapath parallelism on cache-based accelerators,
 //! decomposed into processing / latency / bandwidth time (Burger-style).
 
-use aladdin_core::{decompose_cache_time, simulate, FlowResult, FlowSpec, MemKind, SocConfig};
+use aladdin_core::{decompose_cache_time, MemKind, SocConfig};
 use aladdin_dse::CachePoint;
 use aladdin_workloads::evaluation_kernels;
 
-fn run_cache(
-    trace: &aladdin_ir::Trace,
-    dp: &aladdin_accel::DatapathConfig,
-    soc: &SocConfig,
-) -> FlowResult {
-    simulate(trace, dp, soc, &FlowSpec::new(MemKind::Cache)).expect("flow completes")
-}
+use crate::run_flow;
 
 /// Find the smallest swept cache size at which performance saturates
 /// (within 2% of the largest size), at 4 lanes — the paper's methodology.
@@ -24,15 +18,16 @@ fn saturating_cache_size(trace: &aladdin_ir::Trace, soc: &SocConfig) -> u64 {
         ports: 2,
         assoc: 4,
     };
-    let best = run_cache(
+    let best = run_flow(
         trace,
         &point(*sizes.last().unwrap()).datapath(),
         &point(*sizes.last().unwrap()).apply(soc),
+        MemKind::Cache,
     )
     .total_cycles;
     for &size in &sizes {
         let p = point(size);
-        let c = run_cache(trace, &p.datapath(), &p.apply(soc)).total_cycles;
+        let c = run_flow(trace, &p.datapath(), &p.apply(soc), MemKind::Cache).total_cycles;
         if c as f64 <= best as f64 * 1.02 {
             return size;
         }

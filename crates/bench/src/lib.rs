@@ -42,8 +42,31 @@ pub mod fig10;
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use aladdin_accel::DatapathConfig;
+use aladdin_core::{simulate, FlowResult, FlowSpec, MemKind, SocConfig};
 use aladdin_ir::Trace;
 use aladdin_workloads::evaluation_kernels;
+
+/// Run one design point's flow on the clean harness. The figures sweep
+/// only valid design points, so a failure is a bug.
+///
+/// # Panics
+///
+/// Panics if the simulation fails.
+#[must_use]
+pub fn run_flow(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig, kind: MemKind) -> FlowResult {
+    simulate(trace, dp, soc, &FlowSpec::new(kind)).expect("flow completes")
+}
+
+/// A datapath with `lanes` lanes over as many scratchpad partitions.
+#[must_use]
+pub fn square_dp(lanes: u32) -> DatapathConfig {
+    DatapathConfig {
+        lanes,
+        partition: lanes,
+        ..DatapathConfig::default()
+    }
+}
 
 /// Directory figure CSVs are written to (`results/` at the repo root,
 /// falling back to the current directory).

@@ -17,10 +17,6 @@
 //!     .expect("simulation completes");
 //! assert!(r.total_cycles > 0);
 //! ```
-//!
-//! The legacy `run_*`/`try_run_*`/`*_prepared` entry points in
-//! [`crate::flows`] are thin deprecated wrappers over this engine and
-//! produce bit-identical results.
 
 use aladdin_accel::{
     trace_node_stream, try_schedule_prepared, try_schedule_windowed, DatapathConfig,
@@ -213,10 +209,9 @@ impl<'a> FlowSpec<'a> {
 
 /// Run one accelerator invocation described by `spec`.
 ///
-/// This is the single simulation core: every other entry point
-/// (the deprecated `run_*`/`try_run_*` family, [`Soc`](crate::Soc)'s
-/// convenience methods, the sweep runners in `aladdin-dse`) is a thin
-/// wrapper over this function and produces bit-identical results.
+/// This is the single simulation core: every other entry point (the
+/// `_prepared`/`_source` variants, the sweep runners in `aladdin-dse`) is
+/// a thin wrapper over this function and produces bit-identical results.
 ///
 /// # Errors
 ///

@@ -23,8 +23,7 @@
 //! Every run returns a [`FlowResult`] with the paper's runtime phase
 //! attribution (flush-only / DMA-flush / compute-DMA / compute-only,
 //! Section IV-C), an accelerator [`EnergyReport`], and component
-//! statistics. [`Soc`] bundles a [`SocConfig`] for ergonomic sweeps, and
-//! [`simulate_multi`] co-simulates several accelerators — heterogeneous
+//! statistics. [`simulate_multi`] co-simulates several accelerators — heterogeneous
 //! mixes of DMA and cache clients included — on one shared bus
 //! (Figure 3's `ACCEL0`/`ACCEL1`).
 //!
@@ -58,10 +57,8 @@ mod cachemem;
 mod config;
 mod decompose;
 mod engine;
-mod flows;
 mod multi;
 mod phase;
-mod soc;
 mod source;
 mod validation;
 
@@ -82,18 +79,9 @@ pub use engine::{
     simulate, simulate_prepared, simulate_source, simulate_source_prepared, FlowResult, FlowSpec,
     SourceFlowRun,
 };
-#[allow(deprecated)]
-pub use flows::{
-    run_cache, run_cache_prepared, run_dma, run_isolated, run_isolated_prepared, try_run_cache,
-    try_run_cache_prepared, try_run_dma, try_run_dma_prepared, try_run_isolated,
-    try_run_isolated_prepared,
-};
-#[allow(deprecated)]
-pub use multi::run_multi_dma;
 pub use multi::{
     simulate_multi, validate_multi_jobs, AcceleratorJob, AcceleratorTimeline, MultiSocResult,
 };
 pub use phase::PhaseBreakdown;
-pub use soc::Soc;
 pub use source::{TraceSource, TraceSourceKind};
 pub use validation::{validate_kernel, ValidationRow};

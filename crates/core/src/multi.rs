@@ -666,18 +666,6 @@ pub fn simulate_multi(
     })
 }
 
-/// Simulate `jobs` concurrently on one SoC (clean harness, panicking).
-///
-/// # Panics
-///
-/// Panics if the job set is invalid or the simulation cannot complete;
-/// use [`simulate_multi`] to handle those as typed errors instead.
-#[deprecated(note = "use `simulate_multi(jobs, soc, &SimHarness::default())`")]
-#[must_use]
-pub fn run_multi_dma(jobs: &[AcceleratorJob], soc: &SocConfig) -> MultiSocResult {
-    simulate_multi(jobs, soc, &SimHarness::default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
 fn setup_isolated(
     index: usize,
     job: &AcceleratorJob,
@@ -909,13 +897,6 @@ mod tests {
     fn empty_jobs_are_a_typed_error() {
         let err = simulate_multi(&[], &SocConfig::default(), &SimHarness::default()).unwrap_err();
         assert_eq!(err.code(), "L0250");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "at least one job")]
-    fn empty_jobs_rejected_by_legacy_wrapper() {
-        let _ = run_multi_dma(&[], &SocConfig::default());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Public-API surface snapshot for `aladdin-core`.
 //!
-//! The FlowSpec unification promises *exactly one* non-deprecated
-//! simulation entry-point family. This test pins the crate's `pub use`
-//! surface (parsed from `lib.rs`, the crate's single export site) against
-//! a golden list, so any future export — in particular a new `run_*`
-//! sibling — must consciously edit the snapshot here to land.
+//! The FlowSpec unification promises *exactly one* simulation entry-point
+//! family. This test pins the crate's `pub use` surface (parsed from
+//! `lib.rs`, the crate's single export site) against a golden list, so
+//! any future export — in particular a new `run_*` sibling — must
+//! consciously edit the snapshot here to land.
 
-/// Every symbol re-exported from `lib.rs`, sorted. Deprecated legacy
-/// wrappers are kept exported for API compatibility and are listed under
-/// their own heading; everything else is the supported surface.
-const GOLDEN_NON_DEPRECATED: &[&str] = &[
+const LIB: &str = include_str!("../src/lib.rs");
+
+/// Every symbol re-exported from `lib.rs`, sorted.
+const GOLDEN: &[&str] = &[
     "AcceleratorJob",
     "AcceleratorTimeline",
     "CODE_BAD_TOPOLOGY",
@@ -32,7 +32,6 @@ const GOLDEN_NON_DEPRECATED: &[&str] = &[
     "ProtocolConfig",
     "SimError",
     "SimHarness",
-    "Soc",
     "SocConfig",
     "SocConfigBuilder",
     "SourceFlowRun",
@@ -54,118 +53,45 @@ const GOLDEN_NON_DEPRECATED: &[&str] = &[
     "validate_multi_jobs",
 ];
 
-const GOLDEN_DEPRECATED: &[&str] = &[
-    "run_cache",
-    "run_cache_prepared",
-    "run_dma",
-    "run_isolated",
-    "run_isolated_prepared",
-    "run_multi_dma",
-    "try_run_cache",
-    "try_run_cache_prepared",
-    "try_run_dma",
-    "try_run_dma_prepared",
-    "try_run_isolated",
-    "try_run_isolated_prepared",
-];
-
-/// Parse the `pub use` items out of `lib.rs`, split into (deprecated,
-/// non-deprecated) by whether the statement sits under an
-/// `#[allow(deprecated)]` attribute (the marker `lib.rs` applies to
-/// every legacy re-export).
-fn parse_exports() -> (Vec<String>, Vec<String>) {
-    let src = include_str!("../src/lib.rs");
-    let mut deprecated = Vec::new();
-    let mut current = Vec::new();
-    let mut pending_allow = false;
-    let mut in_use: Option<bool> = None;
-    let mut buf = String::new();
-    for line in src.lines() {
-        let line = line.trim();
-        if let Some(is_dep) = in_use {
-            buf.push_str(line);
-            if line.ends_with(';') {
-                collect(&buf, is_dep, &mut deprecated, &mut current);
-                buf.clear();
-                in_use = None;
-            }
-            continue;
-        }
-        if line == "#[allow(deprecated)]" {
-            pending_allow = true;
-            continue;
-        }
-        if line.starts_with("pub use ") {
-            if line.ends_with(';') {
-                collect(line, pending_allow, &mut deprecated, &mut current);
-            } else {
-                buf.push_str(line);
-                in_use = Some(pending_allow);
-            }
-            pending_allow = false;
-        } else if !line.starts_with("//") && !line.is_empty() {
-            pending_allow = false;
+/// Split every top-level `pub use path::{a, b};` statement into symbols.
+fn exports(src: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for stmt in src.split("\npub use ").skip(1) {
+        let body = stmt.split(';').next().unwrap_or(stmt);
+        match (body.find('{'), body.rfind('}')) {
+            (Some(open), Some(close)) => names.extend(
+                body[open + 1..close]
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|n| !n.is_empty())
+                    .map(str::to_owned),
+            ),
+            _ => names.push(body.rsplit("::").next().unwrap_or(body).trim().to_owned()),
         }
     }
-    deprecated.sort();
-    deprecated.dedup();
-    current.sort();
-    current.dedup();
-    (deprecated, current)
-}
-
-/// Split one complete `pub use path::{a, b};` statement into symbols.
-fn collect(stmt: &str, is_dep: bool, deprecated: &mut Vec<String>, current: &mut Vec<String>) {
-    let body = stmt
-        .trim_start_matches("pub use ")
-        .trim_end_matches(';')
-        .trim();
-    let names: Vec<&str> = match (body.find('{'), body.rfind('}')) {
-        (Some(open), Some(close)) => body[open + 1..close].split(',').collect(),
-        _ => vec![body.rsplit("::").next().unwrap_or(body)],
-    };
-    for name in names {
-        let name = name.trim();
-        if name.is_empty() {
-            continue;
-        }
-        if is_dep {
-            deprecated.push(name.to_owned());
-        } else {
-            current.push(name.to_owned());
-        }
-    }
+    names.sort();
+    names
 }
 
 #[test]
 fn public_surface_matches_golden_snapshot() {
-    let (deprecated, current) = parse_exports();
     assert_eq!(
-        current,
-        GOLDEN_NON_DEPRECATED
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect::<Vec<_>>(),
-        "non-deprecated export surface drifted — update the golden list \
-         deliberately if this is intended"
+        exports(LIB),
+        GOLDEN,
+        "export surface drifted — update the golden list deliberately if this is intended"
     );
-    assert_eq!(
-        deprecated,
-        GOLDEN_DEPRECATED
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect::<Vec<_>>(),
-        "deprecated (legacy-compat) export surface drifted"
+    assert!(
+        !LIB.contains("#[allow(deprecated)]"),
+        "the compatibility layer is gone; nothing may re-export deprecated items"
     );
 }
 
-/// The one-entry-point guarantee, stated directly: no non-deprecated
-/// export looks like a second simulation entry-point family.
+/// The one-entry-point guarantee, stated directly: no export looks like
+/// a second simulation entry-point family.
 #[test]
 fn exactly_one_simulation_entry_point_family() {
-    let (_, current) = parse_exports();
-    let entry_points: Vec<&String> = current
-        .iter()
+    let entry_points: Vec<String> = exports(LIB)
+        .into_iter()
         .filter(|n| n.starts_with("run_") || n.starts_with("try_run_") || n.contains("simulate"))
         .collect();
     assert_eq!(
@@ -176,9 +102,7 @@ fn exactly_one_simulation_entry_point_family() {
             "simulate_prepared",
             "simulate_source",
             "simulate_source_prepared",
-        ]
-        .iter()
-        .collect::<Vec<_>>(),
-        "a non-deprecated entry point outside the simulate family appeared"
+        ],
+        "an entry point outside the simulate family appeared"
     );
 }

@@ -228,135 +228,6 @@ pub fn point_cached(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig, kind: M
     lookup(&point_key(trace.fingerprint(), kind, dp, soc)).is_some()
 }
 
-/// Run one design point through the result cache: a hit returns the
-/// stored result (bit-identical to re-simulating), a miss simulates via
-/// the corresponding `aladdin-core` flow and stores the outcome.
-///
-/// This is the convenience entry for binaries that evaluate single
-/// points; sweeps integrate the cache with DDDG sharing and workspace
-/// reuse internally.
-///
-/// # Panics
-///
-/// Panics if the underlying flow does (e.g. a DMA configuration that
-/// cannot make progress).
-#[must_use]
-pub fn run_point_cached(
-    trace: &Trace,
-    dp: &DatapathConfig,
-    soc: &SocConfig,
-    kind: MemKind,
-) -> FlowResult {
-    let t0 = std::time::Instant::now();
-    let key = point_key(trace.fingerprint(), kind, dp, soc);
-    let (result, hit) = match lookup(&key) {
-        Some(hit) => (hit, true),
-        None => {
-            let r = aladdin_core::simulate(trace, dp, soc, &aladdin_core::FlowSpec::new(kind))
-                .unwrap_or_else(|e| panic!("{e}"));
-            insert(&key, &r);
-            (r, false)
-        }
-    };
-    crate::perf::record_global(&crate::SweepPerf {
-        points: 1,
-        cache_hits: u64::from(hit),
-        stepped_cycles: if hit { 0 } else { result.sched_stepped_cycles },
-        events: if hit { 0 } else { result.sched_events },
-        failures: 0,
-        pruned: 0,
-        streamed_points: 0,
-        peak_resident_nodes: 0,
-        wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    });
-    result
-}
-
-/// Why [`run_point_cached_bounded`] skipped a point: its static floors
-/// were strictly dominated by an already-known result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundsPrune {
-    /// The point's certified static cycle lower bound.
-    pub lo: u64,
-    /// The point's static average-power floor in mW.
-    pub power_floor_mw: f64,
-    /// Cycles of the witness result that dominated it.
-    pub by_cycles: u64,
-    /// Average power (mW) of the witness result that dominated it.
-    pub by_power_mw: f64,
-}
-
-/// [`run_point_cached`], consulting static cycle/power bounds before
-/// simulating: when some witness `(total_cycles, avg_power_mw)` strictly
-/// dominates the point's static floors (`cycles < lo` **and**
-/// `power < floor`), the point provably cannot reach the Pareto frontier
-/// and the simulation is skipped, returning the [`BoundsPrune`] record
-/// instead (never a silent drop). Cache hits are returned before bounds
-/// are consulted — a stored result is both cheaper and exact.
-///
-/// Soundness: the lower bounds come from
-/// [`aladdin_lint::bounds_for_point`]; a point whose configuration fails
-/// validation is simulated normally (the flow itself decides its fate).
-///
-/// # Errors
-///
-/// Returns the [`BoundsPrune`] describing the domination when the point
-/// is skipped.
-///
-/// # Panics
-///
-/// Panics if the underlying flow does, exactly like [`run_point_cached`].
-pub fn run_point_cached_bounded(
-    trace: &Trace,
-    dp: &DatapathConfig,
-    soc: &SocConfig,
-    kind: MemKind,
-    witnesses: &[(u64, f64)],
-) -> Result<FlowResult, BoundsPrune> {
-    let t0 = std::time::Instant::now();
-    let key = point_key(trace.fingerprint(), kind, dp, soc);
-    if let Some(hit) = lookup(&key) {
-        crate::perf::record_global(&crate::SweepPerf {
-            points: 1,
-            cache_hits: 1,
-            wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            ..crate::SweepPerf::default()
-        });
-        return Ok(hit);
-    }
-    let harness = aladdin_core::SimHarness::default();
-    if let Ok(b) = aladdin_lint::bounds_for_point(trace, dp, soc, kind, &harness) {
-        let floor = aladdin_lint::static_power_floor_mw(trace, dp, soc, kind, &b);
-        if let Some(&(by_cycles, by_power_mw)) =
-            witnesses.iter().find(|&&(c, p)| c < b.lo && p < floor)
-        {
-            crate::perf::record_global(&crate::SweepPerf {
-                points: 1,
-                pruned: 1,
-                wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                ..crate::SweepPerf::default()
-            });
-            return Err(BoundsPrune {
-                lo: b.lo,
-                power_floor_mw: floor,
-                by_cycles,
-                by_power_mw,
-            });
-        }
-    }
-    let r = aladdin_core::simulate(trace, dp, soc, &aladdin_core::FlowSpec::new(kind))
-        .unwrap_or_else(|e| panic!("{e}"));
-    insert(&key, &r);
-    crate::perf::record_global(&crate::SweepPerf {
-        points: 1,
-        stepped_cycles: r.sched_stepped_cycles,
-        events: r.sched_events,
-        wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        ..crate::SweepPerf::default()
-    });
-    Ok(r)
-}
-
 // ---------------------------------------------------------------------------
 // Shard index maintenance.
 
@@ -719,6 +590,7 @@ fn parse_flow(text: &str, expected_key: &str) -> Option<FlowResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_point_cached;
     use aladdin_workloads::by_name;
 
     fn sample_result(kind: MemKind) -> FlowResult {

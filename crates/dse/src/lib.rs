@@ -5,9 +5,12 @@
 //!
 //! * [`DesignSpace`] — the Figure 3 parameter table (datapath lanes,
 //!   scratchpad partitioning, cache geometry, bus width),
-//! * [`sweep`] (with [`sweep_perf`]/[`sweep_checked`]/[`sweep_faulted`])
-//!   — one multithreaded, spec-driven sweep runner generic over
-//!   [`MemKind`](aladdin_core::MemKind),
+//! * [`sweep`]/[`sweep_perf`] — a multithreaded design-space sweep
+//!   generic over [`MemKind`](aladdin_core::MemKind), and
+//!   [`sweep_points`]/[`sweep_points_streaming`] for arbitrary point
+//!   lists; all of them, and the single-point [`run_point_cached`], run
+//!   one per-point step (result cache, shared DDDG preparation, optional
+//!   bound pruning) through one parallel engine, [`sweep_engine`],
 //! * [`pareto_frontier`] and [`edp_optimal`] — the Figure 8 analyses,
 //! * [`run_codesign`] — the four design scenarios of Figures 9/10
 //!   (isolated, co-designed DMA, co-designed cache at 32- and 64-bit bus)
@@ -47,9 +50,8 @@ mod space;
 mod sweep;
 
 pub use cache::{
-    maintain_shard_index, point_cached, reset_sweep_cache, run_point_cached,
-    run_point_cached_bounded, set_sweep_cache_dir, set_sweep_cache_mode, BoundsPrune,
-    ShardIndexReport, SweepCacheMode, FORMAT_VERSION,
+    maintain_shard_index, point_cached, reset_sweep_cache, set_sweep_cache_dir,
+    set_sweep_cache_mode, ShardIndexReport, SweepCacheMode, FORMAT_VERSION,
 };
 pub use kiviat::KiviatSummary;
 pub use pareto::{edp_optimal, optimal_by, pareto_frontier, Metric};
@@ -58,13 +60,6 @@ pub use preflight::{preflight_cache, preflight_dma, Preflight, RejectedPoint};
 pub use scenario::{run_codesign, CodesignReport, ScenarioOutcome};
 pub use space::{CachePoint, DesignSpace, DmaPoint};
 pub use sweep::{
-    sweep, sweep_checked, sweep_faulted, sweep_perf, sweep_points, sweep_points_source,
-    sweep_points_source_streaming, sweep_points_streaming, sweep_points_streaming_pruned,
-    CheckedSweep, FailedPoint, PointOutcome, PointSpec, PrunedPoint, SweepOutcome,
-};
-#[allow(deprecated)]
-pub use sweep::{
-    sweep_cache, sweep_cache_checked, sweep_cache_faulted, sweep_cache_perf, sweep_dma,
-    sweep_dma_checked, sweep_dma_faulted, sweep_dma_perf, sweep_isolated, sweep_isolated_faulted,
-    sweep_isolated_perf,
+    run_point_cached, sweep, sweep_engine, sweep_perf, sweep_points, sweep_points_streaming,
+    PointOutcome, PointSpec, PrunedPoint,
 };

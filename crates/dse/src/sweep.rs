@@ -1,45 +1,43 @@
 //! Multithreaded sweep runners — the sweep-throughput fast path.
 //!
-//! One generic, spec-driven runner covers every flow: [`sweep`] (and its
-//! [`sweep_perf`] / [`sweep_checked`] / [`sweep_faulted`] variants) takes
-//! the [`MemKind`] the points should run under and derives the point list
-//! from the matching side of the [`DesignSpace`]. The historical
-//! per-flow families (`sweep_isolated`/`sweep_dma`/`sweep_cache` × plain,
-//! `_perf`, `_checked`, `_faulted`) remain as deprecated one-line
-//! wrappers with bit-exact results.
-//!
-//! Every sweep funnels through one engine that layers three optimizations,
-//! all invisible in the results (bit-exact against running each point's
-//! `aladdin-core` flow directly):
+//! Every sweep runs one per-point step, driven by one parallel engine
+//! ([`sweep_engine`]). The step layers four optimizations, all invisible
+//! in the results (bit-exact against running each point's `aladdin-core`
+//! flow directly):
 //!
 //! 1. **Result cache** — each point is looked up in the content-addressed
-//!    cache ([`crate::run_point_cached`]'s machinery) before simulating.
+//!    cache before simulating, and stored after.
 //! 2. **Shared DDDG preparation** — the dependence graph depends only on
 //!    the trace and the lane count, so one [`PreparedDddg`] per distinct
 //!    lane count is built lazily and shared across all worker threads via
 //!    `Arc`.
-//! 3. **Workspace reuse** — each worker owns one [`SchedulerWorkspace`],
+//! 3. **Bound pruning** (opt-in) — a point whose static cycle lower bound
+//!    and power floor are strictly dominated by a finished result is
+//!    skipped, never silently dropped.
+//! 4. **Workspace reuse** — each worker owns one [`SchedulerWorkspace`],
 //!    so the scheduler's heaps and vectors are allocated once per thread,
 //!    not once per design point.
 //!
-//! Each sweep returns (via [`sweep_perf`]) a [`SweepPerf`] roll-up and
-//! folds it into the process-wide accumulator [`crate::global_perf`].
+//! [`sweep`]/[`sweep_perf`] walk one side of a [`DesignSpace`],
+//! [`sweep_points`]/[`sweep_points_streaming`] run an arbitrary point list,
+//! and [`run_point_cached`] runs the same step for one point on the
+//! calling thread. Each sweep folds its [`SweepPerf`] roll-up into the
+//! process-wide accumulator [`crate::global_perf`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use aladdin_accel::{DatapathConfig, PreparedDddg, SchedulerWorkspace};
 use aladdin_core::{
-    simulate_prepared, simulate_source_prepared, DmaOptLevel, FlowResult, FlowSpec, MemKind,
-    SimError, SimHarness, SocConfig, TraceSource, Watchdog,
+    simulate_source_prepared, FlowResult, FlowSpec, MemKind, SimError, SimHarness, SocConfig,
+    TraceSource, Watchdog,
 };
-use aladdin_ir::{Report, Trace};
+use aladdin_ir::Trace;
 
 use crate::cache;
 use crate::perf::{record_global, SweepPerf};
-use crate::preflight::{preflight_cache, preflight_dma, RejectedPoint};
 use crate::space::DesignSpace;
 
 /// Run `job` once per index in `0..n` across all available cores. Each
@@ -85,9 +83,8 @@ where
 /// datapath, which (point-adjusted) SoC.
 ///
 /// This is the unit the campaign layer (`aladdin-spec`) expands TOML specs
-/// into; [`sweep_points`] and [`sweep_points_streaming`] run arbitrary
-/// lists of them on the same fast path as the [`DesignSpace`]-driven
-/// sweeps.
+/// into; [`sweep_points`] and [`sweep_engine`] run arbitrary lists of them
+/// on the same fast path as the [`DesignSpace`]-driven sweeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointSpec {
     /// Which memory-system flow the point runs under.
@@ -138,186 +135,6 @@ fn specs_for(space: &DesignSpace, soc: &SocConfig, kind: MemKind) -> Vec<PointSp
     out
 }
 
-/// The sweep engine: cache lookup, lazy shared DDDG preparation, per-worker
-/// workspace reuse, and perf accounting. The plain (no-harness) entry —
-/// any simulation failure here is a hard bug, so it panics.
-fn run_specs(trace: &Trace, specs: &[PointSpec]) -> (Vec<FlowResult>, SweepPerf) {
-    let (results, perf) = run_specs_harness(trace, specs, &SimHarness::default());
-    let results = results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect();
-    (results, perf)
-}
-
-/// The sweep engine under a [`SimHarness`]: per-point failures come back
-/// as `Err` slots instead of aborting the sweep.
-fn run_specs_harness(
-    trace: &Trace,
-    specs: &[PointSpec],
-    harness: &SimHarness,
-) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    sweep_points_streaming(trace, specs, harness, &|_, _| {})
-}
-
-/// Run an arbitrary list of design points on the sweep fast path (result
-/// cache, shared DDDG preparation, per-worker workspace reuse), returning
-/// one `Result` slot per point in point order.
-///
-/// This is the engine behind every [`DesignSpace`]-driven sweep, exposed
-/// for callers — the campaign runner foremost — whose point lists do not
-/// come from a `DesignSpace`.
-#[must_use]
-pub fn sweep_points(
-    trace: &Trace,
-    specs: &[PointSpec],
-    harness: &SimHarness,
-) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    run_specs_harness(trace, specs, harness)
-}
-
-/// [`sweep_points`], invoking `sink` once per completed point *as it
-/// completes* (from worker threads, in completion order — not point
-/// order). Campaign runners use this to stream per-point results to a
-/// journal while the sweep is still going, so an interrupted run loses at
-/// most the points in flight.
-///
-/// Caching policy: points run through the result cache only when the
-/// harness is inert — an empty [`FaultPlan`](aladdin_core::FaultPlan)
-/// *and* the default [`Watchdog`]. Fault-injected runs bypass it in both
-/// directions (the key does not include the plan, and a perturbed result
-/// must never be served to — or recorded for — a clean sweep); runs under
-/// a non-default watchdog bypass it too, because a cached success could
-/// mask a timeout the tighter watchdog would have produced.
-#[must_use]
-pub fn sweep_points_streaming(
-    trace: &Trace,
-    specs: &[PointSpec],
-    harness: &SimHarness,
-    sink: &(dyn Fn(usize, &Result<FlowResult, SimError>) + Sync),
-) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    sweep_points_source_streaming(&TraceSource::Memory(trace), specs, harness, sink)
-}
-
-/// Run an arbitrary list of design points against any [`TraceSource`] —
-/// same fast path as [`sweep_points`]. An in-memory source shares one
-/// lazily-built [`PreparedDddg`] per lane count across workers; an
-/// `.atrc` source shares the *encoded bytes* instead (every worker
-/// streams its own decode through the windowed scheduler, so sweep node
-/// memory stays O(workers × window) regardless of trace length).
-///
-/// Caching policy: `.atrc` points bypass the result cache in both
-/// directions. The windowed scheduler is bit-exact with the materialized
-/// path only when its window covers the largest barrier round — which a
-/// streamed source cannot verify ahead of time — so streamed results must
-/// neither be recorded under nor served from the keys materialized runs
-/// use.
-#[must_use]
-pub fn sweep_points_source(
-    source: &TraceSource,
-    specs: &[PointSpec],
-    harness: &SimHarness,
-) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    sweep_points_source_streaming(source, specs, harness, &|_, _| {})
-}
-
-/// [`sweep_points_source`] with a streaming per-point `sink` — see
-/// [`sweep_points_streaming`] for the sink and caching contracts.
-#[must_use]
-pub fn sweep_points_source_streaming(
-    source: &TraceSource,
-    specs: &[PointSpec],
-    harness: &SimHarness,
-    sink: &(dyn Fn(usize, &Result<FlowResult, SimError>) + Sync),
-) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    let t0 = Instant::now();
-    let fp = source.fingerprint();
-    let use_cache = harness.plan.is_empty()
-        && harness.watchdog == Watchdog::default()
-        && matches!(source, TraceSource::Memory(_));
-
-    // One lazily-built PreparedDddg per distinct lane count, shared across
-    // workers. Lazy so a fully cache-warm sweep builds no graphs at all.
-    // Only the materialized path uses them; `.atrc` sources never build a
-    // full graph.
-    let mut lane_slot: HashMap<u32, usize> = HashMap::new();
-    for s in specs {
-        let next = lane_slot.len();
-        lane_slot.entry(s.dp.lanes).or_insert(next);
-    }
-    let preps: Vec<OnceLock<Arc<PreparedDddg>>> =
-        (0..lane_slot.len()).map(|_| OnceLock::new()).collect();
-
-    let hits = AtomicU64::new(0);
-    let stepped = AtomicU64::new(0);
-    let events = AtomicU64::new(0);
-    let failures = AtomicU64::new(0);
-    let streamed = AtomicU64::new(0);
-    let peak_resident = AtomicU64::new(0);
-
-    let results = parallel_map(specs.len(), SchedulerWorkspace::new, |i, ws| {
-        let s = &specs[i];
-        let key = use_cache.then(|| cache::point_key(fp, s.kind, &s.dp, &s.soc));
-        let cached = key.as_ref().and_then(|key| cache::lookup(key));
-        let result = if let Some(hit) = cached {
-            hits.fetch_add(1, Ordering::Relaxed);
-            Ok(hit)
-        } else {
-            let run = match source {
-                TraceSource::Memory(trace) => {
-                    let prep = Arc::clone(
-                        preps[lane_slot[&s.dp.lanes]]
-                            .get_or_init(|| Arc::new(PreparedDddg::new(trace, &s.dp))),
-                    );
-                    let spec = FlowSpec::new(s.kind)
-                        .with_harness(harness)
-                        .with_prepared(&prep);
-                    simulate_source_prepared(source, &s.dp, &s.soc, &spec, ws)
-                }
-                TraceSource::Atrc(_) => {
-                    let spec = FlowSpec::new(s.kind).with_harness(harness);
-                    simulate_source_prepared(source, &s.dp, &s.soc, &spec, ws)
-                }
-            };
-            match run {
-                Ok(run) => {
-                    let r = run.result;
-                    stepped.fetch_add(r.sched_stepped_cycles, Ordering::Relaxed);
-                    events.fetch_add(r.sched_events, Ordering::Relaxed);
-                    if let Some(p) = run.peak_resident_nodes {
-                        streamed.fetch_add(1, Ordering::Relaxed);
-                        peak_resident.fetch_max(p, Ordering::Relaxed);
-                    }
-                    if let Some(key) = &key {
-                        cache::insert(key, &r);
-                    }
-                    Ok(r)
-                }
-                Err(e) => {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                    Err(e)
-                }
-            }
-        };
-        sink(i, &result);
-        result
-    });
-
-    let perf = SweepPerf {
-        points: specs.len() as u64,
-        cache_hits: hits.into_inner(),
-        stepped_cycles: stepped.into_inner(),
-        events: events.into_inner(),
-        failures: failures.into_inner(),
-        pruned: 0,
-        streamed_points: streamed.into_inner(),
-        peak_resident_nodes: peak_resident.into_inner(),
-        wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    };
-    record_global(&perf);
-    (results, perf)
-}
-
 /// One design point skipped by a pruned sweep: its static cycle lower
 /// bound and power floor were strictly dominated by an already-finished
 /// result, so it provably cannot reach the Pareto frontier.
@@ -335,7 +152,7 @@ pub struct PrunedPoint {
     pub by_power_mw: f64,
 }
 
-/// Outcome of one point in a pruned sweep ([`sweep_points_streaming_pruned`]).
+/// Outcome of one point of a [`sweep_engine`] run.
 #[derive(Debug, Clone)]
 pub enum PointOutcome {
     /// Simulated (or served bit-exactly from the result cache).
@@ -355,137 +172,327 @@ impl PointOutcome {
             PointOutcome::Failed(_) | PointOutcome::Pruned(_) => None,
         }
     }
+
+    /// The outcome of an unpruned sweep as a `Result`.
+    fn into_result(self) -> Result<FlowResult, SimError> {
+        match self {
+            PointOutcome::Done(r) => Ok(*r),
+            PointOutcome::Failed(e) => Err(e),
+            PointOutcome::Pruned(p) => {
+                unreachable!("point {} pruned by an unpruned sweep", p.index)
+            }
+        }
+    }
 }
 
-/// [`sweep_points_streaming`] with sound bound-based pruning: before
-/// simulating a point, its static `[lo, ∞)` cycle interval and power
-/// floor (from `aladdin-lint`'s [`bounds_for_prepared`](aladdin_lint::bounds_for_prepared))
-/// are compared against every already-finished result; if some result is
+/// The shared state of one sweep: its inputs, the cache and pruning
+/// gates, the lazily prepared graphs, the pruning witnesses, and the perf
+/// counters. [`Sweep::step`] is the one per-point step every entry point
+/// runs.
+struct Sweep<'a> {
+    source: TraceSource<'a>,
+    specs: &'a [PointSpec],
+    harness: &'a SimHarness,
+    /// The trace fingerprint when the sweep uses the result cache, `None`
+    /// when it bypasses it (see [`sweep_engine`] for the policy).
+    cache_fp: Option<u128>,
+    /// Whether bound pruning is engaged (only ever under the cache gate).
+    prune: bool,
+    /// Lane count → index into `preps`.
+    lane_slot: HashMap<u32, usize>,
+    /// One lazily-built graph per distinct lane count, shared across
+    /// workers. Lazy so a fully cache-warm sweep builds no graphs at all;
+    /// `.atrc` sources never build one.
+    preps: Vec<OnceLock<Arc<PreparedDddg>>>,
+    /// Finished `(cycles, avg power)` pairs — the pruning witnesses.
+    witnesses: Mutex<Vec<(u64, f64)>>,
+    hits: AtomicU64,
+    stepped: AtomicU64,
+    events: AtomicU64,
+    failures: AtomicU64,
+    pruned: AtomicU64,
+    streamed: AtomicU64,
+    peak_resident: AtomicU64,
+    t0: Instant,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(
+        source: TraceSource<'a>,
+        specs: &'a [PointSpec],
+        harness: &'a SimHarness,
+        prune: bool,
+    ) -> Self {
+        let use_cache = harness.plan.is_empty()
+            && harness.watchdog == Watchdog::default()
+            && matches!(source, TraceSource::Memory(_));
+        let mut lane_slot: HashMap<u32, usize> = HashMap::new();
+        for s in specs {
+            let next = lane_slot.len();
+            lane_slot.entry(s.dp.lanes).or_insert(next);
+        }
+        let preps = (0..lane_slot.len()).map(|_| OnceLock::new()).collect();
+        Sweep {
+            source,
+            specs,
+            harness,
+            cache_fp: use_cache.then(|| source.fingerprint()),
+            prune: prune && use_cache,
+            lane_slot,
+            preps,
+            witnesses: Mutex::new(Vec::new()),
+            hits: AtomicU64::new(0),
+            stepped: AtomicU64::new(0),
+            events: AtomicU64::new(0),
+            failures: AtomicU64::new(0),
+            pruned: AtomicU64::new(0),
+            streamed: AtomicU64::new(0),
+            peak_resident: AtomicU64::new(0),
+            t0: Instant::now(),
+        }
+    }
+
+    /// Point `i`: cache gate → shared prepared graph → optional bound
+    /// prune → simulate → cache insert, counting into the perf counters.
+    fn step(&self, i: usize, ws: &mut SchedulerWorkspace) -> PointOutcome {
+        let s = &self.specs[i];
+        let key = self
+            .cache_fp
+            .map(|fp| cache::point_key(fp, s.kind, &s.dp, &s.soc));
+        if let Some(hit) = key.as_deref().and_then(cache::lookup) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.witness(&hit);
+            return PointOutcome::Done(Box::new(hit));
+        }
+        let prep = match self.source {
+            TraceSource::Memory(trace) => {
+                let prep = Arc::clone(
+                    self.preps[self.lane_slot[&s.dp.lanes]]
+                        .get_or_init(|| Arc::new(PreparedDddg::new(trace, &s.dp))),
+                );
+                if let Some(p) = self.dominated(i, trace, &prep) {
+                    self.pruned.fetch_add(1, Ordering::Relaxed);
+                    return PointOutcome::Pruned(p);
+                }
+                Some(prep)
+            }
+            TraceSource::Atrc(_) => None,
+        };
+        let mut spec = FlowSpec::new(s.kind).with_harness(self.harness);
+        if let Some(prep) = &prep {
+            spec = spec.with_prepared(prep);
+        }
+        match simulate_source_prepared(&self.source, &s.dp, &s.soc, &spec, ws) {
+            Ok(run) => {
+                let r = run.result;
+                self.stepped
+                    .fetch_add(r.sched_stepped_cycles, Ordering::Relaxed);
+                self.events.fetch_add(r.sched_events, Ordering::Relaxed);
+                if let Some(p) = run.peak_resident_nodes {
+                    self.streamed.fetch_add(1, Ordering::Relaxed);
+                    self.peak_resident.fetch_max(p, Ordering::Relaxed);
+                }
+                if let Some(key) = &key {
+                    cache::insert(key, &r);
+                }
+                self.witness(&r);
+                PointOutcome::Done(Box::new(r))
+            }
+            Err(e) => {
+                self.failures.fetch_add(1, Ordering::Relaxed);
+                PointOutcome::Failed(e)
+            }
+        }
+    }
+
+    /// The pruning check: the finished result, if any, that strictly
+    /// beats point `i`'s static cycle lower bound and power floor.
+    fn dominated(&self, i: usize, trace: &Trace, prep: &PreparedDddg) -> Option<PrunedPoint> {
+        if !self.prune {
+            return None;
+        }
+        let s = &self.specs[i];
+        let b = aladdin_lint::bounds_for_prepared(trace, prep, &s.dp, &s.soc, s.kind, self.harness);
+        let floor = aladdin_lint::static_power_floor_mw(trace, &s.dp, &s.soc, s.kind, &b);
+        self.witnesses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .find(|&&(c, p)| c < b.lo && p < floor)
+            .map(|&(by_cycles, by_power_mw)| PrunedPoint {
+                index: i,
+                lo: b.lo,
+                power_floor_mw: floor,
+                by_cycles,
+                by_power_mw,
+            })
+    }
+
+    /// Record a finished result as a pruning witness.
+    fn witness(&self, r: &FlowResult) {
+        if self.prune {
+            self.witnesses
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((r.total_cycles, r.energy.avg_power_mw()));
+        }
+    }
+
+    /// Roll the counters up and fold them into [`crate::global_perf`].
+    fn finish(self) -> SweepPerf {
+        let perf = SweepPerf {
+            points: self.specs.len() as u64,
+            cache_hits: self.hits.into_inner(),
+            stepped_cycles: self.stepped.into_inner(),
+            events: self.events.into_inner(),
+            failures: self.failures.into_inner(),
+            pruned: self.pruned.into_inner(),
+            streamed_points: self.streamed.into_inner(),
+            peak_resident_nodes: self.peak_resident.into_inner(),
+            wall_ns: u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        };
+        record_global(&perf);
+        perf
+    }
+}
+
+/// The sweep engine: run every point of `specs` against `source` across
+/// all cores, invoking `sink` once per point *as it completes* (from
+/// worker threads, in completion order — not point order), and return one
+/// outcome per point in point order.
+///
+/// Campaign runners use the sink to stream per-point results to a journal
+/// while the sweep is still going, so an interrupted run loses at most
+/// the points in flight.
+///
+/// **Sources.** An in-memory source shares one lazily-built
+/// [`PreparedDddg`] per lane count across workers; an `.atrc` source
+/// shares the *encoded bytes* instead (every worker streams its own decode
+/// through the windowed scheduler, so sweep node memory stays
+/// O(workers × window) regardless of trace length).
+///
+/// **Caching policy.** Points run through the result cache only when the
+/// source is in memory and the harness is inert — an empty
+/// [`FaultPlan`](aladdin_core::FaultPlan) *and* the default [`Watchdog`].
+/// Fault-injected runs bypass it in both directions (the key does not
+/// include the plan, and a perturbed result must never be served to — or
+/// recorded for — a clean sweep); runs under a non-default watchdog bypass
+/// it too, because a cached success could mask a timeout the tighter
+/// watchdog would have produced. `.atrc` points bypass it because the
+/// windowed scheduler is bit-exact with the materialized path only when
+/// its window covers the largest barrier round, which a streamed source
+/// cannot verify ahead of time.
+///
+/// **Pruning.** With `prune`, before simulating a point its static
+/// `[lo, ∞)` cycle interval and power floor (from `aladdin-lint`'s
+/// [`bounds_for_prepared`](aladdin_lint::bounds_for_prepared)) are
+/// compared against every already-finished result; if some result is
 /// *strictly* better on both objectives, the point is skipped and
-/// recorded as a [`PrunedPoint`] — never silently dropped.
-///
-/// Pruning preserves the Pareto frontier exactly: a pruned point `c` has
-/// a witness `s` with `cycles(s) < lo ≤ cycles(c)` and
-/// `power(s) < floor ≤ power(c)`, so `c` could never have been kept by
-/// [`crate::pareto_frontier`] (which keeps a point only when strictly
-/// better on power than everything with fewer-or-equal cycles), and
-/// non-kept points never influence which other points are kept.
-///
-/// Pruning engages only when the harness is inert (same gate as the
-/// result cache): under fault injection results are perturbed and the
-/// campaign's purpose is observing perturbations, not skipping them.
-/// Pruning is opportunistic — it depends on completion order, so the
-/// *set* of pruned points may vary run to run; the surviving frontier
-/// does not.
+/// reported as [`PointOutcome::Pruned`]. This preserves the Pareto
+/// frontier exactly: a pruned point `c` has a witness `s` with
+/// `cycles(s) < lo ≤ cycles(c)` and `power(s) < floor ≤ power(c)`, so `c`
+/// could never have been kept by [`crate::pareto_frontier`], and non-kept
+/// points never influence which other points are kept. Pruning engages
+/// only under the cache gate above (under fault injection the campaign's
+/// purpose is observing perturbations, not skipping them). It is
+/// opportunistic — the *set* of pruned points depends on completion order;
+/// the surviving frontier does not.
 #[must_use]
-pub fn sweep_points_streaming_pruned(
-    trace: &Trace,
+pub fn sweep_engine(
+    source: &TraceSource,
     specs: &[PointSpec],
     harness: &SimHarness,
+    prune: bool,
     sink: &(dyn Fn(usize, &PointOutcome) + Sync),
 ) -> (Vec<PointOutcome>, SweepPerf) {
-    let t0 = Instant::now();
-    let fp = trace.fingerprint();
-    let use_cache = harness.plan.is_empty() && harness.watchdog == Watchdog::default();
-
-    let mut lane_slot: HashMap<u32, usize> = HashMap::new();
-    for s in specs {
-        let next = lane_slot.len();
-        lane_slot.entry(s.dp.lanes).or_insert(next);
-    }
-    let preps: Vec<OnceLock<Arc<PreparedDddg>>> =
-        (0..lane_slot.len()).map(|_| OnceLock::new()).collect();
-
-    let hits = AtomicU64::new(0);
-    let stepped = AtomicU64::new(0);
-    let events = AtomicU64::new(0);
-    let failures = AtomicU64::new(0);
-    let pruned_count = AtomicU64::new(0);
-    // Finished (cycles, avg power) pairs — the pruning witnesses.
-    let witnesses: Mutex<Vec<(u64, f64)>> = Mutex::new(Vec::new());
-    let witness = |r: &FlowResult| {
-        witnesses
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((r.total_cycles, r.energy.avg_power_mw()));
-    };
-
-    let results = parallel_map(specs.len(), SchedulerWorkspace::new, |i, ws| {
-        let s = &specs[i];
-        let key = use_cache.then(|| cache::point_key(fp, s.kind, &s.dp, &s.soc));
-        let cached = key.as_ref().and_then(|key| cache::lookup(key));
-        let outcome = if let Some(hit) = cached {
-            hits.fetch_add(1, Ordering::Relaxed);
-            witness(&hit);
-            PointOutcome::Done(Box::new(hit))
-        } else {
-            let prep = Arc::clone(
-                preps[lane_slot[&s.dp.lanes]]
-                    .get_or_init(|| Arc::new(PreparedDddg::new(trace, &s.dp))),
-            );
-            let pruned = use_cache
-                .then(|| {
-                    let b = aladdin_lint::bounds_for_prepared(
-                        trace, &prep, &s.dp, &s.soc, s.kind, harness,
-                    );
-                    let floor =
-                        aladdin_lint::static_power_floor_mw(trace, &s.dp, &s.soc, s.kind, &b);
-                    witnesses
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .iter()
-                        .find(|&&(c, p)| c < b.lo && p < floor)
-                        .copied()
-                        .map(|(by_cycles, by_power_mw)| PrunedPoint {
-                            index: i,
-                            lo: b.lo,
-                            power_floor_mw: floor,
-                            by_cycles,
-                            by_power_mw,
-                        })
-                })
-                .flatten();
-            if let Some(p) = pruned {
-                pruned_count.fetch_add(1, Ordering::Relaxed);
-                PointOutcome::Pruned(p)
-            } else {
-                let spec = FlowSpec::new(s.kind)
-                    .with_harness(harness)
-                    .with_prepared(&prep);
-                match simulate_prepared(trace, &s.dp, &s.soc, &spec, ws) {
-                    Ok(r) => {
-                        stepped.fetch_add(r.sched_stepped_cycles, Ordering::Relaxed);
-                        events.fetch_add(r.sched_events, Ordering::Relaxed);
-                        if let Some(key) = &key {
-                            cache::insert(key, &r);
-                        }
-                        witness(&r);
-                        PointOutcome::Done(Box::new(r))
-                    }
-                    Err(e) => {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                        PointOutcome::Failed(e)
-                    }
-                }
-            }
-        };
+    let sweep = Sweep::new(*source, specs, harness, prune);
+    let outcomes = parallel_map(specs.len(), SchedulerWorkspace::new, |i, ws| {
+        let outcome = sweep.step(i, ws);
         sink(i, &outcome);
         outcome
     });
+    (outcomes, sweep.finish())
+}
 
-    let perf = SweepPerf {
-        points: specs.len() as u64,
-        cache_hits: hits.into_inner(),
-        stepped_cycles: stepped.into_inner(),
-        events: events.into_inner(),
-        failures: failures.into_inner(),
-        pruned: pruned_count.into_inner(),
-        streamed_points: 0,
-        peak_resident_nodes: 0,
-        wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    };
-    record_global(&perf);
-    (results, perf)
+/// Run an arbitrary list of design points against an in-memory trace on
+/// the sweep fast path, returning one `Result` slot per point in point
+/// order. The unpruned [`sweep_engine`], for callers whose point lists do
+/// not come from a [`DesignSpace`].
+#[must_use]
+pub fn sweep_points(
+    trace: &Trace,
+    specs: &[PointSpec],
+    harness: &SimHarness,
+) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
+    let (outcomes, perf) = sweep_engine(
+        &TraceSource::Memory(trace),
+        specs,
+        harness,
+        false,
+        &|_, _| {},
+    );
+    (
+        outcomes
+            .into_iter()
+            .map(PointOutcome::into_result)
+            .collect(),
+        perf,
+    )
+}
+
+/// [`sweep_points`], invoking `sink` once per completed point as it
+/// completes — see [`sweep_engine`] for the sink and caching contracts.
+#[must_use]
+pub fn sweep_points_streaming(
+    trace: &Trace,
+    specs: &[PointSpec],
+    harness: &SimHarness,
+    sink: &(dyn Fn(usize, &Result<FlowResult, SimError>) + Sync),
+) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
+    let (outcomes, perf) = sweep_engine(
+        &TraceSource::Memory(trace),
+        specs,
+        harness,
+        false,
+        &|i, o| {
+            sink(i, &o.clone().into_result());
+        },
+    );
+    (
+        outcomes
+            .into_iter()
+            .map(PointOutcome::into_result)
+            .collect(),
+        perf,
+    )
+}
+
+/// Run one design point through the result cache on the calling thread:
+/// a hit returns the stored result (bit-identical to re-simulating), a
+/// miss simulates and stores the outcome. The same per-point step as
+/// every sweep, for binaries that evaluate single points.
+///
+/// # Panics
+///
+/// Panics if the underlying flow does (e.g. a DMA configuration that
+/// cannot make progress).
+#[must_use]
+pub fn run_point_cached(
+    trace: &Trace,
+    dp: &DatapathConfig,
+    soc: &SocConfig,
+    kind: MemKind,
+) -> FlowResult {
+    let spec = [PointSpec {
+        kind,
+        dp: *dp,
+        soc: *soc,
+    }];
+    let harness = SimHarness::default();
+    let sweep = Sweep::new(TraceSource::Memory(trace), &spec, &harness, false);
+    let outcome = sweep.step(0, &mut SchedulerWorkspace::new());
+    sweep.finish();
+    outcome.into_result().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Sweep the design space under the memory system named by `kind`.
@@ -504,6 +511,12 @@ pub fn sweep(
 }
 
 /// [`sweep`], also returning the sweep's [`SweepPerf`] roll-up.
+///
+/// # Panics
+///
+/// Panics if any point's simulation fails — the clean harness makes that
+/// a bug, not an outcome. Use [`sweep_points`] under a [`SimHarness`] to
+/// get failures back as values.
 #[must_use]
 pub fn sweep_perf(
     trace: &Trace,
@@ -511,263 +524,13 @@ pub fn sweep_perf(
     soc: &SocConfig,
     kind: MemKind,
 ) -> (Vec<FlowResult>, SweepPerf) {
-    run_specs(trace, &specs_for(space, soc, kind))
-}
-
-/// Sweep the isolated (system-less) design space: lanes × partitions.
-#[deprecated(note = "use `sweep(trace, space, soc, MemKind::Isolated)`")]
-#[must_use]
-pub fn sweep_isolated(trace: &Trace, space: &DesignSpace, soc: &SocConfig) -> Vec<FlowResult> {
-    sweep(trace, space, soc, MemKind::Isolated)
-}
-
-/// [`sweep_isolated`], also returning the sweep's [`SweepPerf`] roll-up.
-#[deprecated(note = "use `sweep_perf(trace, space, soc, MemKind::Isolated)`")]
-#[must_use]
-pub fn sweep_isolated_perf(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-) -> (Vec<FlowResult>, SweepPerf) {
-    sweep_perf(trace, space, soc, MemKind::Isolated)
-}
-
-/// Sweep the scratchpad/DMA design space at the given optimization level.
-#[deprecated(note = "use `sweep(trace, space, soc, MemKind::Dma(opt))`")]
-#[must_use]
-pub fn sweep_dma(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> Vec<FlowResult> {
-    sweep(trace, space, soc, MemKind::Dma(opt))
-}
-
-/// [`sweep_dma`], also returning the sweep's [`SweepPerf`] roll-up.
-#[deprecated(note = "use `sweep_perf(trace, space, soc, MemKind::Dma(opt))`")]
-#[must_use]
-pub fn sweep_dma_perf(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> (Vec<FlowResult>, SweepPerf) {
-    sweep_perf(trace, space, soc, MemKind::Dma(opt))
-}
-
-/// Sweep the cache design space (lanes × cache geometry).
-#[deprecated(note = "use `sweep(trace, space, soc, MemKind::Cache)`")]
-#[must_use]
-pub fn sweep_cache(trace: &Trace, space: &DesignSpace, soc: &SocConfig) -> Vec<FlowResult> {
-    sweep(trace, space, soc, MemKind::Cache)
-}
-
-/// [`sweep_cache`], also returning the sweep's [`SweepPerf`] roll-up.
-#[deprecated(note = "use `sweep_perf(trace, space, soc, MemKind::Cache)`")]
-#[must_use]
-pub fn sweep_cache_perf(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-) -> (Vec<FlowResult>, SweepPerf) {
-    sweep_perf(trace, space, soc, MemKind::Cache)
-}
-
-/// A sweep whose space was statically pre-flighted: invalid points are
-/// rejected with diagnostics instead of panicking mid-simulation.
-#[derive(Debug, Clone)]
-pub struct CheckedSweep {
-    /// One result per accepted point, in point order.
-    pub results: Vec<FlowResult>,
-    /// Original point-list indices of the accepted points,
-    /// parallel to `results`.
-    pub accepted: Vec<usize>,
-    /// Points pruned before simulation, with their diagnostic reports.
-    pub rejected: Vec<RejectedPoint>,
-    /// Throughput roll-up of the simulation pass over accepted points.
-    pub perf: SweepPerf,
-}
-
-/// [`sweep`] with a static pre-flight pass: contradictory design points
-/// are pruned (with diagnostics) instead of simulated — e.g.
-/// unconstructible cache geometries, which would panic in
-/// `CacheConfig::num_sets`. For cache sweeps the point indices refer to
-/// [`DesignSpace::cache_points_unfiltered`]; otherwise to
-/// [`DesignSpace::dma_points`].
-#[must_use]
-pub fn sweep_checked(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    kind: MemKind,
-) -> CheckedSweep {
-    let (specs, accepted, rejected) = match kind {
-        MemKind::Cache => {
-            let pre = preflight_cache(space, soc);
-            let specs: Vec<PointSpec> = pre
-                .accepted
-                .iter()
-                .map(|(_, p)| PointSpec {
-                    kind,
-                    dp: p.datapath(),
-                    soc: p.apply(soc),
-                })
-                .collect();
-            let accepted = pre.accepted.iter().map(|&(i, _)| i).collect();
-            (specs, accepted, pre.rejected)
-        }
-        MemKind::Isolated | MemKind::Dma(_) => {
-            let pre = preflight_dma(space, soc);
-            let specs: Vec<PointSpec> = pre
-                .accepted
-                .iter()
-                .map(|(_, p)| PointSpec {
-                    kind,
-                    dp: p.datapath(),
-                    soc: *soc,
-                })
-                .collect();
-            let accepted = pre.accepted.iter().map(|&(i, _)| i).collect();
-            (specs, accepted, pre.rejected)
-        }
-    };
-    let (results, perf) = run_specs(trace, &specs);
-    CheckedSweep {
-        results,
-        accepted,
-        rejected,
-        perf,
-    }
-}
-
-/// [`sweep_dma`] with a static pre-flight pass.
-#[deprecated(note = "use `sweep_checked(trace, space, soc, MemKind::Dma(opt))`")]
-#[must_use]
-pub fn sweep_dma_checked(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-) -> CheckedSweep {
-    sweep_checked(trace, space, soc, MemKind::Dma(opt))
-}
-
-/// [`sweep_cache`] with a static pre-flight pass. Point indices refer to
-/// [`DesignSpace::cache_points_unfiltered`].
-#[deprecated(note = "use `sweep_checked(trace, space, soc, MemKind::Cache)`")]
-#[must_use]
-pub fn sweep_cache_checked(trace: &Trace, space: &DesignSpace, soc: &SocConfig) -> CheckedSweep {
-    sweep_checked(trace, space, soc, MemKind::Cache)
-}
-
-/// One design point that failed under a [`SimHarness`].
-#[derive(Debug, Clone)]
-pub struct FailedPoint {
-    /// Index into the sweep's point list.
-    pub index: usize,
-    /// Why the simulation could not complete.
-    pub error: SimError,
-}
-
-/// Roll-up of a harnessed sweep: the sweep completes even when individual
-/// points fail, reporting them instead of aborting.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// One slot per point, in point order; `None` where the point failed.
-    pub results: Vec<Option<FlowResult>>,
-    /// The failed points with their errors, in point order.
-    pub failures: Vec<FailedPoint>,
-    /// Points skipped by bound-based pruning, in point order (always
-    /// empty for faulted sweeps, which never prune).
-    pub pruned: Vec<PrunedPoint>,
-    /// Throughput roll-up (its `failures` counter matches
-    /// `failures.len()`).
-    pub perf: SweepPerf,
-}
-
-/// [`sweep`] under a fault-injection/watchdog harness: failed points are
-/// reported in the [`SweepOutcome`] instead of aborting the sweep.
-///
-/// # Errors
-///
-/// Returns the harness plan's validation [`Report`] if the plan itself
-/// is invalid (`L0240`/`L0241`); no point is simulated in that case.
-pub fn sweep_faulted(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    kind: MemKind,
-    harness: &SimHarness,
-) -> Result<SweepOutcome, Report> {
-    let report = harness.plan.validate();
-    if report.has_errors() {
-        return Err(report);
-    }
-    let (raw, perf) = run_specs_harness(trace, &specs_for(space, soc, kind), harness);
-    let mut results = Vec::with_capacity(raw.len());
-    let mut failures = Vec::new();
-    for (index, r) in raw.into_iter().enumerate() {
-        match r {
-            Ok(r) => results.push(Some(r)),
-            Err(error) => {
-                results.push(None);
-                failures.push(FailedPoint { index, error });
-            }
-        }
-    }
-    Ok(SweepOutcome {
-        results,
-        failures,
-        pruned: Vec::new(),
-        perf,
-    })
-}
-
-/// [`sweep_isolated`] under a fault-injection/watchdog harness.
-///
-/// # Errors
-///
-/// Returns the plan's validation [`Report`] if the plan is invalid.
-#[deprecated(note = "use `sweep_faulted(trace, space, soc, MemKind::Isolated, harness)`")]
-pub fn sweep_isolated_faulted(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    harness: &SimHarness,
-) -> Result<SweepOutcome, Report> {
-    sweep_faulted(trace, space, soc, MemKind::Isolated, harness)
-}
-
-/// [`sweep_dma`] under a fault-injection/watchdog harness.
-///
-/// # Errors
-///
-/// Returns the plan's validation [`Report`] if the plan is invalid.
-#[deprecated(note = "use `sweep_faulted(trace, space, soc, MemKind::Dma(opt), harness)`")]
-pub fn sweep_dma_faulted(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    opt: DmaOptLevel,
-    harness: &SimHarness,
-) -> Result<SweepOutcome, Report> {
-    sweep_faulted(trace, space, soc, MemKind::Dma(opt), harness)
-}
-
-/// [`sweep_cache`] under a fault-injection/watchdog harness.
-///
-/// # Errors
-///
-/// Returns the plan's validation [`Report`] if the plan is invalid.
-#[deprecated(note = "use `sweep_faulted(trace, space, soc, MemKind::Cache, harness)`")]
-pub fn sweep_cache_faulted(
-    trace: &Trace,
-    space: &DesignSpace,
-    soc: &SocConfig,
-    harness: &SimHarness,
-) -> Result<SweepOutcome, Report> {
-    sweep_faulted(trace, space, soc, MemKind::Cache, harness)
+    let specs = specs_for(space, soc, kind);
+    let (results, perf) = sweep_points(trace, &specs, &SimHarness::default());
+    let results = results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect();
+    (results, perf)
 }
 
 #[cfg(test)]
@@ -777,10 +540,22 @@ mod tests {
         reset_sweep_cache, set_sweep_cache_dir, set_sweep_cache_mode, SweepCacheMode,
     };
     use crate::pareto::{edp_optimal, pareto_frontier};
-    use aladdin_core::simulate;
+    use crate::preflight::{preflight_cache, preflight_dma};
+    use aladdin_core::{simulate, DmaOptLevel, FaultPlan};
     use aladdin_workloads::by_name;
 
     const FULL: MemKind = MemKind::Dma(DmaOptLevel::Full);
+
+    /// A clean harness whose watchdog trips at `max_cycles`.
+    fn tight_watchdog(max_cycles: u64) -> SimHarness {
+        SimHarness {
+            plan: FaultPlan::none(),
+            watchdog: Watchdog {
+                max_cycles: Some(max_cycles),
+                ..Watchdog::default()
+            },
+        }
+    }
 
     #[test]
     fn sweeps_cover_their_spaces() {
@@ -794,26 +569,6 @@ mod tests {
         let cache = sweep(&trace, &space, &soc, MemKind::Cache);
         assert_eq!(cache.len(), space.cache_points().len());
         assert!(edp_optimal(&dma).is_some());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_match_the_generic_runner() {
-        let trace = by_name("aes-aes").expect("kernel").run().trace;
-        let space = DesignSpace::quick();
-        let soc = SocConfig::default();
-        assert_eq!(
-            sweep_dma(&trace, &space, &soc, DmaOptLevel::Full),
-            sweep(&trace, &space, &soc, FULL)
-        );
-        assert_eq!(
-            sweep_cache(&trace, &space, &soc),
-            sweep(&trace, &space, &soc, MemKind::Cache)
-        );
-        assert_eq!(
-            sweep_isolated(&trace, &space, &soc),
-            sweep(&trace, &space, &soc, MemKind::Isolated)
-        );
     }
 
     #[test]
@@ -854,25 +609,37 @@ mod tests {
         }
     }
 
+    /// Static pre-flight composes with the point-list entry: contradictory
+    /// points are rejected with diagnostics and only the accepted ones are
+    /// simulated — e.g. unconstructible cache geometries, which would
+    /// panic in `CacheConfig::num_sets`.
     #[test]
     fn checked_sweep_prunes_contradictory_points_instead_of_panicking() {
         let trace = by_name("aes-aes").expect("kernel").run().trace;
-        // 3072 B / 32 B lines / 4 ways = 24 sets (not a power of two):
-        // the unchecked sweep would panic inside CacheConfig::num_sets.
+        // 3072 B / 32 B lines / 4 ways = 24 sets (not a power of two).
         let space = DesignSpace {
             cache_sizes: vec![2048, 3072],
             ..DesignSpace::quick()
         };
         let soc = SocConfig::default();
-        let out = sweep_checked(&trace, &space, &soc, MemKind::Cache);
-        assert!(!out.rejected.is_empty());
-        assert!(out.rejected.iter().all(|r| r.report.has_code("L0211")));
-        assert_eq!(out.results.len(), out.accepted.len());
-        assert_eq!(out.perf.points, out.results.len() as u64);
+        let pre = preflight_cache(&space, &soc);
+        assert!(!pre.rejected.is_empty());
+        assert!(pre.rejected.iter().all(|r| r.report.has_code("L0211")));
+        let specs: Vec<PointSpec> = pre
+            .accepted
+            .iter()
+            .map(|(_, p)| PointSpec {
+                kind: MemKind::Cache,
+                dp: p.datapath(),
+                soc: p.apply(&soc),
+            })
+            .collect();
+        let (results, perf) = sweep_points(&trace, &specs, &SimHarness::default());
+        assert_eq!(perf.points, pre.accepted.len() as u64);
         let points = space.cache_points_unfiltered();
-        for (&idx, result) in out.accepted.iter().zip(&out.results) {
+        for (&(idx, _), result) in pre.accepted.iter().zip(&results) {
             assert_eq!(points[idx].size_bytes, 2048);
-            assert!(result.total_cycles > 0);
+            assert!(result.as_ref().expect("accepted point runs").total_cycles > 0);
         }
     }
 
@@ -881,12 +648,22 @@ mod tests {
         let trace = by_name("fft-transpose").expect("kernel").run().trace;
         let space = DesignSpace::quick();
         let soc = SocConfig::default();
+        let pre = preflight_dma(&space, &soc);
+        assert!(pre.rejected.is_empty());
+        let specs: Vec<PointSpec> = pre
+            .accepted
+            .iter()
+            .map(|(_, p)| PointSpec {
+                kind: FULL,
+                dp: p.datapath(),
+                soc,
+            })
+            .collect();
+        let (checked, _) = sweep_points(&trace, &specs, &SimHarness::default());
         let plain = sweep(&trace, &space, &soc, FULL);
-        let checked = sweep_checked(&trace, &space, &soc, FULL);
-        assert!(checked.rejected.is_empty());
-        assert_eq!(plain.len(), checked.results.len());
-        for (a, b) in plain.iter().zip(&checked.results) {
-            assert_eq!(a.total_cycles, b.total_cycles);
+        assert_eq!(plain.len(), checked.len());
+        for (a, b) in plain.iter().zip(&checked) {
+            assert_eq!(a, b.as_ref().expect("clean point"));
         }
     }
 
@@ -956,6 +733,13 @@ mod tests {
             );
             let cache_warm = sweep(&trace, &space, &soc, MemKind::Cache);
             assert_eq!(cache_warm, cache_ref, "{kernel}: warm cache sweep diverged");
+
+            // The single-point entry runs the same step.
+            let p = &space.dma_points()[0];
+            assert_eq!(
+                run_point_cached(&trace, &p.datapath(), &soc, FULL),
+                dma_ref[0]
+            );
         }
     }
 
@@ -1018,89 +802,63 @@ mod tests {
     }
 
     /// The graceful-degradation acceptance bar: a sweep with per-point
-    /// failures completes, reports the failed points in the roll-up, and
-    /// keeps every surviving result addressable by point index.
+    /// failures completes, reports every failed point to the sink and in
+    /// the roll-up, and keeps every slot addressable by point index.
     #[test]
     fn faulted_sweep_reports_failures_and_keeps_going() {
-        use aladdin_core::{FaultPlan, SimHarness, Watchdog};
         let trace = by_name("fft-transpose").expect("kernel").run().trace;
-        let space = DesignSpace::quick();
-        let soc = SocConfig::default();
-        // A ceiling low enough that every point's compute phase trips it.
-        let harness = SimHarness {
-            plan: FaultPlan::none(),
-            watchdog: Watchdog {
-                max_cycles: Some(8),
-                no_progress_cycles: 4_000_000,
-            },
-        };
-        let out = sweep_faulted(
-            &trace,
-            &space,
-            &soc,
+        let specs = specs_for(
+            &DesignSpace::quick(),
+            &SocConfig::default(),
             MemKind::Dma(DmaOptLevel::Baseline),
-            &harness,
-        )
-        .expect("valid plan");
-        assert_eq!(out.results.len(), space.dma_points().len());
-        assert!(!out.failures.is_empty(), "the tiny ceiling must trip");
-        assert_eq!(out.perf.failures, out.failures.len() as u64);
-        for f in &out.failures {
-            assert_eq!(f.error.code(), "L0233", "{}", f.error);
-            assert!(out.results[f.index].is_none());
+        );
+        // A ceiling low enough that every point's compute phase trips it.
+        let sunk = Mutex::new(0usize);
+        let (results, perf) =
+            sweep_points_streaming(&trace, &specs, &tight_watchdog(8), &|_, r| {
+                if r.is_err() {
+                    *sunk.lock().unwrap() += 1;
+                }
+            });
+        assert_eq!(results.len(), specs.len());
+        let failed: Vec<&SimError> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+        assert!(!failed.is_empty(), "the tiny ceiling must trip");
+        assert_eq!(perf.failures, failed.len() as u64);
+        assert_eq!(sunk.into_inner().unwrap(), failed.len());
+        for e in failed {
+            assert_eq!(e.code(), "L0233", "{e}");
         }
     }
 
     #[test]
     fn faulted_sweep_with_empty_plan_matches_the_clean_sweep() {
-        use aladdin_core::SimHarness;
         let trace = by_name("aes-aes").expect("kernel").run().trace;
         let space = DesignSpace::quick();
         let soc = SocConfig::default();
-        let out =
-            sweep_faulted(&trace, &space, &soc, FULL, &SimHarness::default()).expect("valid plan");
-        assert!(out.failures.is_empty());
-        assert_eq!(out.perf.failures, 0);
-        let clean = sweep(&trace, &space, &soc, FULL);
-        let got: Vec<FlowResult> = out.results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(got, clean, "empty plan must be invisible");
-    }
-
-    #[test]
-    fn invalid_plans_are_rejected_before_any_simulation() {
-        use aladdin_core::{FaultPlan, FaultSpec, SimHarness, Watchdog};
-        let trace = by_name("aes-aes").expect("kernel").run().trace;
-        let space = DesignSpace::quick();
-        let soc = SocConfig::default();
-        let mut plan = FaultPlan::from_seed(1);
-        plan.bus_grant = Some(FaultSpec {
-            rate: 2.0, // probabilities live in [0, 1]
-            max_extra: 4,
-        });
-        let harness = SimHarness {
-            plan,
-            watchdog: Watchdog::default(),
-        };
-        let err = sweep_faulted(&trace, &space, &soc, FULL, &harness).expect_err("invalid rate");
-        assert!(err.has_code("L0240"), "{}", err.to_human());
+        let specs = specs_for(&space, &soc, FULL);
+        let (out, perf) = sweep_points(&trace, &specs, &SimHarness::default());
+        assert_eq!(perf.failures, 0);
+        let got: Vec<FlowResult> = out.into_iter().map(Result::unwrap).collect();
+        assert_eq!(
+            got,
+            sweep(&trace, &space, &soc, FULL),
+            "empty plan must be invisible"
+        );
     }
 
     /// Fault-injected results must never pollute (or be served from) the
     /// result cache: the cache key does not include the plan.
     #[test]
     fn faulted_sweeps_bypass_the_result_cache() {
-        use aladdin_core::SimHarness;
         let trace = by_name("fft-transpose").expect("kernel").run().trace;
         let space = DesignSpace::quick();
         // A SoC no other test sweeps, so the cache keys are ours alone.
         let mut soc = SocConfig::default();
         soc.invoke_cycles += 29;
+        let specs = specs_for(&space, &soc, FULL);
         let h = SimHarness::with_seed(11);
-        let faulted = sweep_faulted(&trace, &space, &soc, FULL, &h).expect("valid plan");
-        assert_eq!(
-            faulted.perf.cache_hits, 0,
-            "faulted sweeps must not read the cache"
-        );
+        let (faulted, perf) = sweep_points(&trace, &specs, &h);
+        assert_eq!(perf.cache_hits, 0, "faulted sweeps must not read the cache");
         // A clean sweep afterwards matches sequential plain flows — the
         // faulted pass left nothing perturbed behind.
         let clean = sweep(&trace, &space, &soc, FULL);
@@ -1113,9 +871,9 @@ mod tests {
             .collect();
         assert_eq!(clean, sequential, "faulted results leaked into the cache");
         // Same seed, same outcome — and still no cache interaction.
-        let again = sweep_faulted(&trace, &space, &soc, FULL, &h).expect("valid plan");
-        assert_eq!(again.perf.cache_hits, 0);
-        assert_eq!(faulted.results, again.results);
+        let (again, perf) = sweep_points(&trace, &specs, &h);
+        assert_eq!(perf.cache_hits, 0);
+        assert_eq!(faulted, again);
     }
 
     /// The cache gate is watchdog-aware in both directions: an inert
@@ -1125,57 +883,43 @@ mod tests {
     /// produced.
     #[test]
     fn restrictive_watchdog_bypasses_a_warm_cache() {
-        use aladdin_core::{FaultPlan, SimHarness, Watchdog};
         let trace = by_name("aes-aes").expect("kernel").run().trace;
         let space = DesignSpace::quick();
         // A SoC no other test sweeps, so the cache keys are ours alone.
         let mut soc = SocConfig::default();
         soc.invoke_cycles += 41;
-        let n = space.dma_points().len() as u64;
+        let specs = specs_for(&space, &soc, FULL);
+        let n = specs.len() as u64;
 
         // Warm every key, then prove an inert harness serves from cache.
         let _ = sweep(&trace, &space, &soc, FULL);
-        let inert =
-            sweep_faulted(&trace, &space, &soc, FULL, &SimHarness::default()).expect("valid plan");
-        assert_eq!(
-            inert.perf.cache_hits, n,
-            "inert harness must ride the cache"
-        );
-        assert!(inert.failures.is_empty());
+        let (inert, perf) = sweep_points(&trace, &specs, &SimHarness::default());
+        assert_eq!(perf.cache_hits, n, "inert harness must ride the cache");
+        assert!(inert.iter().all(Result::is_ok));
 
         // Same warm keys, tight ceiling: no hits, and the ceiling trips.
-        let tight = SimHarness {
-            plan: FaultPlan::none(),
-            watchdog: Watchdog {
-                max_cycles: Some(8),
-                no_progress_cycles: 4_000_000,
-            },
-        };
-        let out = sweep_faulted(&trace, &space, &soc, FULL, &tight).expect("valid plan");
+        let (tight, perf) = sweep_points(&trace, &specs, &tight_watchdog(8));
         assert_eq!(
-            out.perf.cache_hits, 0,
+            perf.cache_hits, 0,
             "a non-default watchdog must not read the cache"
         );
         assert!(
-            !out.failures.is_empty(),
+            tight.iter().any(Result::is_err),
             "warm cache must not mask watchdog timeouts"
         );
         // And the tight pass recorded nothing: the clean sweep still
         // completes every point from cache.
         let (clean, perf) = sweep_perf(&trace, &space, &soc, FULL);
         assert_eq!(perf.cache_hits, n);
-        assert_eq!(clean.len(), space.dma_points().len());
+        assert_eq!(clean.len(), specs.len());
     }
 
     /// The streaming engine feeds the sink exactly once per point and
     /// returns the same results as the non-streaming entry.
     #[test]
     fn streaming_sweep_sinks_every_point_once() {
-        use std::sync::Mutex;
         let trace = by_name("aes-aes").expect("kernel").run().trace;
-        let space = DesignSpace::quick();
-        let soc = SocConfig::default();
-        let specs = specs_for(&space, &soc, FULL);
+        let specs = specs_for(&DesignSpace::quick(), &SocConfig::default(), FULL);
         let seen: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
         let (results, _) =
             sweep_points_streaming(&trace, &specs, &SimHarness::default(), &|i, r| {
@@ -1191,16 +935,33 @@ mod tests {
         }
         // And the public non-streaming entry is the same engine.
         let (again, _) = sweep_points(&trace, &specs, &SimHarness::default());
-        assert_eq!(
-            results
-                .iter()
-                .map(|r| r.as_ref().unwrap())
-                .collect::<Vec<_>>(),
-            again
-                .iter()
-                .map(|r| r.as_ref().unwrap())
-                .collect::<Vec<_>>()
+        assert_eq!(results, again);
+    }
+
+    /// An `.atrc` source runs through the same engine: bit-identical to
+    /// the in-memory source, streamed through the windowed scheduler, and
+    /// never cached or pruned.
+    #[test]
+    fn atrc_source_streams_and_bypasses_the_cache() {
+        let trace = by_name("aes-aes").expect("kernel").run().trace;
+        let atrc = aladdin_ir::AtrcTrace::from_bytes(aladdin_ir::encode_trace(&trace))
+            .expect("encoded trace decodes");
+        let specs = specs_for(&DesignSpace::quick(), &SocConfig::default(), FULL);
+        let (memory, _) = sweep_points(&trace, &specs, &SimHarness::default());
+        let (outcomes, perf) = sweep_engine(
+            &TraceSource::Atrc(&atrc),
+            &specs,
+            &SimHarness::default(),
+            true,
+            &|_, _| {},
         );
+        assert_eq!(perf.cache_hits, 0, "streamed points bypass the cache");
+        assert_eq!(perf.pruned, 0, "streamed points are never pruned");
+        assert_eq!(perf.streamed_points, specs.len() as u64);
+        assert!(perf.peak_resident_nodes > 0);
+        for (m, o) in memory.iter().zip(&outcomes) {
+            assert_eq!(m.as_ref().ok(), o.result(), "streamed result diverged");
+        }
     }
 
     /// Quick-mode throughput smoke test: bounded sanity on the SweepPerf
@@ -1241,14 +1002,18 @@ mod tests {
         let harness = SimHarness::default();
         for kernel in ["aes-aes", "fft-transpose", "stencil-stencil2d"] {
             let trace = by_name(kernel).expect("kernel").run().trace;
-            let space = DesignSpace::quick();
             // A SoC no other test sweeps, so the shared result cache is
             // cold for these keys and pruning has a chance to engage.
             let mut soc = SocConfig::default();
             soc.invoke_cycles += 23;
-            let specs = specs_for(&space, &soc, FULL);
-            let (outcomes, perf) =
-                sweep_points_streaming_pruned(&trace, &specs, &harness, &|_, _| {});
+            let specs = specs_for(&DesignSpace::quick(), &soc, FULL);
+            let (outcomes, perf) = sweep_engine(
+                &TraceSource::Memory(&trace),
+                &specs,
+                &harness,
+                true,
+                &|_, _| {},
+            );
             let survivors: Vec<FlowResult> = outcomes
                 .iter()
                 .filter_map(|o| o.result().cloned())
@@ -1273,7 +1038,7 @@ mod tests {
             // The unpruned reference. (The cache is now warm for the
             // survivors; any pruned point is simulated here for the
             // first time.)
-            let (full, _) = sweep_points_streaming(&trace, &specs, &harness, &|_, _| {});
+            let (full, _) = sweep_points(&trace, &specs, &harness);
             let full: Vec<FlowResult> = full
                 .into_iter()
                 .map(|r| r.expect("clean sweep point"))
@@ -1321,8 +1086,7 @@ mod tests {
         // Warm the cache with the witness so the pruned sweep's first
         // point is a hit and its (cycles, power) are available before the
         // slow point's bounds check finishes building its DDDG.
-        let (warm, _) = sweep_points(&trace, std::slice::from_ref(&fast), &harness);
-        let witness = warm[0].as_ref().expect("witness simulates");
+        let witness = run_point_cached(&trace, &fast.dp, &fast.soc, fast.kind);
 
         let mut fired = None;
         for attempt in 0..10u32 {
@@ -1332,10 +1096,15 @@ mod tests {
             let mut slow = slow;
             slow.soc.invoke_cycles += u64::from(attempt);
             let specs = [fast, slow];
-            let (outcomes, perf) =
-                sweep_points_streaming_pruned(&trace, &specs, &harness, &|_, _| {});
+            let (outcomes, perf) = sweep_engine(
+                &TraceSource::Memory(&trace),
+                &specs,
+                &harness,
+                true,
+                &|_, _| {},
+            );
             assert!(
-                matches!(&outcomes[0], PointOutcome::Done(r) if **r == *witness),
+                matches!(&outcomes[0], PointOutcome::Done(r) if **r == witness),
                 "witness must be served from cache, bit-exact"
             );
             if let PointOutcome::Pruned(p) = &outcomes[1] {
@@ -1358,25 +1127,24 @@ mod tests {
     /// their outcome categories still sum to the expanded point count.
     #[test]
     fn faulted_sweeps_do_not_prune_and_still_sum() {
-        use aladdin_core::{FaultPlan, Watchdog};
         let trace = by_name("fft-transpose").expect("kernel").run().trace;
-        let space = DesignSpace::quick();
-        let soc = SocConfig::default();
-        let harness = SimHarness {
-            plan: FaultPlan::none(),
-            watchdog: Watchdog {
-                max_cycles: Some(50),
-                ..Watchdog::default()
-            },
-        };
-        let out = sweep_faulted(&trace, &space, &soc, FULL, &harness).expect("valid plan");
-        assert!(out.pruned.is_empty());
-        assert_eq!(out.perf.pruned, 0);
-        let ok = out.results.iter().flatten().count() as u64;
-        assert_eq!(out.perf.cache_hits, 0, "harnessed sweeps bypass the cache");
+        let specs = specs_for(&DesignSpace::quick(), &SocConfig::default(), FULL);
+        let (outcomes, perf) = sweep_engine(
+            &TraceSource::Memory(&trace),
+            &specs,
+            &tight_watchdog(50),
+            true,
+            &|_, _| {},
+        );
+        assert!(!outcomes
+            .iter()
+            .any(|o| matches!(o, PointOutcome::Pruned(_))));
+        assert_eq!(perf.pruned, 0);
+        let ok = outcomes.iter().filter(|o| o.result().is_some()).count() as u64;
+        assert_eq!(perf.cache_hits, 0, "harnessed sweeps bypass the cache");
         assert_eq!(
-            ok + out.perf.failures + out.perf.pruned,
-            out.perf.points,
+            ok + perf.failures + perf.pruned,
+            perf.points,
             "outcome categories must sum to the expanded point count"
         );
     }

@@ -218,19 +218,6 @@ impl Report {
         self.diags.iter().find(|d| d.severity == Severity::Error)
     }
 
-    /// Legacy bridge: `Ok(())` when error-free, else the first error's
-    /// rendered message.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error-severity diagnostic's message.
-    pub fn into_result(self) -> Result<(), String> {
-        match self.first_error() {
-            None => Ok(()),
-            Some(d) => Err(d.message.clone()),
-        }
-    }
-
     /// Collapse repeated identical findings (same code, severity, locus
     /// and message) into one occurrence with a `(×N)` count appended,
     /// preserving first-occurrence order. Multi-file `soclint` runs and
@@ -385,7 +372,6 @@ mod tests {
         assert_eq!(r.count(Severity::Error), 1);
         assert_eq!(r.count(Severity::Warning), 1);
         assert_eq!(r.first_error().unwrap().code, "L0101");
-        assert_eq!(r.into_result(), Err("bad".to_owned()));
     }
 
     #[test]

@@ -445,21 +445,6 @@ impl Trace {
         }
         report
     }
-
-    /// Legacy structural check returning only the first violation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant's message. Prefer
-    /// [`check`](Trace::check), which reports every violation with stable
-    /// diagnostic codes.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Trace::check, which returns a full Report"
-    )]
-    pub fn validate(&self) -> Result<(), String> {
-        self.check().into_result()
-    }
 }
 
 #[cfg(test)]

@@ -66,10 +66,6 @@ fn random_programs_validate() {
         let trace = run_steps(&steps, 16);
         let report = trace.check();
         assert!(report.is_clean(), "{}", report.to_human());
-        // The deprecated shim must agree with the structured check.
-        #[allow(deprecated)]
-        let v = trace.validate();
-        assert_eq!(v, Ok(()));
     }
 }
 

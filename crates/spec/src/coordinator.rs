@@ -18,13 +18,15 @@
 //!
 //! # Safety argument
 //!
-//! *Claiming* is an atomic `create_new` of the lease file — exactly one
-//! worker wins a point. *Finishing* appends one flushed record to the
-//! winner's own segment **before** the lease is released, so a crash at
-//! any instant leaves the point either (a) journaled (finished — the
-//! stale lease is ignored), or (b) not journaled under a lease whose
-//! owner has stopped heartbeating (reclaimed by any other worker after
-//! [`WorkerConfig::lease_timeout`], `L0290`/`L0291`). A kill mid-append
+//! *Claiming* publishes a fully written lease file with an atomic
+//! `hard_link`, which fails if the lease exists — exactly one worker wins
+//! a point, and no reader ever sees a half-written lease. *Finishing*
+//! appends one flushed record to the winner's own segment **before** the
+//! lease is released, so a crash at any instant leaves the point either
+//! (a) journaled (finished — the stale lease is ignored), or (b) not
+//! journaled under a lease whose owner has stopped heartbeating (reclaimed
+//! by any other worker after [`WorkerConfig::lease_timeout`],
+//! `L0290`/`L0291`). A kill mid-append
 //! leaves a truncated tail in one segment, which every scanner ignores;
 //! corrupt *mid-file* records are quarantined (`L0292`), never silently
 //! counted. Workers never write any shared file except their own segment
@@ -46,16 +48,17 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use aladdin_core::{simulate_multi, SimError, TraceSource};
-use aladdin_dse::{sweep_points_source_streaming, sweep_points_streaming, SweepPerf};
+use aladdin_core::{simulate_multi, SimError};
+use aladdin_dse::{sweep_engine, PointOutcome, SweepPerf};
 use aladdin_ir::{Diagnostic, Report};
 
 use crate::campaign::{CampaignPlan, PlannedPoint};
 use crate::runner::{
-    classify_line, json_field_str, json_string, materialize_trace, multi_record, point_prefix,
-    quarantine_path, scan_journal, single_record, write_quarantine, LineClass, JOURNAL_VERSION,
+    classify_line, json_field_str, json_string, multi_record, outcome_record, point_prefix,
+    quarantine_path, scan_journal, write_quarantine, LineClass, LoadedTrace, JOURNAL_VERSION,
 };
 
 /// Lease expired and was reclaimed (or is still lying around stale).
@@ -189,9 +192,28 @@ fn header_line(plan: &CampaignPlan, worker: Option<&str>) -> String {
     line
 }
 
+/// Create `path` holding `contents`, atomically: the bytes go to a unique
+/// temp file in the same directory first and are published with
+/// `hard_link`, which fails (`AlreadyExists`) if `path` exists. Exactly
+/// one of several racing creators wins, and no reader ever sees the file
+/// empty or half-written.
+fn publish_new(path: &Path, contents: &str) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let published = std::fs::write(&tmp, contents).and_then(|()| std::fs::hard_link(&tmp, path));
+    let _ = std::fs::remove_file(&tmp);
+    published
+}
+
 /// Create the coordination directory (idempotent) and verify `meta.json`
-/// names this campaign. The first arrival writes the meta atomically via
-/// `create_new`; everyone else checks the digest, so workers can never
+/// names this campaign. The first arrival publishes the meta with
+/// [`publish_new`]; everyone else checks the digest, so workers can never
 /// interleave two different campaigns in one directory.
 fn init_dir(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
     for d in [
@@ -203,18 +225,13 @@ fn init_dir(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
         std::fs::create_dir_all(&d)
             .map_err(|e| coord_err("L0266", format!("cannot create {}: {e}", d.display())))?;
     }
-    let meta = meta_path(dir);
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&meta)
-    {
-        Ok(mut f) => {
-            writeln!(f, "{}", header_line(plan, None))
-                .map_err(|e| coord_err("L0266", format!("cannot write campaign meta: {e}")))?;
-            Ok(())
-        }
-        Err(_) => verify_meta(plan, dir),
+    match publish_new(&meta_path(dir), &format!("{}\n", header_line(plan, None))) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => verify_meta(plan, dir),
+        Err(e) => Err(coord_err(
+            "L0266",
+            format!("cannot write campaign meta: {e}"),
+        )),
     }
 }
 
@@ -283,100 +300,94 @@ enum Claim {
     Held,
 }
 
-/// Try to lease `index`. Claiming is an atomic `create_new`; reclaiming
-/// a stale lease first renames it to a tombstone (atomic — exactly one
-/// reclaimer wins) and then re-claims.
+/// Try to lease `index`. Claiming publishes a fully written lease with
+/// [`publish_new`]; reclaiming a stale lease first renames it to a
+/// tombstone (atomic — exactly one reclaimer wins) and then re-claims. A
+/// lease nobody can read (empty or damaged, e.g. by a writer killed
+/// mid-write) has no owner to heartbeat, so it is stale once the lease
+/// itself is older than the timeout.
 fn try_claim(cfg: &WorkerConfig, index: usize) -> Claim {
     let path = lease_path(&cfg.dir, index);
+    let lease = format!(
+        "{{\"point\":{index},\"owner\":{},\"pid\":{}}}\n",
+        json_string(&cfg.worker),
+        std::process::id()
+    );
     let mut reclaimed_from = None;
     let mut tomb_seq = 0u32;
     loop {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                let _ = writeln!(
-                    f,
-                    "{{\"point\":{index},\"owner\":{},\"pid\":{}}}",
-                    json_string(&cfg.worker),
-                    std::process::id()
-                );
-                return Claim::Acquired { reclaimed_from };
-            }
-            Err(_) => {
-                let Some(owner) = read_lease_owner(&path) else {
-                    // The lease vanished between create_new and read —
-                    // its owner just finished or released. Retry once;
-                    // if it reappears unreadable, treat it as held.
-                    if path.exists() {
-                        return Claim::Held;
-                    }
-                    continue;
-                };
-                if owner == cfg.worker {
-                    // Our own lease from a previous life of this worker
-                    // id (crash + restart): we still own it.
-                    return Claim::Acquired { reclaimed_from };
-                }
-                if !lease_is_stale(&cfg.dir, &path, &owner, cfg.lease_timeout) {
-                    return Claim::Held;
-                }
-                let tomb = leases_dir(&cfg.dir).join(format!(
-                    "point-{index:06}.reclaimed-by-{}-{tomb_seq}",
-                    cfg.worker
-                ));
-                tomb_seq += 1;
-                if std::fs::rename(&path, &tomb).is_ok() {
-                    reclaimed_from = Some(owner);
-                    continue; // race the create_new
-                }
-                // Lost the reclaim race to another worker.
-                return Claim::Held;
-            }
+        match publish_new(&path, &lease) {
+            Ok(()) => return Claim::Acquired { reclaimed_from },
+            Err(e) if e.kind() != std::io::ErrorKind::AlreadyExists => return Claim::Held,
+            Err(_) => {}
         }
+        let owner = read_lease_owner(&path);
+        let stale = match &owner {
+            // Our own lease from a previous life of this worker id
+            // (crash + restart): we still own it.
+            Some(owner) if *owner == cfg.worker => return Claim::Acquired { reclaimed_from },
+            Some(owner) => lease_is_stale(&cfg.dir, &path, owner, cfg.lease_timeout),
+            // The lease vanished between the publish and the read — its
+            // owner just finished or released: race the publish again.
+            None if !path.exists() => continue,
+            None => age_of(&path).is_some_and(|a| a > cfg.lease_timeout),
+        };
+        if !stale {
+            return Claim::Held;
+        }
+        let tomb = leases_dir(&cfg.dir).join(format!(
+            "point-{index:06}.reclaimed-by-{}-{tomb_seq}",
+            cfg.worker
+        ));
+        tomb_seq += 1;
+        if std::fs::rename(&path, &tomb).is_err() {
+            // Lost the reclaim race to another worker.
+            return Claim::Held;
+        }
+        reclaimed_from = Some(owner.unwrap_or_else(|| "unknown".to_owned()));
     }
 }
 
-/// Run one planned point to a `Result`, reusing the last materialized
-/// trace when consecutive points share a kernel.
+/// The loaded trace of `kernel`, reusing `memo` when consecutive points
+/// share a kernel. A failed load is not memoized, so every point of a
+/// broken trace reports the typed error.
+fn memo_trace<'m>(
+    memo: &'m mut Option<(String, LoadedTrace)>,
+    kernel: &str,
+) -> Result<&'m LoadedTrace, SimError> {
+    if !matches!(memo, Some((name, _)) if name == kernel) {
+        *memo = Some((kernel.to_owned(), LoadedTrace::load(kernel, false)?));
+    }
+    Ok(&memo.as_ref().expect("memo filled above").1)
+}
+
+/// Run one planned point to its journal record and error, if any.
 fn execute_point(
     plan: &CampaignPlan,
     index: usize,
-    trace_memo: &mut Option<(String, aladdin_ir::Trace)>,
+    trace_memo: &mut Option<(String, LoadedTrace)>,
     perf: &mut SweepPerf,
 ) -> (String, Option<SimError>) {
     match &plan.points[index] {
         PlannedPoint::Single { kernel, point } => {
-            if kernel.ends_with(".atrc") {
-                let atrc = aladdin_ir::AtrcTrace::open(kernel).unwrap_or_else(|d| panic!("{d}"));
-                let (results, p) = sweep_points_source_streaming(
-                    &TraceSource::Atrc(&atrc),
-                    std::slice::from_ref(point),
-                    &plan.harness,
-                    &|_, _| {},
-                );
-                perf.absorb(&p);
-                let result = results.into_iter().next().expect("one point in, one out");
-                let line = single_record(index, kernel, point, &result);
-                (line, result.err())
-            } else {
-                let stale = !matches!(&trace_memo, Some((name, _)) if name == kernel);
-                if stale {
-                    *trace_memo = Some((kernel.clone(), materialize_trace(kernel)));
+            let outcome = match memo_trace(trace_memo, kernel) {
+                Ok(trace) => {
+                    let (mut outcomes, p) = sweep_engine(
+                        &trace.source(),
+                        std::slice::from_ref(point),
+                        &plan.harness,
+                        false,
+                        &|_, _| {},
+                    );
+                    perf.absorb(&p);
+                    outcomes.pop().expect("one point in, one out")
                 }
-                let (_, trace) = trace_memo.as_ref().expect("just ensured");
-                let (results, p) = sweep_points_streaming(
-                    trace,
-                    std::slice::from_ref(point),
-                    &plan.harness,
-                    &|_, _| {},
-                );
-                perf.absorb(&p);
-                let result = results.into_iter().next().expect("one point in, one out");
-                let line = single_record(index, kernel, point, &result);
-                (line, result.err())
+                Err(e) => PointOutcome::Failed(e),
+            };
+            let line = outcome_record(index, kernel, point, &outcome);
+            match outcome {
+                PointOutcome::Failed(e) => (line, Some(e)),
+                PointOutcome::Done(_) | PointOutcome::Pruned(_) => (line, None),
             }
         }
         PlannedPoint::Multi {
@@ -513,11 +524,8 @@ impl SegmentTracker {
 ///
 /// Returns `L0266` diagnostics when the directory cannot be created,
 /// coordinates a different campaign, or this worker's segment is
-/// unwritable — never for simulation failures, which are journaled.
-///
-/// # Panics
-///
-/// Panics only on bugs (a validated kernel failing to materialize).
+/// unwritable — never for simulation failures or traces broken after
+/// planning, which are journaled.
 pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSummary, Report> {
     if cfg.worker.is_empty()
         || !cfg
@@ -573,7 +581,7 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
     };
     beat(&cfg.dir, &cfg.worker);
 
-    let mut trace_memo: Option<(String, aladdin_ir::Trace)> = None;
+    let mut trace_memo: Option<(String, LoadedTrace)> = None;
     loop {
         tracker.refresh();
         if tracker.finished.len() >= plan.points.len() {
@@ -1121,6 +1129,105 @@ partitions = [1, 2]
         assert!(merged.complete);
         assert_eq!(merged.reclaims, 1, "the reclaim breadcrumb survives");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Many workers launched at the same instant on one fresh directory:
+    /// the racing `meta.json` and lease creations never expose an empty
+    /// file, so every round completes with each point journaled once.
+    #[test]
+    fn simultaneous_workers_on_a_fresh_dir_never_race() {
+        const WORKERS: usize = 8;
+        let plan = tiny_plan();
+        for round in 0..20 {
+            let dir = temp_dir(&format!("burst-{round}"));
+            let start = std::sync::Barrier::new(WORKERS);
+            let summaries: Vec<WorkerSummary> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..WORKERS)
+                    .map(|w| {
+                        let (plan, dir, start) = (&plan, &dir, &start);
+                        s.spawn(move || {
+                            // A lease timeout no round comes near, so no
+                            // live worker is ever reclaimed from.
+                            let cfg = WorkerConfig {
+                                lease_timeout: Duration::from_secs(30),
+                                ..fast_cfg(dir, &format!("w{w}"))
+                            };
+                            start.wait();
+                            run_worker(plan, &cfg)
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("worker thread").expect("worker runs"))
+                    .collect()
+            });
+            assert!(summaries.iter().all(|s| s.complete), "round {round}");
+            let claimed: usize = summaries.iter().map(|s| s.claimed).sum();
+            assert_eq!(claimed, plan.points.len(), "round {round}");
+            let merged = coordinate(&plan, &dir).expect("merges");
+            assert!(merged.complete, "round {round}");
+            assert_eq!(merged.duplicates, 0, "round {round}");
+            assert_eq!(merged.done, plan.points.len(), "round {round}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A lease left empty (its writer died mid-claim) is held while fresh
+    /// and reclaimed once older than the lease timeout — never held
+    /// forever.
+    #[test]
+    fn unreadable_lease_is_reclaimed_once_stale() {
+        let plan = tiny_plan();
+        let dir = temp_dir("empty-lease");
+        let cfg = fast_cfg(&dir, "alive");
+        init_dir(&plan, &dir).expect("init");
+        std::fs::write(lease_path(&dir, 0), "").expect("plant lease");
+        assert!(
+            matches!(try_claim(&cfg, 0), Claim::Held),
+            "a fresh unreadable lease is held"
+        );
+        let old = std::time::SystemTime::now() - Duration::from_secs(60);
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(lease_path(&dir, 0))
+            .expect("open lease");
+        f.set_modified(old).expect("age the lease");
+        drop(f);
+
+        let summary = run_worker(&plan, &cfg).expect("works");
+        assert!(summary.complete);
+        assert_eq!(summary.reclaimed, 1, "the empty lease reclaims");
+        assert_eq!(summary.claimed, plan.points.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A trace file deleted or truncated after planning fails its points
+    /// with the typed diagnostic (terminal, not retried); the worker
+    /// journals them and the campaign completes.
+    #[test]
+    fn worker_journals_a_trace_broken_after_planning() {
+        for truncate in [false, true] {
+            let name = format!("coord-broken-{truncate}");
+            let (plan, atrc) = crate::runner::tests::atrc_plan(&name);
+            if truncate {
+                let bytes = std::fs::read(&atrc).expect("read atrc");
+                std::fs::write(&atrc, &bytes[..bytes.len() / 2]).expect("truncate");
+            } else {
+                std::fs::remove_file(&atrc).expect("delete atrc");
+            }
+            let dir = temp_dir(&name);
+            let summary = run_worker(&plan, &fast_cfg(&dir, "w1")).expect("works");
+            assert!(summary.complete, "{name}");
+            assert_eq!(summary.failed, plan.points.len(), "{name}");
+            assert_eq!(summary.retried, 0, "{name}: a broken file is not transient");
+            let merged = coordinate(&plan, &dir).expect("merges");
+            assert_eq!(merged.failed, plan.points.len(), "{name}");
+            let text = std::fs::read_to_string(segment_path(&dir, "w1")).expect("segment");
+            assert!(text.contains("[L0280]"), "{name}: {text}");
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_file(&atrc);
+        }
     }
 
     #[test]

@@ -20,12 +20,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use aladdin_core::{simulate_multi, FlowResult, MemKind, SimError, TraceSource, Watchdog};
-use aladdin_dse::{
-    sweep_points_source_streaming, sweep_points_streaming, sweep_points_streaming_pruned,
-    PointOutcome, PointSpec, PrunedPoint,
-};
-use aladdin_ir::{Diagnostic, Report};
+use aladdin_core::{simulate_multi, MemKind, SimError, TraceSource, Watchdog};
+use aladdin_dse::{sweep_engine, PointOutcome, PointSpec};
+use aladdin_ir::{AtrcTrace, Diagnostic, Report, Trace};
 use aladdin_lint::BoundsSummary;
 use aladdin_workloads::by_name;
 
@@ -91,31 +88,65 @@ fn journal_err(msg: impl Into<String>) -> Report {
 }
 
 /// Resolve a planned kernel name to a materialized trace: bundled kernels
-/// run their generator, `.atrc` entries decode the file (campaign
-/// validation already opened and checksummed it, so failures here are
-/// bugs, not user errors).
-pub(crate) fn materialize_trace(kernel: &str) -> aladdin_ir::Trace {
+/// run their generator, `.atrc` entries decode the file.
+///
+/// # Errors
+///
+/// `L0262` for an unknown kernel name, and `L0280` for an `.atrc` file
+/// that vanished or was damaged after the plan was validated.
+fn materialize_trace(kernel: &str) -> Result<Trace, SimError> {
     if kernel.ends_with(".atrc") {
-        aladdin_ir::AtrcTrace::open(kernel)
-            .and_then(|t| t.decode())
-            .unwrap_or_else(|d| panic!("{d}"))
+        Ok(AtrcTrace::open(kernel)?.decode()?)
     } else {
         by_name(kernel)
-            .expect("plan validated kernel names")
-            .run()
-            .trace
+            .map(|k| k.run().trace)
+            .ok_or_else(|| Diagnostic::error("L0262", format!("unknown kernel {kernel:?}")).into())
+    }
+}
+
+/// A planned kernel's trace, loaded for a run.
+pub(crate) enum LoadedTrace {
+    /// Materialized in memory.
+    Memory(Trace),
+    /// An opened `.atrc` file every worker streams its own decode of.
+    Atrc(AtrcTrace),
+}
+
+impl LoadedTrace {
+    /// Load `kernel`, streaming `.atrc` entries unless `materialize`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`materialize_trace`].
+    pub(crate) fn load(kernel: &str, materialize: bool) -> Result<Self, SimError> {
+        if kernel.ends_with(".atrc") && !materialize {
+            Ok(LoadedTrace::Atrc(AtrcTrace::open(kernel)?))
+        } else {
+            materialize_trace(kernel).map(LoadedTrace::Memory)
+        }
+    }
+
+    /// The sweep engine's view of the trace.
+    pub(crate) fn source(&self) -> TraceSource<'_> {
+        match self {
+            LoadedTrace::Memory(t) => TraceSource::Memory(t),
+            LoadedTrace::Atrc(t) => TraceSource::Atrc(t),
+        }
     }
 }
 
 /// Execute `plan`, appending one JSONL record per finished point to
 /// `journal`.
 ///
-/// Single points of one kernel run through the multithreaded
-/// [`sweep_points_streaming`] fast path (shared prepared DDDGs, result
-/// cache when the harness is inert); records are written in completion
-/// order. Multi-accelerator points run sequentially. Results are
-/// bit-identical to calling the underlying engines directly — the journal
-/// is a log, not a different code path.
+/// Each contiguous group of one kernel's single points is one
+/// [`sweep_engine`] call (shared prepared DDDGs, result cache when the
+/// harness is inert, bound pruning under [`RunOptions::prune`]); records
+/// are written in completion order. Multi-accelerator points run
+/// sequentially. Results are bit-identical to calling the underlying
+/// engines directly — the journal is a log, not a different code path.
+/// A trace that cannot be loaded (an `.atrc` file deleted or damaged
+/// after planning) fails its points with the typed diagnostic
+/// (`L0280`/`L0262`) instead of aborting the campaign.
 ///
 /// # Errors
 ///
@@ -204,68 +235,40 @@ pub fn run_campaign(
                         PlannedPoint::Multi { .. } => unreachable!("grouped singles"),
                     })
                     .collect();
-                if opts.prune {
-                    // Pruning needs static bounds over the full DDDG, so
-                    // `.atrc` entries are materialized for this path.
-                    let trace = materialize_trace(&kernel_name);
-                    let (outcomes, _perf) = sweep_points_streaming_pruned(
-                        &trace,
-                        &specs,
-                        &plan.harness,
-                        &|local, outcome| {
-                            write_line(outcome_record(
-                                group[local],
-                                &kernel_name,
-                                &specs[local],
-                                outcome,
-                            ));
-                        },
-                    );
-                    for o in &outcomes {
-                        match o {
-                            PointOutcome::Done(_) => ran += 1,
-                            PointOutcome::Failed(_) => {
-                                ran += 1;
-                                failed += 1;
-                            }
-                            PointOutcome::Pruned(_) => pruned += 1,
-                        }
+                let record = |local: usize, outcome: &PointOutcome| {
+                    write_line(outcome_record(
+                        group[local],
+                        &kernel_name,
+                        &specs[local],
+                        outcome,
+                    ));
+                };
+                // Pruning needs static bounds over the full DDDG, so it
+                // materializes `.atrc` entries; otherwise they stream.
+                let outcomes = match LoadedTrace::load(&kernel_name, opts.prune) {
+                    Ok(trace) => {
+                        sweep_engine(&trace.source(), &specs, &plan.harness, opts.prune, &record).0
                     }
-                } else if kernel_name.ends_with(".atrc") {
-                    // File-backed trace: every worker streams its own
-                    // decode of the shared encoded bytes through the
-                    // windowed scheduler — the node vector is never
-                    // materialized.
-                    let atrc =
-                        aladdin_ir::AtrcTrace::open(&kernel_name).unwrap_or_else(|d| panic!("{d}"));
-                    let (results, _perf) = sweep_points_source_streaming(
-                        &TraceSource::Atrc(&atrc),
-                        &specs,
-                        &plan.harness,
-                        &|local, result| {
-                            write_line(single_record(
-                                group[local],
-                                &kernel_name,
-                                &specs[local],
-                                result,
-                            ));
-                        },
-                    );
-                    failed += results.iter().filter(|r| r.is_err()).count();
-                    ran += results.len();
-                } else {
-                    let trace = materialize_trace(&kernel_name);
-                    let (results, _perf) =
-                        sweep_points_streaming(&trace, &specs, &plan.harness, &|local, result| {
-                            write_line(single_record(
-                                group[local],
-                                &kernel_name,
-                                &specs[local],
-                                result,
-                            ));
-                        });
-                    failed += results.iter().filter(|r| r.is_err()).count();
-                    ran += results.len();
+                    // The trace vanished or broke after planning: every
+                    // point of the group fails with the typed diagnostic
+                    // and the campaign goes on.
+                    Err(e) => (0..specs.len())
+                        .map(|local| {
+                            let outcome = PointOutcome::Failed(e.clone());
+                            record(local, &outcome);
+                            outcome
+                        })
+                        .collect(),
+                };
+                for o in &outcomes {
+                    match o {
+                        PointOutcome::Done(_) => ran += 1,
+                        PointOutcome::Failed(_) => {
+                            ran += 1;
+                            failed += 1;
+                        }
+                        PointOutcome::Pruned(_) => pruned += 1,
+                    }
                 }
             }
             PlannedPoint::Multi {
@@ -351,47 +354,32 @@ pub(crate) fn point_prefix(index: usize, kernel: &str, spec: &PointSpec) -> Stri
     line
 }
 
-/// Journal record for a statically pruned point (`L0276`): the bound and
-/// floor that condemned it, and the finished result that dominated it.
-fn pruned_record(index: usize, kernel: &str, spec: &PointSpec, p: &PrunedPoint) -> String {
-    let mut line = point_prefix(index, kernel, spec);
-    line.push_str(&format!(
-        ",\"lo\":{},\"power_floor_mw\":{:e},\"by_cycles\":{},\"by_power_mw\":{:e},\"status\":\"pruned\"}}",
-        p.lo, p.power_floor_mw, p.by_cycles, p.by_power_mw
-    ));
-    line
-}
-
-fn outcome_record(index: usize, kernel: &str, spec: &PointSpec, outcome: &PointOutcome) -> String {
-    match outcome {
-        PointOutcome::Done(r) => single_record(index, kernel, spec, &Ok((**r).clone())),
-        PointOutcome::Failed(e) => single_record(index, kernel, spec, &Err(e.clone())),
-        PointOutcome::Pruned(p) => pruned_record(index, kernel, spec, p),
-    }
-}
-
-pub(crate) fn single_record(
+/// The journal record of one single-point outcome: `"ok"` with cycles,
+/// energy and EDP, `"error"` with the typed diagnostic, or `"pruned"`
+/// (`L0276`) with the bound and floor that condemned the point and the
+/// finished result that dominated it.
+pub(crate) fn outcome_record(
     index: usize,
     kernel: &str,
     spec: &PointSpec,
-    result: &Result<FlowResult, SimError>,
+    outcome: &PointOutcome,
 ) -> String {
     let mut line = point_prefix(index, kernel, spec);
-    match result {
-        Ok(r) => {
-            line.push_str(&format!(
-                ",\"cycles\":{},\"energy_j\":{:e},\"edp\":{:e},\"status\":\"ok\"}}",
-                r.total_cycles,
-                r.energy_j(),
-                r.edp()
-            ));
-        }
-        Err(e) => {
-            line.push_str(&format!(
-                ",\"status\":\"error\",\"error\":{}}}",
-                json_string(&e.to_string())
-            ));
-        }
+    match outcome {
+        PointOutcome::Done(r) => line.push_str(&format!(
+            ",\"cycles\":{},\"energy_j\":{:e},\"edp\":{:e},\"status\":\"ok\"}}",
+            r.total_cycles,
+            r.energy_j(),
+            r.edp()
+        )),
+        PointOutcome::Failed(e) => line.push_str(&format!(
+            ",\"status\":\"error\",\"error\":{}}}",
+            json_string(&e.to_string())
+        )),
+        PointOutcome::Pruned(p) => line.push_str(&format!(
+            ",\"lo\":{},\"power_floor_mw\":{:e},\"by_cycles\":{},\"by_power_mw\":{:e},\"status\":\"pruned\"}}",
+            p.lo, p.power_floor_mw, p.by_cycles, p.by_power_mw
+        )),
     }
     line
 }
@@ -554,17 +542,16 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
         return 0;
     }
     let mut cached = 0;
-    let mut trace_for: Option<(String, aladdin_ir::Trace)> = None;
+    let mut trace_for: Option<(String, Option<Trace>)> = None;
     for point in &plan.points {
         if let PlannedPoint::Single { kernel, point } = point {
-            let stale = !matches!(&trace_for, Some((name, _)) if name == kernel);
-            if stale {
-                let trace = materialize_trace(kernel);
-                trace_for = Some((kernel.clone(), trace));
+            if !matches!(&trace_for, Some((name, _)) if name == kernel) {
+                trace_for = Some((kernel.clone(), materialize_trace(kernel).ok()));
             }
-            let (_, trace) = trace_for.as_ref().expect("just ensured");
-            if aladdin_dse::point_cached(trace, &point.dp, &point.soc, point.kind) {
-                cached += 1;
+            if let Some((_, Some(trace))) = &trace_for {
+                if aladdin_dse::point_cached(trace, &point.dp, &point.soc, point.kind) {
+                    cached += 1;
+                }
             }
         }
     }
@@ -577,7 +564,8 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
 ///
 /// Returns the aggregate [`BoundsSummary`] over every single point whose
 /// configuration admits bounds, plus the count of points where bounds
-/// were unavailable (the configuration itself fails validation, `L0273`).
+/// were unavailable (the configuration itself fails validation, `L0273`,
+/// or the trace cannot be loaded).
 /// Job-set (multi-accelerator) points carry no static bounds and are not
 /// counted. The summary's dominance count is judged within each kernel's
 /// point group — pruning only ever compares results of the same kernel.
@@ -586,15 +574,16 @@ pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
     let mut all = Vec::new();
     let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
     let mut unavailable = 0usize;
-    let mut trace_for: Option<(String, aladdin_ir::Trace)> = None;
+    let mut trace_for: Option<(String, Option<Trace>)> = None;
     for point in &plan.points {
         if let PlannedPoint::Single { kernel, point } = point {
-            let stale = !matches!(&trace_for, Some((name, _)) if name == kernel);
-            if stale {
-                let trace = materialize_trace(kernel);
-                trace_for = Some((kernel.clone(), trace));
+            if !matches!(&trace_for, Some((name, _)) if name == kernel) {
+                trace_for = Some((kernel.clone(), materialize_trace(kernel).ok()));
             }
-            let (_, trace) = trace_for.as_ref().expect("just ensured");
+            let Some((_, Some(trace))) = &trace_for else {
+                unavailable += 1;
+                continue;
+            };
             match aladdin_lint::bounds_for_point(
                 trace,
                 &point.dp,
@@ -662,7 +651,7 @@ pub(crate) fn json_field_u64(line: &str, key: &str) -> Option<u64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::campaign::CampaignSpec;
 
@@ -758,20 +747,14 @@ partitions = [1]
         let _ = std::fs::remove_file(&journal);
     }
 
-    #[test]
-    fn atrc_kernel_entry_streams_end_to_end() {
-        // Encode a bundled kernel to a temp `.atrc` and point the campaign
-        // at the file instead of the kernel name: validation opens the
-        // file, the runner streams it, and the journal fills exactly as a
-        // materialized run would.
-        let trace = aladdin_workloads::by_name("aes-aes")
-            .expect("kernel")
-            .run()
-            .trace;
-        let mut atrc_path = std::env::temp_dir();
-        atrc_path.push(format!("aladdin-runner-{}-aes.atrc", std::process::id()));
-        std::fs::write(&atrc_path, aladdin_ir::encode_trace(&trace)).expect("write atrc");
-
+    /// Encode a bundled kernel to a temp `.atrc` and plan a two-point
+    /// sweep over the file instead of the kernel name. Returns the plan
+    /// and the file, which the caller removes.
+    pub(crate) fn atrc_plan(name: &str) -> (CampaignPlan, PathBuf) {
+        let trace = by_name("aes-aes").expect("kernel").run().trace;
+        let mut path = std::env::temp_dir();
+        path.push(format!("aladdin-runner-{}-{name}.atrc", std::process::id()));
+        std::fs::write(&path, aladdin_ir::encode_trace(&trace)).expect("write atrc");
         let toml = format!(
             r#"
 name = "runner-atrc"
@@ -782,12 +765,20 @@ mems = ["isolated"]
 lanes = [1, 2]
 partitions = [1]
 "#,
-            atrc_path.display()
+            path.display()
         );
         let plan = CampaignSpec::from_toml(&toml)
             .expect("parses")
             .expand()
             .expect("an existing .atrc file validates");
+        (plan, path)
+    }
+
+    #[test]
+    fn atrc_kernel_entry_streams_end_to_end() {
+        // Validation opens the file, the runner streams it, and the
+        // journal fills exactly as a materialized run would.
+        let (plan, atrc_path) = atrc_plan("aes");
         let journal = temp_path("atrc");
         let summary = run_campaign(&plan, &journal, &RunOptions::default()).expect("runs");
         assert_eq!(summary.ran, plan.points.len());
@@ -797,6 +788,43 @@ partitions = [1]
         assert_eq!(finished.len(), plan.points.len());
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&atrc_path);
+    }
+
+    /// An `.atrc` file deleted or truncated after planning never panics
+    /// the runner: every affected point is journaled as an error carrying
+    /// the typed `L0280` diagnostic and counted as failed, and the
+    /// campaign completes — streamed or materialized (`prune`).
+    #[test]
+    fn atrc_broken_after_planning_journals_typed_errors() {
+        for prune in [false, true] {
+            for truncate in [false, true] {
+                let name = format!("broken-{prune}-{truncate}");
+                let (plan, atrc_path) = atrc_plan(&name);
+                if truncate {
+                    let bytes = std::fs::read(&atrc_path).expect("read atrc");
+                    std::fs::write(&atrc_path, &bytes[..bytes.len() / 2]).expect("truncate");
+                } else {
+                    std::fs::remove_file(&atrc_path).expect("delete atrc");
+                }
+                let journal = temp_path(&name);
+                let opts = RunOptions {
+                    prune,
+                    ..RunOptions::default()
+                };
+                let summary = run_campaign(&plan, &journal, &opts).expect("runs");
+                assert_eq!(summary.ran, plan.points.len(), "{name}");
+                assert_eq!(summary.failed, plan.points.len(), "{name}");
+                assert!(summary.complete(), "{name}");
+                let text = std::fs::read_to_string(&journal).expect("journal");
+                assert_eq!(text.lines().count(), plan.points.len() + 1, "{name}");
+                for line in text.lines().skip(1) {
+                    assert!(line.contains("\"status\":\"error\""), "{name}: {line}");
+                    assert!(line.contains("[L0280]"), "{name}: {line}");
+                }
+                let _ = std::fs::remove_file(&journal);
+                let _ = std::fs::remove_file(&atrc_path);
+            }
+        }
     }
 
     #[test]
@@ -943,17 +971,17 @@ partitions = [1]
             PlannedPoint::Single { kernel, point } => (kernel.clone(), *point),
             PlannedPoint::Multi { .. } => unreachable!("sweep campaign"),
         };
-        let record = pruned_record(
+        let record = outcome_record(
             1,
             &kernel,
             &spec,
-            &PrunedPoint {
+            &PointOutcome::Pruned(aladdin_dse::PrunedPoint {
                 index: 1,
                 lo: 1000,
                 power_floor_mw: 1.5,
                 by_cycles: 400,
                 by_power_mw: 0.9,
-            },
+            }),
         );
         let mut text = std::fs::read_to_string(&journal).unwrap();
         text.push_str(&record);

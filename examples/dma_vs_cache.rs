@@ -7,11 +7,11 @@
 //! ```
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{DmaOptLevel, FlowSpec, MemKind, Soc, SocConfig};
+use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig};
 use aladdin_workloads::evaluation_kernels;
 
 fn main() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let dp = DatapathConfig::builder()
         .lanes(4)
         .partition(4)
@@ -24,12 +24,14 @@ fn main() {
     );
     for kernel in evaluation_kernels() {
         let trace = kernel.run().trace;
-        let dma = soc
-            .simulate(&trace, &dp, &FlowSpec::new(MemKind::Dma(DmaOptLevel::Full)))
-            .unwrap();
-        let cache = soc
-            .simulate(&trace, &dp, &FlowSpec::new(MemKind::Cache))
-            .unwrap();
+        let dma = simulate(
+            &trace,
+            &dp,
+            &soc,
+            &FlowSpec::new(MemKind::Dma(DmaOptLevel::Full)),
+        )
+        .unwrap();
+        let cache = simulate(&trace, &dp, &soc, &FlowSpec::new(MemKind::Cache)).unwrap();
         let winner = match (
             dma.edp() < cache.edp(),
             (dma.edp() - cache.edp()).abs() / dma.edp() < 0.15,

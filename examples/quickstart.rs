@@ -5,7 +5,7 @@
 //! ```
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{DmaOptLevel, FlowSpec, MemKind, Soc, SocConfig};
+use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig};
 use aladdin_workloads::by_name;
 
 fn main() {
@@ -19,14 +19,14 @@ fn main() {
         run.trace.output_bytes()
     );
 
-    let soc = Soc::new(SocConfig::builder().build().expect("valid platform"));
+    let soc = SocConfig::builder().build().expect("valid platform");
     let dp = DatapathConfig::builder()
         .lanes(4)
         .partition(4)
         .build()
         .expect("valid datapath");
 
-    let flow = |kind| soc.simulate(&run.trace, &dp, &FlowSpec::new(kind)).unwrap();
+    let flow = |kind| simulate(&run.trace, &dp, &soc, &FlowSpec::new(kind)).unwrap();
     let isolated = flow(MemKind::Isolated);
     let baseline = flow(MemKind::Dma(DmaOptLevel::Baseline));
     let full = flow(MemKind::Dma(DmaOptLevel::Full));

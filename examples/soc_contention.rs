@@ -7,7 +7,7 @@
 //! ```
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{DmaOptLevel, FlowSpec, MemKind, Soc, SocConfig, TrafficConfig};
+use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig, TrafficConfig};
 use aladdin_workloads::by_name;
 
 fn main() {
@@ -25,12 +25,10 @@ fn main() {
         "{:<28} {:>12} {:>12} {:>9} {:>9}",
         "traffic (bus load)", "dma cycles", "cache cycles", "dma x", "cache x"
     );
-    let quiet = Soc::new(SocConfig::default());
-    let dma0 = quiet.simulate(&trace, &dp, &dma_spec).unwrap().total_cycles;
-    let cache0 = quiet
-        .simulate(&trace, &dp, &cache_spec)
-        .unwrap()
-        .total_cycles;
+    let cycles = |soc: &SocConfig, spec| simulate(&trace, &dp, soc, spec).unwrap().total_cycles;
+    let quiet = SocConfig::default();
+    let dma0 = cycles(&quiet, &dma_spec);
+    let cache0 = cycles(&quiet, &cache_spec);
     println!(
         "{:<28} {:>12} {:>12} {:>9.2} {:>9.2}",
         "none", dma0, cache0, 1.0, 1.0
@@ -41,14 +39,12 @@ fn main() {
         ("medium (~25%)", 64),
         ("heavy (~50%)", 32),
     ] {
-        let soc = Soc::new(
-            SocConfig::builder()
-                .traffic(Some(TrafficConfig { period, bytes: 64 }))
-                .build()
-                .expect("valid platform"),
-        );
-        let dma = soc.simulate(&trace, &dp, &dma_spec).unwrap().total_cycles;
-        let cache = soc.simulate(&trace, &dp, &cache_spec).unwrap().total_cycles;
+        let soc = SocConfig::builder()
+            .traffic(Some(TrafficConfig { period, bytes: 64 }))
+            .build()
+            .expect("valid platform");
+        let dma = cycles(&soc, &dma_spec);
+        let cache = cycles(&soc, &cache_spec);
         println!(
             "{:<28} {:>12} {:>12} {:>9.2} {:>9.2}",
             label,

@@ -7,7 +7,7 @@
 //! ```
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{DmaOptLevel, FlowSpec, MemKind, Soc, SocConfig};
+use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig};
 use aladdin_ir::{rebalance_reductions, Trace};
 use aladdin_workloads::by_name;
 
@@ -37,7 +37,7 @@ fn main() {
     );
 
     // 4. Re-schedule both variants under the same SoC.
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let spec = FlowSpec::new(MemKind::Dma(DmaOptLevel::Full));
     println!(
         "\n{:<28} {:>10} {:>10} {:>9}",
@@ -49,8 +49,8 @@ fn main() {
             .partition(lanes)
             .build()
             .expect("valid datapath");
-        let serial = soc.simulate(&reloaded, &dp, &spec).unwrap().total_cycles;
-        let tree = soc.simulate(&balanced, &dp, &spec).unwrap().total_cycles;
+        let serial = simulate(&reloaded, &dp, &soc, &spec).unwrap().total_cycles;
+        let tree = simulate(&balanced, &dp, &soc, &spec).unwrap().total_cycles;
         println!(
             "{:<28} {:>10} {:>10} {:>8.2}x",
             format!("dma(+triggered), {lanes} lanes"),

@@ -1,21 +1,22 @@
 //! Golden bit-exactness suite for the unified flow engine.
 //!
 //! The `FlowSpec` refactor's contract is that `simulate` is the *same
-//! simulation* the legacy `run_*` entry points performed — not a close
-//! approximation. Every bundled kernel, under every memory-system kind,
-//! must produce a structurally equal [`FlowResult`] (full `PartialEq`:
-//! cycles, phases, energy inputs, and every stats block) through the
-//! unified entry point, the deprecated free functions, and the `Soc`
-//! convenience wrappers. A heterogeneous multi-accelerator run rides
-//! along: cache + DMA jobs on one bus must complete under the watchdog,
-//! be deterministic, and each be no faster than its solo run.
+//! simulation* the pre-`FlowSpec` `run_*` entry points performed — not a
+//! close approximation. Before those entry points were deleted, every
+//! bundled kernel under every memory-system kind was recorded here as its
+//! `total_cycles` plus a 64-bit FNV-1a digest of the whole [`FlowResult`]'s
+//! `Debug` rendering. Rust's float `Debug` output round-trips, so a
+//! matching digest pins every field — cycles, phases, energy inputs, and
+//! every stats block — bit for bit. A heterogeneous multi-accelerator run
+//! rides along: cache + DMA jobs on one bus must complete under the
+//! watchdog, be deterministic, and each be no faster than its solo run.
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{
-    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowSpec, MemKind, SimHarness, Soc,
-    SocConfig, Topology, TopologyConfig,
+    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowResult, FlowSpec, MemKind,
+    SimHarness, SocConfig, Topology, TopologyConfig,
 };
-use aladdin_workloads::all_kernels;
+use aladdin_workloads::{all_kernels, by_name};
 
 fn dp(lanes: u32) -> DatapathConfig {
     DatapathConfig {
@@ -25,65 +26,132 @@ fn dp(lanes: u32) -> DatapathConfig {
     }
 }
 
-const KINDS: [MemKind; 3] = [
-    MemKind::Isolated,
-    MemKind::Dma(DmaOptLevel::Full),
-    MemKind::Cache,
+const ISOLATED: MemKind = MemKind::Isolated;
+const DMA_BASELINE: MemKind = MemKind::Dma(DmaOptLevel::Baseline);
+const DMA_PIPELINED: MemKind = MemKind::Dma(DmaOptLevel::Pipelined);
+const DMA_FULL: MemKind = MemKind::Dma(DmaOptLevel::Full);
+const CACHE: MemKind = MemKind::Cache;
+
+const KINDS: [MemKind; 3] = [ISOLATED, DMA_FULL, CACHE];
+
+/// `(kernel, flow, total_cycles, digest)` for every kernel × {isolated,
+/// dma:full, cache} at lanes = partition = 2, recorded from the
+/// `run_isolated`/`run_dma`/`run_cache` entry points.
+const GOLDEN_LANES_2: &[(&str, MemKind, u64, u64)] = &[
+    ("aes-aes", ISOLATED, 1682, 0x60008161e07b26be),
+    ("aes-aes", DMA_FULL, 1826, 0xcb6d9982cc989653),
+    ("aes-aes", CACHE, 1731, 0xe9f996674cff620b),
+    ("nw-nw", ISOLATED, 33269, 0xde3385638b55d03e),
+    ("nw-nw", DMA_FULL, 33829, 0xe65127c0ed2f058d),
+    ("nw-nw", CACHE, 33359, 0x581c6f762f8fb2fd),
+    ("gemm-ncubed", ISOLATED, 60416, 0x72cc03f3ed0e92a4),
+    ("gemm-ncubed", DMA_FULL, 67804, 0xe6960f11f8c07aaa),
+    ("gemm-ncubed", CACHE, 138094, 0x188d0d460923570d),
+    ("stencil-stencil2d", ISOLATED, 73036, 0x0711f5fd253c3ccc),
+    ("stencil-stencil2d", DMA_FULL, 83054, 0x84021c87fd56b91d),
+    ("stencil-stencil2d", CACHE, 82841, 0x2c3da12f38e7775d),
+    ("stencil-stencil3d", ISOLATED, 41160, 0xd37e76c7e62240a2),
+    ("stencil-stencil3d", DMA_FULL, 52021, 0xdb0a72391ac0806c),
+    ("stencil-stencil3d", CACHE, 61534, 0x31b137f4f52ed2fa),
+    ("md-knn", ISOLATED, 34368, 0x44ef19b9678df561),
+    ("md-knn", DMA_FULL, 36469, 0x7817ce90a00265d6),
+    ("md-knn", CACHE, 38657, 0x9c9c57a5ca9e8506),
+    ("spmv-crs", ISOLATED, 2729, 0x0a8f587cdaf29fd5),
+    ("spmv-crs", DMA_FULL, 8517, 0x9b19aa7cb826a8bf),
+    ("spmv-crs", CACHE, 5733, 0x92f655eabf64d467),
+    ("fft-transpose", ISOLATED, 2112, 0x2ff89eec22f837d4),
+    ("fft-transpose", DMA_FULL, 7348, 0x7fba84fb46b9ab2c),
+    ("fft-transpose", CACHE, 9108, 0x810c73916a2b0008),
+    ("bfs-bulk", ISOLATED, 3455, 0xa0800a7a61eaef5f),
+    ("bfs-bulk", DMA_FULL, 5903, 0x76fda3644d4664be),
+    ("bfs-bulk", CACHE, 6256, 0x44a1d96debcccd02),
+    ("sort-merge", ISOLATED, 6182, 0x548bef49e1c2f307),
+    ("sort-merge", DMA_FULL, 7358, 0x584b1cfb2f8ac51c),
+    ("sort-merge", CACHE, 6041, 0x3840563af490abec),
+    ("sort-radix", ISOLATED, 19866, 0x134ee09002909d6b),
+    ("sort-radix", DMA_FULL, 21035, 0xd8099465843bdc61),
+    ("sort-radix", CACHE, 19936, 0x8f881eec5c54361a),
+    ("kmp", ISOLATED, 1569, 0xd0142f2f448f2dee),
+    ("kmp", DMA_FULL, 2264, 0x0ffb318aae5d3f35),
+    ("kmp", CACHE, 1899, 0xad7459fe9b2133f8),
+    ("viterbi", ISOLATED, 54961, 0xbeeefe87c9880ec8),
+    ("viterbi", DMA_FULL, 62758, 0x1961935a026233f7),
+    ("viterbi", CACHE, 94247, 0x96c372fd9070b922),
+    ("gemm-blocked", ISOLATED, 34816, 0x75f9828bb204ad96),
+    ("gemm-blocked", DMA_FULL, 40606, 0xf233eacdb237e83a),
+    ("gemm-blocked", CACHE, 53868, 0x33dbe8dde12d797c),
+    ("spmv-ellpack", ISOLATED, 2729, 0x56e8ce7c19d83ef5),
+    ("spmv-ellpack", DMA_FULL, 8498, 0x2f68651911f39529),
+    ("spmv-ellpack", CACHE, 5761, 0xe6302dedb6fffc2d),
+    ("md-grid", ISOLATED, 14532, 0x56a15d52243a8173),
+    ("md-grid", DMA_FULL, 17718, 0xdd7fb2447c23155d),
+    ("md-grid", CACHE, 15702, 0x442fd25d653a906f),
 ];
 
-/// Every kernel × {isolated, dma, cache}: the unified engine reproduces
-/// the deprecated free functions bit-exactly.
-#[test]
-#[allow(deprecated)]
-fn unified_engine_matches_legacy_entry_points_everywhere() {
+/// The first four kernels under every DMA optimization level at
+/// lanes = partition = 4, recorded from the `Soc::run_dma` wrapper.
+const GOLDEN_DMA_LEVELS: &[(&str, MemKind, u64, u64)] = &[
+    ("aes-aes", DMA_BASELINE, 1174, 0xf59b48a70ea79b62),
+    ("aes-aes", DMA_PIPELINED, 1142, 0x2119f51e5bc0419f),
+    ("aes-aes", DMA_FULL, 1074, 0x1366a2ec6aaa864f),
+    ("nw-nw", DMA_BASELINE, 28062, 0x11e2ee45a2dd0b41),
+    ("nw-nw", DMA_PIPELINED, 27766, 0x386ff41a9d6c6200),
+    ("nw-nw", DMA_FULL, 27685, 0x623e227a6509c465),
+    ("gemm-ncubed", DMA_BASELINE, 46738, 0xe70d9a5ef8759cfa),
+    ("gemm-ncubed", DMA_PIPELINED, 41850, 0x0e9a3aaa301547a0),
+    ("gemm-ncubed", DMA_FULL, 41676, 0x5358963953c0d172),
+    ("stencil-stencil2d", DMA_BASELINE, 72833, 0x7c7f455bdd307940),
+    (
+        "stencil-stencil2d",
+        DMA_PIPELINED,
+        58688,
+        0x93a2cec180cf2150,
+    ),
+    ("stencil-stencil2d", DMA_FULL, 50376, 0xaec9bf8cef74c068),
+];
+
+/// 64-bit FNV-1a over a result's `Debug` rendering.
+fn digest(r: &FlowResult) -> u64 {
+    format!("{r:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Re-simulate every row of `golden` at `lanes` and compare.
+fn assert_matches_goldens(golden: &[(&str, MemKind, u64, u64)], lanes: u32) {
     let soc = SocConfig::default();
-    let d = dp(2);
-    for kernel in all_kernels() {
-        let trace = kernel.run().trace;
-        for kind in KINDS {
-            let unified = simulate(&trace, &d, &soc, &FlowSpec::new(kind))
-                .unwrap_or_else(|e| panic!("{} {kind}: {e}", kernel.name()));
-            let legacy = match kind {
-                MemKind::Isolated => aladdin_core::run_isolated(&trace, &d, &soc),
-                MemKind::Dma(opt) => aladdin_core::run_dma(&trace, &d, &soc, opt),
-                MemKind::Cache => aladdin_core::run_cache(&trace, &d, &soc),
-            };
-            assert_eq!(unified, legacy, "{} {kind}", kernel.name());
+    let d = dp(lanes);
+    let mut trace: Option<(&str, aladdin_ir::Trace)> = None;
+    for &(kernel, kind, cycles, hash) in golden {
+        if !matches!(&trace, Some((name, _)) if *name == kernel) {
+            trace = Some((kernel, by_name(kernel).expect("kernel").run().trace));
         }
+        let (_, t) = trace.as_ref().expect("just loaded");
+        let r = simulate(t, &d, &soc, &FlowSpec::new(kind))
+            .unwrap_or_else(|e| panic!("{kernel} {kind}: {e}"));
+        assert_eq!(
+            (r.total_cycles, digest(&r)),
+            (cycles, hash),
+            "{kernel} {kind}: diverged from the recorded golden"
+        );
     }
 }
 
-/// The (deprecated) `Soc` convenience wrappers are the same engine too,
-/// for every DMA optimization level.
+/// Every kernel × {isolated, dma, cache}: the unified engine reproduces
+/// the recorded results of the pre-`FlowSpec` entry points bit-exactly.
 #[test]
-#[allow(deprecated)]
-fn soc_wrappers_match_the_engine() {
-    let soc_cfg = SocConfig::default();
-    let soc = Soc::new(soc_cfg);
-    let d = dp(4);
-    for kernel in all_kernels().into_iter().take(4) {
-        let trace = kernel.run().trace;
-        assert_eq!(
-            soc.run_isolated(&trace, &d),
-            simulate(&trace, &d, &soc_cfg, &FlowSpec::new(MemKind::Isolated)).unwrap(),
-            "{} isolated",
-            kernel.name()
-        );
-        for opt in DmaOptLevel::ALL {
-            assert_eq!(
-                soc.run_dma(&trace, &d, opt),
-                simulate(&trace, &d, &soc_cfg, &FlowSpec::new(MemKind::Dma(opt))).unwrap(),
-                "{} dma {opt}",
-                kernel.name()
-            );
-        }
-        assert_eq!(
-            soc.run_cache(&trace, &d),
-            simulate(&trace, &d, &soc_cfg, &FlowSpec::new(MemKind::Cache)).unwrap(),
-            "{} cache",
-            kernel.name()
-        );
-    }
+fn unified_engine_matches_recorded_goldens_everywhere() {
+    assert_eq!(GOLDEN_LANES_2.len(), all_kernels().len() * KINDS.len());
+    assert_matches_goldens(GOLDEN_LANES_2, 2);
+}
+
+/// Every DMA optimization level, at a second datapath width.
+#[test]
+fn dma_levels_match_recorded_goldens() {
+    assert_eq!(GOLDEN_DMA_LEVELS.len(), 4 * DmaOptLevel::ALL.len());
+    assert_matches_goldens(GOLDEN_DMA_LEVELS, 4);
 }
 
 /// Heterogeneous SoC (paper Fig. 3 ACCEL0/ACCEL1): a cache-based and a

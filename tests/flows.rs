@@ -2,7 +2,7 @@
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{
-    decompose_cache_time, validate_kernel, DmaOptLevel, FlowResult, FlowSpec, MemKind, Soc,
+    decompose_cache_time, simulate, validate_kernel, DmaOptLevel, FlowResult, FlowSpec, MemKind,
     SocConfig,
 };
 use aladdin_workloads::{by_name, evaluation_kernels};
@@ -19,14 +19,17 @@ fn dp(lanes: u32, partition: u32) -> DatapathConfig {
     }
 }
 
-fn dma(soc: &Soc, trace: &aladdin_ir::Trace, d: &DatapathConfig, opt: DmaOptLevel) -> FlowResult {
-    soc.simulate(trace, d, &FlowSpec::new(MemKind::Dma(opt)))
-        .unwrap()
+fn dma(
+    soc: &SocConfig,
+    trace: &aladdin_ir::Trace,
+    d: &DatapathConfig,
+    opt: DmaOptLevel,
+) -> FlowResult {
+    simulate(trace, d, soc, &FlowSpec::new(MemKind::Dma(opt))).unwrap()
 }
 
-fn cache(soc: &Soc, trace: &aladdin_ir::Trace, d: &DatapathConfig) -> FlowResult {
-    soc.simulate(trace, d, &FlowSpec::new(MemKind::Cache))
-        .unwrap()
+fn cache(soc: &SocConfig, trace: &aladdin_ir::Trace, d: &DatapathConfig) -> FlowResult {
+    simulate(trace, d, soc, &FlowSpec::new(MemKind::Cache)).unwrap()
 }
 
 /// Section II-B / Figure 2: with a 16-way parallel design under baseline
@@ -34,7 +37,7 @@ fn cache(soc: &Soc, trace: &aladdin_ir::Trace, d: &DatapathConfig) -> FlowResult
 /// flush alone averages ~20%.
 #[test]
 fn data_movement_dominates_16way_baseline() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let d = dp(16, 16);
     let mut flush_fracs = Vec::new();
     let mut movement_bound = 0;
@@ -64,7 +67,7 @@ fn data_movement_dominates_16way_baseline() {
 /// into overlapped compute/DMA cycles.
 #[test]
 fn parallelism_does_not_reduce_dma_time() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let trace = trace_of("stencil-stencil2d");
     let narrow = dma(&soc, &trace, &dp(1, 1), DmaOptLevel::Full);
     let wide = dma(&soc, &trace, &dp(16, 16), DmaOptLevel::Full);
@@ -86,7 +89,7 @@ fn parallelism_does_not_reduce_dma_time() {
 /// Section V-A, Figure 8 orderings (EDP preference).
 #[test]
 fn dma_vs_cache_preferences_match_the_paper() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let d = dp(4, 4);
 
     // aes and nw prefer DMA.

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: every kernel through every flow.
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{DmaOptLevel, FlowResult, FlowSpec, MemKind, Soc, SocConfig};
+use aladdin_core::{simulate, DmaOptLevel, FlowResult, FlowSpec, MemKind, SocConfig};
 use aladdin_workloads::{all_kernels, evaluation_kernels};
 
 fn dp(lanes: u32, partition: u32) -> DatapathConfig {
@@ -12,8 +12,13 @@ fn dp(lanes: u32, partition: u32) -> DatapathConfig {
     }
 }
 
-fn run(soc: &Soc, trace: &aladdin_ir::Trace, d: &DatapathConfig, kind: MemKind) -> FlowResult {
-    soc.simulate(trace, d, &FlowSpec::new(kind)).unwrap()
+fn run(
+    soc: &SocConfig,
+    trace: &aladdin_ir::Trace,
+    d: &DatapathConfig,
+    kind: MemKind,
+) -> FlowResult {
+    simulate(trace, d, soc, &FlowSpec::new(kind)).unwrap()
 }
 
 #[test]
@@ -39,7 +44,7 @@ fn every_kernel_is_functionally_correct() {
 
 #[test]
 fn every_kernel_runs_every_flow() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let d = dp(2, 2);
     for kernel in all_kernels() {
         let trace = kernel.run().trace;
@@ -61,7 +66,7 @@ fn every_kernel_runs_every_flow() {
 
 #[test]
 fn dma_opt_levels_never_hurt() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let d = dp(4, 4);
     for kernel in evaluation_kernels() {
         let trace = kernel.run().trace;
@@ -85,7 +90,7 @@ fn dma_opt_levels_never_hurt() {
 
 #[test]
 fn phase_attribution_is_conserved() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let d = dp(4, 4);
     for kernel in evaluation_kernels() {
         let trace = kernel.run().trace;
@@ -105,7 +110,7 @@ fn phase_attribution_is_conserved() {
 
 #[test]
 fn determinism_across_identical_runs() {
-    let soc = Soc::new(SocConfig::default());
+    let soc = SocConfig::default();
     let d = dp(4, 4);
     for kernel in evaluation_kernels().into_iter().take(3) {
         let t1 = kernel.run().trace;
@@ -133,7 +138,7 @@ fn traces_serialize_round_trip() {
         assert_eq!(parsed.arrays(), trace.arrays(), "{name}");
         // And the re-parsed trace schedules identically.
         let dp = dp(2, 2);
-        let soc = Soc::new(SocConfig::default());
+        let soc = SocConfig::default();
         assert_eq!(
             run(&soc, &parsed, &dp, MemKind::Isolated).total_cycles,
             run(&soc, &trace, &dp, MemKind::Isolated).total_cycles,
@@ -152,12 +157,7 @@ fn multi_accelerator_conserves_single_job_behavior() {
             .run()
             .trace;
         let d = dp(4, 4);
-        let single = run(
-            &Soc::new(soc_cfg),
-            &trace,
-            &d,
-            MemKind::Dma(DmaOptLevel::Pipelined),
-        );
+        let single = run(&soc_cfg, &trace, &d, MemKind::Dma(DmaOptLevel::Pipelined));
         let multi = simulate_multi(
             &[AcceleratorJob::dma(trace, d, DmaOptLevel::Pipelined, 0)],
             &soc_cfg,
