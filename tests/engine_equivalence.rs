@@ -10,11 +10,17 @@
 //! every stats block — bit for bit. A heterogeneous multi-accelerator run
 //! rides along: cache + DMA jobs on one bus must complete under the
 //! watchdog, be deterministic, and each be no faster than its solo run.
+//!
+//! Before the single flows and `simulate_multi` were moved onto one SoC
+//! world, three more tables were recorded the same way: the single flows
+//! under background traffic and under a seeded fault plan, and
+//! `simulate_multi` across every job kind, fabric and harness the world
+//! steps. They pin that the merge was bit-exact.
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{
-    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowResult, FlowSpec, MemKind,
-    SimHarness, SocConfig, Topology, TopologyConfig,
+    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowSpec, MemKind, SimHarness,
+    SocConfig, Topology, TopologyConfig, TrafficConfig,
 };
 use aladdin_workloads::{all_kernels, by_name};
 
@@ -111,7 +117,7 @@ const GOLDEN_DMA_LEVELS: &[(&str, MemKind, u64, u64)] = &[
 ];
 
 /// 64-bit FNV-1a over a result's `Debug` rendering.
-fn digest(r: &FlowResult) -> u64 {
+fn digest(r: &impl std::fmt::Debug) -> u64 {
     format!("{r:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -366,4 +372,211 @@ fn crossbar_and_mesh_grant_fairly_under_saturation() {
             topology.spec_string()
         );
     }
+}
+
+/// Background traffic for the traffic goldens: a 64-byte read every 20
+/// cycles, enough to contend with both DMA bursts and cache fills.
+const TRAFFIC: TrafficConfig = TrafficConfig {
+    period: 20,
+    bytes: 64,
+};
+
+fn noisy_soc() -> SocConfig {
+    SocConfig {
+        traffic: Some(TRAFFIC),
+        ..SocConfig::default()
+    }
+}
+
+/// `(kernel, flow, total_cycles, digest)` for four kernels under
+/// {dma:full, cache} at lanes = partition = 2: first with background
+/// traffic on the bus, then under the seed-7 fault harness. Where the
+/// traffic generator ticks relative to the DMA engines and cache fills is
+/// the subtle part of the per-cycle loop; these rows pin it.
+const GOLDEN_TRAFFIC: &[(&str, MemKind, u64, u64)] = &[
+    ("aes-aes", DMA_FULL, 1856, 0x3975682794679b59),
+    ("aes-aes", CACHE, 1747, 0xd1e811f048e061ec),
+    ("spmv-crs", DMA_FULL, 12808, 0x81e9e04e5b0cf5fe),
+    ("spmv-crs", CACHE, 14836, 0x804ab9a7304defc6),
+    ("fft-transpose", DMA_FULL, 11304, 0x1d61aa38d56a67aa),
+    ("fft-transpose", CACHE, 26534, 0x51e6d4fb00651a78),
+    ("md-knn", DMA_FULL, 36832, 0xa3aa4d10457f92c8),
+    ("md-knn", CACHE, 42823, 0x83f614086158af98),
+];
+const GOLDEN_FAULTS: &[(&str, MemKind, u64, u64)] = &[
+    ("aes-aes", DMA_FULL, 1826, 0xcb6d9982cc989653),
+    ("aes-aes", CACHE, 1731, 0xe9f996674cff620b),
+    ("spmv-crs", DMA_FULL, 8517, 0x9b19aa7cb826a8bf),
+    ("spmv-crs", CACHE, 5832, 0x640db3d4bf8fbb02),
+    ("fft-transpose", DMA_FULL, 7348, 0x7fba84fb46b9ab2c),
+    ("fft-transpose", CACHE, 9265, 0x05343a5e2cd53aad),
+    ("md-knn", DMA_FULL, 36469, 0x7817ce90a00265d6),
+    ("md-knn", CACHE, 38745, 0xcfc3333e80e646ab),
+];
+
+const NOISY_KERNELS: [&str; 4] = ["aes-aes", "spmv-crs", "fft-transpose", "md-knn"];
+
+/// Re-simulate `NOISY_KERNELS` × {dma:full, cache} on `soc` under `harness`.
+fn noisy_rows(soc: &SocConfig, harness: &SimHarness) -> Vec<(&'static str, MemKind, u64, u64)> {
+    let d = dp(2);
+    let mut rows = Vec::new();
+    for kernel in NOISY_KERNELS {
+        let trace = by_name(kernel).expect("kernel").run().trace;
+        for kind in [DMA_FULL, CACHE] {
+            let spec = FlowSpec::new(kind).with_harness(harness);
+            let r =
+                simulate(&trace, &d, soc, &spec).unwrap_or_else(|e| panic!("{kernel} {kind}: {e}"));
+            rows.push((kernel, kind, r.total_cycles, digest(&r)));
+        }
+    }
+    rows
+}
+
+#[test]
+fn traffic_flows_match_recorded_goldens() {
+    assert_eq!(
+        noisy_rows(&noisy_soc(), &SimHarness::default()),
+        GOLDEN_TRAFFIC
+    );
+}
+
+#[test]
+fn faulted_flows_match_recorded_goldens() {
+    assert_eq!(
+        noisy_rows(&SocConfig::default(), &SimHarness::with_seed(7)),
+        GOLDEN_FAULTS
+    );
+}
+
+/// `(scenario, end, digest of the whole MultiSocResult)` for
+/// `simulate_multi`: one-job runs of every memory kind, the heterogeneous
+/// cache+DMA pair, `saturating_jobs(4)` on all four fabrics, a staggered
+/// launch, a run with background traffic and a run under the seed-7 fault
+/// harness.
+const GOLDEN_MULTI: &[(&str, u64, u64)] = &[
+    ("one-isolated", 40379, 0xfa198b9b759e3686),
+    ("one-dma:baseline", 72832, 0x202b225b1073a7c0),
+    ("one-dma:pipelined", 58687, 0xe0426ffd2da42587),
+    ("one-dma:full", 49005, 0x7ed67cebeb923893),
+    ("one-cache", 5271, 0xb696aa026181aaf3),
+    ("cache+dma", 62205, 0xc06d9e4382aaf1dc),
+    ("saturating-shared-bus", 107025, 0x29f75cd5ecc1d8e4),
+    ("saturating-crossbar", 88080, 0x24e16b88105a6533),
+    ("saturating-two-level", 107098, 0x58f918325465edf3),
+    ("saturating-mesh", 107056, 0x3ba1e35a71651941),
+    ("staggered", 96448, 0x4ca483a5553a5996),
+    ("traffic", 79912, 0x7f0e294c4299bd14),
+    ("faults-seed-7", 62319, 0xc1d9a4efbf935ed4),
+];
+
+fn multi_rows() -> Vec<(&'static str, u64, u64)> {
+    let d = dp(4);
+    let stencil = by_name("stencil-stencil2d").expect("kernel").run().trace;
+    let spmv = by_name("spmv-crs").expect("kernel").run().trace;
+    let pair = || {
+        vec![
+            AcceleratorJob::cache(spmv.clone(), d, 0),
+            AcceleratorJob::dma(stencil.clone(), d, DmaOptLevel::Pipelined, 0),
+        ]
+    };
+    let clean = SimHarness::default();
+    let mut scenarios: Vec<(&'static str, Vec<AcceleratorJob>, SocConfig, SimHarness)> = vec![
+        (
+            "one-isolated",
+            vec![AcceleratorJob::isolated(stencil.clone(), d, 0)],
+            SocConfig::default(),
+            clean,
+        ),
+        (
+            "one-dma:baseline",
+            vec![AcceleratorJob::dma(
+                stencil.clone(),
+                d,
+                DmaOptLevel::Baseline,
+                0,
+            )],
+            SocConfig::default(),
+            clean,
+        ),
+        (
+            "one-dma:pipelined",
+            vec![AcceleratorJob::dma(
+                stencil.clone(),
+                d,
+                DmaOptLevel::Pipelined,
+                0,
+            )],
+            SocConfig::default(),
+            clean,
+        ),
+        (
+            "one-dma:full",
+            vec![AcceleratorJob::dma(
+                stencil.clone(),
+                d,
+                DmaOptLevel::Full,
+                0,
+            )],
+            SocConfig::default(),
+            clean,
+        ),
+        (
+            "one-cache",
+            vec![AcceleratorJob::cache(spmv.clone(), d, 0)],
+            SocConfig::default(),
+            clean,
+        ),
+        ("cache+dma", pair(), SocConfig::default(), clean),
+    ];
+    for (name, topology) in [
+        ("saturating-shared-bus", Topology::SharedBus),
+        ("saturating-crossbar", Topology::Crossbar { radix: 4 }),
+        (
+            "saturating-two-level",
+            Topology::TwoLevelBus {
+                clusters: 2,
+                bridge_cycles: 3,
+            },
+        ),
+        (
+            "saturating-mesh",
+            Topology::MeshNoc {
+                cols: 3,
+                rows: 3,
+                hop_cycles: 1,
+                link_bits: 32,
+            },
+        ),
+    ] {
+        scenarios.push((name, saturating_jobs(4), soc_with(topology), clean));
+    }
+    scenarios.push((
+        "staggered",
+        vec![
+            AcceleratorJob::dma(stencil.clone(), d, DmaOptLevel::Full, 0),
+            AcceleratorJob::cache(spmv.clone(), d, 5_000),
+            AcceleratorJob::dma(stencil.clone(), d, DmaOptLevel::Baseline, 20_000),
+        ],
+        SocConfig::default(),
+        clean,
+    ));
+    scenarios.push(("traffic", pair(), noisy_soc(), clean));
+    scenarios.push((
+        "faults-seed-7",
+        pair(),
+        SocConfig::default(),
+        SimHarness::with_seed(7),
+    ));
+    scenarios
+        .into_iter()
+        .map(|(name, jobs, soc, harness)| {
+            let r = simulate_multi(&jobs, &soc, &harness).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, r.end, digest(&r))
+        })
+        .collect()
+}
+
+#[test]
+fn multi_runs_match_recorded_goldens() {
+    assert_eq!(multi_rows(), GOLDEN_MULTI);
 }
