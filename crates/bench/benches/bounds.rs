@@ -10,8 +10,8 @@
 //! fast point's finished result. Real sweeps grow such points whenever a
 //! design space includes cache sizes past the working set.
 //!
-//! Output doubles as the source for `BENCH_bounds.json`, which is also
-//! written to `target/BENCH_bounds.json`.
+//! Output doubles as the source for `BENCH_bounds.json`, which is written to
+//! the repository root.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -157,7 +157,7 @@ fn main() {
     for line in &json_lines {
         println!("json: {line}");
     }
-    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_bounds.json");
+    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_bounds.json");
     if let Err(e) = std::fs::write(&out, doc) {
         eprintln!("bounds: cannot write {}: {e}", out.display());
     } else {

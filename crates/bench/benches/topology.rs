@@ -6,8 +6,8 @@
 //!
 //! Self-contained harness (the workspace builds with no crate registry),
 //! same shape as `bounds.rs`: fixed wall-time budget, median sample.
-//! Output doubles as the source for `BENCH_topology.json`, which is also
-//! written to `target/BENCH_topology.json`.
+//! Output doubles as the source for `BENCH_topology.json`, which is written to
+//! the repository root.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -107,7 +107,7 @@ fn main() {
     for line in &json_lines {
         println!("json: {line}");
     }
-    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_topology.json");
+    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_topology.json");
     if let Err(e) = std::fs::write(&out, doc) {
         eprintln!("topology: cannot write {}: {e}", out.display());
     } else {

@@ -20,7 +20,7 @@ pub fn run() {
     let mut abs_errors = Vec::new();
     for k in evaluation_kernels() {
         let trace = k.run().trace;
-        let row = validate_kernel(&trace, &soc);
+        let row = validate_kernel(&trace, &soc).expect("validation run completes");
         println!(
             "{:<20} {:>12} {:>12} {:>8.2}   ({} / {} / {})",
             row.kernel,

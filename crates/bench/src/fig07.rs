@@ -57,7 +57,8 @@ pub fn run() {
                 ports: lanes.min(8),
                 assoc: 4,
             };
-            let d = decompose_cache_time(&trace, &p.datapath(), &p.apply(&soc));
+            let d = decompose_cache_time(&trace, &p.datapath(), &p.apply(&soc))
+                .expect("decomposition runs complete");
             println!(
                 "{:<20} {:>6}KB {:>6} {:>11} {:>9} {:>11} {:>8}",
                 k.name(),

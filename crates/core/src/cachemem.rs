@@ -1,27 +1,30 @@
-//! The cache-based datapath memory: TLB + MOESI cache + shared bus.
+//! The cache-based datapath memory: TLB + MOESI cache over the SoC world.
 //!
 //! Routes shared arrays through an accelerator TLB and a hardware-managed
-//! cache that fills over the shared system bus; private (`Internal`)
-//! arrays keep using scratchpad banks, per the paper's design choice of
-//! only caching "data that must eventually be shared with the rest of the
-//! system" (Section IV-D).
+//! cache that fills over the system bus; private (`Internal`) arrays keep
+//! using scratchpad banks, per the paper's design choice of only caching
+//! "data that must eventually be shared with the rest of the system"
+//! (Section IV-D).
 //!
-//! The cache side is split from interconnect ownership so it can be used
-//! two ways: [`CacheDatapathMemory`] owns a private [`Interconnect`] built
-//! from the SoC's topology (the single-accelerator cache flow), while the
-//! multi-accelerator engine registers a [`CacheClient`] on an interconnect
-//! shared with DMA engines and traffic generators (the paper's Fig. 3
+//! [`CacheClient`] is the accelerator side: TLB, cache, fill tracking and
+//! private scratchpads. It plugs into a [`SocWorld`] as the world's
+//! [`Front`], so its fills arbitrate on the same interconnect as every DMA
+//! engine and the background traffic. [`CacheDatapathMemory`] is the one
+//! public cache memory: a client over its world. The single-accelerator
+//! cache flow builds it over a private lockstep world; `simulate_multi`
+//! builds it over the shared world its DMA jobs run in (the paper's Fig. 3
 //! heterogeneous topology).
 
 use aladdin_accel::{DatapathConfig, DatapathMemory, IssueResult, SpadMemory, SpadStats};
 use aladdin_faults::FaultPlan;
-use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic, Trace};
+use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic};
 use aladdin_mem::{
-    build_interconnect, AccessKind, BusFaults, BusStats, Cache, CacheOutcome, CacheStats,
-    DramStats, FillTracker, Interconnect, MasterId, Tlb, TlbStats, TrafficGenerator,
+    AccessKind, BusStats, Cache, CacheOutcome, CacheStats, FillTracker, Interconnect, MasterId,
+    Tlb, TlbStats,
 };
 
 use crate::config::SocConfig;
+use crate::world::{Front, SocWorld};
 
 #[derive(Debug, Clone, Copy)]
 struct Delayed {
@@ -31,10 +34,9 @@ struct Delayed {
     ready_at: u64,
 }
 
-/// The bus-client half of a cache-based accelerator: TLB, cache,
-/// fill tracking and private scratchpads — everything except the bus,
-/// which its owner supplies each cycle via [`CacheClient::push_bus_requests`]
-/// and [`CacheClient::on_bus_completion`].
+/// The accelerator side of a cache-based design: TLB, cache, fill
+/// tracking and private scratchpads — everything except the bus, which
+/// the world it is the [`Front`] of supplies each cycle.
 #[derive(Debug)]
 pub(crate) struct CacheClient {
     spad: SpadMemory,
@@ -49,18 +51,8 @@ pub(crate) struct CacheClient {
 }
 
 impl CacheClient {
-    pub(crate) fn new(
-        trace: &Trace,
-        cfg: &DatapathConfig,
-        soc: &SocConfig,
-        master: MasterId,
-    ) -> Self {
-        Self::from_arrays(trace.arrays(), cfg, soc, master)
-    }
-
-    /// Build from array metadata alone — what a streamed `.atrc` trace
-    /// provides. Identical to [`new`](CacheClient::new) on the same
-    /// arrays.
+    /// A client requesting as `master`, built from array metadata alone
+    /// (what both in-memory and streamed `.atrc` traces provide).
     pub(crate) fn from_arrays(
         arrays: &[ArrayInfo],
         cfg: &DatapathConfig,
@@ -95,14 +87,6 @@ impl CacheClient {
         self.tlb.set_faults(plan.tlb_injector());
     }
 
-    pub(crate) fn master(&self) -> MasterId {
-        self.master
-    }
-
-    pub(crate) fn delayed_count(&self) -> usize {
-        self.delayed.len()
-    }
-
     fn is_shared(&self, addr: u64) -> bool {
         self.shared_ranges
             .iter()
@@ -121,30 +105,15 @@ impl CacheClient {
             CacheOutcome::NoPort | CacheOutcome::NoMshr => IssueResult::Reject,
         }
     }
+}
 
-    pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    pub(crate) fn tlb_stats(&self) -> TlbStats {
-        self.tlb.stats()
-    }
-
-    pub(crate) fn spad_stats(&self) -> SpadStats {
-        self.spad.stats()
-    }
-
-    pub(crate) fn begin_cycle(&mut self, cycle: u64) {
+impl DatapathMemory for CacheClient {
+    fn begin_cycle(&mut self, cycle: u64) {
         self.spad.begin_cycle(cycle);
         self.cache.begin_cycle(cycle);
         // Retry TLB-delayed accesses that are now translated.
-        let mut still: Vec<Delayed> = Vec::new();
-        let due: Vec<Delayed> = {
-            let (due, later): (Vec<_>, Vec<_>) =
-                self.delayed.drain(..).partition(|d| d.ready_at <= cycle);
-            still.extend(later);
-            due
-        };
+        let (due, mut still): (Vec<_>, Vec<_>) =
+            self.delayed.drain(..).partition(|d| d.ready_at <= cycle);
         for d in due {
             match self.cache_try(d.id, d.addr, d.write, cycle) {
                 IssueResult::Done { at } => self.completions.push((d.id, at)),
@@ -158,14 +127,7 @@ impl CacheClient {
         self.delayed = still;
     }
 
-    pub(crate) fn issue(
-        &mut self,
-        id: u64,
-        addr: u64,
-        bytes: u32,
-        write: bool,
-        cycle: u64,
-    ) -> IssueResult {
+    fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
         if self.ideal {
             return IssueResult::Done { at: cycle + 1 };
         }
@@ -187,15 +149,27 @@ impl CacheClient {
         self.cache_try(id, addr, write, cycle)
     }
 
-    pub(crate) fn drain_completions(&mut self) -> Vec<(u64, u64)> {
+    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
         let mut out = std::mem::take(&mut self.completions);
         out.extend(self.spad.drain_completions());
         out
     }
 
-    /// Forward the cache's new transactions to `bus` under this client's
-    /// master id, tracking read fills.
-    pub(crate) fn push_bus_requests(&mut self, bus: &mut dyn Interconnect) {
+    /// Collect waiters released by fills that completed this cycle (the
+    /// world has delivered its bus completions by now).
+    fn end_cycle(&mut self, _cycle: u64) {
+        self.completions.extend(self.cache.drain_completions());
+    }
+}
+
+impl Front for CacheClient {
+    fn bus_master(&self) -> Option<MasterId> {
+        Some(self.master)
+    }
+
+    /// Forward the cache's new transactions under this client's master id,
+    /// tracking read fills.
+    fn push_bus_requests(&mut self, bus: &mut dyn Interconnect) {
         for req in self.cache.take_bus_requests() {
             let token = bus.request(self.master, req.line_addr, req.bytes, req.write);
             if !req.write {
@@ -204,18 +178,17 @@ impl CacheClient {
         }
     }
 
-    /// Deliver one bus completion addressed to this client.
-    pub(crate) fn on_bus_completion(&mut self, token: u64, at: u64) {
+    fn on_bus_completion(&mut self, token: u64, at: u64) {
         if let Some(line_addr) = self.fills.remove(token) {
             self.cache.bus_completed(line_addr, at);
         }
     }
 
-    /// Collect waiters released by fills that completed this tick.
-    pub(crate) fn collect_cache_completions(&mut self) {
-        for (id, at) in self.cache.drain_completions() {
-            self.completions.push((id, at));
-        }
+    fn forensic_note(&self) -> Option<String> {
+        Some(format!(
+            "cache: {} TLB-delayed access(es)",
+            self.delayed.len()
+        ))
     }
 }
 
@@ -228,38 +201,12 @@ impl CacheClient {
 /// "latency time" bound.
 #[derive(Debug)]
 pub struct CacheDatapathMemory {
-    client: CacheClient,
-    bus: Box<dyn Interconnect>,
-    traffic: Option<TrafficGenerator>,
+    pub(crate) world: SocWorld<CacheClient>,
 }
 
 impl CacheDatapathMemory {
-    /// Build for `trace` under `cfg`/`soc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `soc.topology` is malformed; use
-    /// [`try_from_arrays`](CacheDatapathMemory::try_from_arrays) to
-    /// handle that as a typed diagnostic instead.
-    #[must_use]
-    pub fn new(trace: &Trace, cfg: &DatapathConfig, soc: &SocConfig) -> Self {
-        Self::from_arrays(trace.arrays(), cfg, soc)
-    }
-
-    /// Build from array metadata alone — what a streamed `.atrc` trace
-    /// provides. Identical to [`new`](CacheDatapathMemory::new) on the
-    /// same arrays.
-    ///
-    /// # Panics
-    ///
-    /// As for [`new`](CacheDatapathMemory::new).
-    #[must_use]
-    pub fn from_arrays(arrays: &[ArrayInfo], cfg: &DatapathConfig, soc: &SocConfig) -> Self {
-        Self::try_from_arrays(arrays, cfg, soc).unwrap_or_else(|d| panic!("{d}"))
-    }
-
-    /// Fallible [`from_arrays`](CacheDatapathMemory::from_arrays): a
-    /// malformed `soc.topology` comes back as its `L0310` diagnostic.
+    /// Build over a private world for `soc` from array metadata alone —
+    /// what both in-memory and streamed `.atrc` traces provide.
     ///
     /// # Errors
     ///
@@ -270,98 +217,65 @@ impl CacheDatapathMemory {
         cfg: &DatapathConfig,
         soc: &SocConfig,
     ) -> Result<Self, Diagnostic> {
-        let traffic = soc
-            .traffic
-            .map(|t| TrafficGenerator::new(t.period, t.bytes, 0x4000_0000, 16 << 20));
+        let client = CacheClient::from_arrays(arrays, cfg, soc, MasterId::ACCEL_CACHE);
         Ok(CacheDatapathMemory {
-            client: CacheClient::from_arrays(arrays, cfg, soc, MasterId::ACCEL_CACHE),
-            bus: build_interconnect(soc.bus, soc.dram, soc.topology)?,
-            traffic,
+            world: SocWorld::new(soc, client)?,
         })
     }
 
     /// Make every access a single-cycle hit (Fig. 7 processing-time bound).
     pub fn set_ideal(&mut self, ideal: bool) {
-        self.client.set_ideal(ideal);
+        self.world.front.set_ideal(ideal);
     }
 
     /// Arm fault injection from `plan`: bus-grant delays, burst NACKs and
     /// DRAM latency spikes land on the fill path, TLB page-walk faults on
     /// translation. An empty plan leaves timing bit-identical.
     pub fn set_faults(&mut self, plan: &FaultPlan) {
-        self.bus.set_faults(BusFaults::from_plan(plan));
-        self.client.set_faults(plan);
-    }
-
-    /// One-line state summary for deadlock forensics.
-    #[must_use]
-    pub fn forensic_note(&self) -> String {
-        format!(
-            "cache-mem: {} TLB-delayed access(es); bus: {} queued request(s), {} in flight",
-            self.client.delayed_count(),
-            self.bus.queue_depths().iter().sum::<usize>(),
-            self.bus.in_flight_count()
-        )
+        self.world.set_faults(plan);
+        self.world.front.set_faults(plan);
     }
 
     /// Cache statistics so far.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.client.cache_stats()
+        self.world.front.cache.stats()
     }
 
     /// TLB statistics so far.
     #[must_use]
     pub fn tlb_stats(&self) -> TlbStats {
-        self.client.tlb_stats()
+        self.world.front.tlb.stats()
     }
 
     /// Bus statistics so far.
     #[must_use]
     pub fn bus_stats(&self) -> BusStats {
-        self.bus.stats()
-    }
-
-    /// DRAM statistics so far.
-    #[must_use]
-    pub fn dram_stats(&self) -> DramStats {
-        self.bus.dram_stats()
+        self.world.bus_stats()
     }
 
     /// Scratchpad statistics (private arrays) so far.
     #[must_use]
     pub fn spad_stats(&self) -> SpadStats {
-        self.client.spad_stats()
+        self.world.front.spad.stats()
     }
 }
 
 impl DatapathMemory for CacheDatapathMemory {
     fn begin_cycle(&mut self, cycle: u64) {
-        self.client.begin_cycle(cycle);
+        self.world.begin_cycle(cycle);
     }
 
     fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
-        self.client.issue(id, addr, bytes, write, cycle)
+        self.world.issue(id, addr, bytes, write, cycle)
     }
 
     fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        self.client.drain_completions()
+        self.world.drain_completions()
     }
 
     fn end_cycle(&mut self, cycle: u64) {
-        // Forward new cache transactions to the interconnect.
-        self.client.push_bus_requests(self.bus.as_mut());
-        if let Some(t) = self.traffic.as_mut() {
-            t.tick(cycle, self.bus.as_mut());
-        }
-        self.bus.tick(cycle);
-        for c in self.bus.drain_completions() {
-            if c.master == self.client.master() {
-                self.client.on_bus_completion(c.token, c.at);
-            }
-        }
-        // Fills may complete in the same tick; collect their waiters.
-        self.client.collect_cache_completions();
+        self.world.end_cycle(cycle);
     }
 }
 
@@ -369,7 +283,11 @@ impl DatapathMemory for CacheDatapathMemory {
 mod tests {
     use super::*;
     use aladdin_accel::schedule;
-    use aladdin_ir::{ArrayKind as AK, Opcode, Tracer};
+    use aladdin_ir::{ArrayKind as AK, Opcode, Trace, Tracer};
+
+    fn mem_for(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig) -> CacheDatapathMemory {
+        CacheDatapathMemory::try_from_arrays(trace.arrays(), dp, soc).expect("valid topology")
+    }
 
     fn streaming_trace(elems: usize) -> Trace {
         let mut t = Tracer::new("stream");
@@ -393,7 +311,7 @@ mod tests {
             ..DatapathConfig::default()
         };
         let soc = SocConfig::default();
-        let mut mem = CacheDatapathMemory::new(&trace, &dp, &soc);
+        let mut mem = mem_for(&trace, &dp, &soc);
         let r = schedule(&trace, &dp, &mut mem, 0);
         assert!(r.end > 0);
         let cs = mem.cache_stats();
@@ -413,9 +331,9 @@ mod tests {
             ..DatapathConfig::default()
         };
         let soc = SocConfig::default();
-        let mut real = CacheDatapathMemory::new(&trace, &dp, &soc);
+        let mut real = mem_for(&trace, &dp, &soc);
         let r_real = schedule(&trace, &dp, &mut real, 0);
-        let mut ideal = CacheDatapathMemory::new(&trace, &dp, &soc);
+        let mut ideal = mem_for(&trace, &dp, &soc);
         ideal.set_ideal(true);
         let r_ideal = schedule(&trace, &dp, &mut ideal, 0);
         assert!(
@@ -437,7 +355,7 @@ mod tests {
         let trace = t.finish();
         let dp = DatapathConfig::default();
         let soc = SocConfig::default();
-        let mut mem = CacheDatapathMemory::new(&trace, &dp, &soc);
+        let mut mem = mem_for(&trace, &dp, &soc);
         let _ = schedule(&trace, &dp, &mut mem, 0);
         assert_eq!(mem.cache_stats().accesses(), 0);
         assert_eq!(mem.spad_stats().writes, 64);
@@ -464,9 +382,9 @@ mod tests {
             bus: inf_bus,
             ..narrow_soc
         };
-        let mut narrow = CacheDatapathMemory::new(&trace, &dp, &narrow_soc);
+        let mut narrow = mem_for(&trace, &dp, &narrow_soc);
         let rn = schedule(&trace, &dp, &mut narrow, 0);
-        let mut wide = CacheDatapathMemory::new(&trace, &dp, &wide_soc);
+        let mut wide = mem_for(&trace, &dp, &wide_soc);
         let rw = schedule(&trace, &dp, &mut wide, 0);
         assert!(
             rw.end <= rn.end,
@@ -492,9 +410,9 @@ mod tests {
             }),
             ..quiet
         };
-        let mut q = CacheDatapathMemory::new(&trace, &dp, &quiet);
+        let mut q = mem_for(&trace, &dp, &quiet);
         let rq = schedule(&trace, &dp, &mut q, 0);
-        let mut n = CacheDatapathMemory::new(&trace, &dp, &noisy);
+        let mut n = mem_for(&trace, &dp, &noisy);
         let rn = schedule(&trace, &dp, &mut n, 0);
         assert!(
             rn.end > rq.end,

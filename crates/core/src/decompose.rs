@@ -11,6 +11,7 @@
 //! realistic constraint to a memory system parameter".
 
 use aladdin_accel::DatapathConfig;
+use aladdin_faults::SimError;
 use aladdin_ir::Trace;
 
 use crate::config::SocConfig;
@@ -47,26 +48,31 @@ impl TimeDecomposition {
 }
 
 /// Decompose the cache-based execution time of `trace` on `dp` in `soc`.
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`SimError`] if the cache flow fails preflight (`L0253`, e.g.
+/// zero MSHRs or zero cache ports) or any of the three runs fails as
+/// [`simulate`](crate::simulate) would.
 pub fn decompose_cache_time(
     trace: &Trace,
     dp: &DatapathConfig,
     soc: &SocConfig,
-) -> TimeDecomposition {
-    let ideal = simulate_cache_ideal(trace, dp, soc, true);
+) -> Result<TimeDecomposition, SimError> {
+    let ideal = simulate_cache_ideal(trace, dp, soc, true)?;
     let mut inf_bus = *soc;
     inf_bus.bus.infinite_bandwidth = true;
-    let latency_run = simulate_cache_ideal(trace, dp, &inf_bus, false);
-    let real = simulate_cache_ideal(trace, dp, soc, false);
+    let latency_run = simulate_cache_ideal(trace, dp, &inf_bus, false)?;
+    let real = simulate_cache_ideal(trace, dp, soc, false)?;
 
     let processing = ideal.total_cycles;
     let latency = latency_run.total_cycles.saturating_sub(processing);
     let bandwidth = real.total_cycles.saturating_sub(latency_run.total_cycles);
-    TimeDecomposition {
+    Ok(TimeDecomposition {
         processing,
         latency,
         bandwidth,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -83,7 +89,7 @@ mod tests {
             ..DatapathConfig::default()
         };
         let soc = SocConfig::default();
-        let d = decompose_cache_time(&trace, &dp, &soc);
+        let d = decompose_cache_time(&trace, &dp, &soc).expect("decomposes");
         assert!(d.processing > 0);
         assert!(d.latency > 0, "misses must cost something: {d:?}");
         let f = d.fractions();
@@ -102,7 +108,8 @@ mod tests {
                 ..DatapathConfig::default()
             },
             &soc,
-        );
+        )
+        .expect("decomposes");
         let wide = decompose_cache_time(
             &trace,
             &DatapathConfig {
@@ -111,12 +118,22 @@ mod tests {
                 ..DatapathConfig::default()
             },
             &soc,
-        );
+        )
+        .expect("decomposes");
         assert!(
             wide.processing < narrow.processing,
             "lanes must cut processing time: {} vs {}",
             wide.processing,
             narrow.processing
         );
+    }
+
+    #[test]
+    fn zero_mshr_cache_is_a_typed_preflight_error() {
+        let trace = by_name("aes-aes").expect("kernel").run().trace;
+        let mut soc = SocConfig::default();
+        soc.cache.mshrs = 0;
+        let err = decompose_cache_time(&trace, &DatapathConfig::default(), &soc).unwrap_err();
+        assert_eq!(err.code(), "L0253", "{err}");
     }
 }

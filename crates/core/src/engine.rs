@@ -19,21 +19,19 @@
 //! ```
 
 use aladdin_accel::{
-    trace_node_stream, try_schedule_prepared, try_schedule_windowed, DatapathConfig,
-    DatapathMemory, EnergyReport, IssueResult, PowerModel, PreparedDddg, ScheduleResult,
+    trace_node_stream, try_schedule_prepared, try_schedule_windowed, CacheEnergyParams,
+    DatapathConfig, DatapathMemory, EnergyReport, PowerModel, PreparedDddg, ScheduleResult,
     SchedulerWorkspace, SpadMemory, SpadStats, DEFAULT_WINDOW_NODES,
 };
 use aladdin_faults::{SimError, SimHarness, Watchdog};
 use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic, Locus, Report, Trace, TraceStats};
-use aladdin_mem::{
-    build_interconnect, BusFaults, CacheStats, DmaConfig, DmaDirection, DmaEngine, DmaStats,
-    DmaTransfer, FlushSchedule, Interconnect, IntervalSet, MasterId, TlbStats, TrafficGenerator,
-};
+use aladdin_mem::{CacheStats, DmaEngine, DmaStats, IntervalSet, MasterId, TlbStats};
 
 use crate::cachemem::CacheDatapathMemory;
 use crate::config::{DmaOptLevel, MemKind, SocConfig};
 use crate::phase::PhaseBreakdown;
 use crate::source::TraceSource;
+use crate::world::{DmaPlan, SocWorld};
 
 /// Everything measured from one simulated accelerator invocation.
 ///
@@ -216,8 +214,9 @@ impl<'a> FlowSpec<'a> {
 /// # Errors
 ///
 /// Returns [`SimError`] if the spec fails [`FlowSpec::preflight`]
-/// (`L0253`), the DMA engine stalls (`L0230`/`L0231`), the scheduler
-/// deadlocks (`L0232`), or the watchdog expires (`L0233`).
+/// (`L0253`), the DMA engine stalls (`L0230`), the scheduler deadlocks
+/// (`L0232`), or the watchdog or the SoC world's cycle guard expires
+/// (`L0233`).
 pub fn simulate(
     trace: &Trace,
     dp: &DatapathConfig,
@@ -314,7 +313,8 @@ pub fn simulate_source_prepared(
 /// How a flow should drive the scheduler: an optional shared prepared
 /// graph (materialized path) and an optional forced window (streaming
 /// path).
-struct SchedSpec<'a> {
+#[derive(Default)]
+pub(crate) struct SchedSpec<'a> {
     prep: Option<&'a PreparedDddg>,
     window: Option<usize>,
 }
@@ -323,8 +323,8 @@ struct SchedSpec<'a> {
 /// trace statistics (materialized traces compute them in memory, streamed
 /// traces accumulate them at admission), and the streaming path's
 /// resident-node peak.
-struct SchedRun {
-    sched: ScheduleResult,
+pub(crate) struct SchedRun {
+    pub(crate) sched: ScheduleResult,
     stats: TraceStats,
     peak_resident_nodes: Option<u64>,
 }
@@ -332,7 +332,7 @@ struct SchedRun {
 /// Run the scheduler appropriate for `source`: materialized
 /// (`try_schedule_prepared`) for in-memory traces without a forced
 /// window, windowed streaming (`try_schedule_windowed`) otherwise.
-fn run_schedule(
+pub(crate) fn run_schedule(
     source: &TraceSource,
     dp: &DatapathConfig,
     spec: &SchedSpec,
@@ -395,12 +395,6 @@ pub(crate) fn report_error(report: Report) -> SimError {
     SimError::Diag(diag)
 }
 
-/// Unwrap a simulation result, panicking with the rendered error — the
-/// behavior the legacy infallible entry points promise.
-pub(crate) fn expect_flow(r: Result<FlowResult, SimError>) -> FlowResult {
-    r.unwrap_or_else(|e| panic!("{e}"))
-}
-
 fn total_array_bytes(arrays: &[ArrayInfo]) -> u64 {
     arrays.iter().map(|a| a.size_bytes()).sum()
 }
@@ -429,6 +423,70 @@ fn spad_energy_pj(
     reads as f64 * pm.sram_read_pj(bank) + writes as f64 * pm.sram_write_pj(bank)
 }
 
+/// What a flow's memory side adds to its schedule: the local-memory
+/// energy and leakage terms, component statistics and the Kiviat
+/// provisioning axes — the inputs of the one [`FlowResult`] roll-up.
+struct LocalMemory {
+    kind: MemKind,
+    energy_pj: f64,
+    /// Leakage terms added, in order, to the datapath's.
+    leakage_mw: Vec<f64>,
+    spad: SpadStats,
+    cache: Option<(CacheStats, TlbStats)>,
+    dma: Option<DmaStats>,
+    sram_bytes: u64,
+    bandwidth: u32,
+}
+
+/// Roll one flow's schedule and memory side up into its [`FlowResult`].
+/// `end` is the cycle everything finished, which is also the runtime:
+/// every flow's invocation begins at cycle 0.
+fn roll_up(
+    source: &TraceSource,
+    dp: &DatapathConfig,
+    soc: &SocConfig,
+    run: SchedRun,
+    end: u64,
+    phases: PhaseBreakdown,
+    local: LocalMemory,
+) -> SourceFlowRun {
+    let pm = PowerModel::default_40nm();
+    let sched = run.sched;
+    let energy = EnergyReport {
+        datapath_pj: pm.datapath_energy_pj(&run.stats),
+        local_mem_pj: local.energy_pj,
+        leakage_mw: local
+            .leakage_mw
+            .iter()
+            .fold(pm.datapath_leakage_mw(dp.lanes), |sum, term| sum + term),
+        runtime_cycles: end,
+        clock: soc.clock,
+    };
+    SourceFlowRun {
+        result: FlowResult {
+            kernel: source.name().to_owned(),
+            mem_kind: local.kind,
+            datapath: *dp,
+            start: 0,
+            end,
+            total_cycles: end,
+            phases,
+            energy,
+            compute_busy_cycles: sched.busy.total(),
+            mem_rejects: sched.mem_rejects,
+            spad_stats: Some(local.spad),
+            cache_stats: local.cache.map(|(c, _)| c),
+            tlb_stats: local.cache.map(|(_, t)| t),
+            dma_stats: local.dma,
+            local_sram_bytes: local.sram_bytes,
+            local_mem_bandwidth: local.bandwidth,
+            sched_stepped_cycles: sched.stepped_cycles,
+            sched_events: sched.events,
+        },
+        peak_resident_nodes: run.peak_resident_nodes,
+    }
+}
+
 /// The isolated flow: scratchpads pre-loaded, compute only.
 fn sim_isolated(
     source: &TraceSource,
@@ -440,150 +498,32 @@ fn sim_isolated(
 ) -> Result<SourceFlowRun, SimError> {
     let mut spad = SpadMemory::from_arrays(source.arrays(), dp);
     let run = run_schedule(source, dp, sspec, ws, &mut spad, 0, &harness.watchdog)?;
-    let sched = run.sched;
     let pm = PowerModel::default_40nm();
     let total_bytes = total_array_bytes(source.arrays());
-    let energy = EnergyReport {
-        datapath_pj: pm.datapath_energy_pj(&run.stats),
-        local_mem_pj: spad_energy_pj(&pm, &spad.stats(), total_bytes, dp.partition, 0, 0),
-        leakage_mw: pm.datapath_leakage_mw(dp.lanes)
-            + pm.spad_leakage_mw(total_bytes, dp.ports_per_bank),
-        runtime_cycles: sched.cycles,
-        clock: soc.clock,
-    };
+    let end = run.sched.end;
     let phases = PhaseBreakdown::classify(
         &IntervalSet::new(),
         &IntervalSet::new(),
-        &sched.busy,
+        &run.sched.busy,
         0,
-        sched.end,
+        end,
     );
-    Ok(SourceFlowRun {
-        result: FlowResult {
-            kernel: source.name().to_owned(),
-            mem_kind: MemKind::Isolated,
-            datapath: *dp,
-            start: 0,
-            end: sched.end,
-            total_cycles: sched.cycles,
-            phases,
-            energy,
-            compute_busy_cycles: sched.busy.total(),
-            mem_rejects: sched.mem_rejects,
-            spad_stats: Some(spad.stats()),
-            cache_stats: None,
-            tlb_stats: None,
-            dma_stats: None,
-            local_sram_bytes: total_bytes,
-            local_mem_bandwidth: dp.local_mem_bandwidth(),
-            sched_stepped_cycles: sched.stepped_cycles,
-            sched_events: sched.events,
-        },
-        peak_resident_nodes: run.peak_resident_nodes,
-    })
-}
-
-/// Co-simulation wrapper for DMA-triggered computation: the scratchpad's
-/// full/empty bits are fed by the DMA engine, which shares the bus the
-/// datapath's completion loop advances.
-struct TriggeredSpadMemory {
-    spad: SpadMemory,
-    dma: DmaEngine,
-    bus: Box<dyn Interconnect>,
-    traffic: Option<TrafficGenerator>,
-}
-
-impl TriggeredSpadMemory {
-    fn pump(&mut self, cycle: u64) {
-        self.dma.tick(cycle, self.bus.as_mut());
-        if let Some(t) = self.traffic.as_mut() {
-            t.tick(cycle, self.bus.as_mut());
-        }
-        self.bus.tick(cycle);
-        for c in self.bus.drain_completions() {
-            if c.master == MasterId::DMA {
-                self.dma.on_bus_completion(c.token, c.at);
-            }
-        }
-        for a in self.dma.drain_arrivals() {
-            self.spad.push_arrival(a.addr, a.bytes, a.at);
-        }
-    }
-}
-
-impl DatapathMemory for TriggeredSpadMemory {
-    fn begin_cycle(&mut self, cycle: u64) {
-        self.spad.begin_cycle(cycle);
-    }
-
-    fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
-        self.spad.issue(id, addr, bytes, write, cycle)
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        self.spad.drain_completions()
-    }
-
-    fn end_cycle(&mut self, cycle: u64) {
-        self.pump(cycle);
-    }
-}
-
-pub(crate) fn drive_dma_to_completion(
-    dma: &mut DmaEngine,
-    bus: &mut dyn Interconnect,
-    traffic: &mut Option<TrafficGenerator>,
-    mut cycle: u64,
-) -> Result<u64, Diagnostic> {
-    let mut guard = 0u64;
-    let mut idle_streak = 0u64;
-    let mut last_bytes = dma.stats().bytes;
-    while !dma.is_done() {
-        dma.tick(cycle, bus);
-        if let Some(t) = traffic.as_mut() {
-            t.tick(cycle, bus);
-        }
-        bus.tick(cycle);
-        for c in bus.drain_completions() {
-            if c.master == MasterId::DMA {
-                dma.on_bus_completion(c.token, c.at);
-            }
-        }
-        cycle += 1;
-        guard += 1;
-        // Stall detection: a quiet bus with no DMA bytes moving for this
-        // long cannot be a transfer waiting on eligibility or contention
-        // (flush schedules and traffic both show up as bus activity) —
-        // the engine is wedged, e.g. by a zero-descriptor window.
-        let bytes = dma.stats().bytes;
-        if bus.is_idle() && bytes == last_bytes {
-            idle_streak += 1;
-        } else {
-            idle_streak = 0;
-            last_bytes = bytes;
-        }
-        if idle_streak >= 2_000_000 || guard >= 200_000_000 {
-            return Err(Diagnostic::error(
-                "L0230",
-                format!(
-                    "DMA made no progress by cycle {cycle} — likely a stalled descriptor; {}",
-                    dma.describe_state()
-                ),
-            ));
-        }
-    }
-    dma.done_at().map(|d| d.max(cycle)).ok_or_else(|| {
-        Diagnostic::error(
-            "L0231",
-            "DMA engine reported done without a completion time",
-        )
-    })
+    let local = LocalMemory {
+        kind: MemKind::Isolated,
+        energy_pj: spad_energy_pj(&pm, &spad.stats(), total_bytes, dp.partition, 0, 0),
+        leakage_mw: vec![pm.spad_leakage_mw(total_bytes, dp.ports_per_bank)],
+        spad: spad.stats(),
+        cache: None,
+        dma: None,
+        sram_bytes: total_bytes,
+        bandwidth: dp.local_mem_bandwidth(),
+    };
+    Ok(roll_up(source, dp, soc, run, end, phases, local))
 }
 
 /// The scratchpad/DMA flow at the given optimization level: invoke →
 /// flush/invalidate → DMA in → compute → DMA out (with overlap as the
-/// optimizations allow).
-#[allow(clippy::too_many_lines)]
+/// optimizations allow), every transfer stepping one lockstep SoC world.
 fn sim_dma(
     source: &TraceSource,
     dp: &DatapathConfig,
@@ -594,203 +534,92 @@ fn sim_dma(
     harness: &SimHarness,
 ) -> Result<SourceFlowRun, SimError> {
     let t0 = soc.invoke_cycles;
-    let dma_cfg = DmaConfig {
-        pipelined: opt.pipelined(),
-        ..soc.dma
-    };
-    // Descriptor order follows array registration order — i.e. the order
-    // of the kernel's `dmaLoad` calls, exactly as in gem5-Aladdin. Under
-    // DMA-triggered computation this order decides how effective
-    // full/empty bits are: a kernel that gathers through an array
-    // delivered last (spmv's `vec`) stalls, one whose small operands
-    // arrive first (stencil filters) streams.
-    let in_transfers: Vec<DmaTransfer> = source
-        .input_arrays()
-        .map(|a| DmaTransfer {
-            base: a.base_addr,
-            bytes: a.size_bytes(),
-            direction: DmaDirection::In,
-        })
-        .collect();
-    let chunks = dma_cfg.chunk_sizes(&in_transfers);
-    let flush = FlushSchedule::new_with_faults(
-        soc.flush,
-        soc.clock,
-        t0,
-        &chunks,
-        source.output_bytes(),
-        harness.plan.flush_injector(),
-    );
-    let eligibility: Vec<u64> = if opt.pipelined() {
-        flush.chunk_times().to_vec()
-    } else {
-        vec![flush.end(); chunks.len()]
-    };
-
-    let mut bus = build_interconnect(soc.bus, soc.dram, soc.topology).map_err(SimError::Diag)?;
-    bus.set_faults(BusFaults::from_plan(&harness.plan));
-    let mut traffic = soc
-        .traffic
-        .map(|t| TrafficGenerator::new(t.period, t.bytes, 0x4000_0000, 16 << 20));
-    let dma_in = DmaEngine::new(dma_cfg, &in_transfers, &eligibility);
-
-    let (run, spad_stats, dma_in, mut bus, mut traffic, compute_end) = if opt.triggered() {
-        let mut spad = SpadMemory::from_arrays(source.arrays(), dp);
+    let plan = DmaPlan::new(source, soc, opt, t0, &harness.plan);
+    let mut spad = SpadMemory::from_arrays(source.arrays(), dp);
+    if opt.triggered() {
         spad.enable_ready_bits();
         spad.set_ready_granularity(soc.ready_bits_granule);
-        let mut mem = TriggeredSpadMemory {
-            spad,
-            dma: dma_in,
-            bus,
-            traffic,
-        };
-        let run = match run_schedule(source, dp, sspec, ws, &mut mem, t0, &harness.watchdog) {
-            Ok(r) => r,
-            Err(mut e) => {
-                e.push_note(format!(
-                    "bus: {} queued request(s), {} in flight",
-                    mem.bus.queue_depths().iter().sum::<usize>(),
-                    mem.bus.in_flight_count()
-                ));
-                e.push_note(mem.dma.describe_state());
-                return Err(e);
-            }
-        };
+    }
+    let mut world = SocWorld::new(soc, spad).map_err(SimError::Diag)?;
+    world.set_faults(&harness.plan);
+    world.dma.start(plan.input_engine(MasterId::DMA));
+
+    let (run, compute_end) = if opt.triggered() {
+        // DMA-triggered computation: the datapath runs against the world,
+        // whose DMA arrivals set the scratchpad's full/empty bits.
+        let run = run_schedule(source, dp, sspec, ws, &mut world, t0, &harness.watchdog);
+        let run = world.settle(run)?;
         // The transfer may outlive the computation (e.g. not every input
         // byte is read): drain it before writeback DMA starts.
-        let dma_done = if mem.dma.is_done() {
-            mem.dma.done_at().ok_or_else(|| {
-                Diagnostic::error(
-                    "L0231",
-                    "DMA engine reported done without a completion time",
-                )
-            })?
-        } else {
-            drive_dma_to_completion(
-                &mut mem.dma,
-                mem.bus.as_mut(),
-                &mut mem.traffic,
-                run.sched.end,
-            )?
-        };
+        let dma_done = world.drain_dma(run.sched.end)?;
         let compute_end = run.sched.end.max(dma_done);
-        let stats = mem.spad.stats();
-        (run, stats, mem.dma, mem.bus, mem.traffic, compute_end)
+        (run, compute_end)
     } else {
-        // Baseline / pipelined: compute begins only when all data is in.
-        let mut dma_in = dma_in;
-        let dma_done = if dma_in.is_done() {
-            // No input arrays at all: compute may start after coherence.
-            flush.end().max(t0)
+        // Baseline / pipelined: compute begins only when all data is in —
+        // with no input arrays at all, right after coherence — and runs
+        // on the scratchpads alone.
+        let data_in = if plan.has_inputs() {
+            world.drain_dma(t0)?
         } else {
-            drive_dma_to_completion(&mut dma_in, bus.as_mut(), &mut traffic, t0)?
+            plan.flush.end().max(t0)
         };
-        let mut spad = SpadMemory::from_arrays(source.arrays(), dp);
-        let run = match run_schedule(
+        let run = run_schedule(
             source,
             dp,
             sspec,
             ws,
-            &mut spad,
-            dma_done,
+            &mut world.front,
+            data_in,
             &harness.watchdog,
-        ) {
-            Ok(r) => r,
-            Err(mut e) => {
-                e.push_note(format!(
-                    "bus: {} queued request(s), {} in flight",
-                    bus.queue_depths().iter().sum::<usize>(),
-                    bus.in_flight_count()
-                ));
-                e.push_note(dma_in.describe_state());
-                return Err(e);
-            }
-        };
+        );
+        let run = world.settle(run)?;
         let end = run.sched.end;
-        (run, spad.stats(), dma_in, bus, traffic, end)
+        (run, end)
     };
-    let sched = run.sched;
     // Writeback DMA of the output arrays.
-    let out_transfers: Vec<DmaTransfer> = source
-        .output_arrays()
-        .map(|a| DmaTransfer {
-            base: a.base_addr,
-            bytes: a.size_bytes(),
-            direction: DmaDirection::Out,
-        })
-        .collect();
-    let out_chunks = dma_cfg.chunk_sizes(&out_transfers);
-    let mut dma_out = DmaEngine::new(
-        dma_cfg,
-        &out_transfers,
-        &vec![compute_end; out_chunks.len()],
-    );
-    let end = if dma_out.is_done() {
-        compute_end
-    } else {
-        drive_dma_to_completion(&mut dma_out, bus.as_mut(), &mut traffic, compute_end)?
-    };
-
+    let dma_in = world.dma.take_done(MasterId::DMA);
+    world
+        .dma
+        .start(plan.writeback_engine(compute_end, MasterId::DMA));
+    let end = world.drain_dma(compute_end)?;
+    let dma_out = world.dma.take_done(MasterId::DMA);
     let end = end + soc.completion.map_or(0, |c| c.observation_lag(end));
 
-    // Phase attribution (the epilogue shared with the multi-accelerator
-    // engine).
-    let phases = PhaseBreakdown::for_dma_run(
-        flush.busy(),
-        dma_in.busy(),
-        dma_out.busy(),
-        &sched.busy,
-        end,
-    );
-
-    // Energy.
+    let (in_busy, in_stats) = engine_record(dma_in);
+    let (out_busy, out_stats) = engine_record(dma_out);
+    let phases =
+        PhaseBreakdown::for_dma_run(plan.flush.busy(), &in_busy, &out_busy, &run.sched.busy, end);
     let pm = PowerModel::default_40nm();
     let total_bytes = total_array_bytes(source.arrays());
-    let energy = EnergyReport {
-        datapath_pj: pm.datapath_energy_pj(&run.stats),
-        local_mem_pj: spad_energy_pj(
+    let local = LocalMemory {
+        kind: MemKind::Dma(opt),
+        energy_pj: spad_energy_pj(
             &pm,
-            &spad_stats,
+            &world.front.stats(),
             total_bytes,
             dp.partition,
             source.input_bytes(),
             source.output_bytes(),
         ),
-        leakage_mw: pm.datapath_leakage_mw(dp.lanes)
-            + pm.spad_leakage_mw(total_bytes, dp.ports_per_bank),
-        runtime_cycles: end,
-        clock: soc.clock,
+        leakage_mw: vec![pm.spad_leakage_mw(total_bytes, dp.ports_per_bank)],
+        spad: world.front.stats(),
+        cache: None,
+        dma: Some(DmaStats {
+            descriptors: in_stats.descriptors + out_stats.descriptors,
+            bursts: in_stats.bursts + out_stats.bursts,
+            bytes: in_stats.bytes + out_stats.bytes,
+        }),
+        sram_bytes: total_bytes,
+        bandwidth: dp.local_mem_bandwidth(),
     };
+    Ok(roll_up(source, dp, soc, run, end, phases, local))
+}
 
-    let mut dstats = dma_in.stats();
-    let o = dma_out.stats();
-    dstats.descriptors += o.descriptors;
-    dstats.bursts += o.bursts;
-    dstats.bytes += o.bytes;
-
-    Ok(SourceFlowRun {
-        result: FlowResult {
-            kernel: source.name().to_owned(),
-            mem_kind: MemKind::Dma(opt),
-            datapath: *dp,
-            start: 0,
-            end,
-            total_cycles: end,
-            phases,
-            energy,
-            compute_busy_cycles: sched.busy.total(),
-            mem_rejects: sched.mem_rejects,
-            spad_stats: Some(spad_stats),
-            cache_stats: None,
-            tlb_stats: None,
-            dma_stats: Some(dstats),
-            local_sram_bytes: total_bytes,
-            local_mem_bandwidth: dp.local_mem_bandwidth(),
-            sched_stepped_cycles: sched.stepped_cycles,
-            sched_events: sched.events,
-        },
-        peak_resident_nodes: run.peak_resident_nodes,
-    })
+/// A finished DMA engine's busy intervals and statistics.
+fn engine_record(engine: Option<(u64, DmaEngine)>) -> (IntervalSet, DmaStats) {
+    engine
+        .map(|(_, e)| (e.busy().clone(), e.stats()))
+        .unwrap_or_default()
 }
 
 /// The cache-based flow, optionally with ideal (single-cycle) memory —
@@ -809,21 +638,18 @@ fn sim_cache(
         CacheDatapathMemory::try_from_arrays(source.arrays(), dp, soc).map_err(SimError::Diag)?;
     mem.set_ideal(ideal);
     mem.set_faults(&harness.plan);
-    let run = match run_schedule(source, dp, sspec, ws, &mut mem, t0, &harness.watchdog) {
-        Ok(r) => r,
-        Err(mut e) => {
-            e.push_note(mem.forensic_note());
-            return Err(e);
-        }
-    };
-    let sched = run.sched;
-    let end = sched.end + soc.completion.map_or(0, |c| c.observation_lag(sched.end));
+    let run = run_schedule(source, dp, sspec, ws, &mut mem, t0, &harness.watchdog);
+    let run = mem.world.settle(run)?;
+    let end = run.sched.end
+        + soc
+            .completion
+            .map_or(0, |c| c.observation_lag(run.sched.end));
 
     let pm = PowerModel::default_40nm();
     let cs = mem.cache_stats();
     let ts = mem.tlb_stats();
     let internal_bytes = internal_array_bytes(source.arrays());
-    let cache_params = aladdin_accel::CacheEnergyParams {
+    let cache_params = CacheEnergyParams {
         size_bytes: soc.cache.size_bytes,
         line_bytes: soc.cache.line_bytes,
         assoc: soc.cache.assoc,
@@ -841,72 +667,55 @@ fn sim_cache(
         0,
         0,
     );
-    let energy = EnergyReport {
-        datapath_pj: pm.datapath_energy_pj(&run.stats),
-        local_mem_pj: cache_dyn + spad_dyn,
-        leakage_mw: pm.datapath_leakage_mw(dp.lanes)
-            + pm.cache_leakage_mw(cache_params)
-            + pm.spad_leakage_mw(internal_bytes, dp.ports_per_bank),
-        runtime_cycles: end,
-        clock: soc.clock,
-    };
     let phases = PhaseBreakdown::classify(
         &IntervalSet::new(),
         &IntervalSet::new(),
-        &sched.busy,
+        &run.sched.busy,
         0,
         end,
     );
-    Ok(SourceFlowRun {
-        result: FlowResult {
-            kernel: source.name().to_owned(),
-            mem_kind: MemKind::Cache,
-            datapath: *dp,
-            start: 0,
-            end,
-            total_cycles: end,
-            phases,
-            energy,
-            compute_busy_cycles: sched.busy.total(),
-            mem_rejects: sched.mem_rejects,
-            spad_stats: Some(mem.spad_stats()),
-            cache_stats: Some(cs),
-            tlb_stats: Some(ts),
-            dma_stats: None,
-            local_sram_bytes: soc.cache.size_bytes + internal_bytes,
-            local_mem_bandwidth: soc.cache.ports,
-            sched_stepped_cycles: sched.stepped_cycles,
-            sched_events: sched.events,
-        },
-        peak_resident_nodes: run.peak_resident_nodes,
-    })
+    let local = LocalMemory {
+        kind: MemKind::Cache,
+        energy_pj: cache_dyn + spad_dyn,
+        leakage_mw: vec![
+            pm.cache_leakage_mw(cache_params),
+            pm.spad_leakage_mw(internal_bytes, dp.ports_per_bank),
+        ],
+        spad: mem.spad_stats(),
+        cache: Some((cs, ts)),
+        dma: None,
+        sram_bytes: soc.cache.size_bytes + internal_bytes,
+        bandwidth: soc.cache.ports,
+    };
+    Ok(roll_up(source, dp, soc, run, end, phases, local))
 }
 
 /// The ideal/real cache runs the Figure 7 decomposition needs, without
 /// exposing `ideal` on the public [`FlowSpec`].
+///
+/// # Errors
+///
+/// As for [`simulate`] with a cache [`FlowSpec`], preflight included.
 pub(crate) fn simulate_cache_ideal(
     trace: &Trace,
     dp: &DatapathConfig,
     soc: &SocConfig,
     ideal: bool,
-) -> FlowResult {
-    let prep = PreparedDddg::new(trace, dp);
-    let sspec = SchedSpec {
-        prep: Some(&prep),
-        window: None,
-    };
-    expect_flow(
-        sim_cache(
-            &TraceSource::Memory(trace),
-            dp,
-            soc,
-            ideal,
-            &sspec,
-            &mut SchedulerWorkspace::new(),
-            &SimHarness::default(),
-        )
-        .map(|r| r.result),
+) -> Result<FlowResult, SimError> {
+    let pre = FlowSpec::new(MemKind::Cache).preflight(soc);
+    if pre.has_errors() {
+        return Err(report_error(pre));
+    }
+    sim_cache(
+        &TraceSource::Memory(trace),
+        dp,
+        soc,
+        ideal,
+        &SchedSpec::default(),
+        &mut SchedulerWorkspace::new(),
+        &SimHarness::default(),
     )
+    .map(|r| r.result)
 }
 
 #[cfg(test)]

@@ -23,9 +23,12 @@
 //! Every run returns a [`FlowResult`] with the paper's runtime phase
 //! attribution (flush-only / DMA-flush / compute-DMA / compute-only,
 //! Section IV-C), an accelerator [`EnergyReport`], and component
-//! statistics. [`simulate_multi`] co-simulates several accelerators — heterogeneous
-//! mixes of DMA and cache clients included — on one shared bus
-//! (Figure 3's `ACCEL0`/`ACCEL1`).
+//! statistics. [`simulate_multi`] co-simulates several accelerators —
+//! heterogeneous mixes of DMA and cache clients included — on one shared
+//! bus (Figure 3's `ACCEL0`/`ACCEL1`). Both entry points step the same
+//! SoC world: one interconnect, background traffic, per-master DMA
+//! engines and the datapath's memory front, advanced by one per-cycle
+//! step.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod cachemem;
 mod config;
@@ -61,6 +65,7 @@ mod multi;
 mod phase;
 mod source;
 mod validation;
+mod world;
 
 pub use aladdin_accel::EnergyReport;
 pub use aladdin_faults::{

@@ -5,19 +5,25 @@
 //! coarse-grained DMA suffers disproportionately when that bus is shared.
 //! This module simulates N accelerators running concurrently — each
 //! described by the same [`MemKind`] vocabulary as the single-accelerator
-//! [`simulate`](crate::simulate) engine — arbitrating for one bus/DRAM:
+//! [`simulate`](crate::simulate) engine — in one [`SocWorld`], the same
+//! bus/DMA/cache world the single flows step. The world keeps its own
+//! clock here, so every job progresses on every cycle:
 //!
-//! * **DMA jobs** walk the invoke → flush → DMA-in → compute → DMA-out
-//!   pipeline with their own DMA engine. Compute executes from private
-//!   scratchpads (no bus traffic), so its duration comes from a
-//!   standalone schedule; the co-simulated part is exactly the
-//!   shared-resource part. Under [`DmaOptLevel::Full`] the compute/DMA
-//!   overlap is approximated analytically (compute starts with the first
-//!   delivered chunk) — the bus traffic, which is what contention is
-//!   about, is identical.
+//! * **DMA jobs** are stage machines the world advances each cycle:
+//!   invoke → flush → DMA-in → compute → DMA-out, with their engines in
+//!   the world's per-master DMA slots and their transfers planned by the
+//!   same `DmaPlan` as the single DMA flow. Compute executes from private
+//!   scratchpads (no bus traffic), so its duration comes from a standalone
+//!   schedule; the co-simulated part is exactly the shared-resource part.
+//!   Under [`DmaOptLevel::Full`] the compute/DMA overlap is approximated
+//!   analytically (compute starts with the first delivered chunk) — the
+//!   bus traffic, which is what contention is about, is identical. This
+//!   job model is why a one-job run is close to, not equal to, the single
+//!   flow.
 //! * **One cache job** may join the mix (the heterogeneous ACCEL0/ACCEL1
-//!   pairing): its datapath is co-scheduled cycle-by-cycle, with every
-//!   fill arbitrating against the DMA engines on the shared bus.
+//!   pairing): a [`CacheDatapathMemory`] over the shared world, so its
+//!   scheduler drives the world cycle-by-cycle and every fill arbitrates
+//!   against the DMA engines.
 //! * **Isolated jobs** never touch the bus; they ride along for
 //!   apples-to-apples timelines.
 //!
@@ -26,21 +32,17 @@
 //! configurations come back as typed [`SimError`]s (`L0250`–`L0253`,
 //! `L0230`, `L0233`) instead of panics.
 
-use aladdin_accel::{
-    try_schedule_prepared, DatapathConfig, DatapathMemory, IssueResult, PreparedDddg,
-    SchedulerWorkspace, SpadMemory,
-};
+use aladdin_accel::{DatapathConfig, SchedulerWorkspace, SpadMemory};
 use aladdin_faults::{SimError, SimHarness};
 use aladdin_ir::{Diagnostic, Locus, Report, Trace};
-use aladdin_mem::{
-    build_interconnect, BusFaults, DmaConfig, DmaDirection, DmaEngine, DmaTransfer, FlushSchedule,
-    Interconnect, IntervalSet, MasterId, TrafficGenerator, CODE_TOPOLOGY_CAPACITY,
-};
+use aladdin_mem::{BusStats, IntervalSet, MasterId, CODE_TOPOLOGY_CAPACITY};
 
-use crate::cachemem::CacheClient;
+use crate::cachemem::{CacheClient, CacheDatapathMemory};
 use crate::config::{DmaOptLevel, MemKind, SocConfig};
-use crate::engine::{report_error, FlowSpec};
+use crate::engine::{report_error, run_schedule, FlowSpec, SchedSpec};
 use crate::phase::PhaseBreakdown;
+use crate::source::TraceSource;
+use crate::world::{DmaEngines, DmaPlan, SocWorld};
 
 /// One accelerator's workload in a multi-accelerator simulation.
 #[derive(Debug, Clone)]
@@ -229,37 +231,28 @@ pub fn validate_multi_jobs(jobs: &[AcceleratorJob], soc: &SocConfig) -> Report {
     r
 }
 
+#[derive(Debug, Clone, Copy)]
 enum Stage {
-    DmaIn(Box<DmaEngine>),
+    DmaIn,
     Compute { until: u64 },
-    DmaOut(Box<DmaEngine>),
+    DmaOut,
     Done,
 }
 
-struct JobState {
+/// One DMA or isolated job's stage machine, advanced by the world every
+/// cycle. The job's engines live in the world's DMA slot for `master`.
+#[derive(Debug)]
+pub(crate) struct JobState {
     index: usize,
-    stage: Stage,
-    flush_end: u64,
-    first_data_at: u64,
-    compute_cycles: u64,
-    overlap: bool,
-    dma_cfg: DmaConfig,
-    out_transfers: Vec<DmaTransfer>,
     master: MasterId,
-    flush_busy: IntervalSet,
+    stage: Stage,
+    /// The job's transfers; `None` for isolated jobs.
+    plan: Option<DmaPlan>,
+    compute_cycles: u64,
     in_busy: IntervalSet,
     out_busy: IntervalSet,
     compute_busy: IntervalSet,
     timeline: AcceleratorTimeline,
-}
-
-impl JobState {
-    fn engine_mut(&mut self) -> Option<&mut DmaEngine> {
-        match &mut self.stage {
-            Stage::DmaIn(e) | Stage::DmaOut(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 fn interval(start: u64, end: u64) -> IntervalSet {
@@ -270,230 +263,83 @@ fn interval(start: u64, end: u64) -> IntervalSet {
     }
 }
 
-fn inconsistent_completion() -> SimError {
-    SimError::Diag(Diagnostic::error(
-        "L0231",
-        "DMA engine reported done without a completion time",
-    ))
-}
-
-/// The shared-bus world every non-cache job lives in: DMA engines,
-/// background traffic, the bus itself, and the stage machines. One `step`
-/// advances everything by one cycle; the cache job's scheduler (when
-/// present) drives `pump_to` from inside its `end_cycle`.
-struct DmaWorld {
-    bus: Box<dyn Interconnect>,
-    traffic: Option<TrafficGenerator>,
-    states: Vec<JobState>,
-    cache_master: Option<MasterId>,
-    cache_events: Vec<(u64, u64)>,
-    next_cycle: u64,
-    idle_streak: u64,
-    last_bytes: u64,
-    limit: u64,
-    total_jobs: usize,
-    error: Option<SimError>,
-}
-
-/// Consecutive idle-bus cycles with a DMA stage pending before the run is
-/// declared stalled — the same window as the single-accelerator flow's
-/// `drive_dma_to_completion`.
-const DMA_STALL_WINDOW: u64 = 2_000_000;
-
-impl DmaWorld {
-    fn all_done(&self) -> bool {
-        self.states.iter().all(|s| matches!(s.stage, Stage::Done))
+impl JobState {
+    pub(crate) fn is_done(&self) -> bool {
+        matches!(self.stage, Stage::Done)
     }
 
-    fn done_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s.stage, Stage::Done))
-            .count()
-    }
-
-    fn pump_to(&mut self, cycle: u64) {
-        while self.next_cycle <= cycle && self.error.is_none() {
-            let c = self.next_cycle;
-            self.step(c);
-            self.next_cycle += 1;
-        }
-    }
-
-    fn step(&mut self, cycle: u64) {
-        if self.error.is_some() {
-            return;
-        }
-        if cycle >= self.limit {
-            self.error = Some(SimError::WatchdogExpired {
-                limit: self.limit,
-                cycle,
-                completed: self.done_count(),
-                total: self.total_jobs,
-                notes: vec!["multi-accelerator engine cycle guard".to_owned()],
-            });
-            return;
-        }
-        // 1. Advance every active DMA engine, the traffic, and the bus.
-        for st in &mut self.states {
-            if let Some(engine) = st.engine_mut() {
-                engine.tick(cycle, self.bus.as_mut());
-            }
-        }
-        if let Some(t) = self.traffic.as_mut() {
-            t.tick(cycle, self.bus.as_mut());
-        }
-        self.bus.tick(cycle);
-
-        // 2. Route completions by master id; the cache client's are
-        // buffered for its scheduler-driven end_cycle.
-        for c in self.bus.drain_completions() {
-            if Some(c.master) == self.cache_master {
-                self.cache_events.push((c.token, c.at));
-                continue;
-            }
-            if let Some(st) = self.states.iter_mut().find(|s| s.master == c.master) {
-                if let Some(engine) = st.engine_mut() {
-                    engine.on_bus_completion(c.token, c.at);
-                }
-            }
-        }
-
-        // 3. Stage transitions.
+    /// Take every stage transition due at `cycle`; whether any happened.
+    pub(crate) fn advance(&mut self, cycle: u64, dma: &mut DmaEngines) -> bool {
         let mut transitioned = false;
-        for st in &mut self.states {
-            loop {
-                match &mut st.stage {
-                    Stage::DmaIn(e) if e.is_done() => {
-                        // The CPU's output-region invalidate may still be
-                        // running; it only gates the writeback, not local
-                        // compute.
-                        let Some(dma_done) = e.done_at() else {
-                            self.error = Some(inconsistent_completion());
-                            return;
-                        };
-                        st.in_busy = e.busy().clone();
-                        st.timeline.data_in_done = dma_done;
-                        let compute_start = if st.overlap {
-                            // Full/empty bits: compute begins with the
-                            // first delivered chunk and cannot end before
-                            // the last byte arrives.
-                            st.first_data_at
-                        } else {
-                            dma_done
-                        };
-                        let compute_done = if st.overlap {
-                            dma_done.max(st.first_data_at + st.compute_cycles)
-                        } else {
-                            dma_done + st.compute_cycles
-                        };
-                        st.timeline.compute_done = compute_done;
-                        st.compute_busy = interval(compute_start, compute_done);
-                        st.stage = Stage::Compute {
-                            until: compute_done,
-                        };
-                        transitioned = true;
-                    }
-                    Stage::Compute { until } if cycle >= *until => {
-                        let eligible = (*until).max(st.flush_end);
-                        let chunks = st.dma_cfg.chunk_sizes(&st.out_transfers);
-                        let mut out = DmaEngine::new(
-                            st.dma_cfg,
-                            &st.out_transfers,
-                            &vec![eligible; chunks.len()],
-                        );
-                        out.set_master(st.master);
-                        if out.is_done() {
-                            // No output arrays: completion is the compute.
-                            st.timeline.end = st.timeline.compute_done;
-                            st.stage = Stage::Done;
-                        } else {
-                            st.stage = Stage::DmaOut(Box::new(out));
+        loop {
+            match self.stage {
+                Stage::DmaIn => {
+                    // The CPU's output-region invalidate may still be
+                    // running; it only gates the writeback, not local
+                    // compute.
+                    let Some((dma_done, engine)) = dma.take_done(self.master) else {
+                        break;
+                    };
+                    self.in_busy = engine.busy().clone();
+                    self.timeline.data_in_done = dma_done;
+                    // Full/empty bits: compute begins with the first
+                    // delivered chunk and cannot end before the last byte
+                    // arrives.
+                    let first_data = self.plan.as_ref().and_then(|p| p.eligibility.first());
+                    let (start, done) = match (self.timeline.kind, first_data) {
+                        (MemKind::Dma(opt), Some(&first)) if opt.triggered() => {
+                            (first, dma_done.max(first + self.compute_cycles))
                         }
-                        transitioned = true;
-                    }
-                    Stage::DmaOut(e) if e.is_done() => {
-                        let Some(done) = e.done_at() else {
-                            self.error = Some(inconsistent_completion());
-                            return;
-                        };
-                        st.out_busy = e.busy().clone();
-                        st.timeline.end = done.max(st.timeline.compute_done);
-                        st.stage = Stage::Done;
-                        transitioned = true;
-                    }
-                    _ => break,
+                        _ => (dma_done, dma_done + self.compute_cycles),
+                    };
+                    self.timeline.compute_done = done;
+                    self.compute_busy = interval(start, done);
+                    self.stage = Stage::Compute { until: done };
                 }
+                Stage::Compute { until } if cycle >= until => {
+                    let out = self
+                        .plan
+                        .as_ref()
+                        .map(|p| p.writeback_engine(until.max(p.flush.end()), self.master));
+                    match out {
+                        Some(out) if !out.is_done() => {
+                            dma.start(out);
+                            self.stage = Stage::DmaOut;
+                        }
+                        // No output arrays: completion is the compute.
+                        _ => {
+                            self.timeline.end = self.timeline.compute_done;
+                            self.stage = Stage::Done;
+                        }
+                    }
+                }
+                Stage::DmaOut => {
+                    let Some((done, engine)) = dma.take_done(self.master) else {
+                        break;
+                    };
+                    self.out_busy = engine.busy().clone();
+                    self.timeline.end = done.max(self.timeline.compute_done);
+                    self.stage = Stage::Done;
+                }
+                _ => break,
             }
+            transitioned = true;
         }
-
-        // 4. Stall detection, as in the single-accelerator DMA flow: a
-        // quiet bus with a DMA stage pending and no bytes moving cannot be
-        // waiting on eligibility or contention. Compute stages are exempt
-        // (their completion cycle is already scheduled).
-        let bytes = self.bus.stats().bytes;
-        let dma_pending = self
-            .states
-            .iter()
-            .any(|s| matches!(s.stage, Stage::DmaIn(_) | Stage::DmaOut(_)));
-        if dma_pending && self.bus.is_idle() && bytes == self.last_bytes && !transitioned {
-            self.idle_streak += 1;
-            if self.idle_streak >= DMA_STALL_WINDOW {
-                let stuck: Vec<String> = self
-                    .states
-                    .iter()
-                    .filter(|s| !matches!(s.stage, Stage::Done))
-                    .map(|s| format!("{} ({})", s.timeline.kernel, s.timeline.kind))
-                    .collect();
-                self.error = Some(SimError::Diag(Diagnostic::error(
-                    "L0230",
-                    format!(
-                        "multi-accelerator DMA made no progress by cycle {cycle} — likely a \
-                         stalled descriptor; pending: {}",
-                        stuck.join(", ")
-                    ),
-                )));
-            }
-        } else {
-            self.idle_streak = 0;
-            self.last_bytes = bytes;
-        }
-    }
-}
-
-/// The cache job's [`DatapathMemory`]: its TLB/cache client plus the
-/// shared [`DmaWorld`], pumped from `end_cycle` so every cache fill
-/// arbitrates against the DMA engines cycle-accurately.
-struct MultiMemory {
-    client: CacheClient,
-    world: DmaWorld,
-}
-
-impl DatapathMemory for MultiMemory {
-    fn begin_cycle(&mut self, cycle: u64) {
-        self.client.begin_cycle(cycle);
+        transitioned
     }
 
-    fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
-        self.client.issue(id, addr, bytes, write, cycle)
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        self.client.drain_completions()
-    }
-
-    fn end_cycle(&mut self, cycle: u64) {
-        self.client.push_bus_requests(self.world.bus.as_mut());
-        self.world.pump_to(cycle);
-        for (token, at) in std::mem::take(&mut self.world.cache_events) {
-            self.client.on_bus_completion(token, at);
-        }
-        self.client.collect_cache_completions();
-    }
-
-    fn is_passive(&self) -> bool {
-        // The DMA world must be pumped every cycle — no idle fast-forward.
-        false
+    /// The finished timeline, with its phases and bus bytes.
+    fn finish(mut self, bus: &BusStats) -> (usize, AcceleratorTimeline) {
+        let no_flush = IntervalSet::new();
+        self.timeline.phases = PhaseBreakdown::for_dma_run(
+            self.plan.as_ref().map_or(&no_flush, |p| p.flush.busy()),
+            &self.in_busy,
+            &self.out_busy,
+            &self.compute_busy,
+            self.timeline.end,
+        );
+        self.timeline.bus_bytes = bus.master_bytes(self.master);
+        (self.index, self.timeline)
     }
 }
 
@@ -508,9 +354,8 @@ impl DatapathMemory for MultiMemory {
 ///
 /// Returns [`SimError`] if the job set fails [`validate_multi_jobs`]
 /// (`L0250`–`L0253`, `L0311`), the configured topology is malformed
-/// (`L0310`), a DMA engine stalls (`L0230`/`L0231`), the cache job's
-/// scheduler deadlocks (`L0232`), or the watchdog expires (`L0233`).
-#[allow(clippy::too_many_lines)]
+/// (`L0310`), a DMA engine stalls (`L0230`), the cache job's scheduler
+/// deadlocks (`L0232`), or the watchdog expires (`L0233`).
 pub fn simulate_multi(
     jobs: &[AcceleratorJob],
     soc: &SocConfig,
@@ -522,84 +367,54 @@ pub fn simulate_multi(
     }
 
     let mut ws = SchedulerWorkspace::new();
-    let mut bus = build_interconnect(soc.bus, soc.dram, soc.topology).map_err(SimError::Diag)?;
-    bus.set_faults(BusFaults::from_plan(&harness.plan));
+    let mut world = SocWorld::new(soc, ())
+        .map_err(SimError::Diag)?
+        .with_own_clock(harness.watchdog.max_cycles);
+    world.set_faults(&harness.plan);
     // Register every job's master up front so arbitration order (and, on a
-    // mesh, node placement) is fixed before the first request.
-    for (i, job) in jobs.iter().enumerate() {
-        let master = job.resolved_master(i).expect("validated job count");
-        bus.register_master(master).map_err(SimError::Diag)?;
+    // mesh, node placement) and DMA tick order are fixed before the first
+    // request.
+    let masters: Vec<MasterId> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| job.resolved_master(i).expect("validated job count"))
+        .collect();
+    for &master in &masters {
+        world.register_master(master)?;
     }
-    let traffic = soc
-        .traffic
-        .map(|t| TrafficGenerator::new(t.period, t.bytes, 0x4000_0000, 16 << 20));
 
-    let mut states: Vec<JobState> = Vec::new();
-    let mut cache_job: Option<(usize, MasterId)> = None;
+    let mut cache_job = None;
     for (i, job) in jobs.iter().enumerate() {
-        let master = job.resolved_master(i).expect("validated job count");
-        match job.kind {
-            MemKind::Cache => cache_job = Some((i, master)),
-            MemKind::Isolated => {
-                states.push(setup_isolated(i, job, master, soc, harness, &mut ws)?)
-            }
-            MemKind::Dma(opt) => {
-                states.push(setup_dma(i, job, opt, master, soc, harness, &mut ws)?);
-            }
+        if job.kind == MemKind::Cache {
+            cache_job = Some(i);
+        } else {
+            add_job(&mut world, i, job, masters[i], soc, harness, &mut ws)?;
         }
     }
 
-    let mut world = DmaWorld {
-        bus,
-        traffic,
-        states,
-        cache_master: cache_job.map(|(_, m)| m),
-        cache_events: Vec::new(),
-        next_cycle: 0,
-        idle_streak: 0,
-        last_bytes: 0,
-        limit: harness.watchdog.max_cycles.unwrap_or(500_000_000),
-        total_jobs: jobs.len(),
-        error: None,
-    };
-
     // Co-schedule the cache job (if any): its scheduler drives the shared
-    // world cycle-by-cycle through `MultiMemory::end_cycle`.
-    let mut cache_timeline: Option<(usize, AcceleratorTimeline)> = None;
-    if let Some((ci, cmaster)) = cache_job {
+    // world cycle-by-cycle.
+    let mut timelines = Vec::with_capacity(jobs.len());
+    if let Some(ci) = cache_job {
         let job = &jobs[ci];
         let t0 = job.launch_at + soc.invoke_cycles;
-        let prep = PreparedDddg::new(&job.trace, &job.datapath);
-        let mut client = CacheClient::new(&job.trace, &job.datapath, soc, cmaster);
+        let mut client =
+            CacheClient::from_arrays(job.trace.arrays(), &job.datapath, soc, masters[ci]);
         client.set_faults(&harness.plan);
-        let mut mem = MultiMemory { client, world };
-        let sched = match try_schedule_prepared(
-            &job.trace,
+        let mut mem = CacheDatapathMemory {
+            world: world.replace_front(client).0,
+        };
+        let source = TraceSource::Memory(&job.trace);
+        let run = run_schedule(
+            &source,
             &job.datapath,
-            &prep,
+            &SchedSpec::default(),
             &mut ws,
             &mut mem,
             t0,
             &harness.watchdog,
-        ) {
-            Ok(s) => s,
-            Err(mut e) => {
-                if let Some(we) = mem.world.error.take() {
-                    return Err(we);
-                }
-                e.push_note(format!(
-                    "multi cache client: {} TLB-delayed access(es); bus: {} queued \
-                     request(s), {} in flight",
-                    mem.client.delayed_count(),
-                    mem.world.bus.queue_depths().iter().sum::<usize>(),
-                    mem.world.bus.in_flight_count()
-                ));
-                return Err(e);
-            }
-        };
-        if let Some(we) = mem.world.error.take() {
-            return Err(we);
-        }
+        );
+        let sched = mem.world.settle(run)?.sched;
         let end = sched.end + soc.completion.map_or(0, |c| c.observation_lag(sched.end));
         let phases = PhaseBreakdown::for_dma_run(
             &IntervalSet::new(),
@@ -608,7 +423,7 @@ pub fn simulate_multi(
             &sched.busy,
             end,
         );
-        cache_timeline = Some((
+        timelines.push((
             ci,
             AcceleratorTimeline {
                 kernel: job.trace.name().to_owned(),
@@ -621,88 +436,76 @@ pub fn simulate_multi(
                 bus_bytes: 0,
             },
         ));
-        world = mem.world;
+        world = mem.world.replace_front(()).0;
     }
 
-    // Drain the remaining DMA jobs.
-    while !world.all_done() {
-        let c = world.next_cycle;
-        world.pump_to(c);
-        if let Some(e) = world.error.take() {
-            return Err(e);
-        }
-    }
+    // Run the remaining DMA jobs to completion.
+    world.run_until_idle(world.next_cycle())?;
 
     // Assemble timelines in job order.
-    let bus_stats = world.bus.stats();
-    let mut per_index: Vec<Option<AcceleratorTimeline>> = (0..jobs.len()).map(|_| None).collect();
-    for mut st in world.states {
-        st.timeline.phases = PhaseBreakdown::for_dma_run(
-            &st.flush_busy,
-            &st.in_busy,
-            &st.out_busy,
-            &st.compute_busy,
-            st.timeline.end,
-        );
-        st.timeline.bus_bytes = bus_stats.master_bytes(st.master);
-        per_index[st.index] = Some(st.timeline);
+    let bus = world.bus_stats();
+    for (ci, t) in &mut timelines {
+        t.bus_bytes = bus.master_bytes(masters[*ci]);
     }
-    if let Some((ci, mut t)) = cache_timeline {
-        if let Some((_, m)) = cache_job {
-            t.bus_bytes = bus_stats.master_bytes(m);
-        }
-        per_index[ci] = Some(t);
-    }
-    let accelerators: Vec<AcceleratorTimeline> = per_index
-        .into_iter()
-        .map(|t| t.expect("every job produces a timeline"))
-        .collect();
+    timelines.extend(world.jobs.into_iter().map(|st| st.finish(&bus)));
+    timelines.sort_by_key(|(i, _)| *i);
+    let accelerators: Vec<AcceleratorTimeline> = timelines.into_iter().map(|(_, t)| t).collect();
     let end = accelerators.iter().map(|a| a.end).max().unwrap_or(0);
     Ok(MultiSocResult {
         accelerators,
         end,
-        bus_bytes: bus_stats.bytes,
-        bus_utilization: bus_stats.busy_cycles as f64 / end.max(1) as f64,
+        bus_bytes: bus.bytes,
+        bus_utilization: bus.busy_cycles as f64 / end.max(1) as f64,
     })
 }
 
-fn setup_isolated(
+/// Add job `index` (DMA or isolated) to `world`: plan its transfers,
+/// start its input engine, and time its compute from a standalone
+/// schedule on private scratchpads (no bus interaction) under the
+/// harness watchdog.
+fn add_job(
+    world: &mut SocWorld,
     index: usize,
     job: &AcceleratorJob,
     master: MasterId,
     soc: &SocConfig,
     harness: &SimHarness,
     ws: &mut SchedulerWorkspace,
-) -> Result<JobState, SimError> {
+) -> Result<(), SimError> {
     let t0 = job.launch_at + soc.invoke_cycles;
-    let prep = PreparedDddg::new(&job.trace, &job.datapath);
+    let plan = match job.kind {
+        MemKind::Dma(opt) => Some(DmaPlan::new(
+            &TraceSource::Memory(&job.trace),
+            soc,
+            opt,
+            t0,
+            &harness.plan,
+        )),
+        _ => None,
+    };
     let mut spad = SpadMemory::new(&job.trace, &job.datapath);
-    let sched = try_schedule_prepared(
-        &job.trace,
+    let sched = run_schedule(
+        &TraceSource::Memory(&job.trace),
         &job.datapath,
-        &prep,
+        &SchedSpec::default(),
         ws,
         &mut spad,
-        t0,
+        if plan.is_some() { 0 } else { t0 },
         &harness.watchdog,
-    )?;
-    Ok(JobState {
+    )?
+    .sched;
+    let mut state = JobState {
         index,
-        stage: Stage::Done,
-        flush_end: t0,
-        first_data_at: t0,
-        compute_cycles: sched.cycles,
-        overlap: false,
-        dma_cfg: soc.dma,
-        out_transfers: Vec::new(),
         master,
-        flush_busy: IntervalSet::new(),
+        stage: Stage::Done,
+        plan: None,
+        compute_cycles: sched.cycles,
         in_busy: IntervalSet::new(),
         out_busy: IntervalSet::new(),
         compute_busy: sched.busy,
         timeline: AcceleratorTimeline {
             kernel: job.trace.name().to_owned(),
-            kind: MemKind::Isolated,
+            kind: job.kind,
             launched: job.launch_at,
             data_in_done: t0,
             compute_done: sched.end,
@@ -710,111 +513,27 @@ fn setup_isolated(
             phases: PhaseBreakdown::default(),
             bus_bytes: 0,
         },
-    })
-}
-
-fn setup_dma(
-    index: usize,
-    job: &AcceleratorJob,
-    opt: DmaOptLevel,
-    master: MasterId,
-    soc: &SocConfig,
-    harness: &SimHarness,
-    ws: &mut SchedulerWorkspace,
-) -> Result<JobState, SimError> {
-    let dma_cfg = DmaConfig {
-        pipelined: opt.pipelined(),
-        ..soc.dma
     };
-    let t0 = job.launch_at + soc.invoke_cycles;
-    let in_transfers: Vec<DmaTransfer> = job
-        .trace
-        .input_arrays()
-        .map(|a| DmaTransfer {
-            base: a.base_addr,
-            bytes: a.size_bytes(),
-            direction: DmaDirection::In,
-        })
-        .collect();
-    let chunks = dma_cfg.chunk_sizes(&in_transfers);
-    let flush = FlushSchedule::new_with_faults(
-        soc.flush,
-        soc.clock,
-        t0,
-        &chunks,
-        job.trace.output_bytes(),
-        harness.plan.flush_injector(),
-    );
-    let eligibility: Vec<u64> = if opt.pipelined() {
-        flush.chunk_times().to_vec()
-    } else {
-        vec![flush.end(); chunks.len()]
-    };
-    let mut engine = DmaEngine::new(dma_cfg, &in_transfers, &eligibility);
-    engine.set_master(master);
-
-    // Compute duration from a standalone schedule (private scratchpads,
-    // no bus interaction), under the same watchdog.
-    let prep = PreparedDddg::new(&job.trace, &job.datapath);
-    let mut spad = SpadMemory::new(&job.trace, &job.datapath);
-    let compute_cycles = try_schedule_prepared(
-        &job.trace,
-        &job.datapath,
-        &prep,
-        ws,
-        &mut spad,
-        0,
-        &harness.watchdog,
-    )?
-    .cycles;
-
-    let out_transfers: Vec<DmaTransfer> = job
-        .trace
-        .output_arrays()
-        .map(|a| DmaTransfer {
-            base: a.base_addr,
-            bytes: a.size_bytes(),
-            direction: DmaDirection::Out,
-        })
-        .collect();
-
-    let (stage, compute_busy) = if engine.is_done() {
-        // No input data: go straight to compute after coherence work.
-        (
-            Stage::Compute {
-                until: flush.end() + compute_cycles,
-            },
-            interval(flush.end(), flush.end() + compute_cycles),
-        )
-    } else {
-        (Stage::DmaIn(Box::new(engine)), IntervalSet::new())
-    };
-    let first_data_at = eligibility.first().copied().unwrap_or(t0);
-    Ok(JobState {
-        index,
-        stage,
-        flush_end: flush.end(),
-        first_data_at,
-        compute_cycles,
-        overlap: opt.triggered(),
-        dma_cfg,
-        out_transfers,
-        master,
-        flush_busy: flush.busy().clone(),
-        in_busy: IntervalSet::new(),
-        out_busy: IntervalSet::new(),
-        compute_busy,
-        timeline: AcceleratorTimeline {
-            kernel: job.trace.name().to_owned(),
-            kind: MemKind::Dma(opt),
-            launched: job.launch_at,
-            data_in_done: 0,
-            compute_done: flush.end() + compute_cycles,
-            end: 0,
-            phases: PhaseBreakdown::default(),
-            bus_bytes: 0,
-        },
-    })
+    if let Some(plan) = plan {
+        let flush_end = plan.flush.end();
+        state.timeline.data_in_done = 0;
+        state.timeline.compute_done = flush_end + sched.cycles;
+        state.timeline.end = 0;
+        if plan.has_inputs() {
+            world.dma.start(plan.input_engine(master));
+            state.stage = Stage::DmaIn;
+            state.compute_busy = IntervalSet::new();
+        } else {
+            // No input data: go straight to compute after coherence work.
+            state.stage = Stage::Compute {
+                until: flush_end + sched.cycles,
+            };
+            state.compute_busy = interval(flush_end, flush_end + sched.cycles);
+        }
+        state.plan = Some(plan);
+    }
+    world.jobs.push(state);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1066,6 +785,23 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.code(), "L0233");
+    }
+
+    #[test]
+    fn stalled_multi_dma_is_a_typed_diagnostic() {
+        let mut soc = SocConfig::default();
+        soc.dma.max_outstanding = 0; // no engine can ever post a burst
+        let err = simulate_multi(
+            &[job("stencil-stencil2d", 0), job("aes-aes", 0)],
+            &soc,
+            &SimHarness::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err.code(), "L0230", "{err}");
+        // The diagnostic names every wedged engine by its bus master.
+        let msg = err.to_string();
+        assert!(msg.contains("master 0: dma:"), "{msg}");
+        assert!(msg.contains("master 1: dma:"), "{msg}");
     }
 
     #[test]

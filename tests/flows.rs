@@ -125,8 +125,8 @@ fn dma_vs_cache_preferences_match_the_paper() {
 fn cache_decomposition_trends() {
     let soc = SocConfig::default();
     let trace = trace_of("spmv-crs");
-    let one = decompose_cache_time(&trace, &dp(1, 1), &soc);
-    let sixteen = decompose_cache_time(&trace, &dp(16, 16), &soc);
+    let one = decompose_cache_time(&trace, &dp(1, 1), &soc).expect("decomposes");
+    let sixteen = decompose_cache_time(&trace, &dp(16, 16), &soc).expect("decomposes");
     assert!(sixteen.processing < one.processing);
     let f1 = one.fractions();
     let f16 = sixteen.fractions();
@@ -144,7 +144,7 @@ fn validation_errors_are_small() {
     let mut errors = Vec::new();
     for kernel in evaluation_kernels() {
         let trace = kernel.run().trace;
-        let row = validate_kernel(&trace, &soc);
+        let row = validate_kernel(&trace, &soc).expect("validates");
         errors.push(row.error_pct.abs());
         assert!(
             row.error_pct.abs() < 15.0,
