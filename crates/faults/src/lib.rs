@@ -552,23 +552,6 @@ impl SimError {
         }
     }
 
-    /// Whether a supervisor may retry the failed point.
-    ///
-    /// Deadlocks and watchdog expiries are *transient-class*: in a
-    /// multi-worker deployment they are indistinguishable from an
-    /// overloaded or wedged host, so the campaign coordinator retries
-    /// them with bounded backoff before recording a terminal failure.
-    /// Wrapped diagnostics are *terminal*: they describe the
-    /// configuration itself (invalid geometry, malformed input), which
-    /// no amount of retrying changes.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        match self {
-            SimError::Deadlock(_) | SimError::WatchdogExpired { .. } => true,
-            SimError::Diag(_) => false,
-        }
-    }
-
     /// Attach a forensic note (bus queue depths, DMA descriptor state, …).
     /// No-op for wrapped diagnostics, which carry their own context.
     pub fn push_note(&mut self, note: String) {
@@ -747,33 +730,6 @@ mod tests {
         let r = plan.validate();
         assert!(!r.has_errors());
         assert!(r.has_code("L0242"));
-    }
-
-    #[test]
-    fn transient_classification_splits_runtime_from_config_errors() {
-        let deadlock = SimError::Deadlock(Box::new(DeadlockSnapshot {
-            cycle: 10,
-            completed: 1,
-            total: 2,
-            idle_cycles: 5,
-            ready_compute: 0,
-            ready_mem: 0,
-            wheel: Vec::new(),
-            mem_wheel: Vec::new(),
-            mem_inflight: 0,
-            notes: Vec::new(),
-        }));
-        assert!(deadlock.is_transient(), "deadlocks are retryable");
-        let expired = SimError::WatchdogExpired {
-            limit: 100,
-            cycle: 101,
-            completed: 1,
-            total: 2,
-            notes: Vec::new(),
-        };
-        assert!(expired.is_transient(), "watchdog expiries are retryable");
-        let diag = SimError::Diag(Diagnostic::error("L0210", "bad config"));
-        assert!(!diag.is_transient(), "config errors are terminal");
     }
 
     #[test]

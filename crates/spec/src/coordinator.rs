@@ -1,8 +1,8 @@
 //! Crash-safe multi-worker campaign coordination: N `sweep work`
 //! processes pull design points from one shared campaign directory under
-//! per-point **leases**, retry transient failures with bounded backoff,
-//! and append to their own journal segments; `sweep coordinate` merges
-//! the segments into one journal, quarantining anything corrupt.
+//! per-point **leases**, run them through the same executor as `sweep
+//! run`, and append to their own journal segments; `sweep coordinate`
+//! merges the segments into one journal, quarantining anything corrupt.
 //!
 //! # The coordination directory
 //!
@@ -39,27 +39,33 @@
 //! record-for-record identical to a single-process `sweep run` of the
 //! same spec, whatever the kill schedule.
 //!
-//! Transient failures (deadlocks, watchdog expiries —
-//! [`SimError::is_transient`]) are retried with bounded exponential
-//! backoff and journaled as `"status":"retried"` breadcrumbs before
-//! degrading to a terminal error record; configuration errors are
-//! terminal immediately. A failing point never aborts the campaign.
+//! # Batches
+//!
+//! A worker claims up to `available_parallelism()` unfinished points at a
+//! time — the thread count the sweep engine runs on — and hands the batch
+//! to `execute`, the dispatcher `sweep run` uses. Each finished point
+//! is journaled, then its lease released. A failed point is journaled
+//! once as a terminal error: simulation is deterministic (seeded faults,
+//! a watchdog in simulated cycles), so re-running it could only fail the
+//! same way. A failing point never aborts the campaign; a failing journal
+//! write does (`L0266`), leaving the point's lease to go stale.
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::Write as _;
+use std::io::Write;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use aladdin_core::{simulate_multi, SimError};
-use aladdin_dse::{sweep_engine, PointOutcome, SweepPerf};
+use aladdin_dse::SweepPerf;
 use aladdin_ir::{Diagnostic, Report};
 
-use crate::campaign::{CampaignPlan, PlannedPoint};
-use crate::runner::{
-    classify_line, json_field_str, json_string, multi_record, outcome_record, point_prefix,
-    quarantine_path, scan_journal, write_quarantine, LineClass, LoadedTrace, JOURNAL_VERSION,
+use crate::campaign::CampaignPlan;
+use crate::journal::{
+    body_lines, check_header, classify_line, journal_err, json_field_str, scan_journal,
+    write_quarantine, LineClass, Record, Status,
 };
+use crate::runner::execute;
 
 /// Lease expired and was reclaimed (or is still lying around stale).
 pub const CODE_LEASE: &str = "L0290";
@@ -81,34 +87,29 @@ pub struct WorkerConfig {
     /// How long a lease may sit without its owner heartbeating before
     /// any other worker may reclaim it.
     pub lease_timeout: Duration,
-    /// Transient-failure retry budget per point ([`SimError::is_transient`]).
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// How long to sleep when every unfinished point is leased by a
     /// live worker.
     pub poll: Duration,
     /// Claim at most this many points, then exit (the campaign stays
     /// coordinated — other workers finish it).
     pub limit: Option<usize>,
+    /// [`RunOptions::prune`](crate::RunOptions::prune), applied within
+    /// each claimed batch.
+    pub prune: bool,
 }
 
 impl WorkerConfig {
     /// Defaults for a worker on `dir`: id `w<pid>`, 30 s lease timeout,
-    /// 2 retries backing off 250 ms → 5 s, 200 ms poll.
+    /// 200 ms poll, no limit, no pruning.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WorkerConfig {
             dir: dir.into(),
             worker: format!("w{}", std::process::id()),
             lease_timeout: Duration::from_secs(30),
-            max_retries: 2,
-            backoff_base: Duration::from_millis(250),
-            backoff_cap: Duration::from_secs(5),
             poll: Duration::from_millis(200),
             limit: None,
+            prune: false,
         }
     }
 }
@@ -122,10 +123,8 @@ pub struct WorkerSummary {
     pub total: usize,
     /// Points this worker claimed and drove to a terminal record.
     pub claimed: usize,
-    /// Of those, points whose final outcome was a simulation error.
+    /// Of those, points whose outcome was a simulation error.
     pub failed: usize,
-    /// Transient-failure retry attempts journaled (`"status":"retried"`).
-    pub retried: usize,
     /// Stale leases this worker reclaimed from dead workers (`L0290`).
     pub reclaimed: usize,
     /// Corrupt records quarantined from this worker's own prior segment.
@@ -138,12 +137,6 @@ pub struct WorkerSummary {
     /// Whether every point of the campaign was journaled (by anyone)
     /// when this worker exited.
     pub complete: bool,
-}
-
-fn coord_err(code: &'static str, msg: impl Into<String>) -> Report {
-    let mut r = Report::new();
-    r.push(Diagnostic::error(code, msg));
-    r
 }
 
 fn meta_path(dir: &Path) -> PathBuf {
@@ -177,21 +170,6 @@ pub fn merged_path(dir: &Path) -> PathBuf {
     dir.join("merged.jsonl")
 }
 
-fn header_line(plan: &CampaignPlan, worker: Option<&str>) -> String {
-    let mut line = format!(
-        "{{\"campaign\":{},\"digest\":\"{:016x}\",\"points\":{},\"version\":{}",
-        json_string(&plan.spec.name),
-        plan.digest,
-        plan.points.len(),
-        JOURNAL_VERSION
-    );
-    if let Some(w) = worker {
-        line.push_str(&format!(",\"worker\":{}", json_string(w)));
-    }
-    line.push('}');
-    line
-}
-
 /// Create `path` holding `contents`, atomically: the bytes go to a unique
 /// temp file in the same directory first and are published with
 /// `hard_link`, which fails (`AlreadyExists`) if `path` exists. Exactly
@@ -223,15 +201,13 @@ fn init_dir(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
         segments_dir(dir),
     ] {
         std::fs::create_dir_all(&d)
-            .map_err(|e| coord_err("L0266", format!("cannot create {}: {e}", d.display())))?;
+            .map_err(|e| journal_err(format!("cannot create {}: {e}", d.display())))?;
     }
-    match publish_new(&meta_path(dir), &format!("{}\n", header_line(plan, None))) {
+    let meta = Record::Header { plan, worker: None };
+    match publish_new(&meta_path(dir), &format!("{meta}\n")) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => verify_meta(plan, dir),
-        Err(e) => Err(coord_err(
-            "L0266",
-            format!("cannot write campaign meta: {e}"),
-        )),
+        Err(e) => Err(journal_err(format!("cannot write campaign meta: {e}"))),
     }
 }
 
@@ -239,22 +215,8 @@ fn init_dir(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
 fn verify_meta(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
     let meta = meta_path(dir);
     let text = std::fs::read_to_string(&meta)
-        .map_err(|e| coord_err("L0266", format!("cannot read {}: {e}", meta.display())))?;
-    let recorded = json_field_str(text.lines().next().unwrap_or(""), "digest")
-        .ok_or_else(|| coord_err("L0266", format!("{} has no digest", meta.display())))?;
-    if recorded == format!("{:016x}", plan.digest) {
-        Ok(())
-    } else {
-        Err(coord_err(
-            "L0266",
-            format!(
-                "{} records digest {recorded} but the campaign's is {:016x}; \
-                 this directory coordinates a different campaign",
-                meta.display(),
-                plan.digest
-            ),
-        ))
-    }
+        .map_err(|e| journal_err(format!("cannot read {}: {e}", meta.display())))?;
+    check_header(&meta, text.lines().next(), plan.digest)
 }
 
 /// Refresh this worker's heartbeat. The file's mtime is the liveness
@@ -308,11 +270,11 @@ enum Claim {
 /// itself is older than the timeout.
 fn try_claim(cfg: &WorkerConfig, index: usize) -> Claim {
     let path = lease_path(&cfg.dir, index);
-    let lease = format!(
-        "{{\"point\":{index},\"owner\":{},\"pid\":{}}}\n",
-        json_string(&cfg.worker),
-        std::process::id()
-    );
+    let lease = Record::Lease {
+        point: index,
+        owner: &cfg.worker,
+    };
+    let lease = format!("{lease}\n");
     let mut reclaimed_from = None;
     let mut tomb_seq = 0u32;
     loop {
@@ -348,88 +310,24 @@ fn try_claim(cfg: &WorkerConfig, index: usize) -> Claim {
     }
 }
 
-/// The loaded trace of `kernel`, reusing `memo` when consecutive points
-/// share a kernel. A failed load is not memoized, so every point of a
-/// broken trace reports the typed error.
-fn memo_trace<'m>(
-    memo: &'m mut Option<(String, LoadedTrace)>,
-    kernel: &str,
-) -> Result<&'m LoadedTrace, SimError> {
-    if !matches!(memo, Some((name, _)) if name == kernel) {
-        *memo = Some((kernel.to_owned(), LoadedTrace::load(kernel, false)?));
-    }
-    Ok(&memo.as_ref().expect("memo filled above").1)
-}
-
-/// Run one planned point to its journal record and error, if any.
-fn execute_point(
-    plan: &CampaignPlan,
+/// Journal one finished point, then release its lease and heartbeat —
+/// in that order, so a crash in between leaves a finished point under a
+/// stale lease, which scanners ignore.
+///
+/// # Errors
+///
+/// `L0266` when the append fails; the lease is then kept, goes stale, and
+/// another worker re-runs the point.
+fn finish_point(
+    cfg: &WorkerConfig,
+    segment: &mut dyn Write,
     index: usize,
-    trace_memo: &mut Option<(String, LoadedTrace)>,
-    perf: &mut SweepPerf,
-) -> (String, Option<SimError>) {
-    match &plan.points[index] {
-        PlannedPoint::Single { kernel, point } => {
-            let outcome = match memo_trace(trace_memo, kernel) {
-                Ok(trace) => {
-                    let (mut outcomes, p) = sweep_engine(
-                        &trace.source(),
-                        std::slice::from_ref(point),
-                        &plan.harness,
-                        false,
-                        &|_, _| {},
-                    );
-                    perf.absorb(&p);
-                    outcomes.pop().expect("one point in, one out")
-                }
-                Err(e) => PointOutcome::Failed(e),
-            };
-            let line = outcome_record(index, kernel, point, &outcome);
-            match outcome {
-                PointOutcome::Failed(e) => (line, Some(e)),
-                PointOutcome::Done(_) | PointOutcome::Pruned(_) => (line, None),
-            }
-        }
-        PlannedPoint::Multi {
-            stagger,
-            count,
-            soc,
-        } => {
-            let jobs = plan.jobs_at(*stagger);
-            let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
-            let line = multi_record(index, *stagger, *count, soc, &result);
-            let err = result.err();
-            (line, err)
-        }
-    }
-}
-
-/// The `"status":"retried"` breadcrumb journaled before a transient
-/// failure is re-attempted.
-fn retried_record(
-    plan: &CampaignPlan,
-    index: usize,
-    attempt: u32,
-    backoff: Duration,
-    err: &SimError,
-) -> String {
-    let mut line = match &plan.points[index] {
-        PlannedPoint::Single { kernel, point } => point_prefix(index, kernel, point),
-        PlannedPoint::Multi { stagger, count, .. } => {
-            format!("{{\"point\":{index},\"stagger\":{stagger},\"count\":{count}")
-        }
-    };
-    line.push_str(&format!(
-        ",\"status\":\"retried\",\"attempt\":{attempt},\"backoff_ms\":{},\"error\":{}}}",
-        backoff.as_millis(),
-        json_string(&err.to_string())
-    ));
-    line
-}
-
-fn backoff_for(cfg: &WorkerConfig, attempt: u32) -> Duration {
-    let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-    cfg.backoff_base.saturating_mul(factor).min(cfg.backoff_cap)
+    record: &Record,
+) -> Result<(), Report> {
+    record.append(segment)?;
+    let _ = std::fs::remove_file(lease_path(&cfg.dir, index));
+    beat(&cfg.dir, &cfg.worker);
+    Ok(())
 }
 
 /// Incremental scanner over every segment in the directory: each
@@ -442,7 +340,7 @@ fn backoff_for(cfg: &WorkerConfig, attempt: u32) -> Duration {
 /// ignored entirely (`coordinate` flags them).
 struct SegmentTracker {
     dir: PathBuf,
-    want: String,
+    digest: u64,
     offsets: std::collections::HashMap<PathBuf, u64>,
     ignored: HashSet<PathBuf>,
     finished: HashSet<usize>,
@@ -452,7 +350,7 @@ impl SegmentTracker {
     fn new(dir: &Path, digest: u64) -> Self {
         SegmentTracker {
             dir: dir.to_path_buf(),
-            want: format!("{digest:016x}"),
+            digest,
             offsets: std::collections::HashMap::new(),
             ignored: HashSet::new(),
             finished: HashSet::new(),
@@ -493,7 +391,7 @@ impl SegmentTracker {
                 let Some(header) = chunks.next() else {
                     continue;
                 };
-                if json_field_str(header.trim_end(), "digest") != Some(self.want.as_str()) {
+                if check_header(&path, Some(header), self.digest).is_err() {
                     self.ignored.insert(path);
                     continue;
                 }
@@ -510,11 +408,11 @@ impl SegmentTracker {
     }
 }
 
-/// Participate in a shared campaign: claim unfinished points under
-/// leases, run them (retrying transient failures with bounded backoff),
-/// and append one flushed record per terminal outcome to this worker's
-/// own journal segment. Returns when every point of the campaign is
-/// journaled (by any worker) or [`WorkerConfig::limit`] is reached.
+/// Participate in a shared campaign: claim batches of unfinished points
+/// under leases, run each batch through `execute`, and append one
+/// flushed record per finished point to this worker's own journal
+/// segment. Returns when every point of the campaign is journaled (by any
+/// worker) or [`WorkerConfig::limit`] is reached.
 ///
 /// Restarting a crashed worker under the same id resumes its segment:
 /// its own finished points are skipped, corrupt records from the crash
@@ -533,10 +431,10 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
     {
-        return Err(coord_err(
-            "L0266",
-            format!("worker id {:?} is not filesystem-safe", cfg.worker),
-        ));
+        return Err(journal_err(format!(
+            "worker id {:?} is not filesystem-safe",
+            cfg.worker
+        )));
     }
     init_dir(plan, &cfg.dir)?;
 
@@ -546,7 +444,6 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
         total: plan.points.len(),
         claimed: 0,
         failed: 0,
-        retried: 0,
         reclaimed: 0,
         quarantined: 0,
         perf: SweepPerf::default(),
@@ -560,7 +457,11 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
     let fresh = !segment.exists();
     if !fresh {
         let scan = scan_journal(&segment, plan.digest)?;
-        write_quarantine(&segment, &scan);
+        let entries = scan
+            .quarantined
+            .iter()
+            .map(|(n, l)| format!("line {n}: {l}"));
+        write_quarantine(&segment, entries);
         summary.quarantined = scan.quarantined.len();
         tracker.finished.extend(scan.finished.iter().copied());
     }
@@ -568,36 +469,37 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
         .create(true)
         .append(true)
         .open(&segment)
-        .map_err(|e| coord_err("L0266", format!("cannot open {}: {e}", segment.display())))?;
+        .map_err(|e| journal_err(format!("cannot open {}: {e}", segment.display())))?;
     if fresh {
-        writeln!(file, "{}", header_line(plan, Some(&cfg.worker)))
-            .map_err(|e| coord_err("L0266", format!("cannot write segment header: {e}")))?;
+        let header = Record::Header {
+            plan,
+            worker: Some(&cfg.worker),
+        };
+        header.append(&mut file)?;
     }
-    let mut write_line = |line: &str| {
-        // One write + flush per record: a kill truncates at most the
-        // final line of OUR segment, which every scanner tolerates.
-        let _ = writeln!(file, "{line}");
-        let _ = file.flush();
-    };
     beat(&cfg.dir, &cfg.worker);
 
-    let mut trace_memo: Option<(String, LoadedTrace)> = None;
+    // As many points as the sweep engine runs at once.
+    let batch_size = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
     loop {
         tracker.refresh();
         if tracker.finished.len() >= plan.points.len() {
             break;
         }
-        if cfg.limit.is_some_and(|l| summary.claimed >= l) {
+        let room = cfg
+            .limit
+            .map_or(batch_size, |l| batch_size.min(l - summary.claimed));
+        if room == 0 {
             break;
         }
 
-        let mut progressed = false;
+        let mut batch = Vec::new();
         for index in 0..plan.points.len() {
+            if batch.len() == room {
+                break;
+            }
             if tracker.finished.contains(&index) {
                 continue;
-            }
-            if cfg.limit.is_some_and(|l| summary.claimed >= l) {
-                break;
             }
             let reclaimed_from = match try_claim(cfg, index) {
                 Claim::Acquired { reclaimed_from } => reclaimed_from,
@@ -608,10 +510,10 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
             if tracker.finished.contains(&index) {
                 // Someone journaled this point after our last look:
                 // either its owner released the lease just before our
-                // `create_new` won, or we reclaimed a dead owner's lease
-                // whose record had already landed. Records are written
-                // before leases are released, so this re-check is
-                // airtight — release and move on, never re-run.
+                // publish won, or we reclaimed a dead owner's lease whose
+                // record had already landed. Records are written before
+                // leases are released, so this re-check is airtight —
+                // release and move on, never re-run.
                 let _ = std::fs::remove_file(lease_path(&cfg.dir, index));
                 continue;
             }
@@ -620,48 +522,34 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
                 // Breadcrumb for the merge and for `soclint campaign
                 // --journal`: the lease expired (L0290) because its
                 // owner's heartbeat went stale (L0291).
-                write_line(&format!(
-                    "{{\"event\":\"reclaim\",\"point\":{index},\"from\":{},\"by\":{},\"code\":\"{CODE_LEASE}\"}}",
-                    json_string(&from),
-                    json_string(&cfg.worker)
-                ));
-            }
-
-            let mut attempt = 0u32;
-            let line = loop {
-                let (line, err) = execute_point(plan, index, &mut trace_memo, &mut summary.perf);
-                match err {
-                    Some(e) if e.is_transient() && attempt < cfg.max_retries => {
-                        let backoff = backoff_for(cfg, attempt);
-                        write_line(&retried_record(plan, index, attempt + 1, backoff, &e));
-                        summary.retried += 1;
-                        attempt += 1;
-                        std::thread::sleep(backoff);
-                        beat(&cfg.dir, &cfg.worker);
-                    }
-                    Some(_) => {
-                        summary.failed += 1;
-                        break line;
-                    }
-                    None => break line,
+                let by = &cfg.worker;
+                Record::Reclaim {
+                    point: index,
+                    from: &from,
+                    by,
                 }
-            };
-            write_line(&line);
-            // Journal first, release second: a crash in between leaves a
-            // finished point under a stale lease, which scanners ignore.
-            let _ = std::fs::remove_file(lease_path(&cfg.dir, index));
-            tracker.finished.insert(index);
-            summary.claimed += 1;
-            progressed = true;
-            beat(&cfg.dir, &cfg.worker);
+                .append(&mut file)?;
+            }
+            batch.push(index);
         }
 
-        if !progressed {
+        if batch.is_empty() {
             // Everything unfinished is leased by live workers: wait for
             // them to finish, die, or go stale.
             std::thread::sleep(cfg.poll);
             beat(&cfg.dir, &cfg.worker);
+            continue;
         }
+        let perf = execute(plan, &batch, cfg.prune, &mut |index, record| {
+            finish_point(cfg, &mut file, index, record)?;
+            tracker.finished.insert(index);
+            summary.claimed += 1;
+            if record.status() == Some(Status::Error) {
+                summary.failed += 1;
+            }
+            Ok(())
+        })?;
+        summary.perf.absorb(&perf);
     }
 
     summary.complete = tracker.finished.len() >= plan.points.len();
@@ -679,8 +567,6 @@ pub struct CoordinateSummary {
     pub failed: usize,
     /// Points with a `"pruned"` record.
     pub pruned: usize,
-    /// `"status":"retried"` breadcrumbs across all segments.
-    pub retried: usize,
     /// Lease-reclaim events across all segments.
     pub reclaims: usize,
     /// Duplicate terminal records dropped by first-wins dedupe (two
@@ -703,10 +589,10 @@ pub struct CoordinateSummary {
 }
 
 /// Everything a read-only scan of a coordination directory yields.
+#[derive(Default)]
 struct DirScan {
     records: BTreeMap<usize, String>,
     per_worker: Vec<(String, usize)>,
-    retried: usize,
     reclaims: usize,
     duplicates: usize,
     quarantined: Vec<(String, usize, String)>,
@@ -714,20 +600,11 @@ struct DirScan {
 }
 
 /// Scan every segment (read-only): first-wins terminal records per
-/// point, per-worker counts, retry/reclaim tallies, corrupt records, and
-/// stale-lease findings.
+/// point, per-worker counts, reclaim tallies, corrupt records, and
+/// stale-lease findings. A segment of another campaign is reported
+/// (`L0266`) and its records ignored.
 fn scan_dir(plan: &CampaignPlan, dir: &Path) -> DirScan {
-    let mut scan = DirScan {
-        records: BTreeMap::new(),
-        per_worker: Vec::new(),
-        retried: 0,
-        reclaims: 0,
-        duplicates: 0,
-        quarantined: Vec::new(),
-        report: Report::new(),
-    };
-    let want = format!("{:016x}", plan.digest);
-
+    let mut scan = DirScan::default();
     let mut segments: Vec<PathBuf> = std::fs::read_dir(segments_dir(dir))
         .into_iter()
         .flatten()
@@ -749,48 +626,31 @@ fn scan_dir(plan: &CampaignPlan, dir: &Path) -> DirScan {
             ));
             continue;
         };
-        let mut lines = text.lines();
-        let header_ok = lines
-            .next()
-            .and_then(|h| json_field_str(h, "digest"))
-            .is_some_and(|d| d == want);
-        if !header_ok {
-            scan.report.push(Diagnostic::error(
-                "L0266",
-                format!(
-                    "segment {} records a different campaign digest; its records are ignored",
-                    path.display()
-                ),
-            ));
-            continue;
-        }
+        let body = match body_lines(&path, &text, plan.digest) {
+            Ok(body) => body,
+            Err(r) => {
+                scan.report.merge(r);
+                continue;
+            }
+        };
         let mut count = 0usize;
-        let body: Vec<&str> = lines.collect();
-        for (i, line) in body.iter().enumerate() {
-            match classify_line(line, i + 1 == body.len()) {
-                LineClass::Finished(point) => {
-                    if point < plan.points.len() {
-                        match scan.records.entry(point) {
-                            std::collections::btree_map::Entry::Occupied(_) => {
-                                scan.duplicates += 1;
-                            }
-                            std::collections::btree_map::Entry::Vacant(slot) => {
-                                slot.insert((*line).to_owned());
-                                count += 1;
-                            }
+        for (lineno, class, line) in body {
+            match class {
+                LineClass::Finished(point) if point < plan.points.len() => {
+                    match scan.records.entry(point) {
+                        std::collections::btree_map::Entry::Occupied(_) => scan.duplicates += 1,
+                        std::collections::btree_map::Entry::Vacant(slot) => {
+                            slot.insert(line.to_owned());
+                            count += 1;
                         }
-                    } else {
-                        scan.quarantined
-                            .push((worker.clone(), i + 2, (*line).to_owned()));
                     }
                 }
-                LineClass::Retried(_) => scan.retried += 1,
-                LineClass::Event => scan.reclaims += 1,
-                LineClass::TruncatedTail => {}
-                LineClass::Corrupt => {
+                LineClass::Finished(_) | LineClass::Corrupt => {
                     scan.quarantined
-                        .push((worker.clone(), i + 2, (*line).to_owned()));
+                        .push((worker.clone(), lineno, line.to_owned()));
                 }
+                LineClass::Event => scan.reclaims += 1,
+                LineClass::Retried | LineClass::TruncatedTail => {}
             }
         }
         scan.per_worker.push((worker, count));
@@ -856,8 +716,7 @@ pub fn coordinate(plan: &CampaignPlan, dir: &Path) -> Result<CoordinateSummary, 
     let mut report = scan.report;
 
     let merged = merged_path(dir);
-    let mut text = header_line(plan, None);
-    text.push('\n');
+    let mut text = format!("{}\n", Record::Header { plan, worker: None });
     let mut done = 0usize;
     let mut failed = 0usize;
     let mut pruned = 0usize;
@@ -874,20 +733,14 @@ pub fn coordinate(plan: &CampaignPlan, dir: &Path) -> Result<CoordinateSummary, 
     let tmp = dir.join(format!("merged.jsonl.tmp-{}", std::process::id()));
     std::fs::write(&tmp, &text)
         .and_then(|()| std::fs::rename(&tmp, &merged))
-        .map_err(|e| coord_err("L0266", format!("cannot write {}: {e}", merged.display())))?;
+        .map_err(|e| journal_err(format!("cannot write {}: {e}", merged.display())))?;
 
     // The merged sidecar mirrors the per-segment quarantine findings.
-    let sidecar = quarantine_path(&merged);
-    if scan.quarantined.is_empty() {
-        let _ = std::fs::remove_file(&sidecar);
-    } else {
-        let mut qtext = String::new();
-        for (worker, lineno, line) in &scan.quarantined {
-            qtext.push_str(&format!("{worker} line {lineno}: {line}\n"));
-        }
-        let qtmp = dir.join(format!("merged.quarantine.tmp-{}", std::process::id()));
-        let _ = std::fs::write(&qtmp, qtext).and_then(|()| std::fs::rename(&qtmp, &sidecar));
-    }
+    let entries = scan.quarantined.iter();
+    write_quarantine(
+        &merged,
+        entries.map(|(w, n, l)| format!("{w} line {n}: {l}")),
+    );
 
     // Observational shard-index refresh for the shared disk cache.
     let idx = aladdin_dse::maintain_shard_index(None);
@@ -920,7 +773,6 @@ pub fn coordinate(plan: &CampaignPlan, dir: &Path) -> Result<CoordinateSummary, 
         done,
         failed,
         pruned,
-        retried: scan.retried,
         reclaims: scan.reclaims,
         duplicates: scan.duplicates,
         quarantined: scan.quarantined.len(),
@@ -938,61 +790,49 @@ pub fn coordinate(plan: &CampaignPlan, dir: &Path) -> Result<CoordinateSummary, 
 /// single journal file (`L0292`/`L0266`). Writes nothing.
 #[must_use]
 pub fn journal_report(plan: &CampaignPlan, path: &Path) -> Report {
-    if path.is_dir() {
+    let total = plan.points.len();
+    let (mut report, summary) = if path.is_dir() {
         if let Err(r) = verify_meta(plan, path) {
             return r;
         }
         let scan = scan_dir(plan, path);
-        let mut report = scan.report;
         let workers: Vec<String> = scan
             .per_worker
             .iter()
             .map(|(w, n)| format!("{w}={n}"))
             .collect();
-        report.push(Diagnostic::info(
-            "L0266",
-            format!(
-                "{} of {} point(s) journaled across {} segment(s) ({}); {} retry record(s), {} reclaim(s)",
-                scan.records.len(),
-                plan.points.len(),
-                scan.per_worker.len(),
-                workers.join(", "),
-                scan.retried,
-                scan.reclaims
-            ),
-        ));
-        report
+        let summary = format!(
+            "{} of {total} point(s) journaled across {} segment(s) ({}); {} reclaim(s)",
+            scan.records.len(),
+            workers.len(),
+            workers.join(", "),
+            scan.reclaims
+        );
+        (scan.report, summary)
     } else {
-        match scan_journal(path, plan.digest) {
-            Ok(scan) => {
-                let mut report = Report::new();
-                for (lineno, _) in &scan.quarantined {
-                    report.push(Diagnostic::warning(
-                        CODE_QUARANTINE,
-                        format!("line {lineno}: corrupt record quarantined"),
-                    ));
-                }
-                report.push(Diagnostic::info(
-                    "L0266",
-                    format!(
-                        "{} of {} point(s) journaled; {} retry record(s), {} event(s)",
-                        scan.finished.len(),
-                        plan.points.len(),
-                        scan.retried,
-                        scan.events
-                    ),
-                ));
-                report
-            }
-            Err(r) => r,
+        let scan = match scan_journal(path, plan.digest) {
+            Ok(scan) => scan,
+            Err(r) => return r,
+        };
+        let mut report = Report::new();
+        for (lineno, _) in &scan.quarantined {
+            report.push(Diagnostic::warning(
+                CODE_QUARANTINE,
+                format!("line {lineno}: corrupt record quarantined"),
+            ));
         }
-    }
+        let (finished, events) = (scan.finished.len(), scan.events);
+        let summary = format!("{finished} of {total} point(s) journaled; {events} event(s)");
+        (report, summary)
+    };
+    report.push(Diagnostic::info("L0266", summary));
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CampaignSpec;
+    use crate::campaign::{CampaignSpec, PlannedPoint};
     use crate::runner::{run_campaign, RunOptions};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1023,8 +863,6 @@ partitions = [1, 2]
         WorkerConfig {
             worker: worker.to_owned(),
             lease_timeout: Duration::from_millis(300),
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
             poll: Duration::from_millis(20),
             ..WorkerConfig::new(dir)
         }
@@ -1203,8 +1041,8 @@ partitions = [1, 2]
     }
 
     /// A trace file deleted or truncated after planning fails its points
-    /// with the typed diagnostic (terminal, not retried); the worker
-    /// journals them and the campaign completes.
+    /// with the typed diagnostic; the worker journals them and the
+    /// campaign completes.
     #[test]
     fn worker_journals_a_trace_broken_after_planning() {
         for truncate in [false, true] {
@@ -1220,7 +1058,6 @@ partitions = [1, 2]
             let summary = run_worker(&plan, &fast_cfg(&dir, "w1")).expect("works");
             assert!(summary.complete, "{name}");
             assert_eq!(summary.failed, plan.points.len(), "{name}");
-            assert_eq!(summary.retried, 0, "{name}: a broken file is not transient");
             let merged = coordinate(&plan, &dir).expect("merges");
             assert_eq!(merged.failed, plan.points.len(), "{name}");
             let text = std::fs::read_to_string(segment_path(&dir, "w1")).expect("segment");
@@ -1250,37 +1087,163 @@ partitions = [1, 2]
     }
 
     #[test]
-    fn transient_failures_retry_then_degrade_to_terminal_records() {
-        // A 1-cycle watchdog makes every point fail transiently: each
-        // point gets max_retries breadcrumbs, then a terminal error
-        // record — and the campaign still completes.
+    fn transient_failures_are_journaled_once_as_terminal_errors_and_the_campaign_completes() {
+        // A 1-cycle watchdog makes every point fail the way a deadlock
+        // would. Simulation is deterministic, so each point gets exactly
+        // one terminal error record — and the campaign still completes.
         let mut plan = tiny_plan();
         plan.harness.watchdog = aladdin_core::Watchdog {
             max_cycles: Some(1),
             no_progress_cycles: 4_000_000,
         };
-        let dir = temp_dir("retry");
-        let cfg = fast_cfg(&dir, "w1");
-        let summary = run_worker(&plan, &cfg).expect("works");
+        let dir = temp_dir("watchdog");
+        let summary = run_worker(&plan, &fast_cfg(&dir, "w1")).expect("works");
         assert!(summary.complete, "failures never abort the campaign");
+        assert_eq!(summary.claimed, plan.points.len());
         assert_eq!(summary.failed, plan.points.len());
-        assert_eq!(
-            summary.retried,
-            plan.points.len() * cfg.max_retries as usize,
-            "bounded retries per point"
-        );
 
         let merged = coordinate(&plan, &dir).expect("merges");
         assert!(merged.complete);
         assert_eq!(merged.failed, plan.points.len());
-        assert_eq!(merged.retried, summary.retried);
-        // The segment carries the breadcrumbs in order: retried,
-        // retried, then the terminal error.
+        assert_eq!(merged.duplicates, 0);
         let text = std::fs::read_to_string(segment_path(&dir, "w1")).unwrap();
-        assert!(text.contains("\"status\":\"retried\""), "{text}");
-        assert!(text.contains("\"attempt\":1"), "{text}");
-        assert!(text.contains("\"attempt\":2"), "{text}");
+        let body: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(
+            body.len(),
+            plan.points.len(),
+            "one record per point: {text}"
+        );
+        assert!(
+            body.iter().all(|l| l.contains("\"status\":\"error\"")),
+            "{text}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal append that fails stops the worker with `L0266` and
+    /// keeps the point's lease, so it goes stale and another worker
+    /// re-runs the point; a successful append releases it.
+    #[test]
+    fn failed_append_keeps_the_lease() {
+        struct FullDisk;
+        impl Write for FullDisk {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("no space left on device"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let plan = tiny_plan();
+        let dir = temp_dir("full-disk");
+        init_dir(&plan, &dir).expect("init");
+        let cfg = fast_cfg(&dir, "w1");
+        assert!(matches!(try_claim(&cfg, 0), Claim::Acquired { .. }));
+        let record = Record::Reclaim {
+            point: 0,
+            from: "dead",
+            by: "w1",
+        };
+        let err = finish_point(&cfg, &mut FullDisk, 0, &record).expect_err("disk full");
+        assert!(err.has_code("L0266"), "{}", err.to_human());
+        assert!(lease_path(&dir, 0).exists(), "the lease is kept");
+
+        let mut segment = Vec::new();
+        finish_point(&cfg, &mut segment, 0, &record).expect("appends");
+        assert!(!lease_path(&dir, 0).exists(), "the lease is released");
+        assert_eq!(segment, format!("{record}\n").into_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `sweep work --prune`: every point is journaled exactly once, as ok
+    /// or pruned, and the (cycles, energy) Pareto frontier of the ok
+    /// records equals the unpruned run's.
+    #[test]
+    fn pruned_worker_journals_every_point_once_and_keeps_the_frontier() {
+        let mut plan = CampaignSpec::from_toml(
+            r#"
+name = "coord-prune"
+kernels = ["aes-aes"]
+mems = ["cache"]
+
+[space]
+lanes = [1, 8]
+cache_sizes = [1024, 1048576]
+cache_ports = [1]
+"#,
+        )
+        .expect("parses")
+        .expand()
+        .expect("expands");
+        // The fastest design first, its result already cached, and the
+        // costliest second, in the same batch: the first is a witness the
+        // second can be pruned against.
+        let design = |p: &PlannedPoint| match p {
+            PlannedPoint::Single { point, .. } => *point,
+            PlannedPoint::Multi { .. } => unreachable!("sweep campaign"),
+        };
+        plan.points.sort_by_key(|p| {
+            let d = design(p);
+            (std::cmp::Reverse(d.dp.lanes), d.soc.cache.size_bytes)
+        });
+        let costliest = plan.points.pop().expect("four points");
+        plan.points.insert(1, costliest);
+        let witness = design(&plan.points[0]);
+        let trace = aladdin_workloads::by_name("aes-aes")
+            .expect("kernel")
+            .run()
+            .trace;
+        let _ = aladdin_dse::run_point_cached(&trace, &witness.dp, &witness.soc, witness.kind);
+
+        let frontier = |dir: &Path, prune: bool| {
+            let cfg = WorkerConfig {
+                prune,
+                ..fast_cfg(dir, "w1")
+            };
+            let summary = run_worker(&plan, &cfg).expect("works");
+            assert!(summary.complete);
+            let merged = coordinate(&plan, dir).expect("merges");
+            assert_eq!(merged.duplicates, 0);
+            assert_eq!(
+                merged.done + merged.pruned,
+                plan.points.len(),
+                "ok or pruned"
+            );
+            let text = std::fs::read_to_string(&merged.merged).unwrap();
+            let mut ok: Vec<(u64, f64)> = text
+                .lines()
+                .skip(1)
+                .filter(|l| l.contains("\"status\":\"ok\""))
+                .map(|l| {
+                    let cycles = crate::journal::json_field_u64(l, "cycles").expect("cycles");
+                    let energy = l
+                        .split("\"energy_j\":")
+                        .nth(1)
+                        .and_then(|r| r.split(',').next())
+                        .and_then(|e| e.parse().ok())
+                        .expect("energy");
+                    (cycles, energy)
+                })
+                .collect();
+            ok.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let keep: Vec<(u64, f64)> = ok
+                .iter()
+                .copied()
+                .filter(|&(c, e)| {
+                    !ok.iter()
+                        .any(|&(c2, e2)| c2 <= c && e2 <= e && (c2, e2) != (c, e))
+                })
+                .collect();
+            (merged.pruned, keep)
+        };
+        let (pruned, kept) = frontier(&temp_dir("prune-on"), true);
+        let (_, full) = frontier(&temp_dir("prune-off"), false);
+        assert_eq!(
+            kept, full,
+            "pruning never changes the frontier ({pruned} pruned)"
+        );
+        let _ = std::fs::remove_dir_all(temp_dir("prune-off"));
+        let _ = std::fs::remove_dir_all(temp_dir("prune-on"));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! validated by the same lint passes. The [`runner`] module executes a
 //! plan on the sweep fast path while journaling every finished point to
 //! JSONL, and resumes interrupted campaigns without recomputing finished
-//! work.
+//! work; [`coordinator`] workers share a campaign across processes
+//! through the same executor and the same journal records.
 //!
 //! ```
 //! use aladdin_spec::CampaignSpec;
@@ -34,6 +35,7 @@
 pub mod campaign;
 pub mod cli;
 pub mod coordinator;
+mod journal;
 pub mod runner;
 pub mod toml;
 
@@ -49,7 +51,5 @@ pub use coordinator::{
     coordinate, journal_report, merged_path, run_worker, segment_path, CoordinateSummary,
     WorkerConfig, WorkerSummary,
 };
-pub use runner::{
-    forecast_cached, plan_bounds, quarantine_path, read_finished, run_campaign, scan_journal,
-    JournalScan, RunOptions, RunSummary,
-};
+pub use journal::{json_string, quarantine_path, read_finished, scan_journal, JournalScan};
+pub use runner::{forecast_cached, plan_bounds, run_campaign, RunOptions, RunSummary};

@@ -2,10 +2,12 @@
 //! journal, and resume an interrupted campaign without recomputing a
 //! single finished point.
 //!
-//! The journal is append-only. Line 1 is a header recording the campaign
-//! name, its spec digest, and the point count; every subsequent line is
-//! one finished point, written (and flushed) the moment its simulation
-//! completes. A killed run therefore leaves a journal whose complete
+//! `execute` is the one dispatcher of planned points: `sweep run`
+//! ([`run_campaign`]) and `sweep work`
+//! ([`run_worker`](crate::coordinator::run_worker)) differ only in which
+//! points they hand it and where its records go. Every record is built by
+//! one record type, so a merged multi-worker journal matches a single-process
+//! one by construction. A killed run leaves a journal whose complete
 //! lines are exactly the finished points — [`run_campaign`] with
 //! [`RunOptions::resume`] reads them back, skips those indices, and runs
 //! only the remainder. A half-written final line (the kill landed
@@ -13,23 +15,22 @@
 //!
 //! Journal integrity findings use `L0266`: digest mismatches (the
 //! campaign file was edited between run and resume), missing journals,
-//! and unreadable headers.
+//! unreadable headers, and failed writes.
 
 use std::collections::HashSet;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use aladdin_core::{simulate_multi, MemKind, SimError, TraceSource, Watchdog};
-use aladdin_dse::{sweep_engine, PointOutcome, PointSpec};
+use aladdin_core::{simulate_multi, SimError, TraceSource, Watchdog};
+use aladdin_dse::{sweep_engine, PointOutcome, PointSpec, SweepPerf};
 use aladdin_ir::{AtrcTrace, Diagnostic, Report, Trace};
 use aladdin_lint::BoundsSummary;
 use aladdin_workloads::by_name;
 
-use crate::campaign::{mem_str, CampaignPlan, PlannedPoint};
+use crate::campaign::{CampaignPlan, PlannedPoint};
+use crate::journal::{journal_err, scan_journal, write_quarantine, Record, Status};
 
-/// Journal format version, bumped on breaking record changes.
-pub const JOURNAL_VERSION: u32 = 1;
+pub use crate::journal::JOURNAL_VERSION;
 
 /// How [`run_campaign`] treats the journal.
 #[derive(Debug, Clone, Copy, Default)]
@@ -81,12 +82,6 @@ impl RunSummary {
     }
 }
 
-fn journal_err(msg: impl Into<String>) -> Report {
-    let mut r = Report::new();
-    r.push(Diagnostic::error("L0266", msg));
-    r
-}
-
 /// Resolve a planned kernel name to a materialized trace: bundled kernels
 /// run their generator, `.atrc` entries decode the file.
 ///
@@ -105,7 +100,7 @@ fn materialize_trace(kernel: &str) -> Result<Trace, SimError> {
 }
 
 /// A planned kernel's trace, loaded for a run.
-pub(crate) enum LoadedTrace {
+enum LoadedTrace {
     /// Materialized in memory.
     Memory(Trace),
     /// An opened `.atrc` file every worker streams its own decode of.
@@ -118,7 +113,7 @@ impl LoadedTrace {
     /// # Errors
     ///
     /// As for [`materialize_trace`].
-    pub(crate) fn load(kernel: &str, materialize: bool) -> Result<Self, SimError> {
+    fn load(kernel: &str, materialize: bool) -> Result<Self, SimError> {
         if kernel.ends_with(".atrc") && !materialize {
             Ok(LoadedTrace::Atrc(AtrcTrace::open(kernel)?))
         } else {
@@ -127,7 +122,7 @@ impl LoadedTrace {
     }
 
     /// The sweep engine's view of the trace.
-    pub(crate) fn source(&self) -> TraceSource<'_> {
+    fn source(&self) -> TraceSource<'_> {
         match self {
             LoadedTrace::Memory(t) => TraceSource::Memory(t),
             LoadedTrace::Atrc(t) => TraceSource::Atrc(t),
@@ -135,23 +130,132 @@ impl LoadedTrace {
     }
 }
 
-/// Execute `plan`, appending one JSONL record per finished point to
-/// `journal`.
+/// Run the planned points at `indices`, in order, handing each finished
+/// point's index and [`Record`] to `sink` as it completes.
 ///
-/// Each contiguous group of one kernel's single points is one
-/// [`sweep_engine`] call (shared prepared DDDGs, result cache when the
-/// harness is inert, bound pruning under [`RunOptions::prune`]); records
-/// are written in completion order. Multi-accelerator points run
-/// sequentially. Results are bit-identical to calling the underlying
-/// engines directly — the journal is a log, not a different code path.
-/// A trace that cannot be loaded (an `.atrc` file deleted or damaged
-/// after planning) fails its points with the typed diagnostic
-/// (`L0280`/`L0262`) instead of aborting the campaign.
+/// Each contiguous run of one kernel's single points is one
+/// [`sweep_engine`] call (shared prepared DDDGs, parallel across cores,
+/// result cache when the harness is inert, bound pruning under `prune`,
+/// which materializes `.atrc` entries; otherwise they stream). A trace
+/// that cannot be loaded (an `.atrc` file deleted or damaged after
+/// planning) fails each of its points with the typed diagnostic
+/// (`L0280`/`L0262`). Multi-accelerator points run through
+/// [`simulate_multi`]. Results are bit-identical to calling the engines
+/// directly — the journal is a log, not a different code path. Sink
+/// calls never overlap.
+///
+/// # Errors
+///
+/// The first error `sink` returns: no later record reaches it, and no
+/// later kernel group or multi point starts.
+pub(crate) fn execute(
+    plan: &CampaignPlan,
+    indices: &[usize],
+    prune: bool,
+    sink: &mut (dyn FnMut(usize, &Record) -> Result<(), Report> + Send),
+) -> Result<SweepPerf, Report> {
+    let state = Mutex::new((sink, Ok(())));
+    let emit = |index: usize, record: &Record| {
+        let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (sink, status) = &mut *guard;
+        if status.is_ok() {
+            *status = sink(index, record);
+        }
+    };
+    let stopped = || {
+        state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .1
+            .is_err()
+    };
+
+    let mut perf = SweepPerf::default();
+    let mut rest = indices;
+    while let Some(&index) = rest.first() {
+        if stopped() {
+            break;
+        }
+        match &plan.points[index] {
+            PlannedPoint::Single { kernel, .. } => {
+                let len = rest
+                    .iter()
+                    .take_while(|&&i| {
+                        matches!(&plan.points[i], PlannedPoint::Single { kernel: k, .. } if k == kernel)
+                    })
+                    .count();
+                let (group, tail) = rest.split_at(len);
+                rest = tail;
+                let specs: Vec<PointSpec> = group
+                    .iter()
+                    .filter_map(|&i| match &plan.points[i] {
+                        PlannedPoint::Single { point, .. } => Some(*point),
+                        PlannedPoint::Multi { .. } => None,
+                    })
+                    .collect();
+                let record = |local: usize, outcome: &PointOutcome| {
+                    let point = group[local];
+                    let spec = &specs[local];
+                    emit(
+                        point,
+                        &Record::Single {
+                            point,
+                            kernel,
+                            spec,
+                            outcome,
+                        },
+                    );
+                };
+                match LoadedTrace::load(kernel, prune) {
+                    Ok(trace) => {
+                        let (_, p) =
+                            sweep_engine(&trace.source(), &specs, &plan.harness, prune, &record);
+                        perf.absorb(&p);
+                    }
+                    Err(e) => {
+                        let outcome = PointOutcome::Failed(e);
+                        (0..specs.len()).for_each(|local| record(local, &outcome));
+                    }
+                }
+            }
+            PlannedPoint::Multi {
+                stagger,
+                count,
+                soc,
+            } => {
+                rest = &rest[1..];
+                let jobs = plan.jobs_at(*stagger);
+                let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
+                let (stagger, count) = (*stagger, *count);
+                emit(
+                    index,
+                    &Record::Multi {
+                        point: index,
+                        stagger,
+                        count,
+                        soc,
+                        result: &result,
+                    },
+                );
+            }
+        }
+    }
+    let (_, status) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    status.map(|()| perf)
+}
+
+/// Execute `plan`, appending one JSONL record per finished point to
+/// `journal` in completion order. Points run through the shared executor:
+/// one sweep-engine call per contiguous run of a kernel's points, typed
+/// `L0280`/`L0262` error records for a trace broken after planning, and
+/// `simulate_multi` for job-set points.
 ///
 /// # Errors
 ///
 /// Returns `L0266` diagnostics when the journal already exists (fresh
-/// run), is missing or digest-mismatched (resume), or cannot be written.
+/// run), is missing or digest-mismatched (resume), or cannot be written —
+/// a failed append stops the run, and the unjournaled points re-run on
+/// resume.
 pub fn run_campaign(
     plan: &CampaignPlan,
     journal: &Path,
@@ -161,7 +265,11 @@ pub fn run_campaign(
         let scan = scan_journal(journal, plan.digest)?;
         // Corrupt mid-file records go to the `.quarantine` sidecar
         // (`L0292`) and their points re-run — never a silent miscount.
-        write_quarantine(journal, &scan);
+        let entries = scan
+            .quarantined
+            .iter()
+            .map(|(n, l)| format!("line {n}: {l}"));
+        write_quarantine(journal, entries);
         (scan.finished, scan.quarantined.len())
     } else {
         if journal.exists() {
@@ -178,16 +286,8 @@ pub fn run_campaign(
         .append(true)
         .open(journal)
         .map_err(|e| journal_err(format!("cannot open journal {}: {e}", journal.display())))?;
-    if finished.is_empty() && !opts.resume {
-        writeln!(
-            file,
-            "{{\"campaign\":{},\"digest\":\"{:016x}\",\"points\":{},\"version\":{}}}",
-            json_string(&plan.spec.name),
-            plan.digest,
-            plan.points.len(),
-            JOURNAL_VERSION
-        )
-        .map_err(|e| journal_err(format!("cannot write journal header: {e}")))?;
+    if !opts.resume {
+        Record::Header { plan, worker: None }.append(&mut file)?;
     }
 
     let mut todo: Vec<usize> = (0..plan.points.len())
@@ -197,336 +297,47 @@ pub fn run_campaign(
         todo.truncate(limit);
     }
 
-    let writer = Mutex::new(file);
-    let write_line = |line: String| {
-        let mut file = writer.lock().expect("journal writer poisoned");
-        // One write + flush per record: a kill can truncate at most the
-        // final line, which resume detects and re-runs.
-        let _ = writeln!(file, "{line}");
-        let _ = file.flush();
-    };
-
-    let mut failed = 0usize;
-    let mut ran = 0usize;
-    let mut pruned = 0usize;
-
-    // Group contiguous runs of single points by kernel so each kernel's
-    // trace is generated once and its points share the sweep fast path.
-    let mut i = 0;
-    while i < todo.len() {
-        let index = todo[i];
-        match &plan.points[index] {
-            PlannedPoint::Single { kernel, .. } => {
-                let kernel_name = kernel.clone();
-                let mut group: Vec<usize> = Vec::new();
-                while i < todo.len() {
-                    match &plan.points[todo[i]] {
-                        PlannedPoint::Single { kernel, .. } if *kernel == kernel_name => {
-                            group.push(todo[i]);
-                            i += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                let specs: Vec<PointSpec> = group
-                    .iter()
-                    .map(|&g| match &plan.points[g] {
-                        PlannedPoint::Single { point, .. } => *point,
-                        PlannedPoint::Multi { .. } => unreachable!("grouped singles"),
-                    })
-                    .collect();
-                let record = |local: usize, outcome: &PointOutcome| {
-                    write_line(outcome_record(
-                        group[local],
-                        &kernel_name,
-                        &specs[local],
-                        outcome,
-                    ));
-                };
-                // Pruning needs static bounds over the full DDDG, so it
-                // materializes `.atrc` entries; otherwise they stream.
-                let outcomes = match LoadedTrace::load(&kernel_name, opts.prune) {
-                    Ok(trace) => {
-                        sweep_engine(&trace.source(), &specs, &plan.harness, opts.prune, &record).0
-                    }
-                    // The trace vanished or broke after planning: every
-                    // point of the group fails with the typed diagnostic
-                    // and the campaign goes on.
-                    Err(e) => (0..specs.len())
-                        .map(|local| {
-                            let outcome = PointOutcome::Failed(e.clone());
-                            record(local, &outcome);
-                            outcome
-                        })
-                        .collect(),
-                };
-                for o in &outcomes {
-                    match o {
-                        PointOutcome::Done(_) => ran += 1,
-                        PointOutcome::Failed(_) => {
-                            ran += 1;
-                            failed += 1;
-                        }
-                        PointOutcome::Pruned(_) => pruned += 1,
-                    }
-                }
-            }
-            PlannedPoint::Multi {
-                stagger,
-                count,
-                soc,
-            } => {
-                let jobs = plan.jobs_at(*stagger);
-                let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
-                if result.is_err() {
-                    failed += 1;
-                }
-                write_line(multi_record(index, *stagger, *count, soc, &result));
-                ran += 1;
-                i += 1;
-            }
-        }
-    }
-
-    Ok(RunSummary {
+    let mut summary = RunSummary {
         total: plan.points.len(),
         skipped: finished.len(),
-        ran,
-        failed,
-        pruned,
+        ran: 0,
+        failed: 0,
+        pruned: 0,
         quarantined,
         journal: journal.to_path_buf(),
-    })
-}
-
-/// Journal record for a multi-accelerator (job-set) point — used
-/// identically by the single-process runner and the coordinator workers,
-/// so merged multi-worker journals are record-for-record comparable to a
-/// single-process run.
-pub(crate) fn multi_record(
-    index: usize,
-    stagger: u64,
-    count: usize,
-    soc: &aladdin_core::SocConfig,
-    result: &Result<aladdin_core::MultiSocResult, SimError>,
-) -> String {
-    let prefix = format!(
-        "{{\"point\":{index},\"stagger\":{stagger},\"count\":{count},\"topology\":{},\"bus_width\":{}",
-        json_string(&soc.topology.topology.spec_string()),
-        soc.bus.width_bits
-    );
-    match result {
-        Ok(r) => {
-            let latencies: Vec<String> = r
-                .accelerators
-                .iter()
-                .map(|a| a.latency().to_string())
-                .collect();
-            format!(
-                "{prefix},\"end\":{},\"latencies\":[{}],\"status\":\"ok\"}}",
-                r.end,
-                latencies.join(",")
-            )
-        }
-        Err(e) => format!(
-            "{prefix},\"status\":\"error\",\"error\":{}}}",
-            json_string(&e.to_string())
-        ),
-    }
-}
-
-/// The shared `{"point":…,"kernel":…,…` prefix of every single-point
-/// journal record.
-pub(crate) fn point_prefix(index: usize, kernel: &str, spec: &PointSpec) -> String {
-    let mut line = format!(
-        "{{\"point\":{index},\"kernel\":{},\"mem\":{},\"lanes\":{},\"partition\":{}",
-        json_string(kernel),
-        json_string(&mem_str(spec.kind)),
-        spec.dp.lanes,
-        spec.dp.partition,
-    );
-    if spec.kind == MemKind::Cache {
-        line.push_str(&format!(
-            ",\"cache_bytes\":{},\"cache_ports\":{}",
-            spec.soc.cache.size_bytes, spec.soc.cache.ports
-        ));
-    }
-    line
-}
-
-/// The journal record of one single-point outcome: `"ok"` with cycles,
-/// energy and EDP, `"error"` with the typed diagnostic, or `"pruned"`
-/// (`L0276`) with the bound and floor that condemned the point and the
-/// finished result that dominated it.
-pub(crate) fn outcome_record(
-    index: usize,
-    kernel: &str,
-    spec: &PointSpec,
-    outcome: &PointOutcome,
-) -> String {
-    let mut line = point_prefix(index, kernel, spec);
-    match outcome {
-        PointOutcome::Done(r) => line.push_str(&format!(
-            ",\"cycles\":{},\"energy_j\":{:e},\"edp\":{:e},\"status\":\"ok\"}}",
-            r.total_cycles,
-            r.energy_j(),
-            r.edp()
-        )),
-        PointOutcome::Failed(e) => line.push_str(&format!(
-            ",\"status\":\"error\",\"error\":{}}}",
-            json_string(&e.to_string())
-        )),
-        PointOutcome::Pruned(p) => line.push_str(&format!(
-            ",\"lo\":{},\"power_floor_mw\":{:e},\"by_cycles\":{},\"by_power_mw\":{:e},\"status\":\"pruned\"}}",
-            p.lo, p.power_floor_mw, p.by_cycles, p.by_power_mw
-        )),
-    }
-    line
-}
-
-/// What one journal line is, after integrity classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LineClass {
-    /// A complete terminal record: `"status"` ok, error, or pruned.
-    Finished(usize),
-    /// A `"status":"retried"` record — the point failed transiently and
-    /// was re-attempted; not terminal, never counts as finished.
-    Retried(usize),
-    /// A coordinator event record (lease reclaim, …): carries `"event"`,
-    /// no `"status"`.
-    Event,
-    /// An incomplete final line — the writer was killed mid-write; its
-    /// point silently re-runs.
-    TruncatedTail,
-    /// A corrupt record anywhere else: quarantine it (`L0292`) rather
-    /// than silently miscounting finished points.
-    Corrupt,
-}
-
-/// Classify one journal body line. `is_last` distinguishes the benign
-/// kill-mid-write tail from mid-file corruption.
-pub(crate) fn classify_line(line: &str, is_last: bool) -> LineClass {
-    let trimmed = line.trim_end();
-    if !trimmed.ends_with('}') {
-        return if is_last {
-            LineClass::TruncatedTail
-        } else {
-            LineClass::Corrupt
-        };
-    }
-    if json_field_str(trimmed, "event").is_some() {
-        return LineClass::Event;
-    }
-    let Some(point) = json_field_u64(trimmed, "point").and_then(|p| usize::try_from(p).ok()) else {
-        return LineClass::Corrupt;
     };
-    match json_field_str(trimmed, "status") {
-        Some("ok" | "error" | "pruned") => LineClass::Finished(point),
-        Some("retried") => LineClass::Retried(point),
-        _ => LineClass::Corrupt,
-    }
-}
-
-/// Everything an integrity scan of one journal found.
-#[derive(Debug, Clone, Default)]
-pub struct JournalScan {
-    /// Points with a complete terminal record (ok, error, or pruned).
-    pub finished: HashSet<usize>,
-    /// Corrupt mid-file records as `(1-based line number, raw line)` —
-    /// candidates for the `.quarantine` sidecar (`L0292`).
-    pub quarantined: Vec<(usize, String)>,
-    /// `"status":"retried"` records observed (transient failures that
-    /// were re-attempted by a worker).
-    pub retried: usize,
-    /// Coordinator event records (lease reclaims, …) observed.
-    pub events: usize,
-}
-
-/// Scan a journal's body, verifying its header against `digest`, and
-/// classify every line: finished points, retried attempts, coordinator
-/// events, corrupt mid-file records, and the benign truncated tail.
-///
-/// # Errors
-///
-/// Returns `L0266` diagnostics when the journal is missing, has no
-/// parseable header, or records a different campaign digest.
-pub fn scan_journal(journal: &Path, digest: u64) -> Result<JournalScan, Report> {
-    let text = std::fs::read_to_string(journal)
-        .map_err(|e| journal_err(format!("cannot read journal {}: {e}", journal.display())))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| journal_err(format!("journal {} is empty", journal.display())))?;
-    let recorded = json_field_str(header, "digest").ok_or_else(|| {
-        journal_err(format!(
-            "journal {} has no header digest",
-            journal.display()
-        ))
-    })?;
-    if recorded != format!("{digest:016x}") {
-        return Err(journal_err(format!(
-            "journal {} records digest {recorded} but the campaign's is {digest:016x}; \
-             the campaign file changed since the run started",
-            journal.display()
-        )));
-    }
-    let body: Vec<&str> = lines.collect();
-    let mut scan = JournalScan::default();
-    for (i, line) in body.iter().enumerate() {
-        match classify_line(line, i + 1 == body.len()) {
-            LineClass::Finished(point) => {
-                scan.finished.insert(point);
+    execute(plan, &todo, opts.prune, &mut |_, record| {
+        record.append(&mut file)?;
+        match record.status() {
+            Some(Status::Pruned) => summary.pruned += 1,
+            Some(Status::Error) => {
+                summary.ran += 1;
+                summary.failed += 1;
             }
-            LineClass::Retried(_) => scan.retried += 1,
-            LineClass::Event => scan.events += 1,
-            LineClass::TruncatedTail => {}
-            LineClass::Corrupt => scan.quarantined.push((i + 2, (*line).to_owned())),
+            Some(Status::Ok) | None => summary.ran += 1,
+        }
+        Ok(())
+    })?;
+    Ok(summary)
+}
+
+/// Call `f` on every single point with its kernel's materialized trace
+/// (`None` when it cannot be loaded), loaded once per contiguous run of
+/// the kernel's points.
+fn for_each_single(plan: &CampaignPlan, mut f: impl FnMut(&str, &PointSpec, Option<&Trace>)) {
+    let mut trace_for: Option<(&str, Option<Trace>)> = None;
+    for p in &plan.points {
+        if let PlannedPoint::Single { kernel, point } = p {
+            if !matches!(&trace_for, Some((name, _)) if name == kernel) {
+                trace_for = Some((kernel, materialize_trace(kernel).ok()));
+            }
+            f(
+                kernel,
+                point,
+                trace_for.as_ref().and_then(|(_, t)| t.as_ref()),
+            );
         }
     }
-    Ok(scan)
-}
-
-/// The `.quarantine` sidecar path of a journal.
-#[must_use]
-pub fn quarantine_path(journal: &Path) -> PathBuf {
-    let mut name = journal.file_name().unwrap_or_default().to_os_string();
-    name.push(".quarantine");
-    journal.with_file_name(name)
-}
-
-/// Write a scan's corrupt records to the journal's `.quarantine` sidecar
-/// (whole-file, atomic temp+rename — re-scanning never duplicates
-/// entries). Removes a stale sidecar when the scan found nothing.
-pub(crate) fn write_quarantine(journal: &Path, scan: &JournalScan) {
-    let sidecar = quarantine_path(journal);
-    if scan.quarantined.is_empty() {
-        let _ = std::fs::remove_file(&sidecar);
-        return;
-    }
-    let mut text = String::new();
-    for (lineno, line) in &scan.quarantined {
-        text.push_str(&format!("line {lineno}: {line}\n"));
-    }
-    let tmp = sidecar.with_extension(format!("quarantine.tmp-{}", std::process::id()));
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, &sidecar);
-    }
-}
-
-/// Read the set of finished point indices from a journal, verifying its
-/// header against `digest`.
-///
-/// Complete terminal records (ok, error, or pruned) count as finished; a
-/// truncated final line is ignored so its point re-runs; corrupt mid-file
-/// records are excluded (their points re-run) — use [`scan_journal`] to
-/// see them.
-///
-/// # Errors
-///
-/// Returns `L0266` diagnostics when the journal is missing, has no
-/// parseable header, or records a different campaign digest.
-pub fn read_finished(journal: &Path, digest: u64) -> Result<HashSet<usize>, Report> {
-    Ok(scan_journal(journal, digest)?.finished)
 }
 
 /// How many of the plan's single points the process-wide result cache
@@ -542,19 +353,11 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
         return 0;
     }
     let mut cached = 0;
-    let mut trace_for: Option<(String, Option<Trace>)> = None;
-    for point in &plan.points {
-        if let PlannedPoint::Single { kernel, point } = point {
-            if !matches!(&trace_for, Some((name, _)) if name == kernel) {
-                trace_for = Some((kernel.clone(), materialize_trace(kernel).ok()));
-            }
-            if let Some((_, Some(trace))) = &trace_for {
-                if aladdin_dse::point_cached(trace, &point.dp, &point.soc, point.kind) {
-                    cached += 1;
-                }
-            }
+    for_each_single(plan, |_, point, trace| {
+        if trace.is_some_and(|t| aladdin_dse::point_cached(t, &point.dp, &point.soc, point.kind)) {
+            cached += 1;
         }
-    }
+    });
     cached
 }
 
@@ -574,34 +377,20 @@ pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
     let mut all = Vec::new();
     let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
     let mut unavailable = 0usize;
-    let mut trace_for: Option<(String, Option<Trace>)> = None;
-    for point in &plan.points {
-        if let PlannedPoint::Single { kernel, point } = point {
-            if !matches!(&trace_for, Some((name, _)) if name == kernel) {
-                trace_for = Some((kernel.clone(), materialize_trace(kernel).ok()));
-            }
-            let Some((_, Some(trace))) = &trace_for else {
-                unavailable += 1;
-                continue;
-            };
-            match aladdin_lint::bounds_for_point(
-                trace,
-                &point.dp,
-                &point.soc,
-                point.kind,
-                &plan.harness,
-            ) {
-                Ok(b) => {
-                    if !matches!(groups.last(), Some((name, _)) if name == kernel) {
-                        groups.push((kernel.clone(), Vec::new()));
-                    }
-                    groups.last_mut().expect("just pushed").1.push(b);
-                    all.push(b);
-                }
-                Err(_) => unavailable += 1,
-            }
+    for_each_single(plan, |kernel, point, trace| {
+        let bounds = trace.and_then(|t| {
+            aladdin_lint::bounds_for_point(t, &point.dp, &point.soc, point.kind, &plan.harness).ok()
+        });
+        let Some(b) = bounds else {
+            unavailable += 1;
+            return;
+        };
+        if !matches!(groups.last(), Some((name, _)) if name == kernel) {
+            groups.push((kernel.to_owned(), Vec::new()));
         }
-    }
+        groups.last_mut().expect("just pushed").1.push(b);
+        all.push(b);
+    });
     let mut summary = aladdin_lint::summarize_bounds(&all);
     summary.dominated = groups
         .iter()
@@ -610,50 +399,11 @@ pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
     (summary, unavailable)
 }
 
-/// Minimal JSON string encoding for journal fields.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Extract `"key":"value"` from a flat JSON object line.
-pub(crate) fn json_field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    // Journal strings we read back (digests, statuses) never contain
-    // escapes, so a plain quote scan suffices.
-    rest.find('"').map(|end| &rest[..end])
-}
-
-/// Extract `"key":123` from a flat JSON object line.
-pub(crate) fn json_field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::campaign::CampaignSpec;
+    use crate::journal::{json_field_u64, quarantine_path, read_finished};
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -711,6 +461,22 @@ partitions = [1]
         assert_eq!(resumed.ran, 0);
         assert!(resumed.complete());
         let _ = std::fs::remove_file(&journal);
+    }
+
+    /// A sink error (a failed journal append) stops the run: no later
+    /// record reaches the sink and `execute` returns the error.
+    #[test]
+    fn execute_stops_at_the_first_sink_error() {
+        let plan = tiny_plan();
+        let mut calls = 0;
+        let all: Vec<usize> = (0..plan.points.len()).collect();
+        let err = execute(&plan, &all, false, &mut |_, _| {
+            calls += 1;
+            Err(journal_err("disk full"))
+        })
+        .expect_err("the sink failed");
+        assert!(err.has_code("L0266"), "{}", err.to_human());
+        assert_eq!(calls, 1, "nothing reaches the sink after an error");
     }
 
     #[test]
@@ -971,18 +737,20 @@ partitions = [1]
             PlannedPoint::Single { kernel, point } => (kernel.clone(), *point),
             PlannedPoint::Multi { .. } => unreachable!("sweep campaign"),
         };
-        let record = outcome_record(
-            1,
-            &kernel,
-            &spec,
-            &PointOutcome::Pruned(aladdin_dse::PrunedPoint {
-                index: 1,
-                lo: 1000,
-                power_floor_mw: 1.5,
-                by_cycles: 400,
-                by_power_mw: 0.9,
-            }),
-        );
+        let outcome = PointOutcome::Pruned(aladdin_dse::PrunedPoint {
+            index: 1,
+            lo: 1000,
+            power_floor_mw: 1.5,
+            by_cycles: 400,
+            by_power_mw: 0.9,
+        });
+        let record = Record::Single {
+            point: 1,
+            kernel: &kernel,
+            spec: &spec,
+            outcome: &outcome,
+        }
+        .to_string();
         let mut text = std::fs::read_to_string(&journal).unwrap();
         text.push_str(&record);
         text.push('\n');
@@ -1106,18 +874,11 @@ partitions = [1]
             },
         )
         .expect("runs");
-        // Append a worker's retry breadcrumb for point 1 (a transient
-        // failure that was re-attempted) and a coordinator event line.
-        let (kernel, spec) = match &plan.points[1] {
-            PlannedPoint::Single { kernel, point } => (kernel.clone(), *point),
-            PlannedPoint::Multi { .. } => unreachable!("sweep campaign"),
-        };
-        let mut prefix = point_prefix(1, &kernel, &spec);
-        prefix.push_str(
-            ",\"status\":\"retried\",\"attempt\":1,\"backoff_ms\":5,\"error\":\"deadlock\"}",
-        );
+        // Append an older worker's retry breadcrumb for point 1 and a
+        // coordinator event line.
+        let retried = r#"{"point":1,"kernel":"aes-aes","mem":"isolated","lanes":2,"partition":1,"status":"retried","attempt":1,"backoff_ms":5,"error":"deadlock"}"#;
         let mut text = std::fs::read_to_string(&journal).unwrap();
-        text.push_str(&prefix);
+        text.push_str(retried);
         text.push('\n');
         text.push_str("{\"event\":\"reclaim\",\"point\":1,\"from\":\"w1\",\"code\":\"L0290\"}\n");
         std::fs::write(&journal, text).unwrap();

@@ -13,8 +13,9 @@
 //!   resume FILE    continue an interrupted campaign from its journal,
 //!                  skipping every recorded point
 //!   work FILE      join a shared campaign directory as one worker:
-//!                  claim points under leases, retry transient failures
-//!                  with bounded backoff, journal to an own segment;
+//!                  claim batches of points (as many as the host has
+//!                  hardware threads) under leases, run them through the
+//!                  same executor as `run`, journal to an own segment;
 //!                  crash-safe — a killed worker's leases are reclaimed
 //!                  by the survivors after --lease-ms
 //!   coordinate FILE  merge every worker's journal segment into
@@ -25,37 +26,38 @@
 //! options:
 //!   --journal PATH  journal location (default target/campaigns/<name>.jsonl)
 //!   --limit N       run at most N points, then stop (still resumable)
-//!   --prune         skip points whose static cycle lower bound and power
-//!                   floor are strictly dominated by a finished result;
+//!   --prune         run/resume/work: skip points whose static cycle lower
+//!                   bound and power floor are strictly dominated by a
+//!                   finished result (a worker compares within its batch);
 //!                   skips are journaled as "status":"pruned" records
 //!                   (L0276) and the Pareto frontier is unchanged
 //!   --dir DIR       work/coordinate: the shared coordination directory
 //!                  (default target/campaigns/<name>.d)
 //!   --worker ID     work: this worker's id (default w<pid>)
 //!   --lease-ms N    work: lease/heartbeat staleness timeout (default 30000)
-//!   --retries N     work: transient-failure retry budget per point (default 2)
 //! ```
 //!
 //! Exit status: 0 on success, 1 when validation or any point failed,
-//! 2 on usage errors. `--faults SEED` arms the canonical seeded fault
-//! plan, overriding the campaign's `[faults]` seed — the same flag, with
-//! the same meaning, as `simulate --faults`.
+//! 2 on usage errors (including the removed `--retries`: simulation is
+//! deterministic, so a failed point is journaled once). `--faults SEED`
+//! arms the canonical seeded fault plan, overriding the campaign's
+//! `[faults]` seed — the same flag, with the same meaning, as
+//! `simulate --faults`.
 
-use std::path::PathBuf;
-
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use aladdin_core::SimHarness;
 use aladdin_spec::{
-    coordinate, forecast_cached, plan_bounds, run_campaign, run_worker, CampaignPlan, CampaignSpec,
-    CommonArgs, OutputFormat, RunOptions, WorkerConfig,
+    coordinate, forecast_cached, json_string, plan_bounds, run_campaign, run_worker, CampaignPlan,
+    CampaignSpec, CommonArgs, OutputFormat, RunOptions, WorkerConfig,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage: sweep [--json] [--cache off|mem|full] [--faults SEED] [--topology SPEC] \
          <plan|run|resume|work|coordinate> CAMPAIGN.toml [--journal PATH] [--limit N] [--prune] \
-         [--dir DIR] [--worker ID] [--lease-ms N] [--retries N]"
+         [--dir DIR] [--worker ID] [--lease-ms N]"
     );
     eprintln!(
         "  --topology pins the interconnect (shared-bus, crossbar[:RADIX], \
@@ -75,7 +77,6 @@ struct Args {
     dir: Option<PathBuf>,
     worker: Option<String>,
     lease_ms: Option<u64>,
-    retries: Option<u32>,
 }
 
 fn parse_args() -> Args {
@@ -87,7 +88,6 @@ fn parse_args() -> Args {
     let mut dir = None;
     let mut worker = None;
     let mut lease_ms = None;
-    let mut retries = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match common.consume(&arg, &mut it) {
@@ -120,10 +120,6 @@ fn parse_args() -> Args {
                 Some(n) => lease_ms = Some(n),
                 None => usage(),
             },
-            "--retries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => retries = Some(n),
-                None => usage(),
-            },
             _ if arg.starts_with("--") => usage(),
             _ => positional.push(arg),
         }
@@ -148,7 +144,6 @@ fn parse_args() -> Args {
         dir,
         worker,
         lease_ms,
-        retries,
     }
 }
 
@@ -195,6 +190,20 @@ fn default_dir(plan: &CampaignPlan) -> PathBuf {
     p
 }
 
+/// The human summary's verdict on a campaign.
+fn completeness(complete: bool) -> &'static str {
+    if complete {
+        "; campaign complete"
+    } else {
+        "; campaign incomplete"
+    }
+}
+
+/// A path as a JSON string.
+fn json_path(path: &Path) -> String {
+    json_string(&path.display().to_string())
+}
+
 fn emit_report_and_exit(report: &aladdin_ir::Report, format: OutputFormat) -> ! {
     match format {
         OutputFormat::Human => eprintln!("{}", report.to_human()),
@@ -212,127 +221,106 @@ fn cmd_work(args: &Args, plan: &CampaignPlan) -> ! {
     if let Some(ms) = args.lease_ms {
         cfg.lease_timeout = Duration::from_millis(ms);
     }
-    if let Some(n) = args.retries {
-        cfg.max_retries = n;
-    }
     cfg.limit = args.limit;
-    match run_worker(plan, &cfg) {
-        Ok(s) => {
-            match args.common.format {
-                OutputFormat::Human => {
-                    println!("worker:   {} on {}", s.worker, cfg.dir.display());
-                    println!(
-                        "claimed:  {} of {} point(s), {} failed, {} retry record(s), {} lease(s) reclaimed{}",
-                        s.claimed,
-                        s.total,
-                        s.failed,
-                        s.retried,
-                        s.reclaimed,
-                        if s.complete {
-                            "; campaign complete"
-                        } else {
-                            "; campaign incomplete"
-                        }
-                    );
-                    if s.quarantined > 0 {
-                        println!(
-                            "journal:  {} corrupt record(s) quarantined from {}",
-                            s.quarantined,
-                            s.journal.display()
-                        );
-                    }
-                    println!("{}", s.perf);
-                }
-                OutputFormat::Json => {
-                    println!(
-                        "{{\"worker\":\"{}\",\"total\":{},\"claimed\":{},\"failed\":{},\"retried\":{},\"reclaimed\":{},\"quarantined\":{},\"complete\":{}}}",
-                        s.worker, s.total, s.claimed, s.failed, s.retried, s.reclaimed,
-                        s.quarantined, s.complete
-                    );
-                }
+    cfg.prune = args.prune;
+    let s = run_worker(plan, &cfg).unwrap_or_else(|r| emit_report_and_exit(&r, args.common.format));
+    match args.common.format {
+        OutputFormat::Human => {
+            println!("worker:   {} on {}", s.worker, cfg.dir.display());
+            println!(
+                "claimed:  {} of {} point(s), {} failed, {} lease(s) reclaimed{}",
+                s.claimed,
+                s.total,
+                s.failed,
+                s.reclaimed,
+                completeness(s.complete)
+            );
+            if s.quarantined > 0 {
+                println!(
+                    "journal:  {} corrupt record(s) quarantined from {}",
+                    s.quarantined,
+                    s.journal.display()
+                );
             }
-            std::process::exit(i32::from(s.failed > 0));
+            println!("{}", s.perf);
         }
-        Err(report) => emit_report_and_exit(&report, args.common.format),
+        OutputFormat::Json => {
+            println!(
+                "{{\"worker\":{},\"total\":{},\"claimed\":{},\"failed\":{},\"reclaimed\":{},\"quarantined\":{},\"complete\":{}}}",
+                json_string(&s.worker), s.total, s.claimed, s.failed, s.reclaimed,
+                s.quarantined, s.complete
+            );
+        }
     }
+    std::process::exit(i32::from(s.failed > 0));
 }
 
 /// `sweep coordinate FILE`: merge worker segments into one journal.
 fn cmd_coordinate(args: &Args, plan: &CampaignPlan) -> ! {
     let dir = args.dir.clone().unwrap_or_else(|| default_dir(plan));
-    match coordinate(plan, &dir) {
-        Ok(s) => {
-            match args.common.format {
-                OutputFormat::Human => {
-                    println!("campaign: {} ({} points)", plan.spec.name, s.total);
-                    println!("merged:   {}", s.merged.display());
-                    println!(
-                        "points:   {} ok, {} failed, {} pruned{}",
-                        s.done,
-                        s.failed,
-                        s.pruned,
-                        if s.complete {
-                            "; campaign complete"
-                        } else {
-                            "; campaign incomplete"
-                        }
-                    );
-                    let workers: Vec<String> = s
-                        .per_worker
-                        .iter()
-                        .map(|(w, n)| format!("{w}={n}"))
-                        .collect();
-                    println!(
-                        "workers:  {} ({} duplicate record(s) deduped, {} retry record(s), {} reclaim(s))",
-                        if workers.is_empty() {
-                            "none".to_owned()
-                        } else {
-                            workers.join(", ")
-                        },
-                        s.duplicates,
-                        s.retried,
-                        s.reclaims
-                    );
-                    if s.quarantined > 0 || s.stale_leases > 0 {
-                        println!(
-                            "health:   {} corrupt record(s) quarantined, {} stale lease(s)",
-                            s.quarantined, s.stale_leases
-                        );
-                    }
-                    let human = s.report.to_human();
-                    if !human.trim().is_empty() {
-                        println!("{human}");
-                    }
-                }
-                OutputFormat::Json => {
-                    let workers: Vec<String> = s
-                        .per_worker
-                        .iter()
-                        .map(|(w, n)| format!("{{\"worker\":\"{w}\",\"points\":{n}}}"))
-                        .collect();
-                    println!(
-                        "{{\"campaign\":\"{}\",\"merged\":\"{}\",\"total\":{},\"done\":{},\"failed\":{},\"pruned\":{},\"retried\":{},\"reclaims\":{},\"duplicates\":{},\"quarantined\":{},\"stale_leases\":{},\"complete\":{},\"per_worker\":[{}],\"report\":{}}}",
-                        plan.spec.name,
-                        s.merged.display(),
-                        s.total,
-                        s.done,
-                        s.failed,
-                        s.pruned,
-                        s.retried,
-                        s.reclaims,
-                        s.duplicates,
-                        s.quarantined,
-                        s.stale_leases,
-                        s.complete,
-                        workers.join(","),
-                        s.report.to_json()
-                    );
-                }
+    let s = coordinate(plan, &dir).unwrap_or_else(|r| emit_report_and_exit(&r, args.common.format));
+    match args.common.format {
+        OutputFormat::Human => {
+            println!("campaign: {} ({} points)", plan.spec.name, s.total);
+            println!("merged:   {}", s.merged.display());
+            println!(
+                "points:   {} ok, {} failed, {} pruned{}",
+                s.done,
+                s.failed,
+                s.pruned,
+                completeness(s.complete)
+            );
+            let workers: Vec<String> = s
+                .per_worker
+                .iter()
+                .map(|(w, n)| format!("{w}={n}"))
+                .collect();
+            println!(
+                "workers:  {} ({} duplicate record(s) deduped, {} reclaim(s))",
+                if workers.is_empty() {
+                    "none".to_owned()
+                } else {
+                    workers.join(", ")
+                },
+                s.duplicates,
+                s.reclaims
+            );
+            if s.quarantined > 0 || s.stale_leases > 0 {
+                println!(
+                    "health:   {} corrupt record(s) quarantined, {} stale lease(s)",
+                    s.quarantined, s.stale_leases
+                );
             }
-            std::process::exit(i32::from(s.failed > 0 || s.report.has_errors()));
+            let human = s.report.to_human();
+            if !human.trim().is_empty() {
+                println!("{human}");
+            }
         }
-        Err(report) => emit_report_and_exit(&report, args.common.format),
+        OutputFormat::Json => {
+            let workers: Vec<String> = s
+                .per_worker
+                .iter()
+                .map(|(w, n)| format!("{{\"worker\":{},\"points\":{n}}}", json_string(w)))
+                .collect();
+            println!(
+                "{{\"campaign\":{},\"merged\":{},\"total\":{},\"done\":{},\"failed\":{},\"pruned\":{},\"reclaims\":{},\"duplicates\":{},\"quarantined\":{},\"stale_leases\":{},\"complete\":{},\"per_worker\":[{}],\"report\":{}}}",
+                json_string(&plan.spec.name),
+                json_path(&s.merged),
+                s.total,
+                s.done,
+                s.failed,
+                s.pruned,
+                s.reclaims,
+                s.duplicates,
+                s.quarantined,
+                s.stale_leases,
+                s.complete,
+                workers.join(","),
+                s.report.to_json()
+            );
+        }
     }
+    std::process::exit(i32::from(s.failed > 0 || s.report.has_errors()));
 }
 
 fn emit_plan(plan: &CampaignPlan, cached: usize, format: OutputFormat) {
@@ -371,10 +359,10 @@ fn emit_plan(plan: &CampaignPlan, cached: usize, format: OutputFormat) {
                 "null".to_owned()
             };
             println!(
-                "{{\"campaign\":\"{}\",\"digest\":\"{:016x}\",\"points\":{},\"rejected\":{},\"cached\":{},\
+                "{{\"campaign\":{},\"digest\":\"{:016x}\",\"points\":{},\"rejected\":{},\"cached\":{},\
                  \"bounds\":{{\"points\":{},\"certified\":{},\"min_lo\":{},\"max_lo\":{},\"min_certified_hi\":{min_hi},\"dominated\":{},\"unavailable\":{unbounded}}},\
                  \"report\":{}}}",
-                plan.spec.name,
+                json_string(&plan.spec.name),
                 plan.digest,
                 plan.points.len(),
                 plan.rejected,
@@ -396,13 +384,7 @@ fn main() {
 
     let plan = match load_plan(&args) {
         Ok(plan) => plan,
-        Err(report) => {
-            match args.common.format {
-                OutputFormat::Human => eprintln!("{}", report.to_human()),
-                OutputFormat::Json => println!("{}", report.to_json()),
-            }
-            std::process::exit(1);
-        }
+        Err(report) => emit_report_and_exit(&report, args.common.format),
     };
 
     if args.command == "work" {
@@ -428,59 +410,50 @@ fn main() {
         limit: args.limit,
         prune: args.prune,
     };
-    match run_campaign(&plan, &journal, &opts) {
-        Ok(summary) => {
-            match args.common.format {
-                OutputFormat::Human => {
-                    println!("campaign: {} ({} points)", plan.spec.name, summary.total);
-                    println!(
-                        "journal:  {} ({} skipped as already recorded)",
-                        summary.journal.display(),
-                        summary.skipped
-                    );
-                    println!(
-                        "ran:      {} point(s), {} failed, {} pruned{}",
-                        summary.ran,
-                        summary.failed,
-                        summary.pruned,
-                        if summary.complete() {
-                            "; campaign complete"
-                        } else {
-                            "; campaign incomplete (resume to continue)"
-                        }
-                    );
-                    if summary.quarantined > 0 {
-                        println!(
-                            "journal:  {} corrupt record(s) quarantined to {}.quarantine",
-                            summary.quarantined,
-                            summary.journal.display()
-                        );
-                    }
-                    println!("{}", aladdin_dse::global_perf());
+    let summary = run_campaign(&plan, &journal, &opts)
+        .unwrap_or_else(|r| emit_report_and_exit(&r, args.common.format));
+    match args.common.format {
+        OutputFormat::Human => {
+            println!("campaign: {} ({} points)", plan.spec.name, summary.total);
+            println!(
+                "journal:  {} ({} skipped as already recorded)",
+                summary.journal.display(),
+                summary.skipped
+            );
+            println!(
+                "ran:      {} point(s), {} failed, {} pruned{}",
+                summary.ran,
+                summary.failed,
+                summary.pruned,
+                if summary.complete() {
+                    "; campaign complete"
+                } else {
+                    "; campaign incomplete (resume to continue)"
                 }
-                OutputFormat::Json => {
-                    println!(
-                        "{{\"campaign\":\"{}\",\"journal\":\"{}\",\"total\":{},\"skipped\":{},\"ran\":{},\"failed\":{},\"pruned\":{},\"quarantined\":{},\"complete\":{}}}",
-                        plan.spec.name,
-                        summary.journal.display(),
-                        summary.total,
-                        summary.skipped,
-                        summary.ran,
-                        summary.failed,
-                        summary.pruned,
-                        summary.quarantined,
-                        summary.complete()
-                    );
-                }
+            );
+            if summary.quarantined > 0 {
+                println!(
+                    "journal:  {} corrupt record(s) quarantined to {}.quarantine",
+                    summary.quarantined,
+                    summary.journal.display()
+                );
             }
-            std::process::exit(i32::from(summary.failed > 0));
+            println!("{}", aladdin_dse::global_perf());
         }
-        Err(report) => {
-            match args.common.format {
-                OutputFormat::Human => eprintln!("{}", report.to_human()),
-                OutputFormat::Json => println!("{}", report.to_json()),
-            }
-            std::process::exit(1);
+        OutputFormat::Json => {
+            println!(
+                "{{\"campaign\":{},\"journal\":{},\"total\":{},\"skipped\":{},\"ran\":{},\"failed\":{},\"pruned\":{},\"quarantined\":{},\"complete\":{}}}",
+                json_string(&plan.spec.name),
+                json_path(&summary.journal),
+                summary.total,
+                summary.skipped,
+                summary.ran,
+                summary.failed,
+                summary.pruned,
+                summary.quarantined,
+                summary.complete()
+            );
         }
     }
+    std::process::exit(i32::from(summary.failed > 0));
 }
