@@ -10,10 +10,13 @@
 //!
 //! Self-contained harness (the workspace builds with no crate registry):
 //! small-kernel encode/decode runs for a fixed wall-time budget and reports
-//! the median; the big streaming run reports a single timed pass.
+//! the median; the big streaming run reports a single timed pass. The run
+//! rewrites the committed root `BENCH_trace.json`, naming [`BEFORE_COMMIT`]
+//! as the baseline its numbers are compared against.
 
 use std::hint::black_box;
 use std::io::BufWriter;
+use std::path::PathBuf;
 use std::time::Instant;
 
 use aladdin_accel::{DatapathConfig, DEFAULT_WINDOW_NODES};
@@ -26,6 +29,20 @@ use aladdin_workloads::by_name;
 /// trace, and past what a materialized `Vec<TraceNode>` + DDDG comfortably
 /// holds next to itself.
 const BIG_NODES: u64 = 5_000_000;
+
+/// The commit whose numbers this bench's output is compared against:
+/// the parent of the change that last moved the scheduled node rate.
+const BEFORE_COMMIT: &str = "41dabb9";
+
+const DESCRIPTION: &str = "Streaming `.atrc` trace codec throughput and windowed-scheduler \
+node rate. Measured with `cargo bench --bench trace -p aladdin-bench` (release profile), which \
+rewrites this file. Bundled-kernel rows report median encode/decode over ~1 s of repetitions \
+with the round-trip fingerprint asserted. The stream-fma row is the paper-scale++ experiment: \
+a 5M-node synthetic kernel traced straight to disk (never materialized), then decoded and \
+scheduled from the file through the windowed DDDG scheduler with the default 65536-node \
+window. peak_resident_nodes is the scheduler's resident high-water mark; \
+materialized_resident_nodes is what the in-memory path would hold live (every node plus its \
+DDDG edges) — the gap is the bounded-memory claim.";
 
 /// Run `f` repeatedly for ~1 s and report the median seconds per call.
 fn bench_median(mut f: impl FnMut() -> u64) -> f64 {
@@ -48,7 +65,7 @@ fn mb_per_sec(bytes: u64, secs: f64) -> f64 {
 /// Encode/decode throughput on bundled kernels, with the round-trip
 /// fingerprint checked so the numbers are known to describe a correct
 /// codec.
-fn bench_kernel_codec(kernel: &str) {
+fn bench_kernel_codec(kernel: &str) -> String {
     let trace = by_name(kernel).expect("kernel").run().trace;
     let bytes = encode_trace(&trace);
     let nodes = trace.nodes().len() as u64;
@@ -67,10 +84,10 @@ fn bench_kernel_codec(kernel: &str) {
         "trace/{kernel}: {nodes} nodes, {} bytes, encode {enc_mbps:.1} MB/s, decode {dec_mbps:.1} MB/s",
         bytes.len()
     );
-    println!(
-        "json: {{\"kernel\": \"{kernel}\", \"nodes\": {nodes}, \"bytes\": {}, \"encode_mb_per_sec\": {enc_mbps:.1}, \"decode_mb_per_sec\": {dec_mbps:.1}}}",
+    format!(
+        "{{\"kernel\": \"{kernel}\", \"nodes\": {nodes}, \"bytes\": {}, \"encode_mb_per_sec\": {enc_mbps:.1}, \"decode_mb_per_sec\": {dec_mbps:.1}}}",
         bytes.len()
-    );
+    )
 }
 
 /// Stream a synthetic fused-multiply-add kernel of `nodes` nodes straight
@@ -101,7 +118,7 @@ fn generate_big(path: &std::path::Path, nodes: u64) -> AtrcSummary {
     t.finish_streaming().expect("seal atrc stream")
 }
 
-fn bench_big_stream() {
+fn bench_big_stream() -> String {
     let path =
         std::env::temp_dir().join(format!("aladdin-bench-trace-{}.atrc", std::process::id()));
 
@@ -156,20 +173,37 @@ fn bench_big_stream() {
         summary.nodes, summary.bytes, run.result.total_cycles, summary.nodes
     );
     println!("trace/stream-fma: {stats}");
-    println!(
-        "json: {{\"kernel\": \"stream-fma\", \"nodes\": {}, \"bytes\": {}, \
-         \"generate_encode_mb_per_sec\": {gen_mbps:.1}, \"decode_mb_per_sec\": {dec_mbps:.1}, \
-         \"scheduled_nodes_per_sec\": {nodes_per_sec:.0}, \"window_nodes\": {}, \
-         \"peak_resident_nodes\": {peak}, \"materialized_resident_nodes\": {}}}",
-        summary.nodes, summary.bytes, DEFAULT_WINDOW_NODES, summary.nodes
-    );
-
     let _ = std::fs::remove_file(&path);
+    format!(
+        "{{\"kernel\": \"stream-fma\", \"nodes\": {}, \"bytes\": {}, \
+         \"generate_encode_mb_per_sec\": {gen_mbps:.1}, \"decode_mb_per_sec\": {dec_mbps:.1}, \
+         \"scheduled_nodes_per_sec\": {nodes_per_sec:.0}, \"scheduled_cycles\": {}, \
+         \"window_nodes\": {}, \"peak_resident_nodes\": {peak}, \
+         \"materialized_resident_nodes\": {}}}",
+        summary.nodes, summary.bytes, run.result.total_cycles, DEFAULT_WINDOW_NODES, summary.nodes
+    )
 }
 
 fn main() {
-    for kernel in ["aes-aes", "fft-transpose", "bfs-bulk"] {
-        bench_kernel_codec(kernel);
+    let mut rows: Vec<String> = ["aes-aes", "fft-transpose", "bfs-bulk"]
+        .into_iter()
+        .map(bench_kernel_codec)
+        .collect();
+    rows.push(bench_big_stream());
+    for row in &rows {
+        println!("json: {row}");
     }
-    bench_big_stream();
+
+    let doc = format!(
+        "{{\n  \"description\": \"{DESCRIPTION}\",\n  \"metrics\": [\"encode_mb_per_sec\", \
+         \"decode_mb_per_sec\", \"scheduled_nodes_per_sec\", \"peak_resident_nodes\"],\n  \
+         \"before_commit\": \"{BEFORE_COMMIT}\",\n  \"results\": [\n    {}\n  ]\n}}\n",
+        rows.join(",\n    ")
+    );
+    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_trace.json");
+    if let Err(e) = std::fs::write(&out, doc) {
+        eprintln!("trace: cannot write {}: {e}", out.display());
+    } else {
+        println!("trace: wrote {}", out.display());
+    }
 }

@@ -482,7 +482,7 @@ pub struct AtrcTrace {
     /// Offset of the footer tag.
     footer: usize,
     name: String,
-    arrays: Vec<ArrayInfo>,
+    arrays: Arc<[ArrayInfo]>,
     node_count: u64,
     fingerprint: u128,
 }
@@ -567,7 +567,7 @@ impl AtrcTrace {
                 3 => ArrayKind::Internal,
                 other => return Err(corrupt(format!("unknown array kind {other}"))),
             };
-            arrays.push(ArrayInfo {
+            let array = ArrayInfo {
                 id: ArrayId::from_index(i),
                 name,
                 kind,
@@ -575,7 +575,19 @@ impl AtrcTrace {
                 elem_bytes: u32::try_from(r.varint()?)
                     .map_err(|_| corrupt("array elem_bytes overflows u32"))?,
                 len: r.varint()?,
-            });
+            };
+            if array
+                .len
+                .checked_mul(u64::from(array.elem_bytes))
+                .and_then(|size| size.checked_add(array.base_addr))
+                .is_none()
+            {
+                return Err(corrupt(format!(
+                    "array {} extends past the address space",
+                    array.name
+                )));
+            }
+            arrays.push(array);
         }
         let node_count = r.varint()?;
         let fingerprint = u128::from_le_bytes(r.take(16)?.try_into().expect("16-byte slice"));
@@ -587,7 +599,7 @@ impl AtrcTrace {
             body,
             footer,
             name,
-            arrays,
+            arrays: arrays.into(),
             node_count,
             fingerprint,
         })
@@ -676,7 +688,7 @@ impl AtrcTrace {
             next_id: 0,
             prev_addr: 0,
             prev_iter: 0,
-            array_count: self.arrays.len() as u64,
+            arrays: Arc::clone(&self.arrays),
             failed: false,
         }
     }
@@ -692,7 +704,7 @@ impl AtrcTrace {
         for node in self.nodes() {
             nodes.push(node?);
         }
-        let trace = Trace::new(self.name.clone(), nodes, self.arrays.clone());
+        let trace = Trace::new(self.name.clone(), nodes, self.arrays.to_vec());
         let report = trace.check();
         if report.has_errors() {
             return Err(corrupt(format!(
@@ -747,7 +759,7 @@ pub struct AtrcNodeIter {
     next_id: u64,
     prev_addr: u64,
     prev_iter: u32,
-    array_count: u64,
+    arrays: Arc<[ArrayInfo]>,
     failed: bool,
 }
 
@@ -808,7 +820,7 @@ impl AtrcNodeIter {
             0 => None,
             tag @ (1 | 2) => {
                 let array = r.varint()?;
-                if array >= self.array_count {
+                if array >= self.arrays.len() as u64 {
                     return Err(corrupt(format!(
                         "node {id} references unknown array {array}"
                     )));
@@ -843,13 +855,17 @@ impl AtrcNodeIter {
         self.prev_iter = iteration;
         self.block_pos = r.pos;
         self.next_id += 1;
-        Ok(TraceNode {
+        let node = TraceNode {
             id: NodeId::from_index(usize::try_from(id).expect("node count fits usize")),
             opcode,
             deps,
             mem,
             iteration,
-        })
+        };
+        match node.mem_violation(&self.arrays) {
+            Some(d) => Err(corrupt(d.message)),
+            None => Ok(node),
+        }
     }
 }
 
@@ -994,6 +1010,33 @@ mod tests {
         let err = AtrcTrace::from_bytes(b"definitely not a trace at all....".to_vec())
             .expect_err("garbage must fail");
         assert_eq!(err.code, "L0280");
+    }
+
+    #[test]
+    fn streamed_nodes_obey_trace_check() {
+        let trace = sample_trace();
+        let load = trace
+            .nodes()
+            .iter()
+            .position(|n| n.opcode == Opcode::Load)
+            .expect("sample has a load");
+        let past_end = |n: &mut TraceNode| {
+            let arr = &trace.arrays()[n.mem.expect("load").array.index()];
+            n.mem.as_mut().expect("load").addr = arr.base_addr + arr.size_bytes();
+        };
+        let no_memref = |n: &mut TraceNode| n.mem = None;
+        for breakage in [&past_end as &dyn Fn(&mut TraceNode), &no_memref] {
+            let mut nodes = trace.nodes().to_vec();
+            breakage(&mut nodes[load]);
+            let bad = Trace::new("bad".to_string(), nodes, trace.arrays().to_vec());
+            let atrc = AtrcTrace::from_bytes(encode_trace(&bad)).expect("envelope is intact");
+            let err = atrc
+                .nodes()
+                .find_map(Result::err)
+                .expect("the broken node is refused");
+            assert_eq!(err.code, "L0280");
+            assert!(atrc.stats().is_err());
+        }
     }
 
     #[test]

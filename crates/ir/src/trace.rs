@@ -396,54 +396,50 @@ impl Trace {
                     );
                 }
             }
-            match (&node.mem, node.opcode.is_memory()) {
-                (Some(m), true) => {
-                    let Some(arr) = self.arrays.get(m.array.index()) else {
-                        report.push(
-                            Diagnostic::error(
-                                "L0104",
-                                format!("node {} references unknown {}", node.id, m.array),
-                            )
-                            .at(Locus::Node(idx)),
-                        );
-                        continue;
-                    };
-                    let end = m.addr + u64::from(m.bytes);
-                    if m.addr < arr.base_addr || end > arr.base_addr + arr.size_bytes() {
-                        report.push(
-                            Diagnostic::error(
-                                "L0105",
-                                format!(
-                                    "node {} access [{:#x},{:#x}) outside array {}",
-                                    node.id, m.addr, end, arr.name
-                                ),
-                            )
-                            .at(Locus::Node(idx)),
-                        );
-                    }
-                }
-                (None, false) => {}
-                (Some(_), false) => {
-                    report.push(
-                        Diagnostic::error(
-                            "L0103",
-                            format!("compute node {} carries a MemRef", node.id),
-                        )
-                        .at(Locus::Node(idx)),
-                    );
-                }
-                (None, true) => {
-                    report.push(
-                        Diagnostic::error(
-                            "L0103",
-                            format!("memory node {} lacks a MemRef", node.id),
-                        )
-                        .at(Locus::Node(idx)),
-                    );
-                }
+            if let Some(d) = node.mem_violation(&self.arrays) {
+                report.push(d.at(Locus::Node(idx)));
             }
         }
         report
+    }
+}
+
+impl TraceNode {
+    /// Check the node's memory reference against `arrays`: memory opcodes
+    /// carry a [`MemRef`] inside a known array, compute opcodes carry none.
+    /// Shared by [`Trace::check`] and the streaming `.atrc` decoder, so a
+    /// streamed node obeys the same rules as a materialized one.
+    pub(crate) fn mem_violation(&self, arrays: &[ArrayInfo]) -> Option<Diagnostic> {
+        match (&self.mem, self.opcode.is_memory()) {
+            (Some(m), true) => {
+                let Some(arr) = arrays.get(m.array.index()) else {
+                    return Some(Diagnostic::error(
+                        "L0104",
+                        format!("node {} references unknown {}", self.id, m.array),
+                    ));
+                };
+                let end = m.addr.saturating_add(u64::from(m.bytes));
+                let arr_end = arr.base_addr.saturating_add(arr.size_bytes());
+                (m.addr < arr.base_addr || end > arr_end).then(|| {
+                    Diagnostic::error(
+                        "L0105",
+                        format!(
+                            "node {} access [{:#x},{:#x}) outside array {}",
+                            self.id, m.addr, end, arr.name
+                        ),
+                    )
+                })
+            }
+            (None, false) => None,
+            (Some(_), false) => Some(Diagnostic::error(
+                "L0103",
+                format!("compute node {} carries a MemRef", self.id),
+            )),
+            (None, true) => Some(Diagnostic::error(
+                "L0103",
+                format!("memory node {} lacks a MemRef", self.id),
+            )),
+        }
     }
 }
 
