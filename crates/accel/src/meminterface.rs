@@ -110,7 +110,11 @@ pub struct SpadMemory {
     ranges: Vec<ArrayRange>,
     partition: u64,
     ports_per_bank: u32,
-    ports_used: HashMap<(u32, u64), u32>,
+    /// Ports used per `(array, bank)`, at `array * partition + bank`, as
+    /// `(cycle stamp, count)`; a count is stale unless its stamp is `epoch`.
+    ports_used: Vec<(u64, u32)>,
+    /// Incremented by every `begin_cycle`.
+    epoch: u64,
     ready_bits: bool,
     granule_bytes: u64,
     ready: HashMap<u64, u64>,
@@ -138,7 +142,7 @@ impl SpadMemory {
     /// to [`new`](SpadMemory::new) on the same arrays.
     #[must_use]
     pub fn from_arrays(arrays: &[ArrayInfo], cfg: &DatapathConfig) -> Self {
-        let ranges = arrays
+        let ranges: Vec<ArrayRange> = arrays
             .iter()
             .map(|a| ArrayRange {
                 base: a.base_addr,
@@ -147,11 +151,13 @@ impl SpadMemory {
                 gated: a.kind.is_input(),
             })
             .collect();
+        let partition = u64::from(cfg.partition.max(1));
         SpadMemory {
+            ports_used: vec![(0, 0); ranges.len() * partition as usize],
+            epoch: 0,
             ranges,
-            partition: u64::from(cfg.partition.max(1)),
+            partition,
             ports_per_bank: cfg.ports_per_bank.max(1),
-            ports_used: HashMap::new(),
             ready_bits: false,
             granule_bytes: Self::READY_GRANULE_BYTES,
             ready: HashMap::new(),
@@ -256,7 +262,7 @@ impl SpadMemory {
 
 impl DatapathMemory for SpadMemory {
     fn begin_cycle(&mut self, _cycle: u64) {
-        self.ports_used.clear();
+        self.epoch += 1;
     }
 
     fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
@@ -266,9 +272,11 @@ impl DatapathMemory for SpadMemory {
         let elem = (addr - range.base) / range.elem_bytes;
         let bank = elem % self.partition;
         let gated = self.ready_bits && !write && range.gated;
-        let key = (arr_idx, bank);
-        let used = self.ports_used.entry(key).or_insert(0);
-        if *used >= self.ports_per_bank {
+        let port = &mut self.ports_used[arr_idx as usize * self.partition as usize + bank as usize];
+        if port.0 != self.epoch {
+            *port = (self.epoch, 0);
+        }
+        if port.1 >= self.ports_per_bank {
             self.stats.bank_conflicts += 1;
             return IssueResult::Reject;
         }
@@ -307,7 +315,7 @@ impl DatapathMemory for SpadMemory {
             }
         }
 
-        *used += 1;
+        port.1 += 1;
         if write {
             self.stats.writes += 1;
         } else {

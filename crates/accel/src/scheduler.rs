@@ -91,6 +91,95 @@ pub fn mem_issue_budget(cfg: &DatapathConfig) -> usize {
     8 + 4 * cfg.lanes as usize + 2 * cfg.partition as usize
 }
 
+/// Ready memory operations, ordered by node id: a bitset of 64-id words.
+///
+/// Each cycle [`issue_smallest`](ReadyMem::issue_smallest) walks the
+/// smallest ids in place and removes only the ones the memory accepts, so
+/// a rejected attempt costs a bit scan, never a re-insertion. Both
+/// engines keep their ready memory ops here.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyMem {
+    /// Bit `b` of `words[i]` is id `(base + i) * 64 + b`. The last word
+    /// is non-zero, and the set is re-based whenever it empties, so
+    /// storage spans only the ready ids.
+    words: Vec<u64>,
+    base: usize,
+    /// Index of the first non-zero word. The zero words before it are
+    /// dropped once they make up half of `words`.
+    head: usize,
+    len: usize,
+}
+
+impl ReadyMem {
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.head = 0;
+        self.len = 0;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn insert(&mut self, id: u32) {
+        let w = id as usize / 64;
+        if self.len == 0 {
+            self.base = w;
+            self.head = 0;
+        } else if w < self.base {
+            let grow = self.base - w;
+            self.words.splice(0..0, std::iter::repeat_n(0, grow));
+            self.base = w;
+            self.head += grow;
+        }
+        let i = w - self.base;
+        if i >= self.words.len() {
+            self.words.resize(i + 1, 0);
+        }
+        self.head = self.head.min(i);
+        debug_assert_eq!(self.words[i] & (1 << (id % 64)), 0, "id {id} already ready");
+        self.words[i] |= 1 << (id % 64);
+        self.len += 1;
+    }
+
+    /// Offer the `budget` smallest ready ids to `issue`, in ascending
+    /// order, and remove each one it accepts (returns `true` for). A
+    /// rejected id stays in place for the next cycle.
+    pub(crate) fn issue_smallest(&mut self, budget: usize, mut issue: impl FnMut(u32) -> bool) {
+        let mut left = budget;
+        for i in self.head..self.words.len() {
+            let mut word = self.words[i];
+            while word != 0 && left > 0 {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                left -= 1;
+                if issue(((self.base + i) * 64) as u32 + bit) {
+                    self.words[i] &= !(1 << bit);
+                    self.len -= 1;
+                }
+            }
+            if left == 0 {
+                break;
+            }
+        }
+        if self.len == 0 {
+            self.clear();
+            return;
+        }
+        while self.words[self.head] == 0 {
+            self.head += 1;
+        }
+        while self.words.last() == Some(&0) {
+            self.words.pop();
+        }
+        if self.head >= 8 && self.head * 2 >= self.words.len() {
+            self.words.drain(..self.head);
+            self.base += self.head;
+            self.head = 0;
+        }
+    }
+}
+
 /// A DDDG prepared for scheduling: the graph plus the per-round node
 /// counts the barrier model needs.
 ///
@@ -153,10 +242,9 @@ pub struct SchedulerWorkspace {
     parked: Vec<Vec<u32>>,
     ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
     ready_mask: Vec<u64>,
-    ready_mem: BinaryHeap<Reverse<u32>>,
+    ready_mem: ReadyMem,
     wheel: BinaryHeap<Reverse<(u64, u32)>>,
     mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_retry: Vec<u32>,
 }
 
 impl SchedulerWorkspace {
@@ -184,7 +272,7 @@ struct Engine<'w> {
     /// non-empty. The issue loop walks set bits instead of scanning all
     /// `lanes × CLASSES` heaps every cycle.
     ready_mask: &'w mut Vec<u64>,
-    ready_mem: &'w mut BinaryHeap<Reverse<u32>>,
+    ready_mem: &'w mut ReadyMem,
     ready_count: usize,
     wheel: &'w mut BinaryHeap<Reverse<(u64, u32)>>,
     /// Memory-system completions not yet due (delivered with a future
@@ -209,7 +297,7 @@ impl Engine<'_> {
     fn enqueue(&mut self, idx: usize, nodes: &[TraceNode], lanes: &[u32]) {
         let node = &nodes[idx];
         if node.opcode.is_memory() {
-            self.ready_mem.push(Reverse(idx as u32));
+            self.ready_mem.insert(idx as u32);
         } else {
             let lane = lanes[idx] as usize;
             let slot = lane * CLASSES + node.opcode.fu_class().index();
@@ -458,7 +546,6 @@ pub fn try_schedule_prepared(
     ws.ready_mem.clear();
     ws.wheel.clear();
     ws.mem_wheel.clear();
-    ws.mem_retry.clear();
 
     let nodes = trace.nodes();
     let mut eng = Engine {
@@ -570,17 +657,13 @@ pub fn try_schedule_prepared(
             }
         }
 
-        // 4. Issue memory ops until the interface pushes back. A bounded
-        // number of candidates is examined per cycle so a long queue of
-        // conflicting accesses cannot make one cycle O(n).
-        let mut examined = 0;
-        while examined < mem_budget {
-            let Some(Reverse(idx)) = eng.ready_mem.pop() else {
-                break;
-            };
-            examined += 1;
-            let node = &nodes[idx as usize];
-            let mref = node.mem.expect("memory node has MemRef");
+        // 4. Issue memory ops until the interface pushes back. The
+        // `mem_budget` smallest ready ids are tried in ascending order, so
+        // a long queue of conflicting accesses cannot make one cycle O(n);
+        // a rejected op stays where it is for the next cycle.
+        let mut ready_mem = std::mem::take(&mut *eng.ready_mem);
+        ready_mem.issue_smallest(mem_budget, |idx| {
+            let mref = nodes[idx as usize].mem.expect("memory node has MemRef");
             let write = mref.kind == MemAccessKind::Write;
             match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
                 IssueResult::Done { at } => {
@@ -590,6 +673,7 @@ pub fn try_schedule_prepared(
                     eng.ready_count -= 1;
                     eng.events += 1;
                     progressed = true;
+                    true
                 }
                 IssueResult::Pending => {
                     // In flight inside the memory system; the datapath op
@@ -600,16 +684,15 @@ pub fn try_schedule_prepared(
                     eng.mem_inflight += 1;
                     eng.events += 1;
                     progressed = true;
+                    true
                 }
                 IssueResult::Reject => {
                     eng.mem_rejects += 1;
-                    ws.mem_retry.push(idx);
+                    false
                 }
             }
-        }
-        for idx in ws.mem_retry.drain(..) {
-            eng.ready_mem.push(Reverse(idx));
-        }
+        });
+        *eng.ready_mem = ready_mem;
 
         mem.end_cycle(cycle);
 
@@ -700,6 +783,51 @@ mod tests {
     fn run(trace: &Trace, cfg: &DatapathConfig) -> ScheduleResult {
         let mut mem = SpadMemory::new(trace, cfg);
         schedule(trace, cfg, &mut mem, 0)
+    }
+
+    /// `ReadyMem` against a `BTreeSet` reference: random inserts, including
+    /// ids below every ready one and far above it, and rounds that offer
+    /// the budget smallest ids and accept a random subset.
+    #[test]
+    fn ready_mem_matches_an_ordered_set() {
+        use aladdin_rng::SmallRng;
+        use std::collections::BTreeSet;
+        for case in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(0x4EAD + case);
+            let span = rng.gen_range(1..5_000u32);
+            let mut ready = ReadyMem::default();
+            let mut reference = BTreeSet::new();
+            for _ in 0..400 {
+                for _ in 0..rng.gen_range(0..6usize) {
+                    let id = rng.gen_range(0..span);
+                    if reference.insert(id) {
+                        ready.insert(id);
+                    }
+                }
+                let budget = rng.gen_range(1..40usize);
+                let expected: Vec<u32> = reference.iter().copied().take(budget).collect();
+                let (mut offered, mut accepted) = (Vec::new(), Vec::new());
+                ready.issue_smallest(budget, |id| {
+                    offered.push(id);
+                    let ok = rng.gen_bool(0.3);
+                    if ok {
+                        accepted.push(id);
+                    }
+                    ok
+                });
+                assert_eq!(offered, expected, "case {case}");
+                for id in accepted {
+                    reference.remove(&id);
+                }
+                let mut all = Vec::new();
+                ready.issue_smallest(usize::MAX, |id| {
+                    all.push(id);
+                    false
+                });
+                assert!(all.iter().eq(reference.iter()), "case {case}");
+                assert_eq!(ready.len(), reference.len(), "case {case}");
+            }
+        }
     }
 
     /// Wraps a memory and hides its passivity, forcing the scheduler onto

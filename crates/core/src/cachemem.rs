@@ -111,6 +111,9 @@ impl DatapathMemory for CacheClient {
     fn begin_cycle(&mut self, cycle: u64) {
         self.spad.begin_cycle(cycle);
         self.cache.begin_cycle(cycle);
+        if self.delayed.is_empty() {
+            return;
+        }
         // Retry TLB-delayed accesses that are now translated.
         let (due, mut still): (Vec<_>, Vec<_>) =
             self.delayed.drain(..).partition(|d| d.ready_at <= cycle);

@@ -401,12 +401,24 @@ impl Cache {
     /// Consumes one port on anything but a structural reject. On
     /// [`CacheOutcome::Miss`] the completion is later reported by
     /// [`drain_completions`](Cache::drain_completions) tagged with `id`.
+    #[inline]
     pub fn access(&mut self, id: u64, addr: u64, kind: AccessKind, cycle: u64) -> CacheOutcome {
         debug_assert_eq!(cycle, self.current_cycle, "call begin_cycle first");
         if self.ports_used >= self.cfg.ports {
             self.stats.port_rejects += 1;
             return CacheOutcome::NoPort;
         }
+        self.access_with_port(id, addr, kind, cycle)
+    }
+
+    /// [`access`](Cache::access) once a port is known to be free.
+    fn access_with_port(
+        &mut self,
+        id: u64,
+        addr: u64,
+        kind: AccessKind,
+        cycle: u64,
+    ) -> CacheOutcome {
         let line_addr = self.line_addr(addr);
 
         if let Some((set, way)) = self.find_line(line_addr) {

@@ -20,12 +20,28 @@ impl IntervalSet {
     }
 
     /// Add `[start, end)`. Empty or inverted intervals are ignored.
+    ///
+    /// Pushing in order of `start` (how components record busy time) is
+    /// O(1): the interval extends the last one or is appended. An earlier
+    /// `start` falls back to a full sort-and-merge.
     pub fn push(&mut self, start: u64, end: u64) {
         if end <= start {
             return;
         }
-        self.ivals.push((start, end));
-        self.normalize();
+        match self.ivals.last_mut() {
+            None => self.ivals.push((start, end)),
+            Some(last) if start >= last.0 => {
+                if start <= last.1 {
+                    last.1 = last.1.max(end);
+                } else {
+                    self.ivals.push((start, end));
+                }
+            }
+            Some(_) => {
+                self.ivals.push((start, end));
+                self.normalize();
+            }
+        }
     }
 
     fn normalize(&mut self) {

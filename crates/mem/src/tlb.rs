@@ -56,8 +56,14 @@ pub struct TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// Resident page numbers, most recently used last.
-    pages: Vec<u64>,
+    /// `log2(page_bytes)`: a page index is `addr >> page_shift`.
+    page_shift: u32,
+    /// Resident `(page number, use stamp)` pairs. A use writes the current
+    /// `clock`, so the least recently used page has the smallest stamp.
+    pages: Vec<(u64, u64)>,
+    /// Index in `pages` of the last page used, checked first.
+    mru: usize,
+    clock: u64,
     stats: TlbStats,
     faults: Option<FaultInjector>,
 }
@@ -83,7 +89,10 @@ impl Tlb {
         }
         Ok(Tlb {
             cfg,
+            page_shift: cfg.page_bytes.trailing_zeros(),
             pages: Vec::with_capacity(cfg.entries),
+            mru: 0,
+            clock: 0,
             stats: TlbStats::default(),
             faults: None,
         })
@@ -116,23 +125,40 @@ impl Tlb {
 
     /// Translate the access at `addr` issued at `cycle`; returns the cycle
     /// at which the translation is available (equal to `cycle` on a hit).
+    #[inline]
     pub fn translate(&mut self, addr: u64, cycle: u64) -> u64 {
-        let page = addr / self.cfg.page_bytes;
-        if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            // LRU refresh.
-            let p = self.pages.remove(pos);
-            self.pages.push(p);
-            self.stats.hits += 1;
-            cycle
+        let page = addr >> self.page_shift;
+        self.clock += 1;
+        let hit = if self.pages.get(self.mru).is_some_and(|e| e.0 == page) {
+            Some(self.mru)
         } else {
-            if self.pages.len() == self.cfg.entries {
-                self.pages.remove(0);
-            }
-            self.pages.push(page);
-            self.stats.misses += 1;
-            let walk = self.faults.as_mut().map_or(0, FaultInjector::extra_cycles);
-            cycle + self.cfg.miss_cycles + walk
-        }
+            self.pages.iter().position(|e| e.0 == page)
+        };
+        let Some(pos) = hit else {
+            return self.miss(page, cycle);
+        };
+        self.mru = pos;
+        self.pages[pos].1 = self.clock;
+        self.stats.hits += 1;
+        cycle
+    }
+
+    /// Fill `page`, evicting the least recently used entry if full, and
+    /// return when the walk completes.
+    fn miss(&mut self, page: u64, cycle: u64) -> u64 {
+        self.mru = if self.pages.len() < self.cfg.entries {
+            self.pages.push((page, self.clock));
+            self.pages.len() - 1
+        } else {
+            let lru = (0..self.pages.len())
+                .min_by_key(|&i| self.pages[i].1)
+                .unwrap_or(0);
+            self.pages[lru] = (page, self.clock);
+            lru
+        };
+        self.stats.misses += 1;
+        let walk = self.faults.as_mut().map_or(0, FaultInjector::extra_cycles);
+        cycle + self.cfg.miss_cycles + walk
     }
 
     /// Access statistics so far.

@@ -193,6 +193,90 @@ fn tlb_counters_conserved() {
     }
 }
 
+/// `IntervalSet::push` equals the sort-and-merge reference it replaced,
+/// after every push, whether starts arrive in order (the O(1) append or
+/// extend path), out of order (the fallback), empty or inverted.
+#[test]
+fn interval_push_matches_sort_and_merge_reference() {
+    fn reference_push(ivals: &mut Vec<(u64, u64)>, start: u64, end: u64) {
+        if end <= start {
+            return;
+        }
+        ivals.push((start, end));
+        ivals.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::new();
+        for &(s, e) in ivals.iter() {
+            match merged.last_mut() {
+                Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                _ => merged.push((s, e)),
+            }
+        }
+        *ivals = merged;
+    }
+    for case in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(0xA101 + case);
+        let mut set = IntervalSet::new();
+        let mut reference = Vec::new();
+        let mut cursor = 0u64;
+        for _ in 0..rng.gen_range(1..80usize) {
+            let start = if rng.gen_bool(0.8) {
+                // In order: at, inside or past the last interval's start.
+                cursor + rng.gen_range(0..12u64)
+            } else {
+                rng.gen_range(0..cursor + 1)
+            };
+            let end = if rng.gen_bool(0.1) {
+                start.saturating_sub(rng.gen_range(0..3u64))
+            } else {
+                start + rng.gen_range(1..10u64)
+            };
+            cursor = cursor.max(start);
+            set.push(start, end);
+            reference_push(&mut reference, start, end);
+            assert_eq!(set.as_slice(), reference.as_slice(), "case {case}");
+        }
+    }
+}
+
+/// The use-stamp LRU `Tlb` matches an ordered-`Vec` LRU reference (most
+/// recently used last, evict the front) on every returned cycle and on
+/// hit and miss counts, for 1 to 16 entries and several page sizes.
+#[test]
+fn stamp_lru_tlb_matches_ordered_vec_reference() {
+    for case in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(0xD101 + case);
+        let cfg = TlbConfig {
+            entries: rng.gen_range(1..17usize),
+            page_bytes: 1 << rng.gen_range(6..14u32),
+            miss_cycles: rng.gen_range(1..40u64),
+        };
+        let mut tlb = Tlb::new(cfg);
+        let mut lru: Vec<u64> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let span = rng.gen_range(1..40u64);
+        for i in 0..rng.gen_range(1..400u64) {
+            let page = rng.gen_range(0..span);
+            let addr = page * cfg.page_bytes + rng.gen_range(0..cfg.page_bytes);
+            let expected = if let Some(pos) = lru.iter().position(|&p| p == page) {
+                let p = lru.remove(pos);
+                lru.push(p);
+                hits += 1;
+                i
+            } else {
+                if lru.len() == cfg.entries {
+                    lru.remove(0);
+                }
+                lru.push(page);
+                misses += 1;
+                i + cfg.miss_cycles
+            };
+            assert_eq!(tlb.translate(addr, i), expected, "case {case}, access {i}");
+        }
+        assert_eq!(tlb.stats().hits, hits, "case {case}");
+        assert_eq!(tlb.stats().misses, misses, "case {case}");
+    }
+}
+
 /// Cache line state after a write is always dirty; after snooping a
 /// shared read it is never Modified/Exclusive.
 #[test]

@@ -377,21 +377,27 @@ impl JobSpec {
         }
     }
 
-    fn build(&self, base_dp: DatapathConfig, extra_launch: u64) -> AcceleratorJob {
+    /// The concrete job, launched `extra_launch` cycles after its declared
+    /// cycle. An unknown kernel is an `L0262` diagnostic.
+    fn build(
+        &self,
+        base_dp: DatapathConfig,
+        extra_launch: u64,
+    ) -> Result<AcceleratorJob, Diagnostic> {
         let dp = DatapathConfig {
             lanes: self.lanes.unwrap_or(base_dp.lanes),
             partition: self.partition.unwrap_or(base_dp.partition),
             ..base_dp
         };
-        let trace = by_name(&self.kernel)
-            .expect("validated kernel name")
-            .run()
-            .trace;
-        let mut job = AcceleratorJob::new(trace, dp, self.mem, self.launch + extra_launch);
+        let kernel = by_name(&self.kernel).ok_or_else(|| {
+            Diagnostic::error("L0262", format!("unknown kernel {:?}", self.kernel))
+        })?;
+        let mut job =
+            AcceleratorJob::new(kernel.run().trace, dp, self.mem, self.launch + extra_launch);
         if let Some(m) = self.master {
             job = job.with_master(MasterId(m));
         }
-        job
+        Ok(job)
     }
 }
 
@@ -947,7 +953,13 @@ impl CampaignSpec {
             // covers all of its points. Topology is the outermost axis,
             // then bus width, then count, then stagger — the same
             // outermost-to-innermost order the sweep branch uses.
-            let jobs = build_jobs(&self.jobs, base_dp, staggers[0]);
+            let jobs = match build_jobs(&self.jobs, base_dp, staggers[0]) {
+                Ok(jobs) => jobs,
+                Err(d) => {
+                    report.push(d);
+                    return Err(report);
+                }
+            };
             let max_count = counts.iter().copied().max().unwrap_or(jobs.len());
             for &topology in &topologies {
                 for &width in &widths {
@@ -1016,8 +1028,13 @@ impl CampaignSpec {
 }
 
 /// Build concrete jobs for one stagger value: job `i` launches at its
-/// declared cycle plus `i × stagger`.
-fn build_jobs(specs: &[JobSpec], base_dp: DatapathConfig, stagger: u64) -> Vec<AcceleratorJob> {
+/// declared cycle plus `i × stagger`. The first job naming an unknown
+/// kernel stops the build with its `L0262` diagnostic.
+fn build_jobs(
+    specs: &[JobSpec],
+    base_dp: DatapathConfig,
+    stagger: u64,
+) -> Result<Vec<AcceleratorJob>, Diagnostic> {
     specs
         .iter()
         .enumerate()
@@ -1050,9 +1067,25 @@ pub struct CampaignPlan {
 
 impl CampaignPlan {
     /// The concrete jobs of a job-set point at `stagger`.
+    ///
+    /// # Errors
+    ///
+    /// An `L0262` diagnostic if a job names an unknown kernel, which only a
+    /// plan edited after [`expand`](CampaignSpec::expand) can hold.
+    pub fn try_jobs_at(&self, stagger: u64) -> Result<Vec<AcceleratorJob>, Diagnostic> {
+        build_jobs(&self.spec.jobs, self.base_dp, stagger)
+    }
+
+    /// The concrete jobs of a job-set point at `stagger`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job names an unknown kernel; use
+    /// [`try_jobs_at`](CampaignPlan::try_jobs_at) to get that as a typed
+    /// diagnostic instead. A plan straight from `expand` never panics here.
     #[must_use]
     pub fn jobs_at(&self, stagger: u64) -> Vec<AcceleratorJob> {
-        build_jobs(&self.spec.jobs, self.base_dp, stagger)
+        self.try_jobs_at(stagger).unwrap_or_else(|d| panic!("{d}"))
     }
 }
 

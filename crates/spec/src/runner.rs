@@ -224,8 +224,10 @@ pub(crate) fn execute(
                 soc,
             } => {
                 rest = &rest[1..];
-                let jobs = plan.jobs_at(*stagger);
-                let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
+                let result = plan
+                    .try_jobs_at(*stagger)
+                    .map_err(SimError::from)
+                    .and_then(|jobs| simulate_multi(&jobs[..*count], soc, &plan.harness));
                 let (stagger, count) = (*stagger, *count);
                 emit(
                     index,
@@ -591,6 +593,44 @@ partitions = [1]
                 let _ = std::fs::remove_file(&atrc_path);
             }
         }
+    }
+
+    /// A job naming an unknown kernel, edited into a plan after `expand`
+    /// validated it, is a typed `L0262` diagnostic from `try_jobs_at`, and
+    /// the runner journals every such point as an error instead of
+    /// panicking.
+    #[test]
+    fn unknown_job_kernel_after_planning_journals_typed_errors() {
+        let mut plan = CampaignSpec::from_toml(
+            r#"
+name = "bad-job-kernel"
+stagger = [0, 100]
+
+[[jobs]]
+kernel = "aes-aes"
+mem = "isolated"
+"#,
+        )
+        .expect("parses")
+        .expand()
+        .expect("expands");
+        assert_eq!(plan.try_jobs_at(0).expect("valid plan").len(), 1);
+        plan.spec.jobs[0].kernel = "no-such-kernel".to_string();
+        let err = plan.try_jobs_at(0).expect_err("unknown kernel");
+        assert_eq!(err.code, "L0262");
+        assert!(err.message.contains("no-such-kernel"), "{err}");
+
+        let journal = temp_path("bad-job-kernel");
+        let summary = run_campaign(&plan, &journal, &RunOptions::default()).expect("runs");
+        assert_eq!(summary.ran, plan.points.len());
+        assert_eq!(summary.failed, plan.points.len());
+        let text = std::fs::read_to_string(&journal).expect("journal");
+        assert_eq!(text.lines().count(), plan.points.len() + 1);
+        for line in text.lines().skip(1) {
+            assert!(line.contains("\"status\":\"error\""), "{line}");
+            assert!(line.contains("[L0262]"), "{line}");
+        }
+        let _ = std::fs::remove_file(&journal);
     }
 
     #[test]
