@@ -1,5 +1,5 @@
 //! Seeded byte-mutation fuzzing of the `.atrc` decode → windowed-schedule
-//! path. Every mutant has its FNV-1a64 checksum re-sealed, so corruption
+//! path. Every mutant has its whole-file checksum re-sealed, so corruption
 //! gets past the envelope check and reaches the block and node decoders
 //! and the scheduler. The property: any input yields a schedule or a typed
 //! diagnostic (`L0280`, or a `SimError`), never a panic.
@@ -11,7 +11,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aladdin_accel::{try_schedule_windowed, DatapathConfig, SpadMemory};
 use aladdin_faults::Watchdog;
-use aladdin_ir::{encode_trace, ArrayKind, AtrcTrace, Opcode, TVal, Trace, Tracer};
+use aladdin_ir::{atrc_checksum, encode_trace, ArrayKind, AtrcTrace, Opcode, TVal, Trace, Tracer};
 use aladdin_rng::SmallRng;
 
 /// Trailer after the checksummed bytes: checksum (8 B) + closing magic (4 B).
@@ -44,10 +44,7 @@ fn reseal(bytes: &mut [u8]) {
     let Some(at) = bytes.len().checked_sub(TRAILER) else {
         return;
     };
-    let mut check = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[..at] {
-        check = (check ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let check = atrc_checksum(&bytes[..at]);
     bytes[at..at + 8].copy_from_slice(&check.to_le_bytes());
 }
 

@@ -14,6 +14,7 @@
 //! the repository root.
 
 use std::hint::black_box;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -101,7 +102,7 @@ fn main() {
                 &specs,
                 &harness,
                 true,
-                &|_, _| {},
+                &|_, _| ControlFlow::Continue(()),
             )
         };
         let mut pruned_count = 0u64;
@@ -126,6 +127,7 @@ fn main() {
         let (outcomes, _) = pruned_sweep();
         let survivors = outcomes
             .iter()
+            .flatten()
             .filter(|o| matches!(o, PointOutcome::Done(_)))
             .count();
         assert_eq!(survivors as u64 + pruned_count, points as u64);

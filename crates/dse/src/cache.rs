@@ -39,7 +39,7 @@ use std::sync::{Mutex, OnceLock};
 
 use aladdin_accel::{DatapathConfig, FuTiming, LaneSync};
 use aladdin_core::{DmaOptLevel, FlowResult, MemKind, SocConfig};
-use aladdin_ir::Trace;
+use aladdin_ir::{ContentHasher, Trace};
 use aladdin_mem::Clock;
 
 /// Bumped whenever the on-disk rendering of a [`FlowResult`] (or the
@@ -127,16 +127,11 @@ pub(crate) fn point_key(
     format!("v{FORMAT_VERSION}|{trace_fp:032x}|{kind:?}|{dp:?}|{soc:?}")
 }
 
-/// FNV-1a over the key, twice with distinct bases — the disk file name.
+/// The 128-bit content hash of the key — the disk file name.
 fn file_name(key: &str) -> String {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hi: u64 = 0x6c62_272e_07bb_0142;
-    for &b in key.as_bytes() {
-        lo = (lo ^ u64::from(b)).wrapping_mul(PRIME);
-        hi = (hi ^ u64::from(b ^ 0x5a)).wrapping_mul(PRIME);
-    }
-    format!("{hi:016x}{lo:016x}.flow")
+    let mut h = ContentHasher::new();
+    h.str(key);
+    format!("{:032x}.flow", h.finish())
 }
 
 /// The fanout shard a cache file lives in: the first two hex digits of

@@ -25,7 +25,8 @@
 //! process-wide accumulator [`crate::global_perf`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -43,40 +44,47 @@ use crate::space::DesignSpace;
 /// Run `job` once per index in `0..n` across all available cores. Each
 /// worker owns a state built by `init` (scheduler workspaces, here).
 /// Results land in pre-allocated per-index slots — no lock on the result
-/// path, no final sort.
-fn parallel_map<T, S, I, F>(n: usize, init: I, job: F) -> Vec<T>
+/// path, no final sort. Once any `job` returns `Break`, workers stop
+/// claiming indices: jobs already running finish, and every index never
+/// claimed stays `None`.
+fn parallel_map<T, S, I, F>(n: usize, init: I, job: F) -> Vec<Option<T>>
 where
     T: Send + Sync,
     S: Send,
     I: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
+    F: Fn(usize, &mut S) -> ControlFlow<T, T> + Sync,
 {
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
         .min(n.max(1));
     let next = AtomicUsize::new(0);
+    // Publishes no data (slots are read after the scope joins).
+    let stop = AtomicBool::new(false);
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
                 let mut state = init();
-                loop {
+                while !stop.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    let r = job(i, &mut state);
+                    let r = match job(i, &mut state) {
+                        ControlFlow::Continue(r) => r,
+                        ControlFlow::Break(r) => {
+                            stop.store(true, Ordering::Relaxed);
+                            r
+                        }
+                    };
                     // Indices are claimed uniquely, so the slot is empty.
                     let _ = slots[i].set(r);
                 }
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("worker filled every claimed slot"))
-        .collect()
+    slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
 /// One design point as the sweep engine sees it: which flow, which
@@ -338,10 +346,11 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Roll the counters up and fold them into [`crate::global_perf`].
-    fn finish(self) -> SweepPerf {
+    /// Roll the counters up over the `points` steps that ran and fold
+    /// them into [`crate::global_perf`].
+    fn finish(self, points: u64) -> SweepPerf {
         let perf = SweepPerf {
-            points: self.specs.len() as u64,
+            points,
             cache_hits: self.hits.into_inner(),
             stepped_cycles: self.stepped.into_inner(),
             events: self.events.into_inner(),
@@ -363,7 +372,10 @@ impl<'a> Sweep<'a> {
 ///
 /// Campaign runners use the sink to stream per-point results to a journal
 /// while the sweep is still going, so an interrupted run loses at most
-/// the points in flight.
+/// the points in flight. A sink that returns `Break` (a journal append
+/// failed) cancels the sweep: workers stop claiming points, the points in
+/// flight finish and still reach the sink, and every point never started
+/// is `None` in the returned vector and absent from the [`SweepPerf`].
 ///
 /// **Sources.** An in-memory source shares one lazily-built
 /// [`PreparedDddg`] per lane count across workers; an `.atrc` source
@@ -403,15 +415,29 @@ pub fn sweep_engine(
     specs: &[PointSpec],
     harness: &SimHarness,
     prune: bool,
-    sink: &(dyn Fn(usize, &PointOutcome) + Sync),
-) -> (Vec<PointOutcome>, SweepPerf) {
+    sink: &(dyn Fn(usize, &PointOutcome) -> ControlFlow<()> + Sync),
+) -> (Vec<Option<PointOutcome>>, SweepPerf) {
     let sweep = Sweep::new(*source, specs, harness, prune);
     let outcomes = parallel_map(specs.len(), SchedulerWorkspace::new, |i, ws| {
         let outcome = sweep.step(i, ws);
-        sink(i, &outcome);
-        outcome
+        match sink(i, &outcome) {
+            ControlFlow::Continue(()) => ControlFlow::Continue(outcome),
+            ControlFlow::Break(()) => ControlFlow::Break(outcome),
+        }
     });
-    (outcomes, sweep.finish())
+    let ran = outcomes.iter().flatten().count() as u64;
+    (outcomes, sweep.finish(ran))
+}
+
+/// The results of a sweep whose sink never cancels it.
+fn into_results(outcomes: Vec<Option<PointOutcome>>) -> Vec<Result<FlowResult, SimError>> {
+    outcomes
+        .into_iter()
+        .map(|o| {
+            o.expect("an uncancelled sweep runs every point")
+                .into_result()
+        })
+        .collect()
 }
 
 /// Run an arbitrary list of design points against an in-memory trace on
@@ -429,15 +455,9 @@ pub fn sweep_points(
         specs,
         harness,
         false,
-        &|_, _| {},
+        &|_, _| ControlFlow::Continue(()),
     );
-    (
-        outcomes
-            .into_iter()
-            .map(PointOutcome::into_result)
-            .collect(),
-        perf,
-    )
+    (into_results(outcomes), perf)
 }
 
 /// [`sweep_points`], invoking `sink` once per completed point as it
@@ -456,15 +476,10 @@ pub fn sweep_points_streaming(
         false,
         &|i, o| {
             sink(i, &o.clone().into_result());
+            ControlFlow::Continue(())
         },
     );
-    (
-        outcomes
-            .into_iter()
-            .map(PointOutcome::into_result)
-            .collect(),
-        perf,
-    )
+    (into_results(outcomes), perf)
 }
 
 /// Run one design point through the result cache on the calling thread:
@@ -491,7 +506,7 @@ pub fn run_point_cached(
     let harness = SimHarness::default();
     let sweep = Sweep::new(TraceSource::Memory(trace), &spec, &harness, false);
     let outcome = sweep.step(0, &mut SchedulerWorkspace::new());
-    sweep.finish();
+    sweep.finish(1);
     outcome.into_result().unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -953,13 +968,13 @@ mod tests {
             &specs,
             &SimHarness::default(),
             true,
-            &|_, _| {},
+            &|_, _| ControlFlow::Continue(()),
         );
         assert_eq!(perf.cache_hits, 0, "streamed points bypass the cache");
         assert_eq!(perf.pruned, 0, "streamed points are never pruned");
         assert_eq!(perf.streamed_points, specs.len() as u64);
         assert!(perf.peak_resident_nodes > 0);
-        for (m, o) in memory.iter().zip(&outcomes) {
+        for (m, o) in memory.iter().zip(outcomes.iter().flatten()) {
             assert_eq!(m.as_ref().ok(), o.result(), "streamed result diverged");
         }
     }
@@ -1012,8 +1027,9 @@ mod tests {
                 &specs,
                 &harness,
                 true,
-                &|_, _| {},
+                &|_, _| ControlFlow::Continue(()),
             );
+            let outcomes: Vec<PointOutcome> = outcomes.into_iter().flatten().collect();
             let survivors: Vec<FlowResult> = outcomes
                 .iter()
                 .filter_map(|o| o.result().cloned())
@@ -1101,13 +1117,13 @@ mod tests {
                 &specs,
                 &harness,
                 true,
-                &|_, _| {},
+                &|_, _| ControlFlow::Continue(()),
             );
             assert!(
-                matches!(&outcomes[0], PointOutcome::Done(r) if **r == witness),
+                matches!(&outcomes[0], Some(PointOutcome::Done(r)) if **r == witness),
                 "witness must be served from cache, bit-exact"
             );
-            if let PointOutcome::Pruned(p) = &outcomes[1] {
+            if let Some(PointOutcome::Pruned(p)) = &outcomes[1] {
                 assert_eq!(perf.pruned, 1);
                 fired = Some(*p);
                 break;
@@ -1134,13 +1150,18 @@ mod tests {
             &specs,
             &tight_watchdog(50),
             true,
-            &|_, _| {},
+            &|_, _| ControlFlow::Continue(()),
         );
         assert!(!outcomes
             .iter()
+            .flatten()
             .any(|o| matches!(o, PointOutcome::Pruned(_))));
         assert_eq!(perf.pruned, 0);
-        let ok = outcomes.iter().filter(|o| o.result().is_some()).count() as u64;
+        let ok = outcomes
+            .iter()
+            .flatten()
+            .filter(|o| o.result().is_some())
+            .count() as u64;
         assert_eq!(perf.cache_hits, 0, "harnessed sweeps bypass the cache");
         assert_eq!(
             ok + perf.failures + perf.pruned,

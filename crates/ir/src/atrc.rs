@@ -11,6 +11,8 @@
 //!
 //! # Layout
 //!
+//! Version 2 ([`ATRC_VERSION`]):
+//!
 //! ```text
 //! magic  "ATRC" | version u8 | name: varint len + bytes
 //! block* tag 0x01 | node count varint | mode u8 (0 raw, 1 RLE)
@@ -19,7 +21,7 @@
 //!            name varint-len+bytes, kind u8, base varint,
 //!            elem_bytes varint, len varint)
 //!        | total node count varint | fingerprint 16 B LE
-//!        | FNV-1a64 checksum over all preceding bytes, 8 B LE
+//!        | checksum over all preceding bytes, 8 B LE ([`atrc_checksum`])
 //!        | closing magic "CRTA"
 //! ```
 //!
@@ -37,6 +39,9 @@
 //! DSE result cache can key file-backed traces without a decode. The
 //! trailing checksum and closing magic turn truncation or bit corruption
 //! into the typed diagnostic `L0280` instead of garbage simulation input.
+//! Fingerprint and checksum both come from the word-at-a-time
+//! [`ContentHasher`]; version 1 checksummed byte-at-a-time with FNV-1a,
+//! and its files are refused by version (`L0280`, re-capture them).
 
 use std::fmt;
 use std::io::{self, Write};
@@ -45,16 +50,17 @@ use std::sync::Arc;
 
 use crate::array::{ArrayId, ArrayInfo, ArrayKind};
 use crate::diag::Diagnostic;
+use crate::hash::{ByteHasher, ContentHasher};
 use crate::opcode::Opcode;
 use crate::stats::TraceStats;
-use crate::trace::{Fingerprinter, MemAccessKind, MemRef, NodeId, Trace, TraceNode};
+use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceNode};
 
 /// Leading file magic.
 pub const ATRC_MAGIC: [u8; 4] = *b"ATRC";
 /// Trailing file magic (leading magic reversed).
 pub const ATRC_END_MAGIC: [u8; 4] = *b"CRTA";
 /// Current format version.
-pub const ATRC_VERSION: u8 = 1;
+pub const ATRC_VERSION: u8 = 2;
 
 const TAG_BLOCK: u8 = 0x01;
 const TAG_FOOTER: u8 = 0x02;
@@ -258,14 +264,15 @@ pub struct AtrcSummary {
 /// in fixed-size blocks, so encoding a trace never requires holding it in
 /// memory; the [`Tracer`](crate::Tracer) can target a writer directly via
 /// [`Tracer::stream_to`](crate::Tracer::stream_to). The writer maintains
-/// the running content fingerprint and a whole-file checksum, both sealed
-/// into the footer by [`TraceWriter::finish`].
+/// the running content fingerprint and the whole-file [`atrc_checksum`]
+/// (carrying a partial word between writes), both sealed into the footer
+/// by [`TraceWriter::finish`].
 pub struct TraceWriter<W: Write> {
     sink: W,
-    /// FNV-1a64 over every byte written so far (the integrity checksum).
-    check: u64,
+    /// The running [`atrc_checksum`] over every byte written so far.
+    check: ByteHasher,
     written: u64,
-    fp: Fingerprinter,
+    fp: ContentHasher,
     block: Vec<u8>,
     block_nodes: usize,
     nodes: u64,
@@ -295,11 +302,9 @@ impl<W: Write> TraceWriter<W> {
         put_varint(&mut header, name.len() as u64);
         header.extend_from_slice(name.as_bytes());
         sink.write_all(&header)?;
-        let mut check = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &header {
-            check = (check ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut fp = Fingerprinter::new();
+        let mut check = ByteHasher::default();
+        check.write(&header);
+        let mut fp = ContentHasher::new();
         fp.str(name);
         Ok(TraceWriter {
             sink,
@@ -315,9 +320,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn emit(&mut self, bytes: &[u8]) -> io::Result<()> {
-        for &b in bytes {
-            self.check = (self.check ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.check.write(bytes);
         self.written += bytes.len() as u64;
         self.sink.write_all(bytes)
     }
@@ -437,7 +440,7 @@ impl<W: Write> TraceWriter<W> {
         put_varint(&mut foot, self.nodes);
         foot.extend_from_slice(&fingerprint.to_le_bytes());
         self.emit(&foot)?;
-        let check = self.check;
+        let check = std::mem::take(&mut self.check).finish();
         self.emit(&check.to_le_bytes())?;
         self.emit(&ATRC_END_MAGIC)?;
         self.sink.flush()?;
@@ -447,6 +450,17 @@ impl<W: Write> TraceWriter<W> {
             fingerprint,
         })
     }
+}
+
+/// The `.atrc` whole-file checksum of `bytes` (everything before the
+/// stored checksum): `bytes` as 8-byte little-endian words, the tail
+/// zero-padded, then the length, absorbed by the word-at-a-time content
+/// hasher; the two 64-bit lanes are xor-folded.
+#[must_use]
+pub fn atrc_checksum(bytes: &[u8]) -> u64 {
+    let mut h = ByteHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Encode a materialized [`Trace`] into `.atrc` bytes.
@@ -467,8 +481,8 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 
 /// A file-backed (or byte-backed) `.atrc` trace.
 ///
-/// Construction validates the envelope — magic, version, block framing,
-/// footer, whole-file checksum — and eagerly parses only the cheap parts
+/// Construction validates the envelope — magic, version, whole-file
+/// checksum, block framing, footer — and eagerly parses only the cheap parts
 /// (name, arrays, node count, fingerprint). Nodes are decoded lazily by
 /// [`AtrcTrace::nodes`], one block at a time, so iterating never
 /// materializes the node vector. The underlying bytes are reference
@@ -507,11 +521,17 @@ impl AtrcTrace {
         if bytes[n - 4..] != ATRC_END_MAGIC {
             return Err(corrupt("missing closing magic: truncated .atrc trace"));
         }
-        let check_pos = n - 4 - 8;
-        let mut check = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &bytes[..check_pos] {
-            check = (check ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        // The version comes before the checksum: an older layout may
+        // define the checksum differently, and deserves the clearer error.
+        let version = bytes[ATRC_MAGIC.len()];
+        if version != ATRC_VERSION {
+            return Err(corrupt(format!(
+                "unsupported .atrc version {version} (expected {ATRC_VERSION}); \
+                 re-capture the trace with this build (`trace_tool encode`)"
+            )));
         }
+        let check_pos = n - 4 - 8;
+        let check = atrc_checksum(&bytes[..check_pos]);
         let stored = u64::from_le_bytes(
             bytes[check_pos..check_pos + 8]
                 .try_into()
@@ -524,13 +544,7 @@ impl AtrcTrace {
             )));
         }
         let mut r = ByteReader::new(&bytes[..check_pos]);
-        r.pos = 4;
-        let version = r.u8()?;
-        if version != ATRC_VERSION {
-            return Err(corrupt(format!(
-                "unsupported .atrc version {version} (expected {ATRC_VERSION})"
-            )));
-        }
+        r.pos = ATRC_MAGIC.len() + 1;
         let name = r.str()?;
         let body = r.pos;
         // Skip blocks (framing lets us reach the footer without decoding).
@@ -1010,6 +1024,22 @@ mod tests {
         let err = AtrcTrace::from_bytes(b"definitely not a trace at all....".to_vec())
             .expect_err("garbage must fail");
         assert_eq!(err.code, "L0280");
+    }
+
+    /// A version-1 file (byte-wise FNV checksum) is refused by its
+    /// version, before the checksum it defines differently is compared.
+    #[test]
+    fn version_one_files_are_refused_by_version() {
+        let mut bytes = encode_trace(&sample_trace());
+        bytes[ATRC_MAGIC.len()] = 1;
+        let err = AtrcTrace::from_bytes(bytes).expect_err("v1 must be refused");
+        assert_eq!(err.code, "L0280");
+        assert!(
+            err.message.contains("unsupported .atrc version 1")
+                && err.message.contains("re-capture"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

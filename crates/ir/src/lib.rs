@@ -41,6 +41,7 @@
 mod array;
 mod atrc;
 pub mod diag;
+mod hash;
 mod opcode;
 mod serialize;
 mod stats;
@@ -50,9 +51,11 @@ mod transform;
 
 pub use array::{ArrayId, ArrayInfo, ArrayKind};
 pub use atrc::{
-    encode_trace, AtrcNodeIter, AtrcSummary, AtrcTrace, StatsAccumulator, TraceWriter, ATRC_VERSION,
+    atrc_checksum, encode_trace, AtrcNodeIter, AtrcSummary, AtrcTrace, StatsAccumulator,
+    TraceWriter, ATRC_VERSION,
 };
 pub use diag::{Diagnostic, Locus, Report, Severity};
+pub use hash::ContentHasher;
 pub use opcode::{FuClass, Opcode};
 pub use serialize::ParseTraceError;
 pub use stats::TraceStats;

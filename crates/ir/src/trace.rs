@@ -5,67 +5,36 @@ use std::sync::OnceLock;
 
 use crate::array::{ArrayId, ArrayInfo};
 use crate::diag::{Diagnostic, Locus, Report};
+use crate::hash::ContentHasher;
 use crate::opcode::Opcode;
 use crate::stats::TraceStats;
 
-/// The dual-FNV-1a content hasher behind [`Trace::fingerprint`].
-///
-/// Shared with the `.atrc` writer ([`crate::TraceWriter`]) so a fingerprint
-/// computed while *streaming* nodes to disk is bit-identical to the one
-/// computed over an in-memory [`Trace`]. The stream order is single-pass
-/// friendly: kernel name first, then every node, then the node count, then
-/// every array, then the array count — lengths follow their contents
-/// because a streaming writer does not know them up front.
-#[derive(Debug, Clone)]
-pub(crate) struct Fingerprinter {
-    lo: u64,
-    hi: u64,
-}
-
-impl Fingerprinter {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        // FNV-1a offset basis and a second, distinct stream.
-        Fingerprinter {
-            lo: 0xcbf2_9ce4_8422_2325,
-            hi: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.lo = (self.lo ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        self.hi = (self.hi ^ u64::from(b ^ 0x5a)).wrapping_mul(Self::PRIME);
-    }
-
-    pub(crate) fn word(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        for &b in s.as_bytes() {
-            self.byte(b);
-        }
-    }
-
+/// The trace fingerprint's word stream, shared with the `.atrc` writer
+/// ([`crate::TraceWriter`]) so a fingerprint computed while *streaming*
+/// nodes to disk is bit-identical to the one computed over an in-memory
+/// [`Trace`]. The order is single-pass friendly: kernel name first, then
+/// every node, then the node count, then every array, then the array
+/// count — the counts follow their contents because a streaming writer
+/// does not know them up front.
+impl ContentHasher {
+    /// One node in two to five words plus one per two dependences.
+    /// Node ids are positions (checked by [`Trace::check`] and the
+    /// writer), so the stream omits them.
     pub(crate) fn node(&mut self, node: &TraceNode) {
-        self.word(node.opcode as u64);
-        self.word(node.deps.len() as u64);
-        for d in &node.deps {
-            self.word(d.index() as u64);
+        self.word(node.opcode as u64 | (node.deps.len() as u64) << 8);
+        for pair in node.deps.chunks(2) {
+            let second = pair.get(1).map_or(0, |d| u64::from(d.0));
+            self.word(u64::from(pair[0].0) | second << 32);
         }
-        match &node.mem {
-            Some(m) => {
-                self.word(1 + m.array.index() as u64);
-                self.word(m.addr);
-                self.word(u64::from(m.bytes));
-                self.word(u64::from(m.kind == MemAccessKind::Write));
-            }
-            None => self.word(0),
+        let tag = match &node.mem {
+            None => 0,
+            Some(m) => 1 + u64::from(m.kind == MemAccessKind::Write),
+        };
+        self.word(u64::from(node.iteration) | tag << 32);
+        if let Some(m) = &node.mem {
+            self.word(u64::from(m.array.0) | u64::from(m.bytes) << 32);
+            self.word(m.addr);
         }
-        self.word(u64::from(node.iteration));
     }
 
     pub(crate) fn array(&mut self, a: &ArrayInfo) {
@@ -74,10 +43,6 @@ impl Fingerprinter {
         self.word(a.base_addr);
         self.word(u64::from(a.elem_bytes));
         self.word(a.len);
-    }
-
-    pub(crate) fn finish(self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
     }
 }
 
@@ -236,8 +201,8 @@ impl Trace {
     /// Two traces with equal fingerprints schedule identically, so the DSE
     /// layer uses this as the trace component of its result-cache key. The
     /// value is stable across processes and runs (no pointer or hash-seed
-    /// dependence): two independent FNV-1a hashes with distinct offset
-    /// bases over the same byte stream. The same stream is produced by
+    /// dependence): a word-at-a-time [`ContentHasher`] over a canonical
+    /// word stream of the trace. The same stream is produced by
     /// [`TraceWriter`](crate::TraceWriter) while encoding an `.atrc` file,
     /// so a file-backed trace carries this fingerprint in its footer and
     /// result-cache keys never require a decode.
@@ -246,7 +211,7 @@ impl Trace {
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
         *self.fp.get_or_init(|| {
-            let mut fp = Fingerprinter::new();
+            let mut fp = ContentHasher::new();
             fp.str(&self.name);
             for node in &self.nodes {
                 fp.node(node);
@@ -519,6 +484,63 @@ mod tests {
         t.store(&mut o, 0, s);
         let renamed = t.finish();
         assert_ne!(a.fingerprint(), renamed.fingerprint());
+    }
+
+    /// The fingerprint is persisted (`.atrc` footers, result-cache keys),
+    /// so any change to its value must be deliberate.
+    #[test]
+    fn fingerprint_is_pinned() {
+        assert_eq!(
+            tiny_trace().fingerprint(),
+            0xf834_18e9_afda_238e_d524_6316_a87b_28e6
+        );
+    }
+
+    /// Changing any one field of any node or array, or the name, changes
+    /// the fingerprint, and no two of those edits collide. Ids are
+    /// positions (`Trace::check`), so they are not edited on their own.
+    #[test]
+    fn every_field_reaches_the_fingerprint() {
+        let base = tiny_trace();
+        let (nodes, arrays) = (base.nodes().to_vec(), base.arrays().to_vec());
+        let with = |edit: &dyn Fn(&mut Vec<TraceNode>, &mut Vec<ArrayInfo>)| {
+            let (mut n, mut a) = (nodes.clone(), arrays.clone());
+            edit(&mut n, &mut a);
+            Trace::new(base.name().to_owned(), n, a).fingerprint()
+        };
+        let mut prints = vec![
+            base.fingerprint(),
+            Trace::new("u".to_owned(), nodes.clone(), arrays.clone()).fingerprint(),
+            with(&|n, _| n[2].opcode = Opcode::FAdd),
+            with(&|n, _| {
+                n[2].deps.pop();
+            }),
+            with(&|n, _| n[2].deps.push(NodeId(1))),
+            with(&|n, _| n[2].deps[0] = NodeId(1)),
+            with(&|n, _| n[2].iteration = 1),
+            with(&|n, _| n[3].iteration = u32::MAX),
+            with(&|n, _| n[0].mem = None),
+            with(&|n, _| n[2].mem = n[0].mem),
+            with(&|n, _| n[0].mem.as_mut().expect("load").array = ArrayId(1)),
+            with(&|n, _| n[0].mem.as_mut().expect("load").addr += 8),
+            with(&|n, _| n[0].mem.as_mut().expect("load").bytes = 4),
+            with(&|n, _| n[0].mem.as_mut().expect("load").kind = MemAccessKind::Write),
+            with(&|n, _| drop(n.pop())),
+            with(&|_, a| a[0].name.push('x')),
+            with(&|_, a| a[0].kind = ArrayKind::InOut),
+            with(&|_, a| a[0].base_addr += 64),
+            with(&|_, a| a[0].elem_bytes = 4),
+            with(&|_, a| a[0].len += 1),
+            with(&|_, a| drop(a.pop())),
+        ];
+        let total = prints.len();
+        prints.sort_unstable();
+        prints.dedup();
+        assert_eq!(
+            prints.len(),
+            total,
+            "some edit left the fingerprint unchanged or collided"
+        );
     }
 
     #[test]

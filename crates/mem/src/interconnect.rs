@@ -220,6 +220,11 @@ pub const CODE_BAD_TOPOLOGY: &str = "L0310";
 /// `L0311`: a job set (or master id) exceeds what the topology can host.
 pub const CODE_TOPOLOGY_CAPACITY: &str = "L0311";
 
+/// Most crossbar ports or two-level clusters a fabric may have. Their
+/// arbitration state is allocated up front, so an unbounded count from a
+/// topology string could exhaust memory; 256 matches the master id space.
+const MAX_PORTS: u32 = 256;
+
 impl TopologyConfig {
     /// How many masters this topology can host. Bus-style fabrics grow
     /// arbitration queues dynamically up to the [`MasterId`] id space; a
@@ -246,11 +251,19 @@ impl TopologyConfig {
             Topology::Crossbar { radix } => {
                 if radix == 0 {
                     err("crossbar radix must be at least 1".to_owned());
+                } else if radix > MAX_PORTS {
+                    err(format!(
+                        "crossbar radix must be at most {MAX_PORTS}, got {radix}"
+                    ));
                 }
             }
             Topology::TwoLevelBus { clusters, .. } => {
                 if clusters == 0 {
                     err("two-level bus needs at least one cluster".to_owned());
+                } else if clusters > MAX_PORTS {
+                    err(format!(
+                        "two-level bus takes at most {MAX_PORTS} clusters, got {clusters}"
+                    ));
                 }
             }
             Topology::MeshNoc {
@@ -274,6 +287,21 @@ impl TopologyConfig {
             }
         }
         report
+    }
+
+    /// The first [`check`](TopologyConfig::check) error, if any.
+    fn first_error(&self) -> Result<(), Diagnostic> {
+        self.check().into_iter().next().map_or(Ok(()), Err)
+    }
+}
+
+impl From<Topology> for TopologyConfig {
+    /// `topology` under the inert default protocol.
+    fn from(topology: Topology) -> Self {
+        TopologyConfig {
+            topology,
+            protocol: ProtocolConfig::default(),
+        }
     }
 }
 
@@ -377,10 +405,7 @@ pub fn build_interconnect(
     dram: DramConfig,
     topo: TopologyConfig,
 ) -> Result<Box<dyn Interconnect>, Diagnostic> {
-    let report = topo.check();
-    if let Some(d) = report.into_iter().next() {
-        return Err(d);
-    }
+    topo.first_error()?;
     let inner: Box<dyn Interconnect> = match topo.topology {
         Topology::SharedBus => Box::new(SystemBus::try_new(bus, dram)?),
         Topology::Crossbar { radix } => Box::new(Crossbar::try_new(bus, dram, radix)?),
@@ -539,14 +564,10 @@ impl Crossbar {
     ///
     /// # Errors
     ///
-    /// `L0310` for a zero radix, `L0213`/`L0216` for bad bus/DRAM config.
+    /// `L0310` for a zero or oversized radix, `L0213`/`L0216` for bad
+    /// bus/DRAM config.
     pub fn try_new(cfg: BusConfig, dram_cfg: DramConfig, radix: u32) -> Result<Self, Diagnostic> {
-        if radix == 0 {
-            return Err(
-                Diagnostic::error(CODE_BAD_TOPOLOGY, "crossbar radix must be at least 1")
-                    .at(Locus::Field("soc.topology")),
-            );
-        }
+        TopologyConfig::from(Topology::Crossbar { radix }).first_error()?;
         if cfg.width_bits < 8 {
             return Err(Diagnostic::error(
                 "L0213",
@@ -764,20 +785,19 @@ impl TwoLevelBus {
     ///
     /// # Errors
     ///
-    /// `L0310` for zero clusters, `L0213`/`L0216` for bad bus/DRAM config.
+    /// `L0310` for zero or too many clusters, `L0213`/`L0216` for bad
+    /// bus/DRAM config.
     pub fn try_new(
         cfg: BusConfig,
         dram_cfg: DramConfig,
         clusters: u32,
         bridge_cycles: u32,
     ) -> Result<Self, Diagnostic> {
-        if clusters == 0 {
-            return Err(Diagnostic::error(
-                CODE_BAD_TOPOLOGY,
-                "two-level bus needs at least one cluster",
-            )
-            .at(Locus::Field("soc.topology")));
-        }
+        TopologyConfig::from(Topology::TwoLevelBus {
+            clusters,
+            bridge_cycles,
+        })
+        .first_error()?;
         if cfg.width_bits < 8 {
             return Err(Diagnostic::error(
                 "L0213",
@@ -1042,18 +1062,13 @@ impl MeshNoc {
         hop_cycles: u32,
         link_bits: u32,
     ) -> Result<Self, Diagnostic> {
-        let topo = TopologyConfig {
-            topology: Topology::MeshNoc {
-                cols,
-                rows,
-                hop_cycles,
-                link_bits,
-            },
-            protocol: ProtocolConfig::default(),
-        };
-        if let Some(d) = topo.check().into_iter().next() {
-            return Err(d);
-        }
+        TopologyConfig::from(Topology::MeshNoc {
+            cols,
+            rows,
+            hop_cycles,
+            link_bits,
+        })
+        .first_error()?;
         if cfg.width_bits < 8 {
             return Err(Diagnostic::error(
                 "L0213",
@@ -1499,9 +1514,14 @@ mod tests {
     fn invalid_topologies_are_l0310() {
         for bad in [
             Topology::Crossbar { radix: 0 },
+            Topology::Crossbar { radix: u32::MAX },
             Topology::TwoLevelBus {
                 clusters: 0,
                 bridge_cycles: 0,
+            },
+            Topology::TwoLevelBus {
+                clusters: 257,
+                bridge_cycles: 4,
             },
             Topology::MeshNoc {
                 cols: 0,

@@ -1131,7 +1131,9 @@ pub fn mem_str(kind: MemKind) -> String {
     }
 }
 
-/// 64-bit FNV-1a, used for campaign digests.
+/// 64-bit FNV-1a, used for campaign digests. Byte-wise on purpose, unlike
+/// the trace hasher ([`aladdin_ir::ContentHasher`]): journal headers
+/// persist this digest, so changing it would orphan every journal.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -540,7 +540,7 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
             beat(&cfg.dir, &cfg.worker);
             continue;
         }
-        let perf = execute(plan, &batch, cfg.prune, &mut |index, record| {
+        let (perf, status) = execute(plan, &batch, cfg.prune, &mut |index, record| {
             finish_point(cfg, &mut file, index, record)?;
             tracker.finished.insert(index);
             summary.claimed += 1;
@@ -548,7 +548,8 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
                 summary.failed += 1;
             }
             Ok(())
-        })?;
+        });
+        status?;
         summary.perf.absorb(&perf);
     }
 

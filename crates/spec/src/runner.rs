@@ -18,6 +18,7 @@
 //! unreadable headers, and failed writes.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -144,22 +145,28 @@ impl LoadedTrace {
 /// directly — the journal is a log, not a different code path. Sink
 /// calls never overlap.
 ///
-/// # Errors
-///
-/// The first error `sink` returns: no later record reaches it, and no
-/// later kernel group or multi point starts.
+/// Returns the sweeps' perf roll-up and the first error `sink` returned.
+/// After that error no later record reaches the sink, the sweep in
+/// flight stops claiming points, and no later kernel group or multi point
+/// starts.
 pub(crate) fn execute(
     plan: &CampaignPlan,
     indices: &[usize],
     prune: bool,
     sink: &mut (dyn FnMut(usize, &Record) -> Result<(), Report> + Send),
-) -> Result<SweepPerf, Report> {
+) -> (SweepPerf, Result<(), Report>) {
     let state = Mutex::new((sink, Ok(())));
+    // `Break` once the sink has failed, which cancels the sweep in flight.
     let emit = |index: usize, record: &Record| {
         let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
         let (sink, status) = &mut *guard;
         if status.is_ok() {
             *status = sink(index, record);
+        }
+        if status.is_ok() {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
         }
     };
     let stopped = || {
@@ -204,7 +211,7 @@ pub(crate) fn execute(
                             spec,
                             outcome,
                         },
-                    );
+                    )
                 };
                 match LoadedTrace::load(kernel, prune) {
                     Ok(trace) => {
@@ -214,7 +221,7 @@ pub(crate) fn execute(
                     }
                     Err(e) => {
                         let outcome = PointOutcome::Failed(e);
-                        (0..specs.len()).for_each(|local| record(local, &outcome));
+                        let _ = (0..specs.len()).try_for_each(|local| record(local, &outcome));
                     }
                 }
             }
@@ -229,7 +236,7 @@ pub(crate) fn execute(
                     .map_err(SimError::from)
                     .and_then(|jobs| simulate_multi(&jobs[..*count], soc, &plan.harness));
                 let (stagger, count) = (*stagger, *count);
-                emit(
+                let _ = emit(
                     index,
                     &Record::Multi {
                         point: index,
@@ -243,7 +250,7 @@ pub(crate) fn execute(
         }
     }
     let (_, status) = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    status.map(|()| perf)
+    (perf, status)
 }
 
 /// Execute `plan`, appending one JSONL record per finished point to
@@ -319,7 +326,8 @@ pub fn run_campaign(
             Some(Status::Ok) | None => summary.ran += 1,
         }
         Ok(())
-    })?;
+    })
+    .1?;
     Ok(summary)
 }
 
@@ -476,9 +484,42 @@ partitions = [1]
             calls += 1;
             Err(journal_err("disk full"))
         })
+        .1
         .expect_err("the sink failed");
         assert!(err.has_code("L0266"), "{}", err.to_human());
         assert_eq!(calls, 1, "nothing reaches the sink after an error");
+    }
+
+    /// A failed sink also cancels the sweep in flight: its workers stop
+    /// claiming points, so each runs at most the point it already had.
+    #[test]
+    fn failed_sink_cancels_the_sweep_in_flight() {
+        let plan = CampaignSpec::from_toml(
+            r#"
+name = "runner-cancel"
+kernels = ["aes-aes"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2, 4, 8]
+partitions = [1, 2, 4]
+"#,
+        )
+        .expect("parses")
+        .expand()
+        .expect("expands");
+        assert_eq!(plan.points.len(), 12);
+        let all: Vec<usize> = (0..plan.points.len()).collect();
+        let (perf, status) = execute(&plan, &all, false, &mut |_, _| {
+            Err(journal_err("disk full"))
+        });
+        assert!(status.is_err());
+        let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        assert!(
+            perf.points >= 1 && perf.points <= threads as u64,
+            "{} of 12 points ran on {threads} thread(s)",
+            perf.points
+        );
     }
 
     #[test]

@@ -65,6 +65,22 @@ fn streamed_fingerprint_matches_in_memory_for_every_kernel() {
     }
 }
 
+/// No two bundled kernels share a fingerprint, so none can be served
+/// another's cached results.
+#[test]
+fn bundled_kernel_fingerprints_are_pairwise_distinct() {
+    let kernels = all_kernels();
+    let mut prints: Vec<(u128, &str)> = kernels
+        .iter()
+        .map(|k| (k.run().trace.fingerprint(), k.name()))
+        .collect();
+    assert_eq!(prints.len(), 16);
+    prints.sort_unstable();
+    for w in prints.windows(2) {
+        assert_ne!(w[0].0, w[1].0, "{} and {} collide", w[0].1, w[1].1);
+    }
+}
+
 /// A randomized kernel exercising every record shape the codec has:
 /// direct and indirect loads, stores (RAW/WAW chains), float and integer
 /// compute, square roots, and scattered iteration labels.
