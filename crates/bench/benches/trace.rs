@@ -9,10 +9,11 @@
 //! `BENCH_trace.json`.
 //!
 //! Self-contained harness (the workspace builds with no crate registry):
-//! small-kernel encode/decode runs for a fixed wall-time budget and reports
-//! the median; the big streaming run reports a single timed pass. The run
-//! rewrites the committed root `BENCH_trace.json`, naming [`BEFORE_COMMIT`]
-//! as the baseline its numbers are compared against.
+//! small-kernel tracing, encode and decode runs for a fixed wall-time
+//! budget and reports the median; the big streaming run reports a single
+//! timed pass. The run rewrites the committed root `BENCH_trace.json`,
+//! naming [`BEFORE_COMMIT`] as the baseline its numbers are compared
+//! against.
 
 use std::hint::black_box;
 use std::io::BufWriter;
@@ -31,13 +32,16 @@ use aladdin_workloads::by_name;
 const BIG_NODES: u64 = 5_000_000;
 
 /// The commit whose numbers this bench's output is compared against:
-/// the parent of the change that last moved the scheduled node rate.
-const BEFORE_COMMIT: &str = "41dabb9";
+/// the parent of the change that last moved one of its metrics (here the
+/// tracing rate and decode throughput, with inline dependence lists).
+const BEFORE_COMMIT: &str = "e0788b2";
 
 const DESCRIPTION: &str = "Streaming `.atrc` trace codec throughput and windowed-scheduler \
 node rate. Measured with `cargo bench --bench trace -p aladdin-bench` (release profile), which \
 rewrites this file. Bundled-kernel rows report median encode/decode over ~1 s of repetitions \
-with the round-trip fingerprint asserted. The stream-fma row is the paper-scale++ experiment: \
+with the round-trip fingerprint asserted, and trace_ns_per_node: the median wall time of one \
+Kernel::run (functional execution plus tracing, and dropping the trace) divided by its node \
+count. The stream-fma row is the paper-scale++ experiment: \
 a 5M-node synthetic kernel traced straight to disk (never materialized), then decoded and \
 scheduled from the file through the windowed DDDG scheduler with the default 65536-node \
 window. peak_resident_nodes is the scheduler's resident high-water mark; \
@@ -62,13 +66,17 @@ fn mb_per_sec(bytes: u64, secs: f64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0) / secs
 }
 
-/// Encode/decode throughput on bundled kernels, with the round-trip
-/// fingerprint checked so the numbers are known to describe a correct
-/// codec.
+/// Tracing rate and encode/decode throughput on bundled kernels, with the
+/// round-trip fingerprint checked so the numbers are known to describe a
+/// correct codec.
 fn bench_kernel_codec(kernel: &str) -> String {
-    let trace = by_name(kernel).expect("kernel").run().trace;
+    let k = by_name(kernel).expect("kernel");
+    let trace = k.run().trace;
     let bytes = encode_trace(&trace);
     let nodes = trace.nodes().len() as u64;
+
+    let trace_ns_per_node =
+        bench_median(|| k.run().trace.nodes().len() as u64) * 1e9 / nodes as f64;
 
     let enc = bench_median(|| encode_trace(&trace).len() as u64);
     let dec = bench_median(|| {
@@ -81,11 +89,12 @@ fn bench_kernel_codec(kernel: &str) -> String {
     let enc_mbps = mb_per_sec(bytes.len() as u64, enc);
     let dec_mbps = mb_per_sec(bytes.len() as u64, dec);
     println!(
-        "trace/{kernel}: {nodes} nodes, {} bytes, encode {enc_mbps:.1} MB/s, decode {dec_mbps:.1} MB/s",
+        "trace/{kernel}: {nodes} nodes, {} bytes, trace {trace_ns_per_node:.1} ns/node, \
+         encode {enc_mbps:.1} MB/s, decode {dec_mbps:.1} MB/s",
         bytes.len()
     );
     format!(
-        "{{\"kernel\": \"{kernel}\", \"nodes\": {nodes}, \"bytes\": {}, \"encode_mb_per_sec\": {enc_mbps:.1}, \"decode_mb_per_sec\": {dec_mbps:.1}}}",
+        "{{\"kernel\": \"{kernel}\", \"nodes\": {nodes}, \"bytes\": {}, \"trace_ns_per_node\": {trace_ns_per_node:.1}, \"encode_mb_per_sec\": {enc_mbps:.1}, \"decode_mb_per_sec\": {dec_mbps:.1}}}",
         bytes.len()
     )
 }
@@ -195,8 +204,8 @@ fn main() {
     }
 
     let doc = format!(
-        "{{\n  \"description\": \"{DESCRIPTION}\",\n  \"metrics\": [\"encode_mb_per_sec\", \
-         \"decode_mb_per_sec\", \"scheduled_nodes_per_sec\", \"peak_resident_nodes\"],\n  \
+        "{{\n  \"description\": \"{DESCRIPTION}\",\n  \"metrics\": [\"trace_ns_per_node\", \
+         \"encode_mb_per_sec\", \"decode_mb_per_sec\", \"scheduled_nodes_per_sec\", \"peak_resident_nodes\"],\n  \
          \"before_commit\": \"{BEFORE_COMMIT}\",\n  \"results\": [\n    {}\n  ]\n}}\n",
         rows.join(",\n    ")
     );

@@ -49,6 +49,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::array::{ArrayId, ArrayInfo, ArrayKind};
+use crate::deps::DepList;
 use crate::diag::Diagnostic;
 use crate::hash::{ByteHasher, ContentHasher};
 use crate::opcode::Opcode;
@@ -819,7 +820,7 @@ impl AtrcNodeIter {
                 "node {id} claims {dep_count} dependences but only {id} predecessors exist"
             )));
         }
-        let mut deps = Vec::with_capacity(dep_count);
+        let mut deps = DepList::new();
         for _ in 0..dep_count {
             let delta = r.varint()?;
             let dep = id

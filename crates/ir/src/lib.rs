@@ -40,6 +40,7 @@
 
 mod array;
 mod atrc;
+mod deps;
 pub mod diag;
 mod hash;
 mod opcode;
@@ -54,6 +55,7 @@ pub use atrc::{
     atrc_checksum, encode_trace, AtrcNodeIter, AtrcSummary, AtrcTrace, StatsAccumulator,
     TraceWriter, ATRC_VERSION,
 };
+pub use deps::DepList;
 pub use diag::{Diagnostic, Locus, Report, Severity};
 pub use hash::ContentHasher;
 pub use opcode::{FuClass, Opcode};

@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 use std::str::FromStr;
 
 use crate::array::{ArrayId, ArrayInfo, ArrayKind};
+use crate::deps::DepList;
 use crate::opcode::Opcode;
 use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceNode};
 
@@ -211,7 +212,7 @@ impl Trace {
                     if sep != ":" {
                         return Err(err(format!("expected ':', got {sep:?}")));
                     }
-                    let mut deps = Vec::new();
+                    let mut deps = DepList::new();
                     for d in tok.by_ref() {
                         let idx: u32 = parse(d, lineno)?;
                         deps.push(NodeId::from_index(idx as usize));

@@ -4,6 +4,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::array::{ArrayId, ArrayInfo};
+use crate::deps::DepList;
 use crate::diag::{Diagnostic, Locus, Report};
 use crate::hash::ContentHasher;
 use crate::opcode::Opcode;
@@ -103,7 +104,7 @@ pub struct TraceNode {
     /// Executed operation.
     pub opcode: Opcode,
     /// Producers this node truly depends on (register + memory dependences).
-    pub deps: Vec<NodeId>,
+    pub deps: DepList,
     /// Memory reference, for memory opcodes.
     pub mem: Option<MemRef>,
     /// Dynamic iteration of the kernel's parallel loop this node belongs to.
@@ -245,7 +246,10 @@ impl Trace {
             .nodes
             .iter()
             .zip(new_deps)
-            .map(|(n, deps)| TraceNode { deps, ..n.clone() })
+            .map(|(n, deps)| TraceNode {
+                deps: deps.into(),
+                ..*n
+            })
             .collect();
         let out = Trace::new(self.name.clone(), nodes, self.arrays.clone());
         debug_assert!(out.check().is_clean(), "{}", out.check().to_human());
@@ -306,7 +310,7 @@ impl Trace {
             .iter()
             .enumerate()
             .map(|(pos, &old)| {
-                let mut deps: Vec<NodeId> = new_deps[old]
+                let mut deps: DepList = new_deps[old]
                     .iter()
                     .map(|d| NodeId(new_index[d.index()]))
                     .collect();
@@ -469,7 +473,7 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
 
         // Any content change — here a single dependence — must change it.
-        let mut deps: Vec<Vec<NodeId>> = a.nodes().iter().map(|n| n.deps.clone()).collect();
+        let mut deps: Vec<Vec<NodeId>> = a.nodes().iter().map(|n| n.deps.to_vec()).collect();
         deps[3].clear();
         let c = a.with_deps(deps);
         assert_ne!(a.fingerprint(), c.fingerprint());

@@ -4,6 +4,7 @@ use std::io::{self, Write};
 
 use crate::array::{ArrayId, ArrayInfo, ArrayKind};
 use crate::atrc::{AtrcSummary, TraceWriter};
+use crate::deps::DepList;
 use crate::opcode::Opcode;
 use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceNode};
 
@@ -210,7 +211,7 @@ impl Tracer {
         self.register_array(name, data, 1, kind)
     }
 
-    fn emit(&mut self, opcode: Opcode, deps: Vec<NodeId>, mem: Option<MemRef>) -> NodeId {
+    fn emit(&mut self, opcode: Opcode, deps: DepList, mem: Option<MemRef>) -> NodeId {
         let id = NodeId(self.emitted);
         self.emitted = self.emitted.checked_add(1).expect("trace too large");
         let node = TraceNode {
@@ -233,8 +234,13 @@ impl Tracer {
         id
     }
 
-    fn dep_list(srcs: &[Option<NodeId>]) -> Vec<NodeId> {
-        let mut deps: Vec<NodeId> = srcs.iter().copied().flatten().collect();
+    /// The sorted, duplicate-free producers among `srcs`. The typed
+    /// helpers pass at most three sources, which stay inline.
+    fn dep_list(srcs: &[Option<NodeId>]) -> DepList {
+        let mut deps = DepList::new();
+        for &src in srcs.iter().flatten() {
+            deps.push(src);
+        }
         deps.sort_unstable();
         deps.dedup();
         deps

@@ -79,7 +79,7 @@ pub fn rebalance_reductions(trace: &Trace, min_len: usize) -> (Trace, RebalanceS
         }
     }
 
-    let mut new_deps: Vec<Vec<NodeId>> = trace.nodes().iter().map(|t| t.deps.clone()).collect();
+    let mut new_deps: Vec<Vec<NodeId>> = trace.nodes().iter().map(|t| t.deps.to_vec()).collect();
     let mut in_chain = vec![false; n];
     let mut stats = RebalanceStats::default();
 

@@ -239,7 +239,7 @@ pub fn lint_dep_relation(num_nodes: usize, deps: &[Vec<NodeId>]) -> Report {
 /// [`lint_dep_relation`] over a trace's own dependence lists.
 #[must_use]
 pub fn lint_dep_cycles(trace: &Trace) -> Report {
-    let deps: Vec<Vec<NodeId>> = trace.nodes().iter().map(|n| n.deps.clone()).collect();
+    let deps: Vec<Vec<NodeId>> = trace.nodes().iter().map(|n| n.deps.to_vec()).collect();
     lint_dep_relation(trace.nodes().len(), &deps)
 }
 

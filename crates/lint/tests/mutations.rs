@@ -80,7 +80,7 @@ fn drop_store_deps(trace: &Trace, victim: NodeId) -> Trace {
                     .filter(|&d| !is_write_to(trace, d, "o"))
                     .collect()
             } else {
-                n.deps.clone()
+                n.deps.to_vec()
             }
         })
         .collect();

@@ -341,16 +341,18 @@ fn finish_point(
 struct SegmentTracker {
     dir: PathBuf,
     digest: u64,
+    points: usize,
     offsets: std::collections::HashMap<PathBuf, u64>,
     ignored: HashSet<PathBuf>,
     finished: HashSet<usize>,
 }
 
 impl SegmentTracker {
-    fn new(dir: &Path, digest: u64) -> Self {
+    fn new(dir: &Path, plan: &CampaignPlan) -> Self {
         SegmentTracker {
             dir: dir.to_path_buf(),
-            digest,
+            digest: plan.digest,
+            points: plan.points.len(),
             offsets: std::collections::HashMap::new(),
             ignored: HashSet::new(),
             finished: HashSet::new(),
@@ -398,7 +400,9 @@ impl SegmentTracker {
                 advanced += header.len() as u64;
             }
             for chunk in chunks {
-                if let LineClass::Finished(point) = classify_line(chunk.trim_end(), false) {
+                if let LineClass::Finished(point) =
+                    classify_line(chunk.trim_end(), false, self.points)
+                {
                     self.finished.insert(point);
                 }
                 advanced += chunk.len() as u64;
@@ -453,10 +457,10 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
 
     // Resume our own segment: quarantine crash damage, skip our own
     // finished points, append from here on.
-    let mut tracker = SegmentTracker::new(&cfg.dir, plan.digest);
+    let mut tracker = SegmentTracker::new(&cfg.dir, plan);
     let fresh = !segment.exists();
     if !fresh {
-        let scan = scan_journal(&segment, plan.digest)?;
+        let scan = scan_journal(&segment, plan)?;
         let entries = scan
             .quarantined
             .iter()
@@ -627,7 +631,7 @@ fn scan_dir(plan: &CampaignPlan, dir: &Path) -> DirScan {
             ));
             continue;
         };
-        let body = match body_lines(&path, &text, plan.digest) {
+        let body = match body_lines(&path, &text, plan) {
             Ok(body) => body,
             Err(r) => {
                 scan.report.merge(r);
@@ -637,16 +641,14 @@ fn scan_dir(plan: &CampaignPlan, dir: &Path) -> DirScan {
         let mut count = 0usize;
         for (lineno, class, line) in body {
             match class {
-                LineClass::Finished(point) if point < plan.points.len() => {
-                    match scan.records.entry(point) {
-                        std::collections::btree_map::Entry::Occupied(_) => scan.duplicates += 1,
-                        std::collections::btree_map::Entry::Vacant(slot) => {
-                            slot.insert(line.to_owned());
-                            count += 1;
-                        }
+                LineClass::Finished(point) => match scan.records.entry(point) {
+                    std::collections::btree_map::Entry::Occupied(_) => scan.duplicates += 1,
+                    std::collections::btree_map::Entry::Vacant(slot) => {
+                        slot.insert(line.to_owned());
+                        count += 1;
                     }
-                }
-                LineClass::Finished(_) | LineClass::Corrupt => {
+                },
+                LineClass::Corrupt => {
                     scan.quarantined
                         .push((worker.clone(), lineno, line.to_owned()));
                 }
@@ -811,7 +813,7 @@ pub fn journal_report(plan: &CampaignPlan, path: &Path) -> Report {
         );
         (scan.report, summary)
     } else {
-        let scan = match scan_journal(path, plan.digest) {
+        let scan = match scan_journal(path, plan) {
             Ok(scan) => scan,
             Err(r) => return r,
         };
@@ -1293,6 +1295,47 @@ mems = ["isolated"]
                 ("w2".to_owned(), plan.points.len() - 1)
             ]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment record naming a point outside the plan never counts
+    /// toward the tracker's finished set, so it cannot stop a worker
+    /// while a real point is still unjournaled.
+    #[test]
+    fn tracker_ignores_out_of_plan_points() {
+        let plan = tiny_plan();
+        let dir = temp_dir("out-of-plan");
+        let cfg = WorkerConfig {
+            limit: Some(3),
+            ..fast_cfg(&dir, "w1")
+        };
+        let first = run_worker(&plan, &cfg).expect("works");
+        assert_eq!(first.claimed, 3);
+        // Two of w1's three records now name points the plan lacks.
+        let seg = segment_path(&dir, "w1");
+        let text = std::fs::read_to_string(&seg).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        for (line, bogus) in lines[1..3].iter_mut().zip([54, 55]) {
+            let point = crate::journal::json_field_u64(line, "point").expect("point");
+            *line = line.replacen(
+                &format!("\"point\":{point},"),
+                &format!("\"point\":{bogus},"),
+                1,
+            );
+        }
+        std::fs::write(&seg, lines.join("\n") + "\n").unwrap();
+
+        let mut tracker = SegmentTracker::new(&dir, &plan);
+        tracker.refresh();
+        assert_eq!(tracker.finished.len(), 1, "{:?}", tracker.finished);
+        assert!(tracker.finished.iter().all(|&p| p < plan.points.len()));
+
+        let rest = run_worker(&plan, &fast_cfg(&dir, "w2")).expect("works");
+        assert_eq!(rest.claimed, plan.points.len() - 1);
+        assert!(rest.complete);
+        let merged = coordinate(&plan, &dir).expect("merges");
+        assert!(merged.complete);
+        assert_eq!(merged.quarantined, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

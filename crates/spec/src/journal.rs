@@ -252,14 +252,16 @@ pub(crate) enum LineClass {
     /// An incomplete final line — the writer was killed mid-write; its
     /// point silently re-runs.
     TruncatedTail,
-    /// A corrupt record anywhere else: quarantine it (`L0292`) rather
-    /// than silently miscounting finished points.
+    /// A corrupt record anywhere else, including one whose point is not
+    /// in the plan: quarantine it (`L0292`) rather than silently
+    /// miscounting finished points.
     Corrupt,
 }
 
-/// Classify one journal body line. `is_last` distinguishes the benign
-/// kill-mid-write tail from mid-file corruption.
-pub(crate) fn classify_line(line: &str, is_last: bool) -> LineClass {
+/// Classify one journal body line of a plan with `points` points.
+/// `is_last` distinguishes the benign kill-mid-write tail from mid-file
+/// corruption.
+pub(crate) fn classify_line(line: &str, is_last: bool, points: usize) -> LineClass {
     let trimmed = line.trim_end();
     if !trimmed.ends_with('}') {
         return if is_last {
@@ -271,7 +273,10 @@ pub(crate) fn classify_line(line: &str, is_last: bool) -> LineClass {
     if json_field_str(trimmed, "event").is_some() {
         return LineClass::Event;
     }
-    let Some(point) = json_field_u64(trimmed, "point").and_then(|p| usize::try_from(p).ok()) else {
+    let Some(point) = json_field_u64(trimmed, "point")
+        .and_then(|p| usize::try_from(p).ok())
+        .filter(|&p| p < points)
+    else {
         return LineClass::Corrupt;
     };
     match json_field_str(trimmed, "status") {
@@ -281,8 +286,8 @@ pub(crate) fn classify_line(line: &str, is_last: bool) -> LineClass {
     }
 }
 
-/// Check `text`'s header against `digest`, then classify every body line
-/// as `(1-based line number, class, line)`.
+/// Check `text`'s header against `plan`'s digest, then classify every
+/// body line as `(1-based line number, class, line)`.
 ///
 /// # Errors
 ///
@@ -290,25 +295,27 @@ pub(crate) fn classify_line(line: &str, is_last: bool) -> LineClass {
 pub(crate) fn body_lines<'t>(
     path: &Path,
     text: &'t str,
-    digest: u64,
+    plan: &CampaignPlan,
 ) -> Result<impl Iterator<Item = (usize, LineClass, &'t str)>, Report> {
     let mut lines = text.lines();
-    check_header(path, lines.next(), digest)?;
+    check_header(path, lines.next(), plan.digest)?;
     let body: Vec<&str> = lines.collect();
-    let last = body.len();
+    let (last, points) = (body.len(), plan.points.len());
     Ok(body
         .into_iter()
         .enumerate()
-        .map(move |(i, line)| (i + 2, classify_line(line, i + 1 == last), line)))
+        .map(move |(i, line)| (i + 2, classify_line(line, i + 1 == last, points), line)))
 }
 
 /// Everything an integrity scan of one journal found.
 #[derive(Debug, Clone, Default)]
 pub struct JournalScan {
-    /// Points with a complete terminal record (ok, error, or pruned).
+    /// Points with a complete terminal record (ok, error, or pruned);
+    /// every one is an index into the plan's points.
     pub finished: HashSet<usize>,
-    /// Corrupt mid-file records as `(1-based line number, raw line)` —
-    /// candidates for the `.quarantine` sidecar (`L0292`).
+    /// Corrupt mid-file records, and records naming a point outside the
+    /// plan, as `(1-based line number, raw line)` — candidates for the
+    /// `.quarantine` sidecar (`L0292`).
     pub quarantined: Vec<(usize, String)>,
     /// `"status":"retried"` lines, which older workers wrote before
     /// re-attempting a point.
@@ -317,19 +324,20 @@ pub struct JournalScan {
     pub events: usize,
 }
 
-/// Scan a journal's body, verifying its header against `digest`, and
-/// classify every line: finished points, retried attempts, coordinator
-/// events, corrupt mid-file records, and the benign truncated tail.
+/// Scan a journal's body, verifying its header against `plan`'s digest,
+/// and classify every line: finished points, retried attempts,
+/// coordinator events, corrupt mid-file records, and the benign
+/// truncated tail.
 ///
 /// # Errors
 ///
 /// Returns `L0266` diagnostics when the journal is missing, has no
 /// parseable header, or records a different campaign digest.
-pub fn scan_journal(journal: &Path, digest: u64) -> Result<JournalScan, Report> {
+pub fn scan_journal(journal: &Path, plan: &CampaignPlan) -> Result<JournalScan, Report> {
     let text = std::fs::read_to_string(journal)
         .map_err(|e| journal_err(format!("cannot read journal {}: {e}", journal.display())))?;
     let mut scan = JournalScan::default();
-    for (lineno, class, line) in body_lines(journal, &text, digest)? {
+    for (lineno, class, line) in body_lines(journal, &text, plan)? {
         match class {
             LineClass::Finished(point) => {
                 scan.finished.insert(point);
@@ -344,19 +352,19 @@ pub fn scan_journal(journal: &Path, digest: u64) -> Result<JournalScan, Report> 
 }
 
 /// Read the set of finished point indices from a journal, verifying its
-/// header against `digest`.
+/// header against `plan`'s digest.
 ///
-/// Complete terminal records (ok, error, or pruned) count as finished; a
-/// truncated final line is ignored so its point re-runs; corrupt mid-file
-/// records are excluded (their points re-run) — use [`scan_journal`] to
-/// see them.
+/// Complete terminal records (ok, error, or pruned) of points in the plan
+/// count as finished; a truncated final line is ignored so its point
+/// re-runs; corrupt mid-file records are excluded (their points re-run) —
+/// use [`scan_journal`] to see them.
 ///
 /// # Errors
 ///
 /// Returns `L0266` diagnostics when the journal is missing, has no
 /// parseable header, or records a different campaign digest.
-pub fn read_finished(journal: &Path, digest: u64) -> Result<HashSet<usize>, Report> {
-    Ok(scan_journal(journal, digest)?.finished)
+pub fn read_finished(journal: &Path, plan: &CampaignPlan) -> Result<HashSet<usize>, Report> {
+    Ok(scan_journal(journal, plan)?.finished)
 }
 
 /// The `.quarantine` sidecar path of a journal.
@@ -484,7 +492,7 @@ mod tests {
             reclaim,
             r#"{"event":"reclaim","point":2,"from":"a\"b","by":"w1","code":"L0290"}"#
         );
-        assert_eq!(classify_line(&reclaim, false), LineClass::Event);
+        assert_eq!(classify_line(&reclaim, false, 8), LineClass::Event);
         let lease = Record::Lease {
             point: 7,
             owner: "w1",

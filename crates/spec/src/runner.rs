@@ -271,7 +271,7 @@ pub fn run_campaign(
     opts: &RunOptions,
 ) -> Result<RunSummary, Report> {
     let (finished, quarantined) = if opts.resume {
-        let scan = scan_journal(journal, plan.digest)?;
+        let scan = scan_journal(journal, plan)?;
         // Corrupt mid-file records go to the `.quarantine` sidecar
         // (`L0292`) and their points re-run — never a silent miscount.
         let entries = scan
@@ -451,7 +451,7 @@ partitions = [1]
         assert_eq!(summary.failed, 0);
         assert!(summary.complete());
 
-        let finished = read_finished(&journal, plan.digest).expect("readable");
+        let finished = read_finished(&journal, &plan).expect("readable");
         assert_eq!(finished.len(), plan.points.len());
         // Exactly one record per index, plus the header.
         let text = std::fs::read_to_string(&journal).unwrap();
@@ -593,7 +593,7 @@ partitions = [1]
         assert_eq!(summary.ran, plan.points.len());
         assert_eq!(summary.failed, 0);
         assert!(summary.complete());
-        let finished = read_finished(&journal, plan.digest).expect("readable");
+        let finished = read_finished(&journal, &plan).expect("readable");
         assert_eq!(finished.len(), plan.points.len());
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&atrc_path);
@@ -794,7 +794,7 @@ mem = "isolated"
         assert_eq!(summary.ran + summary.pruned, plan.points.len());
         assert!(summary.complete());
         // Every point — simulated or pruned — has exactly one record.
-        let finished = read_finished(&journal, plan.digest).expect("readable");
+        let finished = read_finished(&journal, &plan).expect("readable");
         assert_eq!(finished.len(), plan.points.len());
         let _ = std::fs::remove_file(&journal);
     }
@@ -837,7 +837,7 @@ mem = "isolated"
         text.push('\n');
         std::fs::write(&journal, text).unwrap();
 
-        let finished = read_finished(&journal, plan.digest).expect("readable");
+        let finished = read_finished(&journal, &plan).expect("readable");
         assert_eq!(finished.len(), plan.points.len(), "pruned counts");
         let resumed = run_campaign(
             &plan,
@@ -898,7 +898,7 @@ mem = "isolated"
         lines[1].truncate(keep);
         std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
 
-        let scan = scan_journal(&journal, plan.digest).expect("scans");
+        let scan = scan_journal(&journal, &plan).expect("scans");
         assert_eq!(
             scan.finished.len(),
             plan.points.len() - 1,
@@ -942,6 +942,59 @@ mem = "isolated"
         let _ = std::fs::remove_file(&sidecar);
     }
 
+    /// A record naming a point the plan does not have is corrupt: it is
+    /// quarantined, never counted as finished, and the point it displaced
+    /// re-runs. Counting it made `skipped` exceed `total` and kept the
+    /// campaign incomplete forever.
+    #[test]
+    fn out_of_plan_points_quarantine_and_rerun() {
+        let plan = CampaignSpec::from_toml(
+            r#"
+name = "runner-out-of-plan"
+kernels = ["aes-aes"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2]
+partitions = [1, 2]
+"#,
+        )
+        .expect("parses")
+        .expand()
+        .expect("expands");
+        assert_eq!(plan.points.len(), 4);
+        let journal = temp_path("out-of-plan");
+        let limited = RunOptions {
+            limit: Some(3),
+            ..RunOptions::default()
+        };
+        run_campaign(&plan, &journal, &limited).expect("runs");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let moved = text.replacen("{\"point\":0,", "{\"point\":54,", 1);
+        assert_ne!(moved, text, "point 0 ran under the limit");
+        std::fs::write(&journal, moved).unwrap();
+
+        let scan = scan_journal(&journal, &plan).expect("scans");
+        assert!(scan.finished.iter().all(|&p| p < plan.points.len()));
+        assert_eq!(scan.finished.len(), 2);
+        assert_eq!(scan.quarantined.len(), 1);
+
+        let resume = RunOptions {
+            resume: true,
+            ..RunOptions::default()
+        };
+        let first = run_campaign(&plan, &journal, &resume).expect("resumes");
+        assert_eq!((first.skipped, first.ran), (2, 2));
+        assert_eq!(first.quarantined, 1);
+        assert!(first.complete());
+        let second = run_campaign(&plan, &journal, &resume).expect("resumes");
+        assert_eq!((second.total, second.skipped, second.ran), (4, 4, 0));
+        assert_eq!(second.quarantined, 1);
+        assert!(second.complete());
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(quarantine_path(&journal));
+    }
+
     #[test]
     fn retried_records_do_not_count_as_finished() {
         let plan = tiny_plan();
@@ -964,7 +1017,7 @@ mem = "isolated"
         text.push_str("{\"event\":\"reclaim\",\"point\":1,\"from\":\"w1\",\"code\":\"L0290\"}\n");
         std::fs::write(&journal, text).unwrap();
 
-        let scan = scan_journal(&journal, plan.digest).expect("scans");
+        let scan = scan_journal(&journal, &plan).expect("scans");
         assert_eq!(scan.finished.len(), 1, "retried is not terminal");
         assert_eq!(scan.retried, 1);
         assert_eq!(scan.events, 1);
@@ -994,7 +1047,7 @@ mem = "isolated"
         let truncated = &text[..text.len() - 10];
         std::fs::write(&journal, truncated).unwrap();
 
-        let finished = read_finished(&journal, plan.digest).expect("readable");
+        let finished = read_finished(&journal, &plan).expect("readable");
         assert_eq!(finished.len(), plan.points.len() - 1);
         let resumed = run_campaign(
             &plan,

@@ -65,6 +65,66 @@ fn streamed_fingerprint_matches_in_memory_for_every_kernel() {
     }
 }
 
+/// A kernel whose `raw_op` nodes combine 4 to 9 distinct producers (plus
+/// repeats and literals), so their dependence lists outgrow the inline
+/// slots. No bundled kernel has more than three dependences per node.
+fn wide_kernel(t: &mut Tracer) {
+    let n = 12;
+    let input: Vec<f64> = (0..n).map(|i| i as f64 + 0.25).collect();
+    let a = t.array_f64("a", &input, ArrayKind::Input);
+    let mut o = t.array_f64("o", &vec![0.0; n], ArrayKind::Output);
+    let loads: Vec<TVal<f64>> = (0..n).map(|i| t.load(&a, i)).collect();
+    for (i, width) in [4, 5, 9, 3, 6].into_iter().enumerate() {
+        t.begin_iteration(i as u32);
+        let mut srcs: Vec<Option<aladdin_ir::NodeId>> =
+            loads[i..i + width].iter().rev().map(|v| v.src).collect();
+        srcs.push(loads[i].src);
+        srcs.push(None);
+        let sum = loads[i..i + width].iter().map(|v| v.v).sum();
+        let v = t.raw_op(Opcode::FAdd, sum, &srcs);
+        t.store(&mut o, i, v);
+    }
+}
+
+/// Dependence lists longer than the inline capacity survive the `.atrc`
+/// codec, in memory and streamed to a file, with one fingerprint.
+#[test]
+fn wide_dependence_lists_round_trip_through_atrc() {
+    let mut t = Tracer::new("wide-deps");
+    wide_kernel(&mut t);
+    let trace = t.finish();
+    let widths: Vec<usize> = trace.nodes().iter().map(|n| n.deps.len()).collect();
+    assert_eq!(widths.iter().max(), Some(&9));
+    assert!(widths.contains(&4) && widths.contains(&5));
+    for node in trace.nodes() {
+        assert!(node.deps.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
+    }
+
+    let bytes = encode_trace(&trace);
+    let atrc = AtrcTrace::from_bytes(bytes.clone()).expect("valid bytes");
+    let decoded = atrc.decode().expect("decodes");
+    assert_traces_equal(&trace, &decoded, "in memory");
+    assert_eq!(atrc.fingerprint(), trace.fingerprint());
+    assert_eq!(decoded.fingerprint(), trace.fingerprint());
+
+    let path = std::env::temp_dir().join(format!("aladdin-wide-deps-{}.atrc", std::process::id()));
+    let mut streamed = Tracer::new("wide-deps");
+    let file = std::fs::File::create(&path).expect("temp file");
+    streamed
+        .stream_to(Box::new(std::io::BufWriter::new(file)))
+        .expect("header");
+    wide_kernel(&mut streamed);
+    let summary = streamed.finish_streaming().expect("streams");
+    assert_eq!(summary.fingerprint, trace.fingerprint());
+    let on_disk = AtrcTrace::open(&path).expect("opens");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(on_disk.fingerprint(), trace.fingerprint());
+    let from_file = on_disk.decode().expect("decodes");
+    assert_traces_equal(&trace, &from_file, "streamed");
+    assert_eq!(from_file.fingerprint(), trace.fingerprint());
+    assert_eq!(encode_trace(&from_file), bytes, "canonical bytes");
+}
+
 /// No two bundled kernels share a fingerprint, so none can be served
 /// another's cached results.
 #[test]
