@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod config;
 mod dddg;
@@ -58,7 +59,7 @@ pub use fu::FuTiming;
 pub use meminterface::{DatapathMemory, IssueResult, SpadMemory, SpadStats};
 pub use power::{CacheEnergyParams, EnergyReport, PowerModel};
 pub use scheduler::{
-    mem_issue_budget, schedule, schedule_prepared, try_schedule, try_schedule_prepared,
-    PreparedDddg, ScheduleResult, SchedulerWorkspace,
+    mem_issue_budget, schedule, try_schedule_prepared, PreparedDddg, ScheduleResult,
+    SchedulerWorkspace,
 };
 pub use window::{trace_node_stream, try_schedule_windowed, WindowedOutcome, DEFAULT_WINDOW_NODES};

@@ -13,6 +13,21 @@
 //! * under [`LaneSync::Barrier`], all lanes synchronize before the next
 //!   unrolled iteration round begins.
 //!
+//! # One loop, two stores
+//!
+//! The per-cycle loop exists once, as `SchedState::run`. It is generic
+//! over a `NodeStore`, which answers only what the loop cannot own: each
+//! node's opcode, memory reference, lane and round; which successors a
+//! retirement releases; when nodes become resident; and when the trace is
+//! finished. Ready queues, completion wheels, the barrier, busy
+//! accounting, the idle jump and the watchdog are the loop's alone.
+//!
+//! * The *prepared* store ([`try_schedule_prepared`]) holds the whole
+//!   trace and a [`PreparedDddg`]: every node is resident from the start
+//!   and every barrier round's size is known.
+//! * The *streamed* store ([`try_schedule_windowed`](crate::try_schedule_windowed))
+//!   admits nodes from an iterator into a bounded window (see `window.rs`).
+//!
 //! # Sweep fast path
 //!
 //! Design-space sweeps re-schedule the same trace hundreds of times. Two
@@ -23,19 +38,19 @@
 //!   structure) depends only on the trace and the lane count, so a cache
 //!   sweep at fixed lanes can build it once and share it (via `Arc`)
 //!   across every cache geometry and every worker thread.
-//! * [`SchedulerWorkspace`] — the engine's heaps and vectors are sized by
-//!   the trace, not the config; keeping them alive between runs turns ~10
-//!   allocations per design point into zero.
+//! * [`SchedulerWorkspace`] — the loop's heaps and vectors are sized by
+//!   the trace, not the config; keeping them alive between runs of either
+//!   store turns ~10 allocations per design point into zero.
 //!
 //! [`schedule`] remains the convenient one-shot entry point; it builds
 //! both on the fly and produces bit-identical results to
-//! [`schedule_prepared`].
+//! [`try_schedule_prepared`].
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use aladdin_faults::{DeadlockSnapshot, SimError, Watchdog};
-use aladdin_ir::{FuClass, MemAccessKind, NodeId, Trace, TraceNode};
+use aladdin_ir::{FuClass, MemAccessKind, MemRef, NodeId, Opcode, Trace, TraceNode};
 use aladdin_mem::IntervalSet;
 
 use crate::config::{DatapathConfig, LaneSync};
@@ -95,8 +110,7 @@ pub fn mem_issue_budget(cfg: &DatapathConfig) -> usize {
 ///
 /// Each cycle [`issue_smallest`](ReadyMem::issue_smallest) walks the
 /// smallest ids in place and removes only the ones the memory accepts, so
-/// a rejected attempt costs a bit scan, never a re-insertion. Both
-/// engines keep their ready memory ops here.
+/// a rejected attempt costs a bit scan, never a re-insertion.
 #[derive(Debug, Default)]
 pub(crate) struct ReadyMem {
     /// Bit `b` of `words[i]` is id `(base + i) * 64 + b`. The last word
@@ -117,10 +131,12 @@ impl ReadyMem {
         self.len = 0;
     }
 
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
+    #[inline]
     pub(crate) fn insert(&mut self, id: u32) {
         let w = id as usize / 64;
         if self.len == 0 {
@@ -145,6 +161,7 @@ impl ReadyMem {
     /// Offer the `budget` smallest ready ids to `issue`, in ascending
     /// order, and remove each one it accepts (returns `true` for). A
     /// rejected id stays in place for the next cycle.
+    #[inline]
     pub(crate) fn issue_smallest(&mut self, budget: usize, mut issue: impl FnMut(u32) -> bool) {
         let mut left = budget;
         for i in self.head..self.words.len() {
@@ -198,7 +215,7 @@ pub struct PreparedDddg {
 impl PreparedDddg {
     /// Build the graph for `trace` as seen by a datapath with `cfg.lanes`
     /// lanes. Only the lane count matters; every other field of `cfg` is
-    /// ignored here and may vary freely between [`schedule_prepared`]
+    /// ignored here and may vary freely between [`try_schedule_prepared`]
     /// calls that reuse this preparation.
     #[must_use]
     pub fn new(trace: &Trace, cfg: &DatapathConfig) -> Self {
@@ -227,24 +244,21 @@ impl PreparedDddg {
     }
 }
 
-/// Reusable scheduling buffers: heaps, per-node state, and scratch vectors
-/// the engine would otherwise allocate afresh for every design point.
+/// Reusable scheduling buffers: heaps, wheels, per-node state, and scratch
+/// vectors the loop would otherwise allocate afresh for every design
+/// point.
 ///
 /// A workspace is plain state — create one per worker thread and pass it
-/// to [`schedule_prepared`] for every point that worker simulates. All
-/// contents are cleared (but their capacity retained) at the start of each
-/// run, so reuse cannot leak state between points; results are
-/// bit-identical to a cold [`schedule`] call.
+/// to [`try_schedule_prepared`] or
+/// [`try_schedule_windowed`](crate::try_schedule_windowed) for every point
+/// that worker simulates, in any mix. All contents are cleared (but their
+/// capacity retained) at the start of each run, so reuse cannot leak state
+/// between points; results are bit-identical to a fresh workspace.
 #[derive(Debug, Default)]
 pub struct SchedulerWorkspace {
+    /// The prepared store's remaining in-degree per node.
     indeg: Vec<u32>,
-    round_done: Vec<usize>,
-    parked: Vec<Vec<u32>>,
-    ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
-    ready_mask: Vec<u64>,
-    ready_mem: ReadyMem,
-    wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
+    pub(crate) state: SchedState,
 }
 
 impl SchedulerWorkspace {
@@ -256,28 +270,64 @@ impl SchedulerWorkspace {
     }
 }
 
-/// Mutable scheduling state. Read-only inputs (trace nodes, graph) are
-/// passed into methods to keep borrows simple. All container fields are
-/// borrowed from a [`SchedulerWorkspace`] so their allocations survive
-/// across runs.
-struct Engine<'w> {
+/// Where the scheduling loop finds its nodes: the per-node facts and
+/// lifecycle the loop does not own. Ids are node ids; the loop only asks
+/// about resident ones.
+pub(crate) trait NodeStore {
+    fn opcode(&self, id: u32) -> Opcode;
+    fn mem(&self, id: u32) -> Option<MemRef>;
+    fn lane(&self, id: u32) -> u32;
+    fn round(&self, id: u32) -> u32;
+    /// Retire `id` and hand each successor whose last dependence it was to
+    /// `release`, in successor order. Returns `id`'s round.
+    fn retire(&mut self, id: u32, release: impl FnMut(&Self, u32)) -> u32;
+    /// Make the first nodes resident before cycle one.
+    fn start(&mut self, st: &mut SchedState) -> Result<(), SimError> {
+        self.admit(st)
+    }
+    /// Make nodes resident after the cycle's retirements and before its
+    /// issue phases.
+    fn admit(&mut self, st: &mut SchedState) -> Result<(), SimError>;
+    /// Whether every node has retired, given `completed` retirements.
+    fn finished(&self, completed: u64) -> bool;
+    /// Node count for error snapshots, and notes qualifying it.
+    fn total(&self) -> usize;
+    fn notes(&self) -> Vec<String>;
+}
+
+/// Barrier bookkeeping for one round, kept only while the round can still
+/// matter; completed rounds are popped from the front of the deque.
+#[derive(Debug, Default)]
+struct RoundState {
+    done: usize,
+    /// Nodes of this round made resident so far — the round's true size
+    /// once the round is final.
+    total: usize,
+    parked: Vec<u32>,
+}
+
+/// The scheduling loop's state, owned by a [`SchedulerWorkspace`] and
+/// reset at the start of every run.
+#[derive(Debug, Default)]
+pub(crate) struct SchedState {
     barrier: bool,
-    indeg: &'w mut Vec<u32>,
-    round_total: &'w [usize],
-    round_done: &'w mut Vec<usize>,
-    current_round: usize,
-    parked: &'w mut Vec<Vec<u32>>,
-    ready_compute: &'w mut Vec<BinaryHeap<Reverse<u32>>>,
+    /// Barrier rounds, front = `current_round`.
+    rounds: VecDeque<RoundState>,
+    current_round: u32,
+    /// Rounds below this one are final: no more of their nodes can
+    /// arrive, so their `total` is exact.
+    final_rounds: u32,
+    ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
     /// One bit per `ready_compute` slot; set iff the slot's heap is
     /// non-empty. The issue loop walks set bits instead of scanning all
     /// `lanes × CLASSES` heaps every cycle.
-    ready_mask: &'w mut Vec<u64>,
-    ready_mem: &'w mut ReadyMem,
+    ready_mask: Vec<u64>,
+    ready_mem: ReadyMem,
     ready_count: usize,
-    wheel: &'w mut BinaryHeap<Reverse<(u64, u32)>>,
+    wheel: BinaryHeap<Reverse<(u64, u32)>>,
     /// Memory-system completions not yet due (delivered with a future
     /// completion cycle, e.g. a known DMA arrival time).
-    mem_wheel: &'w mut BinaryHeap<Reverse<(u64, u32)>>,
+    mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
     /// Memory operations issued into the memory system whose completions
     /// have not yet been drained. While this is non-zero the memory system
     /// owes us events at unknown cycles, so idle fast-forwarding must not
@@ -286,37 +336,111 @@ struct Engine<'w> {
     active: usize,
     busy_start: u64,
     busy: IntervalSet,
-    completed: usize,
+    completed: u64,
     last_retire: u64,
-    issued_per_class: [u64; 6],
+    issued_per_class: [u64; CLASSES],
     mem_rejects: u64,
     events: u64,
 }
 
-impl Engine<'_> {
-    fn enqueue(&mut self, idx: usize, nodes: &[TraceNode], lanes: &[u32]) {
-        let node = &nodes[idx];
-        if node.opcode.is_memory() {
-            self.ready_mem.insert(idx as u32);
+impl SchedState {
+    /// Clear every buffer (keeping its capacity) for a run of `cfg` from
+    /// cycle `start`.
+    fn reset(&mut self, cfg: &DatapathConfig, start: u64) {
+        let slots = cfg.lanes as usize * CLASSES;
+        if self.ready_compute.len() < slots {
+            self.ready_compute.resize_with(slots, BinaryHeap::new);
+        }
+        for h in &mut self.ready_compute[..slots] {
+            h.clear();
+        }
+        self.ready_mask.clear();
+        self.ready_mask.resize(slots.div_ceil(64), 0);
+        self.ready_mem.clear();
+        self.wheel.clear();
+        self.mem_wheel.clear();
+        self.rounds.clear();
+        self.barrier = cfg.sync == LaneSync::Barrier;
+        self.current_round = 0;
+        self.final_rounds = 0;
+        self.ready_count = 0;
+        self.mem_inflight = 0;
+        self.active = 0;
+        self.busy_start = start;
+        self.busy = IntervalSet::new();
+        self.completed = 0;
+        self.last_retire = start;
+        self.issued_per_class = [0; CLASSES];
+        self.mem_rejects = 0;
+        self.events = 0;
+    }
+
+    fn enqueue<S: NodeStore>(&mut self, store: &S, id: u32) {
+        let opcode = store.opcode(id);
+        if opcode.is_memory() {
+            self.ready_mem.insert(id);
         } else {
-            let lane = lanes[idx] as usize;
-            let slot = lane * CLASSES + node.opcode.fu_class().index();
-            self.ready_compute[slot].push(Reverse(idx as u32));
+            let slot = store.lane(id) as usize * CLASSES + opcode.fu_class().index();
+            self.ready_compute[slot].push(Reverse(id));
             self.ready_mask[slot / 64] |= 1u64 << (slot % 64);
         }
         self.ready_count += 1;
     }
 
     /// Make a dependence-free node available, honoring the round barrier.
-    fn release(&mut self, idx: usize, graph: &Dddg, nodes: &[TraceNode]) {
-        let r = graph.rounds()[idx] as usize;
-        if self.barrier && r > self.current_round {
-            self.parked[r].push(idx as u32);
+    pub(crate) fn release<S: NodeStore>(&mut self, store: &S, id: u32) {
+        let round = store.round(id);
+        if self.barrier && round > self.current_round {
+            self.rounds[(round - self.current_round) as usize]
+                .parked
+                .push(id);
         } else {
-            self.enqueue(idx, nodes, graph.lanes());
+            self.enqueue(store, id);
         }
     }
 
+    /// Count a newly resident node of `round` toward its barrier round.
+    /// Rounds arrive in order, so every round before it is final.
+    #[inline]
+    pub(crate) fn add_to_round(&mut self, round: u32) {
+        if !self.barrier {
+            return;
+        }
+        self.final_rounds = self.final_rounds.max(round);
+        let off = (round - self.current_round) as usize;
+        while self.rounds.len() <= off {
+            self.rounds.push_back(RoundState::default());
+        }
+        self.rounds[off].total += 1;
+    }
+
+    /// Mark every round final: no more nodes will arrive.
+    #[inline]
+    pub(crate) fn seal_rounds(&mut self) {
+        self.final_rounds = u32::MAX;
+    }
+
+    /// Advance the barrier past every final round whose nodes have all
+    /// retired, waking the next round's parked nodes. A round that is not
+    /// yet final blocks advancement even when momentarily drained.
+    pub(crate) fn advance_rounds<S: NodeStore>(&mut self, store: &S) {
+        if !self.barrier {
+            return;
+        }
+        while self.current_round < self.final_rounds
+            && self.rounds.front().is_some_and(|r| r.done == r.total)
+        {
+            self.rounds.pop_front();
+            self.current_round += 1;
+            if let Some(next) = self.rounds.front_mut() {
+                for id in std::mem::take(&mut next.parked) {
+                    self.enqueue(store, id);
+                }
+            }
+        }
+    }
+
+    #[inline]
     fn begin_busy(&mut self, cycle: u64) {
         if self.active == 0 {
             self.busy_start = cycle;
@@ -324,17 +448,11 @@ impl Engine<'_> {
         self.active += 1;
     }
 
-    /// Retire node `idx` at `cycle`. `occupied` says whether the node was
+    /// Retire node `id` at `cycle`. `occupied` says whether the node was
     /// counted in `active` (true for wheel-tracked ops, false for memory
     /// ops that completed via the memory system).
-    fn retire(
-        &mut self,
-        idx: usize,
-        cycle: u64,
-        occupied: bool,
-        graph: &Dddg,
-        nodes: &[TraceNode],
-    ) {
+    fn retire<S: NodeStore>(&mut self, store: &mut S, id: u32, cycle: u64, occupied: bool) {
+        let round = store.retire(id, |store, succ| self.release(store, succ));
         if occupied {
             self.active -= 1;
             if self.active == 0 {
@@ -345,29 +463,303 @@ impl Engine<'_> {
         self.completed += 1;
         self.events += 1;
         self.last_retire = self.last_retire.max(cycle);
-        self.round_done[graph.rounds()[idx] as usize] += 1;
-
-        for s in 0..graph.successors(NodeId::from_index(idx)).len() {
-            let succ = graph.successors(NodeId::from_index(idx))[s] as usize;
-            self.indeg[succ] -= 1;
-            if self.indeg[succ] == 0 {
-                self.release(succ, graph, nodes);
-            }
-        }
-
         if self.barrier {
-            while self.current_round < self.round_total.len()
-                && self.round_done[self.current_round] == self.round_total[self.current_round]
-            {
-                self.current_round += 1;
-                if self.current_round < self.round_total.len() {
-                    let waiting = std::mem::take(&mut self.parked[self.current_round]);
-                    for w in waiting {
-                        self.enqueue(w as usize, nodes, graph.lanes());
-                    }
+            self.rounds[(round - self.current_round) as usize].done += 1;
+            self.advance_rounds(store);
+        }
+    }
+
+    /// The per-cycle scheduling loop, over nodes from `store`.
+    #[allow(clippy::too_many_lines)]
+    pub(crate) fn run<S: NodeStore>(
+        &mut self,
+        store: &mut S,
+        cfg: &DatapathConfig,
+        mem: &mut dyn DatapathMemory,
+        start: u64,
+        watchdog: &Watchdog,
+    ) -> Result<ScheduleResult, SimError> {
+        let cfg_report = cfg.check();
+        assert!(
+            !cfg_report.has_errors(),
+            "invalid datapath configuration: {}",
+            cfg_report.to_human()
+        );
+        self.reset(cfg, start);
+        store.start(self)?;
+
+        let mut cycle = start;
+        let mem_budget = mem_issue_budget(cfg);
+        let mut idle_cycles = 0u64;
+        let mut stepped = 0u64;
+        // Whether the memory system is passive (no autonomous between-cycle
+        // behavior): queried once, it licenses the tightened idle jump below.
+        let mem_passive = mem.is_passive();
+
+        while !store.finished(self.completed) {
+            if let Some(limit) = watchdog.max_cycles {
+                if cycle.saturating_sub(start) > limit {
+                    return Err(SimError::WatchdogExpired {
+                        limit,
+                        cycle,
+                        completed: self.completed as usize,
+                        total: store.total(),
+                        notes: store.notes(),
+                    });
                 }
             }
+            stepped += 1;
+            mem.begin_cycle(cycle);
+            let mut progressed = false;
+
+            // 1. Retire wheel (compute + scratchpad) completions due now.
+            while let Some(&Reverse((at, id))) = self.wheel.peek() {
+                if at > cycle {
+                    break;
+                }
+                self.wheel.pop();
+                self.retire(store, id, at, true);
+                progressed = true;
+            }
+
+            // 2. Retire memory-system completions; buffer those not yet due.
+            for (id, at) in mem.drain_completions() {
+                self.mem_inflight -= 1;
+                if at > cycle {
+                    self.mem_wheel.push(Reverse((at, id as u32)));
+                } else {
+                    self.retire(store, id as u32, at.max(cycle), false);
+                    progressed = true;
+                }
+            }
+            while let Some(&Reverse((at, id))) = self.mem_wheel.peek() {
+                if at > cycle {
+                    break;
+                }
+                self.mem_wheel.pop();
+                self.retire(store, id, at, false);
+                progressed = true;
+            }
+
+            // 2b. Admit nodes into the room retirement just made. Placed
+            // before the issue phases so a node admitted this cycle can
+            // issue this cycle.
+            store.admit(self)?;
+
+            // 3. Issue compute: one op per lane per class. Only slots whose
+            // ready heap is non-empty are visited (bitmask), in the same
+            // ascending slot order a full scan would use.
+            for w in 0..self.ready_mask.len() {
+                let mut word = self.ready_mask[w];
+                while word != 0 {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let slot = w * 64 + bit;
+                    let heap = &mut self.ready_compute[slot];
+                    let Reverse(id) = heap.pop().expect("set bit implies non-empty heap");
+                    if heap.is_empty() {
+                        self.ready_mask[w] &= !(1u64 << bit);
+                    }
+                    let class = store.opcode(id).fu_class();
+                    self.wheel
+                        .push(Reverse((cycle + cfg.timing.latency(class), id)));
+                    self.issued_per_class[class.index()] += 1;
+                    self.begin_busy(cycle);
+                    self.ready_count -= 1;
+                    self.events += 1;
+                    progressed = true;
+                }
+            }
+
+            // 4. Issue memory ops until the interface pushes back. The
+            // `mem_budget` smallest ready ids are tried in ascending order,
+            // so a long queue of conflicting accesses cannot make one cycle
+            // O(n); a rejected op stays where it is for the next cycle.
+            let mut ready_mem = std::mem::take(&mut self.ready_mem);
+            ready_mem.issue_smallest(mem_budget, |id| {
+                let mref = store.mem(id).expect("memory node has MemRef");
+                let write = mref.kind == MemAccessKind::Write;
+                match mem.issue(u64::from(id), mref.addr, mref.bytes, write, cycle) {
+                    IssueResult::Done { at } => {
+                        self.wheel.push(Reverse((at, id)));
+                        self.issued_per_class[FuClass::Mem.index()] += 1;
+                        self.begin_busy(cycle);
+                        self.ready_count -= 1;
+                        self.events += 1;
+                        progressed = true;
+                        true
+                    }
+                    IssueResult::Pending => {
+                        // In flight inside the memory system; the datapath
+                        // op is waiting, not occupying a unit, so it does
+                        // not count toward busy time.
+                        self.issued_per_class[FuClass::Mem.index()] += 1;
+                        self.ready_count -= 1;
+                        self.mem_inflight += 1;
+                        self.events += 1;
+                        progressed = true;
+                        true
+                    }
+                    IssueResult::Reject => {
+                        self.mem_rejects += 1;
+                        false
+                    }
+                }
+            });
+            self.ready_mem = ready_mem;
+
+            mem.end_cycle(cycle);
+
+            // 5. Advance time, skipping ahead when provably idle. No node
+            // can become ready in a skipped window: admission only follows
+            // retirement, and the next retirement is the event jumped to.
+            if progressed {
+                idle_cycles = 0;
+            } else {
+                idle_cycles += 1;
+                if idle_cycles >= watchdog.no_progress_cycles {
+                    return Err(SimError::Deadlock(Box::new(DeadlockSnapshot {
+                        cycle,
+                        completed: self.completed as usize,
+                        total: store.total(),
+                        idle_cycles,
+                        ready_compute: self.ready_count - self.ready_mem.len(),
+                        ready_mem: self.ready_mem.len(),
+                        wheel: wheel_snapshot(&self.wheel),
+                        mem_wheel: wheel_snapshot(&self.mem_wheel),
+                        mem_inflight: self.mem_inflight,
+                        notes: store.notes(),
+                    })));
+                }
+            }
+            cycle = if self.ready_count == 0 {
+                let wheel_next = match (
+                    self.wheel.peek().map(|&Reverse((at, _))| at),
+                    self.mem_wheel.peek().map(|&Reverse((at, _))| at),
+                ) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                let mem_next = mem.next_event_hint(cycle);
+                let in_wheels = (self.wheel.len() + self.mem_wheel.len()) as u64;
+                let wheel_only = store.finished(self.completed + in_wheels);
+                match (wheel_next, mem_next) {
+                    (Some(w), Some(m)) => w.min(m).max(cycle + 1),
+                    // Only wheel events pending and nothing else in flight:
+                    // jump straight to the next completion. With a passive
+                    // memory (no autonomous between-cycle behavior) the same
+                    // jump is safe whenever no memory op is in flight, even
+                    // if dependents are still waiting on those wheel retires
+                    // — nothing can become ready before the next retire, and
+                    // a passive memory cannot act in the skipped window.
+                    (Some(w), None) if wheel_only || (mem_passive && self.mem_inflight == 0) => {
+                        w.max(cycle + 1)
+                    }
+                    _ => cycle + 1,
+                }
+            } else {
+                cycle + 1
+            };
         }
+
+        let end = self.last_retire.max(start);
+        Ok(ScheduleResult {
+            start,
+            end,
+            busy: std::mem::take(&mut self.busy),
+            issued_per_class: self.issued_per_class,
+            mem_rejects: self.mem_rejects,
+            cycles: end - start,
+            stepped_cycles: stepped,
+            events: self.events,
+        })
+    }
+}
+
+/// Summarize a completion wheel as `(due_cycle, count)` pairs, soonest
+/// first, truncated to the eight soonest distinct cycles.
+fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u64, u32)> {
+    let mut times: Vec<u64> = wheel.iter().map(|&Reverse((at, _))| at).collect();
+    times.sort_unstable();
+    let mut out: Vec<(u64, u32)> = Vec::new();
+    for t in times {
+        match out.last_mut() {
+            Some((cycle, count)) if *cycle == t => *count += 1,
+            _ => out.push((t, 1)),
+        }
+    }
+    out.truncate(8);
+    out
+}
+
+/// The prepared store: an in-memory trace and its [`PreparedDddg`]. Every
+/// node is resident from the start, so admission is a no-op and every
+/// barrier round is final from the start.
+struct Prepared<'a> {
+    nodes: &'a [TraceNode],
+    prepared: &'a PreparedDddg,
+    indeg: &'a mut [u32],
+}
+
+impl NodeStore for Prepared<'_> {
+    fn opcode(&self, id: u32) -> Opcode {
+        self.nodes[id as usize].opcode
+    }
+
+    fn mem(&self, id: u32) -> Option<MemRef> {
+        self.nodes[id as usize].mem
+    }
+
+    fn lane(&self, id: u32) -> u32 {
+        self.prepared.graph.lanes()[id as usize]
+    }
+
+    fn round(&self, id: u32) -> u32 {
+        self.prepared.graph.rounds()[id as usize]
+    }
+
+    fn retire(&mut self, id: u32, mut release: impl FnMut(&Self, u32)) -> u32 {
+        let graph = &self.prepared.graph;
+        for &succ in graph.successors(NodeId::from_index(id as usize)) {
+            self.indeg[succ as usize] -= 1;
+            if self.indeg[succ as usize] == 0 {
+                release(self, succ);
+            }
+        }
+        graph.rounds()[id as usize]
+    }
+
+    fn start(&mut self, st: &mut SchedState) -> Result<(), SimError> {
+        if st.barrier {
+            st.rounds
+                .extend(self.prepared.round_total.iter().map(|&total| RoundState {
+                    total,
+                    ..RoundState::default()
+                }));
+        }
+        st.seal_rounds();
+        for id in 0..self.nodes.len() as u32 {
+            if self.indeg[id as usize] == 0 {
+                st.release(self, id);
+            }
+        }
+        Ok(())
+    }
+
+    fn admit(&mut self, _st: &mut SchedState) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    fn finished(&self, completed: u64) -> bool {
+        completed == self.nodes.len() as u64
+    }
+
+    fn total(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn notes(&self) -> Vec<String> {
+        Vec::new()
     }
 }
 
@@ -377,9 +769,10 @@ impl Engine<'_> {
 /// Returns cycle-level results; `mem` retains its own statistics (accesses,
 /// conflicts, stalls) for the power model.
 ///
-/// One-shot convenience over [`schedule_prepared`]: builds the DDDG and a
-/// fresh workspace internally. Sweeps that revisit the same trace should
-/// prepare once and reuse a workspace instead.
+/// One-shot convenience over [`try_schedule_prepared`]: builds the DDDG and
+/// a fresh workspace internally and runs under the default watchdog.
+/// Sweeps that revisit the same trace should prepare once and reuse a
+/// workspace instead.
 ///
 /// # Panics
 ///
@@ -394,78 +787,23 @@ pub fn schedule(
 ) -> ScheduleResult {
     let prepared = PreparedDddg::new(trace, cfg);
     let mut ws = SchedulerWorkspace::new();
-    schedule_prepared(trace, cfg, &prepared, &mut ws, mem, start)
+    try_schedule_prepared(
+        trace,
+        cfg,
+        &prepared,
+        &mut ws,
+        mem,
+        start,
+        &Watchdog::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`schedule`]: a deadlock or a watchdog expiry is returned as a
-/// typed [`SimError`] (with a forensic [`DeadlockSnapshot`]) instead of
-/// panicking.
-///
-/// # Errors
-///
-/// `SimError::Deadlock` when no progress is made for
-/// `watchdog.no_progress_cycles` consecutive stepped cycles;
-/// `SimError::WatchdogExpired` when the simulated cycle count crosses
-/// `watchdog.max_cycles`.
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid — that is a configuration bug, detectable
-/// statically before any simulation starts.
-pub fn try_schedule(
-    trace: &Trace,
-    cfg: &DatapathConfig,
-    mem: &mut dyn DatapathMemory,
-    start: u64,
-    watchdog: &Watchdog,
-) -> Result<ScheduleResult, SimError> {
-    let prepared = PreparedDddg::new(trace, cfg);
-    let mut ws = SchedulerWorkspace::new();
-    try_schedule_prepared(trace, cfg, &prepared, &mut ws, mem, start, watchdog)
-}
-
-/// [`schedule`] with the DDDG prepared up front and the engine's buffers
-/// supplied by a reusable workspace — the sweep fast path.
-///
-/// Produces bit-identical results to [`schedule`] for the same inputs.
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid, if `prepared` was built for a different
-/// lane count or trace, or on a scheduling deadlock.
-#[must_use]
-pub fn schedule_prepared(
-    trace: &Trace,
-    cfg: &DatapathConfig,
-    prepared: &PreparedDddg,
-    ws: &mut SchedulerWorkspace,
-    mem: &mut dyn DatapathMemory,
-    start: u64,
-) -> ScheduleResult {
-    try_schedule_prepared(trace, cfg, prepared, ws, mem, start, &Watchdog::default())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Summarize a completion wheel as `(due_cycle, count)` pairs, soonest
-/// first, truncated to the eight soonest distinct cycles.
-pub(crate) fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u64, u32)> {
-    let mut times: Vec<u64> = wheel.iter().map(|&Reverse((at, _))| at).collect();
-    times.sort_unstable();
-    let mut out: Vec<(u64, u32)> = Vec::new();
-    for t in times {
-        match out.last_mut() {
-            Some((cycle, count)) if *cycle == t => *count += 1,
-            _ => out.push((t, 1)),
-        }
-    }
-    out.truncate(8);
-    out
-}
-
-/// Fallible [`schedule_prepared`]: the watchdog's no-progress and
-/// max-cycles guards return typed [`SimError`]s carrying a forensic
-/// [`DeadlockSnapshot`] instead of panicking, so sweeps can record the
-/// failed point and keep going.
+/// Schedule an in-memory `trace` with its DDDG prepared up front and the
+/// loop's buffers supplied by a reusable workspace — the sweep fast path.
+/// The watchdog's no-progress and max-cycles guards return typed
+/// [`SimError`]s carrying a forensic [`DeadlockSnapshot`] instead of
+/// panicking, so sweeps can record the failed point and keep going.
 ///
 /// # Errors
 ///
@@ -479,7 +817,6 @@ pub(crate) fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u6
 /// Panics if `cfg` is invalid or `prepared` does not match the trace and
 /// lane count — those are configuration bugs, detectable statically
 /// before any simulation starts.
-#[allow(clippy::too_many_lines)]
 pub fn try_schedule_prepared(
     trace: &Trace,
     cfg: &DatapathConfig,
@@ -489,273 +826,25 @@ pub fn try_schedule_prepared(
     start: u64,
     watchdog: &Watchdog,
 ) -> Result<ScheduleResult, SimError> {
-    let cfg_report = cfg.check();
-    assert!(
-        !cfg_report.has_errors(),
-        "invalid datapath configuration: {}",
-        cfg_report.to_human()
-    );
     assert_eq!(
         prepared.lanes, cfg.lanes,
         "PreparedDddg built for {} lanes, scheduling with {}",
         prepared.lanes, cfg.lanes
     );
-    let graph = &prepared.graph;
-    let n = graph.len();
     assert_eq!(
-        n,
+        prepared.graph.len(),
         trace.nodes().len(),
         "PreparedDddg built for another trace"
     );
-    if n == 0 {
-        return Ok(ScheduleResult {
-            start,
-            end: start,
-            busy: IntervalSet::new(),
-            issued_per_class: [0; 6],
-            mem_rejects: 0,
-            cycles: 0,
-            stepped_cycles: 0,
-            events: 0,
-        });
-    }
-
-    let lanes = cfg.lanes as usize;
-    let num_rounds = graph.num_rounds() as usize;
-    let slots = lanes * CLASSES;
-
-    // Reset the workspace: clear everything, reuse every allocation.
-    ws.indeg.clear();
-    ws.indeg.extend_from_slice(graph.indegrees());
-    ws.round_done.clear();
-    ws.round_done.resize(num_rounds, 0);
-    if ws.parked.len() < num_rounds {
-        ws.parked.resize_with(num_rounds, Vec::new);
-    }
-    for p in &mut ws.parked[..num_rounds] {
-        p.clear();
-    }
-    if ws.ready_compute.len() < slots {
-        ws.ready_compute.resize_with(slots, BinaryHeap::new);
-    }
-    for h in &mut ws.ready_compute[..slots] {
-        h.clear();
-    }
-    ws.ready_mask.clear();
-    ws.ready_mask.resize(slots.div_ceil(64), 0);
-    ws.ready_mem.clear();
-    ws.wheel.clear();
-    ws.mem_wheel.clear();
-
-    let nodes = trace.nodes();
-    let mut eng = Engine {
-        barrier: cfg.sync == LaneSync::Barrier,
-        indeg: &mut ws.indeg,
-        round_total: &prepared.round_total,
-        round_done: &mut ws.round_done,
-        current_round: 0,
-        parked: &mut ws.parked,
-        ready_compute: &mut ws.ready_compute,
-        ready_mask: &mut ws.ready_mask,
-        ready_mem: &mut ws.ready_mem,
-        ready_count: 0,
-        wheel: &mut ws.wheel,
-        mem_wheel: &mut ws.mem_wheel,
-        mem_inflight: 0,
-        active: 0,
-        busy_start: start,
-        busy: IntervalSet::new(),
-        completed: 0,
-        last_retire: start,
-        issued_per_class: [0; 6],
-        mem_rejects: 0,
-        events: 0,
+    let SchedulerWorkspace { indeg, state } = ws;
+    indeg.clear();
+    indeg.extend_from_slice(prepared.graph.indegrees());
+    let mut store = Prepared {
+        nodes: trace.nodes(),
+        prepared,
+        indeg,
     };
-
-    for idx in 0..n {
-        if eng.indeg[idx] == 0 {
-            eng.release(idx, graph, nodes);
-        }
-    }
-
-    let mut cycle = start;
-    let mem_budget = mem_issue_budget(cfg);
-    let mut idle_cycles = 0u64;
-    let mut stepped = 0u64;
-    // Whether the memory system is passive (no autonomous between-cycle
-    // behavior): queried once, it licenses the tightened idle jump below.
-    let mem_passive = mem.is_passive();
-
-    while eng.completed < n {
-        if let Some(limit) = watchdog.max_cycles {
-            if cycle.saturating_sub(start) > limit {
-                return Err(SimError::WatchdogExpired {
-                    limit,
-                    cycle,
-                    completed: eng.completed,
-                    total: n,
-                    notes: Vec::new(),
-                });
-            }
-        }
-        stepped += 1;
-        mem.begin_cycle(cycle);
-        let mut progressed = false;
-
-        // 1. Retire wheel (compute + scratchpad) completions due now.
-        while let Some(&Reverse((at, idx))) = eng.wheel.peek() {
-            if at > cycle {
-                break;
-            }
-            eng.wheel.pop();
-            eng.retire(idx as usize, at, true, graph, nodes);
-            progressed = true;
-        }
-
-        // 2. Retire memory-system completions; buffer those not yet due.
-        for (id, at) in mem.drain_completions() {
-            eng.mem_inflight -= 1;
-            if at > cycle {
-                eng.mem_wheel.push(Reverse((at, id as u32)));
-            } else {
-                eng.retire(id as usize, at.max(cycle), false, graph, nodes);
-                progressed = true;
-            }
-        }
-        while let Some(&Reverse((at, idx))) = eng.mem_wheel.peek() {
-            if at > cycle {
-                break;
-            }
-            eng.mem_wheel.pop();
-            eng.retire(idx as usize, at, false, graph, nodes);
-            progressed = true;
-        }
-
-        // 3. Issue compute: one op per lane per class. Only slots whose
-        // ready heap is non-empty are visited (bitmask), in the same
-        // ascending slot order a full scan would use.
-        for w in 0..eng.ready_mask.len() {
-            let mut word = eng.ready_mask[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + bit;
-                let heap = &mut eng.ready_compute[slot];
-                let Reverse(idx) = heap.pop().expect("set bit implies non-empty heap");
-                if heap.is_empty() {
-                    eng.ready_mask[w] &= !(1u64 << bit);
-                }
-                let node = &nodes[idx as usize];
-                let class = node.opcode.fu_class();
-                eng.wheel
-                    .push(Reverse((cycle + cfg.timing.latency(class), idx)));
-                eng.issued_per_class[class.index()] += 1;
-                eng.begin_busy(cycle);
-                eng.ready_count -= 1;
-                eng.events += 1;
-                progressed = true;
-            }
-        }
-
-        // 4. Issue memory ops until the interface pushes back. The
-        // `mem_budget` smallest ready ids are tried in ascending order, so
-        // a long queue of conflicting accesses cannot make one cycle O(n);
-        // a rejected op stays where it is for the next cycle.
-        let mut ready_mem = std::mem::take(&mut *eng.ready_mem);
-        ready_mem.issue_smallest(mem_budget, |idx| {
-            let mref = nodes[idx as usize].mem.expect("memory node has MemRef");
-            let write = mref.kind == MemAccessKind::Write;
-            match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
-                IssueResult::Done { at } => {
-                    eng.wheel.push(Reverse((at, idx)));
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.begin_busy(cycle);
-                    eng.ready_count -= 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Pending => {
-                    // In flight inside the memory system; the datapath op
-                    // is waiting, not occupying a unit, so it does not
-                    // count toward busy time.
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.ready_count -= 1;
-                    eng.mem_inflight += 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Reject => {
-                    eng.mem_rejects += 1;
-                    false
-                }
-            }
-        });
-        *eng.ready_mem = ready_mem;
-
-        mem.end_cycle(cycle);
-
-        // 5. Advance time, skipping ahead when provably idle.
-        if progressed {
-            idle_cycles = 0;
-        } else {
-            idle_cycles += 1;
-            if idle_cycles >= watchdog.no_progress_cycles {
-                return Err(SimError::Deadlock(Box::new(DeadlockSnapshot {
-                    cycle,
-                    completed: eng.completed,
-                    total: n,
-                    idle_cycles,
-                    ready_compute: eng.ready_count - eng.ready_mem.len(),
-                    ready_mem: eng.ready_mem.len(),
-                    wheel: wheel_snapshot(eng.wheel),
-                    mem_wheel: wheel_snapshot(eng.mem_wheel),
-                    mem_inflight: eng.mem_inflight,
-                    notes: Vec::new(),
-                })));
-            }
-        }
-        cycle = if eng.ready_count == 0 {
-            let wheel_next = match (
-                eng.wheel.peek().map(|&Reverse((at, _))| at),
-                eng.mem_wheel.peek().map(|&Reverse((at, _))| at),
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let mem_next = mem.next_event_hint(cycle);
-            let wheel_only = eng.completed + eng.wheel.len() + eng.mem_wheel.len() == n;
-            match (wheel_next, mem_next) {
-                (Some(w), Some(m)) => w.min(m).max(cycle + 1),
-                // Only wheel events pending and nothing else in flight:
-                // jump straight to the next completion. With a passive
-                // memory (no autonomous between-cycle behavior) the same
-                // jump is safe whenever no memory op is in flight, even if
-                // dependents are still waiting on those wheel retires —
-                // nothing can become ready before the next retire, and a
-                // passive memory cannot act in the skipped window.
-                (Some(w), None) if wheel_only || (mem_passive && eng.mem_inflight == 0) => {
-                    w.max(cycle + 1)
-                }
-                _ => cycle + 1,
-            }
-        } else {
-            cycle + 1
-        };
-    }
-
-    let end = eng.last_retire.max(start);
-    Ok(ScheduleResult {
-        start,
-        end,
-        busy: eng.busy,
-        issued_per_class: eng.issued_per_class,
-        mem_rejects: eng.mem_rejects,
-        cycles: end - start,
-        stepped_cycles: stepped,
-        events: eng.events,
-    })
+    state.run(&mut store, cfg, mem, start, watchdog)
 }
 
 #[cfg(test)]
@@ -925,7 +1014,10 @@ mod tests {
             no_progress_cycles: 4_000_000,
         };
         // The chain needs 30 cycles; a 10-cycle ceiling must expire.
-        let err = try_schedule(&trace, &cfg, &mut mem, 0, &wd).unwrap_err();
+        let prepared = PreparedDddg::new(&trace, &cfg);
+        let mut ws = SchedulerWorkspace::new();
+        let err =
+            try_schedule_prepared(&trace, &cfg, &prepared, &mut ws, &mut mem, 0, &wd).unwrap_err();
         assert_eq!(err.code(), "L0233");
         assert!(err.to_string().contains("watchdog expired"));
     }
@@ -939,7 +1031,18 @@ mod tests {
             ..DatapathConfig::default()
         };
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let fallible = try_schedule(&trace, &cfg, &mut mem, 0, &Watchdog::default()).unwrap();
+        let prepared = PreparedDddg::new(&trace, &cfg);
+        let mut ws = SchedulerWorkspace::new();
+        let fallible = try_schedule_prepared(
+            &trace,
+            &cfg,
+            &prepared,
+            &mut ws,
+            &mut mem,
+            0,
+            &Watchdog::default(),
+        )
+        .unwrap();
         let mut mem2 = SpadMemory::new(&trace, &cfg);
         let infallible = schedule(&trace, &cfg, &mut mem2, 0);
         assert_eq!(fallible, infallible);
@@ -1023,7 +1126,16 @@ mod tests {
                         ..DatapathConfig::default()
                     };
                     let mut mem = SpadMemory::new(&trace, &cfg);
-                    let fast = schedule_prepared(&trace, &cfg, &prepared, &mut ws, &mut mem, 7);
+                    let fast = try_schedule_prepared(
+                        &trace,
+                        &cfg,
+                        &prepared,
+                        &mut ws,
+                        &mut mem,
+                        7,
+                        &Watchdog::default(),
+                    )
+                    .unwrap();
                     let mut mem2 = SpadMemory::new(&trace, &cfg);
                     let one_shot = schedule(&trace, &cfg, &mut mem2, 7);
                     assert_eq!(fast, one_shot, "lanes={lanes} partition={partition}");
@@ -1050,7 +1162,15 @@ mod tests {
         };
         let mut ws = SchedulerWorkspace::new();
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let _ = schedule_prepared(&trace, &cfg, &prepared, &mut ws, &mut mem, 0);
+        let _ = try_schedule_prepared(
+            &trace,
+            &cfg,
+            &prepared,
+            &mut ws,
+            &mut mem,
+            0,
+            &Watchdog::default(),
+        );
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Windowed DDDG construction and scheduling over a node stream.
 //!
-//! The materialized scheduler ([`try_schedule_prepared`]) needs the whole
-//! trace — `Vec<TraceNode>` plus a [`Dddg`](crate::Dddg) with successor
-//! lists and in-degrees for every node — resident in memory before the
-//! first cycle is simulated. That is the scale bottleneck for
-//! paper-scale++ kernels: a multi-million-node bfs or fft blows out memory
-//! long before the scheduler itself becomes the limit.
+//! The prepared store ([`try_schedule_prepared`]) needs the whole trace —
+//! `Vec<TraceNode>` plus a [`Dddg`](crate::Dddg) with successor lists and
+//! in-degrees for every node — resident in memory before the first cycle
+//! is simulated. That is the scale bottleneck for paper-scale++ kernels: a
+//! multi-million-node bfs or fft blows out memory long before the
+//! scheduler itself becomes the limit.
 //!
-//! [`try_schedule_windowed`] instead consumes the trace as an *iterator*
-//! of nodes (typically an `.atrc` reader, see `aladdin_ir::AtrcTrace`) and
-//! keeps only a sliding window of at most `window_nodes` *resident* nodes:
-//! a node is admitted when fewer than `window_nodes` nodes are resident,
-//! its dependence edges are resolved on admission (dependences always
-//! point backwards, and admission is in program order, so an absent
-//! dependence has already retired), and retirement frees the node's edge
-//! storage.
+//! [`try_schedule_windowed`] instead runs the same scheduling loop over a
+//! *streamed* store: the trace arrives as an *iterator* of nodes
+//! (typically an `.atrc` reader, see `aladdin_ir::AtrcTrace`) and at most
+//! `window_nodes` nodes are *resident*: a node is admitted when fewer than
+//! `window_nodes` nodes are resident, its dependence edges are resolved on
+//! admission (dependences always point backwards, and admission is in
+//! program order, so an absent dependence has already retired), and
+//! retirement frees the node's edge storage.
 //!
 //! # Memory bound
 //!
@@ -30,35 +30,33 @@
 //!
 //! # Exactness
 //!
-//! The windowed engine replays the materialized engine's per-cycle phase
-//! order exactly, with one extra phase: after retirement and before issue,
-//! it admits nodes from the stream until the window is full. Under the
-//! default [`LaneSync::Barrier`] model, iteration instances are monotone
-//! in program order, so each barrier round occupies a contiguous node-id
+//! One loop runs both stores, so they can differ only in *when* a node
+//! becomes resident. The streamed store admits after each cycle's
+//! retirements and before its issue phases. Under the default
+//! [`LaneSync::Barrier`] model, iteration instances are monotone in
+//! program order, so each barrier round occupies a contiguous node-id
 //! range; whenever `window_nodes` is at least the largest round's node
 //! count, every node is admitted no later than the cycle it could first
 //! become ready, and the result — including `stepped_cycles` and busy
-//! intervals — is bit-identical to the materialized path. Smaller windows
+//! intervals — is bit-identical to the prepared store. Smaller windows
 //! (and [`LaneSync::Free`]) remain *sound*: every dependence is still
 //! honored and the schedule completes, but late admission can delay issue,
 //! so cycle counts may differ. The equivalence and property tests in this
 //! module and in `tests/` certify both claims.
 //!
 //! [`try_schedule_prepared`]: crate::try_schedule_prepared
+//! [`LaneSync::Barrier`]: crate::LaneSync::Barrier
+//! [`LaneSync::Free`]: crate::LaneSync::Free
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::iter::Peekable;
 
-use aladdin_faults::{DeadlockSnapshot, SimError, Watchdog};
-use aladdin_ir::{
-    Diagnostic, FuClass, MemAccessKind, MemRef, Opcode, StatsAccumulator, TraceNode, TraceStats,
-};
-use aladdin_mem::IntervalSet;
+use aladdin_faults::{SimError, Watchdog};
+use aladdin_ir::{Diagnostic, MemRef, Opcode, StatsAccumulator, TraceNode, TraceStats};
 
-use crate::config::{DatapathConfig, LaneSync};
-use crate::meminterface::{DatapathMemory, IssueResult};
-use crate::scheduler::{mem_issue_budget, wheel_snapshot, ReadyMem, ScheduleResult, CLASSES};
+use crate::config::DatapathConfig;
+use crate::meminterface::DatapathMemory;
+use crate::scheduler::{NodeStore, SchedState, ScheduleResult, SchedulerWorkspace};
 
 /// Default sliding-window size for streamed scheduling: large enough that
 /// every workload kernel's barrier rounds fit with room to spare (keeping
@@ -67,12 +65,12 @@ use crate::scheduler::{mem_issue_budget, wheel_snapshot, ReadyMem, ScheduleResul
 pub const DEFAULT_WINDOW_NODES: usize = 65_536;
 
 /// Outcome of a windowed scheduling run: the cycle-level schedule plus the
-/// streaming-side observations the materialized path gets for free from
-/// the in-memory trace.
+/// streaming-side observations the prepared path gets for free from the
+/// in-memory trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedOutcome {
-    /// The schedule, field-for-field comparable with the materialized
-    /// engine's result.
+    /// The schedule, field-for-field comparable with the prepared path's
+    /// result.
     pub result: ScheduleResult,
     /// Maximum number of simultaneously resident (admitted, unretired)
     /// nodes — the windowed path's memory ceiling, bounded by the
@@ -98,6 +96,7 @@ struct Succs {
 }
 
 impl Succs {
+    #[inline]
     fn push(&mut self, succ: u32) {
         let n = self.len as usize;
         if n < INLINE_SUCCS {
@@ -109,13 +108,14 @@ impl Succs {
     }
 
     /// Successors in insertion order.
+    #[inline]
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         let n = (self.len as usize).min(INLINE_SUCCS);
         self.inline[..n].iter().chain(&self.spill).copied()
     }
 }
 
-/// A node slot: the slice of [`TraceNode`] plus graph state the engine
+/// A node slot: the slice of [`TraceNode`] plus graph state the loop
 /// needs between admission and retirement. A retired slot stays in the
 /// ring (with `live` cleared) until every older slot has retired too.
 struct WNode {
@@ -145,16 +145,19 @@ struct NodeRing {
 
 impl NodeRing {
     /// The live node `id`, if it has been admitted and not yet retired.
+    #[inline]
     fn get_mut(&mut self, id: u32) -> Option<&mut WNode> {
         let off = id.checked_sub(self.base)? as usize;
         self.slots.get_mut(off).filter(|n| n.live)
     }
 
     /// The node `id`, which must be resident.
+    #[inline]
     fn node(&self, id: u32) -> &WNode {
         &self.slots[(id - self.base) as usize]
     }
 
+    #[inline]
     fn node_mut(&mut self, id: u32) -> &mut WNode {
         &mut self.slots[(id - self.base) as usize]
     }
@@ -175,6 +178,7 @@ impl NodeRing {
     /// few retired slots not yet trimmed, and the head wraps through the
     /// ring's whole capacity, so doubling there would nearly double the
     /// memory a full-window run touches.
+    #[inline]
     fn push(&mut self, id: u32, node: WNode) {
         debug_assert_eq!(id, self.base + self.slots.len() as u32);
         let len = self.slots.len();
@@ -186,6 +190,7 @@ impl NodeRing {
     }
 
     /// Retire resident node `id`, returning its round and successors.
+    #[inline]
     fn retire(&mut self, id: u32) -> (u32, Succs) {
         let node = self.node_mut(id);
         debug_assert!(node.live, "retired node is resident");
@@ -200,46 +205,19 @@ impl NodeRing {
     }
 }
 
-/// Barrier bookkeeping for one round, kept only while the round can still
-/// matter; completed rounds are popped from the front of the deque.
-#[derive(Default)]
-struct RoundState {
-    done: usize,
-    /// Nodes of this round admitted so far — equals the round's true size
-    /// once the round is finalized (a later round's node was admitted, or
-    /// the stream ended).
-    total: usize,
-    parked: Vec<u32>,
-}
-
-/// Mutable windowed-scheduling state.
-struct WindowEngine {
-    barrier: bool,
+/// The streamed store: a node stream admitted in program order into a
+/// [`NodeRing`] of at most `window` live nodes.
+///
+/// Being generic over the stream, the scheduling loop over this store is
+/// compiled in the caller's crate. The small per-node helpers it calls
+/// (here, on `ReadyMem` and on `SchedState`) are `#[inline]` so they can
+/// be inlined there too: as opaque calls they cost ~15% of stream-fma
+/// scheduling time.
+struct Streamed<I: Iterator> {
+    iter: Peekable<I>,
+    window: usize,
     lanes: u32,
     nodes: NodeRing,
-    /// Barrier rounds, front = `current_round`. Completed rounds are
-    /// popped, so the deque spans only rounds touched by resident nodes.
-    rounds: VecDeque<RoundState>,
-    current_round: u32,
-    /// Highest round any admitted node belongs to; rounds below it are
-    /// finalized (their `total` is exact).
-    max_admitted_round: u32,
-    ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
-    ready_mask: Vec<u64>,
-    ready_mem: ReadyMem,
-    ready_count: usize,
-    wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_inflight: usize,
-    active: usize,
-    busy_start: u64,
-    busy: IntervalSet,
-    completed: u64,
-    last_retire: u64,
-    issued_per_class: [u64; CLASSES],
-    mem_rejects: u64,
-    events: u64,
-    // Admission-side state.
     admitted: u64,
     instance: u32,
     last_label: Option<u32>,
@@ -248,98 +226,14 @@ struct WindowEngine {
     stats: StatsAccumulator,
 }
 
-impl WindowEngine {
-    fn enqueue(&mut self, idx: u32) {
-        let node = self.nodes.node(idx);
-        if node.opcode.is_memory() {
-            self.ready_mem.insert(idx);
-        } else {
-            let slot = node.lane as usize * CLASSES + node.opcode.fu_class().index();
-            self.ready_compute[slot].push(Reverse(idx));
-            self.ready_mask[slot / 64] |= 1u64 << (slot % 64);
-        }
-        self.ready_count += 1;
-    }
-
-    /// Make a dependence-free node available, honoring the round barrier.
-    fn release(&mut self, idx: u32) {
-        let r = self.nodes.node(idx).round;
-        if self.barrier && r > self.current_round {
-            let off = (r - self.current_round) as usize;
-            self.rounds[off].parked.push(idx);
-        } else {
-            self.enqueue(idx);
-        }
-    }
-
-    fn begin_busy(&mut self, cycle: u64) {
-        if self.active == 0 {
-            self.busy_start = cycle;
-        }
-        self.active += 1;
-    }
-
-    /// Advance the barrier past every *finalized* round whose nodes have
-    /// all retired, waking the next round's parked nodes. A round's
-    /// `total` is only trustworthy once finalized, so an un-finalized
-    /// front round blocks advancement even when momentarily drained.
-    fn advance_rounds(&mut self) {
-        if !self.barrier {
-            return;
-        }
-        while let Some(front) = self.rounds.front() {
-            let finalized = self.eof || self.current_round < self.max_admitted_round;
-            if !(finalized && front.done == front.total) {
-                break;
-            }
-            self.rounds.pop_front();
-            self.current_round += 1;
-            if let Some(next) = self.rounds.front_mut() {
-                let waiting = std::mem::take(&mut next.parked);
-                for w in waiting {
-                    self.enqueue(w);
-                }
-            }
-        }
-    }
-
-    /// Retire node `idx` at `cycle`, freeing its slot and edge storage.
-    /// `occupied` says whether the node was counted in `active` (true for
-    /// wheel-tracked ops, false for memory ops that completed via the
-    /// memory system).
-    fn retire(&mut self, idx: u32, cycle: u64, occupied: bool) {
-        let (round, succs) = self.nodes.retire(idx);
-        if occupied {
-            self.active -= 1;
-            if self.active == 0 {
-                self.busy
-                    .push(self.busy_start, cycle.max(self.busy_start + 1));
-            }
-        }
-        self.completed += 1;
-        self.events += 1;
-        self.last_retire = self.last_retire.max(cycle);
-        if self.barrier {
-            let off = (round - self.current_round) as usize;
-            self.rounds[off].done += 1;
-        }
-
-        for succ in succs.iter() {
-            let s = self.nodes.node_mut(succ);
-            debug_assert!(s.live, "successor of a resident node is resident");
-            s.indeg -= 1;
-            if s.indeg == 0 {
-                self.release(succ);
-            }
-        }
-
-        self.advance_rounds();
-    }
-
+impl<I> Streamed<I>
+where
+    I: Iterator<Item = Result<TraceNode, Diagnostic>>,
+{
     /// Admit one node: assign its lane and round (mirroring
     /// `Dddg::build`'s iteration-instance rule), resolve its dependence
     /// edges against the resident set, and release it if dependence-free.
-    fn admit(&mut self, node: &TraceNode) -> Result<(), Diagnostic> {
+    fn admit_node(&mut self, node: &TraceNode, st: &mut SchedState) -> Result<(), Diagnostic> {
         let id = node.id.index() as u64;
         if id != self.admitted {
             return Err(Diagnostic::error(
@@ -361,14 +255,7 @@ impl WindowEngine {
         self.last_label = Some(node.iteration);
         let lane = self.instance % self.lanes;
         let round = self.instance / self.lanes;
-        if self.barrier {
-            self.max_admitted_round = self.max_admitted_round.max(round);
-            let off = (round - self.current_round) as usize;
-            while self.rounds.len() <= off {
-                self.rounds.push_back(RoundState::default());
-            }
-            self.rounds[off].total += 1;
-        }
+        st.add_to_round(round);
 
         let idx = node.id.index() as u32;
         let mut indeg = 0u32;
@@ -400,36 +287,82 @@ impl WindowEngine {
             },
         );
         if indeg == 0 {
-            self.release(idx);
+            st.release(self, idx);
         }
         Ok(())
+    }
+}
+
+impl<I> NodeStore for Streamed<I>
+where
+    I: Iterator<Item = Result<TraceNode, Diagnostic>>,
+{
+    fn opcode(&self, id: u32) -> Opcode {
+        self.nodes.node(id).opcode
+    }
+
+    fn mem(&self, id: u32) -> Option<MemRef> {
+        self.nodes.node(id).mem
+    }
+
+    fn lane(&self, id: u32) -> u32 {
+        self.nodes.node(id).lane
+    }
+
+    fn round(&self, id: u32) -> u32 {
+        self.nodes.node(id).round
+    }
+
+    fn retire(&mut self, id: u32, mut release: impl FnMut(&Self, u32)) -> u32 {
+        let (round, succs) = self.nodes.retire(id);
+        for succ in succs.iter() {
+            let s = self.nodes.node_mut(succ);
+            debug_assert!(s.live, "successor of a resident node is resident");
+            s.indeg -= 1;
+            if s.indeg == 0 {
+                release(self, succ);
+            }
+        }
+        round
     }
 
     /// Admit nodes until the window is full or the stream ends, then
     /// probe (without consuming) whether the stream is exhausted so
     /// end-of-trace is known the moment the last node is admitted.
-    fn fill<I>(&mut self, iter: &mut Peekable<I>, window: usize) -> Result<(), SimError>
-    where
-        I: Iterator<Item = Result<TraceNode, Diagnostic>>,
-    {
-        while self.nodes.live < window {
-            match iter.next() {
-                Some(Ok(node)) => self.admit(&node)?,
+    fn admit(&mut self, st: &mut SchedState) -> Result<(), SimError> {
+        while self.nodes.live < self.window {
+            match self.iter.next() {
+                Some(Ok(node)) => self.admit_node(&node, st)?,
                 Some(Err(d)) => return Err(SimError::from(d)),
                 None => break,
             }
         }
-        if iter.peek().is_none() {
+        if self.iter.peek().is_none() {
             self.eof = true;
+            st.seal_rounds();
         }
         self.peak_resident = self.peak_resident.max(self.nodes.live as u64);
+        st.advance_rounds(self);
         Ok(())
+    }
+
+    fn finished(&self, completed: u64) -> bool {
+        self.eof && completed == self.admitted
+    }
+
+    fn total(&self) -> usize {
+        self.admitted as usize
+    }
+
+    fn notes(&self) -> Vec<String> {
+        vec!["windowed: total counts admitted nodes only".to_string()]
     }
 }
 
 /// Schedule a stream of trace nodes on the datapath described by `cfg`,
 /// keeping at most `window_nodes` nodes resident — the streaming
-/// counterpart of [`try_schedule_prepared`](crate::try_schedule_prepared).
+/// counterpart of [`try_schedule_prepared`](crate::try_schedule_prepared),
+/// running the same loop on buffers from the same reusable `ws`.
 ///
 /// `nodes` yields [`TraceNode`]s in dense program order (node 0, 1, 2, …),
 /// as `aladdin_ir::AtrcTrace::nodes()` does; stream items are fallible so
@@ -437,24 +370,26 @@ impl WindowEngine {
 /// of a panic. `window_nodes` is clamped to at least 1.
 ///
 /// See the module docs for the exactness guarantee: bit-identical to the
-/// materialized path under [`LaneSync::Barrier`] whenever the window holds
+/// prepared path under [`LaneSync::Barrier`] whenever the window holds
 /// the largest barrier round, sound (all dependences honored) otherwise.
 ///
 /// # Errors
 ///
 /// `SimError::Diag` if the stream yields an error or is not in dense
 /// program order; `SimError::Deadlock` and `SimError::WatchdogExpired`
-/// as for the materialized path, with `total` counting admitted nodes
-/// only (the full trace length is unknown mid-stream).
+/// as for the prepared path, with `total` counting admitted nodes only
+/// (the full trace length is unknown mid-stream).
 ///
 /// # Panics
 ///
 /// Panics if `cfg` is invalid — a configuration bug, detectable
 /// statically before any simulation starts.
-#[allow(clippy::too_many_lines)]
+///
+/// [`LaneSync::Barrier`]: crate::LaneSync::Barrier
 pub fn try_schedule_windowed<I>(
     nodes: I,
     cfg: &DatapathConfig,
+    ws: &mut SchedulerWorkspace,
     mem: &mut dyn DatapathMemory,
     start: u64,
     watchdog: &Watchdog,
@@ -463,43 +398,12 @@ pub fn try_schedule_windowed<I>(
 where
     I: IntoIterator<Item = Result<TraceNode, Diagnostic>>,
 {
-    let cfg_report = cfg.check();
-    assert!(
-        !cfg_report.has_errors(),
-        "invalid datapath configuration: {}",
-        cfg_report.to_human()
-    );
     let window = window_nodes.max(1);
-    let lanes = cfg.lanes as usize;
-    let slots = lanes * CLASSES;
-
-    let mut iter = nodes.into_iter().peekable();
-    let mut eng = WindowEngine {
-        barrier: cfg.sync == LaneSync::Barrier,
+    let mut store = Streamed {
+        iter: nodes.into_iter().peekable(),
+        window,
         lanes: cfg.lanes,
         nodes: NodeRing::new(window),
-        rounds: VecDeque::new(),
-        current_round: 0,
-        max_admitted_round: 0,
-        ready_compute: {
-            let mut v = Vec::with_capacity(slots);
-            v.resize_with(slots, BinaryHeap::new);
-            v
-        },
-        ready_mask: vec![0u64; slots.div_ceil(64)],
-        ready_mem: ReadyMem::default(),
-        ready_count: 0,
-        wheel: BinaryHeap::new(),
-        mem_wheel: BinaryHeap::new(),
-        mem_inflight: 0,
-        active: 0,
-        busy_start: start,
-        busy: IntervalSet::new(),
-        completed: 0,
-        last_retire: start,
-        issued_per_class: [0; CLASSES],
-        mem_rejects: 0,
-        events: 0,
         admitted: 0,
         instance: 0,
         last_label: None,
@@ -507,201 +411,11 @@ where
         peak_resident: 0,
         stats: StatsAccumulator::new(),
     };
-
-    eng.fill(&mut iter, window)?;
-    if eng.admitted == 0 {
-        return Ok(WindowedOutcome {
-            result: ScheduleResult {
-                start,
-                end: start,
-                busy: IntervalSet::new(),
-                issued_per_class: [0; 6],
-                mem_rejects: 0,
-                cycles: 0,
-                stepped_cycles: 0,
-                events: 0,
-            },
-            peak_resident_nodes: 0,
-            stats: eng.stats.finish(),
-        });
-    }
-    eng.advance_rounds();
-
-    let mut cycle = start;
-    let mem_budget = mem_issue_budget(cfg);
-    let mut idle_cycles = 0u64;
-    let mut stepped = 0u64;
-    let mem_passive = mem.is_passive();
-
-    while !(eng.eof && eng.completed == eng.admitted) {
-        if let Some(limit) = watchdog.max_cycles {
-            if cycle.saturating_sub(start) > limit {
-                return Err(SimError::WatchdogExpired {
-                    limit,
-                    cycle,
-                    completed: eng.completed as usize,
-                    total: eng.admitted as usize,
-                    notes: vec!["windowed: total counts admitted nodes only".to_string()],
-                });
-            }
-        }
-        stepped += 1;
-        mem.begin_cycle(cycle);
-        let mut progressed = false;
-
-        // 1. Retire wheel (compute + scratchpad) completions due now.
-        while let Some(&Reverse((at, idx))) = eng.wheel.peek() {
-            if at > cycle {
-                break;
-            }
-            eng.wheel.pop();
-            eng.retire(idx, at, true);
-            progressed = true;
-        }
-
-        // 2. Retire memory-system completions; buffer those not yet due.
-        for (id, at) in mem.drain_completions() {
-            eng.mem_inflight -= 1;
-            if at > cycle {
-                eng.mem_wheel.push(Reverse((at, id as u32)));
-            } else {
-                eng.retire(id as u32, at.max(cycle), false);
-                progressed = true;
-            }
-        }
-        while let Some(&Reverse((at, idx))) = eng.mem_wheel.peek() {
-            if at > cycle {
-                break;
-            }
-            eng.mem_wheel.pop();
-            eng.retire(idx, at, false);
-            progressed = true;
-        }
-
-        // 2b. Admit nodes into the slots retirement just freed. Placed
-        // before the issue phases so a node admitted this cycle can issue
-        // this cycle — the same-cycle parity the exactness argument needs.
-        eng.fill(&mut iter, window)?;
-        eng.advance_rounds();
-
-        // 3. Issue compute: one op per lane per class. Only slots whose
-        // ready heap is non-empty are visited (bitmask), in the same
-        // ascending slot order a full scan would use.
-        for w in 0..eng.ready_mask.len() {
-            let mut word = eng.ready_mask[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + bit;
-                let heap = &mut eng.ready_compute[slot];
-                let Reverse(idx) = heap.pop().expect("set bit implies non-empty heap");
-                if heap.is_empty() {
-                    eng.ready_mask[w] &= !(1u64 << bit);
-                }
-                let class = eng.nodes.node(idx).opcode.fu_class();
-                eng.wheel
-                    .push(Reverse((cycle + cfg.timing.latency(class), idx)));
-                eng.issued_per_class[class.index()] += 1;
-                eng.begin_busy(cycle);
-                eng.ready_count -= 1;
-                eng.events += 1;
-                progressed = true;
-            }
-        }
-
-        // 4. Issue memory ops until the interface pushes back, trying the
-        // same `mem_budget` smallest ready ids as the materialized engine.
-        let mut ready_mem = std::mem::take(&mut eng.ready_mem);
-        ready_mem.issue_smallest(mem_budget, |idx| {
-            let mref = eng.nodes.node(idx).mem.expect("memory node has MemRef");
-            let write = mref.kind == MemAccessKind::Write;
-            match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
-                IssueResult::Done { at } => {
-                    eng.wheel.push(Reverse((at, idx)));
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.begin_busy(cycle);
-                    eng.ready_count -= 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Pending => {
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.ready_count -= 1;
-                    eng.mem_inflight += 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Reject => {
-                    eng.mem_rejects += 1;
-                    false
-                }
-            }
-        });
-        eng.ready_mem = ready_mem;
-
-        mem.end_cycle(cycle);
-
-        // 5. Advance time, skipping ahead when provably idle. No new node
-        // can become ready in a skipped window: admission only follows
-        // retirement, and the next retirement is the event jumped to.
-        if progressed {
-            idle_cycles = 0;
-        } else {
-            idle_cycles += 1;
-            if idle_cycles >= watchdog.no_progress_cycles {
-                return Err(SimError::Deadlock(Box::new(DeadlockSnapshot {
-                    cycle,
-                    completed: eng.completed as usize,
-                    total: eng.admitted as usize,
-                    idle_cycles,
-                    ready_compute: eng.ready_count - eng.ready_mem.len(),
-                    ready_mem: eng.ready_mem.len(),
-                    wheel: wheel_snapshot(&eng.wheel),
-                    mem_wheel: wheel_snapshot(&eng.mem_wheel),
-                    mem_inflight: eng.mem_inflight,
-                    notes: vec!["windowed: total counts admitted nodes only".to_string()],
-                })));
-            }
-        }
-        cycle = if eng.ready_count == 0 {
-            let wheel_next = match (
-                eng.wheel.peek().map(|&Reverse((at, _))| at),
-                eng.mem_wheel.peek().map(|&Reverse((at, _))| at),
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let mem_next = mem.next_event_hint(cycle);
-            let wheel_only = eng.eof
-                && eng.completed + (eng.wheel.len() + eng.mem_wheel.len()) as u64 == eng.admitted;
-            match (wheel_next, mem_next) {
-                (Some(w), Some(m)) => w.min(m).max(cycle + 1),
-                (Some(w), None) if wheel_only || (mem_passive && eng.mem_inflight == 0) => {
-                    w.max(cycle + 1)
-                }
-                _ => cycle + 1,
-            }
-        } else {
-            cycle + 1
-        };
-    }
-
-    let end = eng.last_retire.max(start);
+    let result = ws.state.run(&mut store, cfg, mem, start, watchdog)?;
     Ok(WindowedOutcome {
-        result: ScheduleResult {
-            start,
-            end,
-            busy: eng.busy,
-            issued_per_class: eng.issued_per_class,
-            mem_rejects: eng.mem_rejects,
-            cycles: end - start,
-            stepped_cycles: stepped,
-            events: eng.events,
-        },
-        peak_resident_nodes: eng.peak_resident,
-        stats: eng.stats.finish(),
+        result,
+        peak_resident_nodes: store.peak_resident,
+        stats: store.stats.finish(),
     })
 }
 
@@ -716,6 +430,7 @@ pub fn trace_node_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LaneSync;
     use crate::meminterface::SpadMemory;
     use crate::scheduler::schedule;
     use aladdin_ir::{ArrayKind, Opcode, TVal, Trace, Tracer};
@@ -741,6 +456,7 @@ mod tests {
         try_schedule_windowed(
             trace_node_stream(trace),
             cfg,
+            &mut SchedulerWorkspace::new(),
             &mut mem,
             0,
             &Watchdog::default(),
@@ -1005,6 +721,7 @@ mod tests {
         let out = try_schedule_windowed(
             trace_node_stream(&trace),
             &cfg,
+            &mut SchedulerWorkspace::new(),
             &mut mem,
             1000,
             &Watchdog::default(),
@@ -1029,8 +746,10 @@ mod tests {
                 "L0280",
                 "block 1: truncated",
             ))));
+        let mut ws = SchedulerWorkspace::new();
         let err =
-            try_schedule_windowed(stream, &cfg, &mut mem, 0, &Watchdog::default(), 2).unwrap_err();
+            try_schedule_windowed(stream, &cfg, &mut ws, &mut mem, 0, &Watchdog::default(), 2)
+                .unwrap_err();
         assert_eq!(err.code(), "L0280");
     }
 
@@ -1040,8 +759,10 @@ mod tests {
         let cfg = DatapathConfig::default();
         let mut mem = SpadMemory::new(&trace, &cfg);
         let stream = trace.nodes().iter().skip(1).map(|n| Ok(n.clone()));
+        let mut ws = SchedulerWorkspace::new();
         let err =
-            try_schedule_windowed(stream, &cfg, &mut mem, 0, &Watchdog::default(), 64).unwrap_err();
+            try_schedule_windowed(stream, &cfg, &mut ws, &mut mem, 0, &Watchdog::default(), 64)
+                .unwrap_err();
         assert_eq!(err.code(), "L0280");
     }
 }

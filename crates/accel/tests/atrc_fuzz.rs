@@ -9,7 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use aladdin_accel::{try_schedule_windowed, DatapathConfig, SpadMemory};
+use aladdin_accel::{try_schedule_windowed, DatapathConfig, SchedulerWorkspace, SpadMemory};
 use aladdin_faults::Watchdog;
 use aladdin_ir::{atrc_checksum, encode_trace, ArrayKind, AtrcTrace, Opcode, TVal, Trace, Tracer};
 use aladdin_rng::SmallRng;
@@ -95,7 +95,8 @@ fn run(bytes: Vec<u8>, window: usize) -> Result<Outcome, String> {
     let cfg = DatapathConfig::default();
     let mut mem = SpadMemory::from_arrays(atrc.arrays(), &cfg);
     let watchdog = Watchdog::default();
-    match try_schedule_windowed(atrc.nodes(), &cfg, &mut mem, 0, &watchdog, window) {
+    let mut ws = SchedulerWorkspace::new();
+    match try_schedule_windowed(atrc.nodes(), &cfg, &mut ws, &mut mem, 0, &watchdog, window) {
         Ok(_) => Ok(Outcome::Scheduled),
         Err(e) => match e.code() {
             "L0280" => Ok(Outcome::Corrupt),

@@ -85,6 +85,7 @@ fn run_both(
     let windowed = try_schedule_windowed(
         trace_node_stream(trace),
         cfg,
+        &mut SchedulerWorkspace::new(),
         &mut wmem,
         0,
         &Watchdog::default(),

@@ -124,14 +124,14 @@ pub struct FlowSpec<'a> {
     /// Optional fault-injection/watchdog harness.
     pub harness: Option<&'a SimHarness>,
     /// Optional caller-prepared DDDG (the sweep fast path). Only
-    /// meaningful for in-memory traces on the materialized scheduler;
-    /// ignored by the windowed streaming path.
+    /// meaningful for in-memory traces on the scheduler's prepared store;
+    /// ignored by the streamed store.
     pub prepared: Option<&'a PreparedDddg>,
-    /// Sliding-window size for the streaming scheduler. `None` lets the
-    /// source decide: in-memory traces use the materialized path, `.atrc`
-    /// sources stream with [`DEFAULT_WINDOW_NODES`]. `Some(w)` forces the
-    /// windowed path for any source — bit-exact with the materialized
-    /// path under the barrier sync model whenever `w` holds the largest
+    /// Sliding-window size for the scheduler's streamed store. `None`
+    /// lets the source decide: in-memory traces use the prepared store,
+    /// `.atrc` sources stream with [`DEFAULT_WINDOW_NODES`]. `Some(w)`
+    /// forces the streamed store for any source — bit-exact with the
+    /// prepared store under the barrier sync model whenever `w` holds the largest
     /// barrier round (see `aladdin_accel::try_schedule_windowed`).
     pub window_nodes: Option<usize>,
 }
@@ -250,15 +250,15 @@ pub struct SourceFlowRun {
     /// The flow result, bit-comparable across trace sources and
     /// scheduling paths.
     pub result: FlowResult,
-    /// Peak simultaneously-resident nodes when the windowed streaming
-    /// scheduler ran; `None` on the materialized path (which always
-    /// holds the whole trace).
+    /// Peak simultaneously-resident nodes when the scheduler ran on the
+    /// streamed store; `None` on the prepared store (which always holds
+    /// the whole trace).
     pub peak_resident_nodes: Option<u64>,
 }
 
-/// [`simulate`] for any [`TraceSource`]: an in-memory trace runs the
-/// materialized path (unless `spec.window_nodes` forces streaming), an
-/// `.atrc` source streams its nodes through the windowed scheduler in
+/// [`simulate`] for any [`TraceSource`]: an in-memory trace runs on the
+/// prepared store (unless `spec.window_nodes` forces streaming), an
+/// `.atrc` source streams its nodes through the streamed store in
 /// O(window) memory.
 ///
 /// # Errors
@@ -311,8 +311,8 @@ pub fn simulate_source_prepared(
 }
 
 /// How a flow should drive the scheduler: an optional shared prepared
-/// graph (materialized path) and an optional forced window (streaming
-/// path).
+/// graph (prepared store) and an optional forced window (streamed
+/// store).
 #[derive(Default)]
 pub(crate) struct SchedSpec<'a> {
     prep: Option<&'a PreparedDddg>,
@@ -329,9 +329,10 @@ pub(crate) struct SchedRun {
     peak_resident_nodes: Option<u64>,
 }
 
-/// Run the scheduler appropriate for `source`: materialized
-/// (`try_schedule_prepared`) for in-memory traces without a forced
-/// window, windowed streaming (`try_schedule_windowed`) otherwise.
+/// Run the scheduler on the store appropriate for `source`, with `ws`'s
+/// buffers either way: prepared (`try_schedule_prepared`) for in-memory
+/// traces without a forced window, streamed (`try_schedule_windowed`)
+/// otherwise.
 pub(crate) fn run_schedule(
     source: &TraceSource,
     dp: &DatapathConfig,
@@ -341,7 +342,7 @@ pub(crate) fn run_schedule(
     start: u64,
     watchdog: &Watchdog,
 ) -> Result<SchedRun, SimError> {
-    match (source, spec.window) {
+    let out = match (source, spec.window) {
         (TraceSource::Memory(trace), None) => {
             let built;
             let prep = match spec.prep {
@@ -352,36 +353,25 @@ pub(crate) fn run_schedule(
                 }
             };
             let sched = try_schedule_prepared(trace, dp, prep, ws, mem, start, watchdog)?;
-            Ok(SchedRun {
+            return Ok(SchedRun {
                 sched,
                 stats: trace.stats(),
                 peak_resident_nodes: None,
-            })
+            });
         }
         (TraceSource::Memory(trace), Some(w)) => {
-            let out = try_schedule_windowed(trace_node_stream(trace), dp, mem, start, watchdog, w)?;
-            Ok(SchedRun {
-                sched: out.result,
-                stats: out.stats,
-                peak_resident_nodes: Some(out.peak_resident_nodes),
-            })
+            try_schedule_windowed(trace_node_stream(trace), dp, ws, mem, start, watchdog, w)?
         }
         (TraceSource::Atrc(atrc), w) => {
-            let out = try_schedule_windowed(
-                atrc.nodes(),
-                dp,
-                mem,
-                start,
-                watchdog,
-                w.unwrap_or(DEFAULT_WINDOW_NODES),
-            )?;
-            Ok(SchedRun {
-                sched: out.result,
-                stats: out.stats,
-                peak_resident_nodes: Some(out.peak_resident_nodes),
-            })
+            let window = w.unwrap_or(DEFAULT_WINDOW_NODES);
+            try_schedule_windowed(atrc.nodes(), dp, ws, mem, start, watchdog, window)?
         }
-    }
+    };
+    Ok(SchedRun {
+        sched: out.result,
+        stats: out.stats,
+        peak_resident_nodes: Some(out.peak_resident_nodes),
+    })
 }
 
 /// First error of `report` as a [`SimError`].
