@@ -289,6 +289,18 @@ impl SocSpec {
         if let Some(v) = self.invoke_cycles {
             cfg.invoke_cycles = v;
         }
+        if self.traffic_period.is_none() && self.traffic_bytes.is_some() {
+            let mut r = Report::new();
+            r.push(
+                Diagnostic::error(
+                    "L0261",
+                    "`soc.traffic.bytes` needs `soc.traffic.period`: background traffic \
+                     runs only with a period",
+                )
+                .at(Locus::Field("soc")),
+            );
+            return Err(r);
+        }
         if let Some(period) = self.traffic_period {
             cfg.traffic = Some(TrafficConfig {
                 period,
@@ -705,10 +717,7 @@ impl CampaignSpec {
             spec.accel_counts = want_u64_list(v, "accel_counts", &mut report);
         }
         if let Some(v) = take(&root, "bus_widths") {
-            spec.bus_widths = want_u64_list(v, "bus_widths", &mut report)
-                .into_iter()
-                .map(|w| u32::try_from(w).unwrap_or(u32::MAX))
-                .collect();
+            spec.bus_widths = want_u32_list(v, "bus_widths", &mut report);
         }
         if let Some(v) = take(&root, "space") {
             if let Some(t) = want_table(v, "space", &mut report) {
@@ -1362,7 +1371,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
     if let Some(v) = take(t, "invoke_cycles") {
         spec.invoke_cycles = uint(v, "soc.invoke_cycles", report);
     }
-    if let Some(sub) = take(t, "clock").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "clock").and_then(|v| want_table(v, "soc.clock", report)) {
         check_keys(sub, &["mhz"], "soc.clock", report);
         if let Some(v) = take(sub, "mhz") {
             match v.as_float() {
@@ -1371,7 +1380,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             }
         }
     }
-    if let Some(sub) = take(t, "bus").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "bus").and_then(|v| want_table(v, "soc.bus", report)) {
         check_keys(
             sub,
             &["width_bits", "infinite_bandwidth"],
@@ -1388,7 +1397,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             }
         }
     }
-    if let Some(sub) = take(t, "cache").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "cache").and_then(|v| want_table(v, "soc.cache", report)) {
         check_keys(
             sub,
             &[
@@ -1421,7 +1430,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             spec.cache_hit_latency = uint(v, "soc.cache.hit_latency", report);
         }
     }
-    if let Some(sub) = take(t, "tlb").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "tlb").and_then(|v| want_table(v, "soc.tlb", report)) {
         check_keys(
             sub,
             &["entries", "page_bytes", "miss_cycles"],
@@ -1438,7 +1447,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             spec.tlb_miss_cycles = uint(v, "soc.tlb.miss_cycles", report);
         }
     }
-    if let Some(sub) = take(t, "dram").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "dram").and_then(|v| want_table(v, "soc.dram", report)) {
         check_keys(sub, &["banks", "row_bytes"], "soc.dram", report);
         if let Some(v) = take(sub, "banks") {
             spec.dram_banks = uint(v, "soc.dram.banks", report);
@@ -1447,7 +1456,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             spec.dram_row_bytes = uint(v, "soc.dram.row_bytes", report);
         }
     }
-    if let Some(sub) = take(t, "dma").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "dma").and_then(|v| want_table(v, "soc.dma", report)) {
         check_keys(
             sub,
             &["setup_cycles", "chunk_bytes", "burst_bytes"],
@@ -1464,7 +1473,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             spec.dma_burst_bytes = uint(v, "soc.dma.burst_bytes", report);
         }
     }
-    if let Some(sub) = take(t, "traffic").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "traffic").and_then(|v| want_table(v, "soc.traffic", report)) {
         check_keys(sub, &["period", "bytes"], "soc.traffic", report);
         if let Some(v) = take(sub, "period") {
             spec.traffic_period = uint(v, "soc.traffic.period", report);
@@ -1473,7 +1482,7 @@ fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
             spec.traffic_bytes = uint(v, "soc.traffic.bytes", report);
         }
     }
-    if let Some(sub) = take(t, "topology").and_then(Value::as_table) {
+    if let Some(sub) = take(t, "topology").and_then(|v| want_table(v, "soc.topology", report)) {
         check_keys(
             sub,
             &["spec", "max_burst_bytes", "max_outstanding"],
@@ -1904,6 +1913,72 @@ launch = 100
         .expect("structurally fine");
         let r = spec.expand().unwrap_err();
         assert!(r.has_code("L0211"), "{}", r.to_human());
+    }
+
+    /// The sweep header every `[soc]` rejection test below starts from.
+    const SOC_HEADER: &str = "name = \"x\"\nkernels = [\"aes-aes\"]\nmems = [\"isolated\"]\n\n";
+
+    fn soc_rejection(soc: &str) -> String {
+        CampaignSpec::from_toml(&format!("{SOC_HEADER}{soc}"))
+            .expect_err("an ill-typed [soc] sub-section is rejected")
+            .to_human()
+    }
+
+    #[test]
+    fn soc_clock_that_is_not_a_table_is_rejected() {
+        let r = soc_rejection("[soc]\nclock = 5\n");
+        assert!(
+            r.contains("error [L0261] -: `soc.clock` must be a table, got a integer"),
+            "{r}"
+        );
+    }
+
+    #[test]
+    fn soc_bus_that_is_not_a_table_is_rejected() {
+        let r = soc_rejection("[soc]\nbus = \"wide\"\n");
+        assert!(
+            r.contains("error [L0261] -: `soc.bus` must be a table, got a string"),
+            "{r}"
+        );
+    }
+
+    #[test]
+    fn soc_cache_array_of_tables_is_rejected() {
+        let r = soc_rejection("[[soc.cache]]\nsize_bytes = 1\n");
+        assert!(
+            r.contains("error [L0261] -: `soc.cache` must be a table, got a array"),
+            "{r}"
+        );
+    }
+
+    #[test]
+    fn traffic_bytes_without_a_period_is_rejected_at_expand() {
+        let spec = CampaignSpec::from_toml(&format!("{SOC_HEADER}[soc.traffic]\nbytes = 32\n"))
+            .expect("structurally fine");
+        assert_eq!(spec.soc.traffic_bytes, Some(32));
+        let r = spec.expand().unwrap_err();
+        assert!(r.has_code("L0261"), "{}", r.to_human());
+        assert!(
+            r.to_human().contains("soc.traffic.period"),
+            "{}",
+            r.to_human()
+        );
+    }
+
+    #[test]
+    fn bus_widths_past_u32_are_ill_typed_not_saturated() {
+        let r = CampaignSpec::from_toml(
+            "name = \"x\"\nbus_widths = [4294967296]\n\n[[jobs]]\nkernel = \"aes-aes\"\nmem = \"cache\"\n",
+        )
+        .unwrap_err()
+        .to_human();
+        assert!(
+            r.contains(
+                "error [L0261] -: `bus_widths` must be a non-negative integer, got a integer"
+            ),
+            "{r}"
+        );
+        assert!(!r.contains("L0213"), "{r}");
     }
 
     #[test]
