@@ -2,7 +2,8 @@
 //! campaign TOML (`CampaignSpec::from_toml` + `expand`) and the JSONL
 //! journal (`scan_journal`, which classifies every line). The property:
 //! every input yields a value or a typed diagnostic, never a panic, and a
-//! journal scan never reports a finished point outside the plan.
+//! journal scan never reports a finished point outside the plan. Every
+//! rejected campaign mutant's rendered report is pinned by a golden.
 //!
 //! Deterministic (fixed [`SmallRng`] seeds) and bounded, so it runs in the
 //! tier-1 suite.
@@ -12,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use aladdin_ir::Report;
 use aladdin_rng::SmallRng;
+use aladdin_spec::campaign::fnv1a64;
 use aladdin_spec::{run_campaign, scan_journal, CampaignPlan, CampaignSpec, RunOptions};
 
 const TOML_MUTANTS: usize = 1500;
@@ -177,6 +179,42 @@ fn mutated_campaign_toml_never_panics() {
         planned > 0 && rejected > 0,
         "planned {planned}, rejected {rejected}"
     );
+}
+
+/// Golden lines for [`rejected_toml_mutants_render_as_pinned`]: one
+/// `<mutant> <codes> fnv=<fnv1a64 of the rendered report>` line per
+/// rejected mutant of [`mutated_campaign_toml_never_panics`]'s sequence.
+const REJECTION_GOLDEN: &str = include_str!("golden/toml_rejections.txt");
+
+#[test]
+fn rejected_toml_mutants_render_as_pinned() {
+    let examples = example_campaigns();
+    let mut rng = SmallRng::seed_from_u64(0x70_F022);
+    // (golden line, rendered report, mutant text) per rejected mutant.
+    let mut actual = Vec::new();
+    for i in 0..TOML_MUTANTS {
+        let (_, clean) = &examples[i % examples.len()];
+        let text = mutate(&mut rng, clean);
+        if let Err(report) = CampaignSpec::from_toml(&text).and_then(|spec| spec.expand()) {
+            let human = report.to_human();
+            let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code).collect();
+            let line = format!(
+                "{i} {} fnv={:016x}",
+                codes.join(","),
+                fnv1a64(human.as_bytes())
+            );
+            actual.push((line, human, text));
+        }
+    }
+    let golden: Vec<&str> = REJECTION_GOLDEN.lines().collect();
+    for (want, (got, human, text)) in golden.iter().zip(&actual) {
+        let case = got.split(' ').next().unwrap_or_default();
+        assert_eq!(
+            *want, got,
+            "mutant {case}: rendered rejection changed:\n{human}\n--- mutant ---\n{text}"
+        );
+    }
+    assert_eq!(golden.len(), actual.len(), "rejected mutant count");
 }
 
 /// Scan one journal text for `plan`. `Ok(true)` if the scan succeeded.

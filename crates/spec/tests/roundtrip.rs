@@ -2,10 +2,12 @@
 //! exercising every spec type ([`SpaceSpec`], [`DatapathSpec`],
 //! [`SocSpec`], [`FaultsSpec`], [`JobSpec`]) — must survive
 //! `to_toml` → `from_toml` exactly, and the canonical serialization must
-//! be a fixed point.
+//! be a fixed point. The canonical bytes themselves are pinned by
+//! goldens, because every journal header persists their digest.
 
 use aladdin_core::{DmaOptLevel, MemKind, Topology};
 use aladdin_rng::SmallRng;
+use aladdin_spec::campaign::fnv1a64;
 use aladdin_spec::{
     CampaignSpec, DatapathSpec, FaultsSpec, JobSpec, SocSpec, SpacePreset, SpaceSpec,
 };
@@ -250,4 +252,59 @@ seed = 1_000_000
     let spec = CampaignSpec::from_toml(doc).expect("parses");
     let again = CampaignSpec::from_toml(&spec.to_toml()).expect("canonical parses");
     assert_eq!(spec, again);
+}
+
+/// Golden lines for [`canonical_bytes_match_the_goldens`]: one
+/// `<case> len=<bytes> fnv=<fnv1a64 of to_toml>` line per example
+/// campaign, then per seeded random spec.
+const TO_TOML_GOLDEN: &str = include_str!("golden/to_toml.txt");
+
+/// How many seeded random specs the goldens pin.
+const GOLDEN_SPECS: usize = 300;
+
+fn golden_line(case: &str, text: &str) -> String {
+    format!(
+        "{case} len={} fnv={:016x}",
+        text.len(),
+        fnv1a64(text.as_bytes())
+    )
+}
+
+#[test]
+fn canonical_bytes_match_the_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/campaigns");
+    let mut examples: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/campaigns exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    examples.sort();
+    // (golden line, canonical text) per case.
+    let mut actual = Vec::new();
+    for path in &examples {
+        let name = path.file_name().expect("a file").to_string_lossy();
+        let source = std::fs::read_to_string(path).expect("readable example");
+        let spec = CampaignSpec::from_toml(&source).expect("example parses");
+        let text = spec.to_toml();
+        let plan = spec.expand().expect("example expands");
+        assert_eq!(
+            plan.digest,
+            fnv1a64(text.as_bytes()),
+            "example {name}: the plan digest is the canonical text's digest"
+        );
+        actual.push((golden_line(&format!("example {name}"), &text), text));
+    }
+    let mut rng = SmallRng::seed_from_u64(0xA1ADD1);
+    for case in 0..GOLDEN_SPECS {
+        let text = random_spec(&mut rng).to_toml();
+        actual.push((golden_line(&format!("random {case}"), &text), text));
+    }
+    let golden: Vec<&str> = TO_TOML_GOLDEN.lines().collect();
+    for (i, (want, (got, text))) in golden.iter().zip(&actual).enumerate() {
+        assert_eq!(
+            *want, got,
+            "golden case {i}: canonical serialization changed:\n{text}"
+        );
+    }
+    assert_eq!(golden.len(), actual.len(), "golden case count");
 }
