@@ -24,6 +24,7 @@ use aladdin_ir::{Diagnostic, Locus, Report};
 use aladdin_lint::lint_design;
 use aladdin_mem::Clock;
 use aladdin_workloads::by_name;
+use std::fmt;
 
 use crate::cli::parse_mem_spec;
 use crate::toml::{self, Table, Value};
@@ -673,88 +674,16 @@ impl CampaignSpec {
     /// `L0263` for empty campaigns.
     pub fn from_toml(text: &str) -> Result<Self, Report> {
         let root = toml::parse(text)?;
-        let mut report = Report::new();
         let mut spec = CampaignSpec::default();
-
-        check_keys(
+        let mut reader = Reader::new(
             &root,
-            &[
-                "name",
-                "kernels",
-                "mems",
-                "stagger",
-                "accel_counts",
-                "bus_widths",
-                "space",
-                "datapath",
-                "soc",
-                "faults",
-                "jobs",
-            ],
-            "",
-            &mut report,
+            At {
+                path: String::new(),
+                section: None,
+            },
         );
-        if let Some(v) = take(&root, "name") {
-            spec.name = want_str(v, "name", &mut report).unwrap_or_default();
-        }
-        if let Some(v) = take(&root, "kernels") {
-            spec.kernels = want_str_list(v, "kernels", &mut report);
-        }
-        if let Some(v) = take(&root, "mems") {
-            for s in want_str_list(v, "mems", &mut report) {
-                match parse_mem_spec(&s) {
-                    Ok(kind) => spec.mems.push(kind),
-                    Err(e) => report.push(
-                        Diagnostic::error("L0262", format!("mems: {e}")).at(Locus::Field("mems")),
-                    ),
-                }
-            }
-        }
-        if let Some(v) = take(&root, "stagger") {
-            spec.stagger = want_u64_list(v, "stagger", &mut report);
-        }
-        if let Some(v) = take(&root, "accel_counts") {
-            spec.accel_counts = want_u64_list(v, "accel_counts", &mut report);
-        }
-        if let Some(v) = take(&root, "bus_widths") {
-            spec.bus_widths = want_u32_list(v, "bus_widths", &mut report);
-        }
-        if let Some(v) = take(&root, "space") {
-            if let Some(t) = want_table(v, "space", &mut report) {
-                spec.space = parse_space(t, &mut report);
-            }
-        }
-        if let Some(v) = take(&root, "datapath") {
-            if let Some(t) = want_table(v, "datapath", &mut report) {
-                spec.datapath = parse_datapath(t, &mut report);
-            }
-        }
-        if let Some(v) = take(&root, "soc") {
-            if let Some(t) = want_table(v, "soc", &mut report) {
-                spec.soc = parse_soc(t, &mut report);
-            }
-        }
-        if let Some(v) = take(&root, "faults") {
-            if let Some(t) = want_table(v, "faults", &mut report) {
-                spec.faults = parse_faults(t, &mut report);
-            }
-        }
-        if let Some(v) = take(&root, "jobs") {
-            match v {
-                Value::Array(items) => {
-                    for (i, item) in items.iter().enumerate() {
-                        let section = format!("jobs[{i}]");
-                        if let Some(t) = want_table(item, &section, &mut report) {
-                            if let Some(job) = parse_job_spec(t, &section, &mut report) {
-                                spec.jobs.push(job);
-                            }
-                        }
-                    }
-                }
-                other => report.push(ill_typed("jobs", "array of tables", other)),
-            }
-        }
-
+        walk_campaign(&mut reader, &mut spec);
+        let mut report = reader.finish();
         report.merge(spec.validate());
         if report.has_errors() {
             Err(report)
@@ -768,62 +697,9 @@ impl CampaignSpec {
     /// minimal after a round trip.
     #[must_use]
     pub fn to_toml(&self) -> String {
-        let mut root: Table = Vec::new();
-        root.push(("name".to_owned(), Value::Str(self.name.clone())));
-        if !self.kernels.is_empty() {
-            root.push((
-                "kernels".to_owned(),
-                Value::Array(self.kernels.iter().map(|k| Value::Str(k.clone())).collect()),
-            ));
-        }
-        if !self.mems.is_empty() {
-            root.push((
-                "mems".to_owned(),
-                Value::Array(self.mems.iter().map(|m| Value::Str(mem_str(*m))).collect()),
-            ));
-        }
-        if !self.stagger.is_empty() {
-            root.push((
-                "stagger".to_owned(),
-                Value::Array(self.stagger.iter().map(|&s| int(s)).collect()),
-            ));
-        }
-        if !self.accel_counts.is_empty() {
-            root.push((
-                "accel_counts".to_owned(),
-                Value::Array(self.accel_counts.iter().map(|&k| int(k)).collect()),
-            ));
-        }
-        if !self.bus_widths.is_empty() {
-            root.push((
-                "bus_widths".to_owned(),
-                Value::Array(self.bus_widths.iter().map(|&w| int(u64::from(w))).collect()),
-            ));
-        }
-        if let Some(t) = space_table(&self.space) {
-            root.push(("space".to_owned(), Value::Table(t)));
-        }
-        if let Some(t) = datapath_table(&self.datapath) {
-            root.push(("datapath".to_owned(), Value::Table(t)));
-        }
-        if let Some(t) = soc_table(&self.soc) {
-            root.push(("soc".to_owned(), Value::Table(t)));
-        }
-        if let Some(t) = faults_table(&self.faults) {
-            root.push(("faults".to_owned(), Value::Table(t)));
-        }
-        if !self.jobs.is_empty() {
-            root.push((
-                "jobs".to_owned(),
-                Value::Array(
-                    self.jobs
-                        .iter()
-                        .map(|j| Value::Table(job_table(j)))
-                        .collect(),
-                ),
-            ));
-        }
-        toml::serialize(&root)
+        let mut writer = Writer::default();
+        walk_campaign(&mut writer, &mut self.clone());
+        toml::serialize(&writer.0)
     }
 
     /// Expand into the validated, ordered point list.
@@ -1154,592 +1030,519 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// TOML ↔ struct plumbing
+// The TOML schema. One walk per section names each key once, in canonical
+// order; `Reader` runs it to parse, type-check and find unknown keys, and
+// `Writer` runs it to serialize.
 
-fn take<'a>(table: &'a Table, key: &str) -> Option<&'a Value> {
-    table.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn check_keys(table: &Table, allowed: &[&str], section: &str, report: &mut Report) {
-    for (key, _) in table {
-        if !allowed.contains(&key.as_str()) {
-            let path = if section.is_empty() {
-                key.clone()
-            } else {
-                format!("{section}.{key}")
-            };
-            report.push(Diagnostic::error(
-                "L0261",
-                format!("unknown key `{path}` (known: {})", allowed.join(", ")),
-            ));
-        }
-    }
-}
-
-fn ill_typed(path: &str, wanted: &str, got: &Value) -> Diagnostic {
-    Diagnostic::error(
-        "L0261",
-        format!("`{path}` must be a {wanted}, got a {}", got.type_name()),
-    )
-}
-
-fn want_table<'a>(v: &'a Value, path: &str, report: &mut Report) -> Option<&'a Table> {
-    match v.as_table() {
-        Some(t) => Some(t),
-        None => {
-            report.push(ill_typed(path, "table", v));
-            None
-        }
-    }
-}
-
-fn want_str(v: &Value, path: &str, report: &mut Report) -> Option<String> {
-    match v.as_str() {
-        Some(s) => Some(s.to_owned()),
-        None => {
-            report.push(ill_typed(path, "string", v));
-            None
-        }
-    }
-}
-
-fn want_str_list(v: &Value, path: &str, report: &mut Report) -> Vec<String> {
-    match v.as_array() {
-        Some(items) => items
-            .iter()
-            .filter_map(|item| want_str(item, path, report))
-            .collect(),
-        None => {
-            report.push(ill_typed(path, "array of strings", v));
-            Vec::new()
-        }
-    }
-}
-
-fn uint<T: TryFrom<i64>>(v: &Value, path: &str, report: &mut Report) -> Option<T> {
-    match v.as_int().and_then(|n| T::try_from(n).ok()) {
-        Some(n) => Some(n),
-        None => {
-            report.push(ill_typed(path, "non-negative integer", v));
-            None
-        }
-    }
-}
-
-fn want_u64_list(v: &Value, path: &str, report: &mut Report) -> Vec<u64> {
-    match v.as_array() {
-        Some(items) => items
-            .iter()
-            .filter_map(|item| uint::<u64>(item, path, report))
-            .collect(),
-        None => {
-            report.push(ill_typed(path, "array of integers", v));
-            Vec::new()
-        }
-    }
-}
-
-fn want_u32_list(v: &Value, path: &str, report: &mut Report) -> Vec<u32> {
-    match v.as_array() {
-        Some(items) => items
-            .iter()
-            .filter_map(|item| uint::<u32>(item, path, report))
-            .collect(),
-        None => {
-            report.push(ill_typed(path, "array of integers", v));
-            Vec::new()
-        }
-    }
-}
-
-fn parse_space(t: &Table, report: &mut Report) -> SpaceSpec {
-    check_keys(
-        t,
-        &[
-            "preset",
-            "lanes",
-            "partitions",
-            "cache_sizes",
-            "cache_lines",
-            "cache_ports",
-            "cache_assocs",
-            "topologies",
-        ],
-        "space",
-        report,
+fn walk_campaign<W: Walker>(w: &mut W, s: &mut CampaignSpec) {
+    w.always("name", &mut s.name, false);
+    w.key("kernels", &mut s.kernels);
+    w.key("mems", &mut s.mems);
+    w.key("stagger", &mut s.stagger);
+    w.key("accel_counts", &mut s.accel_counts);
+    w.key("bus_widths", &mut s.bus_widths);
+    w.table("space", |w| walk_space(w, &mut s.space));
+    w.table("datapath", |w| walk_datapath(w, &mut s.datapath));
+    w.table("soc", |w| walk_soc(w, &mut s.soc));
+    w.table("faults", |w| walk_faults(w, &mut s.faults));
+    w.items(
+        "jobs",
+        &mut s.jobs,
+        || JobSpec::new(String::new(), MemKind::Isolated),
+        walk_job,
     );
-    let mut spec = SpaceSpec::default();
-    if let Some(v) = take(t, "preset") {
-        if let Some(s) = want_str(v, "space.preset", report) {
-            match SpacePreset::parse(&s) {
-                Some(p) => spec.preset = p,
-                None => report.push(Diagnostic::error(
-                    "L0262",
-                    format!("space.preset: expected quick|standard|paper, got {s:?}"),
-                )),
-            }
-        }
-    }
-    if let Some(v) = take(t, "lanes") {
-        spec.lanes = Some(want_u32_list(v, "space.lanes", report));
-    }
-    if let Some(v) = take(t, "partitions") {
-        spec.partitions = Some(want_u32_list(v, "space.partitions", report));
-    }
-    if let Some(v) = take(t, "cache_sizes") {
-        spec.cache_sizes = Some(want_u64_list(v, "space.cache_sizes", report));
-    }
-    if let Some(v) = take(t, "cache_lines") {
-        spec.cache_lines = Some(want_u32_list(v, "space.cache_lines", report));
-    }
-    if let Some(v) = take(t, "cache_ports") {
-        spec.cache_ports = Some(want_u32_list(v, "space.cache_ports", report));
-    }
-    if let Some(v) = take(t, "cache_assocs") {
-        spec.cache_assocs = Some(want_u32_list(v, "space.cache_assocs", report));
-    }
-    if let Some(v) = take(t, "topologies") {
-        let mut topologies = Vec::new();
-        for s in want_str_list(v, "space.topologies", report) {
-            match Topology::parse(&s) {
-                Ok(t) => topologies.push(t),
-                Err(e) => report.push(
-                    Diagnostic::error("L0262", format!("space.topologies: {e}"))
-                        .at(Locus::Field("space")),
-                ),
-            }
-        }
-        spec.topologies = Some(topologies);
-    }
-    spec
 }
 
-fn parse_datapath(t: &Table, report: &mut Report) -> DatapathSpec {
-    check_keys(
-        t,
-        &["lanes", "partition", "ports_per_bank", "sync"],
-        "datapath",
-        report,
+fn walk_space<W: Walker>(w: &mut W, s: &mut SpaceSpec) {
+    w.key("preset", &mut s.preset);
+    w.opt("lanes", &mut s.lanes);
+    w.opt("partitions", &mut s.partitions);
+    w.opt("cache_sizes", &mut s.cache_sizes);
+    w.opt("cache_lines", &mut s.cache_lines);
+    w.opt("cache_ports", &mut s.cache_ports);
+    w.opt("cache_assocs", &mut s.cache_assocs);
+    w.opt("topologies", &mut s.topologies);
+}
+
+fn walk_datapath<W: Walker>(w: &mut W, s: &mut DatapathSpec) {
+    w.opt("lanes", &mut s.lanes);
+    w.opt("partition", &mut s.partition);
+    w.opt("ports_per_bank", &mut s.ports_per_bank);
+    w.opt("sync", &mut s.sync);
+}
+
+fn walk_soc<W: Walker>(w: &mut W, s: &mut SocSpec) {
+    w.opt("ready_bits_granule", &mut s.ready_bits_granule);
+    w.opt("invoke_cycles", &mut s.invoke_cycles);
+    w.table("clock", |w| w.opt("mhz", &mut s.clock_mhz));
+    w.table("bus", |w| {
+        w.opt("width_bits", &mut s.bus_width_bits);
+        w.opt("infinite_bandwidth", &mut s.bus_infinite_bandwidth);
+    });
+    w.table("cache", |w| {
+        w.opt("size_bytes", &mut s.cache_size_bytes);
+        w.opt("line_bytes", &mut s.cache_line_bytes);
+        w.opt("assoc", &mut s.cache_assoc);
+        w.opt("ports", &mut s.cache_ports);
+        w.opt("mshrs", &mut s.cache_mshrs);
+        w.opt("hit_latency", &mut s.cache_hit_latency);
+    });
+    w.table("tlb", |w| {
+        w.opt("entries", &mut s.tlb_entries);
+        w.opt("page_bytes", &mut s.tlb_page_bytes);
+        w.opt("miss_cycles", &mut s.tlb_miss_cycles);
+    });
+    w.table("dram", |w| {
+        w.opt("banks", &mut s.dram_banks);
+        w.opt("row_bytes", &mut s.dram_row_bytes);
+    });
+    w.table("dma", |w| {
+        w.opt("setup_cycles", &mut s.dma_setup_cycles);
+        w.opt("chunk_bytes", &mut s.dma_chunk_bytes);
+        w.opt("burst_bytes", &mut s.dma_burst_bytes);
+    });
+    w.table("traffic", |w| {
+        w.opt("period", &mut s.traffic_period);
+        w.opt("bytes", &mut s.traffic_bytes);
+    });
+    w.table("topology", |w| {
+        w.opt("spec", &mut s.topology);
+        w.opt("max_burst_bytes", &mut s.topology_max_burst_bytes);
+        w.opt("max_outstanding", &mut s.topology_max_outstanding);
+    });
+}
+
+fn walk_faults<W: Walker>(w: &mut W, s: &mut FaultsSpec) {
+    w.opt("seed", &mut s.seed);
+    w.opt("max_cycles", &mut s.max_cycles);
+    w.opt("no_progress_cycles", &mut s.no_progress_cycles);
+}
+
+fn walk_job<W: Walker>(w: &mut W, j: &mut JobSpec) {
+    w.always("kernel", &mut j.kernel, true);
+    w.always("mem", &mut j.mem, true);
+    w.key("launch", &mut j.launch);
+    w.opt("master", &mut j.master);
+    w.opt("lanes", &mut j.lanes);
+    w.opt("partition", &mut j.partition);
+}
+
+/// One pass over the schema, visiting each key of a section in order.
+trait Walker: Sized {
+    /// A key left out of the canonical form while it holds its default.
+    fn key<K: Key + Default + PartialEq>(&mut self, key: &'static str, v: &mut K);
+    /// An optional key, left out while `None`.
+    fn opt<K: Key>(&mut self, key: &'static str, v: &mut Option<K>);
+    /// A key always written. A `required` key that is absent or
+    /// ill-typed is reported missing, and its `[[table]]` item dropped.
+    fn always<K: Key>(&mut self, key: &'static str, v: &mut K, required: bool);
+    /// A sub-table, left out while empty.
+    fn table(&mut self, key: &'static str, walk: impl FnOnce(&mut Self));
+    /// An array of tables: `walk` visits each item, `new` starts one.
+    fn items<T>(
+        &mut self,
+        key: &'static str,
+        items: &mut Vec<T>,
+        new: fn() -> T,
+        walk: fn(&mut Self, &mut T),
     );
-    let mut spec = DatapathSpec::default();
-    if let Some(v) = take(t, "lanes") {
-        spec.lanes = uint(v, "datapath.lanes", report);
-    }
-    if let Some(v) = take(t, "partition") {
-        spec.partition = uint(v, "datapath.partition", report);
-    }
-    if let Some(v) = take(t, "ports_per_bank") {
-        spec.ports_per_bank = uint(v, "datapath.ports_per_bank", report);
-    }
-    if let Some(v) = take(t, "sync") {
-        if let Some(s) = want_str(v, "datapath.sync", report) {
-            match s.as_str() {
-                "barrier" => spec.sync = Some(LaneSync::Barrier),
-                "free" => spec.sync = Some(LaneSync::Free),
-                other => report.push(Diagnostic::error(
-                    "L0262",
-                    format!("datapath.sync: expected barrier|free, got {other:?}"),
-                )),
-            }
-        }
-    }
-    spec
 }
 
-fn parse_soc(t: &Table, report: &mut Report) -> SocSpec {
-    check_keys(
-        t,
-        &[
-            "ready_bits_granule",
-            "invoke_cycles",
-            "clock",
-            "bus",
-            "cache",
-            "tlb",
-            "dram",
-            "dma",
-            "traffic",
-            "topology",
-        ],
-        "soc",
-        report,
-    );
-    let mut spec = SocSpec::default();
-    if let Some(v) = take(t, "ready_bits_granule") {
-        spec.ready_bits_granule = uint(v, "soc.ready_bits_granule", report);
-    }
-    if let Some(v) = take(t, "invoke_cycles") {
-        spec.invoke_cycles = uint(v, "soc.invoke_cycles", report);
-    }
-    if let Some(sub) = take(t, "clock").and_then(|v| want_table(v, "soc.clock", report)) {
-        check_keys(sub, &["mhz"], "soc.clock", report);
-        if let Some(v) = take(sub, "mhz") {
-            match v.as_float() {
-                Some(f) => spec.clock_mhz = Some(f),
-                None => report.push(ill_typed("soc.clock.mhz", "number", v)),
-            }
-        }
-    }
-    if let Some(sub) = take(t, "bus").and_then(|v| want_table(v, "soc.bus", report)) {
-        check_keys(
-            sub,
-            &["width_bits", "infinite_bandwidth"],
-            "soc.bus",
-            report,
-        );
-        if let Some(v) = take(sub, "width_bits") {
-            spec.bus_width_bits = uint(v, "soc.bus.width_bits", report);
-        }
-        if let Some(v) = take(sub, "infinite_bandwidth") {
-            match v.as_bool() {
-                Some(b) => spec.bus_infinite_bandwidth = Some(b),
-                None => report.push(ill_typed("soc.bus.infinite_bandwidth", "boolean", v)),
-            }
-        }
-    }
-    if let Some(sub) = take(t, "cache").and_then(|v| want_table(v, "soc.cache", report)) {
-        check_keys(
-            sub,
-            &[
-                "size_bytes",
-                "line_bytes",
-                "assoc",
-                "ports",
-                "mshrs",
-                "hit_latency",
-            ],
-            "soc.cache",
-            report,
-        );
-        if let Some(v) = take(sub, "size_bytes") {
-            spec.cache_size_bytes = uint(v, "soc.cache.size_bytes", report);
-        }
-        if let Some(v) = take(sub, "line_bytes") {
-            spec.cache_line_bytes = uint(v, "soc.cache.line_bytes", report);
-        }
-        if let Some(v) = take(sub, "assoc") {
-            spec.cache_assoc = uint(v, "soc.cache.assoc", report);
-        }
-        if let Some(v) = take(sub, "ports") {
-            spec.cache_ports = uint(v, "soc.cache.ports", report);
-        }
-        if let Some(v) = take(sub, "mshrs") {
-            spec.cache_mshrs = uint(v, "soc.cache.mshrs", report);
-        }
-        if let Some(v) = take(sub, "hit_latency") {
-            spec.cache_hit_latency = uint(v, "soc.cache.hit_latency", report);
-        }
-    }
-    if let Some(sub) = take(t, "tlb").and_then(|v| want_table(v, "soc.tlb", report)) {
-        check_keys(
-            sub,
-            &["entries", "page_bytes", "miss_cycles"],
-            "soc.tlb",
-            report,
-        );
-        if let Some(v) = take(sub, "entries") {
-            spec.tlb_entries = uint(v, "soc.tlb.entries", report);
-        }
-        if let Some(v) = take(sub, "page_bytes") {
-            spec.tlb_page_bytes = uint(v, "soc.tlb.page_bytes", report);
-        }
-        if let Some(v) = take(sub, "miss_cycles") {
-            spec.tlb_miss_cycles = uint(v, "soc.tlb.miss_cycles", report);
-        }
-    }
-    if let Some(sub) = take(t, "dram").and_then(|v| want_table(v, "soc.dram", report)) {
-        check_keys(sub, &["banks", "row_bytes"], "soc.dram", report);
-        if let Some(v) = take(sub, "banks") {
-            spec.dram_banks = uint(v, "soc.dram.banks", report);
-        }
-        if let Some(v) = take(sub, "row_bytes") {
-            spec.dram_row_bytes = uint(v, "soc.dram.row_bytes", report);
-        }
-    }
-    if let Some(sub) = take(t, "dma").and_then(|v| want_table(v, "soc.dma", report)) {
-        check_keys(
-            sub,
-            &["setup_cycles", "chunk_bytes", "burst_bytes"],
-            "soc.dma",
-            report,
-        );
-        if let Some(v) = take(sub, "setup_cycles") {
-            spec.dma_setup_cycles = uint(v, "soc.dma.setup_cycles", report);
-        }
-        if let Some(v) = take(sub, "chunk_bytes") {
-            spec.dma_chunk_bytes = uint(v, "soc.dma.chunk_bytes", report);
-        }
-        if let Some(v) = take(sub, "burst_bytes") {
-            spec.dma_burst_bytes = uint(v, "soc.dma.burst_bytes", report);
-        }
-    }
-    if let Some(sub) = take(t, "traffic").and_then(|v| want_table(v, "soc.traffic", report)) {
-        check_keys(sub, &["period", "bytes"], "soc.traffic", report);
-        if let Some(v) = take(sub, "period") {
-            spec.traffic_period = uint(v, "soc.traffic.period", report);
-        }
-        if let Some(v) = take(sub, "bytes") {
-            spec.traffic_bytes = uint(v, "soc.traffic.bytes", report);
-        }
-    }
-    if let Some(sub) = take(t, "topology").and_then(|v| want_table(v, "soc.topology", report)) {
-        check_keys(
-            sub,
-            &["spec", "max_burst_bytes", "max_outstanding"],
-            "soc.topology",
-            report,
-        );
-        if let Some(v) = take(sub, "spec") {
-            if let Some(s) = want_str(v, "soc.topology.spec", report) {
-                match Topology::parse(&s) {
-                    Ok(t) => spec.topology = Some(t),
-                    Err(e) => report.push(
-                        Diagnostic::error("L0262", format!("soc.topology.spec: {e}"))
-                            .at(Locus::Field("soc")),
-                    ),
-                }
-            }
-        }
-        if let Some(v) = take(sub, "max_burst_bytes") {
-            spec.topology_max_burst_bytes = uint(v, "soc.topology.max_burst_bytes", report);
-        }
-        if let Some(v) = take(sub, "max_outstanding") {
-            spec.topology_max_outstanding = uint(v, "soc.topology.max_outstanding", report);
-        }
-    }
-    spec
+/// Where a key sits in a campaign document.
+struct At {
+    /// Dotted path, as messages print it (`soc.cache.assoc`, `jobs[0].mem`).
+    path: String,
+    /// The top-level key an unknown name is located at (none in `[[jobs]]`).
+    section: Option<&'static str>,
 }
 
-fn parse_faults(t: &Table, report: &mut Report) -> FaultsSpec {
-    check_keys(
-        t,
-        &["seed", "max_cycles", "no_progress_cycles"],
-        "faults",
-        report,
-    );
-    let mut spec = FaultsSpec::default();
-    if let Some(v) = take(t, "seed") {
-        spec.seed = uint(v, "faults.seed", report);
-    }
-    if let Some(v) = take(t, "max_cycles") {
-        spec.max_cycles = uint(v, "faults.max_cycles", report);
-    }
-    if let Some(v) = take(t, "no_progress_cycles") {
-        spec.no_progress_cycles = uint(v, "faults.no_progress_cycles", report);
-    }
-    spec
-}
-
-fn parse_job_spec(t: &Table, section: &str, report: &mut Report) -> Option<JobSpec> {
-    check_keys(
-        t,
-        &["kernel", "mem", "launch", "master", "lanes", "partition"],
-        section,
-        report,
-    );
-    let kernel = take(t, "kernel")
-        .and_then(|v| want_str(v, &format!("{section}.kernel"), report))
-        .or_else(|| {
-            report.push(Diagnostic::error(
-                "L0261",
-                format!("{section}: missing `kernel`"),
-            ));
-            None
-        })?;
-    let mem_src = take(t, "mem")
-        .and_then(|v| want_str(v, &format!("{section}.mem"), report))
-        .or_else(|| {
-            report.push(Diagnostic::error(
-                "L0261",
-                format!("{section}: missing `mem`"),
-            ));
-            None
-        })?;
-    let mem = match parse_mem_spec(&mem_src) {
-        Ok(kind) => kind,
-        Err(e) => {
-            report.push(Diagnostic::error("L0262", format!("{section}.mem: {e}")));
-            return None;
-        }
-    };
-    let mut job = JobSpec::new(kernel, mem);
-    if let Some(v) = take(t, "launch") {
-        job.launch = uint(v, &format!("{section}.launch"), report).unwrap_or(0);
-    }
-    if let Some(v) = take(t, "master") {
-        job.master = uint(v, &format!("{section}.master"), report);
-    }
-    if let Some(v) = take(t, "lanes") {
-        job.lanes = uint(v, &format!("{section}.lanes"), report);
-    }
-    if let Some(v) = take(t, "partition") {
-        job.partition = uint(v, &format!("{section}.partition"), report);
-    }
-    Some(job)
-}
-
-#[allow(clippy::cast_possible_wrap)]
-fn int(n: u64) -> Value {
-    Value::Int(n as i64)
-}
-
-fn push_u64(t: &mut Table, key: &str, v: Option<u64>) {
-    if let Some(n) = v {
-        t.push((key.to_owned(), int(n)));
-    }
-}
-
-fn push_u32(t: &mut Table, key: &str, v: Option<u32>) {
-    push_u64(t, key, v.map(u64::from));
-}
-
-fn non_empty(t: Table) -> Option<Table> {
-    if t.is_empty() {
-        None
-    } else {
-        Some(t)
-    }
-}
-
-fn space_table(s: &SpaceSpec) -> Option<Table> {
-    let mut t = Table::new();
-    if s.preset != SpacePreset::default() {
-        t.push((
-            "preset".to_owned(),
-            Value::Str(s.preset.as_str().to_owned()),
+impl At {
+    fn ill_typed(&self, want: &str, got: &Value, report: &mut Report) -> Miss {
+        report.push(Diagnostic::error(
+            "L0261",
+            format!(
+                "`{}` must be a {want}, got a {}",
+                self.path,
+                got.type_name()
+            ),
         ));
+        Miss::Type
     }
-    let u32s = |v: &Vec<u32>| Value::Array(v.iter().map(|&n| int(u64::from(n))).collect());
-    if let Some(v) = &s.lanes {
-        t.push(("lanes".to_owned(), u32s(v)));
+
+    /// A well-typed value naming nothing the key knows (`L0262`);
+    /// `located` findings point at the key's section.
+    fn unknown(&self, why: impl fmt::Display, located: bool, report: &mut Report) -> Miss {
+        let d = Diagnostic::error("L0262", format!("{}: {why}", self.path));
+        report.push(match self.section {
+            Some(section) if located => d.at(Locus::Field(section)),
+            _ => d,
+        });
+        Miss::Name
     }
-    if let Some(v) = &s.partitions {
-        t.push(("partitions".to_owned(), u32s(v)));
-    }
-    if let Some(v) = &s.cache_sizes {
-        t.push((
-            "cache_sizes".to_owned(),
-            Value::Array(v.iter().map(|&n| int(n)).collect()),
-        ));
-    }
-    if let Some(v) = &s.cache_lines {
-        t.push(("cache_lines".to_owned(), u32s(v)));
-    }
-    if let Some(v) = &s.cache_ports {
-        t.push(("cache_ports".to_owned(), u32s(v)));
-    }
-    if let Some(v) = &s.cache_assocs {
-        t.push(("cache_assocs".to_owned(), u32s(v)));
-    }
-    if let Some(v) = &s.topologies {
-        t.push((
-            "topologies".to_owned(),
-            Value::Array(v.iter().map(|t| Value::Str(t.spec_string())).collect()),
-        ));
-    }
-    non_empty(t)
 }
 
-fn datapath_table(s: &DatapathSpec) -> Option<Table> {
-    let mut t = Table::new();
-    push_u32(&mut t, "lanes", s.lanes);
-    push_u32(&mut t, "partition", s.partition);
-    push_u32(&mut t, "ports_per_bank", s.ports_per_bank);
-    if let Some(sync) = s.sync {
-        let name = match sync {
+/// Why a key was not read; its diagnostic is already reported.
+enum Miss {
+    /// Not the TOML type the key holds (`L0261`).
+    Type,
+    /// The right type, but an unknown name (`L0262`).
+    Name,
+}
+
+/// A value one campaign key holds.
+trait Key: Sized {
+    /// What an array of these must be, in `L0261` messages.
+    const LIST: &'static str = "array";
+    /// Read `v`, reporting an ill-typed value or an unknown name.
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss>;
+    /// The canonical TOML form.
+    fn write(&self) -> Value;
+}
+
+/// The unsigned widths campaign keys store; they share one read and write.
+trait Uint: Copy + TryFrom<i64> + TryInto<u64> {}
+impl Uint for u8 {}
+impl Uint for u32 {}
+impl Uint for u64 {}
+impl Uint for usize {}
+
+impl<T: Uint> Key for T {
+    const LIST: &'static str = "array of integers";
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        v.as_int()
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| at.ill_typed("non-negative integer", v, report))
+    }
+    #[allow(clippy::cast_possible_wrap)]
+    fn write(&self) -> Value {
+        Value::Int((*self).try_into().unwrap_or(u64::MAX) as i64)
+    }
+}
+
+impl Key for f64 {
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        v.as_float()
+            .ok_or_else(|| at.ill_typed("number", v, report))
+    }
+    fn write(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+impl Key for bool {
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        v.as_bool()
+            .ok_or_else(|| at.ill_typed("boolean", v, report))
+    }
+    fn write(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+fn read_str<'v>(v: &'v Value, at: &At, report: &mut Report) -> Result<&'v str, Miss> {
+    v.as_str().ok_or_else(|| at.ill_typed("string", v, report))
+}
+
+impl Key for String {
+    const LIST: &'static str = "array of strings";
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        read_str(v, at, report).map(str::to_owned)
+    }
+    fn write(&self) -> Value {
+        Value::Str(self.clone())
+    }
+}
+
+impl Key for MemKind {
+    const LIST: &'static str = "array of strings";
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        parse_mem_spec(read_str(v, at, report)?).map_err(|e| at.unknown(e, true, report))
+    }
+    fn write(&self) -> Value {
+        Value::Str(mem_str(*self))
+    }
+}
+
+impl Key for Topology {
+    const LIST: &'static str = "array of strings";
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        Topology::parse(read_str(v, at, report)?).map_err(|e| at.unknown(e, true, report))
+    }
+    fn write(&self) -> Value {
+        Value::Str(self.spec_string())
+    }
+}
+
+impl Key for LaneSync {
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        match read_str(v, at, report)? {
+            "barrier" => Ok(LaneSync::Barrier),
+            "free" => Ok(LaneSync::Free),
+            other => Err(at.unknown(
+                format_args!("expected barrier|free, got {other:?}"),
+                false,
+                report,
+            )),
+        }
+    }
+    fn write(&self) -> Value {
+        let name = match self {
             LaneSync::Barrier => "barrier",
             LaneSync::Free => "free",
         };
-        t.push(("sync".to_owned(), Value::Str(name.to_owned())));
+        Value::Str(name.to_owned())
     }
-    non_empty(t)
 }
 
-fn soc_table(s: &SocSpec) -> Option<Table> {
-    let mut t = Table::new();
-    push_u64(&mut t, "ready_bits_granule", s.ready_bits_granule);
-    push_u64(&mut t, "invoke_cycles", s.invoke_cycles);
-    if let Some(mhz) = s.clock_mhz {
-        t.push((
-            "clock".to_owned(),
-            Value::Table(vec![("mhz".to_owned(), Value::Float(mhz))]),
-        ));
+impl Key for SpacePreset {
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        let s = read_str(v, at, report)?;
+        SpacePreset::parse(s).ok_or_else(|| {
+            at.unknown(
+                format_args!("expected quick|standard|paper, got {s:?}"),
+                false,
+                report,
+            )
+        })
     }
-    let mut bus = Table::new();
-    push_u32(&mut bus, "width_bits", s.bus_width_bits);
-    if let Some(b) = s.bus_infinite_bandwidth {
-        bus.push(("infinite_bandwidth".to_owned(), Value::Bool(b)));
+    fn write(&self) -> Value {
+        Value::Str(self.as_str().to_owned())
     }
-    if let Some(bus) = non_empty(bus) {
-        t.push(("bus".to_owned(), Value::Table(bus)));
-    }
-    let mut cache = Table::new();
-    push_u64(&mut cache, "size_bytes", s.cache_size_bytes);
-    push_u32(&mut cache, "line_bytes", s.cache_line_bytes);
-    push_u32(&mut cache, "assoc", s.cache_assoc);
-    push_u32(&mut cache, "ports", s.cache_ports);
-    push_u64(&mut cache, "mshrs", s.cache_mshrs.map(|n| n as u64));
-    push_u64(&mut cache, "hit_latency", s.cache_hit_latency);
-    if let Some(cache) = non_empty(cache) {
-        t.push(("cache".to_owned(), Value::Table(cache)));
-    }
-    let mut tlb = Table::new();
-    push_u64(&mut tlb, "entries", s.tlb_entries.map(|n| n as u64));
-    push_u64(&mut tlb, "page_bytes", s.tlb_page_bytes);
-    push_u64(&mut tlb, "miss_cycles", s.tlb_miss_cycles);
-    if let Some(tlb) = non_empty(tlb) {
-        t.push(("tlb".to_owned(), Value::Table(tlb)));
-    }
-    let mut dram = Table::new();
-    push_u64(&mut dram, "banks", s.dram_banks.map(|n| n as u64));
-    push_u64(&mut dram, "row_bytes", s.dram_row_bytes);
-    if let Some(dram) = non_empty(dram) {
-        t.push(("dram".to_owned(), Value::Table(dram)));
-    }
-    let mut dma = Table::new();
-    push_u64(&mut dma, "setup_cycles", s.dma_setup_cycles);
-    push_u64(&mut dma, "chunk_bytes", s.dma_chunk_bytes);
-    push_u32(&mut dma, "burst_bytes", s.dma_burst_bytes);
-    if let Some(dma) = non_empty(dma) {
-        t.push(("dma".to_owned(), Value::Table(dma)));
-    }
-    let mut traffic = Table::new();
-    push_u64(&mut traffic, "period", s.traffic_period);
-    push_u32(&mut traffic, "bytes", s.traffic_bytes);
-    if let Some(traffic) = non_empty(traffic) {
-        t.push(("traffic".to_owned(), Value::Table(traffic)));
-    }
-    let mut topology = Table::new();
-    if let Some(topo) = s.topology {
-        topology.push(("spec".to_owned(), Value::Str(topo.spec_string())));
-    }
-    push_u32(&mut topology, "max_burst_bytes", s.topology_max_burst_bytes);
-    push_u32(&mut topology, "max_outstanding", s.topology_max_outstanding);
-    if let Some(topology) = non_empty(topology) {
-        t.push(("topology".to_owned(), Value::Table(topology)));
-    }
-    non_empty(t)
 }
 
-fn faults_table(s: &FaultsSpec) -> Option<Table> {
-    let mut t = Table::new();
-    push_u64(&mut t, "seed", s.seed);
-    push_u64(&mut t, "max_cycles", s.max_cycles);
-    push_u64(&mut t, "no_progress_cycles", s.no_progress_cycles);
-    non_empty(t)
+impl<T: Key> Key for Vec<T> {
+    /// Ill-typed items are skipped and reported first, then unknown names:
+    /// a list's shape is checked before its names resolve.
+    fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
+        let items = v
+            .as_array()
+            .ok_or_else(|| at.ill_typed(T::LIST, v, report))?;
+        let mut names = Report::new();
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            let mut found = Report::new();
+            match T::read(item, at, &mut found) {
+                Ok(x) => out.push(x),
+                Err(Miss::Type) => report.merge(found),
+                Err(Miss::Name) => names.merge(found),
+            }
+        }
+        report.merge(names);
+        Ok(out)
+    }
+    fn write(&self) -> Value {
+        Value::Array(self.iter().map(Key::write).collect())
+    }
 }
 
-fn job_table(j: &JobSpec) -> Table {
-    let mut t = Table::new();
-    t.push(("kernel".to_owned(), Value::Str(j.kernel.clone())));
-    t.push(("mem".to_owned(), Value::Str(mem_str(j.mem))));
-    if j.launch != 0 {
-        t.push(("launch".to_owned(), int(j.launch)));
+/// Reads one table of a campaign document into a spec section.
+struct Reader<'t> {
+    table: &'t Table,
+    /// Where `table` sits: `""` at the root.
+    at: At,
+    /// Every key the walk named, for the unknown-key check.
+    known: Vec<&'static str>,
+    /// A required key failed: the rest of this item is skipped.
+    dropped: bool,
+    /// Findings on values, reported after the table's unknown keys.
+    report: Report,
+}
+
+impl<'t> Reader<'t> {
+    fn new(table: &'t Table, at: At) -> Self {
+        Reader {
+            table,
+            at,
+            known: Vec::new(),
+            dropped: false,
+            report: Report::new(),
+        }
     }
-    push_u64(&mut t, "master", j.master.map(u64::from));
-    push_u32(&mut t, "lanes", j.lanes);
-    push_u32(&mut t, "partition", j.partition);
-    t
+
+    fn path(&self, key: &str) -> String {
+        if self.at.path.is_empty() {
+            key.to_owned()
+        } else {
+            format!("{}.{key}", self.at.path)
+        }
+    }
+
+    /// Record `key` as known, and find its value unless this item is
+    /// dropped. A root key is its own section.
+    fn find(&mut self, key: &'static str) -> Option<(&'t Value, At)> {
+        self.known.push(key);
+        if self.dropped {
+            return None;
+        }
+        let (_, v) = self.table.iter().find(|(k, _)| k == key)?;
+        let section = if self.at.path.is_empty() {
+            Some(key)
+        } else {
+            self.at.section
+        };
+        let path = self.path(key);
+        Some((v, At { path, section }))
+    }
+
+    fn read<K: Key>(&mut self, key: &'static str) -> Option<K> {
+        let (v, at) = self.find(key)?;
+        K::read(v, &at, &mut self.report).ok()
+    }
+
+    /// This table's unknown keys, then its value findings.
+    fn finish(self) -> Report {
+        let mut report = Report::new();
+        for (key, _) in self.table {
+            if !self.known.contains(&key.as_str()) {
+                report.push(Diagnostic::error(
+                    "L0261",
+                    format!(
+                        "unknown key `{}` (known: {})",
+                        self.path(key),
+                        self.known.join(", ")
+                    ),
+                ));
+            }
+        }
+        report.merge(self.report);
+        report
+    }
+}
+
+impl Walker for Reader<'_> {
+    fn key<K: Key + Default + PartialEq>(&mut self, key: &'static str, v: &mut K) {
+        if let Some(x) = self.read(key) {
+            *v = x;
+        }
+    }
+
+    fn opt<K: Key>(&mut self, key: &'static str, v: &mut Option<K>) {
+        if let Some(x) = self.read(key) {
+            *v = Some(x);
+        }
+    }
+
+    fn always<K: Key>(&mut self, key: &'static str, v: &mut K, required: bool) {
+        let skipped = self.dropped;
+        match self
+            .find(key)
+            .map(|(x, at)| K::read(x, &at, &mut self.report))
+        {
+            Some(Ok(x)) => *v = x,
+            Some(Err(Miss::Name)) if required => self.dropped = true,
+            _ if required && !skipped => {
+                self.report.push(Diagnostic::error(
+                    "L0261",
+                    format!("{}: missing `{key}`", self.at.path),
+                ));
+                self.dropped = true;
+            }
+            _ => {}
+        }
+    }
+
+    fn table(&mut self, key: &'static str, walk: impl FnOnce(&mut Self)) {
+        let Some((v, at)) = self.find(key) else {
+            return;
+        };
+        match v.as_table() {
+            Some(t) => {
+                let mut sub = Reader::new(t, at);
+                walk(&mut sub);
+                self.report.merge(sub.finish());
+            }
+            None => {
+                at.ill_typed("table", v, &mut self.report);
+            }
+        }
+    }
+
+    fn items<T>(
+        &mut self,
+        key: &'static str,
+        items: &mut Vec<T>,
+        new: fn() -> T,
+        walk: fn(&mut Self, &mut T),
+    ) {
+        let Some((v, at)) = self.find(key) else {
+            return;
+        };
+        let Some(list) = v.as_array() else {
+            at.ill_typed("array of tables", v, &mut self.report);
+            return;
+        };
+        for (i, item) in list.iter().enumerate() {
+            let at = At {
+                path: format!("{}[{i}]", at.path),
+                section: None,
+            };
+            let Some(t) = item.as_table() else {
+                at.ill_typed("table", item, &mut self.report);
+                continue;
+            };
+            let mut sub = Reader::new(t, at);
+            let mut x = new();
+            walk(&mut sub, &mut x);
+            if !sub.dropped {
+                items.push(x);
+            }
+            self.report.merge(sub.finish());
+        }
+    }
+}
+
+/// Serializes a spec section into its canonical table.
+#[derive(Default)]
+struct Writer(Table);
+
+impl Writer {
+    fn put(&mut self, key: &str, v: Value) {
+        self.0.push((key.to_owned(), v));
+    }
+}
+
+impl Walker for Writer {
+    fn key<K: Key + Default + PartialEq>(&mut self, key: &'static str, v: &mut K) {
+        if *v != K::default() {
+            self.put(key, v.write());
+        }
+    }
+
+    fn opt<K: Key>(&mut self, key: &'static str, v: &mut Option<K>) {
+        if let Some(v) = v {
+            self.put(key, v.write());
+        }
+    }
+
+    fn always<K: Key>(&mut self, key: &'static str, v: &mut K, _required: bool) {
+        self.put(key, v.write());
+    }
+
+    fn table(&mut self, key: &'static str, walk: impl FnOnce(&mut Self)) {
+        let mut sub = Writer::default();
+        walk(&mut sub);
+        if !sub.0.is_empty() {
+            self.put(key, Value::Table(sub.0));
+        }
+    }
+
+    fn items<T>(
+        &mut self,
+        key: &'static str,
+        items: &mut Vec<T>,
+        _new: fn() -> T,
+        walk: fn(&mut Self, &mut T),
+    ) {
+        if items.is_empty() {
+            return;
+        }
+        let tables = items.iter_mut().map(|x| {
+            let mut sub = Writer::default();
+            walk(&mut sub, x);
+            Value::Table(sub.0)
+        });
+        self.put(key, Value::Array(tables.collect()));
+    }
 }
 
 #[cfg(test)]
