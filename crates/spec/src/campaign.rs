@@ -96,27 +96,13 @@ impl SpaceSpec {
     #[must_use]
     pub fn design_space(&self) -> DesignSpace {
         let mut space = self.preset.design_space();
-        if let Some(v) = &self.lanes {
-            space.lanes.clone_from(v);
-        }
-        if let Some(v) = &self.partitions {
-            space.partitions.clone_from(v);
-        }
-        if let Some(v) = &self.cache_sizes {
-            space.cache_sizes.clone_from(v);
-        }
-        if let Some(v) = &self.cache_lines {
-            space.cache_lines.clone_from(v);
-        }
-        if let Some(v) = &self.cache_ports {
-            space.cache_ports.clone_from(v);
-        }
-        if let Some(v) = &self.cache_assocs {
-            space.cache_assocs.clone_from(v);
-        }
-        if let Some(v) = &self.topologies {
-            space.topologies.clone_from(v);
-        }
+        set(&mut space.lanes, &self.lanes);
+        set(&mut space.partitions, &self.partitions);
+        set(&mut space.cache_sizes, &self.cache_sizes);
+        set(&mut space.cache_lines, &self.cache_lines);
+        set(&mut space.cache_ports, &self.cache_ports);
+        set(&mut space.cache_assocs, &self.cache_assocs);
+        set(&mut space.topologies, &self.topologies);
         space
     }
 }
@@ -141,22 +127,15 @@ impl DatapathSpec {
     ///
     /// # Errors
     ///
-    /// Returns the builder's `L0201` report on zero-valued parameters.
+    /// Returns [`DatapathConfig::check`]'s `L0201` report on zero-valued
+    /// parameters.
     pub fn apply(&self) -> Result<DatapathConfig, Report> {
-        let mut b = DatapathConfig::builder();
-        if let Some(n) = self.lanes {
-            b = b.lanes(n);
-        }
-        if let Some(n) = self.partition {
-            b = b.partition(n);
-        }
-        if let Some(n) = self.ports_per_bank {
-            b = b.ports_per_bank(n);
-        }
-        if let Some(s) = self.sync {
-            b = b.sync(s);
-        }
-        b.build()
+        let mut dp = DatapathConfig::default();
+        set(&mut dp.lanes, &self.lanes);
+        set(&mut dp.partition, &self.partition);
+        set(&mut dp.ports_per_bank, &self.ports_per_bank);
+        set(&mut dp.sync, &self.sync);
+        checked(dp, dp.check())
     }
 }
 
@@ -204,7 +183,8 @@ pub struct SocSpec {
     pub invoke_cycles: Option<u64>,
     /// `[soc.traffic] period` (arms background traffic).
     pub traffic_period: Option<u64>,
-    /// `[soc.traffic] bytes` (defaults to 64 when only `period` is set).
+    /// `[soc.traffic] bytes` (defaults to 64 when only `period` is set;
+    /// setting it without `period` is an error).
     pub traffic_bytes: Option<u32>,
     /// `[soc.topology] spec`: the interconnect topology, in the shared
     /// `--topology` spec-string grammar.
@@ -223,106 +203,59 @@ impl SocSpec {
     /// # Errors
     ///
     /// Returns the same `L021x` report as [`SocConfig::check`] when the
-    /// overridden platform is inconsistent.
+    /// overridden platform is inconsistent, and `L0261` for traffic
+    /// `bytes` without a `period`.
     pub fn apply(&self) -> Result<SocConfig, Report> {
         let mut cfg = SocConfig::default();
         if let Some(mhz) = self.clock_mhz {
-            match Clock::try_from_mhz(mhz) {
-                Ok(c) => cfg.clock = c,
-                Err(d) => {
-                    let mut r = Report::new();
-                    r.push(d);
-                    return Err(r);
-                }
-            }
-        }
-        if let Some(v) = self.bus_width_bits {
-            cfg.bus.width_bits = v;
-        }
-        if let Some(v) = self.bus_infinite_bandwidth {
-            cfg.bus.infinite_bandwidth = v;
-        }
-        if let Some(v) = self.cache_size_bytes {
-            cfg.cache.size_bytes = v;
-        }
-        if let Some(v) = self.cache_line_bytes {
-            cfg.cache.line_bytes = v;
-        }
-        if let Some(v) = self.cache_assoc {
-            cfg.cache.assoc = v;
-        }
-        if let Some(v) = self.cache_ports {
-            cfg.cache.ports = v;
-        }
-        if let Some(v) = self.cache_mshrs {
-            cfg.cache.mshrs = v;
-        }
-        if let Some(v) = self.cache_hit_latency {
-            cfg.cache.hit_latency = v;
-        }
-        if let Some(v) = self.tlb_entries {
-            cfg.tlb.entries = v;
-        }
-        if let Some(v) = self.tlb_page_bytes {
-            cfg.tlb.page_bytes = v;
-        }
-        if let Some(v) = self.tlb_miss_cycles {
-            cfg.tlb.miss_cycles = v;
-        }
-        if let Some(v) = self.dram_banks {
-            cfg.dram.banks = v;
-        }
-        if let Some(v) = self.dram_row_bytes {
-            cfg.dram.row_bytes = v;
-        }
-        if let Some(v) = self.dma_setup_cycles {
-            cfg.dma.setup_cycles = v;
-        }
-        if let Some(v) = self.dma_chunk_bytes {
-            cfg.dma.chunk_bytes = v;
-        }
-        if let Some(v) = self.dma_burst_bytes {
-            cfg.dma.burst_bytes = v;
-        }
-        if let Some(v) = self.ready_bits_granule {
-            cfg.ready_bits_granule = v;
-        }
-        if let Some(v) = self.invoke_cycles {
-            cfg.invoke_cycles = v;
+            cfg.clock =
+                Clock::try_from_mhz(mhz).map_err(|d| [d].into_iter().collect::<Report>())?;
         }
         if self.traffic_period.is_none() && self.traffic_bytes.is_some() {
-            let mut r = Report::new();
-            r.push(
-                Diagnostic::error(
-                    "L0261",
-                    "`soc.traffic.bytes` needs `soc.traffic.period`: background traffic \
-                     runs only with a period",
-                )
-                .at(Locus::Field("soc")),
+            let d = Diagnostic::error(
+                "L0261",
+                "`soc.traffic.bytes` needs `soc.traffic.period`: background traffic \
+                 runs only with a period",
             );
-            return Err(r);
+            return Err([d.at(Locus::Field("soc"))].into_iter().collect());
         }
+        set(&mut cfg.bus.width_bits, &self.bus_width_bits);
+        set(
+            &mut cfg.bus.infinite_bandwidth,
+            &self.bus_infinite_bandwidth,
+        );
+        set(&mut cfg.cache.size_bytes, &self.cache_size_bytes);
+        set(&mut cfg.cache.line_bytes, &self.cache_line_bytes);
+        set(&mut cfg.cache.assoc, &self.cache_assoc);
+        set(&mut cfg.cache.ports, &self.cache_ports);
+        set(&mut cfg.cache.mshrs, &self.cache_mshrs);
+        set(&mut cfg.cache.hit_latency, &self.cache_hit_latency);
+        set(&mut cfg.tlb.entries, &self.tlb_entries);
+        set(&mut cfg.tlb.page_bytes, &self.tlb_page_bytes);
+        set(&mut cfg.tlb.miss_cycles, &self.tlb_miss_cycles);
+        set(&mut cfg.dram.banks, &self.dram_banks);
+        set(&mut cfg.dram.row_bytes, &self.dram_row_bytes);
+        set(&mut cfg.dma.setup_cycles, &self.dma_setup_cycles);
+        set(&mut cfg.dma.chunk_bytes, &self.dma_chunk_bytes);
+        set(&mut cfg.dma.burst_bytes, &self.dma_burst_bytes);
+        set(&mut cfg.ready_bits_granule, &self.ready_bits_granule);
+        set(&mut cfg.invoke_cycles, &self.invoke_cycles);
+        set(&mut cfg.topology.topology, &self.topology);
+        set(
+            &mut cfg.topology.protocol.max_burst_bytes,
+            &self.topology_max_burst_bytes,
+        );
+        set(
+            &mut cfg.topology.protocol.max_outstanding,
+            &self.topology_max_outstanding,
+        );
         if let Some(period) = self.traffic_period {
             cfg.traffic = Some(TrafficConfig {
                 period,
                 bytes: self.traffic_bytes.unwrap_or(64),
             });
         }
-        if let Some(t) = self.topology {
-            cfg.topology.topology = t;
-        }
-        if let Some(v) = self.topology_max_burst_bytes {
-            cfg.topology.protocol.max_burst_bytes = v;
-        }
-        if let Some(v) = self.topology_max_outstanding {
-            cfg.topology.protocol.max_outstanding = v;
-        }
-        let report = cfg.check();
-        if report.has_errors() {
-            Err(report)
-        } else {
-            Ok(cfg)
-        }
+        checked(cfg, cfg.check())
     }
 }
 
@@ -344,12 +277,8 @@ impl FaultsSpec {
     #[must_use]
     pub fn harness(&self) -> SimHarness {
         let mut watchdog = Watchdog::default();
-        if let Some(v) = self.max_cycles {
-            watchdog.max_cycles = Some(v);
-        }
-        if let Some(v) = self.no_progress_cycles {
-            watchdog.no_progress_cycles = v;
-        }
+        watchdog.max_cycles = self.max_cycles.or(watchdog.max_cycles);
+        set(&mut watchdog.no_progress_cycles, &self.no_progress_cycles);
         SimHarness {
             plan: self.seed.map(FaultPlan::from_seed).unwrap_or_default(),
             watchdog,
@@ -685,11 +614,7 @@ impl CampaignSpec {
         walk_campaign(&mut reader, &mut spec);
         let mut report = reader.finish();
         report.merge(spec.validate());
-        if report.has_errors() {
-            Err(report)
-        } else {
-            Ok(spec)
-        }
+        checked(spec, report)
     }
 
     /// Serialize canonically. `from_toml(to_toml(spec))` reproduces
@@ -1013,6 +938,22 @@ pub fn mem_str(kind: MemKind) -> String {
                 aladdin_core::DmaOptLevel::Full => "full",
             }
         ),
+    }
+}
+
+/// Override `dst` with the campaign's value, when it sets one.
+fn set<T: Clone>(dst: &mut T, v: &Option<T>) {
+    if let Some(v) = v {
+        dst.clone_from(v);
+    }
+}
+
+/// `value`, unless `report` holds an error.
+fn checked<T>(value: T, report: Report) -> Result<T, Report> {
+    if report.has_errors() {
+        Err(report)
+    } else {
+        Ok(value)
     }
 }
 
