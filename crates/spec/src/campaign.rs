@@ -377,114 +377,7 @@ pub struct CampaignSpec {
     pub bus_widths: Vec<u32>,
 }
 
-/// A builder over an empty [`CampaignSpec`]; validation happens once in
-/// [`build`](CampaignSpecBuilder::build), mirroring the config builders.
-#[derive(Debug, Clone, Default)]
-pub struct CampaignSpecBuilder {
-    spec: CampaignSpec,
-}
-
-impl CampaignSpecBuilder {
-    /// Campaign name.
-    #[must_use]
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.spec.name = name.into();
-        self
-    }
-
-    /// Add one swept kernel.
-    #[must_use]
-    pub fn kernel(mut self, name: impl Into<String>) -> Self {
-        self.spec.kernels.push(name.into());
-        self
-    }
-
-    /// Add one swept memory system.
-    #[must_use]
-    pub fn mem(mut self, mem: MemKind) -> Self {
-        self.spec.mems.push(mem);
-        self
-    }
-
-    /// The swept design space.
-    #[must_use]
-    pub fn space(mut self, space: SpaceSpec) -> Self {
-        self.spec.space = space;
-        self
-    }
-
-    /// Base datapath parameters.
-    #[must_use]
-    pub fn datapath(mut self, datapath: DatapathSpec) -> Self {
-        self.spec.datapath = datapath;
-        self
-    }
-
-    /// SoC platform overrides.
-    #[must_use]
-    pub fn soc(mut self, soc: SocSpec) -> Self {
-        self.spec.soc = soc;
-        self
-    }
-
-    /// Fault/watchdog harness.
-    #[must_use]
-    pub fn faults(mut self, faults: FaultsSpec) -> Self {
-        self.spec.faults = faults;
-        self
-    }
-
-    /// Add one multi-accelerator job.
-    #[must_use]
-    pub fn job(mut self, job: JobSpec) -> Self {
-        self.spec.jobs.push(job);
-        self
-    }
-
-    /// The launch-stagger axis.
-    #[must_use]
-    pub fn stagger(mut self, stagger: Vec<u64>) -> Self {
-        self.spec.stagger = stagger;
-        self
-    }
-
-    /// The accelerator-count axis (job-list prefixes).
-    #[must_use]
-    pub fn accel_counts(mut self, counts: Vec<u64>) -> Self {
-        self.spec.accel_counts = counts;
-        self
-    }
-
-    /// The bus-width axis, in bits.
-    #[must_use]
-    pub fn bus_widths(mut self, widths: Vec<u32>) -> Self {
-        self.spec.bus_widths = widths;
-        self
-    }
-
-    /// Validate and return the spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns the structural-validation report (`L0261`–`L0263`) on any
-    /// defect.
-    pub fn build(self) -> Result<CampaignSpec, Report> {
-        let report = self.spec.validate();
-        if report.has_errors() {
-            Err(report)
-        } else {
-            Ok(self.spec)
-        }
-    }
-}
-
 impl CampaignSpec {
-    /// A builder over an empty campaign.
-    #[must_use]
-    pub fn builder() -> CampaignSpecBuilder {
-        CampaignSpecBuilder::default()
-    }
-
     /// Structural validation: names resolve, the campaign is either a
     /// sweep or a job set (not both, not neither), masters are unique.
     /// Platform-level validation (SoC consistency, per-point lint)
@@ -1723,28 +1616,6 @@ launch = 100
             "{r}"
         );
         assert!(!r.contains("L0213"), "{r}");
-    }
-
-    #[test]
-    fn builder_validates_at_build() {
-        let spec = CampaignSpec::builder()
-            .name("built")
-            .kernel("aes-aes")
-            .mem(MemKind::Cache)
-            .build()
-            .expect("valid");
-        assert_eq!(spec.name, "built");
-        assert!(
-            CampaignSpec::builder().name("x").build().is_err(),
-            "empty campaign"
-        );
-        assert!(CampaignSpec::builder()
-            .name("x")
-            .kernel("nope")
-            .mem(MemKind::Cache)
-            .build()
-            .unwrap_err()
-            .has_code("L0262"));
     }
 
     #[test]

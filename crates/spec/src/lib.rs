@@ -40,8 +40,8 @@ pub mod runner;
 pub mod toml;
 
 pub use campaign::{
-    mem_str, CampaignPlan, CampaignSpec, CampaignSpecBuilder, DatapathSpec, FaultsSpec, JobSpec,
-    PlannedPoint, SocSpec, SpacePreset, SpaceSpec,
+    mem_str, CampaignPlan, CampaignSpec, DatapathSpec, FaultsSpec, JobSpec, PlannedPoint, SocSpec,
+    SpacePreset, SpaceSpec,
 };
 pub use cli::{
     parse_cache_mode, parse_job, parse_mem_kind, parse_mem_spec, parse_opt_level, CommonArgs,

@@ -213,12 +213,12 @@ fn random_specs_round_trip_exactly() {
 fn defaults_serialize_minimally() {
     // A spec holding nothing but a name and a sweep serializes without
     // any of the optional sections.
-    let spec = CampaignSpec::builder()
-        .name("minimal")
-        .kernel("aes-aes")
-        .mem(MemKind::Cache)
-        .build()
-        .expect("valid");
+    let spec = CampaignSpec {
+        name: "minimal".to_owned(),
+        kernels: vec!["aes-aes".to_owned()],
+        mems: vec![MemKind::Cache],
+        ..CampaignSpec::default()
+    };
     let text = spec.to_toml();
     for section in ["[space]", "[datapath]", "[soc]", "[faults]", "[[jobs]]"] {
         assert!(!text.contains(section), "{text}");
