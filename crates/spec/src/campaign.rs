@@ -42,33 +42,6 @@ pub enum SpacePreset {
     Paper,
 }
 
-impl SpacePreset {
-    fn as_str(self) -> &'static str {
-        match self {
-            SpacePreset::Quick => "quick",
-            SpacePreset::Standard => "standard",
-            SpacePreset::Paper => "paper",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "quick" => Some(SpacePreset::Quick),
-            "standard" => Some(SpacePreset::Standard),
-            "paper" => Some(SpacePreset::Paper),
-            _ => None,
-        }
-    }
-
-    fn design_space(self) -> DesignSpace {
-        match self {
-            SpacePreset::Quick => DesignSpace::quick(),
-            SpacePreset::Standard => DesignSpace::standard(),
-            SpacePreset::Paper => DesignSpace::paper(),
-        }
-    }
-}
-
 /// The `[space]` section: a preset plus per-axis overrides.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpaceSpec {
@@ -95,7 +68,11 @@ impl SpaceSpec {
     /// The concrete [`DesignSpace`] these axes describe.
     #[must_use]
     pub fn design_space(&self) -> DesignSpace {
-        let mut space = self.preset.design_space();
+        let mut space = match self.preset {
+            SpacePreset::Quick => DesignSpace::quick(),
+            SpacePreset::Standard => DesignSpace::standard(),
+            SpacePreset::Paper => DesignSpace::paper(),
+        };
         set(&mut space.lanes, &self.lanes);
         set(&mut space.partitions, &self.partitions);
         set(&mut space.cache_sizes, &self.cache_sizes);
@@ -249,12 +226,10 @@ impl SocSpec {
             &mut cfg.topology.protocol.max_outstanding,
             &self.topology_max_outstanding,
         );
-        if let Some(period) = self.traffic_period {
-            cfg.traffic = Some(TrafficConfig {
-                period,
-                bytes: self.traffic_bytes.unwrap_or(64),
-            });
-        }
+        let bytes = self.traffic_bytes.unwrap_or(64);
+        cfg.traffic = self
+            .traffic_period
+            .map(|period| TrafficConfig { period, bytes });
         checked(cfg, cfg.check())
     }
 }
@@ -326,11 +301,9 @@ impl JobSpec {
         base_dp: DatapathConfig,
         extra_launch: u64,
     ) -> Result<AcceleratorJob, Diagnostic> {
-        let dp = DatapathConfig {
-            lanes: self.lanes.unwrap_or(base_dp.lanes),
-            partition: self.partition.unwrap_or(base_dp.partition),
-            ..base_dp
-        };
+        let mut dp = base_dp;
+        set(&mut dp.lanes, &self.lanes);
+        set(&mut dp.partition, &self.partition);
         let kernel = by_name(&self.kernel).ok_or_else(|| {
             Diagnostic::error("L0262", format!("unknown kernel {:?}", self.kernel))
         })?;
@@ -391,44 +364,27 @@ impl CampaignSpec {
                     .at(Locus::Field("name")),
             );
         }
-        for k in &self.kernels {
-            if k.ends_with(".atrc") {
+        let sweep = self.kernels.iter().map(|k| (k, "kernels"));
+        let jobs = self.jobs.iter().map(|j| (&j.kernel, "jobs"));
+        for (k, field) in sweep.chain(jobs) {
+            let why = match (k.ends_with(".atrc"), field) {
                 // A `.atrc` sweep entry is a file path: opening validates
                 // the header, checksum and footer in one pass, so a
                 // campaign that lints clean here streams clean at run
                 // time (`L0280` findings surface as `L0262` here).
-                if let Err(d) = aladdin_ir::AtrcTrace::open(k) {
-                    report.push(
-                        Diagnostic::error("L0262", format!("trace file {k:?}: {}", d.message))
-                            .at(Locus::Field("kernels")),
-                    );
-                }
-            } else if by_name(k).is_none() {
-                report.push(
-                    Diagnostic::error("L0262", format!("unknown kernel {k:?}"))
-                        .at(Locus::Field("kernels")),
-                );
-            }
-        }
-        for j in &self.jobs {
-            if j.kernel.ends_with(".atrc") {
-                report.push(
-                    Diagnostic::error(
-                        "L0262",
-                        format!(
-                            "job kernel {:?}: `.atrc` traces are supported in sweep \
-                             `kernels`, not [[jobs]] (multi-accelerator jobs own their \
-                             traces)",
-                            j.kernel
-                        ),
-                    )
-                    .at(Locus::Field("jobs")),
-                );
-            } else if by_name(&j.kernel).is_none() {
-                report.push(
-                    Diagnostic::error("L0262", format!("unknown kernel {:?}", j.kernel))
-                        .at(Locus::Field("jobs")),
-                );
+                (true, "kernels") => aladdin_ir::AtrcTrace::open(k)
+                    .err()
+                    .map(|d| format!("trace file {k:?}: {}", d.message)),
+                (true, _) => Some(format!(
+                    "job kernel {k:?}: `.atrc` traces are supported in sweep `kernels`, \
+                     not [[jobs]] (multi-accelerator jobs own their traces)"
+                )),
+                (false, _) => by_name(k)
+                    .is_none()
+                    .then(|| format!("unknown kernel {k:?}")),
+            };
+            if let Some(why) = why {
+                report.push(Diagnostic::error("L0262", why).at(Locus::Field(field)));
             }
         }
         match (self.jobs.is_empty(), self.kernels.is_empty()) {
@@ -449,22 +405,15 @@ impl CampaignSpec {
                     "sweep campaign needs at least one entry in `mems`",
                 ));
             }
-            if !self.stagger.is_empty() {
+            let job_axes = [
+                ("stagger", self.stagger.is_empty()),
+                ("accel_counts", self.accel_counts.is_empty()),
+                ("bus_widths", self.bus_widths.is_empty()),
+            ];
+            for (key, _) in job_axes.iter().filter(|(_, empty)| !empty) {
                 report.push(Diagnostic::error(
                     "L0261",
-                    "`stagger` only applies to job-set campaigns",
-                ));
-            }
-            if !self.accel_counts.is_empty() {
-                report.push(Diagnostic::error(
-                    "L0261",
-                    "`accel_counts` only applies to job-set campaigns",
-                ));
-            }
-            if !self.bus_widths.is_empty() {
-                report.push(Diagnostic::error(
-                    "L0261",
-                    "`bus_widths` only applies to job-set campaigns",
+                    format!("`{key}` only applies to job-set campaigns"),
                 ));
             }
         } else {
@@ -497,13 +446,7 @@ impl CampaignSpec {
     pub fn from_toml(text: &str) -> Result<Self, Report> {
         let root = toml::parse(text)?;
         let mut spec = CampaignSpec::default();
-        let mut reader = Reader::new(
-            &root,
-            At {
-                path: String::new(),
-                section: None,
-            },
-        );
+        let mut reader = Reader::new(&root, At::default());
         walk_campaign(&mut reader, &mut spec);
         let mut report = reader.finish();
         report.merge(spec.validate());
@@ -537,16 +480,9 @@ impl CampaignSpec {
         if report.has_errors() {
             return Err(report);
         }
-        let soc = match self.soc.apply() {
-            Ok(soc) => soc,
-            Err(r) => {
-                report.merge(r);
-                return Err(report);
-            }
-        };
-        let base_dp = match self.datapath.apply() {
-            Ok(dp) => dp,
-            Err(r) => {
+        let (soc, base_dp) = match (self.soc.apply(), self.datapath.apply()) {
+            (Ok(soc), Ok(dp)) => (soc, dp),
+            (Err(r), _) | (Ok(_), Err(r)) => {
                 report.merge(r);
                 return Err(report);
             }
@@ -559,6 +495,12 @@ impl CampaignSpec {
             return Err(report);
         }
 
+        // Topology is the outermost axis, matching the sweep runners'
+        // `specs_for` ordering. An explicit `space.topologies` list
+        // overrides the platform; otherwise the single `[soc.topology]`
+        // (or default shared-bus) platform is kept as-is.
+        let platform = vec![soc.topology.topology];
+        let topologies = self.space.topologies.clone().unwrap_or(platform);
         let mut points = Vec::new();
         let mut rejected = 0usize;
         if self.jobs.is_empty() {
@@ -566,62 +508,36 @@ impl CampaignSpec {
             let dma_points = space.dma_points();
             let cache_points = space.cache_points();
             let unconstructible = space.cache_points_unfiltered().len() - cache_points.len();
-            // Topology is the outermost axis, matching the sweep runners'
-            // `specs_for` ordering. An explicit `space.topologies` list
-            // overrides the platform; otherwise the single `[soc.topology]`
-            // (or default shared-bus) platform is kept as-is.
-            let topologies: Vec<Topology> = if self.space.topologies.is_some() {
-                space.topologies.clone()
-            } else {
-                vec![soc.topology.topology]
-            };
             for &topology in &topologies {
-                let soc = SocConfig {
-                    topology: aladdin_core::TopologyConfig {
-                        topology,
-                        ..soc.topology
-                    },
-                    ..soc
-                };
+                let mut soc = soc;
+                soc.topology.topology = topology;
+                // Pre-flight depends only on the datapath and platform, so
+                // each candidate is linted once per topology.
+                let dma = dma_points.iter().map(|p| {
+                    let dp = DatapathConfig {
+                        lanes: p.lanes,
+                        partition: p.partition,
+                        ..base_dp
+                    };
+                    (dp, soc)
+                });
+                let cache = cache_points.iter().map(|p| {
+                    let dp = DatapathConfig {
+                        lanes: p.lanes,
+                        partition: p.lanes,
+                        ..base_dp
+                    };
+                    (dp, p.apply(&soc))
+                });
+                let (dma, cache) = (preflight(dma.collect()), preflight(cache.collect()));
                 for kernel in &self.kernels {
-                    for &mem in &self.mems {
-                        match mem {
-                            MemKind::Isolated | MemKind::Dma(_) => {
-                                for p in &dma_points {
-                                    let dp = DatapathConfig {
-                                        lanes: p.lanes,
-                                        partition: p.partition,
-                                        ..base_dp
-                                    };
-                                    if lint_design(&dp, &soc).has_errors() {
-                                        rejected += 1;
-                                        continue;
-                                    }
-                                    points.push(PlannedPoint::Single {
-                                        kernel: kernel.clone(),
-                                        point: PointSpec { kind: mem, dp, soc },
-                                    });
-                                }
-                            }
-                            MemKind::Cache => {
-                                for p in &cache_points {
-                                    let dp = DatapathConfig {
-                                        lanes: p.lanes,
-                                        partition: p.lanes,
-                                        ..base_dp
-                                    };
-                                    let soc = p.apply(&soc);
-                                    if lint_design(&dp, &soc).has_errors() {
-                                        rejected += 1;
-                                        continue;
-                                    }
-                                    points.push(PlannedPoint::Single {
-                                        kernel: kernel.clone(),
-                                        point: PointSpec { kind: mem, dp, soc },
-                                    });
-                                }
-                            }
-                        }
+                    for &kind in &self.mems {
+                        let (ok, dropped) = if kind == MemKind::Cache { &cache } else { &dma };
+                        rejected += dropped;
+                        points.extend(ok.iter().map(|&(dp, soc)| PlannedPoint::Single {
+                            kernel: kernel.clone(),
+                            point: PointSpec { kind, dp, soc },
+                        }));
                     }
                 }
             }
@@ -630,26 +546,9 @@ impl CampaignSpec {
                 * self.kernels.len()
                 * self.mems.iter().filter(|m| **m == MemKind::Cache).count();
         } else {
-            let staggers: Vec<u64> = if self.stagger.is_empty() {
-                vec![0]
-            } else {
-                self.stagger.clone()
-            };
-            let counts: Vec<usize> = if self.accel_counts.is_empty() {
-                vec![self.jobs.len()]
-            } else {
-                self.accel_counts.iter().map(|&k| k as usize).collect()
-            };
-            let widths: Vec<u32> = if self.bus_widths.is_empty() {
-                vec![soc.bus.width_bits]
-            } else {
-                self.bus_widths.clone()
-            };
-            let topologies: Vec<Topology> = if self.space.topologies.is_some() {
-                self.space.design_space().topologies
-            } else {
-                vec![soc.topology.topology]
-            };
+            let staggers = axis(&self.stagger, 0);
+            let counts = axis(&self.accel_counts, self.jobs.len() as u64);
+            let widths = axis(&self.bus_widths, soc.bus.width_bits);
             // Launch offsets do not change the static job-set checks, and
             // every count is a prefix of the full job list, so one
             // validation pass per platform variant (at the largest count)
@@ -663,20 +562,12 @@ impl CampaignSpec {
                     return Err(report);
                 }
             };
-            let max_count = counts.iter().copied().max().unwrap_or(jobs.len());
+            let max_count = counts.iter().max().map_or(jobs.len(), |&k| k as usize);
             for &topology in &topologies {
                 for &width in &widths {
-                    let soc = SocConfig {
-                        topology: aladdin_core::TopologyConfig {
-                            topology,
-                            ..soc.topology
-                        },
-                        bus: aladdin_mem::BusConfig {
-                            width_bits: width,
-                            ..soc.bus
-                        },
-                        ..soc
-                    };
+                    let mut soc = soc;
+                    soc.topology.topology = topology;
+                    soc.bus.width_bits = width;
                     report.merge(soc.check());
                     report.merge(aladdin_core::validate_multi_jobs(&jobs[..max_count], &soc));
                     if report.has_errors() {
@@ -685,7 +576,7 @@ impl CampaignSpec {
                     for &count in &counts {
                         points.extend(staggers.iter().map(|&s| PlannedPoint::Multi {
                             stagger: s,
-                            count,
+                            count: count as usize,
                             soc,
                         }));
                     }
@@ -743,6 +634,25 @@ fn build_jobs(
         .enumerate()
         .map(|(i, j)| j.build(base_dp, stagger * i as u64))
         .collect()
+}
+
+/// The candidates that pass [`lint_design`], and how many did not.
+fn preflight(
+    mut candidates: Vec<(DatapathConfig, SocConfig)>,
+) -> (Vec<(DatapathConfig, SocConfig)>, usize) {
+    let all = candidates.len();
+    candidates.retain(|(dp, soc)| !lint_design(dp, soc).has_errors());
+    let rejected = all - candidates.len();
+    (candidates, rejected)
+}
+
+/// A job-set axis, or just `default` when the campaign leaves it empty.
+fn axis<T: Clone>(values: &[T], default: T) -> Vec<T> {
+    if values.is_empty() {
+        vec![default]
+    } else {
+        values.to_vec()
+    }
 }
 
 /// A campaign expanded to its concrete, ordered point list. Point order
@@ -983,6 +893,7 @@ trait Walker: Sized {
 }
 
 /// Where a key sits in a campaign document.
+#[derive(Default)]
 struct At {
     /// Dotted path, as messages print it (`soc.cache.assoc`, `jobs[0].mem`).
     path: String,
@@ -1130,17 +1041,24 @@ impl Key for LaneSync {
 
 impl Key for SpacePreset {
     fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss> {
-        let s = read_str(v, at, report)?;
-        SpacePreset::parse(s).ok_or_else(|| {
-            at.unknown(
-                format_args!("expected quick|standard|paper, got {s:?}"),
+        match read_str(v, at, report)? {
+            "quick" => Ok(SpacePreset::Quick),
+            "standard" => Ok(SpacePreset::Standard),
+            "paper" => Ok(SpacePreset::Paper),
+            other => Err(at.unknown(
+                format_args!("expected quick|standard|paper, got {other:?}"),
                 false,
                 report,
-            )
-        })
+            )),
+        }
     }
     fn write(&self) -> Value {
-        Value::Str(self.as_str().to_owned())
+        let name = match self {
+            SpacePreset::Quick => "quick",
+            SpacePreset::Standard => "standard",
+            SpacePreset::Paper => "paper",
+        };
+        Value::Str(name.to_owned())
     }
 }
 
@@ -1223,6 +1141,20 @@ impl<'t> Reader<'t> {
         K::read(v, &at, &mut self.report).ok()
     }
 
+    /// Walk `v` as the table at `at`. `false` if it is not a table or a
+    /// required key in it failed.
+    fn nested(&mut self, v: &'t Value, at: At, walk: impl FnOnce(&mut Self)) -> bool {
+        let Some(t) = v.as_table() else {
+            at.ill_typed("table", v, &mut self.report);
+            return false;
+        };
+        let mut sub = Reader::new(t, at);
+        walk(&mut sub);
+        let kept = !sub.dropped;
+        self.report.merge(sub.finish());
+        kept
+    }
+
     /// This table's unknown keys, then its value findings.
     fn finish(self) -> Report {
         let mut report = Report::new();
@@ -1276,18 +1208,8 @@ impl Walker for Reader<'_> {
     }
 
     fn table(&mut self, key: &'static str, walk: impl FnOnce(&mut Self)) {
-        let Some((v, at)) = self.find(key) else {
-            return;
-        };
-        match v.as_table() {
-            Some(t) => {
-                let mut sub = Reader::new(t, at);
-                walk(&mut sub);
-                self.report.merge(sub.finish());
-            }
-            None => {
-                at.ill_typed("table", v, &mut self.report);
-            }
+        if let Some((v, at)) = self.find(key) {
+            self.nested(v, at, walk);
         }
     }
 
@@ -1310,17 +1232,10 @@ impl Walker for Reader<'_> {
                 path: format!("{}[{i}]", at.path),
                 section: None,
             };
-            let Some(t) = item.as_table() else {
-                at.ill_typed("table", item, &mut self.report);
-                continue;
-            };
-            let mut sub = Reader::new(t, at);
             let mut x = new();
-            walk(&mut sub, &mut x);
-            if !sub.dropped {
+            if self.nested(item, at, |r| walk(r, &mut x)) {
                 items.push(x);
             }
-            self.report.merge(sub.finish());
         }
     }
 }
