@@ -1635,6 +1635,104 @@ spec = "two-level:2:3"
         assert!(r.has_code("L0310"), "{}", r.to_human());
     }
 
+    /// Collects the dotted path of every key the schema walk names.
+    #[derive(Default)]
+    struct Paths {
+        prefix: Vec<&'static str>,
+        found: Vec<Vec<&'static str>>,
+    }
+
+    impl Paths {
+        fn push(&mut self, key: &'static str) {
+            let mut path = self.prefix.clone();
+            path.push(key);
+            self.found.push(path);
+        }
+    }
+
+    impl Walker for Paths {
+        fn key<K: Key + Default + PartialEq>(&mut self, key: &'static str, _: &mut K) {
+            self.push(key);
+        }
+
+        fn opt<K: Key>(&mut self, key: &'static str, _: &mut Option<K>) {
+            self.push(key);
+        }
+
+        fn always<K: Key>(&mut self, key: &'static str, _: &mut K, _: bool) {
+            self.push(key);
+        }
+
+        fn table(&mut self, key: &'static str, walk: impl FnOnce(&mut Self)) {
+            self.prefix.push(key);
+            walk(self);
+            self.prefix.pop();
+        }
+
+        fn items<T>(
+            &mut self,
+            key: &'static str,
+            _: &mut Vec<T>,
+            new: fn() -> T,
+            walk: fn(&mut Self, &mut T),
+        ) {
+            self.prefix.push(key);
+            walk(self, &mut new());
+            self.prefix.pop();
+        }
+    }
+
+    /// Whether `v` holds `path`, looking into every table of an array.
+    fn holds(v: &Value, path: &[&str]) -> bool {
+        match (path, v) {
+            ([], _) => true,
+            (_, Value::Array(items)) => items.iter().any(|item| holds(item, path)),
+            ([key, rest @ ..], Value::Table(t)) => {
+                t.iter().any(|(k, v)| k == key && holds(v, rest))
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn docs_examples_parse_and_cover_the_schema() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/campaigns.md");
+        let docs = std::fs::read_to_string(path).expect("docs/campaigns.md is readable");
+        let blocks: Vec<&str> = docs
+            .split("```toml\n")
+            .skip(1)
+            .map(|b| b.split("```").next().unwrap_or_default())
+            .collect();
+        assert!(blocks.len() >= 3, "expected the campaign examples");
+        let mut shown = Vec::new();
+        for (i, block) in blocks.iter().enumerate() {
+            // A fragment without a `name` gets a minimal sweep header.
+            let text = if block.lines().any(|l| l.starts_with("name")) {
+                (*block).to_owned()
+            } else {
+                format!("name = \"docs\"\nkernels = [\"aes-aes\"]\nmems = [\"isolated\"]\n{block}")
+            };
+            if let Err(r) = CampaignSpec::from_toml(&text) {
+                panic!("docs toml block {i} is rejected:\n{text}\n{}", r.to_human());
+            }
+            shown.push(Value::Table(
+                toml::parse(block).expect("the block parses alone"),
+            ));
+        }
+        let mut schema = Paths::default();
+        walk_campaign(&mut schema, &mut CampaignSpec::default());
+        let undocumented: Vec<String> = schema
+            .found
+            .iter()
+            .filter(|p| !shown.iter().any(|doc| holds(doc, p)))
+            .map(|p| p.join("."))
+            .collect();
+        assert!(
+            undocumented.is_empty(),
+            "keys no docs/campaigns.md example shows: {undocumented:?}"
+        );
+    }
+
     #[test]
     fn digest_tracks_the_spec() {
         let a = CampaignSpec::from_toml(SWEEP_DOC)
