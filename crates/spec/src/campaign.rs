@@ -367,15 +367,15 @@ impl CampaignSpec {
         let sweep = self.kernels.iter().map(|k| (k, "kernels"));
         let jobs = self.jobs.iter().map(|j| (&j.kernel, "jobs"));
         for (k, field) in sweep.chain(jobs) {
-            let why = match (k.ends_with(".atrc"), field) {
+            let why = match (k.ends_with(".atrc"), field == "jobs") {
                 // A `.atrc` sweep entry is a file path: opening validates
                 // the header, checksum and footer in one pass, so a
                 // campaign that lints clean here streams clean at run
                 // time (`L0280` findings surface as `L0262` here).
-                (true, "kernels") => aladdin_ir::AtrcTrace::open(k)
+                (true, false) => aladdin_ir::AtrcTrace::open(k)
                     .err()
                     .map(|d| format!("trace file {k:?}: {}", d.message)),
-                (true, _) => Some(format!(
+                (true, true) => Some(format!(
                     "job kernel {k:?}: `.atrc` traces are supported in sweep `kernels`, \
                      not [[jobs]] (multi-accelerator jobs own their traces)"
                 )),
