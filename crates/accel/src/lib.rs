@@ -5,8 +5,9 @@
 //! generating RTL — the Aladdin methodology (Shao et al., ISCA 2014) that
 //! gem5-Aladdin embeds:
 //!
-//! 1. [`Dddg`] — the dynamic data dependence graph, with critical-path
-//!    analysis and the lane/round structure induced by loop unrolling.
+//! 1. [`PreparedDddg`] — the dynamic data dependence graph, built once per
+//!    trace, with critical-path analysis and the iteration instances loop
+//!    unrolling maps to lanes and rounds.
 //! 2. [`schedule`] — a breadth-first, resource-constrained dataflow
 //!    scheduler. Compute operations are limited to one per functional-unit
 //!    class per lane per cycle; memory operations go through a pluggable
@@ -54,12 +55,11 @@ mod scheduler;
 mod window;
 
 pub use config::{DatapathConfig, DatapathConfigBuilder, LaneSync};
-pub use dddg::Dddg;
+pub use dddg::PreparedDddg;
 pub use fu::FuTiming;
 pub use meminterface::{DatapathMemory, IssueResult, SpadMemory, SpadStats};
 pub use power::{CacheEnergyParams, EnergyReport, PowerModel};
 pub use scheduler::{
-    mem_issue_budget, schedule, try_schedule_prepared, PreparedDddg, ScheduleResult,
-    SchedulerWorkspace,
+    mem_issue_budget, schedule, try_schedule_prepared, ScheduleResult, SchedulerWorkspace,
 };
 pub use window::{trace_node_stream, try_schedule_windowed, WindowedOutcome, DEFAULT_WINDOW_NODES};

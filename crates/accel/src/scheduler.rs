@@ -23,7 +23,7 @@
 //! accounting, the idle jump and the watchdog are the loop's alone.
 //!
 //! * The *prepared* store ([`try_schedule_prepared`]) holds the whole
-//!   trace and a [`PreparedDddg`]: every node is resident from the start
+//!   trace and its [`PreparedDddg`]: every node is resident from the start
 //!   and every barrier round's size is known.
 //! * The *streamed* store ([`try_schedule_windowed`](crate::try_schedule_windowed))
 //!   admits nodes from an iterator into a bounded window (see `window.rs`).
@@ -34,10 +34,10 @@
 //! pieces of per-run work are invariant or reusable across points and can
 //! be hoisted out of the inner loop:
 //!
-//! * [`PreparedDddg`] — the graph (successor lists, in-degrees, lane/round
-//!   structure) depends only on the trace and the lane count, so a cache
-//!   sweep at fixed lanes can build it once and share it (via `Arc`)
-//!   across every cache geometry and every worker thread.
+//! * [`PreparedDddg`] — the graph (successor lists, in-degrees, iteration
+//!   instances) depends only on the trace, so a sweep builds it once and
+//!   shares it across every lane count, cache geometry and worker thread;
+//!   each run derives lanes and rounds from its own lane count.
 //! * [`SchedulerWorkspace`] — the loop's heaps and vectors are sized by
 //!   the trace, not the config; keeping them alive between runs of either
 //!   store turns ~10 allocations per design point into zero.
@@ -54,7 +54,7 @@ use aladdin_ir::{FuClass, MemAccessKind, MemRef, NodeId, Opcode, Trace, TraceNod
 use aladdin_mem::IntervalSet;
 
 use crate::config::{DatapathConfig, LaneSync};
-use crate::dddg::Dddg;
+use crate::dddg::PreparedDddg;
 use crate::meminterface::{DatapathMemory, IssueResult};
 
 /// Outcome of scheduling a trace on a datapath.
@@ -194,53 +194,6 @@ impl ReadyMem {
             self.base += self.head;
             self.head = 0;
         }
-    }
-}
-
-/// A DDDG prepared for scheduling: the graph plus the per-round node
-/// counts the barrier model needs.
-///
-/// The graph structure depends only on the trace and `cfg.lanes` — not on
-/// partitioning, port counts, timing, or anything in the SoC — so sweeps
-/// over cache geometry or scratchpad partitioning at a fixed lane count
-/// can prepare once and schedule many times. Sharing across worker threads
-/// is cheap: wrap it in an `Arc` and hand every worker a clone.
-#[derive(Debug, Clone)]
-pub struct PreparedDddg {
-    graph: Dddg,
-    round_total: Vec<usize>,
-    lanes: u32,
-}
-
-impl PreparedDddg {
-    /// Build the graph for `trace` as seen by a datapath with `cfg.lanes`
-    /// lanes. Only the lane count matters; every other field of `cfg` is
-    /// ignored here and may vary freely between [`try_schedule_prepared`]
-    /// calls that reuse this preparation.
-    #[must_use]
-    pub fn new(trace: &Trace, cfg: &DatapathConfig) -> Self {
-        let graph = Dddg::build(trace, cfg);
-        let mut round_total = vec![0usize; graph.num_rounds() as usize];
-        for &r in graph.rounds() {
-            round_total[r as usize] += 1;
-        }
-        PreparedDddg {
-            graph,
-            round_total,
-            lanes: cfg.lanes,
-        }
-    }
-
-    /// The prepared graph.
-    #[must_use]
-    pub fn graph(&self) -> &Dddg {
-        &self.graph
-    }
-
-    /// The lane count this preparation was built for.
-    #[must_use]
-    pub fn lanes(&self) -> u32 {
-        self.lanes
     }
 }
 
@@ -694,10 +647,12 @@ fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u64, u32)> {
 
 /// The prepared store: an in-memory trace and its [`PreparedDddg`]. Every
 /// node is resident from the start, so admission is a no-op and every
-/// barrier round is final from the start.
+/// barrier round is final from the start. Lanes and rounds derive from
+/// the graph's iteration instances and this run's lane count.
 struct Prepared<'a> {
     nodes: &'a [TraceNode],
-    prepared: &'a PreparedDddg,
+    graph: &'a PreparedDddg,
+    lanes: u32,
     indeg: &'a mut [u32],
 }
 
@@ -711,28 +666,28 @@ impl NodeStore for Prepared<'_> {
     }
 
     fn lane(&self, id: u32) -> u32 {
-        self.prepared.graph.lanes()[id as usize]
+        self.graph.instances()[id as usize] % self.lanes
     }
 
     fn round(&self, id: u32) -> u32 {
-        self.prepared.graph.rounds()[id as usize]
+        self.graph.instances()[id as usize] / self.lanes
     }
 
     fn retire(&mut self, id: u32, mut release: impl FnMut(&Self, u32)) -> u32 {
-        let graph = &self.prepared.graph;
+        let graph = self.graph;
         for &succ in graph.successors(NodeId::from_index(id as usize)) {
             self.indeg[succ as usize] -= 1;
             if self.indeg[succ as usize] == 0 {
                 release(self, succ);
             }
         }
-        graph.rounds()[id as usize]
+        self.round(id)
     }
 
     fn start(&mut self, st: &mut SchedState) -> Result<(), SimError> {
         if st.barrier {
             st.rounds
-                .extend(self.prepared.round_total.iter().map(|&total| RoundState {
+                .extend(self.graph.round_totals(self.lanes).map(|total| RoundState {
                     total,
                     ..RoundState::default()
                 }));
@@ -814,9 +769,9 @@ pub fn schedule(
 ///
 /// # Panics
 ///
-/// Panics if `cfg` is invalid or `prepared` does not match the trace and
-/// lane count — those are configuration bugs, detectable statically
-/// before any simulation starts.
+/// Panics if `cfg` is invalid or `prepared` was built for another trace —
+/// those are configuration bugs, detectable statically before any
+/// simulation starts.
 pub fn try_schedule_prepared(
     trace: &Trace,
     cfg: &DatapathConfig,
@@ -827,21 +782,17 @@ pub fn try_schedule_prepared(
     watchdog: &Watchdog,
 ) -> Result<ScheduleResult, SimError> {
     assert_eq!(
-        prepared.lanes, cfg.lanes,
-        "PreparedDddg built for {} lanes, scheduling with {}",
-        prepared.lanes, cfg.lanes
-    );
-    assert_eq!(
-        prepared.graph.len(),
+        prepared.len(),
         trace.nodes().len(),
         "PreparedDddg built for another trace"
     );
     let SchedulerWorkspace { indeg, state } = ws;
     indeg.clear();
-    indeg.extend_from_slice(prepared.graph.indegrees());
+    indeg.extend_from_slice(prepared.indegrees());
     let mut store = Prepared {
         nodes: trace.nodes(),
-        prepared,
+        graph: prepared,
+        lanes: cfg.lanes,
         indeg,
     };
     state.run(&mut store, cfg, mem, start, watchdog)
@@ -1107,16 +1058,10 @@ mod tests {
     fn prepared_and_workspace_reuse_match_one_shot_schedule() {
         let trace = parallel_kernel(32);
         let mut ws = SchedulerWorkspace::new();
+        // Reuse the same preparation and the same workspace across
+        // everything.
+        let prepared = PreparedDddg::new(&trace, &DatapathConfig::default());
         for lanes in [1u32, 2, 4, 8] {
-            let prepared = PreparedDddg::new(
-                &trace,
-                &DatapathConfig {
-                    lanes,
-                    ..DatapathConfig::default()
-                },
-            );
-            // Reuse the same preparation across points that differ only in
-            // memory geometry, and the same workspace across everything.
             for partition in [1u32, 2, 8] {
                 for sync in [LaneSync::Barrier, LaneSync::Free] {
                     let cfg = DatapathConfig {
@@ -1145,32 +1090,52 @@ mod tests {
         }
     }
 
+    /// One graph per kernel schedules every lane count, in any order, on
+    /// one reused workspace — exactly as the streamed store does with a
+    /// window holding the whole trace.
     #[test]
-    #[should_panic(expected = "PreparedDddg built for 2 lanes")]
-    fn prepared_lane_mismatch_panics() {
-        let trace = parallel_kernel(4);
-        let prepared = PreparedDddg::new(
-            &trace,
-            &DatapathConfig {
-                lanes: 2,
-                ..DatapathConfig::default()
-            },
-        );
-        let cfg = DatapathConfig {
-            lanes: 4,
-            ..DatapathConfig::default()
-        };
+    fn one_graph_serves_every_lane_count() {
+        use crate::window::{trace_node_stream, try_schedule_windowed};
+        use aladdin_rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x1A7E);
         let mut ws = SchedulerWorkspace::new();
-        let mut mem = SpadMemory::new(&trace, &cfg);
-        let _ = try_schedule_prepared(
-            &trace,
-            &cfg,
-            &prepared,
-            &mut ws,
-            &mut mem,
-            0,
-            &Watchdog::default(),
-        );
+        for kernel in aladdin_workloads::evaluation_kernels() {
+            let trace = kernel.run().trace;
+            let prepared = PreparedDddg::new(&trace, &DatapathConfig::default());
+            let mut lanes = [1u32, 2, 3, 8, 16];
+            rng.shuffle(&mut lanes);
+            for lanes in lanes {
+                let cfg = DatapathConfig {
+                    lanes,
+                    partition: 4,
+                    ..DatapathConfig::default()
+                };
+                let mut mem = SpadMemory::new(&trace, &cfg);
+                let shared = try_schedule_prepared(
+                    &trace,
+                    &cfg,
+                    &prepared,
+                    &mut ws,
+                    &mut mem,
+                    0,
+                    &Watchdog::default(),
+                )
+                .unwrap();
+                let mut mem2 = SpadMemory::new(&trace, &cfg);
+                let streamed = try_schedule_windowed(
+                    trace_node_stream(&trace),
+                    &cfg,
+                    &mut SchedulerWorkspace::new(),
+                    &mut mem2,
+                    0,
+                    &Watchdog::default(),
+                    trace.nodes().len(),
+                )
+                .unwrap();
+                assert_eq!(shared, streamed.result, "{} lanes={lanes}", kernel.name());
+                assert_eq!(mem.stats(), mem2.stats(), "{} lanes={lanes}", kernel.name());
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Windowed DDDG construction and scheduling over a node stream.
 //!
 //! The prepared store ([`try_schedule_prepared`]) needs the whole trace —
-//! `Vec<TraceNode>` plus a [`Dddg`](crate::Dddg) with successor lists and
-//! in-degrees for every node — resident in memory before the first cycle
-//! is simulated. That is the scale bottleneck for paper-scale++ kernels: a
-//! multi-million-node bfs or fft blows out memory long before the
-//! scheduler itself becomes the limit.
+//! `Vec<TraceNode>` plus a [`PreparedDddg`](crate::PreparedDddg) with
+//! successor lists and in-degrees for every node — resident in memory
+//! before the first cycle is simulated. That is the scale bottleneck for
+//! paper-scale++ kernels: a multi-million-node bfs or fft blows out memory
+//! long before the scheduler itself becomes the limit.
 //!
 //! [`try_schedule_windowed`] instead runs the same scheduling loop over a
 //! *streamed* store: the trace arrives as an *iterator* of nodes
@@ -55,6 +55,7 @@ use aladdin_faults::{SimError, Watchdog};
 use aladdin_ir::{Diagnostic, MemRef, Opcode, StatsAccumulator, TraceNode, TraceStats};
 
 use crate::config::DatapathConfig;
+use crate::dddg::Instances;
 use crate::meminterface::DatapathMemory;
 use crate::scheduler::{NodeStore, SchedState, ScheduleResult, SchedulerWorkspace};
 
@@ -219,8 +220,7 @@ struct Streamed<I: Iterator> {
     lanes: u32,
     nodes: NodeRing,
     admitted: u64,
-    instance: u32,
-    last_label: Option<u32>,
+    instances: Instances,
     eof: bool,
     peak_resident: u64,
     stats: StatsAccumulator,
@@ -230,9 +230,10 @@ impl<I> Streamed<I>
 where
     I: Iterator<Item = Result<TraceNode, Diagnostic>>,
 {
-    /// Admit one node: assign its lane and round (mirroring
-    /// `Dddg::build`'s iteration-instance rule), resolve its dependence
-    /// edges against the resident set, and release it if dependence-free.
+    /// Admit one node: assign its lane and round from its iteration
+    /// instance (the rule [`PreparedDddg`](crate::PreparedDddg) numbers
+    /// instances by), resolve its dependence edges against the resident
+    /// set, and release it if dependence-free.
     fn admit_node(&mut self, node: &TraceNode, st: &mut SchedState) -> Result<(), Diagnostic> {
         let id = node.id.index() as u64;
         if id != self.admitted {
@@ -247,14 +248,9 @@ where
         self.admitted += 1;
         self.stats.push(node);
 
-        match self.last_label {
-            Some(l) if l == node.iteration => {}
-            Some(_) => self.instance += 1,
-            None => {}
-        }
-        self.last_label = Some(node.iteration);
-        let lane = self.instance % self.lanes;
-        let round = self.instance / self.lanes;
+        let instance = self.instances.next(node.iteration);
+        let lane = instance % self.lanes;
+        let round = instance / self.lanes;
         st.add_to_round(round);
 
         let idx = node.id.index() as u32;
@@ -405,8 +401,7 @@ where
         lanes: cfg.lanes,
         nodes: NodeRing::new(window),
         admitted: 0,
-        instance: 0,
-        last_label: None,
+        instances: Instances::default(),
         eof: false,
         peak_resident: 0,
         stats: StatsAccumulator::new(),

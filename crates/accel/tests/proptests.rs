@@ -3,7 +3,7 @@
 //! crate registry, so `proptest` is unavailable). Each test replays many
 //! seeded random kernels and asserts the invariant for every one.
 
-use aladdin_accel::{schedule, DatapathConfig, Dddg, FuTiming, LaneSync, SpadMemory};
+use aladdin_accel::{schedule, DatapathConfig, FuTiming, LaneSync, PreparedDddg, SpadMemory};
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
@@ -62,7 +62,7 @@ fn schedule_bounded_below_by_critical_path() {
             partition,
             ..DatapathConfig::default()
         };
-        let graph = Dddg::build(&trace, &cfg);
+        let graph = PreparedDddg::new(&trace, &cfg);
         let cp = graph.critical_path_cycles(&trace, &FuTiming::default());
         let cycles = run(&trace, lanes, partition, LaneSync::Barrier);
         assert!(cycles >= cp, "{cycles} cycles < critical path {cp}");
@@ -142,16 +142,17 @@ fn rounds_are_monotone_along_deps() {
             lanes,
             ..DatapathConfig::default()
         };
-        let graph = Dddg::build(&trace, &cfg);
+        let graph = PreparedDddg::new(&trace, &cfg);
+        let round = |i: usize| graph.instances()[i] / lanes;
         for node in trace.nodes() {
             for dep in &node.deps {
-                assert!(graph.rounds()[dep.index()] <= graph.rounds()[node.id.index()]);
+                assert!(round(dep.index()) <= round(node.id.index()));
             }
         }
-        // Lanes stay within bounds.
-        for &lane in graph.lanes() {
-            assert!(lane < lanes);
-        }
+        // The barrier rounds partition the nodes.
+        let totals: Vec<usize> = graph.round_totals(lanes).collect();
+        assert_eq!(totals.len(), graph.num_rounds(lanes));
+        assert_eq!(totals.iter().sum::<usize>(), trace.nodes().len());
     }
 }
 

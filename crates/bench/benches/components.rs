@@ -11,7 +11,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use aladdin_accel::{schedule, DatapathConfig, Dddg, FuTiming, SpadMemory};
+use aladdin_accel::{schedule, DatapathConfig, FuTiming, PreparedDddg, SpadMemory};
 use aladdin_ir::{ArrayKind, Opcode, Tracer};
 use aladdin_mem::{
     AccessKind, BusConfig, Cache, CacheConfig, DmaConfig, DmaDirection, DmaEngine, DmaTransfer,
@@ -62,8 +62,10 @@ fn bench_dddg() {
         lanes: 4,
         ..DatapathConfig::default()
     };
-    bench("dddg", "build", || Dddg::build(black_box(&trace), &cfg));
-    let graph = Dddg::build(&trace, &cfg);
+    bench("dddg", "build", || {
+        PreparedDddg::new(black_box(&trace), &cfg)
+    });
+    let graph = PreparedDddg::new(&trace, &cfg);
     bench("dddg", "critical_path", || {
         graph.critical_path_cycles(black_box(&trace), &FuTiming::default())
     });

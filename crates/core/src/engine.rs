@@ -115,8 +115,8 @@ impl FlowResult {
 /// injection and the watchdog (`None` runs clean under the default
 /// watchdog, bit-identical to a harness with an empty plan), and
 /// `prepared` supplies a caller-built [`PreparedDddg`] so sweeps can
-/// share one graph per (trace, lane count) across workers (`None`
-/// prepares a private graph, bit-identical results either way).
+/// share one graph per trace across points and workers (`None` prepares
+/// a private graph, bit-identical results either way).
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec<'a> {
     /// Which CPU↔accelerator flow to simulate.
@@ -164,8 +164,8 @@ impl<'a> FlowSpec<'a> {
         self
     }
 
-    /// Reuse a caller-prepared DDDG (must match the trace and lane count
-    /// passed to [`simulate`]).
+    /// Reuse a caller-prepared DDDG (must match the trace passed to
+    /// [`simulate`]).
     #[must_use]
     pub fn with_prepared(mut self, prepared: &'a PreparedDddg) -> Self {
         self.prepared = Some(prepared);

@@ -8,9 +8,9 @@
 //! 1. **Result cache** — each point is looked up in the content-addressed
 //!    cache before simulating, and stored after.
 //! 2. **Shared DDDG preparation** — the dependence graph depends only on
-//!    the trace and the lane count, so one [`PreparedDddg`] per distinct
-//!    lane count is built lazily and shared across all worker threads via
-//!    `Arc`.
+//!    the trace, so one [`PreparedDddg`] per sweep is built lazily and
+//!    shared by every point and every worker thread; each point derives
+//!    its lanes and barrier rounds from it.
 //! 3. **Bound pruning** (opt-in) — a point whose static cycle lower bound
 //!    and power floor are strictly dominated by a finished result is
 //!    skipped, never silently dropped.
@@ -24,10 +24,9 @@
 //! calling thread. Each sweep folds its [`SweepPerf`] roll-up into the
 //! process-wide accumulator [`crate::global_perf`].
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use aladdin_accel::{DatapathConfig, PreparedDddg, SchedulerWorkspace};
@@ -194,7 +193,7 @@ impl PointOutcome {
 }
 
 /// The shared state of one sweep: its inputs, the cache and pruning
-/// gates, the lazily prepared graphs, the pruning witnesses, and the perf
+/// gates, the lazily prepared graph, the pruning witnesses, and the perf
 /// counters. [`Sweep::step`] is the one per-point step every entry point
 /// runs.
 struct Sweep<'a> {
@@ -206,12 +205,10 @@ struct Sweep<'a> {
     cache_fp: Option<u128>,
     /// Whether bound pruning is engaged (only ever under the cache gate).
     prune: bool,
-    /// Lane count → index into `preps`.
-    lane_slot: HashMap<u32, usize>,
-    /// One lazily-built graph per distinct lane count, shared across
-    /// workers. Lazy so a fully cache-warm sweep builds no graphs at all;
-    /// `.atrc` sources never build one.
-    preps: Vec<OnceLock<Arc<PreparedDddg>>>,
+    /// The trace's graph, shared by every point and worker. Lazy so a
+    /// fully cache-warm sweep builds no graph at all; `.atrc` sources
+    /// never build one.
+    prep: OnceLock<PreparedDddg>,
     /// Finished `(cycles, avg power)` pairs — the pruning witnesses.
     witnesses: Mutex<Vec<(u64, f64)>>,
     hits: AtomicU64,
@@ -234,20 +231,13 @@ impl<'a> Sweep<'a> {
         let use_cache = harness.plan.is_empty()
             && harness.watchdog == Watchdog::default()
             && matches!(source, TraceSource::Memory(_));
-        let mut lane_slot: HashMap<u32, usize> = HashMap::new();
-        for s in specs {
-            let next = lane_slot.len();
-            lane_slot.entry(s.dp.lanes).or_insert(next);
-        }
-        let preps = (0..lane_slot.len()).map(|_| OnceLock::new()).collect();
         Sweep {
             source,
             specs,
             harness,
             cache_fp: use_cache.then(|| source.fingerprint()),
             prune: prune && use_cache,
-            lane_slot,
-            preps,
+            prep: OnceLock::new(),
             witnesses: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             stepped: AtomicU64::new(0),
@@ -274,11 +264,8 @@ impl<'a> Sweep<'a> {
         }
         let prep = match self.source {
             TraceSource::Memory(trace) => {
-                let prep = Arc::clone(
-                    self.preps[self.lane_slot[&s.dp.lanes]]
-                        .get_or_init(|| Arc::new(PreparedDddg::new(trace, &s.dp))),
-                );
-                if let Some(p) = self.dominated(i, trace, &prep) {
+                let prep = self.prep.get_or_init(|| PreparedDddg::new(trace, &s.dp));
+                if let Some(p) = self.dominated(i, trace, prep) {
                     self.pruned.fetch_add(1, Ordering::Relaxed);
                     return PointOutcome::Pruned(p);
                 }
@@ -287,7 +274,7 @@ impl<'a> Sweep<'a> {
             TraceSource::Atrc(_) => None,
         };
         let mut spec = FlowSpec::new(s.kind).with_harness(self.harness);
-        if let Some(prep) = &prep {
+        if let Some(prep) = prep {
             spec = spec.with_prepared(prep);
         }
         match simulate_source_prepared(&self.source, &s.dp, &s.soc, &spec, ws) {
@@ -378,7 +365,7 @@ impl<'a> Sweep<'a> {
 /// is `None` in the returned vector and absent from the [`SweepPerf`].
 ///
 /// **Sources.** An in-memory source shares one lazily-built
-/// [`PreparedDddg`] per lane count across workers; an `.atrc` source
+/// [`PreparedDddg`] across every point and worker; an `.atrc` source
 /// shares the *encoded bytes* instead (every worker streams its own decode
 /// through the windowed scheduler, so sweep node memory stays
 /// O(workers × window) regardless of trace length).

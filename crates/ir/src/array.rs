@@ -12,6 +12,12 @@ impl ArrayId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// Construct from a dense index (used by `.atrc` decoding).
+    #[must_use]
+    pub fn from_index(idx: usize) -> Self {
+        ArrayId(u32::try_from(idx).expect("too many arrays"))
+    }
 }
 
 impl fmt::Display for ArrayId {

@@ -44,7 +44,6 @@ mod deps;
 pub mod diag;
 mod hash;
 mod opcode;
-mod serialize;
 mod stats;
 mod trace;
 mod tracer;
@@ -59,7 +58,6 @@ pub use deps::DepList;
 pub use diag::{Diagnostic, Locus, Report, Severity};
 pub use hash::ContentHasher;
 pub use opcode::{FuClass, Opcode};
-pub use serialize::ParseTraceError;
 pub use stats::TraceStats;
 pub use trace::{MemAccessKind, MemRef, NodeId, Trace, TraceNode};
 pub use tracer::{TArray, TVal, Tracer};

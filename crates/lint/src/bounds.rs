@@ -179,10 +179,9 @@ fn sched_bounds(
     }
     let lanes = u64::from(dp.lanes.max(1));
     let hit = soc.cache.hit_latency;
-    let graph = prep.graph();
-    let rounds = graph.rounds();
+    let instances = prep.instances();
     let barrier = dp.sync == LaneSync::Barrier;
-    let nr = graph.num_rounds() as usize;
+    let nr = prep.num_rounds(dp.lanes);
 
     let mut per_class = [0u64; 6];
     let mut round_class: Vec<[u64; 6]> = if barrier {
@@ -202,7 +201,7 @@ fn sched_bounds(
         let class = node.opcode.fu_class();
         per_class[class.index()] += 1;
         if barrier {
-            round_class[rounds[i] as usize][class.index()] += 1;
+            round_class[(instances[i] / dp.lanes) as usize][class.index()] += 1;
         }
         let wi = if let Some(m) = &node.mem {
             if cache_flow && trace.array(m.array).kind.is_shared() {
@@ -370,9 +369,9 @@ fn dma_window(
 }
 
 /// Bounds for a design point whose DDDG is already prepared (the sweep
-/// fast path: one [`PreparedDddg`] shared across many points per lane
-/// count). The configuration must be valid — use [`bounds_for_point`]
-/// for the checked entry point.
+/// fast path: one [`PreparedDddg`] shared across every point of a trace).
+/// The configuration must be valid — use [`bounds_for_point`] for the
+/// checked entry point.
 #[must_use]
 pub fn bounds_for_prepared(
     trace: &Trace,

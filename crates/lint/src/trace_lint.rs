@@ -8,7 +8,7 @@
 //! annotation balance. The DDDG checks re-verify the scheduler-facing
 //! lane/round assignment against the trace.
 
-use aladdin_accel::{DatapathConfig, Dddg};
+use aladdin_accel::{DatapathConfig, PreparedDddg};
 use aladdin_ir::{Diagnostic, Locus, MemAccessKind, NodeId, Report, Trace};
 
 /// Full trace analysis: structural `L010x` checks plus the deep `L011x`
@@ -329,29 +329,30 @@ pub fn lint_loop_annotations(trace: &Trace) -> Report {
     report
 }
 
-/// DDDG consistency (`L0118`/`L0119`, errors): the built graph's round
-/// assignment must be monotone along dependences (otherwise the barrier
-/// scheduler deadlocks) and every lane index must fall inside the
-/// configured lane count.
+/// DDDG consistency (`L0118`/`L0119`, errors): the round each node's
+/// iteration instance maps to under `cfg.lanes` must be monotone along
+/// dependences (otherwise the barrier scheduler deadlocks) and every lane
+/// index must fall inside the configured lane count.
 #[must_use]
 pub fn lint_dddg(trace: &Trace, cfg: &DatapathConfig) -> Report {
     let mut report = cfg.check();
     if report.has_errors() {
         return report;
     }
-    let graph = Dddg::build(trace, cfg);
+    let graph = PreparedDddg::new(trace, cfg);
+    let round = |i: usize| graph.instances()[i] / cfg.lanes;
     for node in trace.nodes() {
         for dep in &node.deps {
-            if graph.rounds()[dep.index()] > graph.rounds()[node.id.index()] {
+            if round(dep.index()) > round(node.id.index()) {
                 report.push(
                     Diagnostic::error(
                         "L0118",
                         format!(
                             "round inversion: {} (round {}) depends on {} (round {})",
                             node.id,
-                            graph.rounds()[node.id.index()],
+                            round(node.id.index()),
                             dep,
-                            graph.rounds()[dep.index()]
+                            round(dep.index())
                         ),
                     )
                     .at(Locus::Node(node.id.index())),
@@ -359,7 +360,8 @@ pub fn lint_dddg(trace: &Trace, cfg: &DatapathConfig) -> Report {
             }
         }
     }
-    for (i, &lane) in graph.lanes().iter().enumerate() {
+    for (i, &instance) in graph.instances().iter().enumerate() {
+        let lane = instance % cfg.lanes;
         if lane >= cfg.lanes {
             report.push(
                 Diagnostic::error(

@@ -6,10 +6,12 @@
 //! |----------------------------------|---------------|
 //! | drop a load's RAW edge           | `L0111`       |
 //! | drop a store's WAW edge          | `L0112`       |
-//! | turn a store into a load (text)  | `L0110`       |
-//! | corrupt one loop marker (text)   | `L0113`       |
+//! | turn a store into a load (.atrc) | `L0110`       |
+//! | corrupt one loop marker (.atrc)  | `L0113`       |
 
-use aladdin_ir::{ArrayKind, MemAccessKind, NodeId, Opcode, Trace, Tracer};
+use aladdin_ir::{
+    ArrayKind, AtrcTrace, MemAccessKind, NodeId, Opcode, Trace, TraceNode, TraceWriter, Tracer,
+};
 use aladdin_lint::lint_trace;
 use aladdin_rng::SmallRng;
 
@@ -125,10 +127,23 @@ fn dropping_a_waw_edge_fires_l0112() {
     }
 }
 
-/// The line of node `id` in the text serialization: one `trace` header
-/// and one line per array precede the node lines, which are in id order.
-fn node_line(trace: &Trace, id: NodeId) -> usize {
-    1 + trace.arrays().len() + id.index()
+/// `trace` with node `victim` edited, written node by node through an
+/// `.atrc` writer and decoded back — the path an edited trace file takes
+/// into the tools.
+fn mutant(trace: &Trace, victim: NodeId, edit: impl Fn(&mut TraceNode)) -> Trace {
+    let mut bytes = Vec::new();
+    let mut w = TraceWriter::new(&mut bytes, trace.name()).expect("Vec sink");
+    for node in trace.nodes() {
+        let mut node = node.clone();
+        if node.id == victim {
+            edit(&mut node);
+        }
+        w.push_node(&node).expect("Vec sink");
+    }
+    w.finish(trace.arrays()).expect("Vec sink");
+    AtrcTrace::from_bytes(bytes)
+        .and_then(|atrc| atrc.decode())
+        .expect("mutant stays structurally valid")
 }
 
 #[test]
@@ -149,13 +164,13 @@ fn dropping_a_def_in_text_fires_l0110() {
     let mut rng = SmallRng::seed_from_u64(0x5110);
     for _ in 0..4 {
         let victim = defs[rng.gen_range(0..defs.len())];
-        let mut lines: Vec<String> = trace.to_text().lines().map(str::to_owned).collect();
-        let line = &mut lines[node_line(&trace, victim)];
-        assert!(line.starts_with("node store"), "{line}");
-        *line = line
-            .replacen("node store", "node load", 1)
-            .replacen(" w :", " r :", 1);
-        let mutant = Trace::from_text(&lines.join("\n")).expect("mutant stays structurally valid");
+        let mutant = mutant(&trace, victim, |node| {
+            assert_eq!(node.opcode, Opcode::Store, "{victim}");
+            node.opcode = Opcode::Load;
+            if let Some(m) = &mut node.mem {
+                m.kind = MemAccessKind::Read;
+            }
+        });
         let report = lint_trace(&mutant);
         assert!(report.has_code("L0110"), "{victim}: {}", report.to_human());
     }
@@ -175,10 +190,7 @@ fn corrupting_a_loop_marker_in_text_fires_l0113() {
             .find(|w| w.iter().all(|n| n.iteration == iter))
             .map(|w| w[1].id)
             .expect("every iteration has a run of three nodes");
-        let mut lines: Vec<String> = trace.to_text().lines().map(str::to_owned).collect();
-        let line = &mut lines[node_line(&trace, mid)];
-        *line = line.replacen(&format!(" {iter} "), &format!(" {} ", iter - 1), 1);
-        let mutant = Trace::from_text(&lines.join("\n")).expect("mutant stays structurally valid");
+        let mutant = mutant(&trace, mid, |node| node.iteration = iter - 1);
         let report = lint_trace(&mutant);
         assert!(report.has_code("L0113"), "n{mid}: {}", report.to_human());
         assert!(!report.has_errors(), "loop-marker damage is a warning");

@@ -351,13 +351,14 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Structural validation: names resolve, the campaign is either a
-    /// sweep or a job set (not both, not neither), masters are unique.
-    /// Platform-level validation (SoC consistency, per-point lint)
-    /// happens in [`expand`](CampaignSpec::expand).
+    /// Structural validation: every value has a canonical TOML form
+    /// (unsigned values above `i64::MAX` do not), names resolve, the
+    /// campaign is either a sweep or a job set (not both, not neither),
+    /// masters are unique. Platform-level validation (SoC consistency,
+    /// per-point lint) happens in [`expand`](CampaignSpec::expand).
     #[must_use]
     pub fn validate(&self) -> Report {
-        let mut report = Report::new();
+        let mut report = self.canonical().report;
         if self.name.is_empty() {
             report.push(
                 Diagnostic::error("L0261", "campaign needs a non-empty `name`")
@@ -458,9 +459,14 @@ impl CampaignSpec {
     /// minimal after a round trip.
     #[must_use]
     pub fn to_toml(&self) -> String {
+        toml::serialize(&self.canonical().table)
+    }
+
+    /// The canonical table, with `L0261` for every value it cannot hold.
+    fn canonical(&self) -> Writer {
         let mut writer = Writer::default();
         walk_campaign(&mut writer, &mut self.clone());
-        toml::serialize(&writer.0)
+        writer
     }
 
     /// Expand into the validated, ordered point list.
@@ -942,6 +948,10 @@ trait Key: Sized {
     fn read(v: &Value, at: &At, report: &mut Report) -> Result<Self, Miss>;
     /// The canonical TOML form.
     fn write(&self) -> Value;
+    /// Whether [`write`](Key::write) holds the value exactly.
+    fn fits(&self) -> bool {
+        true
+    }
 }
 
 /// The unsigned widths campaign keys store; they share one read and write.
@@ -961,6 +971,12 @@ impl<T: Uint> Key for T {
     #[allow(clippy::cast_possible_wrap)]
     fn write(&self) -> Value {
         Value::Int((*self).try_into().unwrap_or(u64::MAX) as i64)
+    }
+    /// TOML integers are `i64`: larger values have no canonical form.
+    fn fits(&self) -> bool {
+        (*self)
+            .try_into()
+            .is_ok_and(|n: u64| i64::try_from(n).is_ok())
     }
 }
 
@@ -1085,6 +1101,18 @@ impl<T: Key> Key for Vec<T> {
     fn write(&self) -> Value {
         Value::Array(self.iter().map(Key::write).collect())
     }
+    fn fits(&self) -> bool {
+        self.iter().all(Key::fits)
+    }
+}
+
+/// `key` in the table at `path`, as messages print it.
+fn dotted(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_owned()
+    } else {
+        format!("{path}.{key}")
+    }
 }
 
 /// Reads one table of a campaign document into a spec section.
@@ -1112,11 +1140,7 @@ impl<'t> Reader<'t> {
     }
 
     fn path(&self, key: &str) -> String {
-        if self.at.path.is_empty() {
-            key.to_owned()
-        } else {
-            format!("{}.{key}", self.at.path)
-        }
+        dotted(&self.at.path, key)
     }
 
     /// Record `key` as known, and find its value unless this item is
@@ -1240,38 +1264,68 @@ impl Walker for Reader<'_> {
     }
 }
 
-/// Serializes a spec section into its canonical table.
+/// Serializes a spec section into its canonical table, reporting every
+/// value the table cannot hold (`L0261`).
 #[derive(Default)]
-struct Writer(Table);
+struct Writer {
+    table: Table,
+    /// Where `table` sits: `""` at the root.
+    path: String,
+    report: Report,
+}
 
 impl Writer {
     fn put(&mut self, key: &str, v: Value) {
-        self.0.push((key.to_owned(), v));
+        self.table.push((key.to_owned(), v));
+    }
+
+    fn put_key<K: Key>(&mut self, key: &str, v: &K) {
+        if !v.fits() {
+            self.report.push(Diagnostic::error(
+                "L0261",
+                format!(
+                    "`{}` must be at most {}, the largest TOML integer",
+                    dotted(&self.path, key),
+                    i64::MAX
+                ),
+            ));
+        }
+        self.put(key, v.write());
+    }
+
+    /// The table `walk` writes at `path`; its findings join this one's.
+    fn nested(&mut self, path: String, walk: impl FnOnce(&mut Self)) -> Table {
+        let mut sub = Writer {
+            path,
+            ..Writer::default()
+        };
+        walk(&mut sub);
+        self.report.merge(sub.report);
+        sub.table
     }
 }
 
 impl Walker for Writer {
     fn key<K: Key + Default + PartialEq>(&mut self, key: &'static str, v: &mut K) {
         if *v != K::default() {
-            self.put(key, v.write());
+            self.put_key(key, v);
         }
     }
 
     fn opt<K: Key>(&mut self, key: &'static str, v: &mut Option<K>) {
         if let Some(v) = v {
-            self.put(key, v.write());
+            self.put_key(key, v);
         }
     }
 
     fn always<K: Key>(&mut self, key: &'static str, v: &mut K, _required: bool) {
-        self.put(key, v.write());
+        self.put_key(key, v);
     }
 
     fn table(&mut self, key: &'static str, walk: impl FnOnce(&mut Self)) {
-        let mut sub = Writer::default();
-        walk(&mut sub);
-        if !sub.0.is_empty() {
-            self.put(key, Value::Table(sub.0));
+        let sub = self.nested(dotted(&self.path, key), walk);
+        if !sub.is_empty() {
+            self.put(key, Value::Table(sub));
         }
     }
 
@@ -1285,12 +1339,13 @@ impl Walker for Writer {
         if items.is_empty() {
             return;
         }
-        let tables = items.iter_mut().map(|x| {
-            let mut sub = Writer::default();
-            walk(&mut sub, x);
-            Value::Table(sub.0)
-        });
-        self.put(key, Value::Array(tables.collect()));
+        let path = dotted(&self.path, key);
+        let tables = items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, x)| Value::Table(self.nested(format!("{path}[{i}]"), |w| walk(w, x))))
+            .collect();
+        self.put(key, Value::Array(tables));
     }
 }
 

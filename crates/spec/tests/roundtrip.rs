@@ -227,6 +227,48 @@ fn defaults_serialize_minimally() {
 }
 
 #[test]
+fn values_past_the_largest_toml_integer_fail_expansion() {
+    // TOML integers are i64, so an unsigned value above i64::MAX has no
+    // canonical form: expansion names the key instead of digesting a
+    // document `from_toml` would reject.
+    let sweep = CampaignSpec {
+        name: "overflow".to_owned(),
+        kernels: vec!["aes-aes".to_owned()],
+        mems: vec![MemKind::Isolated],
+        ..CampaignSpec::default()
+    };
+    let mut jobs = CampaignSpec {
+        kernels: Vec::new(),
+        jobs: vec![JobSpec::new("aes-aes", MemKind::Isolated)],
+        ..sweep.clone()
+    };
+    jobs.jobs[0].launch = 1 << 63;
+    jobs.stagger = vec![0, u64::MAX];
+    let mut seeded = sweep.clone();
+    seeded.faults.seed = Some(u64::MAX);
+    for (spec, keys) in [
+        (&seeded, &["faults.seed"][..]),
+        (&jobs, &["stagger", "jobs[0].launch"][..]),
+    ] {
+        let report = spec.expand().expect_err("an unrepresentable value");
+        let errors: Vec<_> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "L0261")
+            .collect();
+        assert_eq!(errors.len(), keys.len(), "{}", report.to_human());
+        for (d, key) in errors.iter().zip(keys) {
+            assert!(d.message.contains(&format!("`{key}`")), "{}", d.message);
+        }
+    }
+    // The largest TOML integer itself still round-trips and expands.
+    seeded.faults.seed = Some(i64::MAX as u64);
+    let plan = seeded.expand().expect("i64::MAX is representable");
+    assert_eq!(CampaignSpec::from_toml(&seeded.to_toml()).unwrap(), seeded);
+    assert_eq!(plan.digest, fnv1a64(seeded.to_toml().as_bytes()));
+}
+
+#[test]
 fn hand_written_and_canonical_forms_agree() {
     // A hand-written file with comments, underscores, and multi-line
     // arrays parses to the same spec as its canonical serialization.

@@ -47,7 +47,6 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use aladdin_core::SimHarness;
 use aladdin_spec::{
     coordinate, forecast_cached, json_string, plan_bounds, run_campaign, run_worker, CampaignPlan,
     CampaignSpec, CommonArgs, OutputFormat, RunOptions, WorkerConfig,
@@ -158,23 +157,19 @@ fn load_plan(args: &Args) -> Result<CampaignPlan, aladdin_ir::Report> {
     })?;
     let mut spec = CampaignSpec::from_toml(&text)?;
     // The shared --topology flag pins the fabric, overriding both the
-    // campaign's [soc.topology] platform and any space.topologies axis.
-    // It participates in expansion (and therefore the plan digest), so a
-    // journal recorded under one topology refuses to resume under another.
+    // campaign's [soc.topology] platform and any space.topologies axis,
+    // and the shared --faults flag overrides the campaign's [faults] seed.
+    // Both participate in expansion (and therefore the plan digest), so a
+    // journal recorded under one topology or fault seed refuses to resume
+    // under another.
     if let Some(topology) = args.common.topology {
         spec.soc.topology = Some(topology);
         spec.space.topologies = None;
     }
-    let mut plan = spec.expand()?;
-    // The shared --faults flag overrides the campaign's [faults] seed.
     if let Some(seed) = args.common.faults_seed {
-        let watchdog = plan.harness.watchdog;
-        plan.harness = SimHarness {
-            plan: SimHarness::with_seed(seed).plan,
-            watchdog,
-        };
+        spec.faults.seed = Some(seed);
     }
-    Ok(plan)
+    spec.expand()
 }
 
 fn default_journal(plan: &CampaignPlan) -> PathBuf {

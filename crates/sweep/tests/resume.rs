@@ -173,45 +173,56 @@ fn killed_campaign_resumes_without_recompute() {
 
 #[test]
 fn resume_refuses_an_edited_campaign() {
-    let campaign = temp_file("edited.toml");
-    let journal = temp_file("edited.jsonl");
-    std::fs::write(&campaign, CAMPAIGN).unwrap();
+    // Each case: flags for the first run, the campaign text the resume
+    // sees, and flags for the resume. Both edits change the plan digest,
+    // so the stale journal must be refused, not silently mixed with
+    // different points.
+    let edited = CAMPAIGN.replace("[1, 2]", "[1, 4]");
+    let cases: [(&str, &[&str], &str, &[&str]); 2] = [
+        ("edited", &[], &edited, &[]),
+        ("faults", &["--faults", "7"], CAMPAIGN, &[]),
+    ];
+    for (name, run_flags, resumed, resume_flags) in cases {
+        let campaign = temp_file(&format!("{name}.toml"));
+        let journal = temp_file(&format!("{name}.jsonl"));
+        std::fs::write(&campaign, CAMPAIGN).unwrap();
 
-    let out = sweep_bin()
-        .args([
-            "run",
-            campaign.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-            "--limit",
-            "1",
-        ])
-        .output()
-        .expect("sweep run runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+        let out = sweep_bin()
+            .args(run_flags)
+            .args([
+                "run",
+                campaign.to_str().unwrap(),
+                "--journal",
+                journal.to_str().unwrap(),
+                "--limit",
+                "1",
+            ])
+            .output()
+            .expect("sweep run runs");
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
 
-    // Editing the campaign changes its digest; the stale journal must be
-    // refused, not silently mixed with different points.
-    std::fs::write(&campaign, CAMPAIGN.replace("[1, 2]", "[1, 4]")).unwrap();
-    let out = sweep_bin()
-        .args([
-            "resume",
-            campaign.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ])
-        .output()
-        .expect("sweep resume runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("L0266"), "{stderr}");
+        std::fs::write(&campaign, resumed).unwrap();
+        let out = sweep_bin()
+            .args(resume_flags)
+            .args([
+                "resume",
+                campaign.to_str().unwrap(),
+                "--journal",
+                journal.to_str().unwrap(),
+            ])
+            .output()
+            .expect("sweep resume runs");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("L0266"), "{name}: {stderr}");
 
-    let _ = std::fs::remove_file(&campaign);
-    let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&campaign);
+        let _ = std::fs::remove_file(&journal);
+    }
 }
 
 #[test]

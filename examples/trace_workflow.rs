@@ -8,7 +8,7 @@
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig};
-use aladdin_ir::{rebalance_reductions, Trace};
+use aladdin_ir::{encode_trace, rebalance_reductions, AtrcTrace};
 use aladdin_workloads::by_name;
 
 fn main() {
@@ -17,17 +17,12 @@ fn main() {
     let run = kernel.run();
     println!("captured {}: {}", kernel.name(), run.trace.stats());
 
-    // 2. Serialize / reload (the on-disk interchange format).
-    let text = run.trace.to_text();
-    println!(
-        "serialized to {} KB of text; first lines:",
-        text.len() / 1024
-    );
-    for line in text.lines().take(5) {
-        println!("  | {line}");
-    }
-    let reloaded = Trace::from_text(&text).expect("round trip");
-    assert_eq!(reloaded.nodes().len(), run.trace.nodes().len());
+    // 2. Encode / reload (`.atrc`, the on-disk interchange format that
+    // `trace_tool encode` writes and `trace_tool info` inspects).
+    let atrc = AtrcTrace::from_bytes(encode_trace(&run.trace)).expect("valid .atrc");
+    println!("encoded {atrc}");
+    let reloaded = atrc.decode().expect("round trip");
+    assert_eq!(reloaded.nodes(), run.trace.nodes());
 
     // 3. Optimize: rebalance the per-element accumulation chains.
     let (balanced, stats) = rebalance_reductions(&reloaded, 4);

@@ -127,16 +127,17 @@ fn determinism_across_identical_runs() {
 
 #[test]
 fn traces_serialize_round_trip() {
-    use aladdin_ir::Trace;
+    use aladdin_ir::{encode_trace, AtrcTrace};
     for name in ["aes-aes", "spmv-crs", "fft-transpose", "sort-radix"] {
         let kernel = aladdin_workloads::by_name(name).expect("kernel");
         let trace = kernel.run().trace;
-        let text = trace.to_text();
-        let parsed =
-            Trace::from_text(&text).unwrap_or_else(|e| panic!("{name} failed to re-parse: {e}"));
+        let parsed = AtrcTrace::from_bytes(encode_trace(&trace))
+            .and_then(|atrc| atrc.decode())
+            .unwrap_or_else(|e| panic!("{name} failed to decode: {e}"));
+        assert_eq!(parsed.name(), trace.name(), "{name}");
         assert_eq!(parsed.nodes(), trace.nodes(), "{name}");
         assert_eq!(parsed.arrays(), trace.arrays(), "{name}");
-        // And the re-parsed trace schedules identically.
+        // And the decoded trace schedules identically.
         let dp = dp(2, 2);
         let soc = SocConfig::default();
         assert_eq!(
