@@ -18,7 +18,7 @@ use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use aladdin_core::{MemKind, SimHarness, SocConfig, TraceSource};
+use aladdin_core::{MemKind, SimHarness, SocConfig};
 use aladdin_dse::{sweep_engine, sweep_points, PointOutcome, PointSpec};
 use aladdin_lint::bounds_for_point;
 use aladdin_workloads::by_name;
@@ -97,13 +97,9 @@ fn main() {
             black_box(sweep_points(&trace, &specs, &harness));
         });
         let pruned_sweep = || {
-            sweep_engine(
-                &TraceSource::Memory(&trace),
-                &specs,
-                &harness,
-                true,
-                &|_, _| ControlFlow::Continue(()),
-            )
+            sweep_engine((&trace).into(), &specs, &harness, true, &|_, _| {
+                ControlFlow::Continue(())
+            })
         };
         let mut pruned_count = 0u64;
         let cold_pruned_s = median_secs(|| {

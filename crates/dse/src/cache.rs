@@ -93,6 +93,11 @@ pub fn set_sweep_cache_mode(mode: SweepCacheMode) {
     lock().mode = mode;
 }
 
+/// The process's cache mode.
+pub(crate) fn mode() -> SweepCacheMode {
+    lock().mode
+}
+
 /// Override the on-disk tier's directory for this process.
 pub fn set_sweep_cache_dir(dir: &Path) {
     lock().dir = dir.to_path_buf();

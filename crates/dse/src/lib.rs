@@ -61,6 +61,6 @@ pub use preflight::{preflight_cache, preflight_dma, Preflight, RejectedPoint};
 pub use scenario::{run_codesign, CodesignReport, ScenarioOutcome};
 pub use space::{CachePoint, DesignSpace, DmaPoint};
 pub use sweep::{
-    run_point_cached, sweep, sweep_engine, sweep_perf, sweep_points, sweep_points_streaming,
-    PointOutcome, PointSpec, PrunedPoint,
+    cache_gate_open, run_point_cached, sweep, sweep_engine, sweep_perf, sweep_points,
+    sweep_points_streaming, PointOutcome, PointSpec, PrunedPoint, SweepSource,
 };

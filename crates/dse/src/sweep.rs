@@ -36,7 +36,7 @@ use aladdin_core::{
 };
 use aladdin_ir::Trace;
 
-use crate::cache;
+use crate::cache::{self, SweepCacheMode};
 use crate::perf::{record_global, SweepPerf};
 use crate::space::DesignSpace;
 
@@ -192,19 +192,68 @@ impl PointOutcome {
     }
 }
 
+/// What a sweep runs against.
+#[derive(Clone, Copy)]
+pub enum SweepSource<'a> {
+    /// A trace already loaded: in memory, or an `.atrc` file.
+    Loaded(TraceSource<'a>),
+    /// An in-memory trace known first by its [`Trace::fingerprint`].
+    /// A sweep whose every point is cached never calls `build`; otherwise
+    /// it calls it once, before any point runs, and every point and
+    /// worker shares the trace, like the prepared graph.
+    Lazy {
+        /// The fingerprint of the trace `build` returns.
+        fingerprint: u128,
+        /// Materializes the trace; called at most once per sweep.
+        build: &'a (dyn Fn() -> Trace + Sync),
+    },
+}
+
+impl<'a> From<TraceSource<'a>> for SweepSource<'a> {
+    fn from(source: TraceSource<'a>) -> Self {
+        SweepSource::Loaded(source)
+    }
+}
+
+impl<'a> From<&'a Trace> for SweepSource<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        SweepSource::Loaded(TraceSource::Memory(trace))
+    }
+}
+
+/// Whether a sweep under `harness` runs its points through the result
+/// cache at all: only with an inert harness, an empty
+/// [`FaultPlan`](aladdin_core::FaultPlan) and the default [`Watchdog`]
+/// (see [`sweep_engine`] for why).
+fn inert(harness: &SimHarness) -> bool {
+    harness.plan.is_empty() && harness.watchdog == Watchdog::default()
+}
+
+/// Whether a sweep of an in-memory trace under `harness` can be served
+/// from the result cache: the harness is inert and a cache tier is on.
+/// When it cannot, every point simulates, so a caller may as well load
+/// the trace up front rather than fingerprint it first.
+#[must_use]
+pub fn cache_gate_open(harness: &SimHarness) -> bool {
+    inert(harness) && cache::mode() != SweepCacheMode::Off
+}
+
 /// The shared state of one sweep: its inputs, the cache and pruning
 /// gates, the lazily prepared graph, the pruning witnesses, and the perf
 /// counters. [`Sweep::step`] is the one per-point step every entry point
 /// runs.
 struct Sweep<'a> {
-    source: TraceSource<'a>,
+    source: SweepSource<'a>,
     specs: &'a [PointSpec],
     harness: &'a SimHarness,
-    /// The trace fingerprint when the sweep uses the result cache, `None`
-    /// when it bypasses it (see [`sweep_engine`] for the policy).
-    cache_fp: Option<u128>,
+    /// Each point's result-cache key when the sweep uses the cache,
+    /// `None` when it bypasses it (see [`sweep_engine`] for the policy).
+    keys: Option<Vec<String>>,
     /// Whether bound pruning is engaged (only ever under the cache gate).
     prune: bool,
+    /// A [`SweepSource::Lazy`] source's trace, built at most once and
+    /// shared by every point and worker.
+    trace: OnceLock<Trace>,
     /// The trace's graph, shared by every point and worker. Lazy so a
     /// fully cache-warm sweep builds no graph at all; `.atrc` sources
     /// never build one.
@@ -223,20 +272,30 @@ struct Sweep<'a> {
 
 impl<'a> Sweep<'a> {
     fn new(
-        source: TraceSource<'a>,
+        source: SweepSource<'a>,
         specs: &'a [PointSpec],
         harness: &'a SimHarness,
         prune: bool,
     ) -> Self {
-        let use_cache = harness.plan.is_empty()
-            && harness.watchdog == Watchdog::default()
-            && matches!(source, TraceSource::Memory(_));
+        let cache_fp = match source {
+            _ if !inert(harness) => None,
+            SweepSource::Loaded(TraceSource::Atrc(_)) => None,
+            SweepSource::Loaded(TraceSource::Memory(trace)) => Some(trace.fingerprint()),
+            SweepSource::Lazy { fingerprint, .. } => Some(fingerprint),
+        };
+        let keys = cache_fp.map(|fp| {
+            specs
+                .iter()
+                .map(|s| cache::point_key(fp, s.kind, &s.dp, &s.soc))
+                .collect::<Vec<_>>()
+        });
         Sweep {
             source,
             specs,
             harness,
-            cache_fp: use_cache.then(|| source.fingerprint()),
-            prune: prune && use_cache,
+            prune: prune && keys.is_some(),
+            keys,
+            trace: OnceLock::new(),
             prep: OnceLock::new(),
             witnesses: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
@@ -250,19 +309,25 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Point `i`: cache gate → shared prepared graph → optional bound
-    /// prune → simulate → cache insert, counting into the perf counters.
+    /// The trace to simulate, building a lazy source's trace on first use.
+    fn loaded(&self) -> TraceSource<'_> {
+        match self.source {
+            SweepSource::Loaded(source) => source,
+            SweepSource::Lazy { build, .. } => TraceSource::Memory(self.trace.get_or_init(build)),
+        }
+    }
+
+    /// Point `i`: cache gate → shared trace and prepared graph → optional
+    /// bound prune → simulate → cache insert, counting into the perf
+    /// counters.
     fn step(&self, i: usize, ws: &mut SchedulerWorkspace) -> PointOutcome {
         let s = &self.specs[i];
-        let key = self
-            .cache_fp
-            .map(|fp| cache::point_key(fp, s.kind, &s.dp, &s.soc));
-        if let Some(hit) = key.as_deref().and_then(cache::lookup) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.witness(&hit);
-            return PointOutcome::Done(Box::new(hit));
+        let key = self.keys.as_ref().map(|keys| keys[i].as_str());
+        if let Some(hit) = key.and_then(cache::lookup) {
+            return self.hit(hit);
         }
-        let prep = match self.source {
+        let source = self.loaded();
+        let prep = match source {
             TraceSource::Memory(trace) => {
                 let prep = self.prep.get_or_init(|| PreparedDddg::new(trace, &s.dp));
                 if let Some(p) = self.dominated(i, trace, prep) {
@@ -277,7 +342,7 @@ impl<'a> Sweep<'a> {
         if let Some(prep) = prep {
             spec = spec.with_prepared(prep);
         }
-        match simulate_source_prepared(&self.source, &s.dp, &s.soc, &spec, ws) {
+        match simulate_source_prepared(&source, &s.dp, &s.soc, &spec, ws) {
             Ok(run) => {
                 let r = run.result;
                 self.stepped
@@ -287,7 +352,7 @@ impl<'a> Sweep<'a> {
                     self.streamed.fetch_add(1, Ordering::Relaxed);
                     self.peak_resident.fetch_max(p, Ordering::Relaxed);
                 }
-                if let Some(key) = &key {
+                if let Some(key) = key {
                     cache::insert(key, &r);
                 }
                 self.witness(&r);
@@ -298,6 +363,13 @@ impl<'a> Sweep<'a> {
                 PointOutcome::Failed(e)
             }
         }
+    }
+
+    /// A point served from the result cache.
+    fn hit(&self, r: FlowResult) -> PointOutcome {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.witness(&r);
+        PointOutcome::Done(Box::new(r))
     }
 
     /// The pruning check: the finished result, if any, that strictly
@@ -331,6 +403,44 @@ impl<'a> Sweep<'a> {
                 .unwrap_or_else(PoisonError::into_inner)
                 .push((r.total_cycles, r.energy.avg_power_mw()));
         }
+    }
+
+    /// Step every point across all cores, handing each outcome to `sink`
+    /// as it completes; see [`sweep_engine`].
+    fn run(
+        &self,
+        sink: &(dyn Fn(usize, &PointOutcome) -> ControlFlow<()> + Sync),
+    ) -> Vec<Option<PointOutcome>> {
+        // A lazy source whose every point is cached is served here, with
+        // no trace and no worker. Otherwise its trace is built here, on
+        // the calling thread: built by a short-lived worker, its freed
+        // megabytes would stay resident in that worker's allocator arena.
+        if let SweepSource::Lazy { build, .. } = self.source {
+            let hits: Option<Vec<FlowResult>> = self
+                .keys
+                .as_ref()
+                .and_then(|keys| keys.iter().map(|k| cache::lookup(k)).collect());
+            if let Some(hits) = hits {
+                let mut outcomes: Vec<Option<PointOutcome>> = vec![None; hits.len()];
+                for (i, hit) in hits.into_iter().enumerate() {
+                    let outcome = self.hit(hit);
+                    let flow = sink(i, &outcome);
+                    outcomes[i] = Some(outcome);
+                    if flow.is_break() {
+                        break;
+                    }
+                }
+                return outcomes;
+            }
+            self.trace.get_or_init(build);
+        }
+        parallel_map(self.specs.len(), SchedulerWorkspace::new, |i, ws| {
+            let outcome = self.step(i, ws);
+            match sink(i, &outcome) {
+                ControlFlow::Continue(()) => ControlFlow::Continue(outcome),
+                ControlFlow::Break(()) => ControlFlow::Break(outcome),
+            }
+        })
     }
 
     /// Roll the counters up over the `points` steps that ran and fold
@@ -368,7 +478,11 @@ impl<'a> Sweep<'a> {
 /// [`PreparedDddg`] across every point and worker; an `.atrc` source
 /// shares the *encoded bytes* instead (every worker streams its own decode
 /// through the windowed scheduler, so sweep node memory stays
-/// O(workers × window) regardless of trace length).
+/// O(workers × window) regardless of trace length). A
+/// [`SweepSource::Lazy`] source keys the cache by its fingerprint alone:
+/// a fully cache-warm sweep of one is served on the calling thread and
+/// builds neither a trace nor a graph, and any miss materializes the
+/// trace once, up front.
 ///
 /// **Caching policy.** Points run through the result cache only when the
 /// source is in memory and the harness is inert — an empty
@@ -398,20 +512,14 @@ impl<'a> Sweep<'a> {
 /// the surviving frontier does not.
 #[must_use]
 pub fn sweep_engine(
-    source: &TraceSource,
+    source: SweepSource,
     specs: &[PointSpec],
     harness: &SimHarness,
     prune: bool,
     sink: &(dyn Fn(usize, &PointOutcome) -> ControlFlow<()> + Sync),
 ) -> (Vec<Option<PointOutcome>>, SweepPerf) {
-    let sweep = Sweep::new(*source, specs, harness, prune);
-    let outcomes = parallel_map(specs.len(), SchedulerWorkspace::new, |i, ws| {
-        let outcome = sweep.step(i, ws);
-        match sink(i, &outcome) {
-            ControlFlow::Continue(()) => ControlFlow::Continue(outcome),
-            ControlFlow::Break(()) => ControlFlow::Break(outcome),
-        }
-    });
+    let sweep = Sweep::new(source, specs, harness, prune);
+    let outcomes = sweep.run(sink);
     let ran = outcomes.iter().flatten().count() as u64;
     (outcomes, sweep.finish(ran))
 }
@@ -437,13 +545,9 @@ pub fn sweep_points(
     specs: &[PointSpec],
     harness: &SimHarness,
 ) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    let (outcomes, perf) = sweep_engine(
-        &TraceSource::Memory(trace),
-        specs,
-        harness,
-        false,
-        &|_, _| ControlFlow::Continue(()),
-    );
+    let (outcomes, perf) = sweep_engine(trace.into(), specs, harness, false, &|_, _| {
+        ControlFlow::Continue(())
+    });
     (into_results(outcomes), perf)
 }
 
@@ -456,16 +560,10 @@ pub fn sweep_points_streaming(
     harness: &SimHarness,
     sink: &(dyn Fn(usize, &Result<FlowResult, SimError>) + Sync),
 ) -> (Vec<Result<FlowResult, SimError>>, SweepPerf) {
-    let (outcomes, perf) = sweep_engine(
-        &TraceSource::Memory(trace),
-        specs,
-        harness,
-        false,
-        &|i, o| {
-            sink(i, &o.clone().into_result());
-            ControlFlow::Continue(())
-        },
-    );
+    let (outcomes, perf) = sweep_engine(trace.into(), specs, harness, false, &|i, o| {
+        sink(i, &o.clone().into_result());
+        ControlFlow::Continue(())
+    });
     (into_results(outcomes), perf)
 }
 
@@ -491,7 +589,7 @@ pub fn run_point_cached(
         soc: *soc,
     }];
     let harness = SimHarness::default();
-    let sweep = Sweep::new(TraceSource::Memory(trace), &spec, &harness, false);
+    let sweep = Sweep::new(trace.into(), &spec, &harness, false);
     let outcome = sweep.step(0, &mut SchedulerWorkspace::new());
     sweep.finish(1);
     outcome.into_result().unwrap_or_else(|e| panic!("{e}"))
@@ -878,6 +976,85 @@ mod tests {
         assert_eq!(faulted, again);
     }
 
+    /// A lazy source materializes its trace only on a result-cache miss,
+    /// once for all workers: a cold sweep builds it once, a fully warm
+    /// sweep builds neither the trace nor the graph, one cold point among
+    /// warm ones builds it once more, and a faulted harness — which
+    /// bypasses the cache — builds it and simulates every point.
+    #[test]
+    fn lazy_source_builds_its_trace_only_on_a_miss() {
+        use aladdin_workloads::Kernel;
+        let _guard = crate::cache::test_disk_lock();
+        // An input seed no other test traces, so the cache keys are ours.
+        let kernel = aladdin_workloads::Aes {
+            blocks: 1,
+            seed: 4099,
+        };
+        let builds = AtomicUsize::new(0);
+        let build = || {
+            builds.fetch_add(1, Ordering::SeqCst);
+            kernel.run().trace
+        };
+        let source = SweepSource::Lazy {
+            fingerprint: kernel.fingerprint(),
+            build: &build,
+        };
+        let soc = SocConfig::default();
+        let specs = specs_for(&DesignSpace::quick(), &soc, FULL);
+        let n = specs.len() as u64;
+        let clean = SimHarness::default();
+        let pass = |specs: &[PointSpec], harness: &SimHarness| {
+            let sweep = Sweep::new(source, specs, harness, false);
+            let outcomes: Vec<FlowResult> = sweep
+                .run(&|_, _| ControlFlow::Continue(()))
+                .into_iter()
+                .map(|o| o.expect("ran").into_result().expect("completes"))
+                .collect();
+            let built = (sweep.trace.get().is_some(), sweep.prep.get().is_some());
+            (outcomes, built, sweep.finish(specs.len() as u64))
+        };
+
+        let (cold, built, perf) = pass(&specs, &clean);
+        assert_eq!(
+            builds.load(Ordering::SeqCst),
+            1,
+            "one build for every worker"
+        );
+        assert_eq!((built, perf.cache_hits), ((true, true), 0));
+        let (eager, _) = sweep_points(&kernel.run().trace, &specs, &clean);
+        let eager: Vec<FlowResult> = eager.into_iter().map(|r| r.expect("completes")).collect();
+        assert_eq!(
+            cold, eager,
+            "the lazy source simulates what the eager one does"
+        );
+
+        let (warm, built, perf) = pass(&specs, &clean);
+        assert_eq!(
+            builds.load(Ordering::SeqCst),
+            1,
+            "a warm sweep builds nothing"
+        );
+        assert_eq!((built, perf.cache_hits), ((false, false), n));
+        assert_eq!(warm, cold);
+
+        let mut one_cold = specs.clone();
+        one_cold.push(PointSpec {
+            dp: DatapathConfig {
+                lanes: 2,
+                partition: 2,
+                ..specs[0].dp
+            },
+            ..specs[0]
+        });
+        let (_, built, perf) = pass(&one_cold, &clean);
+        assert_eq!(builds.load(Ordering::SeqCst), 2, "one miss, one build");
+        assert_eq!((built, perf.cache_hits), ((true, true), n));
+
+        let (_, built, perf) = pass(&specs, &SimHarness::with_seed(11));
+        assert_eq!(builds.load(Ordering::SeqCst), 3);
+        assert_eq!((built, perf.cache_hits), ((true, true), 0));
+    }
+
     /// The cache gate is watchdog-aware in both directions: an inert
     /// harness (empty plan, default watchdog) rides the warm cache, while
     /// a tighter watchdog bypasses it even when every key is warm — a
@@ -951,7 +1128,7 @@ mod tests {
         let specs = specs_for(&DesignSpace::quick(), &SocConfig::default(), FULL);
         let (memory, _) = sweep_points(&trace, &specs, &SimHarness::default());
         let (outcomes, perf) = sweep_engine(
-            &TraceSource::Atrc(&atrc),
+            TraceSource::Atrc(&atrc).into(),
             &specs,
             &SimHarness::default(),
             true,
@@ -1009,13 +1186,10 @@ mod tests {
             let mut soc = SocConfig::default();
             soc.invoke_cycles += 23;
             let specs = specs_for(&DesignSpace::quick(), &soc, FULL);
-            let (outcomes, perf) = sweep_engine(
-                &TraceSource::Memory(&trace),
-                &specs,
-                &harness,
-                true,
-                &|_, _| ControlFlow::Continue(()),
-            );
+            let (outcomes, perf) =
+                sweep_engine((&trace).into(), &specs, &harness, true, &|_, _| {
+                    ControlFlow::Continue(())
+                });
             let outcomes: Vec<PointOutcome> = outcomes.into_iter().flatten().collect();
             let survivors: Vec<FlowResult> = outcomes
                 .iter()
@@ -1099,13 +1273,10 @@ mod tests {
             let mut slow = slow;
             slow.soc.invoke_cycles += u64::from(attempt);
             let specs = [fast, slow];
-            let (outcomes, perf) = sweep_engine(
-                &TraceSource::Memory(&trace),
-                &specs,
-                &harness,
-                true,
-                &|_, _| ControlFlow::Continue(()),
-            );
+            let (outcomes, perf) =
+                sweep_engine((&trace).into(), &specs, &harness, true, &|_, _| {
+                    ControlFlow::Continue(())
+                });
             assert!(
                 matches!(&outcomes[0], Some(PointOutcome::Done(r)) if **r == witness),
                 "witness must be served from cache, bit-exact"
@@ -1133,7 +1304,7 @@ mod tests {
         let trace = by_name("fft-transpose").expect("kernel").run().trace;
         let specs = specs_for(&DesignSpace::quick(), &SocConfig::default(), FULL);
         let (outcomes, perf) = sweep_engine(
-            &TraceSource::Memory(&trace),
+            (&trace).into(),
             &specs,
             &tight_watchdog(50),
             true,

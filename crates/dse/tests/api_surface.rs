@@ -25,6 +25,8 @@ const GOLDEN: &[&str] = &[
     "ShardIndexReport",
     "SweepCacheMode",
     "SweepPerf",
+    "SweepSource",
+    "cache_gate_open",
     "edp_optimal",
     "global_perf",
     "maintain_shard_index",

@@ -40,7 +40,7 @@
 //! trailing checksum and closing magic turn truncation or bit corruption
 //! into the typed diagnostic `L0280` instead of garbage simulation input.
 //! Fingerprint and checksum both come from the word-at-a-time
-//! [`ContentHasher`]; version 1 checksummed byte-at-a-time with FNV-1a,
+//! [`ContentHasher`](crate::ContentHasher); version 1 checksummed byte-at-a-time with FNV-1a,
 //! and its files are refused by version (`L0280`, re-capture them).
 
 use std::fmt;
@@ -51,10 +51,10 @@ use std::sync::Arc;
 use crate::array::{ArrayId, ArrayInfo, ArrayKind};
 use crate::deps::DepList;
 use crate::diag::Diagnostic;
-use crate::hash::{ByteHasher, ContentHasher};
+use crate::hash::ByteHasher;
 use crate::opcode::Opcode;
 use crate::stats::TraceStats;
-use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceNode};
+use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceHasher, TraceNode};
 
 /// Leading file magic.
 pub const ATRC_MAGIC: [u8; 4] = *b"ATRC";
@@ -273,7 +273,7 @@ pub struct TraceWriter<W: Write> {
     /// The running [`atrc_checksum`] over every byte written so far.
     check: ByteHasher,
     written: u64,
-    fp: ContentHasher,
+    fp: TraceHasher,
     block: Vec<u8>,
     block_nodes: usize,
     nodes: u64,
@@ -305,8 +305,7 @@ impl<W: Write> TraceWriter<W> {
         sink.write_all(&header)?;
         let mut check = ByteHasher::default();
         check.write(&header);
-        let mut fp = ContentHasher::new();
-        fp.str(name);
+        let fp = TraceHasher::new(name);
         Ok(TraceWriter {
             sink,
             check,
@@ -414,13 +413,7 @@ impl<W: Write> TraceWriter<W> {
     /// Propagates I/O errors from the sink.
     pub fn finish(mut self, arrays: &[ArrayInfo]) -> io::Result<AtrcSummary> {
         self.flush_block()?;
-        let mut fp = self.fp.clone();
-        fp.word(self.nodes);
-        for a in arrays {
-            fp.array(a);
-        }
-        fp.word(arrays.len() as u64);
-        let fingerprint = fp.finish();
+        let fingerprint = self.fp.finish(self.nodes, arrays);
 
         let mut foot = Vec::with_capacity(64);
         foot.push(TAG_FOOTER);

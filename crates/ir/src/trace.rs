@@ -10,40 +10,60 @@ use crate::hash::ContentHasher;
 use crate::opcode::Opcode;
 use crate::stats::TraceStats;
 
-/// The trace fingerprint's word stream, shared with the `.atrc` writer
-/// ([`crate::TraceWriter`]) so a fingerprint computed while *streaming*
-/// nodes to disk is bit-identical to the one computed over an in-memory
-/// [`Trace`]. The order is single-pass friendly: kernel name first, then
-/// every node, then the node count, then every array, then the array
-/// count — the counts follow their contents because a streaming writer
-/// does not know them up front.
-impl ContentHasher {
+/// The trace fingerprint's word stream, defined once and shared by
+/// [`Trace::fingerprint`], the `.atrc` writer ([`crate::TraceWriter`]) and
+/// a fingerprint-only [`Tracer`](crate::Tracer), so a fingerprint computed
+/// over an in-memory trace, while *streaming* nodes to disk, or while
+/// tracing without storing a node is bit-identical. The order is
+/// single-pass friendly: kernel name first, then every node, then the
+/// node count, then every array, then the array count — the counts follow
+/// their contents because a streaming producer does not know them up
+/// front.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceHasher(ContentHasher);
+
+impl TraceHasher {
+    /// A stream for a kernel named `name`.
+    pub(crate) fn new(name: &str) -> Self {
+        let mut h = ContentHasher::new();
+        h.str(name);
+        TraceHasher(h)
+    }
+
     /// One node in two to five words plus one per two dependences.
     /// Node ids are positions (checked by [`Trace::check`] and the
     /// writer), so the stream omits them.
     pub(crate) fn node(&mut self, node: &TraceNode) {
-        self.word(node.opcode as u64 | (node.deps.len() as u64) << 8);
+        let h = &mut self.0;
+        h.word(node.opcode as u64 | (node.deps.len() as u64) << 8);
         for pair in node.deps.chunks(2) {
             let second = pair.get(1).map_or(0, |d| u64::from(d.0));
-            self.word(u64::from(pair[0].0) | second << 32);
+            h.word(u64::from(pair[0].0) | second << 32);
         }
         let tag = match &node.mem {
             None => 0,
             Some(m) => 1 + u64::from(m.kind == MemAccessKind::Write),
         };
-        self.word(u64::from(node.iteration) | tag << 32);
+        h.word(u64::from(node.iteration) | tag << 32);
         if let Some(m) = &node.mem {
-            self.word(u64::from(m.array.0) | u64::from(m.bytes) << 32);
-            self.word(m.addr);
+            h.word(u64::from(m.array.0) | u64::from(m.bytes) << 32);
+            h.word(m.addr);
         }
     }
 
-    pub(crate) fn array(&mut self, a: &ArrayInfo) {
-        self.str(&a.name);
-        self.word(a.kind as u64);
-        self.word(a.base_addr);
-        self.word(u64::from(a.elem_bytes));
-        self.word(a.len);
+    /// The fingerprint of the `nodes` nodes absorbed so far plus `arrays`.
+    pub(crate) fn finish(&self, nodes: u64, arrays: &[ArrayInfo]) -> u128 {
+        let mut h = self.0.clone();
+        h.word(nodes);
+        for a in arrays {
+            h.str(&a.name);
+            h.word(a.kind as u64);
+            h.word(a.base_addr);
+            h.word(u64::from(a.elem_bytes));
+            h.word(a.len);
+        }
+        h.word(arrays.len() as u64);
+        h.finish()
     }
 }
 
@@ -125,6 +145,7 @@ pub struct Trace {
     nodes: Vec<TraceNode>,
     arrays: Vec<ArrayInfo>,
     fp: OnceLock<u128>,
+    stats: OnceLock<TraceStats>,
 }
 
 impl Trace {
@@ -134,6 +155,7 @@ impl Trace {
             nodes,
             arrays,
             fp: OnceLock::new(),
+            stats: OnceLock::new(),
         }
     }
 
@@ -189,10 +211,11 @@ impl Trace {
         self.output_arrays().map(ArrayInfo::size_bytes).sum()
     }
 
-    /// Aggregate statistics over the trace.
+    /// Aggregate statistics over the trace, memoized like the
+    /// fingerprint: every call after the first is free.
     #[must_use]
     pub fn stats(&self) -> TraceStats {
-        TraceStats::compute(self)
+        *self.stats.get_or_init(|| TraceStats::compute(self))
     }
 
     /// A 128-bit content fingerprint of the trace: name, every node
@@ -212,17 +235,11 @@ impl Trace {
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
         *self.fp.get_or_init(|| {
-            let mut fp = ContentHasher::new();
-            fp.str(&self.name);
+            let mut h = TraceHasher::new(&self.name);
             for node in &self.nodes {
-                fp.node(node);
+                h.node(node);
             }
-            fp.word(self.nodes.len() as u64);
-            for a in &self.arrays {
-                fp.array(a);
-            }
-            fp.word(self.arrays.len() as u64);
-            fp.finish()
+            h.finish(self.nodes.len() as u64, &self.arrays)
         })
     }
 

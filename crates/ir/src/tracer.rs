@@ -6,7 +6,7 @@ use crate::array::{ArrayId, ArrayInfo, ArrayKind};
 use crate::atrc::{AtrcSummary, TraceWriter};
 use crate::deps::DepList;
 use crate::opcode::Opcode;
-use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceNode};
+use crate::trace::{MemAccessKind, MemRef, NodeId, Trace, TraceHasher, TraceNode};
 
 /// Base of the simulated virtual address space traced arrays live in.
 const ARRAY_BASE_ADDR: u64 = 0x1000_0000;
@@ -87,19 +87,29 @@ impl<T: Copy> TArray<T> {
     }
 }
 
+/// Where a [`Tracer`] sends each node it records.
+#[derive(Debug)]
+enum Sink {
+    /// Keep every node, for [`Tracer::finish`].
+    Nodes(Vec<TraceNode>),
+    /// Encode every node to `.atrc`, for [`Tracer::finish_streaming`].
+    /// The first I/O error is deferred to the finish.
+    Atrc(TraceWriter<Box<dyn Write>>, Option<io::Error>),
+    /// Hash every node and keep none, for [`Tracer::finish_fingerprint`].
+    Hash(TraceHasher),
+}
+
 /// Records the dynamic execution of a kernel as a [`Trace`].
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Tracer {
     name: String,
-    nodes: Vec<TraceNode>,
+    sink: Sink,
     arrays: Vec<ArrayInfo>,
     next_addr: u64,
     iteration: u32,
     emitted: u32,
-    sink: Option<TraceWriter<Box<dyn Write>>>,
-    sink_error: Option<io::Error>,
 }
 
 impl Tracer {
@@ -108,13 +118,26 @@ impl Tracer {
     pub fn new(name: impl Into<String>) -> Self {
         Tracer {
             name: name.into(),
-            nodes: Vec::new(),
+            sink: Sink::Nodes(Vec::new()),
             arrays: Vec::new(),
             next_addr: ARRAY_BASE_ADDR,
             iteration: 0,
             emitted: 0,
-            sink: None,
-            sink_error: None,
+        }
+    }
+
+    /// Start a *fingerprint-only* tracer for a kernel named `name`: every
+    /// emitted node is hashed into the fingerprint stream and dropped, so
+    /// the kernel runs functionally and yields [`Trace::fingerprint`] of
+    /// the trace it would have recorded without storing a node. Finish
+    /// with [`finish_fingerprint`](Tracer::finish_fingerprint). A sweep
+    /// whose points are all in the result cache needs nothing more.
+    #[must_use]
+    pub fn fingerprint_only(name: impl Into<String>) -> Self {
+        let name = name.into();
+        Tracer {
+            sink: Sink::Hash(TraceHasher::new(&name)),
+            ..Tracer::new(name)
         }
     }
 
@@ -138,7 +161,7 @@ impl Tracer {
     /// Panics if any node has already been recorded.
     pub fn stream_to(&mut self, sink: Box<dyn Write>) -> io::Result<()> {
         assert_eq!(self.emitted, 0, "stream_to must be called before tracing");
-        self.sink = Some(TraceWriter::new(sink, &self.name)?);
+        self.sink = Sink::Atrc(TraceWriter::new(sink, &self.name)?, None);
         Ok(())
     }
 
@@ -221,15 +244,16 @@ impl Tracer {
             mem,
             iteration: self.iteration,
         };
-        match self.sink.as_mut() {
-            Some(w) => {
-                if self.sink_error.is_none() {
+        match &mut self.sink {
+            Sink::Nodes(nodes) => nodes.push(node),
+            Sink::Atrc(w, deferred) => {
+                if deferred.is_none() {
                     if let Err(e) = w.push_node(&node) {
-                        self.sink_error = Some(e);
+                        *deferred = Some(e);
                     }
                 }
             }
-            None => self.nodes.push(node),
+            Sink::Hash(h) => h.node(&node),
         }
         id
     }
@@ -449,15 +473,15 @@ impl Tracer {
     /// # Panics
     ///
     /// Panics if the tracer was put in streaming mode with
-    /// [`stream_to`](Tracer::stream_to) — use
-    /// [`finish_streaming`](Tracer::finish_streaming) there.
+    /// [`stream_to`](Tracer::stream_to) or made with
+    /// [`fingerprint_only`](Tracer::fingerprint_only): neither keeps its
+    /// nodes.
     #[must_use]
     pub fn finish(self) -> Trace {
-        assert!(
-            self.sink.is_none(),
-            "streaming tracers finish with finish_streaming"
-        );
-        let trace = Trace::new(self.name, self.nodes, self.arrays);
+        let Sink::Nodes(nodes) = self.sink else {
+            panic!("only a tracer made by Tracer::new keeps its nodes");
+        };
+        let trace = Trace::new(self.name, nodes, self.arrays);
         debug_assert!(trace.check().is_clean(), "{}", trace.check().to_human());
         trace
     }
@@ -475,21 +499,42 @@ impl Tracer {
     /// # Panics
     ///
     /// Panics if [`stream_to`](Tracer::stream_to) was never called.
-    pub fn finish_streaming(mut self) -> io::Result<AtrcSummary> {
-        let sink = self
-            .sink
-            .take()
-            .expect("finish_streaming requires stream_to");
-        if let Some(e) = self.sink_error.take() {
-            return Err(e);
+    pub fn finish_streaming(self) -> io::Result<AtrcSummary> {
+        let Sink::Atrc(writer, deferred) = self.sink else {
+            panic!("finish_streaming requires stream_to");
+        };
+        match deferred {
+            Some(e) => Err(e),
+            None => writer.finish(&self.arrays),
         }
-        sink.finish(&self.arrays)
+    }
+
+    /// Finish a [`fingerprint_only`](Tracer::fingerprint_only) tracer:
+    /// the [`Trace::fingerprint`] of the trace [`Tracer::new`] would have
+    /// recorded from the same calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tracer was not made by `fingerprint_only`.
+    #[must_use]
+    pub fn finish_fingerprint(self) -> u128 {
+        let Sink::Hash(h) = &self.sink else {
+            panic!("finish_fingerprint requires Tracer::fingerprint_only");
+        };
+        h.finish(u64::from(self.emitted), &self.arrays)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn nodes(t: &Tracer) -> &[TraceNode] {
+        match &t.sink {
+            Sink::Nodes(nodes) => nodes,
+            _ => panic!("not a materializing tracer"),
+        }
+    }
 
     #[test]
     fn literals_create_no_dependence() {
@@ -498,7 +543,7 @@ mod tests {
         let b = TVal::from(3.0);
         let c = t.binop(Opcode::FMul, a, b);
         assert_eq!(c.v, 6.0);
-        assert!(t.nodes[0].deps.is_empty());
+        assert!(nodes(&t)[0].deps.is_empty());
     }
 
     #[test]
@@ -509,7 +554,7 @@ mod tests {
         let x = t.load(&a, 2);
         assert_eq!(x.v, 5.0);
         // The load must carry a RAW dependence on the store.
-        let load_node = &t.nodes[x.src.unwrap().index()];
+        let load_node = &nodes(&t)[x.src.unwrap().index()];
         assert_eq!(load_node.deps, vec![s0]);
     }
 
@@ -519,7 +564,7 @@ mod tests {
         let mut a = t.array_f64("a", &[0.0], ArrayKind::Output);
         let s0 = t.store(&mut a, 0, TVal::lit(1.0));
         let s1 = t.store(&mut a, 0, TVal::lit(2.0));
-        let n1 = &t.nodes[s1.index()];
+        let n1 = &nodes(&t)[s1.index()];
         assert!(n1.deps.contains(&s0));
         assert_eq!(a.peek(0), 2.0);
     }
@@ -532,7 +577,7 @@ mod tests {
         let j = t.load(&cols, 0);
         let v = t.load_indexed(&vec, usize::try_from(j.v).unwrap(), j.src);
         assert_eq!(v.v, 30.0);
-        let n = &t.nodes[v.src.unwrap().index()];
+        let n = &nodes(&t)[v.src.unwrap().index()];
         assert!(n.deps.contains(&j.src.unwrap()));
     }
 
@@ -542,7 +587,33 @@ mod tests {
         t.begin_iteration(7);
         let x = t.ibinop(Opcode::Add, TVal::lit(1), TVal::lit(2));
         assert_eq!(x.v, 3);
-        assert_eq!(t.nodes[0].iteration, 7);
+        assert_eq!(nodes(&t)[0].iteration, 7);
+    }
+
+    /// The same calls fingerprint alike whether the tracer keeps its
+    /// nodes or only hashes them, arrays registered mid-trace included.
+    #[test]
+    fn fingerprint_only_matches_the_materialized_trace() {
+        let record = |t: &mut Tracer| {
+            let a = t.array_f64("a", &[1.0, 2.0], ArrayKind::Input);
+            t.begin_iteration(3);
+            let x = t.load(&a, 1);
+            let mut o = t.array_f64("o", &[0.0], ArrayKind::Output);
+            let y = t.binop(Opcode::FAdd, x, TVal::lit(1.0));
+            t.store(&mut o, 0, y);
+        };
+        let mut kept = Tracer::new("fp");
+        record(&mut kept);
+        let mut hashed = Tracer::fingerprint_only("fp");
+        record(&mut hashed);
+        assert_eq!(hashed.len(), 3);
+        assert_eq!(hashed.finish_fingerprint(), kept.finish().fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps its nodes")]
+    fn fingerprint_only_tracers_do_not_materialize() {
+        let _ = Tracer::fingerprint_only("fp").finish();
     }
 
     #[test]
@@ -568,7 +639,7 @@ mod tests {
         let c = t.fcmp_lt(TVal::lit(1.0), TVal::lit(2.0));
         let v = t.select(c, TVal::lit(10i64), TVal::lit(20i64));
         assert_eq!(v.v, 10);
-        let sel = &t.nodes[v.src.unwrap().index()];
+        let sel = &nodes(&t)[v.src.unwrap().index()];
         assert!(sel.deps.contains(&c.src.unwrap()));
     }
 

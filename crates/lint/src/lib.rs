@@ -4,10 +4,10 @@
 //! Three analysis families, all emitting the shared typed
 //! [`Diagnostic`]/[`Report`] vocabulary from `aladdin-ir`:
 //!
-//! 1. **Trace/DDDG lints** ([`lint_trace`], [`lint_dddg`], `L01xx`) —
-//!    SSA def-before-use through memory, store→load dependence
-//!    consistency, dependence-cycle detection, dead-node detection, loop
-//!    annotation balance, and scheduler-facing lane/round consistency.
+//! 1. **Trace lints** ([`lint_trace`], `L01xx`) — SSA def-before-use
+//!    through memory, store→load dependence consistency,
+//!    dependence-cycle detection, dead-node detection and loop
+//!    annotation balance.
 //! 2. **Configuration contradiction checks** ([`lint_design`],
 //!    [`lint_soc`], `L02xx`) — cross-validating datapath and SoC
 //!    parameters (scratchpad partitioning vs lanes, cache line vs bus
@@ -48,6 +48,6 @@ pub use bounds::{
 pub use config_lint::{lint_cross, lint_design, lint_soc};
 pub use protocol::{ProtocolCheck, ProtocolChecker, SeededBug};
 pub use trace_lint::{
-    lint_dddg, lint_dead_nodes, lint_dep_cycles, lint_dep_relation, lint_loop_annotations,
-    lint_memory_ssa, lint_trace,
+    lint_dead_nodes, lint_dep_cycles, lint_dep_relation, lint_loop_annotations, lint_memory_ssa,
+    lint_trace,
 };

@@ -1,14 +1,12 @@
-//! Deep static analysis of traces and DDDGs (`L011x`).
+//! Deep static analysis of traces (`L011x`).
 //!
 //! `aladdin-ir`'s [`Trace::check`] covers cheap structural invariants
 //! (`L010x`: dense ids, backward deps, `MemRef` consistency, array
 //! bounds). This module layers the semantic analyses on top: SSA-style
 //! def-before-use through memory, store→load dependence consistency,
 //! dependence-cycle detection, unreachable (dead) nodes, and loop
-//! annotation balance. The DDDG checks re-verify the scheduler-facing
-//! lane/round assignment against the trace.
+//! annotation balance.
 
-use aladdin_accel::{DatapathConfig, PreparedDddg};
 use aladdin_ir::{Diagnostic, Locus, MemAccessKind, NodeId, Report, Trace};
 
 /// Full trace analysis: structural `L010x` checks plus the deep `L011x`
@@ -329,52 +327,6 @@ pub fn lint_loop_annotations(trace: &Trace) -> Report {
     report
 }
 
-/// DDDG consistency (`L0118`/`L0119`, errors): the round each node's
-/// iteration instance maps to under `cfg.lanes` must be monotone along
-/// dependences (otherwise the barrier scheduler deadlocks) and every lane
-/// index must fall inside the configured lane count.
-#[must_use]
-pub fn lint_dddg(trace: &Trace, cfg: &DatapathConfig) -> Report {
-    let mut report = cfg.check();
-    if report.has_errors() {
-        return report;
-    }
-    let graph = PreparedDddg::new(trace, cfg);
-    let round = |i: usize| graph.instances()[i] / cfg.lanes;
-    for node in trace.nodes() {
-        for dep in &node.deps {
-            if round(dep.index()) > round(node.id.index()) {
-                report.push(
-                    Diagnostic::error(
-                        "L0118",
-                        format!(
-                            "round inversion: {} (round {}) depends on {} (round {})",
-                            node.id,
-                            round(node.id.index()),
-                            dep,
-                            round(dep.index())
-                        ),
-                    )
-                    .at(Locus::Node(node.id.index())),
-                );
-            }
-        }
-    }
-    for (i, &instance) in graph.instances().iter().enumerate() {
-        let lane = instance % cfg.lanes;
-        if lane >= cfg.lanes {
-            report.push(
-                Diagnostic::error(
-                    "L0119",
-                    format!("node n{i} mapped to lane {lane} of {}", cfg.lanes),
-                )
-                .at(Locus::Node(i)),
-            );
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,20 +350,6 @@ mod tests {
     fn well_formed_trace_is_clean() {
         let r = lint_trace(&well_formed());
         assert!(r.is_clean(), "{}", r.to_human());
-    }
-
-    #[test]
-    fn dddg_of_well_formed_trace_is_clean() {
-        let t = well_formed();
-        for lanes in [1, 2, 4] {
-            let cfg = DatapathConfig {
-                lanes,
-                partition: lanes,
-                ..DatapathConfig::default()
-            };
-            let r = lint_dddg(&t, &cfg);
-            assert!(r.is_clean(), "{}", r.to_human());
-        }
     }
 
     #[test]

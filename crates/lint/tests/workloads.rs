@@ -1,9 +1,7 @@
-//! Every bundled workload must lint clean of errors, at the trace level
-//! and through the DDDG checks across the paper's lane range. This is
-//! the acceptance bar for `soclint trace`.
+//! Every bundled workload must lint clean of errors. This is the
+//! acceptance bar for `soclint trace`.
 
-use aladdin_accel::DatapathConfig;
-use aladdin_lint::{lint_dddg, lint_trace};
+use aladdin_lint::lint_trace;
 use aladdin_workloads::all_kernels;
 
 #[test]
@@ -17,26 +15,5 @@ fn all_workload_traces_lint_without_errors() {
             kernel.name(),
             report.to_human()
         );
-    }
-}
-
-#[test]
-fn all_workload_dddgs_lint_without_errors() {
-    for kernel in all_kernels() {
-        let trace = kernel.run().trace;
-        for lanes in [1u32, 4, 16] {
-            let cfg = DatapathConfig {
-                lanes,
-                partition: lanes,
-                ..DatapathConfig::default()
-            };
-            let report = lint_dddg(&trace, &cfg);
-            assert!(
-                !report.has_errors(),
-                "{} at {lanes} lanes: {}",
-                kernel.name(),
-                report.to_human()
-            );
-        }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! commands:
 //!   trace [KERNEL|FILE.atrc ...]
-//!                            lint the traces and DDDGs of bundled
+//!                            lint the traces of bundled
 //!                            workloads (default: all 16); arguments
 //!                            ending in `.atrc` are validated as encoded
 //!                            binary trace files (`L0280` on truncation
@@ -53,7 +53,7 @@ use aladdin_core::SocConfig;
 use aladdin_dse::{preflight_cache, preflight_dma, DesignSpace};
 use aladdin_ir::{Diagnostic, Report};
 use aladdin_lint::{
-    bounds_for_point, lint_dddg, lint_design, lint_trace, point_diagnostic, summarize_bounds,
+    bounds_for_point, lint_design, lint_trace, point_diagnostic, summarize_bounds,
     uncertified_diagnostic, ProtocolChecker, SeededBug,
 };
 use aladdin_spec::{
@@ -174,25 +174,20 @@ fn emit(targets: &[Target], format: OutputFormat) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint the traces (and DDDGs, at a representative 4-lane point) of the
-/// named kernels, or of all bundled kernels. Names ending in `.atrc` are
+/// Lint the traces of the named kernels, or of all bundled kernels.
+/// Names ending in `.atrc` are
 /// treated as encoded binary trace files: the file is validated
 /// structurally (header, checksum, footer — `L0280` on truncation or
 /// corruption), decoded, and then linted exactly like an in-memory trace.
 fn lint_traces(names: &[String]) -> Vec<Target> {
-    let dddg_cfg = DatapathConfig {
-        lanes: 4,
-        partition: 4,
-        ..DatapathConfig::default()
-    };
     if names.iter().any(|n| n.ends_with(".atrc")) {
         return names
             .iter()
             .map(|n| {
                 if n.ends_with(".atrc") {
-                    lint_atrc_file(n, &dddg_cfg)
+                    lint_atrc_file(n)
                 } else {
-                    lint_kernel_trace(n, &dddg_cfg)
+                    lint_kernel_trace(n)
                 }
             })
             .collect();
@@ -213,38 +208,30 @@ fn lint_traces(names: &[String]) -> Vec<Target> {
     };
     kernels
         .into_iter()
-        .map(|kernel| {
-            let trace = kernel.run().trace;
-            let mut report = lint_trace(&trace);
-            report.merge(lint_dddg(&trace, &dddg_cfg));
-            Target {
-                name: kernel.name().to_owned(),
-                report,
-            }
+        .map(|kernel| Target {
+            name: kernel.name().to_owned(),
+            report: lint_trace(&kernel.run().trace),
         })
         .collect()
 }
 
 /// Lint one bundled kernel by name (the non-`.atrc` arm of a mixed
 /// `soclint trace` argument list).
-fn lint_kernel_trace(name: &str, dddg_cfg: &DatapathConfig) -> Target {
+fn lint_kernel_trace(name: &str) -> Target {
     let Some(kernel) = by_name(name) else {
         eprintln!("soclint: unknown kernel {name:?}");
         std::process::exit(2);
     };
-    let trace = kernel.run().trace;
-    let mut report = lint_trace(&trace);
-    report.merge(lint_dddg(&trace, dddg_cfg));
     Target {
         name: kernel.name().to_owned(),
-        report,
+        report: lint_trace(&kernel.run().trace),
     }
 }
 
 /// Lint one `.atrc` file: structural validation (`L0280` on a truncated
-/// or corrupt file), then decode and run the same trace/DDDG lints the
+/// or corrupt file), then decode and run the same trace lints the
 /// bundled kernels get.
-fn lint_atrc_file(path: &str, dddg_cfg: &DatapathConfig) -> Target {
+fn lint_atrc_file(path: &str) -> Target {
     let mut report = Report::new();
     match aladdin_ir::AtrcTrace::open(path).and_then(|t| t.decode()) {
         Ok(trace) => {
@@ -258,7 +245,6 @@ fn lint_atrc_file(path: &str, dddg_cfg: &DatapathConfig) -> Target {
                 ),
             ));
             report.merge(lint_trace(&trace));
-            report.merge(lint_dddg(&trace, dddg_cfg));
         }
         Err(d) => report.push(d),
     }

@@ -65,7 +65,7 @@ use crate::journal::{
     body_lines, check_header, classify_line, journal_err, json_field_str, scan_journal,
     write_quarantine, LineClass, Record, Status,
 };
-use crate::runner::execute;
+use crate::runner::{execute, Fingerprints};
 
 /// Lease expired and was reclaimed (or is still lying around stale).
 pub const CODE_LEASE: &str = "L0290";
@@ -483,6 +483,8 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
     }
     beat(&cfg.dir, &cfg.worker);
 
+    // Each kernel is fingerprinted once per call, not once per batch.
+    let mut fingerprints = Fingerprints::new();
     // As many points as the sweep engine runs at once.
     let batch_size = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
     loop {
@@ -544,15 +546,21 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
             beat(&cfg.dir, &cfg.worker);
             continue;
         }
-        let (perf, status) = execute(plan, &batch, cfg.prune, &mut |index, record| {
-            finish_point(cfg, &mut file, index, record)?;
-            tracker.finished.insert(index);
-            summary.claimed += 1;
-            if record.status() == Some(Status::Error) {
-                summary.failed += 1;
-            }
-            Ok(())
-        });
+        let (perf, status) = execute(
+            plan,
+            &batch,
+            cfg.prune,
+            &mut fingerprints,
+            &mut |index, record| {
+                finish_point(cfg, &mut file, index, record)?;
+                tracker.finished.insert(index);
+                summary.claimed += 1;
+                if record.status() == Some(Status::Error) {
+                    summary.failed += 1;
+                }
+                Ok(())
+            },
+        );
         status?;
         summary.perf.absorb(&perf);
     }
@@ -1371,5 +1379,52 @@ mems = ["isolated"]
 
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A warm worker fingerprints each kernel once per call, however
+    /// many batches its points span, and serves every point from the
+    /// cache; a faulted campaign fingerprints nothing.
+    #[test]
+    fn warm_worker_hashes_each_kernel_once() {
+        let toml = r#"
+name = "coord-warm"
+kernels = ["aes-aes", "kmp"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2, 4]
+partitions = [1, 2, 4]
+"#;
+        let plan = CampaignSpec::from_toml(toml)
+            .expect("parses")
+            .expand()
+            .expect("expands");
+        let mut journal = std::env::temp_dir();
+        journal.push(format!("aladdin-coord-{}-warm.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&journal);
+        run_campaign(&plan, &journal, &RunOptions::default()).expect("fills the cache");
+
+        let hashed = || crate::runner::HASHED.with(std::cell::Cell::get);
+        let before = hashed();
+        let dir = temp_dir("warm");
+        let summary = run_worker(&plan, &fast_cfg(&dir, "w1")).expect("works");
+        assert!(summary.complete);
+        assert_eq!(summary.perf.cache_hits, plan.points.len() as u64);
+        assert_eq!(hashed() - before, 2, "once per kernel, not per batch");
+
+        let faulted = CampaignSpec::from_toml(&format!("{toml}\n[faults]\nseed = 7\n"))
+            .expect("parses")
+            .expand()
+            .expect("expands");
+        let dir2 = temp_dir("warm-faulted");
+        let before = hashed();
+        let summary = run_worker(&faulted, &fast_cfg(&dir2, "w1")).expect("works");
+        assert!(summary.complete);
+        assert_eq!(summary.perf.cache_hits, 0);
+        assert_eq!(hashed(), before, "a faulted run loads its traces eagerly");
+
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
     }
 }

@@ -17,13 +17,13 @@
 //! campaign file was edited between run and resume), missing journals,
 //! unreadable headers, and failed writes.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use aladdin_core::{simulate_multi, SimError, TraceSource, Watchdog};
-use aladdin_dse::{sweep_engine, PointOutcome, PointSpec, SweepPerf};
+use aladdin_core::{simulate_multi, SimError, SimHarness, TraceSource};
+use aladdin_dse::{cache_gate_open, sweep_engine, PointOutcome, PointSpec, SweepPerf, SweepSource};
 use aladdin_ir::{AtrcTrace, Diagnostic, Report, Trace};
 use aladdin_lint::BoundsSummary;
 use aladdin_workloads::by_name;
@@ -83,6 +83,11 @@ impl RunSummary {
     }
 }
 
+/// A planned kernel name that is not a bundled kernel.
+fn unknown_kernel(kernel: &str) -> SimError {
+    Diagnostic::error("L0262", format!("unknown kernel {kernel:?}")).into()
+}
+
 /// Resolve a planned kernel name to a materialized trace: bundled kernels
 /// run their generator, `.atrc` entries decode the file.
 ///
@@ -96,8 +101,22 @@ fn materialize_trace(kernel: &str) -> Result<Trace, SimError> {
     } else {
         by_name(kernel)
             .map(|k| k.run().trace)
-            .ok_or_else(|| Diagnostic::error("L0262", format!("unknown kernel {kernel:?}")).into())
+            .ok_or_else(|| unknown_kernel(kernel))
     }
+}
+
+/// Bundled kernels' trace fingerprints, keyed by kernel name, for one
+/// [`execute`] caller's lifetime (one `run_campaign` or `run_worker`
+/// call), so a worker claiming many batches hashes each kernel once. It
+/// lives in memory only and never outlives the call, so it cannot serve
+/// a fingerprint from an older build of a kernel's generator — the
+/// reason traces are never stored on disk by name.
+pub(crate) type Fingerprints = HashMap<String, u128>;
+
+#[cfg(test)]
+thread_local! {
+    /// Fingerprint-only kernel runs made by this thread, for tests.
+    pub(crate) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A planned kernel's trace, loaded for a run.
@@ -106,27 +125,57 @@ enum LoadedTrace {
     Memory(Trace),
     /// An opened `.atrc` file every worker streams its own decode of.
     Atrc(AtrcTrace),
+    /// A bundled kernel known by its fingerprint, which the sweep runs
+    /// only if one of its points misses the result cache.
+    Lazy {
+        fingerprint: u128,
+        build: Box<dyn Fn() -> Trace + Sync>,
+    },
 }
 
 impl LoadedTrace {
-    /// Load `kernel`, streaming `.atrc` entries unless `materialize`.
+    /// Load `kernel` for a sweep under `harness`. `.atrc` entries stream
+    /// unless `materialize`. A bundled kernel is only fingerprinted
+    /// (through `fingerprints`) when the sweep can serve points from the
+    /// result cache; otherwise every point simulates, and it is
+    /// materialized up front.
     ///
     /// # Errors
     ///
     /// As for [`materialize_trace`].
-    fn load(kernel: &str, materialize: bool) -> Result<Self, SimError> {
+    fn load(
+        kernel: &str,
+        materialize: bool,
+        harness: &SimHarness,
+        fingerprints: &mut Fingerprints,
+    ) -> Result<Self, SimError> {
         if kernel.ends_with(".atrc") && !materialize {
-            Ok(LoadedTrace::Atrc(AtrcTrace::open(kernel)?))
-        } else {
-            materialize_trace(kernel).map(LoadedTrace::Memory)
+            return Ok(LoadedTrace::Atrc(AtrcTrace::open(kernel)?));
         }
+        if kernel.ends_with(".atrc") || !cache_gate_open(harness) {
+            return materialize_trace(kernel).map(LoadedTrace::Memory);
+        }
+        let k = by_name(kernel).ok_or_else(|| unknown_kernel(kernel))?;
+        let fingerprint = *fingerprints.entry(kernel.to_owned()).or_insert_with(|| {
+            #[cfg(test)]
+            HASHED.with(|n| n.set(n.get() + 1));
+            k.fingerprint()
+        });
+        Ok(LoadedTrace::Lazy {
+            fingerprint,
+            build: Box::new(move || k.run().trace),
+        })
     }
 
     /// The sweep engine's view of the trace.
-    fn source(&self) -> TraceSource<'_> {
+    fn source(&self) -> SweepSource<'_> {
         match self {
-            LoadedTrace::Memory(t) => TraceSource::Memory(t),
-            LoadedTrace::Atrc(t) => TraceSource::Atrc(t),
+            LoadedTrace::Memory(t) => TraceSource::Memory(t).into(),
+            LoadedTrace::Atrc(t) => TraceSource::Atrc(t).into(),
+            LoadedTrace::Lazy { fingerprint, build } => SweepSource::Lazy {
+                fingerprint: *fingerprint,
+                build: &**build,
+            },
         }
     }
 }
@@ -137,11 +186,13 @@ impl LoadedTrace {
 /// Each contiguous run of one kernel's single points is one
 /// [`sweep_engine`] call (shared prepared DDDGs, parallel across cores,
 /// result cache when the harness is inert, bound pruning under `prune`,
-/// which materializes `.atrc` entries; otherwise they stream). A trace
-/// that cannot be loaded (an `.atrc` file deleted or damaged after
-/// planning) fails each of its points with the typed diagnostic
-/// (`L0280`/`L0262`). Multi-accelerator points run through
-/// [`simulate_multi`]. Results are bit-identical to calling the engines
+/// which materializes `.atrc` entries; otherwise they stream). Under an
+/// open cache gate a bundled kernel enters the sweep by its fingerprint,
+/// memoized in `fingerprints`, and its trace is built only if one of its
+/// points misses the cache. A trace that cannot be loaded (an `.atrc`
+/// file deleted or damaged after planning) fails each of its points with
+/// the typed diagnostic (`L0280`/`L0262`). Multi-accelerator points run
+/// through [`simulate_multi`]. Results are bit-identical to calling the engines
 /// directly — the journal is a log, not a different code path. Sink
 /// calls never overlap.
 ///
@@ -153,6 +204,7 @@ pub(crate) fn execute(
     plan: &CampaignPlan,
     indices: &[usize],
     prune: bool,
+    fingerprints: &mut Fingerprints,
     sink: &mut (dyn FnMut(usize, &Record) -> Result<(), Report> + Send),
 ) -> (SweepPerf, Result<(), Report>) {
     let state = Mutex::new((sink, Ok(())));
@@ -213,10 +265,10 @@ pub(crate) fn execute(
                         },
                     )
                 };
-                match LoadedTrace::load(kernel, prune) {
+                match LoadedTrace::load(kernel, prune, &plan.harness, fingerprints) {
                     Ok(trace) => {
                         let (_, p) =
-                            sweep_engine(&trace.source(), &specs, &plan.harness, prune, &record);
+                            sweep_engine(trace.source(), &specs, &plan.harness, prune, &record);
                         perf.absorb(&p);
                     }
                     Err(e) => {
@@ -315,18 +367,24 @@ pub fn run_campaign(
         quarantined,
         journal: journal.to_path_buf(),
     };
-    execute(plan, &todo, opts.prune, &mut |_, record| {
-        record.append(&mut file)?;
-        match record.status() {
-            Some(Status::Pruned) => summary.pruned += 1,
-            Some(Status::Error) => {
-                summary.ran += 1;
-                summary.failed += 1;
+    execute(
+        plan,
+        &todo,
+        opts.prune,
+        &mut Fingerprints::new(),
+        &mut |_, record| {
+            record.append(&mut file)?;
+            match record.status() {
+                Some(Status::Pruned) => summary.pruned += 1,
+                Some(Status::Error) => {
+                    summary.ran += 1;
+                    summary.failed += 1;
+                }
+                Some(Status::Ok) | None => summary.ran += 1,
             }
-            Some(Status::Ok) | None => summary.ran += 1,
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
     .1?;
     Ok(summary)
 }
@@ -355,11 +413,11 @@ fn for_each_single(plan: &CampaignPlan, mut f: impl FnMut(&str, &PointSpec, Opti
 /// hits into memory, pre-warming the subsequent run.
 ///
 /// Always 0 when the campaign's harness is not inert (a fault seed or a
-/// non-default watchdog): those runs bypass the cache, so nothing the
-/// cache holds will be served to them.
+/// non-default watchdog) or the cache is off: those runs bypass the
+/// cache, so nothing the cache holds will be served to them.
 #[must_use]
 pub fn forecast_cached(plan: &CampaignPlan) -> usize {
-    if !plan.harness.plan.is_empty() || plan.harness.watchdog != Watchdog::default() {
+    if !cache_gate_open(&plan.harness) {
         return 0;
     }
     let mut cached = 0;
@@ -480,7 +538,7 @@ partitions = [1]
         let plan = tiny_plan();
         let mut calls = 0;
         let all: Vec<usize> = (0..plan.points.len()).collect();
-        let err = execute(&plan, &all, false, &mut |_, _| {
+        let err = execute(&plan, &all, false, &mut Fingerprints::new(), &mut |_, _| {
             calls += 1;
             Err(journal_err("disk full"))
         })
@@ -510,7 +568,7 @@ partitions = [1, 2, 4]
         .expect("expands");
         assert_eq!(plan.points.len(), 12);
         let all: Vec<usize> = (0..plan.points.len()).collect();
-        let (perf, status) = execute(&plan, &all, false, &mut |_, _| {
+        let (perf, status) = execute(&plan, &all, false, &mut Fingerprints::new(), &mut |_, _| {
             Err(journal_err("disk full"))
         });
         assert!(status.is_err());

@@ -9,7 +9,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TArray, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// AES S-box (FIPS-197).
 const SBOX: [u8; 256] = [
@@ -192,13 +192,12 @@ impl Kernel for Aes {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (key_d, buf_d) = self.inputs();
         let key_i: Vec<i64> = key_d.iter().map(|&b| i64::from(b)).collect();
         let buf_i: Vec<i64> = buf_d.iter().map(|&b| i64::from(b)).collect();
         let sbox_i: Vec<i64> = SBOX.iter().map(|&b| i64::from(b)).collect();
 
-        let mut t = Tracer::new(self.name());
         let key = t.array_u8("k", &key_d, ArrayKind::Input);
         let _ = key_i; // key bytes traced through `key` loads below
         let mut buf = t.array_i32("buf", &buf_i, ArrayKind::InOut);
@@ -206,7 +205,7 @@ impl Kernel for Aes {
         // Expanded key schedule, byte-granular, private to the accelerator.
         let mut rk = t.array_i32("rk", &vec![0i64; RK_WORDS * 4], ArrayKind::Internal);
 
-        let mut ta = TracedAes { t: &mut t, sbox };
+        let mut ta = TracedAes { t, sbox };
 
         // --- Key expansion (traced) ---
         let rk_ref = expand_key(&key_d);
@@ -304,11 +303,7 @@ impl Kernel for Aes {
             }
         }
 
-        let outputs: Vec<f64> = buf.data().iter().map(|&v| v as f64).collect();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        buf.data().iter().map(|&v| v as f64).collect()
     }
 
     fn reference(&self) -> Vec<f64> {

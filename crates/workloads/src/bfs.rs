@@ -6,7 +6,7 @@
 use aladdin_ir::{ArrayKind, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 const MAX_LEVEL: i64 = 127;
 
@@ -83,10 +83,9 @@ impl Kernel for BfsBulk {
         "level-synchronized BFS on a CSR graph; data-dependent gathers"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (begin_d, dst_d) = self.graph();
         let ref_levels = self.bfs(&begin_d, &dst_d);
-        let mut t = Tracer::new(self.name());
         let begin = t.array_i32("nodes", &begin_d, ArrayKind::Input);
         let dst = t.array_i32("edges", &dst_d, ArrayKind::Input);
         let mut level = t.array_i32("level", &vec![MAX_LEVEL; self.nodes], ArrayKind::Output);
@@ -129,11 +128,7 @@ impl Kernel for BfsBulk {
             }
         }
         debug_assert_eq!(level.data(), &ref_levels);
-        let outputs = level.data().iter().map(|&v| v as f64).collect();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        level.data().iter().map(|&v| v as f64).collect()
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -9,7 +9,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `spmv-ellpack` kernel: `n × n` sparse matrix with exactly `l`
 /// stored entries per row (zero-padded).
@@ -66,9 +66,8 @@ impl Kernel for SpmvEllpack {
         "ELLPACK sparse matrix-vector product; regular streams, irregular gathers"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (nzval_d, cols_d, vec_d) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let nzval = t.array_f64("nzval", &nzval_d, ArrayKind::Input);
         let cols = t.array_i32("cols", &cols_d, ArrayKind::Input);
         let vec = t.array_f64("vec", &vec_d, ArrayKind::Input);
@@ -85,11 +84,7 @@ impl Kernel for SpmvEllpack {
             }
             t.store(&mut out, i, sum);
         }
-        let outputs = out.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        out.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -10,7 +10,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `fft-transpose` kernel: `units` work units, each an 8-point FFT
 /// over elements strided by `units`.
@@ -117,9 +117,8 @@ impl Kernel for FftTranspose {
         "radix-8 FFT stage; eight 512-byte-strided loads per work unit"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (re_d, im_d) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let mut xr = t.array_f64("work_x", &re_d, ArrayKind::InOut);
         let mut xi = t.array_f64("work_y", &im_d, ArrayKind::InOut);
         for u in 0..self.units {
@@ -130,7 +129,7 @@ impl Kernel for FftTranspose {
                 re[k] = t.load(&xr, u + k * self.units);
                 im[k] = t.load(&xi, u + k * self.units);
             }
-            Self::fft8_traced(&mut t, &mut re, &mut im);
+            Self::fft8_traced(t, &mut re, &mut im);
             for k in 0..8 {
                 t.store(&mut xr, u + k * self.units, re[k]);
                 t.store(&mut xi, u + k * self.units, im[k]);
@@ -138,10 +137,7 @@ impl Kernel for FftTranspose {
         }
         let mut outputs = xr.data().to_vec();
         outputs.extend_from_slice(xi.data());
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        outputs
     }
 
     fn reference(&self) -> Vec<f64> {

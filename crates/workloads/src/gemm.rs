@@ -9,7 +9,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `gemm-ncubed` kernel: `C = A × B` over `n × n` f64 matrices.
 #[derive(Debug, Clone)]
@@ -47,10 +47,9 @@ impl Kernel for GemmNCubed {
         "dense n^3 matrix multiply; streaming reads, serial per-element accumulation"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let n = self.n;
         let (a_data, b_data) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let a = t.array_f64("m1", &a_data, ArrayKind::Input);
         let b = t.array_f64("m2", &b_data, ArrayKind::Input);
         let mut c = t.array_f64("prod", &vec![0.0; n * n], ArrayKind::Output);
@@ -68,11 +67,7 @@ impl Kernel for GemmNCubed {
                 t.store(&mut c, i * n + j, sum);
             }
         }
-        let outputs = c.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        c.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

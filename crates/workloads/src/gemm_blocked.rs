@@ -9,7 +9,7 @@
 use aladdin_ir::{ArrayKind, Opcode, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `gemm-blocked` kernel: `C = A × B` tiled into `block`-sized tiles.
 #[derive(Debug, Clone)]
@@ -55,11 +55,10 @@ impl Kernel for GemmBlocked {
         "tiled matrix multiply; same FLOPs as gemm-ncubed, tighter locality"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         assert_eq!(self.n % self.block, 0, "n must be a multiple of block");
         let (n, b) = (self.n, self.block);
         let (a_data, b_data) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let a = t.array_f64("m1", &a_data, ArrayKind::Input);
         let bm = t.array_f64("m2", &b_data, ArrayKind::Input);
         let mut c = t.array_f64("prod", &vec![0.0; n * n], ArrayKind::Output);
@@ -84,11 +83,7 @@ impl Kernel for GemmBlocked {
                 }
             }
         }
-        let outputs = c.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        c.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

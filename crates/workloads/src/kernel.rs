@@ -1,6 +1,6 @@
 //! The kernel abstraction and registry.
 
-use aladdin_ir::Trace;
+use aladdin_ir::{Trace, Tracer};
 
 /// Result of executing a kernel under the tracer.
 #[derive(Debug, Clone)]
@@ -17,6 +17,10 @@ pub struct KernelRun {
 /// Implementations are deterministic: inputs are generated from a fixed
 /// seed, so `run` and `reference` always agree and repeated runs produce
 /// identical traces.
+///
+/// A kernel implements [`trace`](Kernel::trace) once, against whatever
+/// tracer it is handed; [`run`](Kernel::run) materializes the trace and
+/// [`fingerprint`](Kernel::fingerprint) only hashes it.
 pub trait Kernel: Send + Sync {
     /// MachSuite-style name, e.g. `"stencil-stencil3d"`.
     fn name(&self) -> &'static str;
@@ -24,11 +28,32 @@ pub trait Kernel: Send + Sync {
     /// One-line description of the computation and its access pattern.
     fn description(&self) -> &'static str;
 
-    /// Execute under the tracer, producing the trace and the outputs.
-    fn run(&self) -> KernelRun;
+    /// Execute against `t` (a tracer named [`name`](Kernel::name)),
+    /// recording every operation, and return the outputs.
+    fn trace(&self, t: &mut Tracer) -> Vec<f64>;
 
     /// Recompute the outputs with plain (untraced) Rust.
     fn reference(&self) -> Vec<f64>;
+
+    /// Execute under a materializing tracer, producing the trace and the
+    /// outputs.
+    fn run(&self) -> KernelRun {
+        let mut t = Tracer::new(self.name());
+        let outputs = self.trace(&mut t);
+        KernelRun {
+            trace: t.finish(),
+            outputs,
+        }
+    }
+
+    /// The [`Trace::fingerprint`] of [`run`](Kernel::run)'s trace, from a
+    /// fingerprint-only tracer: the kernel executes, but no node is
+    /// stored. This is all a result-cache lookup needs.
+    fn fingerprint(&self) -> u128 {
+        let mut t = Tracer::fingerprint_only(self.name());
+        let _ = self.trace(&mut t);
+        t.finish_fingerprint()
+    }
 }
 
 /// The eight kernels the paper's Figures 6–10 analyze in depth, in the
@@ -133,6 +158,26 @@ mod tests {
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
         assert_eq!(all_kernels().len(), 16);
+    }
+
+    /// A kernel's fingerprint is one value however it is traced: hashed
+    /// by a fingerprint-only tracer, over the materialized trace, and in
+    /// the footer of its streamed `.atrc` encoding.
+    #[test]
+    fn every_kernel_fingerprint_is_the_same_traced_or_not() {
+        for k in all_kernels() {
+            let run = k.run();
+            let mut streamed = Tracer::new(k.name());
+            streamed
+                .stream_to(Box::new(std::io::sink()))
+                .expect("a sink takes the header");
+            let outputs = k.trace(&mut streamed);
+            let footer = streamed.finish_streaming().expect("a sink cannot fail");
+            assert_eq!(outputs, run.outputs, "{}", k.name());
+            assert_eq!(footer.nodes, run.trace.nodes().len() as u64, "{}", k.name());
+            assert_eq!(k.fingerprint(), run.trace.fingerprint(), "{}", k.name());
+            assert_eq!(footer.fingerprint, run.trace.fingerprint(), "{}", k.name());
+        }
     }
 
     #[test]

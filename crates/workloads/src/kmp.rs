@@ -6,7 +6,7 @@
 use aladdin_ir::{ArrayKind, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `kmp` kernel: count occurrences of a 4-char pattern in a text.
 #[derive(Debug, Clone)]
@@ -82,11 +82,10 @@ impl Kernel for Kmp {
         "KMP substring search; sequential text stream, private failure table"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let text_d = self.text();
         let pattern_d: Vec<u8> = PATTERN.to_vec();
         let next_d = Self::failure_table();
-        let mut t = Tracer::new(self.name());
         let text = t.array_u8("input", &text_d, ArrayKind::Input);
         let pattern = t.array_u8("pattern", &pattern_d, ArrayKind::Input);
         let next = t.array_i32("kmp_next", &next_d, ArrayKind::Internal);
@@ -129,11 +128,7 @@ impl Kernel for Kmp {
         }
         t.store(&mut n_matches, 0, matches);
 
-        let outputs = vec![n_matches.peek(0) as f64];
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        vec![n_matches.peek(0) as f64]
     }
 
     fn reference(&self) -> Vec<f64> {

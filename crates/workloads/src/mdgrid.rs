@@ -9,7 +9,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 const LJ1: f64 = 1.5;
 const LJ2: f64 = 2.0;
@@ -77,11 +77,10 @@ impl Kernel for MdGrid {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (np_d, pos_d) = self.inputs();
         let b = self.b;
         let d = self.density;
-        let mut t = Tracer::new(self.name());
         let n_points = t.array_i32("n_points", &np_d, ArrayKind::Input);
         let pos = t.array_f64("position", &pos_d, ArrayKind::Input);
         let mut force = t.array_f64("force", &vec![0.0; self.cells() * d * 3], ArrayKind::Output);
@@ -154,11 +153,7 @@ impl Kernel for MdGrid {
                 }
             }
         }
-        let outputs = force.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        force.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -10,7 +10,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `md-knn` kernel: `atoms` atoms × `neighbors` neighbors each.
 #[derive(Debug, Clone)]
@@ -82,9 +82,8 @@ impl Kernel for MdKnn {
         "Lennard-Jones forces over per-atom neighbor lists; FP-multiply dominated"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (xd, yd, zd, nld) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let x = t.array_f64("position_x", &xd, ArrayKind::Input);
         let y = t.array_f64("position_y", &yd, ArrayKind::Input);
         let z = t.array_f64("position_z", &zd, ArrayKind::Input);
@@ -139,10 +138,7 @@ impl Kernel for MdKnn {
         let mut outputs = fx.data().to_vec();
         outputs.extend_from_slice(fy.data());
         outputs.extend_from_slice(fz.data());
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        outputs
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -10,7 +10,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 const MATCH: i64 = 1;
 const MISMATCH: i64 = -1;
@@ -122,11 +122,10 @@ impl Kernel for NeedlemanWunsch {
         "DP sequence alignment; serial row-major fill, scratchpad-resident matrix"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let l = self.seq_len;
         let w = l + 1;
         let (seqa_d, seqb_d) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let seqa = t.array_i32("seqA", &seqa_d, ArrayKind::Input);
         let seqb = t.array_i32("seqB", &seqb_d, ArrayKind::Input);
         // The score matrix is private intermediate data → Internal.
@@ -164,8 +163,8 @@ impl Kernel for NeedlemanWunsch {
                 let diag = t.ibinop(Opcode::Add, md, s);
                 let up = t.ibinop(Opcode::Add, mu, TVal::lit(GAP));
                 let left = t.ibinop(Opcode::Add, ml, TVal::lit(GAP));
-                let best = imax(&mut t, diag, up);
-                let best = imax(&mut t, best, left);
+                let best = imax(t, diag, up);
+                let best = imax(t, best, left);
                 t.store(&mut m, i * w + j, best);
             }
         }
@@ -237,10 +236,7 @@ impl Kernel for NeedlemanWunsch {
 
         let mut outputs: Vec<f64> = aa.data().iter().map(|&v| v as f64).collect();
         outputs.extend(ab.data().iter().map(|&v| v as f64));
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        outputs
     }
 
     fn reference(&self) -> Vec<f64> {

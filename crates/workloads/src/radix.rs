@@ -7,7 +7,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 const RADIX_BITS: u32 = 4;
 const BUCKETS: usize = 1 << RADIX_BITS;
@@ -54,9 +54,8 @@ impl Kernel for SortRadix {
         "LSD radix sort; histogram + prefix sum + data-dependent scatter"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let data = self.inputs();
-        let mut t = Tracer::new(self.name());
         let mut a = t.array_i32("a", &data, ArrayKind::InOut);
         let mut buf = t.array_i32("buffer", &vec![0i64; self.len], ArrayKind::Internal);
         let mut bucket = t.array_i32("bucket", &[0i64; BUCKETS], ArrayKind::Internal);
@@ -118,11 +117,7 @@ impl Kernel for SortRadix {
             }
         }
 
-        let outputs = a.data().iter().map(|&v| v as f64).collect();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        a.data().iter().map(|&v| v as f64).collect()
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -6,7 +6,7 @@
 use aladdin_ir::{ArrayKind, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `sort-merge` kernel over `len` 4-byte integers.
 #[derive(Debug, Clone)]
@@ -40,10 +40,9 @@ impl Kernel for SortMerge {
         "bottom-up merge sort; streaming runs with data-dependent interleave"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         assert!(self.len.is_power_of_two(), "len must be a power of two");
         let data = self.inputs();
-        let mut t = Tracer::new(self.name());
         let mut a = t.array_i32("a", &data, ArrayKind::InOut);
         let mut tmp = t.array_i32("temp", &vec![0i64; self.len], ArrayKind::Internal);
 
@@ -83,11 +82,7 @@ impl Kernel for SortMerge {
             width *= 2;
         }
 
-        let outputs = a.data().iter().map(|&v| v as f64).collect();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        a.data().iter().map(|&v| v as f64).collect()
     }
 
     fn reference(&self) -> Vec<f64> {

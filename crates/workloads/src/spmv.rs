@@ -9,7 +9,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `spmv-crs` kernel: `n × n` sparse matrix, ~`nnz_per_row` nonzeros
 /// per row, times a dense vector.
@@ -68,9 +68,8 @@ impl Kernel for SpmvCrs {
         "sparse matrix-vector product in CRS form; indirect vec[cols[j]] gathers"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (vals_d, cols_d, delim_d, vec_d) = self.inputs();
-        let mut t = Tracer::new(self.name());
         let val = t.array_f64("val", &vals_d, ArrayKind::Input);
         let cols = t.array_i32("cols", &cols_d, ArrayKind::Input);
         let delim = t.array_i32("rowDelimiters", &delim_d, ArrayKind::Input);
@@ -91,11 +90,7 @@ impl Kernel for SpmvCrs {
             }
             t.store(&mut out, i, sum);
         }
-        let outputs = out.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        out.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -8,7 +8,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `stencil-stencil2d` kernel on a `rows × cols` f64 grid.
 #[derive(Debug, Clone)]
@@ -53,10 +53,9 @@ impl Kernel for Stencil2d {
         "3x3 convolution over a 2-D grid; streaming row-major access"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (r, c) = (self.rows, self.cols);
         let (orig_data, filter_data) = self.inputs();
-        let mut t = Tracer::new(self.name());
         // The filter is registered (and hence DMA-delivered) first: its 9
         // taps gate every iteration, so a programmer issues its `dmaLoad`
         // before the bulk grid.
@@ -78,11 +77,7 @@ impl Kernel for Stencil2d {
                 t.store(&mut sol, i * c + j, sum);
             }
         }
-        let outputs = sol.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        sol.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

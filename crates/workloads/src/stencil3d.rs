@@ -8,7 +8,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `stencil-stencil3d` kernel on a `height × rows × cols` f64 grid.
 #[derive(Debug, Clone)]
@@ -61,10 +61,9 @@ impl Kernel for Stencil3d {
         "7-point 3-D stencil; nonuniform strides across three dimensions"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (h, r, c) = (self.height, self.rows, self.cols);
         let orig_data = self.inputs();
-        let mut t = Tracer::new(self.name());
         let orig = t.array_f64("orig", &orig_data, ArrayKind::Input);
         let mut sol = t.array_f64("sol", &orig_data, ArrayKind::Output);
         let mut iter = 0u32;
@@ -100,11 +99,7 @@ impl Kernel for Stencil3d {
                 }
             }
         }
-        let outputs = sol.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        sol.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {

@@ -6,7 +6,7 @@
 use aladdin_ir::{ArrayKind, Opcode, TVal, Tracer};
 use aladdin_rng::SmallRng;
 
-use crate::kernel::{Kernel, KernelRun};
+use crate::kernel::Kernel;
 
 /// The `viterbi` kernel: `states` HMM states over `steps` observations,
 /// in negative-log-likelihood space (min-plus algebra).
@@ -77,10 +77,9 @@ impl Kernel for Viterbi {
         "Viterbi HMM decoding in min-plus space; serial time recurrence"
     }
 
-    fn run(&self) -> KernelRun {
+    fn trace(&self, t: &mut Tracer) -> Vec<f64> {
         let (init_d, trans_d, emit_d, obs_d) = self.inputs();
         let n = self.states;
-        let mut t = Tracer::new(self.name());
         let init = t.array_f64("init", &init_d, ArrayKind::Input);
         let trans = t.array_f64("transition", &trans_d, ArrayKind::Input);
         let emit = t.array_f64("emission", &emit_d, ArrayKind::Input);
@@ -124,11 +123,7 @@ impl Kernel for Viterbi {
             t.store(&mut out, s, v);
         }
 
-        let outputs = out.data().to_vec();
-        KernelRun {
-            trace: t.finish(),
-            outputs,
-        }
+        out.data().to_vec()
     }
 
     fn reference(&self) -> Vec<f64> {
