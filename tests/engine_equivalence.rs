@@ -19,8 +19,8 @@
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{
-    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowSpec, MemKind, SimHarness,
-    SocConfig, Topology, TopologyConfig, TrafficConfig,
+    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowSpec, MemKind, ProtocolConfig,
+    SimHarness, SocConfig, Topology, TopologyConfig, TrafficConfig,
 };
 use aladdin_workloads::{all_kernels, by_name};
 
@@ -452,7 +452,9 @@ fn faulted_flows_match_recorded_goldens() {
 /// `simulate_multi`: one-job runs of every memory kind, the heterogeneous
 /// cache+DMA pair, `saturating_jobs(4)` on all four fabrics, a staggered
 /// launch, a run with background traffic and a run under the seed-7 fault
-/// harness.
+/// harness; then `saturating_jobs(4)` on every fabric again under the
+/// seed-7 harness, a 32-byte-burst / 2-outstanding protocol layer and
+/// infinite bandwidth.
 const GOLDEN_MULTI: &[(&str, u64, u64)] = &[
     ("one-isolated", 40379, 0xfa198b9b759e3686),
     ("one-dma:baseline", 72832, 0x202b225b1073a7c0),
@@ -467,6 +469,26 @@ const GOLDEN_MULTI: &[(&str, u64, u64)] = &[
     ("staggered", 96448, 0x4ca483a5553a5996),
     ("traffic", 79912, 0x7f0e294c4299bd14),
     ("faults-seed-7", 62319, 0xc1d9a4efbf935ed4),
+    ("saturating-shared-bus+seed-7", 107003, 0xaefc531e3db8d363),
+    ("saturating-shared-bus+protocol", 107020, 0x79911a29bfad764c),
+    (
+        "saturating-shared-bus+infinite-bw",
+        55153,
+        0xaeaca9c6d3872118,
+    ),
+    ("saturating-crossbar+seed-7", 90507, 0xa0c3f074c4f176ae),
+    ("saturating-crossbar+protocol", 91741, 0x5fdcf23e512d92a5),
+    ("saturating-crossbar+infinite-bw", 55153, 0x694e34c3338bc838),
+    ("saturating-two-level+seed-7", 107111, 0x4f4c04f1ad57aa2b),
+    ("saturating-two-level+protocol", 107424, 0x0cb28ab879eda872),
+    (
+        "saturating-two-level+infinite-bw",
+        62116,
+        0xcd4315bf8f7956a0,
+    ),
+    ("saturating-mesh+seed-7", 107058, 0xd5bab8806d5d839c),
+    ("saturating-mesh+protocol", 107141, 0xad956a1d755f4b70),
+    ("saturating-mesh+infinite-bw", 69992, 0x0fdd0adf05679333),
 ];
 
 fn multi_rows() -> Vec<(&'static str, u64, u64)> {
@@ -567,6 +589,64 @@ fn multi_rows() -> Vec<(&'static str, u64, u64)> {
         SocConfig::default(),
         SimHarness::with_seed(7),
     ));
+    // Every fabric again under the seed-7 fault harness, a non-inert
+    // protocol layer and infinite bandwidth.
+    let protocol = ProtocolConfig {
+        max_burst_bytes: 32,
+        max_outstanding: 2,
+    };
+    for (names, topology) in [
+        (
+            [
+                "saturating-shared-bus+seed-7",
+                "saturating-shared-bus+protocol",
+                "saturating-shared-bus+infinite-bw",
+            ],
+            Topology::SharedBus,
+        ),
+        (
+            [
+                "saturating-crossbar+seed-7",
+                "saturating-crossbar+protocol",
+                "saturating-crossbar+infinite-bw",
+            ],
+            Topology::Crossbar { radix: 4 },
+        ),
+        (
+            [
+                "saturating-two-level+seed-7",
+                "saturating-two-level+protocol",
+                "saturating-two-level+infinite-bw",
+            ],
+            Topology::TwoLevelBus {
+                clusters: 2,
+                bridge_cycles: 3,
+            },
+        ),
+        (
+            [
+                "saturating-mesh+seed-7",
+                "saturating-mesh+protocol",
+                "saturating-mesh+infinite-bw",
+            ],
+            Topology::MeshNoc {
+                cols: 3,
+                rows: 3,
+                hop_cycles: 1,
+                link_bits: 32,
+            },
+        ),
+    ] {
+        let [seeded, protocol_name, infinite] = names;
+        let soc = soc_with(topology);
+        scenarios.push((seeded, saturating_jobs(4), soc, SimHarness::with_seed(7)));
+        let mut wrapped = soc;
+        wrapped.topology.protocol = protocol;
+        scenarios.push((protocol_name, saturating_jobs(4), wrapped, clean));
+        let mut unbounded = soc;
+        unbounded.bus.infinite_bandwidth = true;
+        scenarios.push((infinite, saturating_jobs(4), unbounded, clean));
+    }
     scenarios
         .into_iter()
         .map(|(name, jobs, soc, harness)| {
