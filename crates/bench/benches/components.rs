@@ -15,7 +15,7 @@ use aladdin_accel::{schedule, DatapathConfig, FuTiming, PreparedDddg, SpadMemory
 use aladdin_ir::{ArrayKind, Opcode, Tracer};
 use aladdin_mem::{
     AccessKind, BusConfig, Cache, CacheConfig, DmaConfig, DmaDirection, DmaEngine, DmaTransfer,
-    DramConfig, MasterId, SystemBus, Tlb, TlbConfig,
+    DramConfig, Fabric, MasterId, Tlb, TlbConfig, TopologyConfig,
 };
 
 /// Time `f` until ~0.2 s has elapsed (at least 3 runs) and report the
@@ -122,11 +122,21 @@ fn bench_cache() {
     });
 }
 
+fn shared_bus() -> Fabric {
+    Fabric::try_new(
+        BusConfig::default(),
+        DramConfig::default(),
+        TopologyConfig::default(),
+    )
+    .expect("the default bus configuration is valid")
+}
+
 fn bench_bus() {
     bench("bus", "stream_16kb", || {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         for i in 0..256u64 {
-            bus.request(MasterId::DMA, i * 64, 64, false);
+            bus.try_request(MasterId::DMA, i * 64, 64, false)
+                .expect("a 64-byte request from the DMA master");
         }
         let mut cycle = 0;
         while !bus.is_idle() {
@@ -152,10 +162,11 @@ fn bench_dma() {
             }];
             let n = cfg.chunk_sizes(&t).len();
             let mut dma = DmaEngine::new(cfg, &t, &vec![0; n]);
-            let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+            let mut bus = shared_bus();
             let mut cycle = 0;
             while !dma.is_done() {
-                dma.tick(cycle, &mut bus);
+                dma.tick(cycle, &mut bus)
+                    .expect("the shared bus hosts the DMA master");
                 bus.tick(cycle);
                 for c in bus.drain_completions() {
                     dma.on_bus_completion(c.token, c.at);

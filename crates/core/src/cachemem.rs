@@ -19,8 +19,8 @@ use aladdin_accel::{DatapathConfig, DatapathMemory, IssueResult, SpadMemory, Spa
 use aladdin_faults::FaultPlan;
 use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic};
 use aladdin_mem::{
-    AccessKind, BusStats, Cache, CacheOutcome, CacheStats, FillTracker, Interconnect, MasterId,
-    Tlb, TlbStats,
+    AccessKind, BusStats, Cache, CacheOutcome, CacheStats, Fabric, FillTracker, MasterId, Tlb,
+    TlbStats,
 };
 
 use crate::config::SocConfig;
@@ -172,13 +172,14 @@ impl Front for CacheClient {
 
     /// Forward the cache's new transactions under this client's master id,
     /// tracking read fills.
-    fn push_bus_requests(&mut self, bus: &mut dyn Interconnect) {
+    fn push_bus_requests(&mut self, bus: &mut Fabric) -> Result<(), Diagnostic> {
         for req in self.cache.take_bus_requests() {
-            let token = bus.request(self.master, req.line_addr, req.bytes, req.write);
+            let token = bus.try_request(self.master, req.line_addr, req.bytes, req.write)?;
             if !req.write {
                 self.fills.insert(token, req.line_addr);
             }
         }
+        Ok(())
     }
 
     fn on_bus_completion(&mut self, token: u64, at: u64) {

@@ -72,8 +72,7 @@ pub use aladdin_faults::{
     DeadlockSnapshot, FaultPlan, FaultSpec, NackSpec, SimError, SimHarness, Watchdog,
 };
 pub use aladdin_mem::{
-    Interconnect, MasterId, ProtocolConfig, Topology, TopologyConfig, CODE_BAD_TOPOLOGY,
-    CODE_TOPOLOGY_CAPACITY,
+    MasterId, ProtocolConfig, Topology, TopologyConfig, CODE_BAD_TOPOLOGY, CODE_TOPOLOGY_CAPACITY,
 };
 pub use cachemem::CacheDatapathMemory;
 pub use config::{

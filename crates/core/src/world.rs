@@ -18,8 +18,8 @@ use aladdin_accel::{DatapathMemory, IssueResult, SpadMemory};
 use aladdin_faults::{FaultPlan, SimError};
 use aladdin_ir::Diagnostic;
 use aladdin_mem::{
-    build_interconnect, BusFaults, BusStats, DmaConfig, DmaDirection, DmaEngine, DmaTransfer,
-    FlushSchedule, Interconnect, LineArrival, MasterId, TrafficGenerator,
+    BusFaults, BusStats, DmaConfig, DmaDirection, DmaEngine, DmaTransfer, Fabric, FlushSchedule,
+    LineArrival, MasterId, TrafficGenerator,
 };
 
 use crate::config::{DmaOptLevel, SocConfig};
@@ -196,7 +196,13 @@ pub(crate) trait Front {
     }
 
     /// Post transactions generated since the last cycle.
-    fn push_bus_requests(&mut self, _bus: &mut dyn Interconnect) {}
+    ///
+    /// # Errors
+    ///
+    /// The fabric's diagnostic for a request it refuses.
+    fn push_bus_requests(&mut self, _bus: &mut Fabric) -> Result<(), Diagnostic> {
+        Ok(())
+    }
 
     /// Take one bus completion addressed to [`bus_master`](Front::bus_master).
     fn on_bus_completion(&mut self, _token: u64, _at: u64) {}
@@ -227,7 +233,7 @@ impl Front for SpadMemory {
 /// The SoC outside the datapaths. See the module docs.
 #[derive(Debug)]
 pub(crate) struct SocWorld<F = ()> {
-    bus: Box<dyn Interconnect>,
+    bus: Fabric,
     traffic: Option<TrafficGenerator>,
     /// DMA engines, keyed by master.
     pub(crate) dma: DmaEngines,
@@ -253,10 +259,15 @@ impl<F: Front> SocWorld<F> {
     /// # Errors
     ///
     /// Returns the topology's `L0310` diagnostic if `soc.topology` is
-    /// malformed.
+    /// malformed, or its `L0311` diagnostic if it cannot host the
+    /// front's or the traffic generator's master.
     pub(crate) fn new(soc: &SocConfig, front: F) -> Result<Self, Diagnostic> {
+        let traffic = soc.traffic.map(|_| MasterId::TRAFFIC);
+        for master in front.bus_master().into_iter().chain(traffic) {
+            soc.topology.check_master(master)?;
+        }
         Ok(SocWorld {
-            bus: build_interconnect(soc.bus, soc.dram, soc.topology)?,
+            bus: Fabric::try_new(soc.bus, soc.dram, soc.topology)?,
             traffic: soc
                 .traffic
                 .map(|t| TrafficGenerator::new(t.period, t.bytes, 0x4000_0000, 16 << 20)),
@@ -340,12 +351,16 @@ impl<F: Front> SocWorld<F> {
 
     /// Advance everything by one cycle: DMA engines, traffic, the
     /// interconnect; then route completions by master.
-    fn tick(&mut self, cycle: u64) {
+    ///
+    /// # Errors
+    ///
+    /// The fabric's diagnostic for a request it refuses.
+    fn tick(&mut self, cycle: u64) -> Result<(), Diagnostic> {
         for e in self.dma.slots.iter_mut().filter_map(|(_, e)| e.as_mut()) {
-            e.tick(cycle, self.bus.as_mut());
+            e.tick(cycle, &mut self.bus)?;
         }
         if let Some(t) = self.traffic.as_mut() {
-            t.tick(cycle, self.bus.as_mut());
+            t.tick(cycle, &mut self.bus)?;
         }
         self.bus.tick(cycle);
         let front = self.front.bus_master();
@@ -356,6 +371,7 @@ impl<F: Front> SocWorld<F> {
                 self.dma.on_bus_completion(c.master, c.token, c.at);
             }
         }
+        Ok(())
     }
 
     /// One world cycle: the tick, job stage transitions, the cycle guard
@@ -374,7 +390,10 @@ impl<F: Front> SocWorld<F> {
             });
             return;
         }
-        self.tick(cycle);
+        if let Err(d) = self.tick(cycle) {
+            self.error = Some(SimError::Diag(d));
+            return;
+        }
         let mut transitioned = false;
         for job in &mut self.jobs {
             transitioned |= job.advance(cycle, &mut self.dma);
@@ -490,7 +509,9 @@ impl<F: Front + DatapathMemory> DatapathMemory for SocWorld<F> {
     }
 
     fn end_cycle(&mut self, cycle: u64) {
-        self.front.push_bus_requests(self.bus.as_mut());
+        if let Err(d) = self.front.push_bus_requests(&mut self.bus) {
+            self.error.get_or_insert(SimError::Diag(d));
+        }
         match self.clock {
             None => self.step(cycle),
             Some(mut next) => {

@@ -23,7 +23,6 @@ const GOLDEN: &[&str] = &[
     "FaultSpec",
     "FlowResult",
     "FlowSpec",
-    "Interconnect",
     "MasterId",
     "MemKind",
     "MultiSocResult",

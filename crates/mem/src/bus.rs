@@ -1,14 +1,9 @@
-//! Shared system bus with round-robin arbitration and DRAM backing.
-
-use std::collections::{BinaryHeap, VecDeque};
+//! Bus-level vocabulary of the interconnect: master ids, tokens, the bus
+//! configuration, completions, statistics and fault sites.
 
 use aladdin_faults::{FaultInjector, FaultPlan, NackInjector};
-use aladdin_ir::{Diagnostic, Locus};
 
-use crate::dram::{Dram, DramConfig, DramStats};
-use crate::interconnect::{
-    check_request_bytes, ensure_len, DataChannel, InFlight, Interconnect, Pending, Topology,
-};
+use crate::interconnect::ensure_len;
 
 /// Identifies a bus master (requester).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -36,8 +31,8 @@ impl MasterId {
     /// concurrent job (DMA- or cache-based alike) claims one arbitration
     /// queue. Queues grow on demand, so the only hard limit is the
     /// [`MasterId`] id space; whether the *topology* can host the master
-    /// is checked by `Interconnect::register_master` / topology capacity
-    /// validation. Returns `None` beyond the id space — callers surface
+    /// is checked by [`Fabric::register_master`](crate::Fabric::register_master)
+    /// / topology capacity validation. Returns `None` beyond the id space — callers surface
     /// that as a typed configuration error instead of indexing out of
     /// bounds.
     #[must_use]
@@ -79,7 +74,7 @@ impl Default for BusConfig {
 /// A completed bus transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusCompletion {
-    /// Token returned by [`SystemBus::request`].
+    /// Token returned by [`Fabric::try_request`](crate::Fabric::try_request).
     pub token: Token,
     /// Master that issued the request.
     pub master: MasterId,
@@ -150,339 +145,21 @@ impl BusFaults {
     }
 }
 
-/// The shared system interconnect: every off-accelerator byte (DMA bursts,
-/// cache fills, writebacks, background traffic) crosses this bus and the
-/// [`Dram`] behind it.
-///
-/// Cycle-stepped: call [`tick`](SystemBus::tick) once per cycle with a
-/// monotonically non-decreasing cycle number, then drain completions.
-///
-/// `SystemBus` is the [`Topology::SharedBus`] model of the
-/// [`Interconnect`] trait; arbitration queues grow as masters register,
-/// and granting is invariant to the number of provisioned queues (empty
-/// queues are skipped), so a 4-master SoC behaves bit-identically however
-/// many queues exist.
-#[derive(Debug)]
-pub struct SystemBus {
-    cfg: BusConfig,
-    dram: Dram,
-    queues: Vec<VecDeque<Pending>>,
-    rr_next: usize,
-    /// The single data channel (the wires every transfer serializes on).
-    channel: DataChannel,
-    /// Requests whose data phase has been scheduled but not completed.
-    scheduled: usize,
-    in_flight: BinaryHeap<InFlight>,
-    completions: Vec<BusCompletion>,
-    next_token: Token,
-    stats: BusStats,
-    grant_faults: Option<FaultInjector>,
-    nack_faults: Option<NackInjector>,
-}
-
-impl SystemBus {
-    /// Create a bus backed by a DRAM with the given configurations.
-    ///
-    /// # Errors
-    ///
-    /// Returns an `L0213` diagnostic if the bus width is narrower than
-    /// one byte, or the DRAM configuration's own diagnostic.
-    pub fn try_new(cfg: BusConfig, dram_cfg: DramConfig) -> Result<Self, Diagnostic> {
-        if cfg.width_bits < 8 {
-            return Err(Diagnostic::error(
-                "L0213",
-                format!(
-                    "bus width must be at least one byte, got {} bits",
-                    cfg.width_bits
-                ),
-            )
-            .at(Locus::Field("bus.width_bits")));
-        }
-        Ok(SystemBus {
-            cfg,
-            dram: Dram::try_new(dram_cfg)?,
-            // Provision the pre-named single-accelerator masters up front;
-            // multi-accelerator jobs grow the vector on registration.
-            queues: vec![VecDeque::new(); MasterId::COUNT],
-            rr_next: 0,
-            channel: DataChannel::default(),
-            scheduled: 0,
-            in_flight: BinaryHeap::new(),
-            completions: Vec::new(),
-            next_token: 0,
-            stats: BusStats::default(),
-            grant_faults: None,
-            nack_faults: None,
-        })
-    }
-
-    /// Create a bus backed by a DRAM with the given configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid bus or DRAM configuration; use
-    /// [`try_new`](SystemBus::try_new) to handle that as a typed
-    /// diagnostic instead.
-    #[must_use]
-    pub fn new(cfg: BusConfig, dram_cfg: DramConfig) -> Self {
-        SystemBus::try_new(cfg, dram_cfg).unwrap_or_else(|d| panic!("{d}"))
-    }
-
-    /// Bytes moved per bus cycle.
-    #[must_use]
-    pub fn bytes_per_cycle(&self) -> u64 {
-        u64::from(self.cfg.width_bits / 8).max(1)
-    }
-
-    /// Configuration this bus was built with.
-    #[must_use]
-    pub fn config(&self) -> BusConfig {
-        self.cfg
-    }
-
-    /// Enqueue a transaction of `bytes` at `addr` on behalf of `master`.
-    /// Returns a token matched by a later [`BusCompletion`]. `write` only
-    /// affects statistics; timing is symmetric.
-    ///
-    /// # Errors
-    ///
-    /// Returns an `L0215` diagnostic for a zero-byte request, which
-    /// would otherwise occupy an arbitration slot forever without a
-    /// data phase to complete it.
-    pub fn try_request(
-        &mut self,
-        master: MasterId,
-        addr: u64,
-        bytes: u32,
-        write: bool,
-    ) -> Result<Token, Diagnostic> {
-        let _ = write;
-        check_request_bytes(master, addr, bytes)?;
-        ensure_len(&mut self.queues, master);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.queues[master.0 as usize].push_back(Pending {
-            token,
-            addr,
-            bytes,
-            not_before: 0,
-            retries: 0,
-        });
-        self.stats.requests += 1;
-        Ok(token)
-    }
-
-    /// Like [`try_request`](SystemBus::try_request).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-byte request.
-    pub fn request(&mut self, master: MasterId, addr: u64, bytes: u32, write: bool) -> Token {
-        self.try_request(master, addr, bytes, write)
-            .unwrap_or_else(|d| panic!("{d}"))
-    }
-
-    /// Whether any request is queued or in flight.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.scheduled == 0 && self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    fn transfer_cycles(&self, bytes: u32) -> u64 {
-        u64::from(bytes).div_ceil(self.bytes_per_cycle())
-    }
-
-    /// Arm fault injection for this bus and its DRAM. Injectors must be
-    /// fresh (constructed for this run) so the draw sequence is
-    /// deterministic; passing a default [`BusFaults`] restores the exact
-    /// unperturbed behavior.
-    pub fn set_faults(&mut self, faults: BusFaults) {
-        self.grant_faults = faults.grant;
-        self.nack_faults = faults.nack;
-        self.dram.set_faults(faults.dram);
-    }
-
-    fn schedule_one(&mut self, cycle: u64) -> bool {
-        // Round-robin over masters with pending work. Empty queues are
-        // skipped without side effects (no fault draws), so the grant and
-        // NACK-draw sequence only depends on the set of non-empty queues —
-        // growing the queue vector never changes arbitration for the
-        // masters that exist.
-        let n = self.queues.len();
-        for i in 0..n {
-            let m = (self.rr_next + i) % n;
-            let Some(&head) = self.queues[m].front() else {
-                continue;
-            };
-            // A NACKed request holds its (in-order) queue until backoff
-            // elapses; other masters still arbitrate.
-            if head.not_before > cycle {
-                continue;
-            }
-            if let Some(nack) = self.nack_faults.as_mut() {
-                if let Some(backoff) = nack.nack(head.retries) {
-                    if let Some(p) = self.queues[m].front_mut() {
-                        p.not_before = cycle + backoff;
-                        p.retries += 1;
-                    }
-                    continue;
-                }
-            }
-            if let Some(p) = self.queues[m].pop_front() {
-                self.rr_next = (m + 1) % n;
-                let extra = self
-                    .grant_faults
-                    .as_mut()
-                    .map_or(0, FaultInjector::extra_cycles);
-                let lat = self.dram.access(p.addr) + extra;
-                let xfer = self.transfer_cycles(p.bytes);
-                // The data phase may start only when the wires free up;
-                // the DRAM access of this request overlaps the previous
-                // transfer (one-deep pipelining). Under infinite bandwidth
-                // the channel never serializes.
-                let done = self
-                    .channel
-                    .schedule(cycle + lat, xfer, self.cfg.infinite_bandwidth);
-                self.stats.bytes += u64::from(p.bytes);
-                self.stats
-                    .add_master_bytes(MasterId(m as u8), u64::from(p.bytes));
-                self.stats.busy_cycles += xfer;
-                self.scheduled += 1;
-                self.in_flight.push(InFlight {
-                    done,
-                    token: p.token,
-                    master: MasterId(m as u8),
-                    tag: 0,
-                });
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Advance to `cycle`: retire finished transfers and arbitrate new ones.
-    pub fn tick(&mut self, cycle: u64) {
-        while let Some(&f) = self.in_flight.peek() {
-            if f.done > cycle {
-                break;
-            }
-            self.in_flight.pop();
-            self.scheduled -= 1;
-            self.completions.push(BusCompletion {
-                token: f.token,
-                master: f.master,
-                at: f.done,
-            });
-        }
-        // Keep up to two transactions scheduled so the next request's
-        // DRAM access hides under the current data phase; with infinite
-        // bandwidth there is no data phase to contend for, so everything
-        // eligible is granted.
-        let depth = if self.cfg.infinite_bandwidth {
-            usize::MAX
-        } else {
-            2
-        };
-        while self.scheduled < depth && self.schedule_one(cycle) {}
-    }
-
-    /// Take all completions observed since the last drain.
-    pub fn drain_completions(&mut self) -> Vec<BusCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Bus statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> BusStats {
-        self.stats.clone()
-    }
-
-    /// Queued (not yet scheduled) requests per master — forensic state for
-    /// deadlock snapshots.
-    #[must_use]
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.queues.iter().map(VecDeque::len).collect()
-    }
-
-    /// Requests whose data phase is scheduled but not yet complete.
-    #[must_use]
-    pub fn in_flight_count(&self) -> usize {
-        self.scheduled
-    }
-
-    /// Backing DRAM statistics.
-    #[must_use]
-    pub fn dram_stats(&self) -> DramStats {
-        self.dram.stats()
-    }
-}
-
-impl Interconnect for SystemBus {
-    fn topology(&self) -> Topology {
-        Topology::SharedBus
-    }
-
-    fn capacity(&self) -> usize {
-        MasterId::ID_SPACE
-    }
-
-    fn register_master(&mut self, master: MasterId) -> Result<(), Diagnostic> {
-        ensure_len(&mut self.queues, master);
-        Ok(())
-    }
-
-    fn try_request(
-        &mut self,
-        master: MasterId,
-        addr: u64,
-        bytes: u32,
-        write: bool,
-    ) -> Result<Token, Diagnostic> {
-        SystemBus::try_request(self, master, addr, bytes, write)
-    }
-
-    fn tick(&mut self, cycle: u64) {
-        SystemBus::tick(self, cycle);
-    }
-
-    fn drain_completions(&mut self) -> Vec<BusCompletion> {
-        SystemBus::drain_completions(self)
-    }
-
-    fn is_idle(&self) -> bool {
-        SystemBus::is_idle(self)
-    }
-
-    fn bytes_per_cycle(&self) -> u64 {
-        SystemBus::bytes_per_cycle(self)
-    }
-
-    fn set_faults(&mut self, faults: BusFaults) {
-        SystemBus::set_faults(self, faults);
-    }
-
-    fn stats(&self) -> BusStats {
-        SystemBus::stats(self)
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        SystemBus::queue_depths(self)
-    }
-
-    fn in_flight_count(&self) -> usize {
-        SystemBus::in_flight_count(self)
-    }
-
-    fn dram_stats(&self) -> DramStats {
-        SystemBus::dram_stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DramConfig;
+    use crate::interconnect::{Fabric, TopologyConfig};
 
-    fn run_until_idle(bus: &mut SystemBus, max_cycles: u64) -> Vec<BusCompletion> {
+    fn bus_with(cfg: BusConfig) -> Fabric {
+        Fabric::try_new(cfg, DramConfig::default(), TopologyConfig::default()).unwrap()
+    }
+
+    fn shared_bus() -> Fabric {
+        bus_with(BusConfig::default())
+    }
+
+    fn run_until_idle(bus: &mut Fabric, max_cycles: u64) -> Vec<BusCompletion> {
         let mut all = Vec::new();
         for cycle in 0..max_cycles {
             bus.tick(cycle);
@@ -501,12 +178,12 @@ mod tests {
             ..BusConfig::default()
         };
         assert_eq!(
-            SystemBus::try_new(narrow, DramConfig::default())
+            Fabric::try_new(narrow, DramConfig::default(), TopologyConfig::default())
                 .unwrap_err()
                 .code,
             "L0213"
         );
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         assert_eq!(
             bus.try_request(MasterId::DMA, 0x100, 0, false)
                 .unwrap_err()
@@ -518,9 +195,9 @@ mod tests {
 
     #[test]
     fn single_request_latency() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         // 64 bytes over a 4 B/cycle bus: 16 transfer cycles + 10 (cold row).
-        bus.request(MasterId::DMA, 0, 64, false);
+        bus.try_request(MasterId::DMA, 0, 64, false).unwrap();
         let done = run_until_idle(&mut bus, 1000);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].at, 26);
@@ -528,11 +205,11 @@ mod tests {
 
     #[test]
     fn sequential_stream_saturates_bandwidth() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         // 64 sequential 64 B bursts = 4 KB: the steady-state rate must be
         // ~4 B/cycle (row hits hidden under transfers).
         for i in 0..64u64 {
-            bus.request(MasterId::DMA, i * 64, 64, false);
+            bus.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
         }
         let done = run_until_idle(&mut bus, 10_000);
         let last = done.iter().map(|c| c.at).max().unwrap();
@@ -546,17 +223,16 @@ mod tests {
 
     #[test]
     fn wider_bus_is_faster() {
-        let mut narrow = SystemBus::new(BusConfig::default(), DramConfig::default());
-        let mut wide = SystemBus::new(
-            BusConfig {
-                width_bits: 64,
-                ..BusConfig::default()
-            },
-            DramConfig::default(),
-        );
+        let mut narrow = shared_bus();
+        let mut wide = bus_with(BusConfig {
+            width_bits: 64,
+            ..BusConfig::default()
+        });
         for i in 0..32u64 {
-            narrow.request(MasterId::DMA, i * 64, 64, false);
-            wide.request(MasterId::DMA, i * 64, 64, false);
+            narrow
+                .try_request(MasterId::DMA, i * 64, 64, false)
+                .unwrap();
+            wide.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
         }
         let n = run_until_idle(&mut narrow, 10_000);
         let w = run_until_idle(&mut wide, 10_000);
@@ -570,10 +246,11 @@ mod tests {
 
     #[test]
     fn round_robin_shares_fairly() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         for i in 0..16u64 {
-            bus.request(MasterId::DMA, i * 64, 64, false);
-            bus.request(MasterId::ACCEL_CACHE, 0x100_0000 + i * 64, 64, false);
+            bus.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+            bus.try_request(MasterId::ACCEL_CACHE, 0x100_0000 + i * 64, 64, false)
+                .unwrap();
         }
         let done = run_until_idle(&mut bus, 10_000);
         let dma_last = done
@@ -594,12 +271,16 @@ mod tests {
 
     #[test]
     fn contention_slows_a_master_down() {
-        let mut alone = SystemBus::new(BusConfig::default(), DramConfig::default());
-        let mut shared = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut alone = shared_bus();
+        let mut shared = shared_bus();
         for i in 0..16u64 {
-            alone.request(MasterId::DMA, i * 64, 64, false);
-            shared.request(MasterId::DMA, i * 64, 64, false);
-            shared.request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false);
+            alone.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+            shared
+                .try_request(MasterId::DMA, i * 64, 64, false)
+                .unwrap();
+            shared
+                .try_request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false)
+                .unwrap();
         }
         let a = run_until_idle(&mut alone, 10_000);
         let s = run_until_idle(&mut shared, 10_000);
@@ -623,16 +304,14 @@ mod tests {
 
     #[test]
     fn infinite_bandwidth_mode_removes_contention() {
-        let mut bus = SystemBus::new(
-            BusConfig {
-                infinite_bandwidth: true,
-                ..BusConfig::default()
-            },
-            DramConfig::default(),
-        );
+        let mut bus = bus_with(BusConfig {
+            infinite_bandwidth: true,
+            ..BusConfig::default()
+        });
         for i in 0..8u64 {
             // All to the same row so each is a row hit after the first.
-            bus.request(MasterId::ACCEL_CACHE, i * 64, 64, false);
+            bus.try_request(MasterId::ACCEL_CACHE, i * 64, 64, false)
+                .unwrap();
         }
         bus.tick(0);
         let mut done = Vec::new();
@@ -649,9 +328,9 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
-        bus.request(MasterId::DMA, 0, 64, false);
-        bus.request(MasterId::CPU, 4096, 32, true);
+        let mut bus = shared_bus();
+        bus.try_request(MasterId::DMA, 0, 64, false).unwrap();
+        bus.try_request(MasterId::CPU, 4096, 32, true).unwrap();
         let _ = run_until_idle(&mut bus, 1000);
         let s = bus.stats();
         assert_eq!(s.requests, 2);
@@ -666,18 +345,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-byte")]
     fn zero_byte_request_rejected() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
-        bus.request(MasterId::DMA, 0, 0, false);
+        let mut bus = shared_bus();
+        bus.try_request(MasterId::DMA, 0, 0, false).unwrap();
     }
 
     #[test]
     fn empty_faults_leave_timing_bit_identical() {
-        let mut plain = SystemBus::new(BusConfig::default(), DramConfig::default());
-        let mut armed = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut plain = shared_bus();
+        let mut armed = shared_bus();
         armed.set_faults(BusFaults::from_plan(&FaultPlan::none()));
         for i in 0..8u64 {
-            plain.request(MasterId::DMA, i * 64, 64, false);
-            armed.request(MasterId::DMA, i * 64, 64, false);
+            plain.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+            armed.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
         }
         let a = run_until_idle(&mut plain, 10_000);
         let b = run_until_idle(&mut armed, 10_000);
@@ -707,11 +386,12 @@ mod tests {
         };
         let mut runs = Vec::new();
         for _ in 0..2 {
-            let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+            let mut bus = shared_bus();
             bus.set_faults(BusFaults::from_plan(&plan));
             for i in 0..16u64 {
-                bus.request(MasterId::DMA, i * 64, 64, false);
-                bus.request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false);
+                bus.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+                bus.try_request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false)
+                    .unwrap();
             }
             let done = run_until_idle(&mut bus, 100_000);
             assert_eq!(done.len(), 32, "every request completes despite NACKs");
@@ -719,10 +399,12 @@ mod tests {
         }
         assert_eq!(runs[0], runs[1], "same seed, same completion schedule");
 
-        let mut plain = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut plain = shared_bus();
         for i in 0..16u64 {
-            plain.request(MasterId::DMA, i * 64, 64, false);
-            plain.request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false);
+            plain.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+            plain
+                .try_request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false)
+                .unwrap();
         }
         let base = run_until_idle(&mut plain, 100_000);
         let base_last = base.iter().map(|c| c.at).max().unwrap();
@@ -732,11 +414,11 @@ mod tests {
 
     #[test]
     fn queue_depths_report_backlog() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         for i in 0..4u64 {
-            bus.request(MasterId::DMA, i * 64, 64, false);
+            bus.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
         }
-        bus.request(MasterId::CPU, 0x8000, 64, false);
+        bus.try_request(MasterId::CPU, 0x8000, 64, false).unwrap();
         let d = bus.queue_depths();
         assert_eq!(d[MasterId::DMA.0 as usize], 4);
         assert_eq!(d[MasterId::CPU.0 as usize], 1);
@@ -747,10 +429,10 @@ mod tests {
 
     #[test]
     fn queues_grow_past_the_old_four_master_cap() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = shared_bus();
         for j in 0..9u8 {
             let m = MasterId::job(j as usize).unwrap();
-            bus.request(m, u64::from(j) << 24, 64, false);
+            bus.try_request(m, u64::from(j) << 24, 64, false).unwrap();
         }
         assert!(MasterId::job(255).is_some());
         assert!(MasterId::job(256).is_none());
@@ -766,14 +448,17 @@ mod tests {
         // Same request stream on a fresh bus vs one that pre-registered
         // many extra (idle) masters: the completion schedule is identical,
         // because empty queues are skipped without side effects.
-        let mut small = SystemBus::new(BusConfig::default(), DramConfig::default());
-        let mut big = SystemBus::new(BusConfig::default(), DramConfig::default());
-        Interconnect::register_master(&mut big, MasterId(200)).unwrap();
+        let mut small = shared_bus();
+        let mut big = shared_bus();
+        big.register_master(MasterId(200)).unwrap();
         for i in 0..16u64 {
-            small.request(MasterId::DMA, i * 64, 64, false);
-            small.request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false);
-            big.request(MasterId::DMA, i * 64, 64, false);
-            big.request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false);
+            small.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+            small
+                .try_request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false)
+                .unwrap();
+            big.try_request(MasterId::DMA, i * 64, 64, false).unwrap();
+            big.try_request(MasterId::TRAFFIC, 0x200_0000 + i * 64, 64, false)
+                .unwrap();
         }
         let a = run_until_idle(&mut small, 100_000);
         let b = run_until_idle(&mut big, 100_000);

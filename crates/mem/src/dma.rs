@@ -1,7 +1,7 @@
 //! Descriptor-based DMA engine.
 //!
 //! The engine services a chain of transfer descriptors, one chunk at a
-//! time, issuing fixed-size bursts onto the system [`Interconnect`]. Two
+//! time, issuing fixed-size bursts onto the system [`Fabric`]. Two
 //! properties of real DMA that drive the paper's results are modeled
 //! faithfully:
 //!
@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use aladdin_ir::Diagnostic;
 
 use crate::bus::{MasterId, Token};
-use crate::interconnect::Interconnect;
+use crate::interconnect::Fabric;
 use crate::intervals::IntervalSet;
 
 /// Transfer direction, from the accelerator's perspective.
@@ -255,9 +255,13 @@ impl DmaEngine {
     }
 
     /// Advance the engine: start eligible descriptors and issue bursts
-    /// onto any [`Interconnect`]. Call once per cycle before
-    /// `bus.tick(cycle)`.
-    pub fn tick(&mut self, cycle: u64, bus: &mut dyn Interconnect) {
+    /// onto `bus`. Call once per cycle before `bus.tick(cycle)`.
+    ///
+    /// # Errors
+    ///
+    /// The fabric's diagnostic for a burst it refuses (`L0311` for a
+    /// master beyond the topology's capacity).
+    pub fn tick(&mut self, cycle: u64, bus: &mut Fabric) -> Result<(), Diagnostic> {
         if self.active.is_none() {
             if let Some(&next) = self.queue.front() {
                 if cycle >= next.eligible {
@@ -274,10 +278,10 @@ impl DmaEngine {
             }
         }
         let Some(active) = self.active.as_mut() else {
-            return;
+            return Ok(());
         };
         if cycle < active.setup_done {
-            return;
+            return Ok(());
         }
         while active.next_offset < active.chunk.bytes
             && active.outstanding.len() < self.cfg.max_outstanding
@@ -290,12 +294,13 @@ impl DmaEngine {
                 Err(_) => self.cfg.burst_bytes,
             };
             let write = active.chunk.direction == DmaDirection::Out;
-            let token = bus.request(self.master, addr, bytes, write);
+            let token = bus.try_request(self.master, addr, bytes, write)?;
             active.outstanding.push((token, addr, bytes));
             active.next_offset += u64::from(bytes);
             self.stats.bursts += 1;
             self.stats.bytes += u64::from(bytes);
         }
+        Ok(())
     }
 
     /// Deliver a bus completion (only tokens from [`MasterId::DMA`]).
@@ -365,16 +370,22 @@ impl DmaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{BusConfig, SystemBus};
+    use crate::bus::BusConfig;
     use crate::dram::DramConfig;
+    use crate::interconnect::TopologyConfig;
 
-    fn bus() -> SystemBus {
-        SystemBus::new(BusConfig::default(), DramConfig::default())
+    fn bus() -> Fabric {
+        Fabric::try_new(
+            BusConfig::default(),
+            DramConfig::default(),
+            TopologyConfig::default(),
+        )
+        .unwrap()
     }
 
-    fn run(engine: &mut DmaEngine, bus: &mut SystemBus, max: u64) -> u64 {
+    fn run(engine: &mut DmaEngine, bus: &mut Fabric, max: u64) -> u64 {
         for cycle in 0..max {
-            engine.tick(cycle, bus);
+            engine.tick(cycle, bus).unwrap();
             bus.tick(cycle);
             for c in bus.drain_completions() {
                 if c.master == MasterId::DMA {
@@ -536,7 +547,7 @@ mod tests {
         let mut e = DmaEngine::new(DmaConfig::default(), &t, &[0]);
         assert!(e.describe_state().contains("0/1 descriptor(s) done"));
         let mut b = bus();
-        e.tick(0, &mut b);
+        e.tick(0, &mut b).unwrap();
         assert!(e.describe_state().contains("descriptor 1/1 active"));
         let _ = run(&mut e, &mut b, 10_000);
         assert!(e.describe_state().contains("1/1 descriptor(s) done"));

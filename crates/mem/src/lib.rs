@@ -3,9 +3,11 @@
 //! This crate is the gem5 stand-in: a cycle-stepped model of everything
 //! between an accelerator's datapath and DRAM —
 //!
-//! * a shared [`SystemBus`] with round-robin arbitration, configurable width
-//!   (the paper's 32-/64-bit sweep) and an optional infinite-bandwidth mode
-//!   used for the Fig. 7 latency/bandwidth decomposition,
+//! * an interconnect [`Fabric`]: the paper's shared bus with round-robin
+//!   arbitration, or a crossbar, two-level bus or mesh [`Topology`], with a
+//!   configurable width (the paper's 32-/64-bit sweep), an optional
+//!   AXI-like burst protocol, and an optional infinite-bandwidth mode used
+//!   for the Fig. 7 latency/bandwidth decomposition,
 //! * a row-buffer [`Dram`] model,
 //! * a set-associative, write-back [`Cache`] with MSHRs (hit-under-miss),
 //!   MOESI line states, and a strided hardware prefetcher,
@@ -25,10 +27,14 @@
 //! # Example
 //!
 //! ```
-//! use aladdin_mem::{BusConfig, DramConfig, MasterId, SystemBus};
+//! use aladdin_mem::{BusConfig, DramConfig, Fabric, MasterId, TopologyConfig};
 //!
-//! let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
-//! let token = bus.request(MasterId::DMA, 0x1000, 64, false);
+//! let mut bus = Fabric::try_new(
+//!     BusConfig::default(),
+//!     DramConfig::default(),
+//!     TopologyConfig::default(),
+//! )?;
+//! let token = bus.try_request(MasterId::DMA, 0x1000, 64, false)?;
 //! let mut done = None;
 //! 'outer: for cycle in 0..10_000 {
 //!     bus.tick(cycle);
@@ -40,6 +46,7 @@
 //!     }
 //! }
 //! assert!(done.is_some());
+//! # Ok::<(), aladdin_ir::Diagnostic>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +64,7 @@ mod intervals;
 mod tlb;
 mod traffic;
 
-pub use bus::{BusCompletion, BusConfig, BusFaults, BusStats, MasterId, SystemBus, Token};
+pub use bus::{BusCompletion, BusConfig, BusFaults, BusStats, MasterId, Token};
 pub use cache::{
     AccessKind, Cache, CacheBusRequest, CacheConfig, CacheOutcome, CacheStats, FillTracker,
     MoesiState, PrefetcherConfig, WritePolicy,
@@ -67,8 +74,7 @@ pub use dma::{DmaConfig, DmaDirection, DmaEngine, DmaStats, DmaTransfer, LineArr
 pub use dram::{Dram, DramConfig, DramStats};
 pub use flush::{FlushConfig, FlushSchedule};
 pub use interconnect::{
-    build_interconnect, Crossbar, Interconnect, MeshNoc, ProtocolConfig, ProtocolLayer, Topology,
-    TopologyConfig, TwoLevelBus, CODE_BAD_TOPOLOGY, CODE_TOPOLOGY_CAPACITY,
+    Fabric, ProtocolConfig, Topology, TopologyConfig, CODE_BAD_TOPOLOGY, CODE_TOPOLOGY_CAPACITY,
 };
 pub use intervals::IntervalSet;
 pub use tlb::{Tlb, TlbConfig, TlbStats};

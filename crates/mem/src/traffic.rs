@@ -1,7 +1,9 @@
 //! Background bus traffic for shared-resource-contention studies.
 
+use aladdin_ir::Diagnostic;
+
 use crate::bus::MasterId;
-use crate::interconnect::Interconnect;
+use crate::interconnect::Fabric;
 
 /// Injects a fixed-size bus request every `period` cycles, emulating other
 /// SoC agents (CPU, display, other accelerators) competing for the shared
@@ -48,15 +50,21 @@ impl TrafficGenerator {
         f64::from(self.bytes) / (self.period as f64 * bus_bytes_per_cycle as f64)
     }
 
-    /// Issue any requests due at `cycle` onto any [`Interconnect`].
-    pub fn tick(&mut self, cycle: u64, bus: &mut dyn Interconnect) {
+    /// Issue any requests due at `cycle` onto `bus`.
+    ///
+    /// # Errors
+    ///
+    /// The fabric's `L0311` diagnostic when its topology cannot host
+    /// [`MasterId::TRAFFIC`].
+    pub fn tick(&mut self, cycle: u64, bus: &mut Fabric) -> Result<(), Diagnostic> {
         while cycle >= self.next_at {
             let addr = self.region_base + self.next_offset;
-            bus.request(MasterId::TRAFFIC, addr, self.bytes, false);
+            bus.try_request(MasterId::TRAFFIC, addr, self.bytes, false)?;
             self.next_offset = (self.next_offset + u64::from(self.bytes)) % self.region_bytes;
             self.next_at += self.period;
             self.issued += 1;
         }
+        Ok(())
     }
 
     /// Requests issued so far.
@@ -69,15 +77,25 @@ impl TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{BusConfig, SystemBus};
+    use crate::bus::BusConfig;
     use crate::dram::DramConfig;
+    use crate::interconnect::TopologyConfig;
+
+    fn bus() -> Fabric {
+        Fabric::try_new(
+            BusConfig::default(),
+            DramConfig::default(),
+            TopologyConfig::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn issues_at_period() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = bus();
         let mut gen = TrafficGenerator::new(10, 64, 0x800_0000, 1 << 20);
         for cycle in 0..100 {
-            gen.tick(cycle, &mut bus);
+            gen.tick(cycle, &mut bus).unwrap();
             bus.tick(cycle);
         }
         // Cycles 0,10,...,90 → 10 requests.
@@ -94,10 +112,10 @@ mod tests {
 
     #[test]
     fn region_wraps() {
-        let mut bus = SystemBus::new(BusConfig::default(), DramConfig::default());
+        let mut bus = bus();
         let mut gen = TrafficGenerator::new(1, 64, 0, 128);
         for cycle in 0..4 {
-            gen.tick(cycle, &mut bus);
+            gen.tick(cycle, &mut bus).unwrap();
             bus.tick(cycle);
         }
         assert_eq!(gen.issued(), 4);

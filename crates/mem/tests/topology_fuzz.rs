@@ -1,5 +1,5 @@
 //! Seeded fuzzing of topology strings through `Topology::parse` →
-//! `TopologyConfig::check` → `build_interconnect`, then a few requests
+//! `TopologyConfig::check` → `Fabric::try_new`, then a few requests
 //! and ticks on every fabric that builds. Inputs are byte-level mutants
 //! of valid specs and random specs assembled from kinds and parameters,
 //! huge mesh dimensions, radixes and latencies among them. The property:
@@ -11,7 +11,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use aladdin_mem::{
-    build_interconnect, BusConfig, DramConfig, MasterId, ProtocolConfig, Topology, TopologyConfig,
+    BusConfig, DramConfig, Fabric, MasterId, ProtocolConfig, Topology, TopologyConfig,
     CODE_BAD_TOPOLOGY, CODE_TOPOLOGY_CAPACITY,
 };
 use aladdin_rng::SmallRng;
@@ -133,7 +133,7 @@ fn run(spec: &str, protocol: ProtocolConfig) -> Result<(), String> {
     {
         return Err(format!("check reported {} instead of L0310", d.code));
     }
-    let mut ic = match build_interconnect(BusConfig::default(), DramConfig::default(), cfg) {
+    let mut ic = match Fabric::try_new(BusConfig::default(), DramConfig::default(), cfg) {
         Ok(ic) if report.is_clean() => ic,
         Ok(_) => return Err("built a fabric that check rejects".to_owned()),
         Err(d) if !report.is_clean() && d.code == CODE_BAD_TOPOLOGY => return Ok(()),
