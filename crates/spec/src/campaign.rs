@@ -912,9 +912,10 @@ impl At {
         report.push(Diagnostic::error(
             "L0261",
             format!(
-                "`{}` must be a {want}, got a {}",
+                "`{}` must be {}, got {}",
                 self.path,
-                got.type_name()
+                indefinite(want),
+                indefinite(got.type_name())
             ),
         ));
         Miss::Type
@@ -930,6 +931,16 @@ impl At {
         });
         Miss::Name
     }
+}
+
+/// `noun` after its indefinite article: "an array", "a table".
+fn indefinite(noun: &str) -> String {
+    let article = if noun.starts_with(['a', 'e', 'i', 'o', 'u']) {
+        "an"
+    } else {
+        "a"
+    };
+    format!("{article} {noun}")
 }
 
 /// Why a key was not read; its diagnostic is already reported.
@@ -1535,7 +1546,7 @@ launch = 100
     fn soc_clock_that_is_not_a_table_is_rejected() {
         let r = soc_rejection("[soc]\nclock = 5\n");
         assert!(
-            r.contains("error [L0261] -: `soc.clock` must be a table, got a integer"),
+            r.contains("error [L0261] -: `soc.clock` must be a table, got an integer"),
             "{r}"
         );
     }
@@ -1553,7 +1564,7 @@ launch = 100
     fn soc_cache_array_of_tables_is_rejected() {
         let r = soc_rejection("[[soc.cache]]\nsize_bytes = 1\n");
         assert!(
-            r.contains("error [L0261] -: `soc.cache` must be a table, got a array"),
+            r.contains("error [L0261] -: `soc.cache` must be a table, got an array"),
             "{r}"
         );
     }
@@ -1581,7 +1592,7 @@ launch = 100
         .to_human();
         assert!(
             r.contains(
-                "error [L0261] -: `bus_widths` must be a non-negative integer, got a integer"
+                "error [L0261] -: `bus_widths` must be a non-negative integer, got an integer"
             ),
             "{r}"
         );
