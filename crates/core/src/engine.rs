@@ -743,6 +743,30 @@ mod tests {
     }
 
     #[test]
+    fn masters_the_topology_cannot_host_are_typed_diagnostics() {
+        // A 2x1 mesh hosts one master, the DMA engine: neither the cache
+        // client (master 1) nor the traffic generator (master 3) fits.
+        let trace = trace_of("aes-aes");
+        let mut soc = SocConfig::default();
+        soc.topology.topology = aladdin_mem::Topology::MeshNoc {
+            cols: 2,
+            rows: 1,
+            hop_cycles: 1,
+            link_bits: 32,
+        };
+        let cache = simulate(&trace, &dp(2, 2), &soc, &FlowSpec::new(MemKind::Cache));
+        let err = cache.unwrap_err();
+        assert_eq!(err.code(), aladdin_mem::CODE_TOPOLOGY_CAPACITY, "{err}");
+        soc.traffic = Some(crate::TrafficConfig {
+            period: 100,
+            bytes: 64,
+        });
+        let dma = FlowSpec::new(MemKind::Dma(DmaOptLevel::Baseline));
+        let err = simulate(&trace, &dp(2, 2), &soc, &dma).unwrap_err();
+        assert_eq!(err.code(), aladdin_mem::CODE_TOPOLOGY_CAPACITY, "{err}");
+    }
+
+    #[test]
     fn harness_and_prepared_layers_are_invisible() {
         let trace = trace_of("fft-transpose");
         let soc = SocConfig::default();
