@@ -42,8 +42,21 @@
 //! Fingerprint and checksum both come from the word-at-a-time
 //! [`ContentHasher`](crate::ContentHasher); version 1 checksummed byte-at-a-time with FNV-1a,
 //! and its files are refused by version (`L0280`, re-capture them).
+//!
+//! # Reading
+//!
+//! A reader never holds a trace whole. [`AtrcTrace::open`] validates a
+//! file in one sequential pass, 64 KiB at a time (checksum, block framing,
+//! footer), then keeps the header, the footer and the open file. Each
+//! [`AtrcTrace::nodes`] pass reads one block at a time with positional
+//! reads into buffers it reuses, so reading costs O(block) memory and a
+//! windowed schedule O(window + block). A pass re-hashes every byte it
+//! reads and ends in `L0280` if the file no longer matches the checksum
+//! validated at open. [`AtrcTrace::from_bytes`] runs the same validator
+//! and block reader over bytes in memory.
 
 use std::fmt;
+use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -112,6 +125,10 @@ fn corrupt(message: impl Into<String>) -> Diagnostic {
     Diagnostic::error("L0280", message)
 }
 
+fn truncated() -> Diagnostic {
+    corrupt("unexpected end of data (truncated .atrc)")
+}
+
 // ---------------------------------------------------------------------------
 // Varint / zigzag primitives.
 
@@ -135,6 +152,25 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Byte-at-a-time input, shared by the node decoder, the block framing
+/// and the open-time scan.
+trait ReadBytes {
+    fn u8(&mut self) -> Result<u8, Diagnostic>;
+
+    fn varint(&mut self) -> Result<u64, Diagnostic> {
+        let mut v: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(corrupt("varint longer than 64 bits"))
+    }
+}
+
+/// A cursor over bytes in memory: a block's records or a block header.
 struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -149,46 +185,23 @@ impl<'a> ByteReader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn u8(&mut self) -> Result<u8, Diagnostic> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| corrupt("unexpected end of data (truncated .atrc)"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], Diagnostic> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| corrupt("unexpected end of data (truncated .atrc)"))?;
+            .ok_or_else(truncated)?;
         let out = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(out)
     }
+}
 
-    fn varint(&mut self) -> Result<u64, Diagnostic> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(corrupt("varint longer than 64 bits"))
-    }
-
-    fn str(&mut self) -> Result<String, Diagnostic> {
-        let len = usize::try_from(self.varint()?)
-            .map_err(|_| corrupt("string length overflows usize"))?;
-        if len > self.remaining() {
-            return Err(corrupt("string length exceeds remaining data"));
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| corrupt("string is not valid UTF-8"))
+impl ReadBytes for ByteReader<'_> {
+    fn u8(&mut self) -> Result<u8, Diagnostic> {
+        let b = *self.bytes.get(self.pos).ok_or_else(truncated)?;
+        self.pos += 1;
+        Ok(b)
     }
 }
 
@@ -226,8 +239,10 @@ fn rle_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-fn rle_decompress(data: &[u8], expect_max: usize) -> Result<Vec<u8>, Diagnostic> {
-    let mut out = Vec::with_capacity(data.len() * 2);
+/// Unpack `data` into `out` (cleared first), refusing to grow it past
+/// `expect_max` bytes.
+fn rle_decompress(data: &[u8], expect_max: usize, out: &mut Vec<u8>) -> Result<(), Diagnostic> {
+    out.clear();
     let mut r = ByteReader::new(data);
     while r.remaining() > 0 {
         let c = r.u8()?;
@@ -241,7 +256,7 @@ fn rle_decompress(data: &[u8], expect_max: usize) -> Result<Vec<u8>, Diagnostic>
             return Err(corrupt("RLE block inflates past its node budget"));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -473,102 +488,179 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 // Reader.
 
-/// A file-backed (or byte-backed) `.atrc` trace.
-///
-/// Construction validates the envelope — magic, version, whole-file
-/// checksum, block framing, footer — and eagerly parses only the cheap parts
-/// (name, arrays, node count, fingerprint). Nodes are decoded lazily by
-/// [`AtrcTrace::nodes`], one block at a time, so iterating never
-/// materializes the node vector. The underlying bytes are reference
-/// counted: cloning an `AtrcTrace` (e.g. to hand each sweep worker its own
-/// cursor) shares one buffer the way `PreparedDddg` is shared today.
-#[derive(Debug, Clone)]
-pub struct AtrcTrace {
-    bytes: Arc<Vec<u8>>,
-    /// Offset of the first block (or the footer, for empty traces).
-    body: usize,
-    /// Offset of the footer tag.
-    footer: usize,
-    name: String,
-    arrays: Arc<[ArrayInfo]>,
-    node_count: u64,
-    fingerprint: u128,
+/// Bytes after the checksummed region: the checksum and the closing magic.
+const TRAILER: usize = 8 + ATRC_END_MAGIC.len();
+/// Bytes a [`Cursor`] reads per positional read.
+const CHUNK: usize = 64 * 1024;
+
+/// Where an `.atrc` trace's bytes live. Both are read by offset into
+/// buffers the reader owns, so a file is never held in memory whole.
+#[derive(Debug)]
+enum Source {
+    Bytes(Vec<u8>),
+    File(File),
 }
 
-impl AtrcTrace {
-    /// Validate and index `.atrc` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an `L0280` diagnostic for any truncation, framing or
-    /// checksum violation.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, Diagnostic> {
-        let n = bytes.len();
-        if n < ATRC_MAGIC.len() + 1 + 1 + 8 + ATRC_END_MAGIC.len() {
-            return Err(corrupt(format!(
-                "file too short ({n} bytes) to be an .atrc trace"
-            )));
+impl Source {
+    fn len(&self) -> Result<u64, Diagnostic> {
+        match self {
+            Source::Bytes(b) => Ok(b.len() as u64),
+            Source::File(f) => f
+                .metadata()
+                .map(|m| m.len())
+                .map_err(|e| corrupt(format!("cannot read: {e}"))),
         }
-        if bytes[..4] != ATRC_MAGIC {
-            return Err(corrupt("bad magic: not an .atrc trace"));
-        }
-        if bytes[n - 4..] != ATRC_END_MAGIC {
-            return Err(corrupt("missing closing magic: truncated .atrc trace"));
-        }
-        // The version comes before the checksum: an older layout may
-        // define the checksum differently, and deserves the clearer error.
-        let version = bytes[ATRC_MAGIC.len()];
-        if version != ATRC_VERSION {
-            return Err(corrupt(format!(
-                "unsupported .atrc version {version} (expected {ATRC_VERSION}); \
-                 re-capture the trace with this build (`trace_tool encode`)"
-            )));
-        }
-        let check_pos = n - 4 - 8;
-        let check = atrc_checksum(&bytes[..check_pos]);
-        let stored = u64::from_le_bytes(
-            bytes[check_pos..check_pos + 8]
-                .try_into()
-                .expect("8-byte slice"),
-        );
-        if check != stored {
-            return Err(corrupt(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {check:#018x} \
-                 (corrupt .atrc trace)"
-            )));
-        }
-        let mut r = ByteReader::new(&bytes[..check_pos]);
-        r.pos = ATRC_MAGIC.len() + 1;
-        let name = r.str()?;
-        let body = r.pos;
-        // Skip blocks (framing lets us reach the footer without decoding).
-        let footer = loop {
-            let at = r.pos;
-            match r.u8()? {
-                TAG_BLOCK => {
-                    let _nodes = r.varint()?;
-                    let mode = r.u8()?;
-                    if mode != MODE_RAW && mode != MODE_RLE {
-                        return Err(corrupt(format!("unknown block mode {mode}")));
-                    }
-                    let len = usize::try_from(r.varint()?)
-                        .map_err(|_| corrupt("block length overflows usize"))?;
-                    r.take(len)?;
+    }
+
+    /// Fill `buf` from offset `pos`. A short read is `L0280`: the data
+    /// ends early, or the file shrank since it was opened.
+    fn read_at(&self, pos: u64, buf: &mut [u8]) -> Result<(), Diagnostic> {
+        match self {
+            Source::Bytes(b) => {
+                let src = usize::try_from(pos)
+                    .ok()
+                    .and_then(|p| b.get(p..p.checked_add(buf.len())?))
+                    .ok_or_else(truncated)?;
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+            Source::File(f) => read_exact_at(f, buf, pos).map_err(|e| {
+                if e.kind() == io::ErrorKind::UnexpectedEof {
+                    truncated()
+                } else {
+                    corrupt(format!("cannot read: {e}"))
                 }
-                TAG_FOOTER => break at,
-                other => return Err(corrupt(format!("unknown section tag {other:#04x}"))),
+            }),
+        }
+    }
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], pos: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, pos)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut pos: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, pos)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                pos += n as u64;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A forward cursor over `[start, end)` of a source: it reads a chunk at
+/// a time with positional reads into one reused buffer, and hashes every
+/// byte it passes into the running `.atrc` checksum. The open-time scan
+/// walks the whole checksummed region with one; each node iterator walks
+/// the blocks with its own.
+#[derive(Debug)]
+struct Cursor {
+    source: Arc<Source>,
+    end: u64,
+    chunk: Vec<u8>,
+    /// Source offset of `chunk[0]`.
+    base: u64,
+    /// Next unread byte of `chunk`.
+    at: usize,
+    /// The checksum state over every byte before the cursor.
+    hash: ByteHasher,
+    /// While `Some`, every byte passed is also kept here.
+    keep: Option<Vec<u8>>,
+}
+
+impl Cursor {
+    fn new(source: Arc<Source>, start: u64, end: u64, hash: ByteHasher) -> Self {
+        Cursor {
+            source,
+            end,
+            chunk: Vec::new(),
+            base: start,
+            at: 0,
+            hash,
+            keep: None,
+        }
+    }
+
+    fn pos(&self) -> u64 {
+        self.base + self.at as u64
+    }
+
+    fn remaining(&self) -> u64 {
+        self.end - self.pos()
+    }
+
+    /// Pass `n` bytes, handing them to `f` a piece at a time.
+    fn take_with(&mut self, mut n: u64, mut f: impl FnMut(&[u8])) -> Result<(), Diagnostic> {
+        if n > self.remaining() {
+            return Err(truncated());
+        }
+        while n > 0 {
+            if self.at == self.chunk.len() {
+                self.base += self.chunk.len() as u64;
+                self.at = 0;
+                self.chunk.clear();
+                self.chunk
+                    .resize((self.end - self.base).min(CHUNK as u64) as usize, 0);
+                if let Err(d) = self.source.read_at(self.base, &mut self.chunk) {
+                    self.chunk.clear();
+                    return Err(d);
+                }
+            }
+            let k = (self.chunk.len() - self.at).min(usize::try_from(n).unwrap_or(usize::MAX));
+            let piece = &self.chunk[self.at..self.at + k];
+            self.hash.write(piece);
+            if let Some(keep) = &mut self.keep {
+                keep.extend_from_slice(piece);
+            }
+            f(piece);
+            self.at += k;
+            n -= k as u64;
+        }
+        Ok(())
+    }
+
+    fn str(&mut self) -> Result<String, Diagnostic> {
+        let len = usize::try_from(self.varint()?)
+            .map_err(|_| corrupt("string length overflows usize"))?;
+        if len as u64 > self.remaining() {
+            return Err(corrupt("string length exceeds remaining data"));
+        }
+        let mut bytes = Vec::with_capacity(len);
+        self.take_with(len as u64, |p| bytes.extend_from_slice(p))?;
+        String::from_utf8(bytes).map_err(|_| corrupt("string is not valid UTF-8"))
+    }
+
+    /// Parse everything after the magic and version: the name, the block
+    /// framing (payloads are hashed, not decoded) and the footer.
+    fn envelope(&mut self, checksum: u64) -> Result<Envelope, Diagnostic> {
+        self.take_with((ATRC_MAGIC.len() + 1) as u64, |_| ())?;
+        let name = self.str()?;
+        let body = self.pos();
+        let head = self.hash.clone();
+        let footer = loop {
+            let at = self.pos();
+            match frame(self)? {
+                Frame::Block { len, .. } => self.take_with(len, |_| ())?,
+                Frame::Footer => break at,
             }
         };
-        r.pos = footer + 1;
+        self.keep = Some(vec![TAG_FOOTER]);
         let array_count =
-            usize::try_from(r.varint()?).map_err(|_| corrupt("array count overflows usize"))?;
-        if array_count > r.remaining() {
+            usize::try_from(self.varint()?).map_err(|_| corrupt("array count overflows usize"))?;
+        if array_count as u64 > self.remaining() {
             return Err(corrupt("array count exceeds remaining data"));
         }
         let mut arrays = Vec::with_capacity(array_count);
         for i in 0..array_count {
-            let name = r.str()?;
-            let kind = match r.u8()? {
+            let name = self.str()?;
+            let kind = match self.u8()? {
                 0 => ArrayKind::Input,
                 1 => ArrayKind::Output,
                 2 => ArrayKind::InOut,
@@ -579,10 +671,10 @@ impl AtrcTrace {
                 id: ArrayId::from_index(i),
                 name,
                 kind,
-                base_addr: r.varint()?,
-                elem_bytes: u32::try_from(r.varint()?)
+                base_addr: self.varint()?,
+                elem_bytes: u32::try_from(self.varint()?)
                     .map_err(|_| corrupt("array elem_bytes overflows u32"))?,
-                len: r.varint()?,
+                len: self.varint()?,
             };
             if array
                 .len
@@ -597,23 +689,117 @@ impl AtrcTrace {
             }
             arrays.push(array);
         }
-        let node_count = r.varint()?;
-        let fingerprint = u128::from_le_bytes(r.take(16)?.try_into().expect("16-byte slice"));
-        if r.remaining() != 0 {
+        let node_count = self.varint()?;
+        let mut fingerprint = Vec::with_capacity(16);
+        self.take_with(16, |p| fingerprint.extend_from_slice(p))?;
+        if self.remaining() != 0 {
             return Err(corrupt("trailing bytes after footer"));
         }
-        Ok(AtrcTrace {
-            bytes: Arc::new(bytes),
+        Ok(Envelope {
+            name,
+            arrays,
+            node_count,
+            fingerprint: u128::from_le_bytes(fingerprint.try_into().expect("16 bytes")),
+            len: self.end + TRAILER as u64,
+            checksum,
             body,
             footer,
-            name,
-            arrays: arrays.into(),
-            node_count,
-            fingerprint,
+            head,
+            foot: self.keep.take().unwrap_or_default(),
         })
     }
 
-    /// Read and validate an `.atrc` file.
+    /// Hash the rest of the region; the checksum of all of it.
+    fn finish(mut self) -> Result<u64, Diagnostic> {
+        self.keep = None;
+        self.take_with(self.remaining(), |_| ())?;
+        Ok(self.hash.finish())
+    }
+}
+
+impl ReadBytes for Cursor {
+    fn u8(&mut self) -> Result<u8, Diagnostic> {
+        let mut b = 0;
+        self.take_with(1, |p| b = p[0])?;
+        Ok(b)
+    }
+}
+
+/// A section header: a block's node count, mode and payload length, or
+/// the footer tag.
+enum Frame {
+    Block { nodes: u64, mode: u8, len: u64 },
+    Footer,
+}
+
+fn frame(r: &mut impl ReadBytes) -> Result<Frame, Diagnostic> {
+    match r.u8()? {
+        TAG_BLOCK => {
+            let nodes = r.varint()?;
+            let mode = r.u8()?;
+            if mode != MODE_RAW && mode != MODE_RLE {
+                return Err(corrupt(format!("unknown block mode {mode}")));
+            }
+            let len = r.varint()?;
+            Ok(Frame::Block { nodes, mode, len })
+        }
+        TAG_FOOTER => Ok(Frame::Footer),
+        other => Err(corrupt(format!("unknown section tag {other:#04x}"))),
+    }
+}
+
+/// What validation learned about a trace: its metadata, where its blocks
+/// lie, and what re-hashing them must come to.
+#[derive(Debug)]
+struct Envelope {
+    name: String,
+    arrays: Vec<ArrayInfo>,
+    node_count: u64,
+    fingerprint: u128,
+    /// Encoded size in bytes.
+    len: u64,
+    /// The stored whole-file checksum.
+    checksum: u64,
+    /// Offset of the first block (or of the footer, for empty traces).
+    body: u64,
+    /// Offset of the footer tag.
+    footer: u64,
+    /// The checksum state over `[0, body)`, where re-hashing starts.
+    head: ByteHasher,
+    /// The footer bytes as validated, where re-hashing ends.
+    foot: Vec<u8>,
+}
+
+/// A file-backed (or byte-backed) `.atrc` trace.
+///
+/// Construction validates the envelope — magic, version, whole-file
+/// checksum, block framing, footer — in one sequential pass that reads
+/// the source a chunk at a time, and keeps only the cheap parts (name,
+/// arrays, node count, fingerprint) and the source. Nodes are decoded
+/// lazily by [`AtrcTrace::nodes`], one block at a time, so neither opening
+/// nor iterating holds more than a block of the trace in memory. Cloning
+/// an `AtrcTrace` (e.g. to hand each sweep worker its own cursor) shares
+/// the source; every iterator reads it with positional reads of its own.
+#[derive(Debug, Clone)]
+pub struct AtrcTrace {
+    source: Arc<Source>,
+    env: Arc<Envelope>,
+}
+
+impl AtrcTrace {
+    /// Validate and index `.atrc` bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns an `L0280` diagnostic for any truncation, framing or
+    /// checksum violation.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, Diagnostic> {
+        Self::validate(Source::Bytes(bytes))
+    }
+
+    /// Open and validate an `.atrc` file. The file stays open, and every
+    /// [`nodes`](AtrcTrace::nodes) pass reads it again, a block at a time;
+    /// a pass that finds it changed ends in `L0280`.
     ///
     /// # Errors
     ///
@@ -621,31 +807,82 @@ impl AtrcTrace {
     /// truncation, framing or checksum violation.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, Diagnostic> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path)
+        let file = File::open(path)
             .map_err(|e| corrupt(format!("cannot read {}: {e}", path.display())))?;
-        Self::from_bytes(bytes).map_err(|d| corrupt(format!("{}: {}", path.display(), d.message)))
+        Self::validate(Source::File(file))
+            .map_err(|d| corrupt(format!("{}: {}", path.display(), d.message)))
+    }
+
+    /// The one validator behind [`from_bytes`](AtrcTrace::from_bytes) and
+    /// [`open`](AtrcTrace::open). The cheap checks read the first and last
+    /// bytes; one [`Cursor`] then hashes the checksummed region while it
+    /// parses the framing and the footer. A framing error is reported only
+    /// once the checksum matches, so a corrupt file is always called
+    /// corrupt.
+    fn validate(source: Source) -> Result<Self, Diagnostic> {
+        let n = source.len()?;
+        if n < (ATRC_MAGIC.len() + 1 + 1 + TRAILER) as u64 {
+            return Err(corrupt(format!(
+                "file too short ({n} bytes) to be an .atrc trace"
+            )));
+        }
+        let mut start = [0u8; ATRC_MAGIC.len() + 1];
+        source.read_at(0, &mut start)?;
+        let end = n - TRAILER as u64;
+        let mut trailer = [0u8; TRAILER];
+        source.read_at(end, &mut trailer)?;
+        if start[..4] != ATRC_MAGIC {
+            return Err(corrupt("bad magic: not an .atrc trace"));
+        }
+        if trailer[8..] != ATRC_END_MAGIC {
+            return Err(corrupt("missing closing magic: truncated .atrc trace"));
+        }
+        // The version comes before the checksum: an older layout may
+        // define the checksum differently, and deserves the clearer error.
+        let version = start[ATRC_MAGIC.len()];
+        if version != ATRC_VERSION {
+            return Err(corrupt(format!(
+                "unsupported .atrc version {version} (expected {ATRC_VERSION}); \
+                 re-capture the trace with this build (`trace_tool encode`)"
+            )));
+        }
+        let stored = u64::from_le_bytes(trailer[..8].try_into().expect("8-byte slice"));
+        let source = Arc::new(source);
+        let mut scan = Cursor::new(Arc::clone(&source), 0, end, ByteHasher::default());
+        let env = scan.envelope(stored);
+        let check = scan.finish()?;
+        if check != stored {
+            return Err(corrupt(format!(
+                "checksum mismatch: stored {stored:#018x}, computed {check:#018x} \
+                 (corrupt .atrc trace)"
+            )));
+        }
+        Ok(AtrcTrace {
+            source,
+            env: Arc::new(env?),
+        })
     }
 
     /// Kernel name recorded in the header.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.env.name
     }
 
     /// Traced arrays (from the footer).
     #[must_use]
     pub fn arrays(&self) -> &[ArrayInfo] {
-        &self.arrays
+        &self.env.arrays
     }
 
     /// Arrays that must be transferred host → accelerator.
     pub fn input_arrays(&self) -> impl Iterator<Item = &ArrayInfo> {
-        self.arrays.iter().filter(|a| a.kind.is_input())
+        self.arrays().iter().filter(|a| a.kind.is_input())
     }
 
     /// Arrays that must be transferred accelerator → host.
     pub fn output_arrays(&self) -> impl Iterator<Item = &ArrayInfo> {
-        self.arrays.iter().filter(|a| a.kind.is_output())
+        self.arrays().iter().filter(|a| a.kind.is_output())
     }
 
     /// Total bytes of input (host → accelerator) data.
@@ -663,13 +900,13 @@ impl AtrcTrace {
     /// Total node count (from the footer — no decode needed).
     #[must_use]
     pub fn node_count(&self) -> u64 {
-        self.node_count
+        self.env.node_count
     }
 
     /// Encoded size in bytes.
     #[must_use]
     pub fn encoded_bytes(&self) -> u64 {
-        self.bytes.len() as u64
+        self.env.len
     }
 
     /// Content fingerprint from the footer, equal to
@@ -678,26 +915,32 @@ impl AtrcTrace {
     /// the key is available without a decode.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        self.fingerprint
+        self.env.fingerprint
     }
 
     /// Iterate the nodes without materializing them. Each item is a
-    /// decoded [`TraceNode`] or an `L0280` diagnostic on corruption the
-    /// envelope checks could not see (they do see all of it in practice,
-    /// because the checksum covers every block byte).
+    /// decoded [`TraceNode`] or an `L0280` diagnostic. The iterator
+    /// re-hashes every byte it reads; if the source no longer matches the
+    /// checksum validated at open (a file changed since), its last item
+    /// is `L0280`, so a changed file never passes for the opened one.
     #[must_use]
     pub fn nodes(&self) -> AtrcNodeIter {
+        let env = &self.env;
         AtrcNodeIter {
-            bytes: Arc::clone(&self.bytes),
-            pos: self.body,
-            footer: self.footer,
+            blocks: Cursor::new(
+                Arc::clone(&self.source),
+                env.body,
+                env.footer,
+                env.head.clone(),
+            ),
+            env: Arc::clone(env),
             block: Vec::new(),
+            packed: Vec::new(),
             block_pos: 0,
             next_id: 0,
             prev_addr: 0,
             prev_iter: 0,
-            arrays: Arc::clone(&self.arrays),
-            failed: false,
+            done: false,
         }
     }
 
@@ -708,11 +951,13 @@ impl AtrcTrace {
     /// Returns an `L0280` diagnostic if any node fails to decode or the
     /// decoded trace violates the [`Trace::check`] invariants.
     pub fn decode(&self) -> Result<Trace, Diagnostic> {
-        let mut nodes = Vec::with_capacity(usize::try_from(self.node_count).unwrap_or(0));
+        // The footer's count is a hint, never trusted past the encoded size.
+        let hint = self.node_count().min(self.encoded_bytes());
+        let mut nodes = Vec::with_capacity(usize::try_from(hint).unwrap_or(0));
         for node in self.nodes() {
             nodes.push(node?);
         }
-        let trace = Trace::new(self.name.clone(), nodes, self.arrays.to_vec());
+        let trace = Trace::new(self.name().to_owned(), nodes, self.arrays().to_vec());
         let report = trace.check();
         if report.has_errors() {
             return Err(corrupt(format!(
@@ -745,57 +990,73 @@ impl fmt::Display for AtrcTrace {
         write!(
             f,
             "{}: {} nodes, {} arrays, {} encoded bytes",
-            self.name,
-            self.node_count,
-            self.arrays.len(),
-            self.bytes.len()
+            self.name(),
+            self.node_count(),
+            self.arrays().len(),
+            self.encoded_bytes()
         )
     }
 }
 
 /// Streaming iterator over the nodes of an [`AtrcTrace`].
 ///
-/// Holds one decoded block at a time; peak transient memory is O(block),
-/// not O(trace).
+/// Reads the blocks in chunks into buffers it reuses and holds one
+/// decoded block at a time, so peak transient memory is O(block), not
+/// O(trace).
 #[derive(Debug)]
 pub struct AtrcNodeIter {
-    bytes: Arc<Vec<u8>>,
-    pos: usize,
-    footer: usize,
+    env: Arc<Envelope>,
+    blocks: Cursor,
+    /// The current block's node records.
     block: Vec<u8>,
+    /// The current block's payload as stored, when RLE-compressed.
+    packed: Vec<u8>,
     block_pos: usize,
     next_id: u64,
     prev_addr: u64,
     prev_iter: u32,
-    arrays: Arc<[ArrayInfo]>,
-    failed: bool,
+    done: bool,
 }
 
 impl AtrcNodeIter {
+    /// Read and unpack the next block, or `Ok(false)` at the footer.
     fn load_block(&mut self) -> Result<bool, Diagnostic> {
-        if self.pos >= self.footer {
+        if self.blocks.remaining() == 0 {
             return Ok(false);
         }
-        let mut r = ByteReader::new(&self.bytes[..self.footer]);
-        r.pos = self.pos;
-        let tag = r.u8()?;
-        if tag != TAG_BLOCK {
-            return Err(corrupt(format!("expected block tag, found {tag:#04x}")));
-        }
-        let nodes = usize::try_from(r.varint()?)
-            .map_err(|_| corrupt("block node count overflows usize"))?;
-        let mode = r.u8()?;
-        let len =
-            usize::try_from(r.varint()?).map_err(|_| corrupt("block length overflows usize"))?;
-        let payload = r.take(len)?;
-        self.block = match mode {
-            MODE_RAW => payload.to_vec(),
-            MODE_RLE => rle_decompress(payload, nodes.saturating_mul(64).max(1 << 20))?,
-            other => return Err(corrupt(format!("unknown block mode {other}"))),
+        let Frame::Block { nodes, mode, len } = frame(&mut self.blocks)? else {
+            return Err(corrupt(format!(
+                "expected block tag, found {TAG_FOOTER:#04x}"
+            )));
         };
+        let payload = if mode == MODE_RAW {
+            &mut self.block
+        } else {
+            &mut self.packed
+        };
+        payload.clear();
+        self.blocks
+            .take_with(len, |p| payload.extend_from_slice(p))?;
+        if mode == MODE_RLE {
+            let budget = usize::try_from(nodes.saturating_mul(64)).unwrap_or(usize::MAX);
+            rle_decompress(&self.packed, budget.max(1 << 20), &mut self.block)?;
+        }
         self.block_pos = 0;
-        self.pos = r.pos;
         Ok(true)
+    }
+
+    /// At the footer: the bytes read must hash to the checksum validated
+    /// at open.
+    fn verify(&mut self) -> Result<(), Diagnostic> {
+        let mut check = std::mem::take(&mut self.blocks.hash);
+        check.write(&self.env.foot);
+        if check.finish() == self.env.checksum {
+            Ok(())
+        } else {
+            Err(corrupt(
+                "checksum mismatch: the .atrc trace changed after it was opened",
+            ))
+        }
     }
 
     fn decode_node(&mut self) -> Result<TraceNode, Diagnostic> {
@@ -828,7 +1089,7 @@ impl AtrcNodeIter {
             0 => None,
             tag @ (1 | 2) => {
                 let array = r.varint()?;
-                if array >= self.arrays.len() as u64 {
+                if array >= self.env.arrays.len() as u64 {
                     return Err(corrupt(format!(
                         "node {id} references unknown array {array}"
                     )));
@@ -870,7 +1131,7 @@ impl AtrcNodeIter {
             mem,
             iteration,
         };
-        match node.mem_violation(&self.arrays) {
+        match node.mem_violation(&self.env.arrays) {
             Some(d) => Err(corrupt(d.message)),
             None => Ok(node),
         }
@@ -881,26 +1142,25 @@ impl Iterator for AtrcNodeIter {
     type Item = Result<TraceNode, Diagnostic>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
+        if self.done {
             return None;
         }
         if self.block_pos >= self.block.len() {
             match self.load_block() {
                 Ok(true) => {}
-                Ok(false) => return None,
+                Ok(false) => {
+                    self.done = true;
+                    return self.verify().err().map(Err);
+                }
                 Err(d) => {
-                    self.failed = true;
+                    self.done = true;
                     return Some(Err(d));
                 }
             }
         }
-        match self.decode_node() {
-            Ok(n) => Some(Ok(n)),
-            Err(d) => {
-                self.failed = true;
-                Some(Err(d))
-            }
-        }
+        let node = self.decode_node();
+        self.done = node.is_err();
+        Some(node)
     }
 }
 
@@ -1063,6 +1323,26 @@ mod tests {
         }
     }
 
+    /// The footer's node count is only a capacity hint: an absurd one
+    /// must not abort the decode.
+    #[test]
+    fn absurd_footer_node_count_is_not_trusted() {
+        let mut bytes = b"ATRC\x02\x05empty".to_vec();
+        bytes.extend([TAG_FOOTER, 0]);
+        put_varint(&mut bytes, u64::MAX >> 4);
+        bytes.extend([0u8; 16]);
+        let check = atrc_checksum(&bytes);
+        bytes.extend(check.to_le_bytes());
+        bytes.extend(ATRC_END_MAGIC);
+        let atrc = AtrcTrace::from_bytes(bytes).expect("a well-formed envelope");
+        assert_eq!(atrc.node_count(), u64::MAX >> 4);
+        assert!(atrc
+            .decode()
+            .expect("no nodes to decode")
+            .nodes()
+            .is_empty());
+    }
+
     #[test]
     fn empty_trace_round_trips() {
         let trace = Tracer::new("empty").finish();
@@ -1084,7 +1364,8 @@ mod tests {
         ];
         for case in cases {
             let packed = rle_compress(case);
-            let unpacked = rle_decompress(&packed, case.len().max(1)).expect("valid");
+            let mut unpacked = Vec::new();
+            rle_decompress(&packed, case.len().max(1), &mut unpacked).expect("valid");
             assert_eq!(unpacked, case);
         }
         // Long uniform runs actually compress.
