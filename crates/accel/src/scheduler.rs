@@ -248,6 +248,11 @@ pub(crate) trait NodeStore {
     fn notes(&self) -> Vec<String>;
 }
 
+/// Emptied barrier-round buffers a workspace keeps for reuse. Streamed
+/// runs wake rounds and admit new ones a few at a time, so a handful
+/// covers the gap between the two.
+const SPARE_PARKED: usize = 16;
+
 /// Barrier bookkeeping for one round, kept only while the round can still
 /// matter; completed rounds are popped from the front of the deque.
 #[derive(Debug, Default)]
@@ -266,6 +271,11 @@ pub(crate) struct SchedState {
     barrier: bool,
     /// Barrier rounds, front = `current_round`.
     rounds: VecDeque<RoundState>,
+    /// Emptied `parked` buffers of woken rounds, reused by new rounds so
+    /// a streamed barrier round allocates nothing once the run is warm.
+    /// At most [`SPARE_PARKED`] are kept: a prepared run creates every
+    /// round up front, and would otherwise keep every woken buffer.
+    spare_parked: Vec<Vec<u32>>,
     current_round: u32,
     /// Rounds below this one are final: no more of their nodes can
     /// arrive, so their `total` is exact.
@@ -362,7 +372,10 @@ impl SchedState {
         self.final_rounds = self.final_rounds.max(round);
         let off = (round - self.current_round) as usize;
         while self.rounds.len() <= off {
-            self.rounds.push_back(RoundState::default());
+            self.rounds.push_back(RoundState {
+                parked: self.spare_parked.pop().unwrap_or_default(),
+                ..RoundState::default()
+            });
         }
         self.rounds[off].total += 1;
     }
@@ -386,8 +399,13 @@ impl SchedState {
             self.rounds.pop_front();
             self.current_round += 1;
             if let Some(next) = self.rounds.front_mut() {
-                for id in std::mem::take(&mut next.parked) {
+                let mut parked = std::mem::take(&mut next.parked);
+                for &id in &parked {
                     self.enqueue(store, id);
+                }
+                if self.spare_parked.len() < SPARE_PARKED {
+                    parked.clear();
+                    self.spare_parked.push(parked);
                 }
             }
         }
