@@ -134,7 +134,6 @@ struct ActiveChunk {
     chunk: Chunk,
     setup_done: u64,
     next_offset: u64,
-    outstanding: Vec<(Token, u64, u32)>,
     started: u64,
 }
 
@@ -147,6 +146,9 @@ pub struct DmaEngine {
     master: MasterId,
     queue: VecDeque<Chunk>,
     active: Option<ActiveChunk>,
+    /// The active descriptor's bursts in flight (token, address, bytes),
+    /// kept across descriptors so the buffer is allocated once.
+    outstanding: Vec<(Token, u64, u32)>,
     arrivals: Vec<LineArrival>,
     busy: IntervalSet,
     stats: DmaStats,
@@ -208,6 +210,7 @@ impl DmaEngine {
             master: MasterId::DMA,
             queue,
             active: None,
+            outstanding: Vec::new(),
             arrivals: Vec::new(),
             busy: IntervalSet::new(),
             stats: DmaStats::default(),
@@ -270,7 +273,6 @@ impl DmaEngine {
                         chunk: next,
                         setup_done: cycle + self.cfg.setup_cycles,
                         next_offset: 0,
-                        outstanding: Vec::new(),
                         started: cycle,
                     });
                     self.stats.descriptors += 1;
@@ -284,7 +286,7 @@ impl DmaEngine {
             return Ok(());
         }
         while active.next_offset < active.chunk.bytes
-            && active.outstanding.len() < self.cfg.max_outstanding
+            && self.outstanding.len() < self.cfg.max_outstanding
         {
             let addr = active.chunk.base + active.next_offset;
             // A burst never exceeds burst_bytes (a u32), so the remaining
@@ -295,7 +297,7 @@ impl DmaEngine {
             };
             let write = active.chunk.direction == DmaDirection::Out;
             let token = bus.try_request(self.master, addr, bytes, write)?;
-            active.outstanding.push((token, addr, bytes));
+            self.outstanding.push((token, addr, bytes));
             active.next_offset += u64::from(bytes);
             self.stats.bursts += 1;
             self.stats.bytes += u64::from(bytes);
@@ -308,14 +310,14 @@ impl DmaEngine {
         let Some(active) = self.active.as_mut() else {
             return;
         };
-        let Some(pos) = active.outstanding.iter().position(|&(t, _, _)| t == token) else {
+        let Some(pos) = self.outstanding.iter().position(|&(t, _, _)| t == token) else {
             return;
         };
-        let (_, addr, bytes) = active.outstanding.swap_remove(pos);
+        let (_, addr, bytes) = self.outstanding.swap_remove(pos);
         if active.chunk.direction == DmaDirection::In {
             self.arrivals.push(LineArrival { addr, bytes, at });
         }
-        if active.outstanding.is_empty() && active.next_offset >= active.chunk.bytes {
+        if self.outstanding.is_empty() && active.next_offset >= active.chunk.bytes {
             self.busy.push(active.started, at);
             self.active = None;
             self.finished_chunks += 1;
@@ -325,9 +327,10 @@ impl DmaEngine {
         }
     }
 
-    /// Take the data-arrival records accumulated so far.
-    pub fn drain_arrivals(&mut self) -> Vec<LineArrival> {
-        std::mem::take(&mut self.arrivals)
+    /// Drain the data-arrival records accumulated so far, keeping their
+    /// storage for the next ones.
+    pub fn drain_arrivals(&mut self) -> std::vec::Drain<'_, LineArrival> {
+        self.arrivals.drain(..)
     }
 
     /// Cycles during which the engine was actively servicing a descriptor.
@@ -355,7 +358,7 @@ impl DmaEngine {
                 a.chunk.base,
                 a.next_offset,
                 a.chunk.bytes,
-                a.outstanding.len()
+                self.outstanding.len()
             ),
             None => format!(
                 "dma: {}/{} descriptor(s) done, {} queued",
@@ -465,7 +468,7 @@ mod tests {
         let mut e = DmaEngine::new(DmaConfig::default(), &transfers, &[0]);
         let mut b = bus();
         let _ = run(&mut e, &mut b, 100_000);
-        let arrivals = e.drain_arrivals();
+        let arrivals: Vec<_> = e.drain_arrivals().collect();
         assert_eq!(arrivals.len(), 16); // 1024 / 64 B bursts
         for w in arrivals.windows(2) {
             assert!(w[0].addr < w[1].addr, "serial data arrival");
@@ -485,7 +488,7 @@ mod tests {
         let mut e = DmaEngine::new(DmaConfig::default(), &transfers, &[0]);
         let mut b = bus();
         let _ = run(&mut e, &mut b, 10_000);
-        assert!(e.drain_arrivals().is_empty());
+        assert_eq!(e.drain_arrivals().len(), 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A fabric in steady state makes no heap allocation.
+//! A fabric, and a DMA engine on one, in steady state make no heap
+//! allocation.
 //!
 //! Each fabric runs a closed-loop pattern: four masters each keep four
 //! 64-byte requests outstanding, issuing a new one as soon as one
@@ -6,7 +7,9 @@
 //! with that pattern grows every queue, heap and completion buffer to
 //! its working size; the steady phase that follows must then allocate
 //! nothing, on all four topologies, bare and under a burst-splitting,
-//! outstanding-capped protocol.
+//! outstanding-capped protocol. The DMA case streams one long inbound
+//! descriptor, draining its line arrivals every cycle as the SoC world
+//! does.
 //!
 //! The counting allocator counts per thread, so tests running on other
 //! threads of this binary do not disturb the count.
@@ -15,7 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aladdin_mem::{
-    BusConfig, DramConfig, Fabric, MasterId, ProtocolConfig, Topology, TopologyConfig,
+    BusConfig, DmaConfig, DmaDirection, DmaEngine, DmaTransfer, DramConfig, Fabric, MasterId,
+    ProtocolConfig, Topology, TopologyConfig,
 };
 
 struct Counting;
@@ -150,4 +154,61 @@ fn steady_state_fabrics_make_no_heap_allocation() {
             );
         }
     }
+}
+
+/// Step a DMA engine and its fabric through `cycles`, draining line
+/// arrivals every cycle; the bytes that arrived.
+fn run_dma(engine: &mut DmaEngine, fabric: &mut Fabric, cycles: std::ops::Range<u64>) -> u64 {
+    let mut arrived = 0;
+    for cycle in cycles {
+        engine
+            .tick(cycle, fabric)
+            .expect("the DMA master is in range");
+        fabric.tick(cycle);
+        for c in fabric.drain_completions() {
+            engine.on_bus_completion(c.token, c.at);
+        }
+        arrived += engine
+            .drain_arrivals()
+            .map(|a| u64::from(a.bytes))
+            .sum::<u64>();
+    }
+    arrived
+}
+
+#[test]
+fn steady_state_dma_makes_no_heap_allocation() {
+    let transfers = [DmaTransfer {
+        base: 0x10_0000,
+        bytes: 16 << 20,
+        direction: DmaDirection::In,
+    }];
+    let mut engine = DmaEngine::new(
+        DmaConfig {
+            max_outstanding: 4,
+            ..DmaConfig::default()
+        },
+        &transfers,
+        &[0],
+    );
+    let mut fabric = Fabric::try_new(
+        BusConfig::default(),
+        DramConfig::default(),
+        TopologyConfig::default(),
+    )
+    .expect("a valid fabric");
+    let warm = run_dma(&mut engine, &mut fabric, 0..20_000);
+    assert!(warm > 64 * 1_000, "warm-up stalled: {warm} B arrived");
+    let before = allocations();
+    let steady = run_dma(&mut engine, &mut fabric, 20_000..30_000);
+    let allocated = allocations() - before;
+    assert!(
+        steady > 64 * 500,
+        "steady phase stalled: {steady} B arrived"
+    );
+    assert!(!engine.is_done(), "the descriptor must outlast the test");
+    assert_eq!(
+        allocated, 0,
+        "{allocated} allocation(s) while {steady} B arrived"
+    );
 }

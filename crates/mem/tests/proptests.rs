@@ -372,7 +372,7 @@ fn dma_engine_conserves_bytes() {
         let total: u64 = sizes.iter().sum();
         assert_eq!(engine.stats().bytes, total);
         // Arrivals tile each transfer exactly.
-        let mut arrivals = engine.drain_arrivals();
+        let mut arrivals: Vec<_> = engine.drain_arrivals().collect();
         arrivals.sort_by_key(|a| a.addr);
         for t in &transfers {
             let mut covered = 0u64;
