@@ -17,7 +17,7 @@ use aladdin_core::{
     simulate_multi, simulate_source, AcceleratorJob, DmaOptLevel, FlowSpec, SimHarness, SocConfig,
     TraceSource,
 };
-use aladdin_dse::run_point_cached;
+use aladdin_dse::{sweep_points, PointSpec};
 use aladdin_ir::AtrcTrace;
 use aladdin_spec::{parse_job, parse_mem_kind, parse_opt_level, CommonArgs, OutputFormat};
 use aladdin_workloads::all_kernels;
@@ -340,47 +340,42 @@ fn main() {
     });
     // Fault-injected and windowed runs go through the fallible flows and
     // bypass the result cache: perturbed or window-bounded results must
-    // never be cached, and a failed simulation reports its forensic
-    // diagnostic instead of panicking.
-    let mut peak_resident: Option<u64> = None;
-    let r = if let Some(harness) = args.common.harness() {
-        if args.common.format == OutputFormat::Human {
-            println!("faults:   seed {}", args.common.faults_seed.expect("set"));
-            // Skip the format header and the seed line — both shown above.
-            for line in harness.plan.to_text().lines().skip(2) {
-                println!("          {line}");
+    // never be cached. Every path reports a failed simulation as its typed
+    // diagnostic and exits 1, never with a panic.
+    let harness = args.common.harness();
+    let outcome = if harness.is_some() || args.window.is_some() {
+        let mut spec = FlowSpec::new(kind);
+        if let Some(harness) = &harness {
+            if args.common.format == OutputFormat::Human {
+                println!("faults:   seed {}", args.common.faults_seed.expect("set"));
+                // Skip the format header and the seed line — both shown above.
+                for line in harness.plan.to_text().lines().skip(2) {
+                    println!("          {line}");
+                }
             }
+            spec = spec.with_harness(harness);
         }
-        let mut spec = FlowSpec::new(kind).with_harness(&harness);
         if let Some(w) = args.window {
             spec = spec.with_window(w);
         }
-        let result = simulate_source(&TraceSource::Memory(&run.trace), &dp, &soc_cfg, &spec);
-        match result {
-            Ok(s) => {
-                peak_resident = s.peak_resident_nodes;
-                s.result
-            }
-            Err(e) => {
-                eprintln!("{}", e.to_report().to_human());
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(w) = args.window {
-        let spec = FlowSpec::new(kind).with_window(w);
-        match simulate_source(&TraceSource::Memory(&run.trace), &dp, &soc_cfg, &spec) {
-            Ok(s) => {
-                peak_resident = s.peak_resident_nodes;
-                s.result
-            }
-            Err(e) => {
-                eprintln!("{}", e.to_report().to_human());
-                std::process::exit(1);
-            }
-        }
+        simulate_source(&TraceSource::Memory(&run.trace), &dp, &soc_cfg, &spec)
+            .map(|s| (s.result, s.peak_resident_nodes))
     } else {
-        run_point_cached(&run.trace, &dp, &soc_cfg, kind)
+        let point = [PointSpec {
+            kind,
+            dp,
+            soc: soc_cfg,
+        }];
+        let (mut results, _) = sweep_points(&run.trace, &point, &SimHarness::default());
+        results
+            .pop()
+            .expect("one result per point")
+            .map(|r| (r, None))
     };
+    let (r, peak_resident) = outcome.unwrap_or_else(|e| {
+        eprintln!("{}", e.to_report().to_human());
+        std::process::exit(1);
+    });
 
     if args.common.format == OutputFormat::Json {
         let peak = peak_resident
