@@ -52,20 +52,6 @@ impl Default for DatapathConfig {
 }
 
 impl DatapathConfig {
-    /// A fallible, validating builder over the default configuration.
-    ///
-    /// [`DatapathConfigBuilder::build`] runs [`DatapathConfig::check`] and
-    /// returns the typed [`Report`] on any defect, so an invalid datapath
-    /// can never escape construction. This is the supported construction
-    /// path; struct-literal update syntax remains available for tests and
-    /// sweep internals that start from an already-valid configuration.
-    #[must_use]
-    pub fn builder() -> DatapathConfigBuilder {
-        DatapathConfigBuilder {
-            cfg: DatapathConfig::default(),
-        }
-    }
-
     /// Peak local memory bandwidth in elements per cycle
     /// (banks × ports/bank) — one of the three Kiviat axes of Figure 9.
     #[must_use]
@@ -104,94 +90,26 @@ impl DatapathConfig {
     }
 }
 
-/// Fallible builder for [`DatapathConfig`].
-///
-/// Created by [`DatapathConfig::builder`]. Setters are infallible and
-/// chainable; all validation happens once in [`build`](Self::build), which
-/// returns the same `L0201` diagnostics as [`DatapathConfig::check`].
-#[derive(Debug, Clone)]
-pub struct DatapathConfigBuilder {
-    cfg: DatapathConfig,
-}
-
-impl DatapathConfigBuilder {
-    /// Number of datapath lanes (the unrolling factor).
-    #[must_use]
-    pub fn lanes(mut self, lanes: u32) -> Self {
-        self.cfg.lanes = lanes;
-        self
-    }
-
-    /// Cyclic partitioning factor of each scratchpad array.
-    #[must_use]
-    pub fn partition(mut self, partition: u32) -> Self {
-        self.cfg.partition = partition;
-        self
-    }
-
-    /// Read/write ports per scratchpad bank.
-    #[must_use]
-    pub fn ports_per_bank(mut self, ports: u32) -> Self {
-        self.cfg.ports_per_bank = ports;
-        self
-    }
-
-    /// Functional-unit latencies.
-    #[must_use]
-    pub fn timing(mut self, timing: FuTiming) -> Self {
-        self.cfg.timing = timing;
-        self
-    }
-
-    /// Inter-lane synchronization model.
-    #[must_use]
-    pub fn sync(mut self, sync: LaneSync) -> Self {
-        self.cfg.sync = sync;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full typed [`Report`] (code `L0201`) if any structural
-    /// parameter is zero.
-    pub fn build(self) -> Result<DatapathConfig, Report> {
-        let report = self.cfg.check();
-        if report.has_errors() {
-            Err(report)
-        } else {
-            Ok(self.cfg)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_round_trips_and_validates() {
-        let built = DatapathConfig::builder()
-            .lanes(4)
-            .partition(8)
-            .ports_per_bank(2)
-            .sync(LaneSync::Free)
-            .build()
-            .expect("valid datapath");
-        assert_eq!(
-            built,
-            DatapathConfig {
-                lanes: 4,
-                partition: 8,
-                ports_per_bank: 2,
-                timing: FuTiming::default(),
-                sync: LaneSync::Free,
-            }
-        );
+    fn check_validates_struct_updates() {
+        let cfg = DatapathConfig {
+            lanes: 4,
+            partition: 8,
+            ports_per_bank: 2,
+            sync: LaneSync::Free,
+            ..DatapathConfig::default()
+        };
+        assert!(cfg.check().is_clean());
 
-        let err = DatapathConfig::builder().lanes(0).build().unwrap_err();
-        assert!(err.has_code("L0201"));
+        let zero_lanes = DatapathConfig {
+            lanes: 0,
+            ..DatapathConfig::default()
+        };
+        assert!(zero_lanes.check().has_code("L0201"));
     }
 
     #[test]

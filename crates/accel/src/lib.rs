@@ -54,7 +54,7 @@ mod power;
 mod scheduler;
 mod window;
 
-pub use config::{DatapathConfig, DatapathConfigBuilder, LaneSync};
+pub use config::{DatapathConfig, LaneSync};
 pub use dddg::PreparedDddg;
 pub use fu::FuTiming;
 pub use meminterface::{DatapathMemory, IssueResult, SpadMemory, SpadStats};

@@ -53,9 +53,7 @@ impl DatapathMemory for KPerCycle {
         }
     }
 
-    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
+    fn drain_completions(&mut self, _out: &mut Vec<(u64, u64)>) {}
 
     fn end_cycle(&mut self, _cycle: u64) {}
 }

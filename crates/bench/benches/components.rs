@@ -91,7 +91,8 @@ fn bench_cache() {
     // Warm one line.
     cache.begin_cycle(0);
     cache.access(0, 0, AccessKind::Read, 0);
-    for req in cache.take_bus_requests() {
+    let reqs: Vec<_> = cache.take_bus_requests().collect();
+    for req in reqs {
         cache.bus_completed(req.line_addr, 0);
     }
     let _ = cache.drain_completions();
@@ -112,7 +113,8 @@ fn bench_cache() {
         for i in 0..200u64 {
             cache.begin_cycle(i);
             let _ = cache.access(i, i * 64, AccessKind::Read, i);
-            for req in cache.take_bus_requests() {
+            let reqs: Vec<_> = cache.take_bus_requests().collect();
+            for req in reqs {
                 if !req.write {
                     cache.bus_completed(req.line_addr, i);
                 }

@@ -7,24 +7,25 @@
 //! (Section IV-D).
 //!
 //! [`CacheClient`] is the accelerator side: TLB, cache, fill tracking and
-//! private scratchpads. It plugs into a [`SocWorld`] as the world's
-//! [`Front`], so its fills arbitrate on the same interconnect as every DMA
-//! engine and the background traffic. [`CacheDatapathMemory`] is the one
-//! public cache memory: a client over its world. The single-accelerator
-//! cache flow builds it over a private lockstep world; `simulate_multi`
-//! builds it over the shared world its DMA jobs run in (the paper's Fig. 3
+//! private scratchpads. It plugs into a [`SocWorld`](crate::world::SocWorld)
+//! as the world's [`Front`], so its fills arbitrate on the same
+//! interconnect as every DMA engine and the background traffic, and the
+//! world is the scheduler's memory. The single-accelerator cache flow
+//! builds a private lockstep world around a client; `simulate_multi` swaps
+//! one into the shared world its DMA jobs run in (the paper's Fig. 3
 //! heterogeneous topology).
+//!
+//! Set the client's `ideal` flag to make every access single-cycle (the
+//! Fig. 7 "processing time" bound); combine it with an infinite-bandwidth
+//! bus for the "latency time" bound.
 
-use aladdin_accel::{DatapathConfig, DatapathMemory, IssueResult, SpadMemory, SpadStats};
+use aladdin_accel::{DatapathConfig, DatapathMemory, IssueResult, SpadMemory};
 use aladdin_faults::FaultPlan;
 use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic};
-use aladdin_mem::{
-    AccessKind, BusStats, Cache, CacheOutcome, CacheStats, Fabric, FillTracker, MasterId, Tlb,
-    TlbStats,
-};
+use aladdin_mem::{AccessKind, Cache, CacheOutcome, Fabric, FillTracker, MasterId, Tlb};
 
 use crate::config::SocConfig;
-use crate::world::{Front, SocWorld};
+use crate::world::Front;
 
 #[derive(Debug, Clone, Copy)]
 struct Delayed {
@@ -39,12 +40,16 @@ struct Delayed {
 /// the world it is the [`Front`] of supplies each cycle.
 #[derive(Debug)]
 pub(crate) struct CacheClient {
-    spad: SpadMemory,
+    /// Scratchpad banks for the private arrays.
+    pub(crate) spad: SpadMemory,
     shared_ranges: Vec<(u64, u64)>,
-    tlb: Tlb,
-    cache: Cache,
+    pub(crate) tlb: Tlb,
+    pub(crate) cache: Cache,
     fills: FillTracker,
+    /// TLB-delayed accesses, oldest first.
     delayed: Vec<Delayed>,
+    /// Delayed accesses the cache turned away again this cycle.
+    retry: Vec<Delayed>,
     completions: Vec<(u64, u64)>,
     ideal: bool,
     master: MasterId,
@@ -71,6 +76,7 @@ impl CacheClient {
             cache: Cache::new(soc.cache),
             fills: FillTracker::new(),
             delayed: Vec::new(),
+            retry: Vec::new(),
             completions: Vec::new(),
             ideal: false,
             master,
@@ -92,18 +98,18 @@ impl CacheClient {
             .iter()
             .any(|&(b, e)| addr >= b && addr < e)
     }
+}
 
-    fn cache_try(&mut self, id: u64, addr: u64, write: bool, cycle: u64) -> IssueResult {
-        let kind = if write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        match self.cache.access(id, addr, kind, cycle) {
-            CacheOutcome::Hit { at } => IssueResult::Done { at },
-            CacheOutcome::Miss => IssueResult::Pending,
-            CacheOutcome::NoPort | CacheOutcome::NoMshr => IssueResult::Reject,
-        }
+fn cache_try(cache: &mut Cache, id: u64, addr: u64, write: bool, cycle: u64) -> IssueResult {
+    let kind = if write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    };
+    match cache.access(id, addr, kind, cycle) {
+        CacheOutcome::Hit { at } => IssueResult::Done { at },
+        CacheOutcome::Miss => IssueResult::Pending,
+        CacheOutcome::NoPort | CacheOutcome::NoMshr => IssueResult::Reject,
     }
 }
 
@@ -111,23 +117,31 @@ impl DatapathMemory for CacheClient {
     fn begin_cycle(&mut self, cycle: u64) {
         self.spad.begin_cycle(cycle);
         self.cache.begin_cycle(cycle);
-        if self.delayed.is_empty() {
-            return;
-        }
-        // Retry TLB-delayed accesses that are now translated.
-        let (due, mut still): (Vec<_>, Vec<_>) =
-            self.delayed.drain(..).partition(|d| d.ready_at <= cycle);
-        for d in due {
-            match self.cache_try(d.id, d.addr, d.write, cycle) {
-                IssueResult::Done { at } => self.completions.push((d.id, at)),
+        // Retry TLB-delayed accesses that are now translated, oldest
+        // first. Those not yet due keep their order; those the cache turns
+        // away again queue behind them.
+        let CacheClient {
+            cache,
+            delayed,
+            retry,
+            completions,
+            ..
+        } = self;
+        delayed.retain(|d| {
+            if d.ready_at > cycle {
+                return true;
+            }
+            match cache_try(cache, d.id, d.addr, d.write, cycle) {
+                IssueResult::Done { at } => completions.push((d.id, at)),
                 IssueResult::Pending => {}
-                IssueResult::Reject => still.push(Delayed {
+                IssueResult::Reject => retry.push(Delayed {
                     ready_at: cycle + 1,
-                    ..d
+                    ..*d
                 }),
             }
-        }
-        self.delayed = still;
+            false
+        });
+        delayed.append(retry);
     }
 
     fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
@@ -149,13 +163,12 @@ impl DatapathMemory for CacheClient {
             });
             return IssueResult::Pending;
         }
-        self.cache_try(id, addr, write, cycle)
+        cache_try(&mut self.cache, id, addr, write, cycle)
     }
 
-    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        let mut out = std::mem::take(&mut self.completions);
-        out.extend(self.spad.drain_completions());
-        out
+    fn drain_completions(&mut self, out: &mut Vec<(u64, u64)>) {
+        out.append(&mut self.completions);
+        self.spad.drain_completions(out);
     }
 
     /// Collect waiters released by fills that completed this cycle (the
@@ -196,101 +209,16 @@ impl Front for CacheClient {
     }
 }
 
-/// A [`DatapathMemory`] that services shared arrays from a cache behind
-/// the system bus, and private arrays from scratchpad banks.
-///
-/// Set `ideal` to make every access single-cycle (the Fig. 7 "processing
-/// time" bound); combine with an infinite-bandwidth bus (see
-/// [`BusConfig::infinite_bandwidth`](aladdin_mem::BusConfig)) for the
-/// "latency time" bound.
-#[derive(Debug)]
-pub struct CacheDatapathMemory {
-    pub(crate) world: SocWorld<CacheClient>,
-}
-
-impl CacheDatapathMemory {
-    /// Build over a private world for `soc` from array metadata alone —
-    /// what both in-memory and streamed `.atrc` traces provide.
-    ///
-    /// # Errors
-    ///
-    /// Returns the topology's defect diagnostic if `soc.topology` fails
-    /// [`TopologyConfig::check`](aladdin_mem::TopologyConfig::check).
-    pub fn try_from_arrays(
-        arrays: &[ArrayInfo],
-        cfg: &DatapathConfig,
-        soc: &SocConfig,
-    ) -> Result<Self, Diagnostic> {
-        let client = CacheClient::from_arrays(arrays, cfg, soc, MasterId::ACCEL_CACHE);
-        Ok(CacheDatapathMemory {
-            world: SocWorld::new(soc, client)?,
-        })
-    }
-
-    /// Make every access a single-cycle hit (Fig. 7 processing-time bound).
-    pub fn set_ideal(&mut self, ideal: bool) {
-        self.world.front.set_ideal(ideal);
-    }
-
-    /// Arm fault injection from `plan`: bus-grant delays, burst NACKs and
-    /// DRAM latency spikes land on the fill path, TLB page-walk faults on
-    /// translation. An empty plan leaves timing bit-identical.
-    pub fn set_faults(&mut self, plan: &FaultPlan) {
-        self.world.set_faults(plan);
-        self.world.front.set_faults(plan);
-    }
-
-    /// Cache statistics so far.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.world.front.cache.stats()
-    }
-
-    /// TLB statistics so far.
-    #[must_use]
-    pub fn tlb_stats(&self) -> TlbStats {
-        self.world.front.tlb.stats()
-    }
-
-    /// Bus statistics so far.
-    #[must_use]
-    pub fn bus_stats(&self) -> BusStats {
-        self.world.bus_stats()
-    }
-
-    /// Scratchpad statistics (private arrays) so far.
-    #[must_use]
-    pub fn spad_stats(&self) -> SpadStats {
-        self.world.front.spad.stats()
-    }
-}
-
-impl DatapathMemory for CacheDatapathMemory {
-    fn begin_cycle(&mut self, cycle: u64) {
-        self.world.begin_cycle(cycle);
-    }
-
-    fn issue(&mut self, id: u64, addr: u64, bytes: u32, write: bool, cycle: u64) -> IssueResult {
-        self.world.issue(id, addr, bytes, write, cycle)
-    }
-
-    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        self.world.drain_completions()
-    }
-
-    fn end_cycle(&mut self, cycle: u64) {
-        self.world.end_cycle(cycle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::SocWorld;
     use aladdin_accel::schedule;
     use aladdin_ir::{ArrayKind as AK, Opcode, Trace, Tracer};
 
-    fn mem_for(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig) -> CacheDatapathMemory {
-        CacheDatapathMemory::try_from_arrays(trace.arrays(), dp, soc).expect("valid topology")
+    fn mem_for(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig) -> SocWorld<CacheClient> {
+        let client = CacheClient::from_arrays(trace.arrays(), dp, soc, MasterId::ACCEL_CACHE);
+        SocWorld::new(soc, client).expect("valid topology")
     }
 
     fn streaming_trace(elems: usize) -> Trace {
@@ -318,10 +246,10 @@ mod tests {
         let mut mem = mem_for(&trace, &dp, &soc);
         let r = schedule(&trace, &dp, &mut mem, 0);
         assert!(r.end > 0);
-        let cs = mem.cache_stats();
+        let cs = mem.front.cache.stats();
         assert!(cs.misses > 0, "cold cache must miss: {cs:?}");
         assert!(cs.hits > 0, "line reuse must hit: {cs:?}");
-        let ts = mem.tlb_stats();
+        let ts = mem.front.tlb.stats();
         assert!(ts.misses >= 1);
         assert!(mem.bus_stats().bytes > 0);
     }
@@ -338,7 +266,7 @@ mod tests {
         let mut real = mem_for(&trace, &dp, &soc);
         let r_real = schedule(&trace, &dp, &mut real, 0);
         let mut ideal = mem_for(&trace, &dp, &soc);
-        ideal.set_ideal(true);
+        ideal.front.set_ideal(true);
         let r_ideal = schedule(&trace, &dp, &mut ideal, 0);
         assert!(
             r_ideal.end < r_real.end,
@@ -361,8 +289,8 @@ mod tests {
         let soc = SocConfig::default();
         let mut mem = mem_for(&trace, &dp, &soc);
         let _ = schedule(&trace, &dp, &mut mem, 0);
-        assert_eq!(mem.cache_stats().accesses(), 0);
-        assert_eq!(mem.spad_stats().writes, 64);
+        assert_eq!(mem.front.cache.stats().accesses(), 0);
+        assert_eq!(mem.front.spad.stats().writes, 64);
     }
 
     #[test]

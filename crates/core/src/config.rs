@@ -173,20 +173,6 @@ impl Default for SocConfig {
 }
 
 impl SocConfig {
-    /// A fallible, validating builder over the paper's default platform.
-    ///
-    /// [`SocConfigBuilder::build`] runs [`SocConfig::check`] and returns
-    /// the typed [`Report`] on any defect, so an invalid SoC can never
-    /// escape construction. This is the supported construction path;
-    /// struct-literal update syntax remains available for tests and sweep
-    /// internals that start from an already-valid configuration.
-    #[must_use]
-    pub fn builder() -> SocConfigBuilder {
-        SocConfigBuilder {
-            cfg: SocConfig::default(),
-        }
-    }
-
     /// The paper's second contended scenario: a 64-bit system bus.
     #[must_use]
     pub fn with_64bit_bus(mut self) -> Self {
@@ -360,125 +346,6 @@ impl SocConfig {
     }
 }
 
-/// Fallible builder for [`SocConfig`].
-///
-/// Created by [`SocConfig::builder`]; starts from the paper's validated
-/// default platform. Setters are infallible and chainable; all validation
-/// happens once in [`build`](Self::build), which returns the same `L021x`
-/// diagnostics as [`SocConfig::check`].
-#[derive(Debug, Clone)]
-pub struct SocConfigBuilder {
-    cfg: SocConfig,
-}
-
-impl SocConfigBuilder {
-    /// Accelerator clock.
-    #[must_use]
-    pub fn clock(mut self, clock: Clock) -> Self {
-        self.cfg.clock = clock;
-        self
-    }
-
-    /// Shared system bus.
-    #[must_use]
-    pub fn bus(mut self, bus: BusConfig) -> Self {
-        self.cfg.bus = bus;
-        self
-    }
-
-    /// Shared system bus width in bits (keeps other bus fields).
-    #[must_use]
-    pub fn bus_width_bits(mut self, bits: u32) -> Self {
-        self.cfg.bus.width_bits = bits;
-        self
-    }
-
-    /// Interconnect topology and protocol layer.
-    #[must_use]
-    pub fn topology(mut self, topology: TopologyConfig) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
-    /// DRAM behind the bus.
-    #[must_use]
-    pub fn dram(mut self, dram: DramConfig) -> Self {
-        self.cfg.dram = dram;
-        self
-    }
-
-    /// CPU-side flush/invalidate cost model.
-    #[must_use]
-    pub fn flush(mut self, flush: FlushConfig) -> Self {
-        self.cfg.flush = flush;
-        self
-    }
-
-    /// DMA engine parameters.
-    #[must_use]
-    pub fn dma(mut self, dma: DmaConfig) -> Self {
-        self.cfg.dma = dma;
-        self
-    }
-
-    /// Accelerator TLB (cache-based flows).
-    #[must_use]
-    pub fn tlb(mut self, tlb: TlbConfig) -> Self {
-        self.cfg.tlb = tlb;
-        self
-    }
-
-    /// Accelerator cache geometry (cache-based flows).
-    #[must_use]
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cfg.cache = cache;
-        self
-    }
-
-    /// Full/empty-bit tracking granularity in bytes.
-    #[must_use]
-    pub fn ready_bits_granule(mut self, bytes: u64) -> Self {
-        self.cfg.ready_bits_granule = bytes;
-        self
-    }
-
-    /// Cycles for the CPU to invoke the accelerator.
-    #[must_use]
-    pub fn invoke_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.invoke_cycles = cycles;
-        self
-    }
-
-    /// Background bus-traffic injection.
-    #[must_use]
-    pub fn traffic(mut self, traffic: Option<TrafficConfig>) -> Self {
-        self.cfg.traffic = traffic;
-        self
-    }
-
-    /// CPU-side completion-observation model.
-    #[must_use]
-    pub fn completion(mut self, completion: Option<CompletionSignal>) -> Self {
-        self.cfg.completion = completion;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full typed [`Report`] (`L021x` codes) if any SoC field
-    /// is internally inconsistent.
-    pub fn build(self) -> Result<SocConfig, Report> {
-        let report = self.cfg.check();
-        if report.has_errors() {
-            Err(report)
-        } else {
-            Ok(self.cfg)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,34 +390,27 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_and_validates() {
-        let built = SocConfig::builder()
-            .bus_width_bits(64)
-            .invoke_cycles(42)
-            .ready_bits_granule(4096)
-            .build()
-            .expect("valid soc");
-        assert_eq!(
-            built,
-            SocConfig {
-                bus: BusConfig {
-                    width_bits: 64,
-                    ..BusConfig::default()
-                },
-                invoke_cycles: 42,
-                ready_bits_granule: 4096,
-                ..SocConfig::default()
-            }
-        );
+    fn check_validates_struct_updates() {
+        let soc = SocConfig {
+            bus: BusConfig {
+                width_bits: 64,
+                ..BusConfig::default()
+            },
+            invoke_cycles: 42,
+            ready_bits_granule: 4096,
+            ..SocConfig::default()
+        };
+        assert!(soc.check().is_clean());
 
         // 3 KB / 32 B lines / 4 ways = 24 sets: not a power of two.
-        let err = SocConfig::builder()
-            .cache(CacheConfig {
+        let err = SocConfig {
+            cache: CacheConfig {
                 size_bytes: 3072,
                 ..CacheConfig::default()
-            })
-            .build()
-            .unwrap_err();
+            },
+            ..SocConfig::default()
+        }
+        .check();
         assert!(err.has_code("L0211"));
         assert!(err.has_errors());
     }
@@ -571,8 +431,8 @@ mod tests {
         soc.topology.topology = Topology::Crossbar { radix: 0 };
         assert!(soc.check().has_code(aladdin_mem::CODE_BAD_TOPOLOGY));
 
-        let built = SocConfig::builder()
-            .topology(TopologyConfig {
+        let mesh = SocConfig {
+            topology: TopologyConfig {
                 topology: Topology::MeshNoc {
                     cols: 3,
                     rows: 3,
@@ -580,10 +440,11 @@ mod tests {
                     link_bits: 32,
                 },
                 ..TopologyConfig::default()
-            })
-            .build()
-            .expect("valid mesh soc");
-        assert_eq!(built.topology.capacity(), 8);
+            },
+            ..SocConfig::default()
+        };
+        assert!(mesh.check().is_clean());
+        assert_eq!(mesh.topology.capacity(), 8);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use aladdin_faults::{SimError, SimHarness, Watchdog};
 use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic, Locus, Report, Trace, TraceStats};
 use aladdin_mem::{CacheStats, DmaEngine, DmaStats, IntervalSet, MasterId, TlbStats};
 
-use crate::cachemem::CacheDatapathMemory;
+use crate::cachemem::CacheClient;
 use crate::config::{DmaOptLevel, MemKind, SocConfig};
 use crate::phase::PhaseBreakdown;
 use crate::source::TraceSource;
@@ -624,20 +624,21 @@ fn sim_cache(
     harness: &SimHarness,
 ) -> Result<SourceFlowRun, SimError> {
     let t0 = soc.invoke_cycles;
-    let mut mem =
-        CacheDatapathMemory::try_from_arrays(source.arrays(), dp, soc).map_err(SimError::Diag)?;
-    mem.set_ideal(ideal);
-    mem.set_faults(&harness.plan);
-    let run = run_schedule(source, dp, sspec, ws, &mut mem, t0, &harness.watchdog);
-    let run = mem.world.settle(run)?;
+    let mut client = CacheClient::from_arrays(source.arrays(), dp, soc, MasterId::ACCEL_CACHE);
+    client.set_ideal(ideal);
+    client.set_faults(&harness.plan);
+    let mut world = SocWorld::new(soc, client).map_err(SimError::Diag)?;
+    world.set_faults(&harness.plan);
+    let run = run_schedule(source, dp, sspec, ws, &mut world, t0, &harness.watchdog);
+    let run = world.settle(run)?;
     let end = run.sched.end
         + soc
             .completion
             .map_or(0, |c| c.observation_lag(run.sched.end));
 
     let pm = PowerModel::default_40nm();
-    let cs = mem.cache_stats();
-    let ts = mem.tlb_stats();
+    let cs = world.front.cache.stats();
+    let ts = world.front.tlb.stats();
     let internal_bytes = internal_array_bytes(source.arrays());
     let cache_params = CacheEnergyParams {
         size_bytes: soc.cache.size_bytes,
@@ -651,7 +652,7 @@ fn sim_cache(
         + (ts.hits + ts.misses) as f64 * pm.tlb_access_pj();
     let spad_dyn = spad_energy_pj(
         &pm,
-        &mem.spad_stats(),
+        &world.front.spad.stats(),
         internal_bytes.max(64),
         dp.partition,
         0,
@@ -671,7 +672,7 @@ fn sim_cache(
             pm.cache_leakage_mw(cache_params),
             pm.spad_leakage_mw(internal_bytes, dp.ports_per_bank),
         ],
-        spad: mem.spad_stats(),
+        spad: world.front.spad.stats(),
         cache: Some((cs, ts)),
         dma: None,
         sram_bytes: soc.cache.size_bytes + internal_bytes,

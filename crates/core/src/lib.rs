@@ -74,10 +74,7 @@ pub use aladdin_faults::{
 pub use aladdin_mem::{
     MasterId, ProtocolConfig, Topology, TopologyConfig, CODE_BAD_TOPOLOGY, CODE_TOPOLOGY_CAPACITY,
 };
-pub use cachemem::CacheDatapathMemory;
-pub use config::{
-    CompletionSignal, DmaOptLevel, MemKind, SocConfig, SocConfigBuilder, TrafficConfig,
-};
+pub use config::{CompletionSignal, DmaOptLevel, MemKind, SocConfig, TrafficConfig};
 pub use decompose::{decompose_cache_time, TimeDecomposition};
 pub use engine::{
     simulate, simulate_prepared, simulate_source, simulate_source_prepared, FlowResult, FlowSpec,

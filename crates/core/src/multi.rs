@@ -21,7 +21,7 @@
 //!   job model is why a one-job run is close to, not equal to, the single
 //!   flow.
 //! * **One cache job** may join the mix (the heterogeneous ACCEL0/ACCEL1
-//!   pairing): a [`CacheDatapathMemory`] over the shared world, so its
+//!   pairing): its cache client becomes the shared world's front, so its
 //!   scheduler drives the world cycle-by-cycle and every fill arbitrates
 //!   against the DMA engines.
 //! * **Isolated jobs** never touch the bus; they ride along for
@@ -37,7 +37,7 @@ use aladdin_faults::{SimError, SimHarness};
 use aladdin_ir::{Diagnostic, Locus, Report, Trace};
 use aladdin_mem::{BusStats, IntervalSet, MasterId, CODE_TOPOLOGY_CAPACITY};
 
-use crate::cachemem::{CacheClient, CacheDatapathMemory};
+use crate::cachemem::CacheClient;
 use crate::config::{DmaOptLevel, MemKind, SocConfig};
 use crate::engine::{report_error, run_schedule, FlowSpec, SchedSpec};
 use crate::phase::PhaseBreakdown;
@@ -401,9 +401,7 @@ pub fn simulate_multi(
         let mut client =
             CacheClient::from_arrays(job.trace.arrays(), &job.datapath, soc, masters[ci]);
         client.set_faults(&harness.plan);
-        let mut mem = CacheDatapathMemory {
-            world: world.replace_front(client).0,
-        };
+        let mut mem = world.replace_front(client).0;
         let source = TraceSource::Memory(&job.trace);
         let run = run_schedule(
             &source,
@@ -414,7 +412,7 @@ pub fn simulate_multi(
             t0,
             &harness.watchdog,
         );
-        let sched = mem.world.settle(run)?.sched;
+        let sched = mem.settle(run)?.sched;
         let end = sched.end + soc.completion.map_or(0, |c| c.observation_lag(sched.end));
         let phases = PhaseBreakdown::for_dma_run(
             &IntervalSet::new(),
@@ -436,7 +434,7 @@ pub fn simulate_multi(
                 bus_bytes: 0,
             },
         ));
-        world = mem.world.replace_front(()).0;
+        world = mem.replace_front(()).0;
     }
 
     // Run the remaining DMA jobs to completion.

@@ -92,12 +92,6 @@ impl PhaseBreakdown {
         ]
     }
 
-    /// Cycles spent on any data movement (everything but compute-only).
-    #[must_use]
-    pub fn data_movement(&self) -> u64 {
-        self.flush_only + self.dma_flush + self.compute_dma
-    }
-
     /// Whether the run is data-movement bound (more than half the cycles
     /// involve no exclusive compute) — the paper's Figure 2b split.
     #[must_use]
@@ -203,7 +197,6 @@ mod tests {
             ..PhaseBreakdown::default()
         };
         assert!(!compute.is_data_movement_bound());
-        assert_eq!(bound.data_movement(), 70);
     }
 
     #[test]

@@ -504,8 +504,8 @@ impl<F: Front + DatapathMemory> DatapathMemory for SocWorld<F> {
         self.front.issue(id, addr, bytes, write, cycle)
     }
 
-    fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        self.front.drain_completions()
+    fn drain_completions(&mut self, out: &mut Vec<(u64, u64)>) {
+        self.front.drain_completions(out);
     }
 
     fn end_cycle(&mut self, cycle: u64) {

@@ -14,7 +14,6 @@ const GOLDEN: &[&str] = &[
     "AcceleratorTimeline",
     "CODE_BAD_TOPOLOGY",
     "CODE_TOPOLOGY_CAPACITY",
-    "CacheDatapathMemory",
     "CompletionSignal",
     "DeadlockSnapshot",
     "DmaOptLevel",
@@ -32,7 +31,6 @@ const GOLDEN: &[&str] = &[
     "SimError",
     "SimHarness",
     "SocConfig",
-    "SocConfigBuilder",
     "SourceFlowRun",
     "TimeDecomposition",
     "Topology",

@@ -31,8 +31,7 @@ pub fn lint_design(dp: &DatapathConfig, soc: &SocConfig) -> Report {
 /// SoC-internal consistency (`L021x`).
 ///
 /// Delegates to [`SocConfig::check`], which owns the single copy of these
-/// rules (they also back `SocConfig::builder()`); this wrapper survives as
-/// the lint-pass entry point.
+/// rules; this wrapper survives as the lint-pass entry point.
 #[must_use]
 pub fn lint_soc(soc: &SocConfig) -> Report {
     soc.check()

@@ -261,10 +261,9 @@ struct Line {
     prefetched: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Mshr {
     line_addr: u64,
-    waiters: Vec<(u64, AccessKind)>,
     prefetch_only: bool,
 }
 
@@ -286,9 +285,9 @@ struct Stream {
 /// cache.begin_cycle(0);
 /// // Cold access misses and requests a line fill...
 /// assert_eq!(cache.access(1, 0x1000, AccessKind::Read, 0), CacheOutcome::Miss);
-/// let fill = cache.take_bus_requests().remove(0);
+/// let fill = cache.take_bus_requests().next().expect("a line fill");
 /// cache.bus_completed(fill.line_addr, 25);
-/// assert_eq!(cache.drain_completions(), vec![(1, 26)]);
+/// assert!(cache.drain_completions().eq([(1, 26)]));
 /// // ...and the next touch of the same line hits.
 /// cache.begin_cycle(30);
 /// assert_eq!(
@@ -301,6 +300,9 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
     mshrs: Vec<Mshr>,
+    /// Accesses waiting on a fill, as `(line address, id, kind)`, in
+    /// arrival order across every MSHR.
+    waiters: Vec<(u64, u64, AccessKind)>,
     streams: Vec<Stream>,
     outbox: Vec<CacheBusRequest>,
     completions: Vec<(u64, u64)>,
@@ -334,6 +336,7 @@ impl Cache {
                 sets
             ],
             mshrs: Vec::with_capacity(cfg.mshrs),
+            waiters: Vec::new(),
             streams: Vec::new(),
             outbox: Vec::new(),
             completions: Vec::new(),
@@ -470,7 +473,7 @@ impl Cache {
         // Miss path: merge into an outstanding fill if one exists.
         if let Some(m) = self.mshrs.iter_mut().find(|m| m.line_addr == line_addr) {
             self.ports_used += 1;
-            m.waiters.push((id, kind));
+            self.waiters.push((line_addr, id, kind));
             m.prefetch_only = false;
             self.stats.secondary_misses += 1;
             return CacheOutcome::Miss;
@@ -482,9 +485,9 @@ impl Cache {
         self.ports_used += 1;
         self.mshrs.push(Mshr {
             line_addr,
-            waiters: vec![(id, kind)],
             prefetch_only: false,
         });
+        self.waiters.push((line_addr, id, kind));
         self.outbox.push(CacheBusRequest {
             line_addr,
             bytes: self.cfg.line_bytes,
@@ -554,7 +557,6 @@ impl Cache {
         }
         self.mshrs.push(Mshr {
             line_addr,
-            waiters: Vec::new(),
             prefetch_only: true,
         });
         self.outbox.push(CacheBusRequest {
@@ -567,8 +569,8 @@ impl Cache {
     }
 
     /// Take the line transactions the cache wants placed on the bus.
-    pub fn take_bus_requests(&mut self) -> Vec<CacheBusRequest> {
-        std::mem::take(&mut self.outbox)
+    pub fn take_bus_requests(&mut self) -> std::vec::Drain<'_, CacheBusRequest> {
+        self.outbox.drain(..)
     }
 
     /// Deliver a fill completion for `line_addr` at `cycle`: installs the
@@ -604,7 +606,18 @@ impl Cache {
             });
             self.stats.writebacks += 1;
         }
-        let wrote = mshr.waiters.iter().any(|&(_, k)| k == AccessKind::Write);
+        // Complete this line's waiters in arrival order.
+        let at = cycle + self.cfg.hit_latency;
+        let mut wrote = false;
+        let completions = &mut self.completions;
+        self.waiters.retain(|&(line, id, kind)| {
+            if line != line_addr {
+                return true;
+            }
+            wrote |= kind == AccessKind::Write;
+            completions.push((id, at));
+            false
+        });
         self.lru_clock += 1;
         self.sets[set][way] = Line {
             tag: line_addr,
@@ -616,14 +629,11 @@ impl Cache {
             lru: self.lru_clock,
             prefetched: mshr.prefetch_only,
         };
-        for (id, _) in mshr.waiters {
-            self.completions.push((id, cycle + self.cfg.hit_latency));
-        }
     }
 
     /// Take `(access id, completion cycle)` pairs for misses that finished.
-    pub fn drain_completions(&mut self) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.completions)
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, (u64, u64)> {
+        self.completions.drain(..)
     }
 
     /// Number of outstanding MSHRs (demand + prefetch).
@@ -744,7 +754,8 @@ mod tests {
 
     /// Drives a miss to completion immediately (zero-latency "bus").
     fn fill_now(c: &mut Cache, cycle: u64) {
-        for req in c.take_bus_requests() {
+        let reqs: Vec<_> = c.take_bus_requests().collect();
+        for req in reqs {
             if !req.write {
                 c.bus_completed(req.line_addr, cycle);
             }
@@ -763,7 +774,7 @@ mod tests {
         c.begin_cycle(0);
         assert_eq!(c.access(1, 0x100, AccessKind::Read, 0), CacheOutcome::Miss);
         fill_now(&mut c, 5);
-        let done = c.drain_completions();
+        let done: Vec<_> = c.drain_completions().collect();
         assert_eq!(done, vec![(1, 6)]);
         c.begin_cycle(7);
         assert_eq!(
@@ -782,7 +793,7 @@ mod tests {
         assert_eq!(c.access(2, 0x108, AccessKind::Read, 0), CacheOutcome::Miss);
         assert_eq!(c.take_bus_requests().len(), 1, "one fill for both");
         c.bus_completed(0x100, 9);
-        let mut done = c.drain_completions();
+        let mut done: Vec<_> = c.drain_completions().collect();
         done.sort_unstable();
         assert_eq!(done, vec![(1, 10), (2, 10)]);
         assert_eq!(c.stats().secondary_misses, 1);
@@ -839,15 +850,11 @@ mod tests {
         fill_now(&mut c, 3);
         c.begin_cycle(4);
         c.access(3, 0x100, AccessKind::Read, 4);
-        let reqs = c.take_bus_requests();
+        let reqs: Vec<_> = c.take_bus_requests().collect();
         assert_eq!(reqs.len(), 1);
         c.bus_completed(0x100, 9);
         // Victim 0x000 was Modified → a writeback must be in the outbox.
-        let wb: Vec<_> = c
-            .take_bus_requests()
-            .into_iter()
-            .filter(|r| r.write)
-            .collect();
+        let wb: Vec<_> = c.take_bus_requests().filter(|r| r.write).collect();
         assert_eq!(wb.len(), 1);
         assert_eq!(wb[0].line_addr, 0x000);
         assert_eq!(c.stats().writebacks, 1);
@@ -965,14 +972,15 @@ mod tests {
             CacheOutcome::Hit { .. }
         ));
         assert!(!c.contains(0x100), "write-through must not allocate");
-        let reqs = c.take_bus_requests();
+        let reqs: Vec<_> = c.take_bus_requests().collect();
         assert_eq!(reqs.len(), 1);
         assert!(reqs[0].write);
         assert_eq!(reqs[0].bytes, 8);
         // Read-allocate the line, then store to it: stays clean.
         c.begin_cycle(1);
         let _ = c.access(2, 0x100, AccessKind::Read, 1);
-        for r in c.take_bus_requests() {
+        let reqs: Vec<_> = c.take_bus_requests().collect();
+        for r in reqs {
             if !r.write {
                 c.bus_completed(r.line_addr, 1);
             }
@@ -1006,7 +1014,8 @@ mod tests {
             let cycle = i as u64;
             c.begin_cycle(cycle);
             let _ = c.access(i as u64 * 2, *addr, AccessKind::Read, cycle);
-            for r in c.take_bus_requests() {
+            let reqs: Vec<_> = c.take_bus_requests().collect();
+            for r in reqs {
                 if !r.write {
                     c.bus_completed(r.line_addr, cycle);
                 }

@@ -30,18 +30,6 @@ impl Clock {
         Ok(Clock { ns_per_cycle })
     }
 
-    /// A clock with the given period in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ns_per_cycle` is not strictly positive and finite; use
-    /// [`try_from_period_ns`](Clock::try_from_period_ns) to handle that
-    /// as a typed diagnostic instead.
-    #[must_use]
-    pub fn from_period_ns(ns_per_cycle: f64) -> Self {
-        Clock::try_from_period_ns(ns_per_cycle).unwrap_or_else(|d| panic!("{d}"))
-    }
-
     /// A clock with the given frequency in MHz.
     ///
     /// # Errors
@@ -141,8 +129,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be positive")]
     fn zero_period_rejected() {
-        let _ = Clock::from_period_ns(0.0);
+        let err = Clock::try_from_period_ns(0.0).unwrap_err();
+        assert_eq!(err.code, "L0210");
+        assert!(err.message.contains("must be positive"), "{err}");
     }
 }

@@ -9,7 +9,9 @@
 //! nothing, on all four topologies, bare and under a burst-splitting,
 //! outstanding-capped protocol. The DMA case streams one long inbound
 //! descriptor, draining its line arrivals every cycle as the SoC world
-//! does.
+//! does. The cache case keeps missing over a shared bus, forwarding its
+//! fills and writebacks and draining its completions every cycle as the
+//! cache client does.
 //!
 //! The counting allocator counts per thread, so tests running on other
 //! threads of this binary do not disturb the count.
@@ -18,8 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use aladdin_mem::{
-    BusConfig, DmaConfig, DmaDirection, DmaEngine, DmaTransfer, DramConfig, Fabric, MasterId,
-    ProtocolConfig, Topology, TopologyConfig,
+    AccessKind, BusConfig, Cache, CacheConfig, CacheOutcome, DmaConfig, DmaDirection, DmaEngine,
+    DmaTransfer, DramConfig, Fabric, FillTracker, MasterId, ProtocolConfig, Topology,
+    TopologyConfig,
 };
 
 struct Counting;
@@ -210,5 +213,88 @@ fn steady_state_dma_makes_no_heap_allocation() {
     assert_eq!(
         allocated, 0,
         "{allocated} allocation(s) while {steady} B arrived"
+    );
+}
+
+/// A cache streaming through memory: loads and every fourth a store,
+/// each to the next word, so lines miss, merge into outstanding fills and
+/// evict dirty victims.
+struct Streaming {
+    next: u64,
+    fills: FillTracker,
+}
+
+impl Streaming {
+    /// Step `cache` and its fabric through `cycles`; the accesses that
+    /// completed.
+    fn run(&mut self, cache: &mut Cache, fabric: &mut Fabric, cycles: std::ops::Range<u64>) -> u64 {
+        let mut completed = 0;
+        for cycle in cycles {
+            cache.begin_cycle(cycle);
+            loop {
+                let addr = 0x10_0000 + (self.next * 8) % (4 << 20);
+                let kind = if self.next % 4 == 3 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                match cache.access(self.next, addr, kind, cycle) {
+                    CacheOutcome::Hit { .. } => completed += 1,
+                    CacheOutcome::Miss => {}
+                    CacheOutcome::NoPort | CacheOutcome::NoMshr => break,
+                }
+                self.next += 1;
+            }
+            for req in cache.take_bus_requests() {
+                let token = fabric
+                    .try_request(MasterId::ACCEL_CACHE, req.line_addr, req.bytes, req.write)
+                    .expect("the cache master is in range");
+                if !req.write {
+                    self.fills.insert(token, req.line_addr);
+                }
+            }
+            fabric.tick(cycle);
+            for c in fabric.drain_completions() {
+                if let Some(line_addr) = self.fills.remove(c.token) {
+                    cache.bus_completed(line_addr, c.at);
+                }
+            }
+            completed += cache.drain_completions().count() as u64;
+        }
+        completed
+    }
+}
+
+#[test]
+fn steady_state_cache_makes_no_heap_allocation() {
+    let mut cache = Cache::new(CacheConfig::default());
+    let mut fabric = Fabric::try_new(
+        BusConfig::default(),
+        DramConfig::default(),
+        TopologyConfig::default(),
+    )
+    .expect("a valid fabric");
+    let mut stream = Streaming {
+        next: 0,
+        fills: FillTracker::new(),
+    };
+    let warm = stream.run(&mut cache, &mut fabric, 0..20_000);
+    assert!(warm > 1_000, "warm-up stalled: {warm} accesses");
+    let before = allocations();
+    let misses = cache.stats().misses;
+    let steady = stream.run(&mut cache, &mut fabric, 20_000..30_000);
+    let allocated = allocations() - before;
+    assert!(steady > 500, "steady phase stalled: {steady} accesses");
+    assert!(
+        cache.stats().misses > misses + 100,
+        "the cache must keep missing"
+    );
+    assert!(
+        cache.stats().writebacks > 0,
+        "dirty victims must be written back"
+    );
+    assert_eq!(
+        allocated, 0,
+        "{allocated} allocation(s) in {steady} accesses"
     );
 }

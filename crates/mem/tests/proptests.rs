@@ -313,7 +313,8 @@ fn moesi_transitions() {
             let cycle = i as u64;
             cache.begin_cycle(cycle);
             let _ = cache.access(i as u64, addr, AccessKind::Write, cycle);
-            for req in cache.take_bus_requests() {
+            let reqs: Vec<_> = cache.take_bus_requests().collect();
+            for req in reqs {
                 if !req.write {
                     cache.bus_completed(req.line_addr, cycle);
                 }

@@ -12,11 +12,17 @@ use aladdin_workloads::evaluation_kernels;
 
 fn main() {
     let soc = SocConfig::default();
-    let dp = DatapathConfig::builder()
-        .lanes(4)
-        .partition(4)
-        .build()
-        .expect("valid datapath");
+    let dp = DatapathConfig {
+        lanes: 4,
+        partition: 4,
+        ..DatapathConfig::default()
+    };
+    let report = dp.check();
+    assert!(
+        !report.has_errors(),
+        "invalid datapath: {}",
+        report.to_human()
+    );
 
     println!(
         "{:<20} {:>12} {:>12} {:>10} {:>10} {:>10}",

@@ -19,12 +19,24 @@ fn main() {
         run.trace.output_bytes()
     );
 
-    let soc = SocConfig::builder().build().expect("valid platform");
-    let dp = DatapathConfig::builder()
-        .lanes(4)
-        .partition(4)
-        .build()
-        .expect("valid datapath");
+    let soc = SocConfig::default();
+    let report = soc.check();
+    assert!(
+        !report.has_errors(),
+        "invalid platform: {}",
+        report.to_human()
+    );
+    let dp = DatapathConfig {
+        lanes: 4,
+        partition: 4,
+        ..DatapathConfig::default()
+    };
+    let report = dp.check();
+    assert!(
+        !report.has_errors(),
+        "invalid datapath: {}",
+        report.to_human()
+    );
 
     let flow = |kind| simulate(&run.trace, &dp, &soc, &FlowSpec::new(kind)).unwrap();
     let isolated = flow(MemKind::Isolated);

@@ -13,11 +13,17 @@ use aladdin_workloads::by_name;
 fn main() {
     let kernel = by_name("stencil-stencil2d").expect("kernel exists");
     let trace = kernel.run().trace;
-    let dp = DatapathConfig::builder()
-        .lanes(4)
-        .partition(4)
-        .build()
-        .expect("valid datapath");
+    let dp = DatapathConfig {
+        lanes: 4,
+        partition: 4,
+        ..DatapathConfig::default()
+    };
+    let report = dp.check();
+    assert!(
+        !report.has_errors(),
+        "invalid datapath: {}",
+        report.to_human()
+    );
     let dma_spec = FlowSpec::new(MemKind::Dma(DmaOptLevel::Full));
     let cache_spec = FlowSpec::new(MemKind::Cache);
 
@@ -39,10 +45,16 @@ fn main() {
         ("medium (~25%)", 64),
         ("heavy (~50%)", 32),
     ] {
-        let soc = SocConfig::builder()
-            .traffic(Some(TrafficConfig { period, bytes: 64 }))
-            .build()
-            .expect("valid platform");
+        let soc = SocConfig {
+            traffic: Some(TrafficConfig { period, bytes: 64 }),
+            ..SocConfig::default()
+        };
+        let report = soc.check();
+        assert!(
+            !report.has_errors(),
+            "invalid platform: {}",
+            report.to_human()
+        );
         let dma = cycles(&soc, &dma_spec);
         let cache = cycles(&soc, &cache_spec);
         println!(

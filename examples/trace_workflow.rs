@@ -39,11 +39,17 @@ fn main() {
         "configuration", "serial", "balanced", "speedup"
     );
     for lanes in [2u32, 4, 8, 16] {
-        let dp = DatapathConfig::builder()
-            .lanes(lanes)
-            .partition(lanes)
-            .build()
-            .expect("valid datapath");
+        let dp = DatapathConfig {
+            lanes,
+            partition: lanes,
+            ..DatapathConfig::default()
+        };
+        let report = dp.check();
+        assert!(
+            !report.has_errors(),
+            "invalid datapath: {}",
+            report.to_human()
+        );
         let serial = simulate(&reloaded, &dp, &soc, &spec).unwrap().total_cycles;
         let tree = simulate(&balanced, &dp, &soc, &spec).unwrap().total_cycles;
         println!(
