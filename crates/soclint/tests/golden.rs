@@ -67,6 +67,53 @@ fn seeded_protocol_bug_is_caught_with_nonzero_exit() {
     }
 }
 
+/// The full `soclint protocol` report, human and JSON, for the correct
+/// protocol and each seeded bug: the state and transition counts and
+/// every flagged state are pinned, not just the presence of a code.
+#[test]
+fn protocol_reports_match_the_goldens() {
+    let cases: [(Option<&str>, &str, &str, i32); 4] = [
+        (
+            None,
+            include_str!("golden/protocol.txt"),
+            concat!(
+                r#"{"targets":[{"name":"moesi-lite","report":{"diagnostics":[{"code":"L0300","#,
+                r#""severity":"info","locus":null,"message":"exhaustively enumerated 12 states "#,
+                r#"over 60 transitions"}],"errors":0,"warnings":0,"infos":1}}],"errors":0}"#,
+                "\n"
+            ),
+            0,
+        ),
+        (
+            Some("silent-drop-on-snoop"),
+            include_str!("golden/protocol-silent-drop-on-snoop.txt"),
+            include_str!("golden/protocol-silent-drop-on-snoop.json"),
+            1,
+        ),
+        (
+            Some("skip-invalidate-on-dma-write"),
+            include_str!("golden/protocol-skip-invalidate-on-dma-write.txt"),
+            include_str!("golden/protocol-skip-invalidate-on-dma-write.json"),
+            1,
+        ),
+        (
+            Some("no-writeback-on-evict"),
+            include_str!("golden/protocol-no-writeback-on-evict.txt"),
+            include_str!("golden/protocol-no-writeback-on-evict.json"),
+            1,
+        ),
+    ];
+    for (bug, human, json, exit) in cases {
+        for (format, golden) in [("human", human), ("json", json)] {
+            let mut args = vec!["--format", format, "protocol"];
+            args.extend(bug.map(|b| ["--seeded-bug", b]).into_iter().flatten());
+            let (stdout, _, code) = soclint(&args);
+            assert_eq!(stdout, golden, "{bug:?} {format}");
+            assert_eq!(code, exit, "{bug:?} {format}");
+        }
+    }
+}
+
 #[test]
 fn sweep_json_accepts_the_whole_paper_space() {
     let (stdout, _, code) = soclint(&["--format", "json", "sweep"]);
