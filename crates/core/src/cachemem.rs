@@ -58,29 +58,34 @@ pub(crate) struct CacheClient {
 impl CacheClient {
     /// A client requesting as `master`, built from array metadata alone
     /// (what both in-memory and streamed `.atrc` traces provide).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first TLB or cache geometry diagnostic (`L0210`,
+    /// `L0211`, `L0212`) when `soc` cannot be built.
     pub(crate) fn from_arrays(
         arrays: &[ArrayInfo],
         cfg: &DatapathConfig,
         soc: &SocConfig,
         master: MasterId,
-    ) -> Self {
+    ) -> Result<Self, Diagnostic> {
         let shared_ranges = arrays
             .iter()
             .filter(|a| a.kind != ArrayKind::Internal)
             .map(|a| (a.base_addr, a.base_addr + a.size_bytes()))
             .collect();
-        CacheClient {
+        Ok(CacheClient {
             spad: SpadMemory::from_arrays(arrays, cfg),
             shared_ranges,
-            tlb: Tlb::new(soc.tlb),
-            cache: Cache::new(soc.cache),
+            tlb: Tlb::try_new(soc.tlb)?,
+            cache: Cache::try_new(soc.cache)?,
             fills: FillTracker::new(),
             delayed: Vec::new(),
             retry: Vec::new(),
             completions: Vec::new(),
             ideal: false,
             master,
-        }
+        })
     }
 
     pub(crate) fn set_ideal(&mut self, ideal: bool) {
@@ -217,7 +222,8 @@ mod tests {
     use aladdin_ir::{ArrayKind as AK, Opcode, Trace, Tracer};
 
     fn mem_for(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig) -> SocWorld<CacheClient> {
-        let client = CacheClient::from_arrays(trace.arrays(), dp, soc, MasterId::ACCEL_CACHE);
+        let client = CacheClient::from_arrays(trace.arrays(), dp, soc, MasterId::ACCEL_CACHE)
+            .expect("valid geometry");
         SocWorld::new(soc, client).expect("valid topology")
     }
 

@@ -624,7 +624,8 @@ fn sim_cache(
     harness: &SimHarness,
 ) -> Result<SourceFlowRun, SimError> {
     let t0 = soc.invoke_cycles;
-    let mut client = CacheClient::from_arrays(source.arrays(), dp, soc, MasterId::ACCEL_CACHE);
+    let mut client = CacheClient::from_arrays(source.arrays(), dp, soc, MasterId::ACCEL_CACHE)
+        .map_err(SimError::Diag)?;
     client.set_ideal(ideal);
     client.set_faults(&harness.plan);
     let mut world = SocWorld::new(soc, client).map_err(SimError::Diag)?;

@@ -399,7 +399,8 @@ pub fn simulate_multi(
         let job = &jobs[ci];
         let t0 = job.launch_at + soc.invoke_cycles;
         let mut client =
-            CacheClient::from_arrays(job.trace.arrays(), &job.datapath, soc, masters[ci]);
+            CacheClient::from_arrays(job.trace.arrays(), &job.datapath, soc, masters[ci])
+                .map_err(SimError::Diag)?;
         client.set_faults(&harness.plan);
         let mut mem = world.replace_front(client).0;
         let source = TraceSource::Memory(&job.trace);

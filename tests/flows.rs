@@ -2,8 +2,8 @@
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{
-    decompose_cache_time, simulate, validate_kernel, DmaOptLevel, FlowResult, FlowSpec, MemKind,
-    SocConfig,
+    decompose_cache_time, simulate, simulate_multi, validate_kernel, AcceleratorJob, DmaOptLevel,
+    FlowResult, FlowSpec, MemKind, SimError, SimHarness, SocConfig,
 };
 use aladdin_workloads::{by_name, evaluation_kernels};
 
@@ -158,4 +158,33 @@ fn validation_errors_are_small() {
         mean < 7.0,
         "mean validation error should be small: {mean:.2}%"
     );
+}
+
+/// A cache geometry the constructors cannot build (3 KiB of 32 B lines,
+/// 4-way: 24 sets, not a power of two) ends the cache flow and a
+/// multi-accelerator run with a cache job in a typed `L0211`, the code
+/// the static check reports, instead of a panic.
+#[test]
+fn unbuildable_cache_geometry_is_a_typed_error() {
+    let mut soc = SocConfig::default();
+    soc.cache.size_bytes = 3 * 1024;
+    let d = dp(1, 1);
+    let expect_l0211 = |err: SimError| match err {
+        SimError::Diag(diag) => assert_eq!(diag.code, "L0211", "{diag}"),
+        other => panic!("expected a typed diagnostic, got {other:?}"),
+    };
+    expect_l0211(
+        simulate(
+            &trace_of("aes-aes"),
+            &d,
+            &soc,
+            &FlowSpec::new(MemKind::Cache),
+        )
+        .unwrap_err(),
+    );
+    let jobs = [
+        AcceleratorJob::cache(trace_of("aes-aes"), d, 0),
+        AcceleratorJob::dma(trace_of("spmv-crs"), d, DmaOptLevel::Full, 0),
+    ];
+    expect_l0211(simulate_multi(&jobs, &soc, &SimHarness::default()).unwrap_err());
 }
