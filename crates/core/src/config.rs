@@ -190,101 +190,32 @@ impl SocConfig {
         let mut report = Report::new();
 
         // L0210: zero-valued structural fields the simulators divide by.
-        let zeros: [(&'static str, bool); 7] = [
-            ("soc.bus.width_bits", self.bus.width_bits == 0),
-            ("soc.cache.line_bytes", self.cache.line_bytes == 0),
-            ("soc.cache.assoc", self.cache.assoc == 0),
-            ("soc.cache.size_bytes", self.cache.size_bytes == 0),
-            ("soc.cache.ports", self.cache.ports == 0),
-            ("soc.dma.burst_bytes", self.dma.burst_bytes == 0),
-            ("soc.dma.chunk_bytes", self.dma.chunk_bytes == 0),
-        ];
-        for (field, is_zero) in zeros {
-            if is_zero {
-                report.push(
-                    Diagnostic::error("L0210", format!("{field} must be positive"))
-                        .at(Locus::Field(field)),
-                );
-            }
-        }
-        if self.flush.line_bytes == 0 {
-            report.push(
-                Diagnostic::error("L0210", "soc.flush.line_bytes must be positive")
-                    .at(Locus::Field("soc.flush.line_bytes")),
-            );
-        }
+        // The cache's come from its own check, whose L0211 geometry
+        // findings wait until no dimension anywhere is zero.
+        let (cache_zeros, cache_geometry): (Report, Report) = self
+            .cache
+            .check()
+            .into_iter()
+            .partition(|d| d.code == "L0210");
+        let zero = |field: &'static str, is_zero: bool| {
+            is_zero.then(|| {
+                Diagnostic::error("L0210", format!("{field} must be positive"))
+                    .at(Locus::Field(field))
+            })
+        };
+        report.extend(zero("soc.bus.width_bits", self.bus.width_bits == 0));
+        report.merge(cache_zeros);
+        report.extend(zero("soc.dma.burst_bytes", self.dma.burst_bytes == 0));
+        report.extend(zero("soc.dma.chunk_bytes", self.dma.chunk_bytes == 0));
+        report.extend(zero("soc.flush.line_bytes", self.flush.line_bytes == 0));
         if report.has_errors() {
             return report;
         }
 
-        // L0211: cache geometry must be constructible — mirrors the
-        // assertions in `CacheConfig::num_sets`, as a diagnostic instead
-        // of a mid-sweep panic.
-        let lines = self.cache.size_bytes / u64::from(self.cache.line_bytes);
-        if !self
-            .cache
-            .size_bytes
-            .is_multiple_of(u64::from(self.cache.line_bytes))
-        {
-            report.push(
-                Diagnostic::error(
-                    "L0211",
-                    format!(
-                        "cache capacity {} B is not a whole number of {} B lines",
-                        self.cache.size_bytes, self.cache.line_bytes
-                    ),
-                )
-                .at(Locus::Field("soc.cache.size_bytes")),
-            );
-        } else if !lines.is_multiple_of(u64::from(self.cache.assoc)) {
-            report.push(
-                Diagnostic::error(
-                    "L0211",
-                    format!(
-                        "{lines} cache lines do not divide into {}-way sets",
-                        self.cache.assoc
-                    ),
-                )
-                .at(Locus::Field("soc.cache.assoc")),
-            );
-        } else if !(lines / u64::from(self.cache.assoc)).is_power_of_two() {
-            report.push(
-                Diagnostic::error(
-                    "L0211",
-                    format!(
-                        "cache set count {} is not a power of two",
-                        lines / u64::from(self.cache.assoc)
-                    ),
-                )
-                .at(Locus::Field("soc.cache.size_bytes")),
-            );
-        }
-        if self.cache.mshrs == 0 {
-            report.push(
-                Diagnostic::error("L0211", "a cache needs at least one MSHR to miss")
-                    .at(Locus::Field("soc.cache.mshrs")),
-            );
-        }
-
-        // L0212: TLB/page-size coherence.
-        if !self.tlb.page_bytes.is_power_of_two() {
-            report.push(
-                Diagnostic::error(
-                    "L0212",
-                    format!(
-                        "TLB page size {} B is not a power of two",
-                        self.tlb.page_bytes
-                    ),
-                )
-                .at(Locus::Field("soc.tlb.page_bytes")),
-            );
-        }
-        if self.tlb.entries == 0 {
-            report.push(
-                Diagnostic::error("L0212", "TLB must have at least one entry")
-                    .at(Locus::Field("soc.tlb.entries")),
-            );
-        }
+        // L0211 cache geometry and L0212 TLB/page-size coherence, from
+        // the checks the constructors run.
+        report.merge(cache_geometry);
+        report.merge(self.tlb.check());
 
         // L0213: bus width must be byte-granular.
         if !self.bus.width_bits.is_multiple_of(8) {
@@ -304,25 +235,8 @@ impl SocConfig {
         // the simulator and this surface can never drift apart).
         report.merge(self.topology.check());
 
-        // L0216: DRAM geometry — mirrors `Dram::try_new`, statically.
-        if self.dram.banks == 0 {
-            report.push(
-                Diagnostic::error("L0216", "DRAM needs at least one bank")
-                    .at(Locus::Field("soc.dram.banks")),
-            );
-        }
-        if !self.dram.row_bytes.is_power_of_two() {
-            report.push(
-                Diagnostic::error(
-                    "L0216",
-                    format!(
-                        "DRAM row size {} B is not a power of two",
-                        self.dram.row_bytes
-                    ),
-                )
-                .at(Locus::Field("soc.dram.row_bytes")),
-            );
-        }
+        // L0216: DRAM geometry, from the check `Dram::try_new` runs.
+        report.merge(self.dram.check());
 
         // L0214: ready-bit granularity gates loads under triggered DMA.
         if self.ready_bits_granule == 0 {
@@ -413,6 +327,36 @@ mod tests {
         .check();
         assert!(err.has_code("L0211"));
         assert!(err.has_errors());
+    }
+
+    /// A cache, TLB or DRAM the static check rejects fails to construct
+    /// with the same code, message and locus as its first finding.
+    #[test]
+    fn constructors_reject_with_the_static_diagnostic() {
+        use aladdin_mem::{Cache, Dram, Tlb};
+        let cases: [fn(&mut SocConfig); 10] = [
+            |s| s.cache.size_bytes = 3072,
+            |s| s.cache.size_bytes = 4100,
+            |s| s.cache.assoc = 3,
+            |s| s.cache.mshrs = 0,
+            |s| s.cache.line_bytes = 0,
+            |s| s.cache.ports = 0,
+            |s| s.tlb.page_bytes = 3000,
+            |s| s.tlb.entries = 0,
+            |s| s.dram.banks = 0,
+            |s| s.dram.row_bytes = 1000,
+        ];
+        for mutate in cases {
+            let mut soc = SocConfig::default();
+            mutate(&mut soc);
+            let first = soc.check().into_iter().next();
+            let runtime = Cache::try_new(soc.cache)
+                .err()
+                .or(Tlb::try_new(soc.tlb).err())
+                .or(Dram::try_new(soc.dram).err());
+            assert!(first.is_some());
+            assert_eq!(runtime, first);
+        }
     }
 
     #[test]

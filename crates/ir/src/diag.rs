@@ -321,6 +321,12 @@ impl FromIterator<Diagnostic> for Report {
     }
 }
 
+impl Extend<Diagnostic> for Report {
+    fn extend<I: IntoIterator<Item = Diagnostic>>(&mut self, iter: I) {
+        self.diags.extend(iter);
+    }
+}
+
 impl IntoIterator for Report {
     type Item = Diagnostic;
     type IntoIter = std::vec::IntoIter<Diagnostic>;

@@ -1,15 +1,17 @@
 //! Exhaustive reachability checking of the MOESI-lite coherence protocol
 //! (`L03xx`).
 //!
-//! `aladdin-mem`'s cache implements a MOESI subset: fills allocate in
-//! Exclusive (or Modified when a waiter wrote), writes upgrade to
-//! Modified, a snooped read demotes M→O and E→S, a snooped write
-//! invalidates, and dirty victims write back. The SoC flows layer CPU
-//! flush/invalidate and DMA transfers on top. This module model-checks
-//! that machine: it enumerates *every* state a cached line can reach for
-//! two sharers under arbitrary interleavings of reads, writes,
-//! evictions, flushes and DMA writes, and proves the safety and
-//! liveness invariants on the full reachable set:
+//! Every per-cache state change comes from `aladdin-mem`'s
+//! [`coherence::next`], the function the simulator's cache runs: fills
+//! allocate in Exclusive (Shared beside a peer, Modified when a waiter
+//! wrote), writes upgrade to Modified, a snooped read demotes M→O and
+//! E→S, a snooped write invalidates, and dirty victims write back. This
+//! module supplies only the environment of two sharers (which one
+//! snoops, the stale bits, whether memory holds the latest value, and
+//! DMA writes) and enumerates *every* state a line can reach under
+//! arbitrary interleavings of reads, writes, evictions, flushes and DMA
+//! writes, proving the safety and liveness invariants on the full
+//! reachable set:
 //!
 //! * `L0301` — the latest value of the line is lost (memory stale and no
 //!   dirty copy anywhere): a silent dirty-line drop.
@@ -23,12 +25,15 @@
 //! The state space is tiny (≤ 400 states), so the check is exhaustive
 //! and runs in microseconds — it doubles as a unit test and as the
 //! `soclint protocol` subcommand. Seeded-bug variants ([`SeededBug`])
-//! re-run the same enumeration on a deliberately broken machine and must
-//! be caught; that guards the checker itself against vacuity.
+//! override the function's output (or, for DMA, the environment) and
+//! re-run the same enumeration; each must be caught, which guards the
+//! checker itself against vacuity. The single-cache flows visit only
+//! I/E/M: `L0252` admits one cache client per run, so no peer snoops.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use aladdin_ir::{Diagnostic, Locus, Report};
+use aladdin_mem::coherence::{self, Action, Event as LineEvent};
 use aladdin_mem::MoesiState;
 
 /// Deliberately-introduced protocol defects, used to prove the checker
@@ -178,95 +183,96 @@ impl ProtocolChecker {
         ProtocolChecker { bug: Some(bug) }
     }
 
+    /// One sharer's transition: [`coherence::next`], with the seeded
+    /// bug's override of its output.
+    fn next(&self, st: MoesiState, event: LineEvent) -> (MoesiState, Action) {
+        let (succ, action) = coherence::next(st, event);
+        match (self.bug, st, event) {
+            // A snooped read drops Modified straight to Shared, silently
+            // abandoning the dirty data.
+            (Some(SeededBug::SilentDropOnSnoop), MoesiState::Modified, LineEvent::SnoopRead) => {
+                (MoesiState::Shared, action)
+            }
+            // Evicting an Owned line skips its writeback.
+            (Some(SeededBug::NoWritebackOnEvict), MoesiState::Owned, LineEvent::Evict) => {
+                (succ, Action::Nothing)
+            }
+            _ => (succ, action),
+        }
+    }
+
+    /// Apply `event` to sharer `i` of `s`. A writeback leaves memory
+    /// holding whatever the copy held: the latest value unless the copy
+    /// itself was stale.
+    fn apply(&self, s: &mut LineState, i: usize, event: LineEvent) {
+        let c = s.caches[i];
+        let (st, action) = self.next(c.st, event);
+        if action == Action::WriteBack {
+            s.mem_fresh = !c.stale;
+        }
+        s.caches[i] = if st.is_valid() {
+            CacheView { st, ..c }
+        } else {
+            CacheView::INVALID
+        };
+    }
+
     /// Apply `event` to `s`, returning the successor state (or `None`
     /// when the event is not applicable, e.g. evicting an invalid line).
     fn step(&self, s: LineState, event: Event) -> Option<LineState> {
         let mut n = s;
         match event {
             Event::Read(i) => {
-                let o = 1 - i;
-                if n.caches[i].st.is_valid() {
+                let peer = s.caches[1 - i];
+                if s.caches[i].st.is_valid() {
                     return None; // hit: no state change
                 }
-                match n.caches[o].st {
-                    MoesiState::Modified => {
-                        // Peer supplies data and keeps ownership...
-                        n.caches[o].st = if self.bug == Some(SeededBug::SilentDropOnSnoop) {
-                            // ...unless the seeded bug drops to Shared,
-                            // silently abandoning the dirty data.
-                            MoesiState::Shared
-                        } else {
-                            MoesiState::Owned
-                        };
-                        n.caches[i] = CacheView {
-                            st: MoesiState::Shared,
-                            stale: n.caches[o].stale,
-                        };
-                    }
-                    MoesiState::Owned => {
-                        n.caches[i] = CacheView {
-                            st: MoesiState::Shared,
-                            stale: n.caches[o].stale,
-                        };
-                    }
-                    MoesiState::Exclusive => {
-                        n.caches[o].st = MoesiState::Shared;
-                        n.caches[i] = CacheView {
-                            st: MoesiState::Shared,
-                            stale: n.caches[o].stale,
-                        };
-                    }
-                    MoesiState::Shared => {
-                        n.caches[i] = CacheView {
-                            st: MoesiState::Shared,
-                            stale: n.caches[o].stale,
-                        };
-                    }
-                    MoesiState::Invalid => {
-                        // Fill from memory; stale iff memory is.
-                        n.caches[i] = CacheView {
-                            st: MoesiState::Exclusive,
-                            stale: !n.mem_fresh,
-                        };
-                    }
-                }
+                self.apply(&mut n, 1 - i, LineEvent::SnoopRead);
+                let shared = peer.st.is_valid();
+                self.apply(
+                    &mut n,
+                    i,
+                    LineEvent::Fill {
+                        dirty: false,
+                        shared,
+                    },
+                );
+                // A valid peer supplies the data, else memory does.
+                n.caches[i].stale = if shared { peer.stale } else { !s.mem_fresh };
             }
             Event::Write(i) => {
-                let o = 1 - i;
-                // The writer produces the new latest value: its copy is
-                // not stale, memory is, and the peer must not keep one.
-                n.caches[o] = CacheView::INVALID;
-                n.caches[i] = CacheView {
-                    st: MoesiState::Modified,
-                    stale: false,
+                // The writer produces the new latest value: the peer is
+                // invalidated, the writer's copy is not stale, memory is.
+                self.apply(&mut n, 1 - i, LineEvent::SnoopWrite);
+                let write = if s.caches[i].st.is_valid() {
+                    LineEvent::LocalWrite
+                } else {
+                    LineEvent::Fill {
+                        dirty: true,
+                        shared: false,
+                    }
                 };
+                self.apply(&mut n, i, write);
+                n.caches[i].stale = false;
                 n.mem_fresh = false;
             }
             Event::Evict(i) => {
                 if !s.caches[i].st.is_valid() {
                     return None;
                 }
-                let skip_wb = self.bug == Some(SeededBug::NoWritebackOnEvict)
-                    && s.caches[i].st == MoesiState::Owned;
-                if s.caches[i].st.is_dirty() && !skip_wb {
-                    // Writeback: memory now holds whatever this copy
-                    // held — latest unless the copy itself was stale.
-                    n.mem_fresh = !s.caches[i].stale;
-                }
-                n.caches[i] = CacheView::INVALID;
+                self.apply(&mut n, i, LineEvent::Evict);
             }
             Event::DmaWrite => {
-                n.mem_fresh = true;
-                for c in &mut n.caches {
+                for i in 0..2 {
                     if self.bug == Some(SeededBug::SkipInvalidateOnDmaWrite) {
-                        // Sharers keep serving the pre-DMA value.
-                        if c.st.is_valid() {
-                            c.stale = true;
-                        }
+                        // No invalidate is sent: sharers keep serving the
+                        // pre-DMA value.
+                        n.caches[i].stale |= n.caches[i].st.is_valid();
                     } else {
-                        *c = CacheView::INVALID;
+                        self.apply(&mut n, i, LineEvent::SnoopWrite);
                     }
                 }
+                n.mem_fresh = true;
             }
         }
         Some(n)

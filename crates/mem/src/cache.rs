@@ -13,9 +13,10 @@
 //! for the SoC to place on the bus, and [`Cache::bus_completed`] delivers
 //! fill completions back.
 
-use aladdin_ir::{Diagnostic, Locus};
+use aladdin_ir::{Diagnostic, Locus, Report};
 
 use crate::bus::Token;
+use crate::coherence::{self, Action, Event, MoesiState};
 
 /// Read or write, from the datapath's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,40 +25,6 @@ pub enum AccessKind {
     Read,
     /// Datapath store.
     Write,
-}
-
-/// MOESI coherence state of a resident line.
-///
-/// With a single accelerator cache per address region the full protocol
-/// never exercises `Owned`/`Shared` on its own; those states are reachable
-/// through [`Cache::snoop_shared`], which models a sharer appearing (e.g.
-/// the CPU reading the accelerator's output through coherence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MoesiState {
-    /// Dirty, exclusive.
-    Modified,
-    /// Dirty, shared (this cache supplies data).
-    Owned,
-    /// Clean, exclusive.
-    Exclusive,
-    /// Clean, shared.
-    Shared,
-    /// Not present.
-    Invalid,
-}
-
-impl MoesiState {
-    /// Whether the line holds valid data.
-    #[must_use]
-    pub fn is_valid(self) -> bool {
-        self != MoesiState::Invalid
-    }
-
-    /// Whether this cache must write the line back on eviction.
-    #[must_use]
-    pub fn is_dirty(self) -> bool {
-        matches!(self, MoesiState::Modified | MoesiState::Owned)
-    }
 }
 
 /// Store handling policy.
@@ -135,37 +102,73 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
+    /// Geometry validation, as `SocConfig::check` reports it: `L0210`
+    /// for each zero dimension (and nothing more, since the other rules
+    /// divide by them), else `L0211` for a capacity that is not a whole
+    /// number of lines, lines that do not divide into `assoc`-way sets,
+    /// a set count that is not a power of two, or no MSHR.
+    #[must_use]
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        for (field, value) in [
+            ("soc.cache.line_bytes", u64::from(self.line_bytes)),
+            ("soc.cache.assoc", u64::from(self.assoc)),
+            ("soc.cache.size_bytes", self.size_bytes),
+            ("soc.cache.ports", u64::from(self.ports)),
+        ] {
+            if value == 0 {
+                report.push(
+                    Diagnostic::error("L0210", format!("{field} must be positive"))
+                        .at(Locus::Field(field)),
+                );
+            }
+        }
+        if report.has_errors() {
+            return report;
+        }
+        let geometry = |msg: String, field| Diagnostic::error("L0211", msg).at(Locus::Field(field));
+        let lines = self.size_bytes / u64::from(self.line_bytes);
+        let sets = lines / u64::from(self.assoc);
+        if !self.size_bytes.is_multiple_of(u64::from(self.line_bytes)) {
+            report.push(geometry(
+                format!(
+                    "cache capacity {} B is not a whole number of {} B lines",
+                    self.size_bytes, self.line_bytes
+                ),
+                "soc.cache.size_bytes",
+            ));
+        } else if !lines.is_multiple_of(u64::from(self.assoc)) {
+            report.push(geometry(
+                format!(
+                    "{lines} cache lines do not divide into {}-way sets",
+                    self.assoc
+                ),
+                "soc.cache.assoc",
+            ));
+        } else if !sets.is_power_of_two() {
+            report.push(geometry(
+                format!("cache set count {sets} is not a power of two"),
+                "soc.cache.size_bytes",
+            ));
+        }
+        if self.mshrs == 0 {
+            report.push(geometry(
+                "a cache needs at least one MSHR to miss".to_owned(),
+                "soc.cache.mshrs",
+            ));
+        }
+        report
+    }
+
     /// Number of sets implied by the geometry.
     ///
     /// # Errors
     ///
-    /// Returns an `L0211` diagnostic — the same code `aladdin-lint`'s
-    /// configuration pass emits statically — if the geometry is
-    /// inconsistent: zero sizes, capacity not divisible into
-    /// `assoc`-way sets of `line_bytes` lines, or a non-power-of-two
-    /// set count.
+    /// Returns the first [`check`](CacheConfig::check) error: the code,
+    /// message and locus the static configuration check reports.
     pub fn try_num_sets(&self) -> Result<usize, Diagnostic> {
-        let geom = |msg: String| Diagnostic::error("L0211", msg).at(Locus::Field("cache"));
-        if self.line_bytes == 0 || self.assoc == 0 || self.size_bytes == 0 {
-            return Err(geom(format!(
-                "cache geometry has a zero dimension: {} B, {} B lines, {}-way",
-                self.size_bytes, self.line_bytes, self.assoc
-            )));
-        }
-        let lines = self.size_bytes / u64::from(self.line_bytes);
-        if !lines.is_multiple_of(u64::from(self.assoc)) {
-            return Err(geom(format!(
-                "cache capacity must divide into whole sets: {} lines, {}-way",
-                lines, self.assoc
-            )));
-        }
-        let sets = lines / u64::from(self.assoc);
-        if !sets.is_power_of_two() {
-            return Err(geom(format!(
-                "set count must be a power of two, got {sets}"
-            )));
-        }
-        Ok(sets as usize)
+        crate::first_error(self.check())?;
+        Ok((self.size_bytes / u64::from(self.line_bytes) / u64::from(self.assoc)) as usize)
     }
 
     /// Number of sets implied by the geometry.
@@ -435,7 +438,9 @@ impl Cache {
             }
             if kind == AccessKind::Write {
                 match self.cfg.write_policy {
-                    WritePolicy::WriteBack => line.state = MoesiState::Modified,
+                    WritePolicy::WriteBack => {
+                        line.state = coherence::next(line.state, Event::LocalWrite).0;
+                    }
                     WritePolicy::WriteThrough => {
                         // Line stays clean; the store goes straight out.
                         self.outbox.push(CacheBusRequest {
@@ -597,7 +602,8 @@ impl Cache {
             })
             .unwrap_or(0);
         let victim = self.sets[set][way];
-        if victim.state.is_dirty() {
+        let (evicted, action) = coherence::next(victim.state, Event::Evict);
+        if action == Action::WriteBack {
             self.outbox.push(CacheBusRequest {
                 line_addr: victim.tag,
                 bytes: self.cfg.line_bytes,
@@ -621,11 +627,14 @@ impl Cache {
         self.lru_clock += 1;
         self.sets[set][way] = Line {
             tag: line_addr,
-            state: if wrote {
-                MoesiState::Modified
-            } else {
-                MoesiState::Exclusive
-            },
+            state: coherence::next(
+                evicted,
+                Event::Fill {
+                    dirty: wrote,
+                    shared: false,
+                },
+            )
+            .0,
             lru: self.lru_clock,
             prefetched: mshr.prefetch_only,
         };
@@ -650,26 +659,6 @@ impl Cache {
             .flatten()
             .filter(|l| l.state.is_dirty())
             .count()
-    }
-
-    /// Model an external sharer reading `addr`: M→O, E→S (dirty data is
-    /// retained and supplied by this cache under MOESI).
-    pub fn snoop_shared(&mut self, addr: u64) {
-        if let Some((s, w)) = self.find_line(self.line_addr(addr)) {
-            let line = &mut self.sets[s][w];
-            line.state = match line.state {
-                MoesiState::Modified => MoesiState::Owned,
-                MoesiState::Exclusive => MoesiState::Shared,
-                other => other,
-            };
-        }
-    }
-
-    /// Model an external writer invalidating `addr`.
-    pub fn snoop_invalidate(&mut self, addr: u64) {
-        if let Some((s, w)) = self.find_line(self.line_addr(addr)) {
-            self.sets[s][w].state = MoesiState::Invalid;
-        }
     }
 
     /// Access statistics so far.
@@ -733,7 +722,7 @@ mod tests {
             line_bytes: 0,
             ..CacheConfig::default()
         };
-        assert_eq!(zero.try_num_sets().unwrap_err().code, "L0211");
+        assert_eq!(zero.try_num_sets().unwrap_err().code, "L0210");
     }
 
     fn small_cache() -> Cache {
@@ -900,24 +889,31 @@ mod tests {
         assert_eq!(c.outstanding_misses(), 1);
     }
 
+    /// The states the cache reaches, and what a sharer's snoops make of
+    /// them under the transition function the cache runs.
     #[test]
     fn moesi_snoops() {
+        let snoop = |st, event| coherence::next(st, event).0;
         let mut c = small_cache();
         c.begin_cycle(0);
         c.access(1, 0x000, AccessKind::Write, 0);
         fill_now(&mut c, 0);
         assert_eq!(c.state_of(0x000), MoesiState::Modified);
-        c.snoop_shared(0x000);
-        assert_eq!(c.state_of(0x000), MoesiState::Owned);
-        assert!(c.state_of(0x000).is_dirty());
+        let owned = snoop(c.state_of(0x000), Event::SnoopRead);
+        assert_eq!(owned, MoesiState::Owned);
+        assert!(owned.is_dirty());
         c.begin_cycle(1);
         c.access(2, 0x080, AccessKind::Read, 1);
         fill_now(&mut c, 1);
-        c.snoop_shared(0x080);
-        assert_eq!(c.state_of(0x080), MoesiState::Shared);
-        c.snoop_invalidate(0x080);
-        assert_eq!(c.state_of(0x080), MoesiState::Invalid);
-        assert!(!c.contains(0x080));
+        assert_eq!(c.state_of(0x080), MoesiState::Exclusive);
+        let shared = snoop(c.state_of(0x080), Event::SnoopRead);
+        assert_eq!(shared, MoesiState::Shared);
+        assert_eq!(snoop(shared, Event::SnoopWrite), MoesiState::Invalid);
+        // A write hit upgrades the clean line, as the function's local
+        // write does.
+        c.begin_cycle(2);
+        c.access(3, 0x080, AccessKind::Write, 2);
+        assert_eq!(c.state_of(0x080), MoesiState::Modified);
     }
 
     #[test]

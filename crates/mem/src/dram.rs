@@ -1,7 +1,7 @@
 //! Row-buffer DRAM timing model.
 
 use aladdin_faults::FaultInjector;
-use aladdin_ir::{Diagnostic, Locus};
+use aladdin_ir::{Diagnostic, Locus, Report};
 
 /// DRAM timing configuration, in accelerator cycles.
 ///
@@ -33,6 +33,31 @@ impl Default for DramConfig {
     }
 }
 
+impl DramConfig {
+    /// `L0216` validation, as `SocConfig::check` reports it: at least one
+    /// bank, and a power-of-two row size (row indexing is a mask).
+    #[must_use]
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        if self.banks == 0 {
+            report.push(
+                Diagnostic::error("L0216", "DRAM needs at least one bank")
+                    .at(Locus::Field("soc.dram.banks")),
+            );
+        }
+        if !self.row_bytes.is_power_of_two() {
+            report.push(
+                Diagnostic::error(
+                    "L0216",
+                    format!("DRAM row size {} B is not a power of two", self.row_bytes),
+                )
+                .at(Locus::Field("soc.dram.row_bytes")),
+            );
+        }
+        report
+    }
+}
+
 /// Per-bank open-row state plus access statistics.
 #[derive(Debug, Clone)]
 pub struct Dram {
@@ -56,23 +81,9 @@ impl Dram {
     ///
     /// # Errors
     ///
-    /// Returns an `L0216` diagnostic for a bankless device or a
-    /// non-power-of-two row size (row indexing is a mask).
+    /// Returns the first [`DramConfig::check`] error (`L0216`).
     pub fn try_new(cfg: DramConfig) -> Result<Self, Diagnostic> {
-        if cfg.banks == 0 {
-            return Err(Diagnostic::error("L0216", "DRAM needs at least one bank")
-                .at(Locus::Field("dram.banks")));
-        }
-        if !cfg.row_bytes.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "L0216",
-                format!(
-                    "DRAM row size must be a power of two, got {}",
-                    cfg.row_bytes
-                ),
-            )
-            .at(Locus::Field("dram.row_bytes")));
-        }
+        crate::first_error(cfg.check())?;
         Ok(Dram {
             open_rows: vec![None; cfg.banks],
             cfg,

@@ -288,11 +288,6 @@ impl TopologyConfig {
         report
     }
 
-    /// The first [`check`](TopologyConfig::check) error, if any.
-    fn first_error(&self) -> Result<(), Diagnostic> {
-        self.check().into_iter().next().map_or(Ok(()), Err)
-    }
-
     /// Whether this topology can host `master`.
     ///
     /// # Errors
@@ -740,7 +735,7 @@ impl Fabric {
         dram: DramConfig,
         topo: TopologyConfig,
     ) -> Result<Self, Diagnostic> {
-        topo.first_error()?;
+        crate::first_error(topo.check())?;
         if bus.width_bits < 8 {
             return Err(Diagnostic::error(
                 "L0213",

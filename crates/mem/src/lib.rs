@@ -56,6 +56,7 @@
 mod bus;
 mod cache;
 mod clock;
+pub mod coherence;
 mod dma;
 mod dram;
 mod flush;
@@ -67,9 +68,10 @@ mod traffic;
 pub use bus::{BusCompletion, BusConfig, BusFaults, BusStats, MasterId, Token};
 pub use cache::{
     AccessKind, Cache, CacheBusRequest, CacheConfig, CacheOutcome, CacheStats, FillTracker,
-    MoesiState, PrefetcherConfig, WritePolicy,
+    PrefetcherConfig, WritePolicy,
 };
 pub use clock::Clock;
+pub use coherence::MoesiState;
 pub use dma::{DmaConfig, DmaDirection, DmaEngine, DmaStats, DmaTransfer, LineArrival};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use flush::{FlushConfig, FlushSchedule};
@@ -79,3 +81,9 @@ pub use interconnect::{
 pub use intervals::IntervalSet;
 pub use tlb::{Tlb, TlbConfig, TlbStats};
 pub use traffic::TrafficGenerator;
+
+/// The first diagnostic of a component's `check`, as its constructor's
+/// error: the runtime rejects exactly what the static check reports.
+pub(crate) fn first_error(report: aladdin_ir::Report) -> Result<(), aladdin_ir::Diagnostic> {
+    report.into_iter().next().map_or(Ok(()), Err)
+}

@@ -7,7 +7,7 @@
 //! pre-characterized miss penalty covering the page-table walk.
 
 use aladdin_faults::FaultInjector;
-use aladdin_ir::{Diagnostic, Locus};
+use aladdin_ir::{Diagnostic, Locus, Report};
 
 /// TLB configuration.
 ///
@@ -30,6 +30,32 @@ impl Default for TlbConfig {
             page_bytes: 4096,
             miss_cycles: 20,
         }
+    }
+}
+
+impl TlbConfig {
+    /// `L0212` validation, as `SocConfig::check` reports it: the page
+    /// size must be a power of two (a page index is a shift) and there
+    /// must be at least one entry.
+    #[must_use]
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        if !self.page_bytes.is_power_of_two() {
+            report.push(
+                Diagnostic::error(
+                    "L0212",
+                    format!("TLB page size {} B is not a power of two", self.page_bytes),
+                )
+                .at(Locus::Field("soc.tlb.page_bytes")),
+            );
+        }
+        if self.entries == 0 {
+            report.push(
+                Diagnostic::error("L0212", "TLB must have at least one entry")
+                    .at(Locus::Field("soc.tlb.entries")),
+            );
+        }
+        report
     }
 }
 
@@ -73,20 +99,9 @@ impl Tlb {
     ///
     /// # Errors
     ///
-    /// Returns an `L0212` diagnostic if the configuration has zero entries
-    /// or a non-power-of-two page size.
+    /// Returns the first [`TlbConfig::check`] error (`L0212`).
     pub fn try_new(cfg: TlbConfig) -> Result<Self, Diagnostic> {
-        if cfg.entries == 0 {
-            return Err(Diagnostic::error("L0212", "TLB needs at least one entry")
-                .at(Locus::Field("tlb.entries")));
-        }
-        if !cfg.page_bytes.is_power_of_two() {
-            return Err(Diagnostic::error(
-                "L0212",
-                format!("page size must be a power of two, got {}", cfg.page_bytes),
-            )
-            .at(Locus::Field("tlb.page_bytes")));
-        }
+        crate::first_error(cfg.check())?;
         Ok(Tlb {
             cfg,
             page_shift: cfg.page_bytes.trailing_zeros(),

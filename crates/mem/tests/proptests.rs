@@ -294,10 +294,13 @@ fn stamp_lru_tlb_matches_ordered_vec_reference() {
     }
 }
 
-/// Cache line state after a write is always dirty; after snooping a
-/// shared read it is never Modified/Exclusive.
+/// Cache line state after a write is always dirty; after a sharer's
+/// snooped read (through the transition function the cache runs) it is
+/// never Modified/Exclusive, and it stays dirty (Owned).
 #[test]
 fn moesi_transitions() {
+    use aladdin_mem::coherence::{self, Action, Event};
+    use aladdin_mem::MoesiState;
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xE005 + case);
         let n = rng.gen_range(1..50usize);
@@ -321,11 +324,18 @@ fn moesi_transitions() {
             }
             let _ = cache.drain_completions();
             if cache.contains(addr) {
-                assert!(cache.state_of(addr).is_dirty());
-                cache.snoop_shared(addr);
                 let st = cache.state_of(addr);
-                assert!(
-                    st == aladdin_mem::MoesiState::Owned || st == aladdin_mem::MoesiState::Shared
+                assert!(st.is_dirty());
+                let (snooped, action) = coherence::next(st, Event::SnoopRead);
+                assert!(snooped == MoesiState::Owned || snooped == MoesiState::Shared);
+                assert!(snooped.is_dirty(), "a snoop must not drop dirty data");
+                assert_eq!(action, Action::Nothing);
+                // A second snoop keeps the line Owned; a snooped write
+                // invalidates it.
+                assert_eq!(coherence::next(snooped, Event::SnoopRead).0, snooped);
+                assert_eq!(
+                    coherence::next(snooped, Event::SnoopWrite).0,
+                    MoesiState::Invalid
                 );
             }
         }
