@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use aladdin_ir::{ArrayInfo, Trace};
+use aladdin_ir::{ArrayInfo, Diagnostic, Locus, Trace};
 
 use crate::config::DatapathConfig;
 
@@ -122,6 +122,32 @@ impl SpadMemory {
     /// (Section IV-B2).
     pub const READY_GRANULE_BYTES: u64 = 32;
 
+    /// Arrays are placed at multiples of this many bytes.
+    const ARRAY_ALIGN_BYTES: u64 = 4096;
+
+    /// `L0214`, as `SocConfig::check` reports it: a full/empty-bit granule
+    /// must divide the 4 KiB array alignment, so no granule spans two
+    /// arrays.
+    ///
+    /// # Errors
+    ///
+    /// The `L0214` diagnostic for a zero granule or one that does not
+    /// divide 4096 bytes.
+    pub fn check_ready_granule(bytes: u64) -> Result<(), Diagnostic> {
+        let message = if bytes == 0 {
+            "ready_bits_granule must be positive".to_owned()
+        } else if !Self::ARRAY_ALIGN_BYTES.is_multiple_of(bytes) {
+            format!(
+                "ready_bits_granule {bytes} B does not divide the {} B array alignment, \
+                 so a granule could span two arrays",
+                Self::ARRAY_ALIGN_BYTES
+            )
+        } else {
+            return Ok(());
+        };
+        Err(Diagnostic::error("L0214", message).at(Locus::Field("soc.ready_bits_granule")))
+    }
+
     /// A scratchpad holding all of `trace`'s arrays, ungated (all data
     /// assumed pre-loaded — the isolated-Aladdin assumption).
     #[must_use]
@@ -174,20 +200,22 @@ impl SpadMemory {
     /// *all* of its bytes (clamped to the containing array) have arrived,
     /// so coarser granules delay the first loads longer.
     ///
+    /// # Errors
+    ///
+    /// The [`check_ready_granule`](SpadMemory::check_ready_granule)
+    /// diagnostic (`L0214`) for a granule that does not divide 4 KiB.
+    ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero or if arrivals were already recorded.
-    pub fn set_ready_granularity(&mut self, bytes: u64) {
-        assert!(bytes > 0, "granule must be at least one byte");
-        assert!(
-            bytes <= 4096 && 4096 % bytes == 0,
-            "granules must divide the 4 KB array alignment so no granule spans two arrays"
-        );
+    /// Panics if arrivals were already recorded.
+    pub fn set_ready_granularity(&mut self, bytes: u64) -> Result<(), Diagnostic> {
+        Self::check_ready_granule(bytes)?;
         assert!(
             self.ready.is_empty() && self.waiters.is_empty() && self.covered.is_empty(),
             "cannot change granularity mid-simulation"
         );
         self.granule_bytes = bytes;
+        Ok(())
     }
 
     /// The addressable extent of granule `g`: its nominal range clamped to

@@ -153,17 +153,14 @@ fn bench_bus() {
 fn bench_dma() {
     for (label, pipelined) in [("baseline", false), ("pipelined", true)] {
         bench("dma", &format!("64kb_{label}"), || {
-            let cfg = DmaConfig {
-                pipelined,
-                ..DmaConfig::default()
-            };
+            let cfg = DmaConfig::default();
             let t = [DmaTransfer {
                 base: 0,
                 bytes: 64 * 1024,
                 direction: DmaDirection::In,
             }];
-            let n = cfg.chunk_sizes(&t).len();
-            let mut dma = DmaEngine::new(cfg, &t, &vec![0; n]);
+            let n = cfg.chunk_sizes(pipelined, &t).len();
+            let mut dma = DmaEngine::new(cfg, pipelined, &t, &vec![0; n]);
             let mut bus = shared_bus();
             let mut cycle = 0;
             while !dma.is_done() {

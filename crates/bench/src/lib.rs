@@ -45,7 +45,6 @@ use std::path::PathBuf;
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{simulate, FlowResult, FlowSpec, MemKind, SocConfig};
 use aladdin_ir::Trace;
-use aladdin_workloads::evaluation_kernels;
 
 /// Run one design point's flow on the clean harness. The figures sweep
 /// only valid design points, so a failure is a bug.
@@ -108,15 +107,6 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
         let _ = writeln!(out, "{}", row.join(","));
     }
     println!("[wrote {}]", path.display());
-}
-
-/// Traces of the paper's eight evaluation kernels, in Figure 8 order.
-#[must_use]
-pub fn evaluation_traces() -> Vec<(String, Trace)> {
-    evaluation_kernels()
-        .iter()
-        .map(|k| (k.name().to_owned(), k.run().trace))
-        .collect()
 }
 
 /// Render a proportional ASCII bar (for stacked-fraction figures).

@@ -1,6 +1,7 @@
 //! SoC-level configuration.
 
-use aladdin_ir::{Diagnostic, Locus, Report};
+use aladdin_accel::SpadMemory;
+use aladdin_ir::{Diagnostic, Report};
 use aladdin_mem::{
     BusConfig, CacheConfig, Clock, DmaConfig, DramConfig, FlushConfig, TlbConfig, TopologyConfig,
 };
@@ -132,8 +133,8 @@ pub struct SocConfig {
     pub dram: DramConfig,
     /// CPU-side flush/invalidate cost model.
     pub flush: FlushConfig,
-    /// DMA engine parameters (the `pipelined` field is overridden by the
-    /// flow's [`DmaOptLevel`]).
+    /// DMA engine parameters; the flow's [`DmaOptLevel`] decides whether
+    /// transfers are chunked.
     pub dma: DmaConfig,
     /// Accelerator TLB (cache-based flows).
     pub tlb: TlbConfig,
@@ -181,81 +182,38 @@ impl SocConfig {
     }
 
     /// Checks SoC-internal consistency, reporting every defect as a typed
-    /// diagnostic (`L021x` codes). Cross-layer contradictions against a
-    /// [`DatapathConfig`](aladdin_accel::DatapathConfig) live in
-    /// `aladdin-lint` under `L022x`; `aladdin_lint::lint_soc` delegates to
-    /// this method, so the two surfaces can never drift apart.
+    /// diagnostic (`L021x`, `L0310`): the union of the checks the
+    /// component constructors run, plus the full/empty-bit granule rule
+    /// (`L0214`) that [`SpadMemory`] applies. Cross-layer contradictions
+    /// against a [`DatapathConfig`](aladdin_accel::DatapathConfig) live in
+    /// `aladdin_lint::lint_cross` under `L022x`.
     #[must_use]
     pub fn check(&self) -> Report {
-        let mut report = Report::new();
-
-        // L0210: zero-valued structural fields the simulators divide by.
-        // The cache's come from its own check, whose L0211 geometry
-        // findings wait until no dimension anywhere is zero.
-        let (cache_zeros, cache_geometry): (Report, Report) = self
-            .cache
-            .check()
-            .into_iter()
-            .partition(|d| d.code == "L0210");
-        let zero = |field: &'static str, is_zero: bool| {
-            is_zero.then(|| {
-                Diagnostic::error("L0210", format!("{field} must be positive"))
-                    .at(Locus::Field(field))
-            })
-        };
-        report.extend(zero("soc.bus.width_bits", self.bus.width_bits == 0));
-        report.merge(cache_zeros);
-        report.extend(zero("soc.dma.burst_bytes", self.dma.burst_bytes == 0));
-        report.extend(zero("soc.dma.chunk_bytes", self.dma.chunk_bytes == 0));
-        report.extend(zero("soc.flush.line_bytes", self.flush.line_bytes == 0));
+        // L0210 zero fields come first, and alone: the other rules divide
+        // by them.
+        let (bus, cache) = (self.bus.check(), self.cache.check());
+        let zero = |d: &&Diagnostic| d.code == "L0210";
+        let mut report: Report = (bus.diagnostics().iter().filter(zero))
+            .chain(cache.diagnostics().iter().filter(zero))
+            .cloned()
+            .chain(self.dma.check())
+            .chain(self.flush.check())
+            .collect();
         if report.has_errors() {
             return report;
         }
-
-        // L0211 cache geometry and L0212 TLB/page-size coherence, from
-        // the checks the constructors run.
-        report.merge(cache_geometry);
-        report.merge(self.tlb.check());
-
-        // L0213: bus width must be byte-granular.
-        if !self.bus.width_bits.is_multiple_of(8) {
-            report.push(
-                Diagnostic::error(
-                    "L0213",
-                    format!(
-                        "bus width {} bits is not a whole number of bytes",
-                        self.bus.width_bits
-                    ),
-                )
-                .at(Locus::Field("soc.bus.width_bits")),
-            );
+        // L0211 cache geometry, L0212 TLB, L0213 bus width, L0310
+        // topology, L0216 DRAM, L0214 granule.
+        for component in [
+            cache,
+            self.tlb.check(),
+            bus,
+            self.topology.check(),
+            self.dram.check(),
+        ] {
+            report.merge(component);
         }
-
-        // L0310: interconnect topology shape (delegated to aladdin-mem so
-        // the simulator and this surface can never drift apart).
-        report.merge(self.topology.check());
-
-        // L0216: DRAM geometry, from the check `Dram::try_new` runs.
-        report.merge(self.dram.check());
-
-        // L0214: ready-bit granularity gates loads under triggered DMA.
-        if self.ready_bits_granule == 0 {
-            report.push(
-                Diagnostic::error("L0214", "ready_bits_granule must be positive")
-                    .at(Locus::Field("soc.ready_bits_granule")),
-            );
-        } else if !self.ready_bits_granule.is_power_of_two() {
-            report.push(
-                Diagnostic::warning(
-                    "L0214",
-                    format!(
-                        "ready_bits_granule {} is not a power of two; full/empty bits will straddle lines",
-                        self.ready_bits_granule
-                    ),
-                )
-                .at(Locus::Field("soc.ready_bits_granule")),
-            );
-        }
+        report.extend(SpadMemory::check_ready_granule(self.ready_bits_granule).err());
         report
     }
 }

@@ -51,9 +51,9 @@ impl TimeDecomposition {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the cache flow fails preflight (`L0253`, e.g.
-/// zero MSHRs or zero cache ports) or any of the three runs fails as
-/// [`simulate`](crate::simulate) would.
+/// Returns [`SimError`] if any of the three runs fails as
+/// [`simulate`](crate::simulate) would, e.g. `L0211` for a cache with no
+/// MSHR or `L0210` for one with no ports.
 pub fn decompose_cache_time(
     trace: &Trace,
     dp: &DatapathConfig,
@@ -134,6 +134,6 @@ mod tests {
         let mut soc = SocConfig::default();
         soc.cache.mshrs = 0;
         let err = decompose_cache_time(&trace, &DatapathConfig::default(), &soc).unwrap_err();
-        assert_eq!(err.code(), "L0253", "{err}");
+        assert_eq!(err.code(), "L0211", "{err}");
     }
 }

@@ -24,7 +24,7 @@ use aladdin_accel::{
     SchedulerWorkspace, SpadMemory, SpadStats, DEFAULT_WINDOW_NODES,
 };
 use aladdin_faults::{SimError, SimHarness, Watchdog};
-use aladdin_ir::{ArrayInfo, ArrayKind, Diagnostic, Locus, Report, Trace, TraceStats};
+use aladdin_ir::{ArrayInfo, ArrayKind, Report, Trace, TraceStats};
 use aladdin_mem::{CacheStats, DmaEngine, DmaStats, IntervalSet, MasterId, TlbStats};
 
 use crate::cachemem::CacheClient;
@@ -171,38 +171,6 @@ impl<'a> FlowSpec<'a> {
         self.prepared = Some(prepared);
         self
     }
-
-    /// Statically validate this spec against `soc`: combinations that can
-    /// never complete (a cache flow with zero MSHRs or zero cache ports
-    /// would reject every access forever) are reported as `L0253` errors
-    /// before any cycle is simulated. `soclint flowspec` runs the same
-    /// check.
-    #[must_use]
-    pub fn preflight(&self, soc: &SocConfig) -> Report {
-        let mut r = Report::new();
-        if self.kind == MemKind::Cache {
-            if soc.cache.mshrs == 0 {
-                r.push(
-                    Diagnostic::error(
-                        "L0253",
-                        "cache flow with zero MSHRs can never start a fill; every miss \
-                         rejects forever",
-                    )
-                    .at(Locus::Field("cache.mshrs")),
-                );
-            }
-            if soc.cache.ports == 0 {
-                r.push(
-                    Diagnostic::error(
-                        "L0253",
-                        "cache flow with zero cache ports can never accept an access",
-                    )
-                    .at(Locus::Field("cache.ports")),
-                );
-            }
-        }
-        r
-    }
 }
 
 /// Run one accelerator invocation described by `spec`.
@@ -213,10 +181,11 @@ impl<'a> FlowSpec<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the spec fails [`FlowSpec::preflight`]
-/// (`L0253`), the DMA engine stalls (`L0230`), the scheduler deadlocks
-/// (`L0232`), or the watchdog or the SoC world's cycle guard expires
-/// (`L0233`).
+/// Returns [`SimError`] if a component the flow builds fails its
+/// configuration check (the code and locus [`SocConfig::check`] reports
+/// first for it, e.g. `L0210`, `L0211`, `L0213`, `L0214`, `L0310`), the
+/// DMA engine stalls (`L0230`), the scheduler deadlocks (`L0232`), or the
+/// watchdog or the SoC world's cycle guard expires (`L0233`).
 pub fn simulate(
     trace: &Trace,
     dp: &DatapathConfig,
@@ -287,10 +256,6 @@ pub fn simulate_source_prepared(
     spec: &FlowSpec,
     ws: &mut SchedulerWorkspace,
 ) -> Result<SourceFlowRun, SimError> {
-    let pre = spec.preflight(soc);
-    if pre.has_errors() {
-        return Err(report_error(pre));
-    }
     let default_harness;
     let harness = match spec.harness {
         Some(h) => h,
@@ -374,15 +339,11 @@ pub(crate) fn run_schedule(
     })
 }
 
-/// First error of `report` as a [`SimError`].
-pub(crate) fn report_error(report: Report) -> SimError {
-    let diag = report
-        .diagnostics()
-        .iter()
-        .find(|d| d.severity == aladdin_ir::Severity::Error)
-        .cloned()
-        .unwrap_or_else(|| Diagnostic::error("L0253", "flow spec failed preflight"));
-    SimError::Diag(diag)
+/// The first error of `report`, as a [`SimError`].
+pub(crate) fn first_error(report: Report) -> Result<(), SimError> {
+    report
+        .first_error()
+        .map_or(Ok(()), |d| Err(SimError::Diag(d.clone())))
 }
 
 fn total_array_bytes(arrays: &[ArrayInfo]) -> u64 {
@@ -524,11 +485,12 @@ fn sim_dma(
     harness: &SimHarness,
 ) -> Result<SourceFlowRun, SimError> {
     let t0 = soc.invoke_cycles;
-    let plan = DmaPlan::new(source, soc, opt, t0, &harness.plan);
+    let plan = DmaPlan::new(source, soc, opt, t0, &harness.plan)?;
     let mut spad = SpadMemory::from_arrays(source.arrays(), dp);
     if opt.triggered() {
         spad.enable_ready_bits();
-        spad.set_ready_granularity(soc.ready_bits_granule);
+        spad.set_ready_granularity(soc.ready_bits_granule)
+            .map_err(SimError::Diag)?;
     }
     let mut world = SocWorld::new(soc, spad).map_err(SimError::Diag)?;
     world.set_faults(&harness.plan);
@@ -687,17 +649,13 @@ fn sim_cache(
 ///
 /// # Errors
 ///
-/// As for [`simulate`] with a cache [`FlowSpec`], preflight included.
+/// As for [`simulate`] with a cache [`FlowSpec`].
 pub(crate) fn simulate_cache_ideal(
     trace: &Trace,
     dp: &DatapathConfig,
     soc: &SocConfig,
     ideal: bool,
 ) -> Result<FlowResult, SimError> {
-    let pre = FlowSpec::new(MemKind::Cache).preflight(soc);
-    if pre.has_errors() {
-        return Err(report_error(pre));
-    }
     sim_cache(
         &TraceSource::Memory(trace),
         dp,
@@ -965,7 +923,7 @@ mod tests {
         let mut soc = SocConfig::default();
         soc.cache.mshrs = 0;
         let err = simulate(&trace, &dp(2, 2), &soc, &FlowSpec::new(MemKind::Cache)).unwrap_err();
-        assert_eq!(err.code(), "L0253", "{err}");
+        assert_eq!(err.code(), "L0211", "{err}");
         // The same config is fine for flows that never touch the cache.
         let ok = simulate(&trace, &dp(2, 2), &soc, &FlowSpec::new(MemKind::Isolated));
         assert!(ok.is_ok());

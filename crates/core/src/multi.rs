@@ -29,8 +29,9 @@
 //!
 //! Runs are guarded by the harness [`Watchdog`](aladdin_faults::Watchdog)
 //! and armed with its [`FaultPlan`](aladdin_faults::FaultPlan); degenerate
-//! configurations come back as typed [`SimError`]s (`L0250`–`L0253`,
-//! `L0230`, `L0233`) instead of panics.
+//! configurations come back as typed [`SimError`]s (`L0250`–`L0252`,
+//! a component's own configuration check, `L0230`, `L0233`) instead of
+//! panics.
 
 use aladdin_accel::{DatapathConfig, SchedulerWorkspace, SpadMemory};
 use aladdin_faults::{SimError, SimHarness};
@@ -39,7 +40,7 @@ use aladdin_mem::{BusStats, IntervalSet, MasterId, CODE_TOPOLOGY_CAPACITY};
 
 use crate::cachemem::CacheClient;
 use crate::config::{DmaOptLevel, MemKind, SocConfig};
-use crate::engine::{report_error, run_schedule, FlowSpec, SchedSpec};
+use crate::engine::{first_error, run_schedule, SchedSpec};
 use crate::phase::PhaseBreakdown;
 use crate::source::TraceSource;
 use crate::world::{DmaEngines, DmaPlan, SocWorld};
@@ -150,9 +151,8 @@ pub struct MultiSocResult {
 /// Statically validate a multi-accelerator job set against `soc`: empty
 /// sets (`L0250`), more jobs than the configured interconnect topology
 /// can carry or out-of-range client ids (`L0311`), duplicate client ids
-/// (`L0251`), more than one cache client (`L0252`), and per-kind
-/// [`FlowSpec::preflight`] findings such as a cache flow with zero MSHRs
-/// (`L0253`). Capacity comes from [`TopologyConfig::capacity`]
+/// (`L0251`), and more than one cache client (`L0252`). Capacity comes
+/// from [`TopologyConfig::capacity`]
 /// (`aladdin_mem::TopologyConfig::capacity`) — 256 ids on bus-like
 /// topologies, grid size minus the memory controller on a mesh.
 /// `soclint flowspec` runs the same check.
@@ -213,9 +213,6 @@ pub fn validate_multi_jobs(jobs: &[AcceleratorJob], soc: &SocConfig) -> Report {
                     );
                 }
             }
-        }
-        for d in FlowSpec::new(job.kind).preflight(soc).diagnostics() {
-            r.push(d.clone().at(Locus::Point(i)));
         }
     }
     let caches = jobs.iter().filter(|j| j.kind == MemKind::Cache).count();
@@ -353,18 +350,16 @@ impl JobState {
 /// # Errors
 ///
 /// Returns [`SimError`] if the job set fails [`validate_multi_jobs`]
-/// (`L0250`–`L0253`, `L0311`), the configured topology is malformed
-/// (`L0310`), a DMA engine stalls (`L0230`), the cache job's scheduler
+/// (`L0250`–`L0252`, `L0311`), a component a job builds fails its
+/// configuration check (as for [`simulate`](crate::simulate)), a DMA
+/// engine stalls (`L0230`), the cache job's scheduler
 /// deadlocks (`L0232`), or the watchdog expires (`L0233`).
 pub fn simulate_multi(
     jobs: &[AcceleratorJob],
     soc: &SocConfig,
     harness: &SimHarness,
 ) -> Result<MultiSocResult, SimError> {
-    let report = validate_multi_jobs(jobs, soc);
-    if report.has_errors() {
-        return Err(report_error(report));
-    }
+    first_error(validate_multi_jobs(jobs, soc))?;
 
     let mut ws = SchedulerWorkspace::new();
     let mut world = SocWorld::new(soc, ())
@@ -479,7 +474,7 @@ fn add_job(
             opt,
             t0,
             &harness.plan,
-        )),
+        )?),
         _ => None,
     };
     let mut spad = SpadMemory::new(&job.trace, &job.datapath);

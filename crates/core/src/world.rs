@@ -23,6 +23,7 @@ use aladdin_mem::{
 };
 
 use crate::config::{DmaOptLevel, SocConfig};
+use crate::engine::first_error;
 use crate::multi::JobState;
 use crate::source::TraceSource;
 
@@ -44,6 +45,8 @@ const DEFAULT_CYCLE_LIMIT: u64 = 500_000_000;
 #[derive(Debug)]
 pub(crate) struct DmaPlan {
     cfg: DmaConfig,
+    /// Whether transfers split into `chunk_bytes` descriptors.
+    pipelined: bool,
     /// CPU-side flush of the inputs and invalidate of the outputs.
     pub(crate) flush: FlushSchedule,
     inputs: Vec<DmaTransfer>,
@@ -56,17 +59,22 @@ pub(crate) struct DmaPlan {
 impl DmaPlan {
     /// Plan `source`'s transfers at optimization level `opt` for an
     /// accelerator invoked at `t0`, drawing flush faults from `plan`.
+    ///
+    /// # Errors
+    ///
+    /// The first finding of [`DmaConfig::check`] or
+    /// [`FlushConfig::check`](aladdin_mem::FlushConfig::check) (`L0210`),
+    /// before anything is chunked or flushed.
     pub(crate) fn new(
         source: &TraceSource,
         soc: &SocConfig,
         opt: DmaOptLevel,
         t0: u64,
         plan: &FaultPlan,
-    ) -> Self {
-        let cfg = DmaConfig {
-            pipelined: opt.pipelined(),
-            ..soc.dma
-        };
+    ) -> Result<Self, SimError> {
+        first_error(soc.dma.check())?;
+        first_error(soc.flush.check())?;
+        let (cfg, pipelined) = (soc.dma, opt.pipelined());
         let transfers = |arrays: &mut dyn Iterator<Item = &aladdin_ir::ArrayInfo>, direction| {
             arrays
                 .map(|a| DmaTransfer {
@@ -77,7 +85,7 @@ impl DmaPlan {
                 .collect::<Vec<_>>()
         };
         let inputs = transfers(&mut source.input_arrays(), DmaDirection::In);
-        let chunks = cfg.chunk_sizes(&inputs);
+        let chunks = cfg.chunk_sizes(pipelined, &inputs);
         let flush = FlushSchedule::new_with_faults(
             soc.flush,
             soc.clock,
@@ -86,18 +94,19 @@ impl DmaPlan {
             source.output_bytes(),
             plan.flush_injector(),
         );
-        let eligibility = if opt.pipelined() {
+        let eligibility = if pipelined {
             flush.chunk_times().to_vec()
         } else {
             vec![flush.end(); chunks.len()]
         };
-        DmaPlan {
+        Ok(DmaPlan {
             cfg,
+            pipelined,
             flush,
             inputs,
             eligibility,
             outputs: transfers(&mut source.output_arrays(), DmaDirection::Out),
-        }
+        })
     }
 
     /// Whether any input byte must be transferred.
@@ -107,15 +116,16 @@ impl DmaPlan {
 
     /// The input engine, requesting as `master`.
     pub(crate) fn input_engine(&self, master: MasterId) -> DmaEngine {
-        let mut e = DmaEngine::new(self.cfg, &self.inputs, &self.eligibility);
+        let mut e = DmaEngine::new(self.cfg, self.pipelined, &self.inputs, &self.eligibility);
         e.set_master(master);
         e
     }
 
     /// The writeback engine, every descriptor eligible at `eligible`.
     pub(crate) fn writeback_engine(&self, eligible: u64, master: MasterId) -> DmaEngine {
-        let chunks = self.cfg.chunk_sizes(&self.outputs).len();
-        let mut e = DmaEngine::new(self.cfg, &self.outputs, &vec![eligible; chunks]);
+        let chunks = self.cfg.chunk_sizes(self.pipelined, &self.outputs).len();
+        let eligibility = vec![eligible; chunks];
+        let mut e = DmaEngine::new(self.cfg, self.pipelined, &self.outputs, &eligibility);
         e.set_master(master);
         e
     }

@@ -2,13 +2,12 @@
 //!
 //! A full-factorial sweep multiplies every parameter list together, so
 //! it inevitably produces contradictory combinations (a cache capacity
-//! that does not divide into power-of-two sets, a pipelined DMA engine
-//! with one outstanding descriptor). Simulating such a point either
-//! panics mid-sweep — losing every result computed so far — or quietly
-//! produces garbage. This pass runs `aladdin-lint`'s configuration
-//! checks over every point *before* any simulation starts and splits
-//! the space into accepted and rejected points, each rejection carrying
-//! its full diagnostic report.
+//! that does not divide into power-of-two sets, a cache line narrower
+//! than one bus beat). Simulating such a point either fails mid-sweep
+//! or quietly produces garbage. This pass runs `aladdin-lint`'s
+//! configuration checks over every point *before* any simulation starts
+//! and splits the space into accepted and rejected points, each
+//! rejection carrying its full diagnostic report.
 
 use aladdin_core::SocConfig;
 use aladdin_ir::Report;
@@ -32,17 +31,6 @@ pub struct Preflight<P> {
     pub accepted: Vec<(usize, P)>,
     /// Points that must not be simulated.
     pub rejected: Vec<RejectedPoint>,
-}
-
-impl<P> Preflight<P> {
-    /// The accepted points, stripped of their indices.
-    #[must_use]
-    pub fn accepted_points(&self) -> Vec<P>
-    where
-        P: Copy,
-    {
-        self.accepted.iter().map(|&(_, p)| p).collect()
-    }
 }
 
 fn split<P: Copy>(points: &[P], mut lint: impl FnMut(&P) -> Report) -> Preflight<P> {

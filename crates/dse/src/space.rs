@@ -181,34 +181,14 @@ impl DesignSpace {
         v
     }
 
-    /// All cache design points. Geometries whose line count is smaller
-    /// than the associativity are skipped (not constructible).
+    /// All cache design points whose geometry passes
+    /// [`CacheConfig::check`] on the default platform; the others cannot
+    /// be constructed and are skipped.
     #[must_use]
     pub fn cache_points(&self) -> Vec<CachePoint> {
-        let mut v = Vec::new();
-        for &lanes in &self.lanes {
-            for &size_bytes in &self.cache_sizes {
-                for &line_bytes in &self.cache_lines {
-                    for &ports in &self.cache_ports {
-                        for &assoc in &self.cache_assocs {
-                            let lines = size_bytes / u64::from(line_bytes);
-                            if lines < u64::from(assoc)
-                                || !(lines / u64::from(assoc)).is_power_of_two()
-                            {
-                                continue;
-                            }
-                            v.push(CachePoint {
-                                lanes,
-                                size_bytes,
-                                line_bytes,
-                                ports,
-                                assoc,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        let soc = SocConfig::default();
+        let mut v = self.cache_points_unfiltered();
+        v.retain(|p| !p.apply(&soc).cache.check().has_errors());
         v
     }
 }

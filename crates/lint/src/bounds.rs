@@ -33,7 +33,7 @@ use aladdin_accel::{
 };
 use aladdin_core::{CompletionSignal, MemKind, SimHarness, SocConfig};
 use aladdin_ir::{ArrayInfo, Diagnostic, FuClass, Locus, Report, Trace};
-use aladdin_mem::{DmaConfig, DmaDirection, DmaTransfer, FlushSchedule, Topology};
+use aladdin_mem::{DmaDirection, DmaTransfer, FlushSchedule, Topology};
 
 /// `L0270`: aggregate bounds summary over a set of design points.
 pub const CODE_BOUNDS_SUMMARY: &str = "L0270";
@@ -418,10 +418,6 @@ pub fn bounds_for_prepared(
         }
         MemKind::Dma(opt) => {
             let t0 = soc.invoke_cycles;
-            let dma_cfg = DmaConfig {
-                pipelined: opt.pipelined(),
-                ..soc.dma
-            };
             let in_transfers: Vec<DmaTransfer> = trace
                 .input_arrays()
                 .map(|a| DmaTransfer {
@@ -430,7 +426,7 @@ pub fn bounds_for_prepared(
                     direction: DmaDirection::In,
                 })
                 .collect();
-            let chunks = dma_cfg.chunk_sizes(&in_transfers);
+            let chunks = soc.dma.chunk_sizes(opt.pipelined(), &in_transfers);
             // The un-faulted flush schedule: fault stalls only push
             // eligibility later, so this is a sound floor.
             let flush = FlushSchedule::new(soc.flush, soc.clock, t0, &chunks, trace.output_bytes());
@@ -447,7 +443,7 @@ pub fn bounds_for_prepared(
                     direction: DmaDirection::Out,
                 })
                 .collect();
-            let out_chunks = dma_cfg.chunk_sizes(&out_transfers);
+            let out_chunks = soc.dma.chunk_sizes(opt.pipelined(), &out_transfers);
 
             let dma_done_lo = if chunks.is_empty() {
                 t0

@@ -4,11 +4,11 @@
 //! Individually-plausible parameter choices can contradict each other
 //! across the accelerator/SoC boundary — exactly the interface bugs the
 //! paper argues co-simulation exists to find. Those contradictions
-//! either panic mid-simulation (cache geometry that cannot be
-//! constructed) or silently produce meaningless numbers (a pipelined DMA
-//! engine serialized by a single outstanding descriptor). This pass
-//! proves a design point free of both before any cycle is simulated, so
-//! sweep runners can prune invalid points statically.
+//! either fail mid-campaign (cache geometry that cannot be constructed)
+//! or silently produce meaningless numbers (cache misses starved behind
+//! DMA bursts). This pass proves a design point free of both before any
+//! cycle is simulated, so sweep runners can prune invalid points
+//! statically.
 
 use aladdin_accel::DatapathConfig;
 use aladdin_core::SocConfig;
@@ -19,7 +19,7 @@ use aladdin_ir::{Diagnostic, Locus, Report};
 #[must_use]
 pub fn lint_design(dp: &DatapathConfig, soc: &SocConfig) -> Report {
     let mut report = dp.check();
-    report.merge(lint_soc(soc));
+    report.merge(soc.check());
     if report.has_errors() {
         // Cross-checks divide by these fields; zero values were reported.
         return report;
@@ -28,17 +28,8 @@ pub fn lint_design(dp: &DatapathConfig, soc: &SocConfig) -> Report {
     report
 }
 
-/// SoC-internal consistency (`L021x`).
-///
-/// Delegates to [`SocConfig::check`], which owns the single copy of these
-/// rules; this wrapper survives as the lint-pass entry point.
-#[must_use]
-pub fn lint_soc(soc: &SocConfig) -> Report {
-    soc.check()
-}
-
 /// Cross-layer contradictions (`L022x`). Assumes the per-layer fields are
-/// individually sane (callers run [`lint_soc`] and
+/// individually sane (callers run [`SocConfig::check`] and
 /// [`DatapathConfig::check`] first).
 #[must_use]
 pub fn lint_cross(dp: &DatapathConfig, soc: &SocConfig) -> Report {
@@ -125,35 +116,6 @@ pub fn lint_cross(dp: &DatapathConfig, soc: &SocConfig) -> Report {
         );
     }
 
-    // L0224: pipelined-DMA flag dependencies. Splitting a transfer into
-    // chunked descriptors only overlaps anything if more than one
-    // descriptor can be outstanding, and if a transfer is longer than
-    // one chunk at all.
-    if soc.dma.pipelined && soc.dma.max_outstanding < 2 {
-        report.push(
-            Diagnostic::error(
-                "L0224",
-                format!(
-                    "pipelined DMA with max_outstanding = {} cannot overlap descriptors",
-                    soc.dma.max_outstanding
-                ),
-            )
-            .at(Locus::Field("soc.dma.pipelined")),
-        );
-    }
-    if soc.dma.pipelined && u64::from(soc.dma.burst_bytes) > soc.dma.chunk_bytes {
-        report.push(
-            Diagnostic::error(
-                "L0224",
-                format!(
-                    "DMA burst {} B exceeds the chunk size {} B",
-                    soc.dma.burst_bytes, soc.dma.chunk_bytes
-                ),
-            )
-            .at(Locus::Field("soc.dma.burst_bytes")),
-        );
-    }
-
     // L0225: ready-bit granularity vs DMA chunking. Granules larger than
     // a chunk mean a load can only unblock when a *later* chunk lands,
     // defeating triggered execution.
@@ -200,7 +162,7 @@ mod tests {
     fn unconstructible_cache_geometry_is_an_error() {
         let mut soc = SocConfig::default();
         soc.cache.size_bytes = 3072; // 96 lines / 4 ways = 24 sets: not 2^k
-        let r = lint_soc(&soc);
+        let r = lint_design(&DatapathConfig::default(), &soc);
         assert!(r.has_code("L0211"), "{}", r.to_human());
         assert!(r.has_errors());
     }
@@ -215,21 +177,6 @@ mod tests {
         let r = lint_design(&dp, &SocConfig::default());
         assert!(r.has_code("L0220"));
         assert!(!r.has_errors());
-    }
-
-    #[test]
-    fn pipelined_dma_needs_outstanding_descriptors() {
-        let mut soc = SocConfig::default();
-        soc.dma.pipelined = true;
-        soc.dma.max_outstanding = 1;
-        let r = lint_soc(&soc);
-        assert!(
-            r.is_clean() || !r.has_code("L0224"),
-            "soc-only pass must not cross-check"
-        );
-        let r = lint_design(&DatapathConfig::default(), &soc);
-        assert!(r.has_code("L0224"), "{}", r.to_human());
-        assert!(r.has_errors());
     }
 
     #[test]
@@ -265,7 +212,7 @@ mod tests {
     fn bankless_dram_is_an_error() {
         let mut soc = SocConfig::default();
         soc.dram.banks = 0;
-        let r = lint_soc(&soc);
+        let r = lint_design(&DatapathConfig::default(), &soc);
         assert!(r.has_code("L0216"), "{}", r.to_human());
         assert!(r.has_errors());
     }

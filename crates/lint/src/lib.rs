@@ -9,11 +9,11 @@
 //!    dependence-cycle detection, dead-node detection and loop
 //!    annotation balance.
 //! 2. **Configuration contradiction checks** ([`lint_design`],
-//!    [`lint_soc`], `L02xx`) — cross-validating datapath and SoC
+//!    [`lint_cross`], `L02xx`) — cross-validating datapath and SoC
 //!    parameters (scratchpad partitioning vs lanes, cache line vs bus
-//!    width, MSHRs vs outstanding DMA, TLB/page coherence, pipelined-DMA
-//!    flag dependencies) so design-space sweeps can statically prune
-//!    invalid points instead of panicking mid-simulation.
+//!    width, MSHRs vs outstanding DMA, TLB/page coherence, DMA chunking
+//!    vs full/empty-bit granules) so design-space sweeps can statically
+//!    prune invalid points instead of failing mid-simulation.
 //! 3. **Static cycle-bound analysis** ([`bounds_for_point`], `L027x`) —
 //!    certified `[lo, hi]` cycle intervals per design point from a
 //!    weighted ASAP critical path, compute/memory rooflines and a
@@ -45,7 +45,7 @@ pub use bounds::{
     CODE_BOUNDS_UNAVAILABLE, CODE_DOMINATED, CODE_PLAN_BOUNDS, CODE_POINT_BOUNDS, CODE_PRUNED,
     CODE_UNCERTIFIED,
 };
-pub use config_lint::{lint_cross, lint_design, lint_soc};
+pub use config_lint::{lint_cross, lint_design};
 pub use protocol::{ProtocolCheck, ProtocolChecker, SeededBug};
 pub use trace_lint::{
     lint_dead_nodes, lint_dep_cycles, lint_dep_relation, lint_loop_annotations, lint_memory_ssa,

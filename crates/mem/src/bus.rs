@@ -2,6 +2,7 @@
 //! configuration, completions, statistics and fault sites.
 
 use aladdin_faults::{FaultInjector, FaultPlan, NackInjector};
+use aladdin_ir::{Diagnostic, Locus, Report};
 
 use crate::interconnect::ensure_len;
 
@@ -68,6 +69,34 @@ impl Default for BusConfig {
             width_bits: 32,
             infinite_bandwidth: false,
         }
+    }
+}
+
+impl BusConfig {
+    /// Width validation, as `SocConfig::check` reports it: `L0210` for a
+    /// zero width, else `L0213` for a width that is not whole bytes (a
+    /// beat moves `width_bits / 8` bytes).
+    #[must_use]
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        crate::require_positive(
+            &mut report,
+            "soc.bus.width_bits",
+            u64::from(self.width_bits),
+        );
+        if report.is_empty() && !self.width_bits.is_multiple_of(8) {
+            report.push(
+                Diagnostic::error(
+                    "L0213",
+                    format!(
+                        "bus width {} bits is not a whole number of bytes",
+                        self.width_bits
+                    ),
+                )
+                .at(Locus::Field("soc.bus.width_bits")),
+            );
+        }
+        report
     }
 }
 

@@ -116,12 +116,7 @@ impl CacheConfig {
             ("soc.cache.size_bytes", self.size_bytes),
             ("soc.cache.ports", u64::from(self.ports)),
         ] {
-            if value == 0 {
-                report.push(
-                    Diagnostic::error("L0210", format!("{field} must be positive"))
-                        .at(Locus::Field(field)),
-                );
-            }
+            crate::require_positive(&mut report, field, value);
         }
         if report.has_errors() {
             return report;

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use aladdin_ir::Diagnostic;
+use aladdin_ir::{Diagnostic, Report};
 
 use crate::bus::{MasterId, Token};
 use crate::interconnect::Fabric;
@@ -58,9 +58,6 @@ pub struct DmaConfig {
     pub chunk_bytes: u64,
     /// Bus burst size in bytes.
     pub burst_bytes: u32,
-    /// Split transfers into `chunk_bytes` descriptors (pipelined DMA);
-    /// otherwise one descriptor per transfer.
-    pub pipelined: bool,
     /// Maximum bursts in flight on the bus.
     pub max_outstanding: usize,
 }
@@ -71,20 +68,36 @@ impl Default for DmaConfig {
             setup_cycles: 40,
             chunk_bytes: 4096,
             burst_bytes: 64,
-            pipelined: false,
             max_outstanding: 2,
         }
     }
 }
 
 impl DmaConfig {
-    /// The chunk sizes the given transfers split into under this
-    /// configuration — one entry per descriptor, in service order.
+    /// `L0210` validation, as `SocConfig::check` reports it: a zero burst
+    /// never moves a byte and a zero chunk never ends a transfer. A zero
+    /// `max_outstanding` is left to the runtime stall detector (`L0230`).
     #[must_use]
-    pub fn chunk_sizes(&self, transfers: &[DmaTransfer]) -> Vec<u64> {
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        crate::require_positive(
+            &mut report,
+            "soc.dma.burst_bytes",
+            u64::from(self.burst_bytes),
+        );
+        crate::require_positive(&mut report, "soc.dma.chunk_bytes", self.chunk_bytes);
+        report
+    }
+
+    /// The chunk sizes the given transfers split into — one entry per
+    /// descriptor, in service order: `chunk_bytes` descriptors when
+    /// `pipelined`, otherwise one per transfer. Assumes a clean
+    /// [`check`](DmaConfig::check).
+    #[must_use]
+    pub fn chunk_sizes(&self, pipelined: bool, transfers: &[DmaTransfer]) -> Vec<u64> {
         let mut out = Vec::new();
         for t in transfers {
-            if self.pipelined {
+            if pipelined {
                 let mut left = t.bytes;
                 while left > 0 {
                     let c = left.min(self.chunk_bytes);
@@ -158,7 +171,8 @@ pub struct DmaEngine {
 }
 
 impl DmaEngine {
-    /// Create an engine servicing `transfers` in order.
+    /// Create an engine servicing `transfers` in order, split into
+    /// `chunk_bytes` descriptors when `pipelined`.
     ///
     /// `eligibility` gives, per chunk (see [`DmaConfig::chunk_sizes`]), the
     /// earliest cycle its descriptor may be serviced — the flush-completion
@@ -166,14 +180,17 @@ impl DmaEngine {
     ///
     /// # Errors
     ///
-    /// Returns an `L0217` diagnostic if `eligibility.len()` does not match
-    /// the number of chunks the transfers split into.
+    /// Returns the first [`DmaConfig::check`] finding, or an `L0217`
+    /// diagnostic if `eligibility.len()` does not match the number of
+    /// chunks the transfers split into.
     pub fn try_new(
         cfg: DmaConfig,
+        pipelined: bool,
         transfers: &[DmaTransfer],
         eligibility: &[u64],
     ) -> Result<Self, Diagnostic> {
-        let sizes = cfg.chunk_sizes(transfers);
+        crate::first_error(cfg.check())?;
+        let sizes = cfg.chunk_sizes(pipelined, transfers);
         if sizes.len() != eligibility.len() {
             return Err(Diagnostic::error(
                 "L0217",
@@ -189,7 +206,7 @@ impl DmaEngine {
         for t in transfers {
             let mut offset = 0;
             while offset < t.bytes {
-                let c = if cfg.pipelined {
+                let c = if pipelined {
                     (t.bytes - offset).min(cfg.chunk_bytes)
                 } else {
                     t.bytes
@@ -224,12 +241,16 @@ impl DmaEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `eligibility.len()` does not match the number of chunks;
-    /// use [`try_new`](DmaEngine::try_new) to handle that as a typed
-    /// diagnostic instead.
+    /// Panics where [`try_new`](DmaEngine::try_new) returns an error; use
+    /// it to handle that as a typed diagnostic instead.
     #[must_use]
-    pub fn new(cfg: DmaConfig, transfers: &[DmaTransfer], eligibility: &[u64]) -> Self {
-        DmaEngine::try_new(cfg, transfers, eligibility).unwrap_or_else(|d| panic!("{d}"))
+    pub fn new(
+        cfg: DmaConfig,
+        pipelined: bool,
+        transfers: &[DmaTransfer],
+        eligibility: &[u64],
+    ) -> Self {
+        DmaEngine::try_new(cfg, pipelined, transfers, eligibility).unwrap_or_else(|d| panic!("{d}"))
     }
 
     /// Issue bus requests as `master` instead of [`MasterId::DMA`] — used
@@ -404,7 +425,7 @@ mod tests {
 
     #[test]
     fn empty_engine_is_immediately_done() {
-        let e = DmaEngine::new(DmaConfig::default(), &[], &[]);
+        let e = DmaEngine::new(DmaConfig::default(), false, &[], &[]);
         assert!(e.is_done());
     }
 
@@ -416,7 +437,7 @@ mod tests {
             bytes: 4096,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(cfg, &transfers, &[0]);
+        let mut e = DmaEngine::new(cfg, false, &transfers, &[0]);
         let mut b = bus();
         let done = run(&mut e, &mut b, 100_000);
         // 40 setup + ~1024 transfer cycles (4 B/cycle) + initial latency.
@@ -428,17 +449,14 @@ mod tests {
 
     #[test]
     fn pipelined_splits_into_page_descriptors() {
-        let cfg = DmaConfig {
-            pipelined: true,
-            ..DmaConfig::default()
-        };
+        let cfg = DmaConfig::default();
         let transfers = [DmaTransfer {
             base: 0,
             bytes: 10 * 1024,
             direction: DmaDirection::In,
         }];
-        assert_eq!(cfg.chunk_sizes(&transfers), vec![4096, 4096, 2048]);
-        let mut e = DmaEngine::new(cfg, &transfers, &[0, 0, 0]);
+        assert_eq!(cfg.chunk_sizes(true, &transfers), vec![4096, 4096, 2048]);
+        let mut e = DmaEngine::new(cfg, true, &transfers, &[0, 0, 0]);
         let mut b = bus();
         let _ = run(&mut e, &mut b, 100_000);
         assert_eq!(e.stats().descriptors, 3);
@@ -451,7 +469,7 @@ mod tests {
             bytes: 256,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), &transfers, &[500]);
+        let mut e = DmaEngine::new(DmaConfig::default(), false, &transfers, &[500]);
         let mut b = bus();
         let done = run(&mut e, &mut b, 10_000);
         assert!(done >= 500 + 40 + 64, "done={done}");
@@ -465,7 +483,7 @@ mod tests {
             bytes: 1024,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), &transfers, &[0]);
+        let mut e = DmaEngine::new(DmaConfig::default(), false, &transfers, &[0]);
         let mut b = bus();
         let _ = run(&mut e, &mut b, 100_000);
         let arrivals: Vec<_> = e.drain_arrivals().collect();
@@ -485,7 +503,7 @@ mod tests {
             bytes: 256,
             direction: DmaDirection::Out,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), &transfers, &[0]);
+        let mut e = DmaEngine::new(DmaConfig::default(), false, &transfers, &[0]);
         let mut b = bus();
         let _ = run(&mut e, &mut b, 10_000);
         assert_eq!(e.drain_arrivals().len(), 0);
@@ -499,15 +517,11 @@ mod tests {
             bytes: 12 * 1024,
             direction: DmaDirection::In,
         }];
-        let mut base_engine = DmaEngine::new(DmaConfig::default(), &t, &[0]);
+        let mut base_engine = DmaEngine::new(DmaConfig::default(), false, &t, &[0]);
         let mut base_bus = bus();
         let base_done = run(&mut base_engine, &mut base_bus, 100_000);
 
-        let pcfg = DmaConfig {
-            pipelined: true,
-            ..DmaConfig::default()
-        };
-        let mut pipe_engine = DmaEngine::new(pcfg, &t, &[0, 0, 0]);
+        let mut pipe_engine = DmaEngine::new(DmaConfig::default(), true, &t, &[0, 0, 0]);
         let mut pipe_bus = bus();
         let pipe_done = run(&mut pipe_engine, &mut pipe_bus, 100_000);
         assert!(
@@ -525,7 +539,7 @@ mod tests {
             bytes: 100,
             direction: DmaDirection::In,
         }];
-        let _ = DmaEngine::new(DmaConfig::default(), &t, &[]);
+        let _ = DmaEngine::new(DmaConfig::default(), false, &t, &[]);
     }
 
     #[test]
@@ -535,7 +549,7 @@ mod tests {
             bytes: 100,
             direction: DmaDirection::In,
         }];
-        let err = DmaEngine::try_new(DmaConfig::default(), &t, &[]).unwrap_err();
+        let err = DmaEngine::try_new(DmaConfig::default(), false, &t, &[]).unwrap_err();
         assert_eq!(err.code, "L0217");
         assert!(err.message.contains("one eligibility time per chunk"));
     }
@@ -547,7 +561,7 @@ mod tests {
             bytes: 256,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), &t, &[0]);
+        let mut e = DmaEngine::new(DmaConfig::default(), false, &t, &[0]);
         assert!(e.describe_state().contains("0/1 descriptor(s) done"));
         let mut b = bus();
         e.tick(0, &mut b).unwrap();

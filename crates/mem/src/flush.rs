@@ -10,6 +10,7 @@
 //! synchronizes against.
 
 use aladdin_faults::FaultInjector;
+use aladdin_ir::Report;
 
 use crate::clock::Clock;
 use crate::intervals::IntervalSet;
@@ -36,6 +37,19 @@ impl Default for FlushConfig {
 }
 
 impl FlushConfig {
+    /// `L0210` validation, as `SocConfig::check` reports it: costs are
+    /// charged per line, so a line must hold at least one byte.
+    #[must_use]
+    pub fn check(&self) -> Report {
+        let mut report = Report::new();
+        crate::require_positive(
+            &mut report,
+            "soc.flush.line_bytes",
+            u64::from(self.line_bytes),
+        );
+        report
+    }
+
     /// Cycles to flush `bytes` of data, at the accelerator clock.
     #[must_use]
     pub fn flush_cycles(&self, clock: Clock, bytes: u64) -> u64 {

@@ -727,25 +727,16 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// Returns the first `L0310` structural error of `topo`, an `L0213`
-    /// diagnostic if the bus width is narrower than one byte, or the
-    /// DRAM configuration's own diagnostic.
+    /// Returns the first finding of [`BusConfig::check`], of `topo`'s
+    /// `L0310` structural check, or of the DRAM configuration's check, in
+    /// that order.
     pub fn try_new(
         bus: BusConfig,
         dram: DramConfig,
         topo: TopologyConfig,
     ) -> Result<Self, Diagnostic> {
+        crate::first_error(bus.check())?;
         crate::first_error(topo.check())?;
-        if bus.width_bits < 8 {
-            return Err(Diagnostic::error(
-                "L0213",
-                format!(
-                    "bus width must be at least one byte, got {} bits",
-                    bus.width_bits
-                ),
-            )
-            .at(Locus::Field("bus.width_bits")));
-        }
         let dram = Dram::try_new(dram)?;
         // (route, final channels, grant-depth counters, queues provisioned
         // up front). The shared bus provisions the pre-named masters;

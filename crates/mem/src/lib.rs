@@ -87,3 +87,14 @@ pub use traffic::TrafficGenerator;
 pub(crate) fn first_error(report: aladdin_ir::Report) -> Result<(), aladdin_ir::Diagnostic> {
     report.into_iter().next().map_or(Ok(()), Err)
 }
+
+/// `L0210` if `value` is zero: a field the simulators divide by or step
+/// through, named by its `soc.` locus.
+pub(crate) fn require_positive(report: &mut aladdin_ir::Report, field: &'static str, value: u64) {
+    if value == 0 {
+        report.push(
+            aladdin_ir::Diagnostic::error("L0210", format!("{field} must be positive"))
+                .at(aladdin_ir::Locus::Field(field)),
+        );
+    }
+}

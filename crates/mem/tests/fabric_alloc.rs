@@ -191,6 +191,7 @@ fn steady_state_dma_makes_no_heap_allocation() {
             max_outstanding: 4,
             ..DmaConfig::default()
         },
+        false,
         &transfers,
         &[0],
     );

@@ -353,10 +353,7 @@ fn dma_engine_conserves_bytes() {
         let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(1..6000u64)).collect();
         let pipelined = rng.gen::<bool>();
         let elig_gap = rng.gen_range(0..500u64);
-        let cfg = DmaConfig {
-            pipelined,
-            ..DmaConfig::default()
-        };
+        let cfg = DmaConfig::default();
         let transfers: Vec<DmaTransfer> = sizes
             .iter()
             .enumerate()
@@ -366,9 +363,9 @@ fn dma_engine_conserves_bytes() {
                 direction: DmaDirection::In,
             })
             .collect();
-        let chunks = cfg.chunk_sizes(&transfers);
+        let chunks = cfg.chunk_sizes(pipelined, &transfers);
         let eligibility: Vec<u64> = (0..chunks.len() as u64).map(|k| k * elig_gap).collect();
-        let mut engine = DmaEngine::new(cfg, &transfers, &eligibility);
+        let mut engine = DmaEngine::new(cfg, pipelined, &transfers, &eligibility);
         let mut bus = shared_bus();
         let mut cycle = 0u64;
         while !engine.is_done() {

@@ -20,10 +20,10 @@
 //!                            format) before a fault-injection run
 //!   flowspec FILE...         validate multi-accelerator job-set files
 //!                            (one `job KERNEL MEM [OPT] [launch N]
-//!                            [master N]` per line) against the unified
-//!                            flow engine's preflight: cache flows with
-//!                            zero MSHRs/ports, duplicate bus masters,
-//!                            more than one cache job, empty job sets
+//!                            [master N]` per line) against the checks
+//!                            `simulate_multi` applies: duplicate bus
+//!                            masters, more than one cache job, empty
+//!                            job sets, topology capacity
 //!   campaign FILE... [--journal PATH]
 //!                            parse, validate and expand TOML campaign
 //!                            files (`L0260`–`L0264`) without running
@@ -395,10 +395,10 @@ fn parse_flowspec_job(line: &str) -> Result<aladdin_core::AcceleratorJob, String
     Ok(job)
 }
 
-/// Validate multi-accelerator job-set files against the unified flow
-/// engine's preflight: `L0254` on malformed lines, then the same
-/// `validate_multi_jobs` the runtime applies (`L0250`–`L0253`), so a
-/// flowspec that lints clean here is accepted by `simulate_multi`.
+/// Validate multi-accelerator job-set files: `L0254` on malformed lines,
+/// then the same `validate_multi_jobs` the runtime applies
+/// (`L0250`–`L0252`, `L0311`), so a flowspec that lints clean here is
+/// accepted by `simulate_multi`.
 fn lint_flowspecs(paths: &[String], soc: &SocConfig) -> Vec<Target> {
     if paths.is_empty() {
         usage();

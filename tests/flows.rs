@@ -188,3 +188,104 @@ fn unbuildable_cache_geometry_is_a_typed_error() {
     ];
     expect_l0211(simulate_multi(&jobs, &soc, &SimHarness::default()).unwrap_err());
 }
+
+/// Each SoC component checks its own configuration where it is built, so
+/// a broken component ends every flow that builds it, and a one-job
+/// multi-accelerator run of that flow, in a typed diagnostic with the
+/// code and locus of the first error `SocConfig::check` reports: never a
+/// panic, a hang or a silent run. Flows that never build the component
+/// still run.
+#[test]
+fn broken_components_fail_as_the_static_check_reports() {
+    use aladdin_core::Topology;
+    use DmaOptLevel::{Baseline, Full, Pipelined};
+    const DMA: &[MemKind] = &[
+        MemKind::Dma(Baseline),
+        MemKind::Dma(Pipelined),
+        MemKind::Dma(Full),
+    ];
+    const FABRIC: &[MemKind] = &[
+        MemKind::Dma(Baseline),
+        MemKind::Dma(Pipelined),
+        MemKind::Dma(Full),
+        MemKind::Cache,
+    ];
+    // (case, mutation, the flows that build the broken component, whether
+    // a multi-accelerator job of those flows builds it too).
+    type Case = (&'static str, fn(&mut SocConfig), &'static [MemKind], bool);
+    let cases: [Case; 13] = [
+        ("0-bit bus", |s| s.bus.width_bits = 0, FABRIC, true),
+        ("12-bit bus", |s| s.bus.width_bits = 12, FABRIC, true),
+        ("zero DMA chunk", |s| s.dma.chunk_bytes = 0, DMA, true),
+        ("zero DMA burst", |s| s.dma.burst_bytes = 0, DMA, true),
+        ("zero flush line", |s| s.flush.line_bytes = 0, DMA, true),
+        // Multi-accelerator DMA jobs do not gate loads on full/empty bits.
+        (
+            "zero granule",
+            |s| s.ready_bits_granule = 0,
+            &[MemKind::Dma(Full)],
+            false,
+        ),
+        (
+            "48 B granule",
+            |s| s.ready_bits_granule = 48,
+            &[MemKind::Dma(Full)],
+            false,
+        ),
+        (
+            "8 KiB granule",
+            |s| s.ready_bits_granule = 8192,
+            &[MemKind::Dma(Full)],
+            false,
+        ),
+        ("no MSHR", |s| s.cache.mshrs = 0, &[MemKind::Cache], true),
+        (
+            "no cache port",
+            |s| s.cache.ports = 0,
+            &[MemKind::Cache],
+            true,
+        ),
+        (
+            "3 KiB cache",
+            |s| s.cache.size_bytes = 3 * 1024,
+            &[MemKind::Cache],
+            true,
+        ),
+        ("bankless DRAM", |s| s.dram.banks = 0, FABRIC, true),
+        (
+            "crossbar:0",
+            |s| s.topology.topology = Topology::Crossbar { radix: 0 },
+            FABRIC,
+            true,
+        ),
+    ];
+    let trace = trace_of("aes-aes");
+    let d = dp(2, 2);
+    for (case, mutate, builds, multi) in cases {
+        let mut soc = SocConfig::default();
+        mutate(&mut soc);
+        let report = soc.check();
+        let first = report.first_error().expect("the static check rejects it");
+        let expect = |run: &str, err: SimError| match err {
+            SimError::Diag(diag) => assert_eq!(
+                (diag.code, &diag.locus),
+                (first.code, &first.locus),
+                "{case}, {run}: {diag}"
+            ),
+            other => panic!("{case}, {run}: expected a typed diagnostic, got {other:?}"),
+        };
+        for &kind in [MemKind::Isolated].iter().chain(FABRIC) {
+            let run = simulate(&trace, &d, &soc, &FlowSpec::new(kind));
+            if !builds.contains(&kind) {
+                assert!(run.is_ok(), "{case}, {kind} never builds it: {run:?}");
+                continue;
+            }
+            expect(&kind.to_string(), run.unwrap_err());
+            if multi {
+                let job = AcceleratorJob::new(trace.clone(), d, kind, 0);
+                let run = simulate_multi(&[job], &soc, &SimHarness::default());
+                expect(&format!("one-job multi {kind}"), run.unwrap_err());
+            }
+        }
+    }
+}
