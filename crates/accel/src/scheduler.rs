@@ -443,12 +443,9 @@ impl SchedState {
         start: u64,
         watchdog: &Watchdog,
     ) -> Result<ScheduleResult, SimError> {
-        let cfg_report = cfg.check();
-        assert!(
-            !cfg_report.has_errors(),
-            "invalid datapath configuration: {}",
-            cfg_report.to_human()
-        );
+        if let Some(d) = cfg.check().first_error() {
+            return Err(SimError::Diag(d.clone()));
+        }
         self.reset(cfg, start);
         store.start(self)?;
 
@@ -779,16 +776,16 @@ pub fn schedule(
 ///
 /// # Errors
 ///
-/// `SimError::Deadlock` when no progress is made for
-/// `watchdog.no_progress_cycles` consecutive stepped cycles;
+/// `SimError::Diag` with [`DatapathConfig::check`]'s first error (`L0201`)
+/// for an invalid `cfg`; `SimError::Deadlock` when no progress is made
+/// for `watchdog.no_progress_cycles` consecutive stepped cycles;
 /// `SimError::WatchdogExpired` when the simulated cycle count crosses
 /// `watchdog.max_cycles`.
 ///
 /// # Panics
 ///
-/// Panics if `cfg` is invalid or `prepared` was built for another trace —
-/// those are configuration bugs, detectable statically before any
-/// simulation starts.
+/// Panics if `prepared` was built for another trace — a caller bug,
+/// detectable before any simulation starts.
 pub fn try_schedule_prepared(
     trace: &Trace,
     cfg: &DatapathConfig,

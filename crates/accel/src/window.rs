@@ -371,15 +371,11 @@ where
 ///
 /// # Errors
 ///
-/// `SimError::Diag` if the stream yields an error or is not in dense
-/// program order; `SimError::Deadlock` and `SimError::WatchdogExpired`
-/// as for the prepared path, with `total` counting admitted nodes only
-/// (the full trace length is unknown mid-stream).
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid — a configuration bug, detectable
-/// statically before any simulation starts.
+/// `SimError::Diag` for an invalid `cfg` (as for the prepared path), or if
+/// the stream yields an error or is not in dense program order;
+/// `SimError::Deadlock` and `SimError::WatchdogExpired` as for the
+/// prepared path, with `total` counting admitted nodes only (the full
+/// trace length is unknown mid-stream).
 ///
 /// [`LaneSync::Barrier`]: crate::LaneSync::Barrier
 pub fn try_schedule_windowed<I>(

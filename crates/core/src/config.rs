@@ -4,6 +4,7 @@ use aladdin_accel::SpadMemory;
 use aladdin_ir::{Diagnostic, Report};
 use aladdin_mem::{
     BusConfig, CacheConfig, Clock, DmaConfig, DramConfig, FlushConfig, TlbConfig, TopologyConfig,
+    TrafficConfig,
 };
 
 /// Cumulative DMA optimization levels (Section IV-B).
@@ -105,15 +106,6 @@ impl CompletionSignal {
     }
 }
 
-/// Background bus-traffic injection for contention studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficConfig {
-    /// Cycles between injected requests.
-    pub period: u64,
-    /// Bytes per request.
-    pub bytes: u32,
-}
-
 /// Full SoC configuration: everything outside the accelerator datapath.
 ///
 /// Defaults reproduce the paper's validated platform: 100 MHz accelerator,
@@ -192,9 +184,11 @@ impl SocConfig {
         // L0210 zero fields come first, and alone: the other rules divide
         // by them.
         let (bus, cache) = (self.bus.check(), self.cache.check());
+        let traffic = self.traffic.map_or_else(Report::new, |t| t.check());
         let zero = |d: &&Diagnostic| d.code == "L0210";
         let mut report: Report = (bus.diagnostics().iter().filter(zero))
             .chain(cache.diagnostics().iter().filter(zero))
+            .chain(traffic.diagnostics().iter().filter(zero))
             .cloned()
             .chain(self.dma.check())
             .chain(self.flush.check())
@@ -203,13 +197,14 @@ impl SocConfig {
             return report;
         }
         // L0211 cache geometry, L0212 TLB, L0213 bus width, L0310
-        // topology, L0216 DRAM, L0214 granule.
+        // topology, L0216 DRAM, L0218 traffic request size, L0214 granule.
         for component in [
             cache,
             self.tlb.check(),
             bus,
             self.topology.check(),
             self.dram.check(),
+            traffic,
         ] {
             report.merge(component);
         }

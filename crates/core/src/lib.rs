@@ -72,9 +72,10 @@ pub use aladdin_faults::{
     DeadlockSnapshot, FaultPlan, FaultSpec, NackSpec, SimError, SimHarness, Watchdog,
 };
 pub use aladdin_mem::{
-    MasterId, ProtocolConfig, Topology, TopologyConfig, CODE_BAD_TOPOLOGY, CODE_TOPOLOGY_CAPACITY,
+    MasterId, ProtocolConfig, Topology, TopologyConfig, TrafficConfig, CODE_BAD_TOPOLOGY,
+    CODE_TOPOLOGY_CAPACITY,
 };
-pub use config::{CompletionSignal, DmaOptLevel, MemKind, SocConfig, TrafficConfig};
+pub use config::{CompletionSignal, DmaOptLevel, MemKind, SocConfig};
 pub use decompose::{decompose_cache_time, TimeDecomposition};
 pub use engine::{
     simulate, simulate_prepared, simulate_source, simulate_source_prepared, FlowResult, FlowSpec,

@@ -269,8 +269,10 @@ impl<F: Front> SocWorld<F> {
     /// # Errors
     ///
     /// Returns the topology's `L0310` diagnostic if `soc.topology` is
-    /// malformed, or its `L0311` diagnostic if it cannot host the
-    /// front's or the traffic generator's master.
+    /// malformed, its `L0311` diagnostic if it cannot host the front's or
+    /// the traffic generator's master, the bus and DRAM checks' first
+    /// error, and [`TrafficConfig::check`](aladdin_mem::TrafficConfig::check)'s
+    /// first error for unbuildable background traffic.
     pub(crate) fn new(soc: &SocConfig, front: F) -> Result<Self, Diagnostic> {
         let traffic = soc.traffic.map(|_| MasterId::TRAFFIC);
         for master in front.bus_master().into_iter().chain(traffic) {
@@ -280,7 +282,9 @@ impl<F: Front> SocWorld<F> {
             bus: Fabric::try_new(soc.bus, soc.dram, soc.topology)?,
             traffic: soc
                 .traffic
-                .map(|t| TrafficGenerator::new(t.period, t.bytes, 0x4000_0000, 16 << 20)),
+                .as_ref()
+                .map(TrafficGenerator::try_new)
+                .transpose()?,
             dma: DmaEngines::default(),
             jobs: Vec::new(),
             front,

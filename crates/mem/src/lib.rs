@@ -80,7 +80,7 @@ pub use interconnect::{
 };
 pub use intervals::IntervalSet;
 pub use tlb::{Tlb, TlbConfig, TlbStats};
-pub use traffic::TrafficGenerator;
+pub use traffic::{TrafficConfig, TrafficGenerator, TRAFFIC_REGION_BASE, TRAFFIC_REGION_BYTES};
 
 /// The first diagnostic of a component's `check`, as its constructor's
 /// error: the runtime rejects exactly what the static check reports.

@@ -3,7 +3,7 @@
 use aladdin_accel::DatapathConfig;
 use aladdin_core::{
     decompose_cache_time, simulate, simulate_multi, validate_kernel, AcceleratorJob, DmaOptLevel,
-    FlowResult, FlowSpec, MemKind, SimError, SimHarness, SocConfig,
+    FlowResult, FlowSpec, MemKind, SimError, SimHarness, SocConfig, TrafficConfig,
 };
 use aladdin_workloads::{by_name, evaluation_kernels};
 
@@ -189,10 +189,11 @@ fn unbuildable_cache_geometry_is_a_typed_error() {
     expect_l0211(simulate_multi(&jobs, &soc, &SimHarness::default()).unwrap_err());
 }
 
-/// Each SoC component checks its own configuration where it is built, so
-/// a broken component ends every flow that builds it, and a one-job
-/// multi-accelerator run of that flow, in a typed diagnostic with the
-/// code and locus of the first error `SocConfig::check` reports: never a
+/// Each SoC component, and the datapath, checks its own configuration
+/// where it is built, so a broken component ends every flow that builds
+/// it, and a one-job multi-accelerator run of that flow, in a typed
+/// diagnostic with the code and locus of the first error
+/// `SocConfig::check` (or `DatapathConfig::check`) reports: never a
 /// panic, a hang or a silent run. Flows that never build the component
 /// still run.
 #[test]
@@ -210,62 +211,112 @@ fn broken_components_fail_as_the_static_check_reports() {
         MemKind::Dma(Full),
         MemKind::Cache,
     ];
-    // (case, mutation, the flows that build the broken component, whether
-    // a multi-accelerator job of those flows builds it too).
-    type Case = (&'static str, fn(&mut SocConfig), &'static [MemKind], bool);
-    let cases: [Case; 13] = [
-        ("0-bit bus", |s| s.bus.width_bits = 0, FABRIC, true),
-        ("12-bit bus", |s| s.bus.width_bits = 12, FABRIC, true),
-        ("zero DMA chunk", |s| s.dma.chunk_bytes = 0, DMA, true),
-        ("zero DMA burst", |s| s.dma.burst_bytes = 0, DMA, true),
-        ("zero flush line", |s| s.flush.line_bytes = 0, DMA, true),
+    const EVERY: &[MemKind] = &[
+        MemKind::Isolated,
+        MemKind::Dma(Baseline),
+        MemKind::Dma(Pipelined),
+        MemKind::Dma(Full),
+        MemKind::Cache,
+    ];
+    // (case, mutation of the SoC and datapath, the flows that build the
+    // broken component, whether a multi-accelerator job of those flows
+    // builds it too).
+    type Case = (
+        &'static str,
+        fn(&mut SocConfig, &mut DatapathConfig),
+        &'static [MemKind],
+        bool,
+    );
+    let cases: [Case; 18] = [
+        ("0-bit bus", |s, _| s.bus.width_bits = 0, FABRIC, true),
+        ("12-bit bus", |s, _| s.bus.width_bits = 12, FABRIC, true),
+        ("zero DMA chunk", |s, _| s.dma.chunk_bytes = 0, DMA, true),
+        ("zero DMA burst", |s, _| s.dma.burst_bytes = 0, DMA, true),
+        ("zero flush line", |s, _| s.flush.line_bytes = 0, DMA, true),
         // Multi-accelerator DMA jobs do not gate loads on full/empty bits.
         (
             "zero granule",
-            |s| s.ready_bits_granule = 0,
+            |s, _| s.ready_bits_granule = 0,
             &[MemKind::Dma(Full)],
             false,
         ),
         (
             "48 B granule",
-            |s| s.ready_bits_granule = 48,
+            |s, _| s.ready_bits_granule = 48,
             &[MemKind::Dma(Full)],
             false,
         ),
         (
             "8 KiB granule",
-            |s| s.ready_bits_granule = 8192,
+            |s, _| s.ready_bits_granule = 8192,
             &[MemKind::Dma(Full)],
             false,
         ),
-        ("no MSHR", |s| s.cache.mshrs = 0, &[MemKind::Cache], true),
+        ("no MSHR", |s, _| s.cache.mshrs = 0, &[MemKind::Cache], true),
         (
             "no cache port",
-            |s| s.cache.ports = 0,
+            |s, _| s.cache.ports = 0,
             &[MemKind::Cache],
             true,
         ),
         (
             "3 KiB cache",
-            |s| s.cache.size_bytes = 3 * 1024,
+            |s, _| s.cache.size_bytes = 3 * 1024,
             &[MemKind::Cache],
             true,
         ),
-        ("bankless DRAM", |s| s.dram.banks = 0, FABRIC, true),
+        ("bankless DRAM", |s, _| s.dram.banks = 0, FABRIC, true),
         (
             "crossbar:0",
-            |s| s.topology.topology = Topology::Crossbar { radix: 0 },
+            |s, _| s.topology.topology = Topology::Crossbar { radix: 0 },
             FABRIC,
             true,
         ),
+        (
+            "zero traffic period",
+            |s, _| {
+                s.traffic = Some(TrafficConfig {
+                    period: 0,
+                    bytes: 64,
+                })
+            },
+            FABRIC,
+            true,
+        ),
+        (
+            "zero-byte traffic",
+            |s, _| {
+                s.traffic = Some(TrafficConfig {
+                    period: 10,
+                    bytes: 0,
+                })
+            },
+            FABRIC,
+            true,
+        ),
+        (
+            "traffic past its region",
+            |s, _| {
+                s.traffic = Some(TrafficConfig {
+                    period: 10,
+                    bytes: 32 << 20,
+                });
+            },
+            FABRIC,
+            true,
+        ),
+        ("zero lanes", |_, d| d.lanes = 0, EVERY, true),
+        ("zero partition", |_, d| d.partition = 0, EVERY, true),
     ];
     let trace = trace_of("aes-aes");
-    let d = dp(2, 2);
     for (case, mutate, builds, multi) in cases {
         let mut soc = SocConfig::default();
-        mutate(&mut soc);
-        let report = soc.check();
-        let first = report.first_error().expect("the static check rejects it");
+        let mut d = dp(2, 2);
+        mutate(&mut soc, &mut d);
+        let (soc_report, dp_report) = (soc.check(), d.check());
+        let first = (soc_report.first_error())
+            .or_else(|| dp_report.first_error())
+            .expect("the static check rejects it");
         let expect = |run: &str, err: SimError| match err {
             SimError::Diag(diag) => assert_eq!(
                 (diag.code, &diag.locus),
@@ -274,7 +325,7 @@ fn broken_components_fail_as_the_static_check_reports() {
             ),
             other => panic!("{case}, {run}: expected a typed diagnostic, got {other:?}"),
         };
-        for &kind in [MemKind::Isolated].iter().chain(FABRIC) {
+        for &kind in EVERY {
             let run = simulate(&trace, &d, &soc, &FlowSpec::new(kind));
             if !builds.contains(&kind) {
                 assert!(run.is_ok(), "{case}, {kind} never builds it: {run:?}");
