@@ -40,13 +40,15 @@ use crate::cache::{self, SweepCacheMode};
 use crate::perf::{record_global, SweepPerf};
 use crate::space::DesignSpace;
 
-/// Run `job` once per index in `0..n` across all available cores. Each
-/// worker owns a state built by `init` (scheduler workspaces, here).
-/// Results land in pre-allocated per-index slots — no lock on the result
-/// path, no final sort. Once any `job` returns `Break`, workers stop
-/// claiming indices: jobs already running finish, and every index never
-/// claimed stays `None`.
-fn parallel_map<T, S, I, F>(n: usize, init: I, job: F) -> Vec<Option<T>>
+/// Run `job` once per index in `0..n` across all available cores — the
+/// sweep engine's work pool, which the campaign runner also fingerprints
+/// kernels on. Workers claim indices in order. Each owns a state built by
+/// `init` (scheduler workspaces, in a sweep). Results land in
+/// pre-allocated per-index slots — no lock on the result path, no final
+/// sort. Once any `job` returns `Break`, workers stop claiming indices:
+/// jobs already running finish, and every index never claimed stays
+/// `None`.
+pub fn parallel_map<T, S, I, F>(n: usize, init: I, job: F) -> Vec<Option<T>>
 where
     T: Send + Sync,
     S: Send,
@@ -197,16 +199,32 @@ impl PointOutcome {
 pub enum SweepSource<'a> {
     /// A trace already loaded: in memory, or an `.atrc` file.
     Loaded(TraceSource<'a>),
-    /// An in-memory trace known first by its [`Trace::fingerprint`].
-    /// A sweep whose every point is cached never calls `build`; otherwise
-    /// it calls it once, before any point runs, and every point and
-    /// worker shares the trace, like the prepared graph.
+    /// An in-memory trace known first by its [`Trace::fingerprint`] and
+    /// built into `memo` only when needed. A sweep whose every point is
+    /// cached never calls `build`; otherwise the trace is built once,
+    /// before any point runs, and every point and worker shares it and
+    /// its prepared graph.
     Lazy {
-        /// The fingerprint of the trace `build` returns.
-        fingerprint: u128,
-        /// Materializes the trace; called at most once per sweep.
+        /// The fingerprint of the trace `build` returns, which keys the
+        /// result cache. `None` when the caller did not compute it: the
+        /// sweep then simulates every point.
+        fingerprint: Option<u128>,
+        /// Materializes the trace; called at most once per `memo`.
         build: &'a (dyn Fn() -> Trace + Sync),
+        /// Where the trace and its graph are kept once built, so
+        /// several sweeps of the same trace build them once.
+        memo: &'a TraceMemo,
     },
+}
+
+/// A [`SweepSource::Lazy`] trace and its prepared graph, each built at
+/// most once, by the first sweep that needs it. The caller owns it:
+/// keep it across sweeps of one trace to share the builds, and drop it
+/// to free them.
+#[derive(Default)]
+pub struct TraceMemo {
+    trace: OnceLock<Trace>,
+    prep: OnceLock<PreparedDddg>,
 }
 
 impl<'a> From<TraceSource<'a>> for SweepSource<'a> {
@@ -249,14 +267,13 @@ struct Sweep<'a> {
     /// Each point's result-cache key when the sweep uses the cache,
     /// `None` when it bypasses it (see [`sweep_engine`] for the policy).
     keys: Option<Vec<String>>,
-    /// Whether bound pruning is engaged (only ever under the cache gate).
+    /// Whether bound pruning is engaged (only ever for an in-memory
+    /// trace under an inert harness).
     prune: bool,
-    /// A [`SweepSource::Lazy`] source's trace, built at most once and
-    /// shared by every point and worker.
-    trace: OnceLock<Trace>,
-    /// The trace's graph, shared by every point and worker. Lazy so a
-    /// fully cache-warm sweep builds no graph at all; `.atrc` sources
-    /// never build one.
+    /// A loaded in-memory trace's graph, shared by every point and
+    /// worker (a [`SweepSource::Lazy`] source keeps its graph in its
+    /// memo). Lazy so a fully cache-warm sweep builds no graph at all;
+    /// `.atrc` sources never build one.
     prep: OnceLock<PreparedDddg>,
     /// Finished `(cycles, avg power)` pairs — the pruning witnesses.
     witnesses: Mutex<Vec<(u64, f64)>>,
@@ -277,11 +294,13 @@ impl<'a> Sweep<'a> {
         harness: &'a SimHarness,
         prune: bool,
     ) -> Self {
+        let in_memory = !matches!(source, SweepSource::Loaded(TraceSource::Atrc(_)));
+        let gated = in_memory && inert(harness);
         let cache_fp = match source {
-            _ if !inert(harness) => None,
+            _ if !gated => None,
             SweepSource::Loaded(TraceSource::Atrc(_)) => None,
             SweepSource::Loaded(TraceSource::Memory(trace)) => Some(trace.fingerprint()),
-            SweepSource::Lazy { fingerprint, .. } => Some(fingerprint),
+            SweepSource::Lazy { fingerprint, .. } => fingerprint,
         };
         let keys = cache_fp.map(|fp| {
             specs
@@ -293,9 +312,8 @@ impl<'a> Sweep<'a> {
             source,
             specs,
             harness,
-            prune: prune && keys.is_some(),
+            prune: prune && gated,
             keys,
-            trace: OnceLock::new(),
             prep: OnceLock::new(),
             witnesses: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
@@ -313,7 +331,17 @@ impl<'a> Sweep<'a> {
     fn loaded(&self) -> TraceSource<'_> {
         match self.source {
             SweepSource::Loaded(source) => source,
-            SweepSource::Lazy { build, .. } => TraceSource::Memory(self.trace.get_or_init(build)),
+            SweepSource::Lazy { build, memo, .. } => {
+                TraceSource::Memory(memo.trace.get_or_init(build))
+            }
+        }
+    }
+
+    /// Where the in-memory trace's prepared graph is kept.
+    fn prep(&self) -> &OnceLock<PreparedDddg> {
+        match self.source {
+            SweepSource::Loaded(_) => &self.prep,
+            SweepSource::Lazy { memo, .. } => &memo.prep,
         }
     }
 
@@ -329,7 +357,7 @@ impl<'a> Sweep<'a> {
         let source = self.loaded();
         let prep = match source {
             TraceSource::Memory(trace) => {
-                let prep = self.prep.get_or_init(|| PreparedDddg::new(trace, &s.dp));
+                let prep = self.prep().get_or_init(|| PreparedDddg::new(trace, &s.dp));
                 if let Some(p) = self.dominated(i, trace, prep) {
                     self.pruned.fetch_add(1, Ordering::Relaxed);
                     return PointOutcome::Pruned(p);
@@ -415,7 +443,7 @@ impl<'a> Sweep<'a> {
         // no trace and no worker. Otherwise its trace is built here, on
         // the calling thread: built by a short-lived worker, its freed
         // megabytes would stay resident in that worker's allocator arena.
-        if let SweepSource::Lazy { build, .. } = self.source {
+        if let SweepSource::Lazy { build, memo, .. } = self.source {
             let hits: Option<Vec<FlowResult>> = self
                 .keys
                 .as_ref()
@@ -432,7 +460,7 @@ impl<'a> Sweep<'a> {
                 }
                 return outcomes;
             }
-            self.trace.get_or_init(build);
+            memo.trace.get_or_init(build);
         }
         parallel_map(self.specs.len(), SchedulerWorkspace::new, |i, ws| {
             let outcome = self.step(i, ws);
@@ -482,10 +510,12 @@ impl<'a> Sweep<'a> {
 /// [`SweepSource::Lazy`] source keys the cache by its fingerprint alone:
 /// a fully cache-warm sweep of one is served on the calling thread and
 /// builds neither a trace nor a graph, and any miss materializes the
-/// trace once, up front.
+/// trace once, up front, into the source's [`TraceMemo`]. A later sweep
+/// handed the same memo reuses that trace and its graph.
 ///
 /// **Caching policy.** Points run through the result cache only when the
-/// source is in memory and the harness is inert — an empty
+/// source is in memory (a lazy one with its fingerprint) and the harness
+/// is inert — an empty
 /// [`FaultPlan`](aladdin_core::FaultPlan) *and* the default [`Watchdog`].
 /// Fault-injected runs bypass it in both directions (the key does not
 /// include the plan, and a perturbed result must never be served to — or
@@ -506,8 +536,9 @@ impl<'a> Sweep<'a> {
 /// `cycles(s) < lo ≤ cycles(c)` and `power(s) < floor ≤ power(c)`, so `c`
 /// could never have been kept by [`crate::pareto_frontier`], and non-kept
 /// points never influence which other points are kept. Pruning engages
-/// only under the cache gate above (under fault injection the campaign's
-/// purpose is observing perturbations, not skipping them). It is
+/// only for an in-memory source under an inert harness (under fault
+/// injection the campaign's purpose is observing perturbations, not
+/// skipping them). It is
 /// opportunistic — the *set* of pruned points depends on completion order;
 /// the surviving frontier does not.
 #[must_use]
@@ -995,23 +1026,27 @@ mod tests {
             builds.fetch_add(1, Ordering::SeqCst);
             kernel.run().trace
         };
-        let source = SweepSource::Lazy {
-            fingerprint: kernel.fingerprint(),
-            build: &build,
-        };
+        let fingerprint = Some(kernel.fingerprint());
         let soc = SocConfig::default();
         let specs = specs_for(&DesignSpace::quick(), &soc, FULL);
         let n = specs.len() as u64;
         let clean = SimHarness::default();
         let pass = |specs: &[PointSpec], harness: &SimHarness| {
+            let memo = TraceMemo::default();
+            let source = SweepSource::Lazy {
+                fingerprint,
+                build: &build,
+                memo: &memo,
+            };
             let sweep = Sweep::new(source, specs, harness, false);
             let outcomes: Vec<FlowResult> = sweep
                 .run(&|_, _| ControlFlow::Continue(()))
                 .into_iter()
                 .map(|o| o.expect("ran").into_result().expect("completes"))
                 .collect();
-            let built = (sweep.trace.get().is_some(), sweep.prep.get().is_some());
-            (outcomes, built, sweep.finish(specs.len() as u64))
+            let perf = sweep.finish(specs.len() as u64);
+            let built = (memo.trace.get().is_some(), memo.prep.get().is_some());
+            (outcomes, built, perf)
         };
 
         let (cold, built, perf) = pass(&specs, &clean);
@@ -1053,6 +1088,22 @@ mod tests {
         let (_, built, perf) = pass(&specs, &SimHarness::with_seed(11));
         assert_eq!(builds.load(Ordering::SeqCst), 3);
         assert_eq!((built, perf.cache_hits), ((true, true), 0));
+
+        // Sweeps that share a memo share its one build. Without a
+        // fingerprint nothing is looked up, so every point simulates.
+        let memo = TraceMemo::default();
+        let source = SweepSource::Lazy {
+            fingerprint: None,
+            build: &build,
+            memo: &memo,
+        };
+        for half in specs.chunks(specs.len().div_ceil(2)) {
+            let (_, perf) = sweep_engine(source, half, &clean, false, &|_, _| {
+                ControlFlow::Continue(())
+            });
+            assert_eq!((perf.points, perf.cache_hits), (half.len() as u64, 0));
+        }
+        assert_eq!(builds.load(Ordering::SeqCst), 4, "one build for both");
     }
 
     /// The cache gate is watchdog-aware in both directions: an inert

@@ -26,11 +26,13 @@ const GOLDEN: &[&str] = &[
     "SweepCacheMode",
     "SweepPerf",
     "SweepSource",
+    "TraceMemo",
     "cache_gate_open",
     "edp_optimal",
     "global_perf",
     "maintain_shard_index",
     "optimal_by",
+    "parallel_map",
     "pareto_frontier",
     "point_cached",
     "preflight_cache",

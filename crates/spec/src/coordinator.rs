@@ -65,7 +65,7 @@ use crate::journal::{
     body_lines, check_header, classify_line, journal_err, json_field_str, scan_journal,
     write_quarantine, LineClass, Record, Status,
 };
-use crate::runner::{execute, Fingerprints};
+use crate::runner::{execute, KernelMemo};
 
 /// Lease expired and was reclaimed (or is still lying around stale).
 pub const CODE_LEASE: &str = "L0290";
@@ -483,8 +483,9 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
     }
     beat(&cfg.dir, &cfg.worker);
 
-    // Each kernel is fingerprinted once per call, not once per batch.
-    let mut fingerprints = Fingerprints::new();
+    // Each kernel is fingerprinted once per call, and traced and graphed
+    // once per run of batches that name it, not once per batch.
+    let mut memo = KernelMemo::default();
     // As many points as the sweep engine runs at once.
     let batch_size = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
     loop {
@@ -546,21 +547,15 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
             beat(&cfg.dir, &cfg.worker);
             continue;
         }
-        let (perf, status) = execute(
-            plan,
-            &batch,
-            cfg.prune,
-            &mut fingerprints,
-            &mut |index, record| {
-                finish_point(cfg, &mut file, index, record)?;
-                tracker.finished.insert(index);
-                summary.claimed += 1;
-                if record.status() == Some(Status::Error) {
-                    summary.failed += 1;
-                }
-                Ok(())
-            },
-        );
+        let (perf, status) = execute(plan, &batch, cfg.prune, &mut memo, &mut |index, record| {
+            finish_point(cfg, &mut file, index, record)?;
+            tracker.finished.insert(index);
+            summary.claimed += 1;
+            if record.status() == Some(Status::Error) {
+                summary.failed += 1;
+            }
+            Ok(())
+        });
         status?;
         summary.perf.absorb(&perf);
     }

@@ -22,11 +22,14 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use aladdin_core::{simulate_multi, SimError, SimHarness, TraceSource};
-use aladdin_dse::{cache_gate_open, sweep_engine, PointOutcome, PointSpec, SweepPerf, SweepSource};
+use aladdin_core::{simulate_multi, SimError, TraceSource};
+use aladdin_dse::{
+    cache_gate_open, parallel_map, sweep_engine, PointOutcome, PointSpec, SweepPerf, SweepSource,
+    TraceMemo,
+};
 use aladdin_ir::{AtrcTrace, Diagnostic, Report, Trace};
 use aladdin_lint::BoundsSummary;
-use aladdin_workloads::by_name;
+use aladdin_workloads::{by_name, Kernel};
 
 use crate::campaign::{CampaignPlan, PlannedPoint};
 use crate::journal::{journal_err, scan_journal, write_quarantine, Record, Status};
@@ -105,65 +108,119 @@ fn materialize_trace(kernel: &str) -> Result<Trace, SimError> {
     }
 }
 
-/// Bundled kernels' trace fingerprints, keyed by kernel name, for one
-/// [`execute`] caller's lifetime (one `run_campaign` or `run_worker`
-/// call), so a worker claiming many batches hashes each kernel once. It
-/// lives in memory only and never outlives the call, so it cannot serve
-/// a fingerprint from an older build of a kernel's generator — the
-/// reason traces are never stored on disk by name.
-pub(crate) type Fingerprints = HashMap<String, u128>;
+/// What one [`execute`] caller (one `run_campaign` or `run_worker` call)
+/// keeps across its `execute` calls, so a worker claiming many batches
+/// hashes each kernel once and traces and graphs a kernel once per run
+/// of batches that name it. It lives in memory only and never outlives
+/// the call, so it cannot serve a fingerprint or a trace from an older
+/// build of a kernel's generator — the reason traces are never stored
+/// on disk by name.
+#[derive(Default)]
+pub(crate) struct KernelMemo {
+    /// Bundled kernels' trace fingerprints, keyed by kernel name. Filled
+    /// only under an open cache gate.
+    fingerprints: HashMap<String, u128>,
+    /// The most recent bundled kernel's trace and graph, built when one
+    /// of its points first simulates. Dropped as soon as a kernel group
+    /// names another kernel, so at most one kernel is resident.
+    resident: Option<(String, TraceMemo)>,
+}
+
+impl KernelMemo {
+    /// Fingerprint every distinct bundled kernel that the single points
+    /// at `indices` name and the memo lacks, in parallel on the sweep
+    /// engine's pool, claimed in plan order. `.atrc` entries and unknown
+    /// names are left to [`LoadedTrace::load`], which streams the first
+    /// and fails the second as before.
+    fn fingerprint_ahead(&mut self, plan: &CampaignPlan, indices: &[usize]) {
+        let mut named = HashSet::new();
+        let kernels: Vec<(&str, Box<dyn Kernel>)> = indices
+            .iter()
+            .filter_map(|&i| match &plan.points[i] {
+                PlannedPoint::Single { kernel, .. } => Some(kernel.as_str()),
+                PlannedPoint::Multi { .. } => None,
+            })
+            .filter(|&k| !self.fingerprints.contains_key(k) && named.insert(k))
+            .filter_map(|k| Some((k, by_name(k)?)))
+            .collect();
+        if kernels.is_empty() {
+            return;
+        }
+        let hashed = parallel_map(
+            kernels.len(),
+            || (),
+            |i, ()| ControlFlow::Continue(kernels[i].1.fingerprint()),
+        );
+        #[cfg(test)]
+        HASHED.with(|n| n.set(n.get() + kernels.len()));
+        for ((name, _), fingerprint) in kernels.iter().zip(hashed) {
+            let fingerprint = fingerprint.expect("no job breaks, so every kernel is claimed");
+            self.fingerprints.insert((*name).to_owned(), fingerprint);
+        }
+    }
+}
 
 #[cfg(test)]
 thread_local! {
-    /// Fingerprint-only kernel runs made by this thread, for tests.
+    /// Fingerprint-only kernel runs made for this thread's `execute`
+    /// calls (on pool threads, counted on return), for tests.
     pub(crate) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Bundled kernel traces materialized by this thread's sweeps, for
+    /// tests.
+    pub(crate) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A planned kernel's trace, loaded for a run.
-enum LoadedTrace {
-    /// Materialized in memory.
+enum LoadedTrace<'m> {
+    /// A materialized `.atrc` file.
     Memory(Trace),
     /// An opened `.atrc` file every worker streams its own decode of.
     Atrc(AtrcTrace),
-    /// A bundled kernel known by its fingerprint, which the sweep runs
-    /// only if one of its points misses the result cache.
-    Lazy {
-        fingerprint: u128,
+    /// A bundled kernel, built into the memo's resident cells only if
+    /// one of its points simulates. Known by its fingerprint under an
+    /// open cache gate.
+    Bundled {
+        fingerprint: Option<u128>,
         build: Box<dyn Fn() -> Trace + Sync>,
+        resident: &'m TraceMemo,
     },
 }
 
-impl LoadedTrace {
-    /// Load `kernel` for a sweep under `harness`. `.atrc` entries stream
-    /// unless `materialize`. A bundled kernel is only fingerprinted
-    /// (through `fingerprints`) when the sweep can serve points from the
-    /// result cache; otherwise every point simulates, and it is
-    /// materialized up front.
+impl<'m> LoadedTrace<'m> {
+    /// Load `kernel` for a sweep. `.atrc` entries stream unless
+    /// `materialize`. A bundled kernel carries the fingerprint `memo`
+    /// holds for it, if any (see [`KernelMemo::fingerprint_ahead`]), and
+    /// shares `memo`'s resident trace and graph with the previous group
+    /// if that group named the same kernel.
     ///
     /// # Errors
     ///
     /// As for [`materialize_trace`].
-    fn load(
-        kernel: &str,
-        materialize: bool,
-        harness: &SimHarness,
-        fingerprints: &mut Fingerprints,
-    ) -> Result<Self, SimError> {
-        if kernel.ends_with(".atrc") && !materialize {
-            return Ok(LoadedTrace::Atrc(AtrcTrace::open(kernel)?));
+    fn load(kernel: &str, materialize: bool, memo: &'m mut KernelMemo) -> Result<Self, SimError> {
+        if memo.resident.as_ref().is_some_and(|(k, _)| k != kernel) {
+            memo.resident = None;
         }
-        if kernel.ends_with(".atrc") || !cache_gate_open(harness) {
-            return materialize_trace(kernel).map(LoadedTrace::Memory);
+        if kernel.ends_with(".atrc") {
+            return if materialize {
+                materialize_trace(kernel).map(LoadedTrace::Memory)
+            } else {
+                Ok(LoadedTrace::Atrc(AtrcTrace::open(kernel)?))
+            };
         }
         let k = by_name(kernel).ok_or_else(|| unknown_kernel(kernel))?;
-        let fingerprint = *fingerprints.entry(kernel.to_owned()).or_insert_with(|| {
-            #[cfg(test)]
-            HASHED.with(|n| n.set(n.get() + 1));
-            k.fingerprint()
-        });
-        Ok(LoadedTrace::Lazy {
+        let fingerprint = memo.fingerprints.get(kernel).copied();
+        let resident = &memo
+            .resident
+            .get_or_insert_with(|| (kernel.to_owned(), TraceMemo::default()))
+            .1;
+        Ok(LoadedTrace::Bundled {
             fingerprint,
-            build: Box::new(move || k.run().trace),
+            build: Box::new(move || {
+                #[cfg(test)]
+                BUILT.with(|n| n.set(n.get() + 1));
+                k.run().trace
+            }),
+            resident,
         })
     }
 
@@ -172,9 +229,14 @@ impl LoadedTrace {
         match self {
             LoadedTrace::Memory(t) => TraceSource::Memory(t).into(),
             LoadedTrace::Atrc(t) => TraceSource::Atrc(t).into(),
-            LoadedTrace::Lazy { fingerprint, build } => SweepSource::Lazy {
+            LoadedTrace::Bundled {
+                fingerprint,
+                build,
+                resident,
+            } => SweepSource::Lazy {
                 fingerprint: *fingerprint,
                 build: &**build,
+                memo: resident,
             },
         }
     }
@@ -187,9 +249,12 @@ impl LoadedTrace {
 /// [`sweep_engine`] call (shared prepared DDDGs, parallel across cores,
 /// result cache when the harness is inert, bound pruning under `prune`,
 /// which materializes `.atrc` entries; otherwise they stream). Under an
-/// open cache gate a bundled kernel enters the sweep by its fingerprint,
-/// memoized in `fingerprints`, and its trace is built only if one of its
-/// points misses the cache. A trace that cannot be loaded (an `.atrc`
+/// open cache gate, before the first group, every bundled kernel the
+/// points name that `memo` has not fingerprinted yet is fingerprinted, in
+/// parallel; each bundled kernel then enters its sweep by its memoized
+/// fingerprint. A bundled kernel's trace and graph are built only if one
+/// of its points simulates, and `memo` keeps them for the next group if
+/// it names the same kernel. A trace that cannot be loaded (an `.atrc`
 /// file deleted or damaged after planning) fails each of its points with
 /// the typed diagnostic (`L0280`/`L0262`). Multi-accelerator points run
 /// through [`simulate_multi`]. Results are bit-identical to calling the engines
@@ -204,9 +269,12 @@ pub(crate) fn execute(
     plan: &CampaignPlan,
     indices: &[usize],
     prune: bool,
-    fingerprints: &mut Fingerprints,
+    memo: &mut KernelMemo,
     sink: &mut (dyn FnMut(usize, &Record) -> Result<(), Report> + Send),
 ) -> (SweepPerf, Result<(), Report>) {
+    if cache_gate_open(&plan.harness) {
+        memo.fingerprint_ahead(plan, indices);
+    }
     let state = Mutex::new((sink, Ok(())));
     // `Break` once the sink has failed, which cancels the sweep in flight.
     let emit = |index: usize, record: &Record| {
@@ -265,7 +333,7 @@ pub(crate) fn execute(
                         },
                     )
                 };
-                match LoadedTrace::load(kernel, prune, &plan.harness, fingerprints) {
+                match LoadedTrace::load(kernel, prune, memo) {
                     Ok(trace) => {
                         let (_, p) =
                             sweep_engine(trace.source(), &specs, &plan.harness, prune, &record);
@@ -371,7 +439,7 @@ pub fn run_campaign(
         plan,
         &todo,
         opts.prune,
-        &mut Fingerprints::new(),
+        &mut KernelMemo::default(),
         &mut |_, record| {
             record.append(&mut file)?;
             match record.status() {
@@ -538,10 +606,16 @@ partitions = [1]
         let plan = tiny_plan();
         let mut calls = 0;
         let all: Vec<usize> = (0..plan.points.len()).collect();
-        let err = execute(&plan, &all, false, &mut Fingerprints::new(), &mut |_, _| {
-            calls += 1;
-            Err(journal_err("disk full"))
-        })
+        let err = execute(
+            &plan,
+            &all,
+            false,
+            &mut KernelMemo::default(),
+            &mut |_, _| {
+                calls += 1;
+                Err(journal_err("disk full"))
+            },
+        )
         .1
         .expect_err("the sink failed");
         assert!(err.has_code("L0266"), "{}", err.to_human());
@@ -568,9 +642,13 @@ partitions = [1, 2, 4]
         .expect("expands");
         assert_eq!(plan.points.len(), 12);
         let all: Vec<usize> = (0..plan.points.len()).collect();
-        let (perf, status) = execute(&plan, &all, false, &mut Fingerprints::new(), &mut |_, _| {
-            Err(journal_err("disk full"))
-        });
+        let (perf, status) = execute(
+            &plan,
+            &all,
+            false,
+            &mut KernelMemo::default(),
+            &mut |_, _| Err(journal_err("disk full")),
+        );
         assert!(status.is_err());
         let threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         assert!(
@@ -1119,5 +1197,151 @@ partitions = [1, 2]
         assert_eq!(resumed.ran, 1, "only the truncated point re-runs");
         assert!(resumed.complete());
         let _ = std::fs::remove_file(&journal);
+    }
+
+    fn plan_of(toml: &str) -> CampaignPlan {
+        CampaignSpec::from_toml(toml)
+            .expect("parses")
+            .expand()
+            .expect("expands")
+    }
+
+    fn hashed() -> usize {
+        HASHED.with(std::cell::Cell::get)
+    }
+
+    fn built() -> usize {
+        BUILT.with(std::cell::Cell::get)
+    }
+
+    /// A journal's point records, sorted (completion order varies).
+    fn sorted_records(journal: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(journal).expect("journal");
+        let mut lines: Vec<String> = text.lines().skip(1).map(str::to_owned).collect();
+        lines.sort();
+        lines
+    }
+
+    /// Every `run_campaign` call fingerprints each bundled kernel once,
+    /// up front, warm or cold, pruned or not; a warm pass journals what
+    /// the cold one did without building a trace; a faulted campaign
+    /// fingerprints nothing.
+    #[test]
+    fn warm_run_hashes_each_kernel_once_and_journals_the_cold_records() {
+        let toml = r#"
+name = "runner-warm"
+kernels = ["aes-aes", "kmp", "viterbi"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2]
+partitions = [1, 2]
+"#;
+        let plan = plan_of(toml);
+        let run = |name: &str, prune: bool, plan: &CampaignPlan| {
+            let journal = temp_path(name);
+            let opts = RunOptions {
+                prune,
+                ..RunOptions::default()
+            };
+            let (hashes, builds) = (hashed(), built());
+            let summary = run_campaign(plan, &journal, &opts).expect("runs");
+            assert!(summary.complete(), "{name}");
+            let records = sorted_records(&journal);
+            let _ = std::fs::remove_file(&journal);
+            (records, hashed() - hashes, built() - builds)
+        };
+
+        let (cold, hashes, _) = run("warm-cold", false, &plan);
+        assert_eq!(hashes, 3);
+        let (warm, hashes, builds) = run("warm-warm", false, &plan);
+        assert_eq!((hashes, builds), (3, 0), "every point is a hit");
+        assert_eq!(warm, cold);
+        let (_, hashes, _) = run("warm-pruned", true, &plan);
+        assert_eq!(hashes, 3);
+
+        let faulted = plan_of(&format!("{toml}\n[faults]\nseed = 7\n"));
+        let (_, hashes, builds) = run("warm-faulted", false, &faulted);
+        assert_eq!((hashes, builds), (0, 3), "faulted runs build every trace");
+    }
+
+    /// An `.atrc` entry beside bundled kernels is neither fingerprinted
+    /// nor materialized: only the bundled kernels are hashed, and the
+    /// file's points stream as before.
+    #[test]
+    fn atrc_entry_beside_bundled_kernels_is_streamed_not_hashed() {
+        let (atrc_only, atrc_path) = atrc_plan("beside");
+        let PlannedPoint::Single { kernel: path, .. } = &atrc_only.points[0] else {
+            unreachable!("a sweep campaign");
+        };
+        let plan = plan_of(&format!(
+            r#"
+name = "runner-beside"
+kernels = ["{path}", "aes-aes", "kmp"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2]
+partitions = [1]
+"#
+        ));
+        let all: Vec<usize> = (0..plan.points.len()).collect();
+        let before = hashed();
+        let mut records = Vec::new();
+        let (perf, status) = execute(
+            &plan,
+            &all,
+            false,
+            &mut KernelMemo::default(),
+            &mut |_, r| {
+                records.push(r.to_string());
+                Ok(())
+            },
+        );
+        status.expect("journals");
+        assert_eq!(hashed() - before, 2, "only the bundled kernels");
+        assert_eq!(perf.streamed_points, 2, "the .atrc points stream");
+        assert_eq!(records.len(), plan.points.len());
+        assert!(records.iter().all(|r| r.contains("\"status\":\"ok\"")));
+        let _ = std::fs::remove_file(&atrc_path);
+    }
+
+    /// A worker's batches of one kernel share one trace build, cold or
+    /// faulted; the memo drops it when a batch names another kernel.
+    #[test]
+    fn batches_of_one_kernel_build_its_trace_once() {
+        // A kernel no other test here runs, so every point misses.
+        let toml = r#"
+name = "runner-batches"
+kernels = ["sort-merge"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2, 4, 8]
+partitions = [1, 2, 4]
+"#;
+        let faulted = format!("{toml}\n[faults]\nseed = 7\n");
+        for toml in [toml, &faulted] {
+            let plan = plan_of(toml);
+            assert_eq!(plan.points.len(), 12);
+            let all: Vec<usize> = (0..plan.points.len()).collect();
+            let mut memo = KernelMemo::default();
+            let (before, mut records) = (built(), 0);
+            for batch in all.chunks(2) {
+                let (perf, status) = execute(&plan, batch, false, &mut memo, &mut |_, _| {
+                    records += 1;
+                    Ok(())
+                });
+                status.expect("journals");
+                assert_eq!(perf.cache_hits, 0, "a cold plan");
+            }
+            assert_eq!(records, 12);
+            assert_eq!(built() - before, 1, "one build for six batches");
+
+            let other = tiny_plan();
+            let _ = execute(&other, &[0], false, &mut memo, &mut |_, _| Ok(()));
+            let resident = memo.resident.as_ref().map(|(k, _)| k.as_str());
+            assert_eq!(resident, Some("aes-aes"), "the old kernel is dropped");
+        }
     }
 }
