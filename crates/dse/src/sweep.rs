@@ -440,9 +440,10 @@ impl<'a> Sweep<'a> {
         sink: &(dyn Fn(usize, &PointOutcome) -> ControlFlow<()> + Sync),
     ) -> Vec<Option<PointOutcome>> {
         // A lazy source whose every point is cached is served here, with
-        // no trace and no worker. Otherwise its trace is built here, on
-        // the calling thread: built by a short-lived worker, its freed
-        // megabytes would stay resident in that worker's allocator arena.
+        // no trace and no worker. Otherwise its trace and graph are built
+        // here, on the calling thread: built by a short-lived worker,
+        // their freed megabytes would stay resident in that worker's
+        // allocator arena. Any point that runs needs both.
         if let SweepSource::Lazy { build, memo, .. } = self.source {
             let hits: Option<Vec<FlowResult>> = self
                 .keys
@@ -460,7 +461,9 @@ impl<'a> Sweep<'a> {
                 }
                 return outcomes;
             }
-            memo.trace.get_or_init(build);
+            let trace = memo.trace.get_or_init(build);
+            memo.prep
+                .get_or_init(|| PreparedDddg::new(trace, &self.specs[0].dp));
         }
         parallel_map(self.specs.len(), SchedulerWorkspace::new, |i, ws| {
             let outcome = self.step(i, ws);
@@ -509,9 +512,9 @@ impl<'a> Sweep<'a> {
 /// O(workers × window) regardless of trace length). A
 /// [`SweepSource::Lazy`] source keys the cache by its fingerprint alone:
 /// a fully cache-warm sweep of one is served on the calling thread and
-/// builds neither a trace nor a graph, and any miss materializes the
-/// trace once, up front, into the source's [`TraceMemo`]. A later sweep
-/// handed the same memo reuses that trace and its graph.
+/// builds neither a trace nor a graph, and any miss builds the trace and
+/// its graph once, up front, into the source's [`TraceMemo`]. A later
+/// sweep handed the same memo reuses them.
 ///
 /// **Caching policy.** Points run through the result cache only when the
 /// source is in memory (a lazy one with its fingerprint) and the harness
