@@ -518,8 +518,8 @@ impl<'a> Sweep<'a> {
 ///
 /// **Caching policy.** Points run through the result cache only when the
 /// source is in memory (a lazy one with its fingerprint) and the harness
-/// is inert — an empty
-/// [`FaultPlan`](aladdin_core::FaultPlan) *and* the default [`Watchdog`].
+/// is inert — an empty [`FaultPlan`](aladdin_core::FaultPlan) *and* the
+/// default [`Watchdog`].
 /// Fault-injected runs bypass it in both directions (the key does not
 /// include the plan, and a perturbed result must never be served to — or
 /// recorded for — a clean sweep); runs under a non-default watchdog bypass
@@ -541,9 +541,8 @@ impl<'a> Sweep<'a> {
 /// points never influence which other points are kept. Pruning engages
 /// only for an in-memory source under an inert harness (under fault
 /// injection the campaign's purpose is observing perturbations, not
-/// skipping them). It is
-/// opportunistic — the *set* of pruned points depends on completion order;
-/// the surviving frontier does not.
+/// skipping them). It is opportunistic — the *set* of pruned points
+/// depends on completion order; the surviving frontier does not.
 #[must_use]
 pub fn sweep_engine(
     source: SweepSource,

@@ -168,7 +168,7 @@ mod tests {
     /// A generator the check rejects is not built: it fails with the
     /// check's first code and locus.
     #[test]
-    fn unbuildable_traffic_is_the_checked_error() {
+    fn zero_or_oversized_traffic_rejected() {
         let too_big = u32::try_from(TRAFFIC_REGION_BYTES + 1).unwrap();
         for (period, bytes, code, field) in [
             (0, 64, "L0210", "soc.traffic.period"),
