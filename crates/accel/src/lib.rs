@@ -38,7 +38,7 @@
 //!
 //! let cfg = DatapathConfig { lanes: 2, ..DatapathConfig::default() };
 //! let mut mem = SpadMemory::new(&trace, &cfg);
-//! let result = schedule(&trace, &cfg, &mut mem, 0);
+//! let result = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
 //! assert!(result.end > 0);
 //! ```
 

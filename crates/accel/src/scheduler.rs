@@ -743,17 +743,15 @@ impl NodeStore for Prepared<'_> {
 /// Sweeps that revisit the same trace should prepare once and reuse a
 /// workspace instead.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `cfg` is invalid, or on a scheduling deadlock (which would
-/// indicate a malformed trace or a memory model that lost a completion).
-#[must_use]
+/// As for [`try_schedule_prepared`].
 pub fn schedule(
     trace: &Trace,
     cfg: &DatapathConfig,
     mem: &mut dyn DatapathMemory,
     start: u64,
-) -> ScheduleResult {
+) -> Result<ScheduleResult, SimError> {
     let prepared = PreparedDddg::new(trace, cfg);
     let mut ws = SchedulerWorkspace::new();
     try_schedule_prepared(
@@ -765,7 +763,6 @@ pub fn schedule(
         start,
         &Watchdog::default(),
     )
-    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Schedule an in-memory `trace` with its DDDG prepared up front and the
@@ -836,7 +833,7 @@ mod tests {
 
     fn run(trace: &Trace, cfg: &DatapathConfig) -> ScheduleResult {
         let mut mem = SpadMemory::new(trace, cfg);
-        schedule(trace, cfg, &mut mem, 0)
+        schedule(trace, cfg, &mut mem, 0).expect("schedules")
     }
 
     /// `ReadyMem` against a `BTreeSet` reference: random inserts, including
@@ -1007,7 +1004,7 @@ mod tests {
         )
         .unwrap();
         let mut mem2 = SpadMemory::new(&trace, &cfg);
-        let infallible = schedule(&trace, &cfg, &mut mem2, 0);
+        let infallible = schedule(&trace, &cfg, &mut mem2, 0).expect("schedules");
         assert_eq!(fallible, infallible);
     }
 
@@ -1046,7 +1043,7 @@ mod tests {
 
         let fast = run(&trace, &cfg);
         let mut spad = SpadMemory::new(&trace, &cfg);
-        let slow = schedule(&trace, &cfg, &mut NotPassive(&mut spad), 0);
+        let slow = schedule(&trace, &cfg, &mut NotPassive(&mut spad), 0).expect("schedules");
 
         // The tightened jump may not skip a retire or change any outcome.
         assert_eq!(fast.end, slow.end);
@@ -1094,7 +1091,7 @@ mod tests {
                     )
                     .unwrap();
                     let mut mem2 = SpadMemory::new(&trace, &cfg);
-                    let one_shot = schedule(&trace, &cfg, &mut mem2, 7);
+                    let one_shot = schedule(&trace, &cfg, &mut mem2, 7).expect("schedules");
                     assert_eq!(fast, one_shot, "lanes={lanes} partition={partition}");
                     assert_eq!(mem.stats(), mem2.stats());
                 }
@@ -1268,7 +1265,7 @@ mod tests {
         let trace = parallel_kernel(4);
         let cfg = DatapathConfig::default();
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let r = schedule(&trace, &cfg, &mut mem, 1000);
+        let r = schedule(&trace, &cfg, &mut mem, 1000).expect("schedules");
         assert_eq!(r.start, 1000);
         assert!(r.end > 1000);
         assert_eq!(r.busy.start().unwrap(), 1000);
@@ -1288,7 +1285,7 @@ mod tests {
         for arr in trace.arrays().iter().filter(|a| a.kind.is_input()) {
             mem.push_arrival(arr.base_addr, arr.size_bytes() as u32, 500);
         }
-        let r = schedule(&trace, &cfg, &mut mem, 0);
+        let r = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
         assert!(r.end > 500, "compute cannot finish before data: {}", r.end);
 
         // Versus: data pre-arrived at cycle 0 — much faster.
@@ -1297,7 +1294,7 @@ mod tests {
         for arr in trace.arrays().iter().filter(|a| a.kind.is_input()) {
             mem2.push_arrival(arr.base_addr, arr.size_bytes() as u32, 0);
         }
-        let r2 = schedule(&trace, &cfg, &mut mem2, 0);
+        let r2 = schedule(&trace, &cfg, &mut mem2, 0).expect("schedules");
         assert!(r2.end < 100);
     }
 

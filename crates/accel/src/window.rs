@@ -475,7 +475,7 @@ mod tests {
                 ..DatapathConfig::default()
             };
             let mut mem = SpadMemory::new(&trace, &cfg);
-            let reference = schedule(&trace, &cfg, &mut mem, 0);
+            let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
             let out = windowed(&trace, &cfg, trace.nodes().len());
             assert_eq!(out.result, reference, "lanes={lanes} partition={partition}");
             assert_eq!(out.stats, trace.stats());
@@ -494,7 +494,7 @@ mod tests {
             // 4 nodes per iteration instance → one round is 4 × lanes.
             let round_nodes = 4 * lanes as usize;
             let mut mem = SpadMemory::new(&trace, &cfg);
-            let reference = schedule(&trace, &cfg, &mut mem, 0);
+            let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
             let out = windowed(&trace, &cfg, round_nodes);
             assert_eq!(out.result, reference, "lanes={lanes} window={round_nodes}");
             assert!(
@@ -535,7 +535,7 @@ mod tests {
         let trace = t.finish();
         let cfg = DatapathConfig::default();
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let reference = schedule(&trace, &cfg, &mut mem, 0);
+        let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
         for window in [1usize, 2, 64] {
             let out = windowed(&trace, &cfg, window);
             assert_eq!(out.result, reference, "window={window}");
@@ -552,7 +552,7 @@ mod tests {
             ..DatapathConfig::default()
         };
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let reference = schedule(&trace, &cfg, &mut mem, 0);
+        let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
         let out = windowed(&trace, &cfg, trace.nodes().len());
         assert_eq!(out.result, reference);
     }
@@ -580,7 +580,7 @@ mod tests {
                 ..DatapathConfig::default()
             };
             let mut mem = SpadMemory::new(&trace, &cfg);
-            let reference = schedule(&trace, &cfg, &mut mem, 0);
+            let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
             let out = windowed(&trace, &cfg, trace.nodes().len());
             assert_eq!(out.result, reference, "lanes={lanes} partition={partition}");
             assert_eq!(out.stats, trace.stats());
@@ -605,7 +605,7 @@ mod tests {
             ..DatapathConfig::default()
         };
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let reference = schedule(&trace, &cfg, &mut mem, 0);
+        let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
         let full = windowed(&trace, &cfg, trace.nodes().len());
         assert_eq!(full.result, reference);
 
@@ -698,7 +698,7 @@ mod tests {
             ..DatapathConfig::default()
         };
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let reference = schedule(&trace, &cfg, &mut mem, 0);
+        let reference = schedule(&trace, &cfg, &mut mem, 0).expect("schedules");
         let out = windowed(&trace, &cfg, 4);
         assert_eq!(out.result, reference);
         assert_eq!(out.peak_resident_nodes, 4);

@@ -44,7 +44,9 @@ fn run(trace: &aladdin_ir::Trace, lanes: u32, partition: u32, sync: LaneSync) ->
         ..DatapathConfig::default()
     };
     let mut mem = SpadMemory::new(trace, &cfg);
-    schedule(trace, &cfg, &mut mem, 0).cycles
+    schedule(trace, &cfg, &mut mem, 0)
+        .expect("schedules")
+        .cycles
 }
 
 /// Scheduling always terminates and takes at least the critical path.

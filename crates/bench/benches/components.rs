@@ -81,13 +81,15 @@ fn bench_scheduler() {
         };
         bench("scheduler", &format!("spad_{label}"), || {
             let mut mem = SpadMemory::new(&trace, &cfg);
-            schedule(black_box(&trace), &cfg, &mut mem, 0).end
+            schedule(black_box(&trace), &cfg, &mut mem, 0)
+                .expect("schedules")
+                .end
         });
     }
 }
 
 fn bench_cache() {
-    let mut cache = Cache::new(CacheConfig::default());
+    let mut cache = Cache::try_new(CacheConfig::default()).expect("valid cache");
     // Warm one line.
     cache.begin_cycle(0);
     cache.access(0, 0, AccessKind::Read, 0);
@@ -109,7 +111,7 @@ fn bench_cache() {
         sum
     });
     bench("cache", "miss_fill_cycle", || {
-        let mut cache = Cache::new(CacheConfig::default());
+        let mut cache = Cache::try_new(CacheConfig::default()).expect("valid cache");
         for i in 0..200u64 {
             cache.begin_cycle(i);
             let _ = cache.access(i, i * 64, AccessKind::Read, i);
@@ -160,7 +162,8 @@ fn bench_dma() {
                 direction: DmaDirection::In,
             }];
             let n = cfg.chunk_sizes(pipelined, &t).len();
-            let mut dma = DmaEngine::new(cfg, pipelined, &t, &vec![0; n]);
+            let mut dma =
+                DmaEngine::try_new(cfg, pipelined, &t, &vec![0; n]).expect("valid DMA engine");
             let mut bus = shared_bus();
             let mut cycle = 0;
             while !dma.is_done() {
@@ -178,7 +181,7 @@ fn bench_dma() {
 }
 
 fn bench_tlb() {
-    let mut tlb = Tlb::new(TlbConfig::default());
+    let mut tlb = Tlb::try_new(TlbConfig::default()).expect("valid TLB");
     bench("tlb", "translate_10k", || {
         let mut acc = 0u64;
         for i in 0..10_000u64 {

@@ -138,7 +138,9 @@ fn lane_sync() {
                 ..square_dp(8)
             };
             let mut mem = SpadMemory::new(&trace, &cfg);
-            schedule(&trace, &cfg, &mut mem, 0).cycles
+            schedule(&trace, &cfg, &mut mem, 0)
+                .expect("schedules")
+                .cycles
         };
         let barrier = run_sync(LaneSync::Barrier);
         let free = run_sync(LaneSync::Free);

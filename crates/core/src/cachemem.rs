@@ -250,7 +250,7 @@ mod tests {
         };
         let soc = SocConfig::default();
         let mut mem = mem_for(&trace, &dp, &soc);
-        let r = schedule(&trace, &dp, &mut mem, 0);
+        let r = schedule(&trace, &dp, &mut mem, 0).expect("schedules");
         assert!(r.end > 0);
         let cs = mem.front.cache.stats();
         assert!(cs.misses > 0, "cold cache must miss: {cs:?}");
@@ -270,10 +270,10 @@ mod tests {
         };
         let soc = SocConfig::default();
         let mut real = mem_for(&trace, &dp, &soc);
-        let r_real = schedule(&trace, &dp, &mut real, 0);
+        let r_real = schedule(&trace, &dp, &mut real, 0).expect("schedules");
         let mut ideal = mem_for(&trace, &dp, &soc);
         ideal.front.set_ideal(true);
-        let r_ideal = schedule(&trace, &dp, &mut ideal, 0);
+        let r_ideal = schedule(&trace, &dp, &mut ideal, 0).expect("schedules");
         assert!(
             r_ideal.end < r_real.end,
             "ideal {} must beat real {}",
@@ -294,7 +294,7 @@ mod tests {
         let dp = DatapathConfig::default();
         let soc = SocConfig::default();
         let mut mem = mem_for(&trace, &dp, &soc);
-        let _ = schedule(&trace, &dp, &mut mem, 0);
+        let _ = schedule(&trace, &dp, &mut mem, 0).expect("schedules");
         assert_eq!(mem.front.cache.stats().accesses(), 0);
         assert_eq!(mem.front.spad.stats().writes, 64);
     }
@@ -321,9 +321,9 @@ mod tests {
             ..narrow_soc
         };
         let mut narrow = mem_for(&trace, &dp, &narrow_soc);
-        let rn = schedule(&trace, &dp, &mut narrow, 0);
+        let rn = schedule(&trace, &dp, &mut narrow, 0).expect("schedules");
         let mut wide = mem_for(&trace, &dp, &wide_soc);
-        let rw = schedule(&trace, &dp, &mut wide, 0);
+        let rw = schedule(&trace, &dp, &mut wide, 0).expect("schedules");
         assert!(
             rw.end <= rn.end,
             "infinite bandwidth cannot be slower: {} vs {}",
@@ -349,9 +349,9 @@ mod tests {
             ..quiet
         };
         let mut q = mem_for(&trace, &dp, &quiet);
-        let rq = schedule(&trace, &dp, &mut q, 0);
+        let rq = schedule(&trace, &dp, &mut q, 0).expect("schedules");
         let mut n = mem_for(&trace, &dp, &noisy);
-        let rn = schedule(&trace, &dp, &mut n, 0);
+        let rn = schedule(&trace, &dp, &mut n, 0).expect("schedules");
         assert!(
             rn.end > rq.end,
             "contention must cost time: {} vs {}",

@@ -3,8 +3,8 @@
 use aladdin_accel::SpadMemory;
 use aladdin_ir::{Diagnostic, Report};
 use aladdin_mem::{
-    BusConfig, CacheConfig, Clock, DmaConfig, DramConfig, FlushConfig, TlbConfig, TopologyConfig,
-    TrafficConfig,
+    BusConfig, CacheConfig, Clock, DmaConfig, DramConfig, FlushConfig, MasterId, TlbConfig,
+    TopologyConfig, TrafficConfig,
 };
 
 /// Cumulative DMA optimization levels (Section IV-B).
@@ -174,9 +174,10 @@ impl SocConfig {
     }
 
     /// Checks SoC-internal consistency, reporting every defect as a typed
-    /// diagnostic (`L021x`, `L0310`): the union of the checks the
-    /// component constructors run, plus the full/empty-bit granule rule
-    /// (`L0214`) that [`SpadMemory`] applies. Cross-layer contradictions
+    /// diagnostic (`L021x`, `L0310`, `L0311`): the union of the checks
+    /// the component constructors run, plus the full/empty-bit granule
+    /// rule (`L0214`) that [`SpadMemory`] applies and the topology's room
+    /// for the traffic generator's bus master. Cross-layer contradictions
     /// against a [`DatapathConfig`](aladdin_accel::DatapathConfig) live in
     /// `aladdin_lint::lint_cross` under `L022x`.
     #[must_use]
@@ -197,18 +198,66 @@ impl SocConfig {
             return report;
         }
         // L0211 cache geometry, L0212 TLB, L0213 bus width, L0310
-        // topology, L0216 DRAM, L0218 traffic request size, L0214 granule.
+        // topology, L0216 DRAM, L0218 traffic request size, L0311 traffic
+        // master, L0214 granule.
+        let topology = self.topology.check();
+        let traffic_master = match self.traffic {
+            Some(_) if !topology.has_errors() => {
+                self.topology.check_master(MasterId::TRAFFIC).err()
+            }
+            _ => None,
+        };
         for component in [
             cache,
             self.tlb.check(),
             bus,
-            self.topology.check(),
+            topology,
             self.dram.check(),
             traffic,
         ] {
             report.merge(component);
         }
+        report.extend(traffic_master);
         report.extend(SpadMemory::check_ready_granule(self.ready_bits_granule).err());
+        report
+    }
+
+    /// [`check`](SocConfig::check) of only the components a run of
+    /// `kinds` builds, every other component taken at its default: a run
+    /// reports this report's first error before it builds anything, so
+    /// the error it ends with does not depend on the order its
+    /// constructors run in. A `multi`-accelerator run builds the fabric
+    /// even for isolated jobs and gates no loads on full/empty bits; a
+    /// single-accelerator cache run's datapath is bus master
+    /// [`MasterId::ACCEL_CACHE`], which the topology must host (`L0311`).
+    pub(crate) fn check_built(&self, kinds: &[MemKind], multi: bool) -> Report {
+        let mut built = SocConfig::default();
+        for &kind in kinds {
+            if multi || kind != MemKind::Isolated {
+                built.bus = self.bus;
+                built.dram = self.dram;
+                built.topology = self.topology;
+                built.traffic = self.traffic;
+            }
+            match kind {
+                MemKind::Isolated => {}
+                MemKind::Dma(opt) => {
+                    built.dma = self.dma;
+                    built.flush = self.flush;
+                    if opt.triggered() && !multi {
+                        built.ready_bits_granule = self.ready_bits_granule;
+                    }
+                }
+                MemKind::Cache => {
+                    built.cache = self.cache;
+                    built.tlb = self.tlb;
+                }
+            }
+        }
+        let mut report = built.check();
+        if !multi && kinds.contains(&MemKind::Cache) && !report.has_errors() {
+            report.extend(self.topology.check_master(MasterId::ACCEL_CACHE).err());
+        }
         report
     }
 }

@@ -183,8 +183,10 @@ impl<'a> FlowSpec<'a> {
 ///
 /// Returns [`SimError`] if a component the flow builds fails its
 /// configuration check (the code and locus [`SocConfig::check`] reports
-/// first for it, e.g. `L0210`, `L0211`, `L0213`, `L0214`, `L0310`), the
-/// DMA engine stalls (`L0230`), the scheduler deadlocks (`L0232`), or the
+/// first for the components the flow builds, checked before any is
+/// built: e.g. `L0210`, `L0211`, `L0213`, `L0214`, `L0310`, `L0311`),
+/// the datapath fails [`DatapathConfig::check`] (`L0201`), the DMA
+/// engine stalls (`L0230`), the scheduler deadlocks (`L0232`), or the
 /// watchdog or the SoC world's cycle guard expires (`L0233`).
 pub fn simulate(
     trace: &Trace,
@@ -268,6 +270,7 @@ pub fn simulate_source_prepared(
         prep: spec.prepared,
         window: spec.window_nodes,
     };
+    first_error(soc.check_built(&[spec.kind], false))?;
     match spec.kind {
         MemKind::Isolated => sim_isolated(source, dp, soc, &sched, ws, harness),
         MemKind::Dma(opt) => sim_dma(source, dp, soc, opt, &sched, ws, harness),
@@ -494,7 +497,7 @@ fn sim_dma(
     }
     let mut world = SocWorld::new(soc, spad).map_err(SimError::Diag)?;
     world.set_faults(&harness.plan);
-    world.dma.start(plan.input_engine(MasterId::DMA));
+    world.dma.start(plan.input_engine(MasterId::DMA)?);
 
     let (run, compute_end) = if opt.triggered() {
         // DMA-triggered computation: the datapath runs against the world,
@@ -532,7 +535,7 @@ fn sim_dma(
     let dma_in = world.dma.take_done(MasterId::DMA);
     world
         .dma
-        .start(plan.writeback_engine(compute_end, MasterId::DMA));
+        .start(plan.writeback_engine(compute_end, MasterId::DMA)?);
     let end = world.drain_dma(compute_end)?;
     let dma_out = world.dma.take_done(MasterId::DMA);
     let end = end + soc.completion.map_or(0, |c| c.observation_lag(end));

@@ -53,7 +53,7 @@ pub struct AcceleratorJob {
     /// Its datapath configuration.
     pub datapath: DatapathConfig,
     /// Which memory system this accelerator uses — the same vocabulary as
-    /// the single-accelerator [`FlowSpec`].
+    /// the single-accelerator [`FlowSpec`](crate::FlowSpec).
     pub kind: MemKind,
     /// Cycle at which the host invokes this accelerator.
     pub launch_at: u64,
@@ -152,9 +152,9 @@ pub struct MultiSocResult {
 /// sets (`L0250`), more jobs than the configured interconnect topology
 /// can carry or out-of-range client ids (`L0311`), duplicate client ids
 /// (`L0251`), and more than one cache client (`L0252`). Capacity comes
-/// from [`TopologyConfig::capacity`]
-/// (`aladdin_mem::TopologyConfig::capacity`) — 256 ids on bus-like
-/// topologies, grid size minus the memory controller on a mesh.
+/// from [`TopologyConfig::capacity`](aladdin_mem::TopologyConfig::capacity)
+/// — 256 ids on bus-like topologies, grid size minus the memory
+/// controller on a mesh.
 /// `soclint flowspec` runs the same check.
 #[must_use]
 pub fn validate_multi_jobs(jobs: &[AcceleratorJob], soc: &SocConfig) -> Report {
@@ -266,7 +266,11 @@ impl JobState {
     }
 
     /// Take every stage transition due at `cycle`; whether any happened.
-    pub(crate) fn advance(&mut self, cycle: u64, dma: &mut DmaEngines) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// The writeback engine's diagnostic, as `SimError::Diag`.
+    pub(crate) fn advance(&mut self, cycle: u64, dma: &mut DmaEngines) -> Result<bool, SimError> {
         let mut transitioned = false;
         loop {
             match self.stage {
@@ -297,7 +301,8 @@ impl JobState {
                     let out = self
                         .plan
                         .as_ref()
-                        .map(|p| p.writeback_engine(until.max(p.flush.end()), self.master));
+                        .map(|p| p.writeback_engine(until.max(p.flush.end()), self.master))
+                        .transpose()?;
                     match out {
                         Some(out) if !out.is_done() => {
                             dma.start(out);
@@ -322,7 +327,7 @@ impl JobState {
             }
             transitioned = true;
         }
-        transitioned
+        Ok(transitioned)
     }
 
     /// The finished timeline, with its phases and bus bytes.
@@ -359,6 +364,8 @@ pub fn simulate_multi(
     soc: &SocConfig,
     harness: &SimHarness,
 ) -> Result<MultiSocResult, SimError> {
+    let kinds: Vec<MemKind> = jobs.iter().map(|j| j.kind).collect();
+    first_error(soc.check_built(&kinds, true))?;
     first_error(validate_multi_jobs(jobs, soc))?;
 
     let mut ws = SchedulerWorkspace::new();
@@ -514,7 +521,7 @@ fn add_job(
         state.timeline.compute_done = flush_end + sched.cycles;
         state.timeline.end = 0;
         if plan.has_inputs() {
-            world.dma.start(plan.input_engine(master));
+            world.dma.start(plan.input_engine(master)?);
             state.stage = Stage::DmaIn;
             state.compute_busy = IntervalSet::new();
         } else {

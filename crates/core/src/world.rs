@@ -115,19 +115,31 @@ impl DmaPlan {
     }
 
     /// The input engine, requesting as `master`.
-    pub(crate) fn input_engine(&self, master: MasterId) -> DmaEngine {
-        let mut e = DmaEngine::new(self.cfg, self.pipelined, &self.inputs, &self.eligibility);
+    ///
+    /// # Errors
+    ///
+    /// `SimError::Diag` with [`DmaEngine::try_new`]'s diagnostic.
+    pub(crate) fn input_engine(&self, master: MasterId) -> Result<DmaEngine, SimError> {
+        let mut e = DmaEngine::try_new(self.cfg, self.pipelined, &self.inputs, &self.eligibility)?;
         e.set_master(master);
-        e
+        Ok(e)
     }
 
     /// The writeback engine, every descriptor eligible at `eligible`.
-    pub(crate) fn writeback_engine(&self, eligible: u64, master: MasterId) -> DmaEngine {
+    ///
+    /// # Errors
+    ///
+    /// As for [`input_engine`](DmaPlan::input_engine).
+    pub(crate) fn writeback_engine(
+        &self,
+        eligible: u64,
+        master: MasterId,
+    ) -> Result<DmaEngine, SimError> {
         let chunks = self.cfg.chunk_sizes(self.pipelined, &self.outputs).len();
         let eligibility = vec![eligible; chunks];
-        let mut e = DmaEngine::new(self.cfg, self.pipelined, &self.outputs, &eligibility);
+        let mut e = DmaEngine::try_new(self.cfg, self.pipelined, &self.outputs, &eligibility)?;
         e.set_master(master);
-        e
+        Ok(e)
     }
 }
 
@@ -410,7 +422,13 @@ impl<F: Front> SocWorld<F> {
         }
         let mut transitioned = false;
         for job in &mut self.jobs {
-            transitioned |= job.advance(cycle, &mut self.dma);
+            match job.advance(cycle, &mut self.dma) {
+                Ok(t) => transitioned |= t,
+                Err(e) => {
+                    self.error = Some(e);
+                    return;
+                }
+            }
         }
         self.watch(cycle, transitioned);
     }

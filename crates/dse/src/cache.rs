@@ -3,10 +3,11 @@
 //! A design point's outcome is a pure function of the trace content, the
 //! datapath configuration, the SoC configuration, and the flow (memory
 //! kind + DMA optimization level). The cache keys on exactly that —
-//! [`Trace::fingerprint`] plus the `Debug` rendering of every config — so
-//! `all_figures`, checked-vs-unchecked runs, and repeated `dse`
-//! invocations skip points they have already simulated, and any change to
-//! any config field or to the trace changes the key and misses.
+//! [`Trace::fingerprint`](aladdin_ir::Trace::fingerprint) plus the
+//! `Debug` rendering of every config — so `all_figures`,
+//! checked-vs-unchecked runs, and repeated `dse` invocations skip points
+//! they have already simulated, and any change to any config field or to
+//! the trace changes the key and misses.
 //!
 //! Two tiers:
 //!
@@ -17,15 +18,14 @@
 //!   point, surviving across processes. Files fan out into 256 shard
 //!   directories keyed by the first byte of the hashed name, so many
 //!   workers (or CI jobs) sharing one cache directory never contend on a
-//!   single giant listing; writes stay lock-free (atomic temp+rename) and
-//!   an advisory lock guards only the observational shard index
-//!   ([`maintain_shard_index`]). Floats are written with `{:?}`
-//!   (shortest round-tripping representation), so a disk hit is also
-//!   bit-identical. Files embed their full key and a format version; a
-//!   mismatch on either (hash collision, stale format) is treated as a
-//!   miss. Disk persistence is opt-in because results are only valid for
-//!   the simulator build that wrote them — wipe the directory (or bump
-//!   [`FORMAT_VERSION`]) when simulation semantics change.
+//!   single giant listing; writes are lock-free (atomic temp+rename).
+//!   Floats are written with `{:?}` (shortest round-tripping
+//!   representation), so a disk hit is also bit-identical. Files embed
+//!   their full key and a format version; a mismatch on either (hash
+//!   collision, stale format) is treated as a miss. Disk persistence is
+//!   opt-in because results are only valid for the simulator build that
+//!   wrote them — wipe the directory (or bump [`FORMAT_VERSION`]) when
+//!   simulation semantics change.
 //!
 //! Control via environment: `ALADDIN_SWEEP_CACHE=off|mem|full` (default
 //! `mem`), `ALADDIN_SWEEP_CACHE_DIR=<dir>` to relocate the disk tier.
@@ -39,7 +39,7 @@ use std::sync::{Mutex, OnceLock};
 
 use aladdin_accel::{DatapathConfig, FuTiming, LaneSync};
 use aladdin_core::{DmaOptLevel, FlowResult, MemKind, SocConfig};
-use aladdin_ir::{ContentHasher, Trace};
+use aladdin_ir::ContentHasher;
 use aladdin_mem::Clock;
 
 /// Bumped whenever the on-disk rendering of a [`FlowResult`] (or the
@@ -154,11 +154,8 @@ fn sharded_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(shard_of(name)).join(name)
 }
 
-/// Look `key` up: memory tier first, then (mode permitting) disk. A disk
-/// hit is promoted into the memory tier. The disk tier reads the sharded
-/// path first and falls back to the pre-sharding flat layout (promoting
-/// such hits into their shard) so caches written by older builds stay
-/// warm.
+/// Look `key` up: memory tier first, then (mode permitting) the key's
+/// sharded disk file. A disk hit is promoted into the memory tier.
 pub(crate) fn lookup(key: &str) -> Option<FlowResult> {
     let mut st = lock();
     match st.mode {
@@ -168,22 +165,7 @@ pub(crate) fn lookup(key: &str) -> Option<FlowResult> {
             if let Some(r) = st.mem.get(key) {
                 return Some(r.clone());
             }
-            let name = file_name(key);
-            let path = sharded_path(&st.dir, &name);
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(_) => {
-                    // Legacy flat layout: migrate the file into its shard
-                    // so the next reader finds it directly. Rename is
-                    // atomic; a concurrent promoter losing the race is
-                    // harmless (the content is identical).
-                    let flat = st.dir.join(&name);
-                    let text = std::fs::read_to_string(&flat).ok()?;
-                    let _ = std::fs::create_dir_all(st.dir.join(shard_of(&name)));
-                    let _ = std::fs::rename(&flat, &path);
-                    text
-                }
-            };
+            let text = std::fs::read_to_string(sharded_path(&st.dir, &file_name(key))).ok()?;
             let r = parse_flow(&text, key)?;
             st.mem.insert(key.to_owned(), r.clone());
             Some(r)
@@ -220,123 +202,15 @@ pub(crate) fn insert(key: &str, result: &FlowResult) {
 }
 
 /// Whether a design point's result is already cached (in any active
-/// tier), without simulating it. A disk hit is promoted into the memory
-/// tier, so probing points a campaign is about to run is free work, not
-/// wasted work. `sweep plan` uses this for its cache-hit forecast.
+/// tier), without simulating it. The trace enters by its
+/// [`Trace::fingerprint`](aladdin_ir::Trace::fingerprint), so a caller
+/// that knows it need not build the trace. A disk hit is promoted into
+/// the memory tier, so probing points a campaign is about to run is free
+/// work, not wasted work. `sweep plan` uses this for its cache-hit
+/// forecast.
 #[must_use]
-pub fn point_cached(trace: &Trace, dp: &DatapathConfig, soc: &SocConfig, kind: MemKind) -> bool {
-    lookup(&point_key(trace.fingerprint(), kind, dp, soc)).is_some()
-}
-
-// ---------------------------------------------------------------------------
-// Shard index maintenance.
-
-/// How long an advisory shard-index lock may sit unrefreshed before
-/// another process declares its holder dead and breaks it.
-const INDEX_LOCK_STALE: std::time::Duration = std::time::Duration::from_secs(10);
-
-/// What one [`maintain_shard_index`] call found and did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardIndexReport {
-    /// `(shard directory name, cached files inside)`, sorted by shard.
-    pub entries: Vec<(String, u64)>,
-    /// Total cached result files across every shard.
-    pub files: u64,
-    /// Result files still sitting in the pre-sharding flat layout.
-    pub legacy_files: u64,
-    /// Whether a stale advisory lock (holder died mid-maintenance) was
-    /// broken to proceed — surfaced as an `L0293` shard-index repair.
-    pub repaired_lock: bool,
-    /// Whether the index file was (re)written. `false` means another
-    /// live process held the lock; its index is as good as ours.
-    pub written: bool,
-}
-
-/// Rebuild the disk tier's shard index (`shards.idx`): one line per
-/// fanout shard with its cached-file count, plus a total. The index is
-/// purely observational — lookups never consult it — so it is maintained
-/// under an *advisory* lock only: concurrent sweeps keep inserting
-/// lock-free (atomic temp+rename) while one maintainer at a time counts
-/// and rewrites the index. A lock left behind by a dead maintainer is
-/// broken after [`INDEX_LOCK_STALE`] and reported as repaired.
-///
-/// Pass `None` to index the process-configured cache directory.
-#[must_use]
-pub fn maintain_shard_index(dir: Option<&Path>) -> ShardIndexReport {
-    let dir = dir.map_or_else(|| lock().dir.clone(), Path::to_path_buf);
-    let mut report = ShardIndexReport::default();
-    if !dir.is_dir() {
-        return report;
-    }
-
-    // Advisory lock: create_new is atomic, so exactly one maintainer
-    // wins. A stale lock (mtime beyond the horizon) is broken once.
-    let lock_path = dir.join("shards.lock");
-    let mut acquired = false;
-    for attempt in 0..2 {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&lock_path)
-        {
-            Ok(mut f) => {
-                use std::io::Write as _;
-                let _ = writeln!(f, "{}", std::process::id());
-                acquired = true;
-                break;
-            }
-            Err(_) if attempt == 0 => {
-                let stale = std::fs::metadata(&lock_path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age > INDEX_LOCK_STALE);
-                if stale {
-                    let _ = std::fs::remove_file(&lock_path);
-                    report.repaired_lock = true;
-                } else {
-                    return report; // a live maintainer holds it
-                }
-            }
-            Err(_) => return report,
-        }
-    }
-    if !acquired {
-        return report;
-    }
-
-    for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if entry.path().is_dir() && name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
-            let count = std::fs::read_dir(entry.path())
-                .into_iter()
-                .flatten()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().ends_with(".flow"))
-                .count() as u64;
-            report.files += count;
-            report.entries.push((name, count));
-        } else if name.ends_with(".flow") {
-            report.legacy_files += 1;
-        }
-    }
-    report.entries.sort();
-
-    let mut text = String::from("aladdin-shard-index v1\n");
-    for (shard, count) in &report.entries {
-        let _ = writeln!(text, "{shard} {count}");
-    }
-    let _ = writeln!(
-        text,
-        "total {} legacy {}",
-        report.files, report.legacy_files
-    );
-    let tmp = dir.join(format!("shards.idx.tmp-{}", std::process::id()));
-    if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, dir.join("shards.idx")).is_ok() {
-        report.written = true;
-    }
-    let _ = std::fs::remove_file(&lock_path);
-    report
+pub fn point_cached(trace_fp: u128, dp: &DatapathConfig, soc: &SocConfig, kind: MemKind) -> bool {
+    lookup(&point_key(trace_fp, kind, dp, soc)).is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -752,97 +626,5 @@ mod tests {
         assert!(a.ends_with(".flow"));
         // Shards are the first two hex digits of the name.
         assert_eq!(shard_of(&a), &a[..2]);
-    }
-
-    /// A pre-sharding flat cache file is still a hit, and the hit
-    /// migrates it into its fanout shard.
-    #[test]
-    fn legacy_flat_files_hit_and_migrate_into_shards() {
-        let _guard = crate::cache::test_disk_lock();
-        let dir = std::path::PathBuf::from("target/test-sweep-cache-legacy");
-        let _ = std::fs::remove_dir_all(&dir);
-        set_sweep_cache_dir(&dir);
-        set_sweep_cache_mode(SweepCacheMode::Full);
-
-        let trace = by_name("aes-aes").expect("kernel").run().trace;
-        let dp = DatapathConfig {
-            lanes: 4,
-            ..DatapathConfig::default()
-        };
-        let mut soc = SocConfig::default();
-        soc.invoke_cycles += 31; // keys no other test owns
-        let kind = MemKind::Isolated;
-        let first = run_point_cached(&trace, &dp, &soc, kind);
-        let key = point_key(trace.fingerprint(), kind, &dp, &soc);
-        let name = file_name(&key);
-        let sharded = sharded_path(&dir, &name);
-        assert!(sharded.exists(), "inserts write the sharded layout");
-
-        // Demote the file to the flat layout, as an old build would have
-        // left it, and drop the memory tier.
-        let flat = dir.join(&name);
-        std::fs::rename(&sharded, &flat).expect("demote");
-        reset_sweep_cache();
-        let again = run_point_cached(&trace, &dp, &soc, kind);
-        assert_eq!(first, again, "flat-layout hit must be bit-identical");
-        assert!(sharded.exists(), "the hit migrates the file into its shard");
-        assert!(!flat.exists(), "the flat copy is gone after migration");
-
-        set_sweep_cache_mode(SweepCacheMode::Mem);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_index_counts_files_and_breaks_stale_locks() {
-        let _guard = crate::cache::test_disk_lock();
-        let dir = std::path::PathBuf::from("target/test-sweep-cache-index");
-        let _ = std::fs::remove_dir_all(&dir);
-        set_sweep_cache_dir(&dir);
-        set_sweep_cache_mode(SweepCacheMode::Full);
-
-        let trace = by_name("aes-aes").expect("kernel").run().trace;
-        let mut soc = SocConfig::default();
-        soc.invoke_cycles += 41;
-        let mut expected = 0u64;
-        for lanes in [1u32, 2, 4] {
-            let dp = DatapathConfig {
-                lanes,
-                ..DatapathConfig::default()
-            };
-            let _ = run_point_cached(&trace, &dp, &soc, MemKind::Isolated);
-            expected += 1;
-        }
-        let report = maintain_shard_index(Some(&dir));
-        assert!(report.written, "uncontended maintenance writes the index");
-        assert!(!report.repaired_lock);
-        assert_eq!(report.files, expected);
-        assert_eq!(report.entries.iter().map(|(_, c)| c).sum::<u64>(), expected);
-        let idx = std::fs::read_to_string(dir.join("shards.idx")).expect("index written");
-        assert!(idx.starts_with("aladdin-shard-index v1"), "{idx}");
-        assert!(idx.contains(&format!("total {expected} legacy 0")), "{idx}");
-
-        // A live (fresh) foreign lock defers maintenance entirely.
-        std::fs::write(dir.join("shards.lock"), "99999\n").expect("plant lock");
-        let deferred = maintain_shard_index(Some(&dir));
-        assert!(!deferred.written, "fresh foreign lock defers");
-        assert!(!deferred.repaired_lock);
-
-        // An expired lock (holder died) is broken, reported, and
-        // maintenance proceeds.
-        let stale = std::time::SystemTime::now() - (INDEX_LOCK_STALE * 2);
-        let lock_file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(dir.join("shards.lock"))
-            .expect("open lock");
-        lock_file.set_modified(stale).expect("age the lock");
-        drop(lock_file);
-        let repaired = maintain_shard_index(Some(&dir));
-        assert!(repaired.repaired_lock, "stale lock must be broken");
-        assert!(repaired.written);
-        assert_eq!(repaired.files, expected);
-        assert!(!dir.join("shards.lock").exists(), "lock released");
-
-        set_sweep_cache_mode(SweepCacheMode::Mem);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

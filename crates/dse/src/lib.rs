@@ -51,8 +51,8 @@ mod space;
 mod sweep;
 
 pub use cache::{
-    maintain_shard_index, point_cached, reset_sweep_cache, set_sweep_cache_dir,
-    set_sweep_cache_mode, ShardIndexReport, SweepCacheMode, FORMAT_VERSION,
+    point_cached, reset_sweep_cache, set_sweep_cache_dir, set_sweep_cache_mode, SweepCacheMode,
+    FORMAT_VERSION,
 };
 pub use kiviat::KiviatSummary;
 pub use pareto::{edp_optimal, optimal_by, pareto_frontier, Metric};

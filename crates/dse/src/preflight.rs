@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn contradictory_cache_size_is_rejected_not_panicking() {
         // 3072 B / 32 B lines / 4 ways = 24 sets: not a power of two, so
-        // simulating this point would panic in CacheConfig::num_sets.
+        // simulating this point would fail in Cache::try_new.
         let space = DesignSpace {
             cache_sizes: vec![2048, 3072],
             ..DesignSpace::quick()

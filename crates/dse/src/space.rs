@@ -222,7 +222,7 @@ mod tests {
         };
         let soc = p.apply(&SocConfig::default());
         assert_eq!(soc.cache.size_bytes, 8192);
-        assert_eq!(soc.cache.num_sets(), 64);
+        assert_eq!(soc.cache.try_num_sets().expect("valid geometry"), 64);
         assert_eq!(p.datapath().lanes, 4);
     }
 

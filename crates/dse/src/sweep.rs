@@ -744,8 +744,8 @@ mod tests {
 
     /// Static pre-flight composes with the point-list entry: contradictory
     /// points are rejected with diagnostics and only the accepted ones are
-    /// simulated — e.g. unconstructible cache geometries, which would
-    /// panic in `CacheConfig::num_sets`.
+    /// simulated — e.g. unconstructible cache geometries, which
+    /// `Cache::try_new` rejects.
     #[test]
     fn checked_sweep_prunes_contradictory_points_instead_of_panicking() {
         let trace = by_name("aes-aes").expect("kernel").run().trace;

@@ -22,7 +22,6 @@ const GOLDEN: &[&str] = &[
     "PrunedPoint",
     "RejectedPoint",
     "ScenarioOutcome",
-    "ShardIndexReport",
     "SweepCacheMode",
     "SweepPerf",
     "SweepSource",
@@ -30,7 +29,6 @@ const GOLDEN: &[&str] = &[
     "cache_gate_open",
     "edp_optimal",
     "global_perf",
-    "maintain_shard_index",
     "optimal_by",
     "parallel_map",
     "pareto_frontier",

@@ -251,7 +251,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `new_deps.len()` differs from the node count, or (debug
-    /// builds) if the result fails [`validate`](Trace::validate).
+    /// builds) if the result fails [`check`](Trace::check).
     #[must_use]
     pub fn with_deps(&self, new_deps: Vec<Vec<NodeId>>) -> Trace {
         assert_eq!(
@@ -353,9 +353,8 @@ impl Trace {
     /// (`L0103`), references to unknown arrays (`L0104`), and accesses out
     /// of the owning array's bounds (`L0105`).
     ///
-    /// Unlike the legacy [`validate`](Trace::validate), this does not stop
-    /// at the first defect: `soclint` and the sweep pre-flight pass want
-    /// the full list. Deeper semantic lints (store→load consistency,
+    /// It does not stop at the first defect: `soclint` and the sweep
+    /// pre-flight pass want the full list. Deeper semantic lints (store→load consistency,
     /// dependence cycles, unreachable nodes, unbalanced loop annotations)
     /// live in the `aladdin-lint` crate under `L011x`.
     #[must_use]

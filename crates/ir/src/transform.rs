@@ -48,7 +48,7 @@ pub struct RebalanceStats {
 /// (and whose reordering would shred the lane/round mapping).
 ///
 /// Returns the transformed trace and rebalancing statistics. The result
-/// always satisfies [`Trace::validate`].
+/// always passes [`Trace::check`].
 /// # Example
 ///
 /// ```

@@ -165,18 +165,6 @@ impl CacheConfig {
         crate::first_error(self.check())?;
         Ok((self.size_bytes / u64::from(self.line_bytes) / u64::from(self.assoc)) as usize)
     }
-
-    /// Number of sets implied by the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is inconsistent; use
-    /// [`try_num_sets`](CacheConfig::try_num_sets) to handle that as a
-    /// typed diagnostic instead.
-    #[must_use]
-    pub fn num_sets(&self) -> usize {
-        self.try_num_sets().unwrap_or_else(|d| panic!("{d}"))
-    }
 }
 
 /// Result of [`Cache::access`].
@@ -279,7 +267,7 @@ struct Stream {
 /// ```
 /// use aladdin_mem::{AccessKind, Cache, CacheConfig, CacheOutcome};
 ///
-/// let mut cache = Cache::new(CacheConfig::default());
+/// let mut cache = Cache::try_new(CacheConfig::default()).expect("valid cache");
 /// cache.begin_cycle(0);
 /// // Cold access misses and requests a line fill...
 /// assert_eq!(cache.access(1, 0x1000, AccessKind::Read, 0), CacheOutcome::Miss);
@@ -343,17 +331,6 @@ impl Cache {
             lru_clock: 0,
             stats: CacheStats::default(),
         })
-    }
-
-    /// An empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent geometry; use [`try_new`](Cache::try_new)
-    /// to handle that as a typed diagnostic instead.
-    #[must_use]
-    pub fn new(cfg: CacheConfig) -> Self {
-        Cache::try_new(cfg).unwrap_or_else(|d| panic!("{d}"))
     }
 
     /// Configuration this cache was built with.
@@ -721,7 +698,7 @@ mod tests {
     }
 
     fn small_cache() -> Cache {
-        Cache::new(CacheConfig {
+        Cache::try_new(CacheConfig {
             size_bytes: 256,
             line_bytes: 32,
             assoc: 2,
@@ -734,6 +711,7 @@ mod tests {
                 ..PrefetcherConfig::default()
             },
         })
+        .expect("valid cache")
     }
 
     /// Drives a miss to completion immediately (zero-latency "bus").
@@ -749,7 +727,7 @@ mod tests {
     #[test]
     fn geometry() {
         let c = small_cache();
-        assert_eq!(c.config().num_sets(), 4);
+        assert_eq!(c.config().try_num_sets().expect("valid geometry"), 4);
     }
 
     #[test]
@@ -800,7 +778,7 @@ mod tests {
 
     #[test]
     fn mshr_exhaustion_rejects() {
-        let mut c = Cache::new(CacheConfig {
+        let mut c = Cache::try_new(CacheConfig {
             mshrs: 2,
             ports: 8,
             prefetch: PrefetcherConfig {
@@ -808,7 +786,8 @@ mod tests {
                 ..PrefetcherConfig::default()
             },
             ..CacheConfig::default()
-        });
+        })
+        .expect("valid cache");
         c.begin_cycle(0);
         assert_eq!(c.access(1, 0x000, AccessKind::Read, 0), CacheOutcome::Miss);
         assert_eq!(c.access(2, 0x100, AccessKind::Read, 0), CacheOutcome::Miss);
@@ -913,7 +892,7 @@ mod tests {
 
     #[test]
     fn strided_prefetcher_issues_and_is_useful() {
-        let mut c = Cache::new(CacheConfig {
+        let mut c = Cache::try_new(CacheConfig {
             size_bytes: 4096,
             line_bytes: 32,
             assoc: 4,
@@ -922,7 +901,8 @@ mod tests {
             hit_latency: 1,
             write_policy: WritePolicy::WriteBack,
             prefetch: PrefetcherConfig::default(),
-        });
+        })
+        .expect("valid cache");
         // Stream through lines 0,1,2,...: after the stride locks, later
         // lines should already be resident (or in flight) when accessed.
         let mut id = 0u64;
@@ -948,14 +928,15 @@ mod tests {
 
     #[test]
     fn write_through_stores_forward_and_never_dirty() {
-        let mut c = Cache::new(CacheConfig {
+        let mut c = Cache::try_new(CacheConfig {
             write_policy: WritePolicy::WriteThrough,
             prefetch: PrefetcherConfig {
                 enabled: false,
                 ..PrefetcherConfig::default()
             },
             ..CacheConfig::default()
-        });
+        })
+        .expect("valid cache");
         // Store miss: forwarded, not allocated.
         c.begin_cycle(0);
         assert!(matches!(
@@ -986,7 +967,7 @@ mod tests {
 
     #[test]
     fn write_through_eviction_never_writes_back() {
-        let mut c = Cache::new(CacheConfig {
+        let mut c = Cache::try_new(CacheConfig {
             size_bytes: 256,
             line_bytes: 32,
             assoc: 2,
@@ -998,7 +979,8 @@ mod tests {
                 enabled: false,
                 ..PrefetcherConfig::default()
             },
-        });
+        })
+        .expect("valid cache");
         // Read-allocate then write three conflicting lines (set 0): the
         // evictions must not produce line writebacks.
         for (i, addr) in [0x000u64, 0x080, 0x100].iter().enumerate() {

@@ -47,18 +47,6 @@ impl Clock {
         Clock::try_from_period_ns(1000.0 / mhz)
     }
 
-    /// A clock with the given frequency in MHz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mhz` is not strictly positive and finite; use
-    /// [`try_from_mhz`](Clock::try_from_mhz) to handle that as a typed
-    /// diagnostic instead.
-    #[must_use]
-    pub fn from_mhz(mhz: f64) -> Self {
-        Clock::try_from_mhz(mhz).unwrap_or_else(|d| panic!("{d}"))
-    }
-
     /// Clock period in nanoseconds.
     #[must_use]
     pub fn period_ns(self) -> f64 {
@@ -93,7 +81,7 @@ impl Clock {
 impl Default for Clock {
     /// The paper's 100 MHz accelerator clock.
     fn default() -> Self {
-        Clock::from_mhz(100.0)
+        Clock { ns_per_cycle: 10.0 }
     }
 }
 
@@ -120,7 +108,7 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        let c = Clock::from_mhz(250.0);
+        let c = Clock::try_from_mhz(250.0).expect("positive frequency");
         assert_eq!(c.period_ns(), 4.0);
         assert_eq!(c.cycles_from_ns(12.0), 3);
         assert_eq!(c.cycles_from_ns(12.1), 4);

@@ -150,7 +150,7 @@ struct ActiveChunk {
     started: u64,
 }
 
-/// The DMA engine. Construct with [`DmaEngine::new`], then call
+/// The DMA engine. Construct with [`DmaEngine::try_new`], then call
 /// [`tick`](DmaEngine::tick) each cycle (before the bus tick) and feed bus
 /// completions back via [`on_bus_completion`](DmaEngine::on_bus_completion).
 #[derive(Debug)]
@@ -235,22 +235,6 @@ impl DmaEngine {
             total_chunks,
             finished_chunks: 0,
         })
-    }
-
-    /// Create an engine servicing `transfers` in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`try_new`](DmaEngine::try_new) returns an error; use
-    /// it to handle that as a typed diagnostic instead.
-    #[must_use]
-    pub fn new(
-        cfg: DmaConfig,
-        pipelined: bool,
-        transfers: &[DmaTransfer],
-        eligibility: &[u64],
-    ) -> Self {
-        DmaEngine::try_new(cfg, pipelined, transfers, eligibility).unwrap_or_else(|d| panic!("{d}"))
     }
 
     /// Issue bus requests as `master` instead of [`MasterId::DMA`] — used
@@ -425,7 +409,8 @@ mod tests {
 
     #[test]
     fn empty_engine_is_immediately_done() {
-        let e = DmaEngine::new(DmaConfig::default(), false, &[], &[]);
+        let e =
+            DmaEngine::try_new(DmaConfig::default(), false, &[], &[]).expect("valid DMA engine");
         assert!(e.is_done());
     }
 
@@ -437,7 +422,7 @@ mod tests {
             bytes: 4096,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(cfg, false, &transfers, &[0]);
+        let mut e = DmaEngine::try_new(cfg, false, &transfers, &[0]).expect("valid DMA engine");
         let mut b = bus();
         let done = run(&mut e, &mut b, 100_000);
         // 40 setup + ~1024 transfer cycles (4 B/cycle) + initial latency.
@@ -456,7 +441,8 @@ mod tests {
             direction: DmaDirection::In,
         }];
         assert_eq!(cfg.chunk_sizes(true, &transfers), vec![4096, 4096, 2048]);
-        let mut e = DmaEngine::new(cfg, true, &transfers, &[0, 0, 0]);
+        let mut e =
+            DmaEngine::try_new(cfg, true, &transfers, &[0, 0, 0]).expect("valid DMA engine");
         let mut b = bus();
         let _ = run(&mut e, &mut b, 100_000);
         assert_eq!(e.stats().descriptors, 3);
@@ -469,7 +455,8 @@ mod tests {
             bytes: 256,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), false, &transfers, &[500]);
+        let mut e = DmaEngine::try_new(DmaConfig::default(), false, &transfers, &[500])
+            .expect("valid DMA engine");
         let mut b = bus();
         let done = run(&mut e, &mut b, 10_000);
         assert!(done >= 500 + 40 + 64, "done={done}");
@@ -483,7 +470,8 @@ mod tests {
             bytes: 1024,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), false, &transfers, &[0]);
+        let mut e = DmaEngine::try_new(DmaConfig::default(), false, &transfers, &[0])
+            .expect("valid DMA engine");
         let mut b = bus();
         let _ = run(&mut e, &mut b, 100_000);
         let arrivals: Vec<_> = e.drain_arrivals().collect();
@@ -503,7 +491,8 @@ mod tests {
             bytes: 256,
             direction: DmaDirection::Out,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), false, &transfers, &[0]);
+        let mut e = DmaEngine::try_new(DmaConfig::default(), false, &transfers, &[0])
+            .expect("valid DMA engine");
         let mut b = bus();
         let _ = run(&mut e, &mut b, 10_000);
         assert_eq!(e.drain_arrivals().len(), 0);
@@ -517,11 +506,13 @@ mod tests {
             bytes: 12 * 1024,
             direction: DmaDirection::In,
         }];
-        let mut base_engine = DmaEngine::new(DmaConfig::default(), false, &t, &[0]);
+        let mut base_engine =
+            DmaEngine::try_new(DmaConfig::default(), false, &t, &[0]).expect("valid DMA engine");
         let mut base_bus = bus();
         let base_done = run(&mut base_engine, &mut base_bus, 100_000);
 
-        let mut pipe_engine = DmaEngine::new(DmaConfig::default(), true, &t, &[0, 0, 0]);
+        let mut pipe_engine = DmaEngine::try_new(DmaConfig::default(), true, &t, &[0, 0, 0])
+            .expect("valid DMA engine");
         let mut pipe_bus = bus();
         let pipe_done = run(&mut pipe_engine, &mut pipe_bus, 100_000);
         assert!(
@@ -539,7 +530,7 @@ mod tests {
             bytes: 100,
             direction: DmaDirection::In,
         }];
-        let _ = DmaEngine::new(DmaConfig::default(), false, &t, &[]);
+        let _ = DmaEngine::try_new(DmaConfig::default(), false, &t, &[]).expect("valid DMA engine");
     }
 
     #[test]
@@ -561,7 +552,8 @@ mod tests {
             bytes: 256,
             direction: DmaDirection::In,
         }];
-        let mut e = DmaEngine::new(DmaConfig::default(), false, &t, &[0]);
+        let mut e =
+            DmaEngine::try_new(DmaConfig::default(), false, &t, &[0]).expect("valid DMA engine");
         assert!(e.describe_state().contains("0/1 descriptor(s) done"));
         let mut b = bus();
         e.tick(0, &mut b).unwrap();

@@ -92,17 +92,6 @@ impl Dram {
         })
     }
 
-    /// A DRAM with all rows closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration; use [`try_new`](Dram::try_new)
-    /// to handle that as a typed diagnostic instead.
-    #[must_use]
-    pub fn new(cfg: DramConfig) -> Self {
-        Dram::try_new(cfg).unwrap_or_else(|d| panic!("{d}"))
-    }
-
     /// Configuration this DRAM was built with.
     #[must_use]
     pub fn config(&self) -> DramConfig {
@@ -158,7 +147,7 @@ mod tests {
 
     #[test]
     fn sequential_accesses_hit_open_row() {
-        let mut d = Dram::new(DramConfig::default());
+        let mut d = Dram::try_new(DramConfig::default()).expect("valid DRAM");
         assert_eq!(d.access(0), 10); // cold: row miss
         assert_eq!(d.access(64), 3); // same 4 KB row
         assert_eq!(d.access(4032), 3);
@@ -170,7 +159,7 @@ mod tests {
     #[test]
     fn banks_keep_independent_rows() {
         let cfg = DramConfig::default();
-        let mut d = Dram::new(cfg);
+        let mut d = Dram::try_new(cfg).expect("valid DRAM");
         // Rows 0..4 map to banks 0..4; all stay open simultaneously.
         for r in 0..4u64 {
             d.access(r * cfg.row_bytes);
@@ -186,7 +175,7 @@ mod tests {
             banks: 1,
             ..DramConfig::default()
         };
-        let mut d = Dram::new(cfg);
+        let mut d = Dram::try_new(cfg).expect("valid DRAM");
         d.access(0);
         d.access(cfg.row_bytes);
         assert_eq!(d.access(0), cfg.row_miss_cycles);
@@ -195,9 +184,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bank")]
     fn zero_banks_rejected() {
-        let _ = Dram::new(DramConfig {
+        let _ = Dram::try_new(DramConfig {
             banks: 0,
             ..DramConfig::default()
-        });
+        })
+        .expect("valid DRAM");
     }
 }

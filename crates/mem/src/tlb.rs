@@ -75,7 +75,7 @@ pub struct TlbStats {
 /// ```
 /// use aladdin_mem::{Tlb, TlbConfig};
 ///
-/// let mut tlb = Tlb::new(TlbConfig::default());
+/// let mut tlb = Tlb::try_new(TlbConfig::default()).expect("valid TLB");
 /// assert_eq!(tlb.translate(0x4000, 100), 120); // cold: 200 ns walk
 /// assert_eq!(tlb.translate(0x4008, 121), 121); // same page: hit
 /// ```
@@ -111,18 +111,6 @@ impl Tlb {
             stats: TlbStats::default(),
             faults: None,
         })
-    }
-
-    /// An empty TLB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero entries or a non-power-of-two
-    /// page size; use [`try_new`](Tlb::try_new) to handle that as a typed
-    /// diagnostic instead.
-    #[must_use]
-    pub fn new(cfg: TlbConfig) -> Self {
-        Tlb::try_new(cfg).unwrap_or_else(|d| panic!("{d}"))
     }
 
     /// Arm page-fault-walk injection: an occasional miss pays a bounded
@@ -189,7 +177,7 @@ mod tests {
 
     #[test]
     fn first_touch_misses_then_hits() {
-        let mut tlb = Tlb::new(TlbConfig::default());
+        let mut tlb = Tlb::try_new(TlbConfig::default()).expect("valid TLB");
         assert_eq!(tlb.translate(0x1000, 100), 120);
         assert_eq!(tlb.translate(0x1800, 121), 121); // same page
         assert_eq!(tlb.stats().hits, 1);
@@ -202,7 +190,7 @@ mod tests {
             entries: 2,
             ..TlbConfig::default()
         };
-        let mut tlb = Tlb::new(cfg);
+        let mut tlb = Tlb::try_new(cfg).expect("valid TLB");
         tlb.translate(0x0000, 0); // page 0 (miss)
         tlb.translate(0x1000, 0); // page 1 (miss)
         tlb.translate(0x0000, 0); // page 0 hit, refreshes LRU
@@ -214,7 +202,7 @@ mod tests {
     #[test]
     fn strided_working_set_larger_than_tlb_thrashes() {
         let cfg = TlbConfig::default();
-        let mut tlb = Tlb::new(cfg);
+        let mut tlb = Tlb::try_new(cfg).expect("valid TLB");
         // Touch 16 pages round-robin twice: with 8 entries and LRU, every
         // access misses.
         for _ in 0..2 {
@@ -229,10 +217,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_rejected() {
-        let _ = Tlb::new(TlbConfig {
+        let _ = Tlb::try_new(TlbConfig {
             entries: 0,
             ..TlbConfig::default()
-        });
+        })
+        .expect("valid TLB");
     }
 
     #[test]
@@ -252,7 +241,7 @@ mod tests {
     #[test]
     fn fault_walks_only_lengthen_misses() {
         use aladdin_faults::{salt, FaultSpec};
-        let mut tlb = Tlb::new(TlbConfig::default());
+        let mut tlb = Tlb::try_new(TlbConfig::default()).expect("valid TLB");
         tlb.set_faults(Some(FaultInjector::new(
             FaultSpec {
                 rate: 1.0,

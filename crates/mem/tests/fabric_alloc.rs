@@ -186,7 +186,7 @@ fn steady_state_dma_makes_no_heap_allocation() {
         bytes: 16 << 20,
         direction: DmaDirection::In,
     }];
-    let mut engine = DmaEngine::new(
+    let mut engine = DmaEngine::try_new(
         DmaConfig {
             max_outstanding: 4,
             ..DmaConfig::default()
@@ -194,7 +194,8 @@ fn steady_state_dma_makes_no_heap_allocation() {
         false,
         &transfers,
         &[0],
-    );
+    )
+    .expect("valid DMA engine");
     let mut fabric = Fabric::try_new(
         BusConfig::default(),
         DramConfig::default(),
@@ -268,7 +269,7 @@ impl Streaming {
 
 #[test]
 fn steady_state_cache_makes_no_heap_allocation() {
-    let mut cache = Cache::new(CacheConfig::default());
+    let mut cache = Cache::try_new(CacheConfig::default()).expect("valid cache");
     let mut fabric = Fabric::try_new(
         BusConfig::default(),
         DramConfig::default(),

@@ -127,7 +127,7 @@ fn cache_conserves_accesses() {
                 ..PrefetcherConfig::default()
             },
         };
-        let mut cache = Cache::new(cfg);
+        let mut cache = Cache::try_new(cfg).expect("valid cache");
         let mut completed = HashSet::new();
         let mut issued = 0u64;
         let mut queue: Vec<(u64, u64, bool)> = addrs
@@ -198,7 +198,7 @@ fn tlb_counters_conserved() {
         let mut rng = SmallRng::seed_from_u64(0xD004 + case);
         let n = rng.gen_range(1..200usize);
         let pages: Vec<u64> = (0..n).map(|_| rng.gen_range(0..32u64)).collect();
-        let mut tlb = Tlb::new(TlbConfig::default());
+        let mut tlb = Tlb::try_new(TlbConfig::default()).expect("valid TLB");
         for (i, &p) in pages.iter().enumerate() {
             let at = tlb.translate(p * 4096, i as u64);
             assert!(at == i as u64 || at == i as u64 + 20);
@@ -267,7 +267,7 @@ fn stamp_lru_tlb_matches_ordered_vec_reference() {
             page_bytes: 1 << rng.gen_range(6..14u32),
             miss_cycles: rng.gen_range(1..40u64),
         };
-        let mut tlb = Tlb::new(cfg);
+        let mut tlb = Tlb::try_new(cfg).expect("valid TLB");
         let mut lru: Vec<u64> = Vec::new();
         let (mut hits, mut misses) = (0u64, 0u64);
         let span = rng.gen_range(1..40u64);
@@ -305,13 +305,14 @@ fn moesi_transitions() {
         let mut rng = SmallRng::seed_from_u64(0xE005 + case);
         let n = rng.gen_range(1..50usize);
         let addrs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..2048u64)).collect();
-        let mut cache = Cache::new(CacheConfig {
+        let mut cache = Cache::try_new(CacheConfig {
             prefetch: PrefetcherConfig {
                 enabled: false,
                 ..PrefetcherConfig::default()
             },
             ..CacheConfig::default()
-        });
+        })
+        .expect("valid cache");
         for (i, &addr) in addrs.iter().enumerate() {
             let cycle = i as u64;
             cache.begin_cycle(cycle);
@@ -365,7 +366,8 @@ fn dma_engine_conserves_bytes() {
             .collect();
         let chunks = cfg.chunk_sizes(pipelined, &transfers);
         let eligibility: Vec<u64> = (0..chunks.len() as u64).map(|k| k * elig_gap).collect();
-        let mut engine = DmaEngine::new(cfg, pipelined, &transfers, &eligibility);
+        let mut engine =
+            DmaEngine::try_new(cfg, pipelined, &transfers, &eligibility).expect("valid DMA engine");
         let mut bus = shared_bus();
         let mut cycle = 0u64;
         while !engine.is_done() {

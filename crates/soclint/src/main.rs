@@ -343,7 +343,8 @@ fn lint_fault_plans(paths: &[String]) -> Vec<Target> {
         .collect()
 }
 
-/// Parse one `job` line of a flowspec file into an [`AcceleratorJob`].
+/// Parse one `job` line of a flowspec file into an
+/// [`AcceleratorJob`](aladdin_core::AcceleratorJob).
 ///
 /// Grammar: `job KERNEL isolated|dma|cache [baseline|pipelined|full]
 /// [launch N] [master N]`.

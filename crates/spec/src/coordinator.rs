@@ -73,8 +73,6 @@ pub const CODE_LEASE: &str = "L0290";
 pub const CODE_HEARTBEAT: &str = "L0291";
 /// A corrupt journal record was quarantined.
 pub const CODE_QUARANTINE: &str = "L0292";
-/// Result-cache shard index maintenance (including stale-lock repair).
-pub const CODE_SHARD_INDEX: &str = "L0293";
 
 /// How one worker process participates in a shared campaign.
 #[derive(Debug, Clone)]
@@ -591,8 +589,7 @@ pub struct CoordinateSummary {
     /// Whether every point has a terminal record.
     pub complete: bool,
     /// Integrity findings: `L0290`/`L0291` stale state, `L0292`
-    /// quarantines, `L0293` shard-index maintenance, `L0266` foreign
-    /// segments.
+    /// quarantines, `L0266` foreign segments.
     pub report: Report,
 }
 
@@ -706,8 +703,7 @@ fn scan_dir(plan: &CampaignPlan, dir: &Path) -> DirScan {
 /// plus exactly one terminal record per finished point, in point order —
 /// record-for-record identical to a single-process `sweep run`. Corrupt
 /// records go to the `merged.jsonl.quarantine` sidecar (`L0292`);
-/// leftover stale leases and heartbeats are reported (`L0290`/`L0291`);
-/// the disk result-cache shard index is refreshed (`L0293`).
+/// leftover stale leases and heartbeats are reported (`L0290`/`L0291`).
 ///
 /// Safe to run while workers are still going (it reads segments, writes
 /// only `merged.jsonl`) and safe to re-run any number of times.
@@ -719,7 +715,7 @@ fn scan_dir(plan: &CampaignPlan, dir: &Path) -> DirScan {
 pub fn coordinate(plan: &CampaignPlan, dir: &Path) -> Result<CoordinateSummary, Report> {
     verify_meta(plan, dir)?;
     let scan = scan_dir(plan, dir);
-    let mut report = scan.report;
+    let report = scan.report;
 
     let merged = merged_path(dir);
     let mut text = format!("{}\n", Record::Header { plan, worker: None });
@@ -747,26 +743,6 @@ pub fn coordinate(plan: &CampaignPlan, dir: &Path) -> Result<CoordinateSummary, 
         &merged,
         entries.map(|(w, n, l)| format!("{w} line {n}: {l}")),
     );
-
-    // Observational shard-index refresh for the shared disk cache.
-    let idx = aladdin_dse::maintain_shard_index(None);
-    if idx.repaired_lock {
-        report.push(Diagnostic::warning(
-            CODE_SHARD_INDEX,
-            "broke a stale result-cache shard-index lock (holder presumed dead)",
-        ));
-    }
-    if idx.written {
-        report.push(Diagnostic::info(
-            CODE_SHARD_INDEX,
-            format!(
-                "result-cache shard index: {} file(s) across {} shard(s), {} legacy flat file(s)",
-                idx.files,
-                idx.entries.len(),
-                idx.legacy_files
-            ),
-        ));
-    }
 
     let stale_leases = report
         .diagnostics()

@@ -103,9 +103,16 @@ fn materialize_trace(kernel: &str) -> Result<Trace, SimError> {
         Ok(AtrcTrace::open(kernel)?.decode()?)
     } else {
         by_name(kernel)
-            .map(|k| k.run().trace)
+            .map(|k| build_trace(&*k))
             .ok_or_else(|| unknown_kernel(kernel))
     }
+}
+
+/// Run a bundled kernel's generator to its full trace.
+fn build_trace(k: &dyn Kernel) -> Trace {
+    #[cfg(test)]
+    BUILT.with(|n| n.set(n.get() + 1));
+    k.run().trace
 }
 
 /// What one [`execute`] caller (one `run_campaign` or `run_worker` call)
@@ -162,11 +169,12 @@ impl KernelMemo {
 
 #[cfg(test)]
 thread_local! {
-    /// Fingerprint-only kernel runs made for this thread's `execute`
-    /// calls (on pool threads, counted on return), for tests.
-    pub(crate) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Bundled kernel traces materialized by this thread's sweeps, for
+    /// Fingerprint-only kernel runs made for this thread's `execute` and
+    /// `forecast_cached` calls (on pool threads, counted on return), for
     /// tests.
+    pub(crate) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Bundled kernel traces built by this thread's sweeps and plan
+    /// forecasts, for tests.
     pub(crate) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
@@ -215,11 +223,7 @@ impl<'m> LoadedTrace<'m> {
             .1;
         Ok(LoadedTrace::Bundled {
             fingerprint,
-            build: Box::new(move || {
-                #[cfg(test)]
-                BUILT.with(|n| n.set(n.get() + 1));
-                k.run().trace
-            }),
+            build: Box::new(move || build_trace(&*k)),
             resident,
         })
     }
@@ -457,28 +461,30 @@ pub fn run_campaign(
     Ok(summary)
 }
 
-/// Call `f` on every single point with its kernel's materialized trace
+/// Call `f` on every single point with what `load` gives for its kernel
 /// (`None` when it cannot be loaded), loaded once per contiguous run of
 /// the kernel's points.
-fn for_each_single(plan: &CampaignPlan, mut f: impl FnMut(&str, &PointSpec, Option<&Trace>)) {
-    let mut trace_for: Option<(&str, Option<Trace>)> = None;
+fn for_each_single<T>(
+    plan: &CampaignPlan,
+    mut load: impl FnMut(&str) -> Option<T>,
+    mut f: impl FnMut(&str, &PointSpec, Option<&T>),
+) {
+    let mut loaded: Option<(&str, Option<T>)> = None;
     for p in &plan.points {
         if let PlannedPoint::Single { kernel, point } = p {
-            if !matches!(&trace_for, Some((name, _)) if name == kernel) {
-                trace_for = Some((kernel, materialize_trace(kernel).ok()));
+            if !matches!(&loaded, Some((name, _)) if name == kernel) {
+                loaded = Some((kernel, load(kernel)));
             }
-            f(
-                kernel,
-                point,
-                trace_for.as_ref().and_then(|(_, t)| t.as_ref()),
-            );
+            f(kernel, point, loaded.as_ref().and_then(|(_, t)| t.as_ref()));
         }
     }
 }
 
 /// How many of the plan's single points the process-wide result cache
 /// already holds (the `sweep plan` forecast). Probing promotes disk-tier
-/// hits into memory, pre-warming the subsequent run.
+/// hits into memory, pre-warming the subsequent run. Bundled kernels are
+/// only fingerprinted, never traced; an `.atrc` entry is decoded once per
+/// contiguous run of its points.
 ///
 /// Always 0 when the campaign's harness is not inert (a fault seed or a
 /// non-default watchdog) or the cache is off: those runs bypass the
@@ -488,9 +494,18 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
     if !cache_gate_open(&plan.harness) {
         return 0;
     }
+    let mut memo = KernelMemo::default();
+    memo.fingerprint_ahead(plan, &(0..plan.points.len()).collect::<Vec<_>>());
+    let fingerprint = |kernel: &str| {
+        if kernel.ends_with(".atrc") {
+            materialize_trace(kernel).ok().map(|t| t.fingerprint())
+        } else {
+            memo.fingerprints.get(kernel).copied()
+        }
+    };
     let mut cached = 0;
-    for_each_single(plan, |_, point, trace| {
-        if trace.is_some_and(|t| aladdin_dse::point_cached(t, &point.dp, &point.soc, point.kind)) {
+    for_each_single(plan, fingerprint, |_, point, fp| {
+        if fp.is_some_and(|&fp| aladdin_dse::point_cached(fp, &point.dp, &point.soc, point.kind)) {
             cached += 1;
         }
     });
@@ -513,7 +528,8 @@ pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
     let mut all = Vec::new();
     let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
     let mut unavailable = 0usize;
-    for_each_single(plan, |kernel, point, trace| {
+    let load = |kernel: &str| materialize_trace(kernel).ok();
+    for_each_single(plan, load, |kernel, point, trace| {
         let bounds = trace.and_then(|t| {
             aladdin_lint::bounds_for_point(t, &point.dp, &point.soc, point.kind, &plan.harness).ok()
         });
@@ -1304,6 +1320,29 @@ partitions = [1]
         assert_eq!(records.len(), plan.points.len());
         assert!(records.iter().all(|r| r.contains("\"status\":\"ok\"")));
         let _ = std::fs::remove_file(&atrc_path);
+    }
+
+    /// The `sweep plan` cache forecast fingerprints each bundled kernel
+    /// and traces none; the bounds forecast then traces each kernel once.
+    #[test]
+    fn plan_forecasts_trace_each_kernel_once() {
+        let plan = plan_of(
+            r#"
+name = "runner-forecast"
+kernels = ["aes-aes", "kmp", "viterbi"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2]
+partitions = [1, 2]
+"#,
+        );
+        let (hashes, builds) = (hashed(), built());
+        let _ = forecast_cached(&plan);
+        assert_eq!((hashed() - hashes, built() - builds), (3, 0));
+        let (_, unavailable) = plan_bounds(&plan);
+        assert_eq!(unavailable, 0);
+        assert_eq!(built() - builds, 3, "one build per kernel in all");
     }
 
     /// A worker's batches of one kernel share one trace build, cold or

@@ -340,3 +340,153 @@ fn broken_components_fail_as_the_static_check_reports() {
         }
     }
 }
+
+/// Generated agreement between the static checks and the flows: seeded
+/// draws put SoC, datapath, traffic and topology values on both sides of
+/// every rule's boundary (zero, one, a non-power of two, a non-divisor of
+/// 4 KiB, one over a capacity), and every flow, alone and as a one-job
+/// multi-accelerator run, must return `Ok` exactly when `check()` of the
+/// configuration it builds is clean, and otherwise a `SimError::Diag`
+/// with the code and locus of that check's first error. Never a panic.
+#[test]
+fn generated_configurations_agree_with_the_static_checks() {
+    use aladdin_core::{MasterId, Topology};
+    use aladdin_mem::TRAFFIC_REGION_BYTES;
+    use aladdin_rng::SmallRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The configuration a flow builds: `soc` with every component the
+    /// flow never builds reset to its default.
+    fn built_by(soc: &SocConfig, kind: MemKind, multi: bool) -> SocConfig {
+        let mut built = SocConfig::default();
+        // A multi-accelerator run builds the fabric even for isolated jobs.
+        if multi || kind != MemKind::Isolated {
+            built.bus = soc.bus;
+            built.dram = soc.dram;
+            built.topology = soc.topology;
+            built.traffic = soc.traffic;
+        }
+        match kind {
+            MemKind::Isolated => {}
+            MemKind::Dma(opt) => {
+                built.dma = soc.dma;
+                built.flush = soc.flush;
+                // Multi-accelerator DMA jobs do not gate loads on
+                // full/empty bits.
+                if opt.triggered() && !multi {
+                    built.ready_bits_granule = soc.ready_bits_granule;
+                }
+            }
+            MemKind::Cache => {
+                built.cache = soc.cache;
+                built.tlb = soc.tlb;
+            }
+        }
+        built
+    }
+
+    const OVER_REGION: u32 = TRAFFIC_REGION_BYTES as u32 + 1;
+    const KINDS: [MemKind; 5] = [
+        MemKind::Isolated,
+        MemKind::Dma(DmaOptLevel::Baseline),
+        MemKind::Dma(DmaOptLevel::Pipelined),
+        MemKind::Dma(DmaOptLevel::Full),
+        MemKind::Cache,
+    ];
+    let trace = trace_of("aes-aes");
+    let mut rng = SmallRng::seed_from_u64(0xA63E);
+    let (mut oks, mut errs) = (0, 0);
+    for case in 0..256 {
+        // Each field keeps its default three times in four, else takes
+        // one of its boundary values.
+        let mut draw = |values: &[u64], default: u64| {
+            if rng.gen_range(0..4u32) == 0 {
+                values[rng.gen_range(0..values.len())]
+            } else {
+                default
+            }
+        };
+        let mut d = dp(2, 2);
+        d.lanes = draw(&[0, 1, 3, 16], 2) as u32;
+        d.partition = draw(&[0, 1, 3, 16], 2) as u32;
+        d.ports_per_bank = draw(&[0, 1, 3], 1) as u32;
+        let mut soc = SocConfig::default();
+        soc.bus.width_bits = draw(&[0, 1, 12, 24, 64], 32) as u32;
+        soc.cache.size_bytes = draw(&[0, 1, 3 * 1024, 4096], 16 * 1024);
+        soc.cache.line_bytes = draw(&[0, 1, 24, 64], 32) as u32;
+        soc.cache.assoc = draw(&[0, 1, 3], 4) as u32;
+        soc.cache.ports = draw(&[0, 1, 3], 2) as u32;
+        soc.cache.mshrs = draw(&[0, 1, 3], 8) as usize;
+        soc.tlb.entries = draw(&[0, 1, 3], 8) as usize;
+        soc.tlb.page_bytes = draw(&[0, 1, 3000, 8192], 4096);
+        soc.dram.banks = draw(&[0, 1, 3], 4) as usize;
+        soc.dram.row_bytes = draw(&[0, 1, 3000, 8192], 4096);
+        soc.dma.chunk_bytes = draw(&[0, 1, 3000, 8192], 4096);
+        soc.dma.burst_bytes = draw(&[0, 1, 3], 64) as u32;
+        soc.flush.line_bytes = draw(&[0, 1, 3], 32) as u32;
+        soc.ready_bits_granule = draw(&[0, 1, 48, 4096, 8192], 32);
+        if draw(&[1], 0) == 1 {
+            soc.traffic = Some(TrafficConfig {
+                period: draw(&[0, 1, 3], 200),
+                bytes: draw(&[0, 1, 3, u64::from(OVER_REGION)], 64) as u32,
+            });
+        }
+        let (a, b) = (
+            draw(&[0, 1, 3, 257], 2) as u32,
+            draw(&[0, 1, 2, 3], 2) as u32,
+        );
+        soc.topology.topology = match draw(&[1, 2, 3], 0) {
+            1 => Topology::Crossbar { radix: a },
+            2 => Topology::TwoLevelBus {
+                clusters: a,
+                bridge_cycles: 2,
+            },
+            3 => Topology::MeshNoc {
+                cols: a.min(3),
+                rows: b,
+                hop_cycles: 1,
+                link_bits: draw(&[0, 7, 8], 32) as u32,
+            },
+            _ => Topology::SharedBus,
+        };
+
+        for kind in KINDS {
+            for multi in [false, true] {
+                let run = if multi { "one-job multi" } else { "single" };
+                let built = built_by(&soc, kind, multi);
+                let mut soc_report = built.check();
+                // A single-accelerator cache flow's datapath is bus master 1.
+                if kind == MemKind::Cache && !multi && !soc_report.has_errors() {
+                    let master = soc.topology.check_master(MasterId::ACCEL_CACHE);
+                    soc_report.extend(master.err());
+                }
+                let dp_report = d.check();
+                let first = (soc_report.first_error()).or_else(|| dp_report.first_error());
+                let got = catch_unwind(AssertUnwindSafe(|| {
+                    if multi {
+                        let job = AcceleratorJob::new(trace.clone(), d, kind, 0);
+                        simulate_multi(&[job], &soc, &SimHarness::default()).map(|_| ())
+                    } else {
+                        simulate(&trace, &d, &soc, &FlowSpec::new(kind)).map(|_| ())
+                    }
+                }));
+                let what = format!("case {case}, {run} {kind}: {d:?} {soc:?}");
+                match (got, first) {
+                    (Err(_), _) => panic!("{what}: panicked"),
+                    (Ok(Ok(())), None) => oks += 1,
+                    (Ok(Err(SimError::Diag(diag))), Some(first)) => {
+                        assert_eq!(
+                            (diag.code, &diag.locus),
+                            (first.code, &first.locus),
+                            "{what}: {diag}"
+                        );
+                        errs += 1;
+                    }
+                    (Ok(got), first) => panic!("{what}: got {got:?}, check says {first:?}"),
+                }
+            }
+        }
+    }
+    // Both sides of the boundary were reached.
+    assert!(oks > 0 && errs > 0, "{oks} ok, {errs} rejected");
+}
