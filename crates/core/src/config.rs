@@ -227,9 +227,7 @@ impl SocConfig {
     /// reports this report's first error before it builds anything, so
     /// the error it ends with does not depend on the order its
     /// constructors run in. A `multi`-accelerator run builds the fabric
-    /// even for isolated jobs and gates no loads on full/empty bits; a
-    /// single-accelerator cache run's datapath is bus master
-    /// [`MasterId::ACCEL_CACHE`], which the topology must host (`L0311`).
+    /// even for isolated jobs and gates no loads on full/empty bits.
     pub(crate) fn check_built(&self, kinds: &[MemKind], multi: bool) -> Report {
         let mut built = SocConfig::default();
         for &kind in kinds {
@@ -254,11 +252,7 @@ impl SocConfig {
                 }
             }
         }
-        let mut report = built.check();
-        if !multi && kinds.contains(&MemKind::Cache) && !report.has_errors() {
-            report.extend(self.topology.check_master(MasterId::ACCEL_CACHE).err());
-        }
-        report
+        built.check()
     }
 }
 
