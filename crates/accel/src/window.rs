@@ -9,7 +9,9 @@
 //!
 //! [`try_schedule_windowed`] instead runs the same scheduling loop over a
 //! *streamed* store: the trace arrives as an *iterator* of nodes
-//! (typically an `.atrc` reader, see `aladdin_ir::AtrcTrace`) and at most
+//! (typically an `.atrc` reader, see `aladdin_ir::AtrcTrace`: `nodes()`
+//! decodes on the scheduling thread, `nodes_ahead()` on a second thread
+//! that keeps a few blocks ahead of admission) and at most
 //! `window_nodes` nodes are *resident*: a node is admitted when fewer than
 //! `window_nodes` nodes are resident, its dependence edges are resolved on
 //! admission (dependences always point backwards, and admission is in
@@ -20,7 +22,11 @@
 //!
 //! Resident nodes never exceed `window_nodes`. They live in a dense ring
 //! of slots indexed by `id − base`, where `base` is the oldest unretired
-//! node id; retired slots at the front are trimmed. Slot storage is
+//! node id; retired slots at the front are trimmed. The ring is allocated
+//! once per run, for the window (at most [`DEFAULT_WINDOW_NODES`]) plus
+//! an eighth, rather than grown through a chain of reallocations. The
+//! node stream adds its own buffers: one block for an inline `.atrc`
+//! decode, a few for a decode-ahead one. Slot storage is
 //! therefore O(live id span): the distance from the oldest unretired node
 //! to the newest admitted one. Under [`LaneSync::Barrier`] with the window
 //! holding the largest round, that span is at most one round plus the
@@ -163,9 +169,14 @@ impl NodeRing {
         &mut self.slots[(id - self.base) as usize]
     }
 
+    /// A ring for `window` resident nodes, allocated once for up to the
+    /// default window plus the eighth a full window overshoots by, so a
+    /// streamed run does not grow it through a chain of reallocations.
     fn new(window: usize) -> Self {
+        let slots = window.min(DEFAULT_WINDOW_NODES);
         NodeRing {
             window,
+            slots: VecDeque::with_capacity(slots + slots / 8),
             ..NodeRing::default()
         }
     }
@@ -174,11 +185,12 @@ impl NodeRing {
     /// empty ring needs no re-basing: trimming advanced `base` past every
     /// retired id, so it already equals `id`.
     ///
-    /// Up to the window the ring doubles as it fills; past it, it grows by
-    /// an eighth. A full window's span overshoots the window by only the
-    /// few retired slots not yet trimmed, and the head wraps through the
-    /// ring's whole capacity, so doubling there would nearly double the
-    /// memory a full-window run touches.
+    /// A ring starts with room for its window plus an eighth (for at most
+    /// the default window); up to the window it doubles as it fills, and
+    /// past it, it grows by an eighth. A full window's span overshoots the
+    /// window by only the few retired slots not yet trimmed, and the head
+    /// wraps through the ring's whole capacity, so doubling there would
+    /// nearly double the memory a full-window run touches.
     #[inline]
     fn push(&mut self, id: u32, node: WNode) {
         debug_assert_eq!(id, self.base + self.slots.len() as u32);

@@ -33,8 +33,8 @@ const BIG_NODES: u64 = 5_000_000;
 
 /// The commit whose numbers this bench's output is compared against:
 /// the parent of the change that last moved one of its metrics (here the
-/// tracing rate and decode throughput, with inline dependence lists).
-const BEFORE_COMMIT: &str = "e0788b2";
+/// stream-fma node rate, with the file decoded ahead on a second thread).
+const BEFORE_COMMIT: &str = "4c08aaf";
 
 const DESCRIPTION: &str = "Streaming `.atrc` trace codec throughput and windowed-scheduler \
 node rate. Measured with `cargo bench --bench trace -p aladdin-bench` (release profile), which \
@@ -42,9 +42,10 @@ rewrites this file. Bundled-kernel rows report median encode/decode over ~1 s of
 with the round-trip fingerprint asserted, and trace_ns_per_node: the median wall time of one \
 Kernel::run (functional execution plus tracing, and dropping the trace) divided by its node \
 count. The stream-fma row is the paper-scale++ experiment: \
-a 5M-node synthetic kernel traced straight to disk (never materialized), then decoded and \
-scheduled from the file through the windowed DDDG scheduler with the default 65536-node \
-window. peak_resident_nodes is the scheduler's resident high-water mark; \
+a 5M-node synthetic kernel traced straight to disk (never materialized), then decoded once \
+(decode_mb_per_sec) and scheduled from the file by simulate_source through the windowed DDDG \
+scheduler with the default 65536-node window, the file decoded ahead on a second thread. \
+peak_resident_nodes is the scheduler's resident high-water mark; \
 materialized_resident_nodes is what the in-memory path would hold live (every node plus its \
 DDDG edges) — the gap is the bounded-memory claim.";
 

@@ -230,7 +230,9 @@ pub struct SourceFlowRun {
 /// [`simulate`] for any [`TraceSource`]: an in-memory trace runs on the
 /// prepared store (unless `spec.window_nodes` forces streaming), an
 /// `.atrc` source streams its nodes through the streamed store in
-/// O(window) memory.
+/// O(window) memory. The `.atrc` nodes are decoded ahead on one second
+/// thread, joined before this returns; the run's result is bit-identical
+/// to an inline decode.
 ///
 /// # Errors
 ///
@@ -242,11 +244,13 @@ pub fn simulate_source(
     soc: &SocConfig,
     spec: &FlowSpec,
 ) -> Result<SourceFlowRun, SimError> {
-    simulate_source_prepared(source, dp, soc, spec, &mut SchedulerWorkspace::new())
+    simulate_flow(source, dp, soc, spec, &mut SchedulerWorkspace::new(), true)
 }
 
 /// [`simulate_source`] with caller-supplied scheduler buffers — the sweep
-/// fast path. Bit-identical results to [`simulate_source`].
+/// fast path. Bit-identical results to [`simulate_source`]. An `.atrc`
+/// source is decoded inline on the calling thread: sweep workers already
+/// fill every core, so this path starts no thread.
 ///
 /// # Errors
 ///
@@ -257,6 +261,25 @@ pub fn simulate_source_prepared(
     soc: &SocConfig,
     spec: &FlowSpec,
     ws: &mut SchedulerWorkspace,
+) -> Result<SourceFlowRun, SimError> {
+    simulate_flow(source, dp, soc, spec, ws, false)
+}
+
+/// The one simulation core behind [`simulate_source`] and
+/// [`simulate_source_prepared`]. `decode_ahead` decodes an `.atrc`
+/// source's nodes on a second thread ([`AtrcTrace::nodes_ahead`]); only
+/// the one-shot [`simulate_source`] asks for it, because sweep workers,
+/// which come through [`simulate_source_prepared`], already fill every
+/// core.
+///
+/// [`AtrcTrace::nodes_ahead`]: aladdin_ir::AtrcTrace::nodes_ahead
+fn simulate_flow(
+    source: &TraceSource,
+    dp: &DatapathConfig,
+    soc: &SocConfig,
+    spec: &FlowSpec,
+    ws: &mut SchedulerWorkspace,
+    decode_ahead: bool,
 ) -> Result<SourceFlowRun, SimError> {
     let default_harness;
     let harness = match spec.harness {
@@ -269,6 +292,7 @@ pub fn simulate_source_prepared(
     let sched = SchedSpec {
         prep: spec.prepared,
         window: spec.window_nodes,
+        decode_ahead,
     };
     first_error(soc.check_built(&[spec.kind], false))?;
     match spec.kind {
@@ -279,12 +303,13 @@ pub fn simulate_source_prepared(
 }
 
 /// How a flow should drive the scheduler: an optional shared prepared
-/// graph (prepared store) and an optional forced window (streamed
-/// store).
+/// graph (prepared store), an optional forced window (streamed store),
+/// and whether an `.atrc` source is decoded ahead on a second thread.
 #[derive(Default)]
 pub(crate) struct SchedSpec<'a> {
     prep: Option<&'a PreparedDddg>,
     window: Option<usize>,
+    decode_ahead: bool,
 }
 
 /// One scheduling run's outputs, source-independent: the schedule, the
@@ -300,7 +325,9 @@ pub(crate) struct SchedRun {
 /// Run the scheduler on the store appropriate for `source`, with `ws`'s
 /// buffers either way: prepared (`try_schedule_prepared`) for in-memory
 /// traces without a forced window, streamed (`try_schedule_windowed`)
-/// otherwise.
+/// otherwise. An `.atrc` source is decoded ahead when `spec` asks for it
+/// and inline otherwise; the stream's decoder thread is joined before
+/// this returns, whether the schedule completes or fails.
 pub(crate) fn run_schedule(
     source: &TraceSource,
     dp: &DatapathConfig,
@@ -332,7 +359,11 @@ pub(crate) fn run_schedule(
         }
         (TraceSource::Atrc(atrc), w) => {
             let window = w.unwrap_or(DEFAULT_WINDOW_NODES);
-            try_schedule_windowed(atrc.nodes(), dp, ws, mem, start, watchdog, window)?
+            if spec.decode_ahead {
+                try_schedule_windowed(atrc.nodes_ahead(), dp, ws, mem, start, watchdog, window)?
+            } else {
+                try_schedule_windowed(atrc.nodes(), dp, ws, mem, start, watchdog, window)?
+            }
         }
     };
     Ok(SchedRun {

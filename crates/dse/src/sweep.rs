@@ -1196,6 +1196,50 @@ mod tests {
         }
     }
 
+    /// Sweep workers decode an `.atrc` source inline: the pool already
+    /// fills every core, so no point starts a decode-ahead thread. A
+    /// watcher reads this process's thread names (Linux lists them in
+    /// `/proc/self/task`) for as long as the sweep runs; nothing else in
+    /// this test binary starts a decoder.
+    #[test]
+    fn atrc_sweeps_start_no_decoder_thread() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let decoders = || {
+            std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+                tasks
+                    .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                    .filter(|name| name.trim_end() == "atrc-decode")
+                    .count()
+            })
+        };
+        let trace = by_name("md-knn").expect("kernel").run().trace;
+        let atrc = aladdin_ir::AtrcTrace::from_bytes(aladdin_ir::encode_trace(&trace))
+            .expect("encoded trace decodes");
+        let specs = specs_for(&DesignSpace::quick(), &SocConfig::default(), FULL);
+        let done = AtomicBool::new(false);
+        let seen = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut seen = 0;
+                while !done.load(Ordering::Relaxed) {
+                    seen = seen.max(decoders());
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                seen
+            });
+            let (outcomes, _) = sweep_engine(
+                TraceSource::Atrc(&atrc).into(),
+                &specs,
+                &SimHarness::default(),
+                false,
+                &|_, _| ControlFlow::Continue(()),
+            );
+            done.store(true, Ordering::Relaxed);
+            assert!(outcomes.iter().flatten().all(|o| o.result().is_some()));
+            watcher.join().expect("watcher")
+        });
+        assert_eq!(seen, 0, "a sweep point started a decoder thread");
+    }
+
     /// Quick-mode throughput smoke test: bounded sanity on the SweepPerf
     /// counters, deliberately not a flaky points/sec threshold.
     #[test]

@@ -54,12 +54,24 @@
 //! reads and ends in `L0280` if the file no longer matches the checksum
 //! validated at open. [`AtrcTrace::from_bytes`] runs the same validator
 //! and block reader over bytes in memory.
+//!
+//! [`AtrcTrace::nodes_ahead`] runs that same pass on a second thread and
+//! hands its nodes over in batches of one block's worth (4096), through a
+//! channel two batches deep, so decoding overlaps whatever consumes the
+//! nodes; it yields the same items in the same order, the closing
+//! `L0280` included, and holds a few blocks of decoded nodes. The thread
+//! is joined when the stream ends or is dropped. It is meant for one long
+//! run on an otherwise idle core: the one-shot `simulate_source` in
+//! `aladdin-core` uses it, while sweep workers, which already fill every
+//! core, decode inline with [`AtrcTrace::nodes`].
 
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 use crate::array::{ArrayId, ArrayInfo, ArrayKind};
 use crate::deps::DepList;
@@ -946,6 +958,18 @@ impl AtrcTrace {
         }
     }
 
+    /// [`nodes`](AtrcTrace::nodes), decoded ahead of the reader on a
+    /// second thread: the same items in the same order, including the
+    /// closing `L0280`, handed over a block's worth at a time. It costs
+    /// one thread and a few blocks of decoded nodes, so it suits one
+    /// long streamed run; runs that already fill every core (a sweep's
+    /// workers) should read [`nodes`](AtrcTrace::nodes) inline. If the
+    /// thread cannot be spawned, the stream decodes inline instead.
+    #[must_use]
+    pub fn nodes_ahead(&self) -> AtrcNodesAhead {
+        AtrcNodesAhead::start(self, thread::Builder::new().name("atrc-decode".into()))
+    }
+
     /// Fully decode into a materialized [`Trace`].
     ///
     /// # Errors
@@ -1197,6 +1221,165 @@ impl Iterator for AtrcNodeIter {
         let node = self.decode_node();
         self.done = node.is_err();
         Some(node)
+    }
+}
+
+/// Batches a decode-ahead stream keeps in flight between its decoder
+/// thread and its reader.
+const AHEAD_BATCHES: usize = 2;
+
+/// What the decoder thread hands across: a batch of nodes, stored in
+/// reverse so the reader can move them out from the back, or the error
+/// that ended the stream.
+type Batch = Result<Vec<TraceNode>, Diagnostic>;
+
+/// Streaming iterator over the nodes of an [`AtrcTrace`], decoded ahead
+/// of the reader on a thread of its own; see
+/// [`AtrcTrace::nodes_ahead`].
+///
+/// The thread runs an [`AtrcNodeIter`] and sends its nodes in batches of
+/// one `.atrc` block's worth (4096) through a channel two batches deep;
+/// the reader hands emptied batches back for reuse, so at most four
+/// batches exist at once. Items, their order and the closing `L0280`
+/// are exactly those of [`AtrcTrace::nodes`]. Dropping the iterator
+/// disconnects the channel and joins the thread, so an abandoned or
+/// failed stream never leaves its decoder running.
+#[derive(Debug)]
+pub struct AtrcNodesAhead(Ahead);
+
+#[derive(Debug)]
+enum Ahead {
+    /// The thread could not be started: decode on the reader's thread.
+    Inline(AtrcNodeIter),
+    Thread(Decoder),
+}
+
+#[derive(Debug)]
+struct Decoder {
+    /// The batch being read, in reverse.
+    batch: Vec<TraceNode>,
+    /// `None` once the stream has ended.
+    batches: Option<Receiver<Batch>>,
+    spare: SyncSender<Vec<TraceNode>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl AtrcNodesAhead {
+    /// Start `nodes` of `trace` on a thread built by `builder`, or read
+    /// them inline if it cannot be spawned.
+    fn start(trace: &AtrcTrace, builder: thread::Builder) -> Self {
+        let (to_reader, batches) = sync_channel(AHEAD_BATCHES);
+        // Room for every batch but the one the decoder is filling.
+        let (spare, spares) = sync_channel(AHEAD_BATCHES + 1);
+        let nodes = trace.nodes();
+        match builder.spawn(move || decode_ahead(nodes, &to_reader, &spares)) {
+            Ok(thread) => AtrcNodesAhead(Ahead::Thread(Decoder {
+                batch: Vec::new(),
+                batches: Some(batches),
+                spare,
+                thread: Some(thread),
+            })),
+            Err(_) => AtrcNodesAhead(Ahead::Inline(trace.nodes())),
+        }
+    }
+}
+
+/// The decoder thread: fill batches from `nodes` and send them until the
+/// nodes end, an error ends them (sent once, after the last good batch),
+/// or the reader hangs up.
+fn decode_ahead(
+    mut nodes: AtrcNodeIter,
+    to_reader: &SyncSender<Batch>,
+    spares: &Receiver<Vec<TraceNode>>,
+) {
+    loop {
+        let mut batch = spares
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(BLOCK_NODES));
+        let mut error = None;
+        for node in nodes.by_ref() {
+            match node {
+                Ok(node) => batch.push(node),
+                Err(d) => {
+                    error = Some(d);
+                    break;
+                }
+            }
+            if batch.len() == BLOCK_NODES {
+                break;
+            }
+        }
+        // A short batch is the last: the nodes ended, cleanly or not.
+        let last = batch.len() < BLOCK_NODES;
+        batch.reverse();
+        if !batch.is_empty() && to_reader.send(Ok(batch)).is_err() {
+            return;
+        }
+        if let Some(d) = error {
+            let _ = to_reader.send(Err(d));
+        }
+        if last {
+            return;
+        }
+    }
+}
+
+impl Decoder {
+    fn next(&mut self) -> Option<Result<TraceNode, Diagnostic>> {
+        loop {
+            if let Some(node) = self.batch.pop() {
+                return Some(Ok(node));
+            }
+            let received = self.batches.as_ref()?.recv();
+            match received {
+                Ok(Ok(batch)) => {
+                    let empty = std::mem::replace(&mut self.batch, batch);
+                    // A full or closed return channel just drops the spare.
+                    let _ = self.spare.try_send(empty);
+                }
+                Ok(Err(d)) => {
+                    self.finish();
+                    return Some(Err(d));
+                }
+                Err(RecvError) => {
+                    self.finish();
+                    return None;
+                }
+            }
+        }
+    }
+
+    /// Hang up and join the thread; a decoder panic resumes here, as it
+    /// would have on an inline decode.
+    fn finish(&mut self) {
+        self.batches = None;
+        if let Some(thread) = self.thread.take() {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
+impl Drop for Decoder {
+    fn drop(&mut self) {
+        // Disconnect first: a decoder blocked on a full channel wakes
+        // with an error and returns.
+        self.batches = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Iterator for AtrcNodesAhead {
+    type Item = Result<TraceNode, Diagnostic>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match &mut self.0 {
+            Ahead::Inline(nodes) => nodes.next(),
+            Ahead::Thread(decoder) => decoder.next(),
+        }
     }
 }
 
@@ -1491,5 +1674,45 @@ mod tests {
         assert_traces_equal(&trace, &atrc.decode().expect("decodes"));
         let missing = AtrcTrace::open(dir.join("missing.atrc")).expect_err("missing file");
         assert_eq!(missing.code, "L0280");
+    }
+
+    /// A trace of `blocks` full blocks plus a few nodes.
+    fn multi_block_trace(blocks: usize) -> AtrcTrace {
+        let mut t = Tracer::new("multi-block");
+        let a = t.array_f64("a", &[1.0; 64], ArrayKind::Input);
+        let mut i = 0;
+        while t.len() < blocks * BLOCK_NODES + 5 {
+            t.begin_iteration(i);
+            let x = t.load(&a, i as usize % 64);
+            t.binop(Opcode::FMul, x, x);
+            i += 1;
+        }
+        AtrcTrace::from_bytes(encode_trace(&t.finish())).expect("valid")
+    }
+
+    #[test]
+    fn a_dropped_stream_has_joined_its_decoder() {
+        let atrc = multi_block_trace(3);
+        let total = usize::try_from(atrc.node_count()).expect("fits");
+        for k in [0, 1, BLOCK_NODES, 2 * BLOCK_NODES + 1, total, total + 1] {
+            let mut ahead = atrc.nodes_ahead();
+            assert!(matches!(ahead.0, Ahead::Thread(_)));
+            assert!(ahead.by_ref().take(k).all(|n| n.is_ok()));
+            drop(ahead);
+            // The decoder thread owned the only other handle on the
+            // source; it is gone once the stream is.
+            assert_eq!(Arc::strong_count(&atrc.source), 1, "dropped after {k}");
+        }
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn a_decoder_that_cannot_start_decodes_inline() {
+        let atrc = multi_block_trace(2);
+        // No system maps a 2^60-byte stack, so the spawn fails and no
+        // thread starts.
+        let ahead = AtrcNodesAhead::start(&atrc, thread::Builder::new().stack_size(1 << 60));
+        assert!(matches!(ahead.0, Ahead::Inline(_)));
+        assert!(ahead.eq(atrc.nodes()));
     }
 }

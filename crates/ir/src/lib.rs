@@ -51,8 +51,8 @@ mod transform;
 
 pub use array::{ArrayId, ArrayInfo, ArrayKind};
 pub use atrc::{
-    atrc_checksum, encode_trace, AtrcNodeIter, AtrcSummary, AtrcTrace, StatsAccumulator,
-    TraceWriter, ATRC_VERSION,
+    atrc_checksum, encode_trace, AtrcNodeIter, AtrcNodesAhead, AtrcSummary, AtrcTrace,
+    StatsAccumulator, TraceWriter, ATRC_VERSION,
 };
 pub use deps::DepList;
 pub use diag::{Diagnostic, Locus, Report, Severity};

@@ -9,14 +9,24 @@
 //!
 //! The allocator counts per thread, so tests running on other threads of
 //! this binary do not disturb the count.
+//!
+//! The decode-ahead stream (`AtrcTrace::nodes_ahead`) must yield exactly
+//! what `nodes()` yields, on good files and on files damaged before or
+//! after `open`, and must leave no decoder thread behind once it is
+//! dropped, however far it was read. Only the tests that take `AHEAD`
+//! start decoder threads, so each can count them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 
-use aladdin_ir::{encode_trace, ArrayKind, AtrcSummary, AtrcTrace, Diagnostic, Opcode, Tracer};
+use aladdin_ir::{
+    atrc_checksum, encode_trace, ArrayKind, AtrcSummary, AtrcTrace, Diagnostic, Opcode, TraceNode,
+    Tracer,
+};
 
 struct Counting;
 
@@ -218,4 +228,152 @@ fn bytes_and_files_read_alike() {
         from_bytes.decode().expect("decodes").nodes()
     );
     assert_eq!(encode_trace(&decoded), std::fs::read(&path).expect("read"));
+}
+
+/// Held by every test that starts decoder threads, so none sees
+/// another's.
+static AHEAD: Mutex<()> = Mutex::new(());
+
+fn ahead_lock() -> MutexGuard<'static, ()> {
+    AHEAD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Threads of this process named like the decode-ahead thread. Linux
+/// names threads in `/proc/self/task/*/comm`; elsewhere the count reads
+/// 0 and only the item checks run.
+fn named_decoders() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.trim_end() == "atrc-decode")
+        .count()
+}
+
+/// Decoder threads still alive. A joined thread can stay listed for the
+/// moment the kernel takes to reap it after `join` returns, so the count
+/// is read until it reaches 0, for at most a second; a decoder that was
+/// left running, or blocked, stays listed.
+fn decoder_threads() -> usize {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    loop {
+        let n = named_decoders();
+        if n == 0 || std::time::Instant::now() > deadline {
+            return n;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A node stream's items, collected.
+type Items = Vec<Result<TraceNode, Diagnostic>>;
+
+/// Both streams of `atrc`, item by item: `nodes()` and `nodes_ahead()`.
+fn both_streams(atrc: &AtrcTrace) -> (Items, Items) {
+    (atrc.nodes().collect(), atrc.nodes_ahead().collect())
+}
+
+/// The decode-ahead stream of `atrc` yields exactly the items of
+/// `nodes()`, ends the way it does, and leaves no decoder running.
+fn assert_ahead_matches(atrc: &AtrcTrace, what: &str, clean: bool) {
+    let (inline, ahead) = both_streams(atrc);
+    assert_eq!(ahead.len(), inline.len(), "{what}: item count");
+    assert!(ahead == inline, "{what}: items differ");
+    assert_eq!(
+        inline.iter().all(Result::is_ok),
+        clean,
+        "{what}: expected a {} stream",
+        if clean { "clean" } else { "failing" }
+    );
+    if !clean {
+        let errors = ahead.iter().filter(|n| n.is_err()).count();
+        assert_eq!(errors, 1, "{what}: one L0280, last");
+        let last = ahead.last().expect("an item");
+        assert_eq!(last.as_ref().expect_err(what).code, "L0280", "{what}");
+    }
+    assert_eq!(
+        decoder_threads(),
+        0,
+        "{what}: a decoder outlived its stream"
+    );
+}
+
+#[test]
+fn decode_ahead_yields_what_nodes_yields() {
+    let _lock = ahead_lock();
+    const NODES: usize = 30_000;
+    let path = scratch("ahead-reference.atrc");
+    generate(&path, NODES, 0);
+    let clean = std::fs::read(&path).expect("read reference");
+
+    let good = AtrcTrace::open(&path).expect("opens");
+    assert_ahead_matches(&good, "a good file", true);
+    let empty = AtrcTrace::from_bytes(encode_trace(&Tracer::new("empty").finish())).expect("valid");
+    assert_ahead_matches(&empty, "an empty trace", true);
+
+    // A block byte flipped and the checksum re-sealed: `open` accepts
+    // the file, and decoding fails mid-stream, after good batches.
+    for at in [clean.len() / 3, clean.len() / 2] {
+        let mut bytes = clean.clone();
+        bytes[at] ^= 0x40;
+        let body = bytes.len() - 12;
+        let check = atrc_checksum(&bytes[..body]);
+        bytes[body..body + 8].copy_from_slice(&check.to_le_bytes());
+        if let Ok(atrc) = AtrcTrace::from_bytes(bytes) {
+            let (inline, _) = both_streams(&atrc);
+            let clean = inline.iter().all(Result::is_ok);
+            assert_ahead_matches(&atrc, &format!("byte {at} flipped, re-sealed"), clean);
+        }
+    }
+
+    let fresh = |name: &str| {
+        let path = scratch(name);
+        std::fs::write(&path, &clean).expect("write copy");
+        (path.clone(), AtrcTrace::open(&path).expect("opens"))
+    };
+    let (path, atrc) = fresh("ahead-truncated.atrc");
+    let file = OpenOptions::new().write(true).open(&path).expect("reopen");
+    file.set_len(clean.len() as u64 / 2).expect("truncate");
+    assert_ahead_matches(&atrc, "truncated after open", false);
+
+    let (path, atrc) = fresh("ahead-flipped.atrc");
+    let mut file = OpenOptions::new().write(true).open(&path).expect("reopen");
+    let mid = clean.len() as u64 / 2;
+    file.seek(SeekFrom::Start(mid)).expect("seek");
+    file.write_all(&[clean[mid as usize] ^ 0x10])
+        .expect("flip a byte");
+    assert_ahead_matches(&atrc, "a byte flipped after open", false);
+
+    let (path, atrc) = fresh("ahead-replaced.atrc");
+    let other = scratch("ahead-other.atrc");
+    generate(&other, NODES, 1);
+    let other = std::fs::read(&other).expect("read other");
+    assert_eq!(other.len(), clean.len());
+    let mut file = OpenOptions::new().write(true).open(&path).expect("reopen");
+    file.write_all(&other).expect("rewrite in place");
+    assert_ahead_matches(&atrc, "rewritten after open", false);
+}
+
+#[test]
+fn a_dropped_stream_leaves_no_decoder_running() {
+    let _lock = ahead_lock();
+    let path = scratch("ahead-drop.atrc");
+    let summary = generate(&path, 20_000, 0);
+    let atrc = AtrcTrace::open(&path).expect("opens");
+    let total = usize::try_from(summary.nodes).expect("fits");
+    let reference: Vec<_> = atrc.nodes().take(total).collect();
+    for k in [0, 1, 4095, 4096, 4097, 10_000, total - 1, total, total + 1] {
+        let mut ahead = atrc.nodes_ahead();
+        let read: Vec<_> = ahead.by_ref().take(k).collect();
+        assert!(read == reference[..k.min(total)], "first {k} items differ");
+        drop(ahead);
+        assert_eq!(
+            decoder_threads(),
+            0,
+            "a decoder outlived a stream dropped after {k}"
+        );
+    }
 }

@@ -57,7 +57,7 @@ use aladdin_lint::{
     uncertified_diagnostic, ProtocolChecker, SeededBug,
 };
 use aladdin_spec::{
-    plan_bounds, CampaignPlan, CampaignSpec, CommonArgs, OutputFormat, PlannedPoint,
+    for_each_point_trace, plan_bounds, CampaignPlan, CampaignSpec, CommonArgs, OutputFormat,
 };
 use aladdin_workloads::{all_kernels, by_name};
 
@@ -550,23 +550,19 @@ fn bounds_report(plan: &CampaignPlan) -> Report {
     let mut report = Report::new();
     let mut all = Vec::new();
     let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
-    let mut trace_for: Option<(String, aladdin_ir::Trace)> = None;
-    for (index, point) in plan.points.iter().enumerate() {
-        let PlannedPoint::Single { kernel, point } = point else {
-            continue; // job-set points carry no static bounds
+    let mut unloadable: Option<String> = None;
+    for_each_point_trace(plan, |index, kernel, point, trace| {
+        let trace = match trace {
+            Ok(trace) => trace,
+            Err(e) => {
+                // One finding per run of the kernel's points, not per point.
+                if unloadable.as_deref() != Some(kernel) {
+                    report.merge(e.to_report());
+                    unloadable = Some(kernel.to_owned());
+                }
+                return;
+            }
         };
-        let stale = !matches!(&trace_for, Some((name, _)) if name == kernel);
-        if stale {
-            let trace = if kernel.ends_with(".atrc") {
-                aladdin_ir::AtrcTrace::open(kernel)
-                    .and_then(|t| t.decode())
-                    .unwrap_or_else(|d| panic!("{d}"))
-            } else {
-                by_name(kernel).expect("plan validated").run().trace
-            };
-            trace_for = Some((kernel.clone(), trace));
-        }
-        let (_, trace) = trace_for.as_ref().expect("just ensured");
         match bounds_for_point(trace, &point.dp, &point.soc, point.kind, &plan.harness) {
             Ok(b) => {
                 report.push(point_diagnostic(index, &b));
@@ -574,14 +570,14 @@ fn bounds_report(plan: &CampaignPlan) -> Report {
                     report.push(w);
                 }
                 if !matches!(groups.last(), Some((name, _)) if name == kernel) {
-                    groups.push((kernel.clone(), Vec::new()));
+                    groups.push((kernel.to_owned(), Vec::new()));
                 }
                 groups.last_mut().expect("just pushed").1.push(b);
                 all.push(b);
             }
             Err(r) => report.merge(r),
         }
-    }
+    });
     let mut summary = summarize_bounds(&all);
     summary.dominated = 0;
     for (kernel, bs) in &groups {
@@ -643,5 +639,53 @@ fn lint_protocol(args: &[String]) -> Target {
             None => "moesi-lite".to_owned(),
         },
         report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Plan a two-point campaign over an `.atrc` encoding of `aes-aes`
+    /// written to a temp file named after `name`.
+    fn atrc_plan(name: &str) -> (CampaignPlan, std::path::PathBuf) {
+        let trace = by_name("aes-aes").expect("kernel").run().trace;
+        let mut path = std::env::temp_dir();
+        path.push(format!("soclint-{}-{name}.atrc", std::process::id()));
+        std::fs::write(&path, aladdin_ir::encode_trace(&trace)).expect("write atrc");
+        let toml = format!(
+            "name = \"bounds-atrc\"\nkernels = [\"{}\"]\nmems = [\"isolated\"]\n\n\
+             [space]\nlanes = [1, 2]\npartitions = [1]\n",
+            path.display()
+        );
+        let plan = CampaignSpec::from_toml(&toml)
+            .expect("parses")
+            .expand()
+            .expect("an existing .atrc file validates");
+        (plan, path)
+    }
+
+    #[test]
+    fn bounds_of_an_atrc_changed_after_expansion_are_l0280() {
+        let (plan, path) = atrc_plan("intact");
+        let report = bounds_report(&plan);
+        assert!(!report.has_errors(), "{}", report.to_human());
+        let _ = std::fs::remove_file(&path);
+
+        let (plan, path) = atrc_plan("damaged");
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
+        let damaged = bounds_report(&plan);
+        std::fs::remove_file(&path).expect("remove");
+        let deleted = bounds_report(&plan);
+        for (what, report) in [("damaged", damaged), ("deleted", deleted)] {
+            let errors: Vec<_> = report
+                .diagnostics()
+                .iter()
+                .filter(|d| d.severity == aladdin_ir::Severity::Error)
+                .collect();
+            assert_eq!(errors.len(), 1, "{what}: {}", report.to_human());
+            assert_eq!(errors[0].code, "L0280", "{what}: {}", report.to_human());
+        }
     }
 }

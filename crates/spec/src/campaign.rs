@@ -20,7 +20,7 @@ use aladdin_core::{
     Watchdog,
 };
 use aladdin_dse::{DesignSpace, PointSpec};
-use aladdin_ir::{Diagnostic, Locus, Report};
+use aladdin_ir::{Diagnostic, Locus, Report, Severity};
 use aladdin_lint::lint_design;
 use aladdin_mem::Clock;
 use aladdin_workloads::by_name;
@@ -473,7 +473,9 @@ impl CampaignSpec {
     ///
     /// Sweep campaigns produce kernels × mems × space points, each
     /// pre-flighted with [`lint_design`]; rejected points are counted and
-    /// reported, not silently dropped. Job-set campaigns produce one
+    /// reported, not silently dropped. Cache points on a topology with no
+    /// room for the datapath's bus master 1 are rejected too, under one
+    /// `L0311` warning per topology. Job-set campaigns produce one
     /// multi-accelerator point per stagger value, validated with
     /// [`validate_multi_jobs`](aladdin_core::validate_multi_jobs).
     ///
@@ -535,7 +537,25 @@ impl CampaignSpec {
                     };
                     (dp, p.apply(&soc))
                 });
-                let (dma, cache) = (preflight(dma.collect()), preflight(cache.collect()));
+                let (dma, mut cache) = (preflight(dma.collect()), preflight(cache.collect()));
+                // A single cache flow's datapath is bus master 1, which a
+                // topology with room for one master (a 2-node mesh)
+                // cannot host; DMA points need no room for it and stay.
+                if self.mems.contains(&MemKind::Cache) && !cache.0.is_empty() {
+                    if let Err(d) = soc.topology.check_master(MasterId::ACCEL_CACHE) {
+                        report.push(Diagnostic {
+                            severity: Severity::Warning,
+                            message: format!(
+                                "{}: the cache flow's datapath is bus master 1, so its {} \
+                                 design point(s) per kernel are rejected",
+                                d.message,
+                                cache.0.len()
+                            ),
+                            ..d
+                        });
+                        cache = (Vec::new(), cache.0.len() + cache.1);
+                    }
+                }
                 for kernel in &self.kernels {
                     for &kind in &self.mems {
                         let (ok, dropped) = if kind == MemKind::Cache { &cache } else { &dma };
@@ -1580,6 +1600,69 @@ launch = 100
             r.to_human().contains("soc.traffic.period"),
             "{}",
             r.to_human()
+        );
+    }
+
+    #[test]
+    fn cache_points_on_a_topology_without_room_for_master_one_are_rejected() {
+        let doc = |mems: &str, topologies: &str| {
+            format!(
+                "name = \"two-node\"\nkernels = [\"aes-aes\", \"spmv-crs\"]\nmems = [{mems}]\n\n\
+                 [space]\npreset = \"quick\"\ntopologies = [{topologies}]\n"
+            )
+        };
+        let expand = |mems: &str, topologies: &str| {
+            CampaignSpec::from_toml(&doc(mems, topologies))
+                .expect("parses")
+                .expand()
+        };
+        // Cache alone on a 2-node mesh: nothing can run, and L0311 says why.
+        for mesh in ["\"mesh:2x1\"", "\"mesh:1x2\""] {
+            let r = expand("\"cache\"", mesh).unwrap_err();
+            assert!(r.has_code("L0311"), "{}", r.to_human());
+            assert!(r.has_code("L0263"), "{}", r.to_human());
+        }
+        // DMA points on the same mesh still run, and only the cache
+        // points of the small mesh are dropped.
+        let dma = expand("\"dma:full\"", "\"mesh:2x1\"").expect("DMA plans");
+        assert!(!dma.report.has_code("L0311"), "{}", dma.report.to_human());
+        let mixed = expand("\"dma:full\", \"cache\"", "\"mesh:2x1\", \"mesh:2x2\"").expect("plans");
+        assert!(
+            mixed.report.has_code("L0311"),
+            "{}",
+            mixed.report.to_human()
+        );
+        let on_small_mesh = |kind: MemKind| {
+            mixed
+                .points
+                .iter()
+                .filter(|p| {
+                    matches!(p, PlannedPoint::Single { point, .. }
+                        if point.kind == kind && point.soc.topology.capacity() == 1)
+                })
+                .count()
+        };
+        assert_eq!(on_small_mesh(MemKind::Cache), 0);
+        assert_eq!(
+            on_small_mesh(MemKind::Dma(DmaOptLevel::Full)),
+            dma.points.len()
+        );
+        let cache_points = |p: &CampaignPlan| {
+            p.points
+                .iter()
+                .filter(|p| {
+                    matches!(p, PlannedPoint::Single { point, .. }
+                        if point.kind == MemKind::Cache)
+                })
+                .count()
+        };
+        let roomy = expand("\"cache\"", "\"mesh:2x2\"").expect("cache plans on a 2x2 mesh");
+        assert!(cache_points(&roomy) > 0);
+        assert_eq!(cache_points(&mixed), cache_points(&roomy));
+        assert_eq!(
+            mixed.points.len() + mixed.rejected,
+            2 * (dma.points.len() + dma.rejected) + 2 * (cache_points(&roomy) + roomy.rejected),
+            "every dropped cache point is counted as rejected"
         );
     }
 

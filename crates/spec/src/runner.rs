@@ -461,23 +461,39 @@ pub fn run_campaign(
     Ok(summary)
 }
 
-/// Call `f` on every single point with what `load` gives for its kernel
-/// (`None` when it cannot be loaded), loaded once per contiguous run of
-/// the kernel's points.
+/// Call `f` on every single point, with its index in `plan.points`, its
+/// kernel, and what `load` gives for the kernel, loaded once per
+/// contiguous run of the kernel's points.
 fn for_each_single<T>(
     plan: &CampaignPlan,
-    mut load: impl FnMut(&str) -> Option<T>,
-    mut f: impl FnMut(&str, &PointSpec, Option<&T>),
+    mut load: impl FnMut(&str) -> T,
+    mut f: impl FnMut(usize, &str, &PointSpec, &T),
 ) {
-    let mut loaded: Option<(&str, Option<T>)> = None;
-    for p in &plan.points {
+    let mut loaded: Option<(&str, T)> = None;
+    for (index, p) in plan.points.iter().enumerate() {
         if let PlannedPoint::Single { kernel, point } = p {
             if !matches!(&loaded, Some((name, _)) if name == kernel) {
                 loaded = Some((kernel, load(kernel)));
             }
-            f(kernel, point, loaded.as_ref().and_then(|(_, t)| t.as_ref()));
+            let (_, value) = loaded.as_ref().expect("just loaded");
+            f(index, kernel, point, value);
         }
     }
+}
+
+/// Call `f` on every single point of `plan`, in plan order, with its
+/// index in `plan.points`, its kernel, and the kernel's materialized
+/// trace, or the error that kept it from loading: `L0262` for an unknown
+/// name, `L0280` for an `.atrc` file damaged or deleted since the plan
+/// was validated. Each kernel is loaded once per contiguous run of its
+/// points. Job-set points are skipped.
+pub fn for_each_point_trace(
+    plan: &CampaignPlan,
+    mut f: impl FnMut(usize, &str, &PointSpec, Result<&Trace, &SimError>),
+) {
+    for_each_single(plan, materialize_trace, |index, kernel, point, trace| {
+        f(index, kernel, point, trace.as_ref());
+    });
 }
 
 /// How many of the plan's single points the process-wide result cache
@@ -504,8 +520,8 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
         }
     };
     let mut cached = 0;
-    for_each_single(plan, fingerprint, |_, point, fp| {
-        if fp.is_some_and(|&fp| aladdin_dse::point_cached(fp, &point.dp, &point.soc, point.kind)) {
+    for_each_single(plan, fingerprint, |_, _, point, fp| {
+        if fp.is_some_and(|fp| aladdin_dse::point_cached(fp, &point.dp, &point.soc, point.kind)) {
             cached += 1;
         }
     });
@@ -528,9 +544,8 @@ pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
     let mut all = Vec::new();
     let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
     let mut unavailable = 0usize;
-    let load = |kernel: &str| materialize_trace(kernel).ok();
-    for_each_single(plan, load, |kernel, point, trace| {
-        let bounds = trace.and_then(|t| {
+    for_each_point_trace(plan, |_, kernel, point, trace| {
+        let bounds = trace.ok().and_then(|t| {
             aladdin_lint::bounds_for_point(t, &point.dp, &point.soc, point.kind, &plan.harness).ok()
         });
         let Some(b) = bounds else {

@@ -8,11 +8,15 @@
 //! covering the whole trace is bit-exact with the materialized path —
 //! full `FlowResult` equality across every bundled kernel and every
 //! memory-system kind — while any smaller window still completes with a
-//! bounded resident set.
+//! bounded resident set. Decoding an `.atrc` source ahead on a second
+//! thread (the one-shot `simulate_source`) or inline (the sweep path)
+//! gives the same run, and a run that fails mid-stream leaves no decoder
+//! behind.
 
-use aladdin_accel::DatapathConfig;
+use aladdin_accel::{DatapathConfig, SchedulerWorkspace, DEFAULT_WINDOW_NODES};
 use aladdin_core::{
-    simulate, simulate_source, DmaOptLevel, FlowSpec, MemKind, SocConfig, TraceSource,
+    simulate, simulate_source, simulate_source_prepared, DmaOptLevel, FaultPlan, FlowSpec, MemKind,
+    SimHarness, SocConfig, TraceSource, Watchdog,
 };
 use aladdin_ir::{encode_trace, ArrayKind, AtrcTrace, Opcode, TVal, Trace, Tracer};
 use aladdin_rng::SmallRng;
@@ -267,5 +271,98 @@ fn small_windows_bound_memory_across_flows() {
             );
             assert!(run.result.total_cycles > 0);
         }
+    }
+}
+
+/// The one-shot `simulate_source` decodes an `.atrc` source ahead on a
+/// second thread; the sweep path, `simulate_source_prepared`, decodes it
+/// inline. Both return the same `SourceFlowRun`, equal to streaming the
+/// in-memory trace through the same window, for every kernel and flow.
+#[test]
+fn decode_ahead_and_inline_runs_are_identical() {
+    let soc = SocConfig::default();
+    let dp = DatapathConfig {
+        lanes: 4,
+        partition: 4,
+        ..DatapathConfig::default()
+    };
+    let mut ws = SchedulerWorkspace::new();
+    for k in all_kernels() {
+        let trace = k.run().trace;
+        let atrc = AtrcTrace::from_bytes(encode_trace(&trace)).expect("valid bytes");
+        for kind in KINDS {
+            let ctx = format!("{} {kind:?}", k.name());
+            let spec = FlowSpec::new(kind);
+            let windowed = spec.with_window(DEFAULT_WINDOW_NODES);
+            let mem = simulate_source(&TraceSource::Memory(&trace), &dp, &soc, &windowed)
+                .expect("in memory");
+            let ahead =
+                simulate_source(&TraceSource::Atrc(&atrc), &dp, &soc, &spec).expect("ahead");
+            let inline =
+                simulate_source_prepared(&TraceSource::Atrc(&atrc), &dp, &soc, &spec, &mut ws)
+                    .expect("inline");
+            assert_eq!(ahead, inline, "{ctx}: decode ahead vs inline");
+            assert_eq!(ahead, mem, "{ctx}: decode ahead vs in memory");
+        }
+    }
+}
+
+/// Whether this process holds a descriptor open on `path`. Linux lists
+/// them in `/proc/self/fd`; elsewhere this reads `false`.
+fn holds_open(path: &std::path::Path) -> bool {
+    let Ok(fds) = std::fs::read_dir("/proc/self/fd") else {
+        return false;
+    };
+    let path = std::fs::canonicalize(path).expect("the file exists");
+    fds.filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .any(|target| target == path)
+}
+
+/// A run that ends mid-stream, by watchdog expiry or by deadlock, returns
+/// its `SimError` with the decoder thread already joined: once the trace
+/// is dropped, nothing holds its file open.
+#[test]
+fn a_failed_streamed_run_joins_its_decoder() {
+    let dp = DatapathConfig::default();
+    let soc = SocConfig::default();
+    let trace = by_name("md-knn").expect("kernel").run().trace;
+    assert!(
+        trace.nodes().len() > 5 * 4096,
+        "more batches than are decoded ahead"
+    );
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("failed-run.atrc");
+    std::fs::write(&path, encode_trace(&trace)).expect("write trace");
+    let cases = [
+        (
+            "watchdog",
+            MemKind::Isolated,
+            Watchdog {
+                max_cycles: Some(200),
+                ..Watchdog::default()
+            },
+            "L0233",
+        ),
+        (
+            "deadlock",
+            MemKind::Cache,
+            Watchdog {
+                max_cycles: None,
+                no_progress_cycles: 1,
+            },
+            "L0232",
+        ),
+    ];
+    for (what, kind, watchdog, code) in cases {
+        let atrc = AtrcTrace::open(&path).expect("opens");
+        let harness = SimHarness {
+            plan: FaultPlan::none(),
+            watchdog,
+        };
+        let spec = FlowSpec::new(kind).with_harness(&harness);
+        let err = simulate_source(&TraceSource::Atrc(&atrc), &dp, &soc, &spec).expect_err(what);
+        assert_eq!(err.code(), code, "{what}: {err}");
+        assert!(holds_open(&path), "{what}: the trace is still open");
+        drop(atrc);
+        assert!(!holds_open(&path), "{what}: a decoder outlived its run");
     }
 }
