@@ -56,6 +56,7 @@ use aladdin_mem::IntervalSet;
 use crate::config::{DatapathConfig, LaneSync};
 use crate::dddg::PreparedDddg;
 use crate::meminterface::{DatapathMemory, IssueResult};
+use crate::window::NodeRing;
 
 /// Outcome of scheduling a trace on a datapath.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,6 +202,8 @@ impl ReadyMem {
 pub struct SchedulerWorkspace {
     /// The prepared store's remaining in-degree per node.
     indeg: Vec<u32>,
+    /// The streamed store's resident-node slots.
+    pub(crate) ring: NodeRing,
     pub(crate) state: SchedState,
 }
 
@@ -365,12 +368,30 @@ impl SchedState {
         self.final_rounds = self.final_rounds.max(round);
         let off = (round - self.current_round) as usize;
         while self.rounds.len() <= off {
+            // The current round never parks, so it takes no buffer.
+            let parked = if self.rounds.is_empty() {
+                Vec::new()
+            } else {
+                self.spare_parked.pop().unwrap_or_default()
+            };
             self.rounds.push_back(RoundState {
-                parked: self.spare_parked.pop().unwrap_or_default(),
+                parked,
                 ..RoundState::default()
             });
         }
         self.rounds[off].total += 1;
+    }
+
+    /// The last round streamed admission needs resident: under the
+    /// barrier, `current_round + 1`, which is final once the first node
+    /// past it is admitted; without a barrier, every round.
+    #[inline]
+    pub(crate) fn admit_frontier(&self) -> u32 {
+        if self.barrier {
+            self.current_round.saturating_add(1)
+        } else {
+            u32::MAX
+        }
     }
 
     /// Mark every round final: no more nodes will arrive.
@@ -797,7 +818,7 @@ pub fn try_schedule_prepared(
         trace.nodes().len(),
         "PreparedDddg built for another trace"
     );
-    let SchedulerWorkspace { indeg, state } = ws;
+    let SchedulerWorkspace { indeg, state, .. } = ws;
     indeg.clear();
     indeg.extend_from_slice(prepared.indegrees());
     let mut store = Prepared {

@@ -11,7 +11,7 @@
 //! *streamed* store: the trace arrives as an *iterator* of nodes
 //! (typically an `.atrc` reader, see `aladdin_ir::AtrcTrace`: `nodes()`
 //! decodes on the scheduling thread, `nodes_ahead()` on a second thread
-//! that keeps a few blocks ahead of admission) and at most
+//! that keeps up to sixteen blocks ahead of admission) and at most
 //! `window_nodes` nodes are *resident*: a node is admitted when fewer than
 //! `window_nodes` nodes are resident, its dependence edges are resolved on
 //! admission (dependences always point backwards, and admission is in
@@ -20,37 +20,51 @@
 //!
 //! # Memory bound
 //!
-//! Resident nodes never exceed `window_nodes`. They live in a dense ring
-//! of slots indexed by `id − base`, where `base` is the oldest unretired
-//! node id; retired slots at the front are trimmed. The ring is allocated
-//! once per run, for the window (at most [`DEFAULT_WINDOW_NODES`]) plus
-//! an eighth, rather than grown through a chain of reallocations. The
-//! node stream adds its own buffers: one block for an inline `.atrc`
-//! decode, a few for a decode-ahead one. Slot storage is
+//! Resident nodes never exceed `window_nodes`. Under the default
+//! [`LaneSync::Barrier`] model admission also stops at the barrier
+//! frontier, once the last admitted node's round is past
+//! `current_round + 1`: a node of a later round could only be parked. At
+//! most the rest of the current round, the next round and one node more
+//! are then resident, whatever the window (13 nodes for stream-fma's
+//! 6-node rounds). Under [`LaneSync::Free`] there is no barrier to wait
+//! for, so admission is eager up to the window.
+//!
+//! Resident nodes live in a dense ring of slots indexed by `id − base`,
+//! where `base` is the oldest unretired node id; retired slots at the
+//! front are trimmed. The ring grows on demand (past the window, by an
+//! eighth at a time) and lives in the [`SchedulerWorkspace`], cleared but
+//! not freed between runs, so a worker that streams many points reuses
+//! it. The node stream adds its own buffers: one block for an inline
+//! `.atrc` decode, up to 18 for a decode-ahead one. Slot storage is
 //! therefore O(live id span): the distance from the oldest unretired node
-//! to the newest admitted one. Under [`LaneSync::Barrier`] with the window
-//! holding the largest round, that span is at most one round plus the
-//! window. Under [`LaneSync::Free`] a long-latency old node can hold the
-//! span open past the window while younger nodes retire around it; the
-//! resident count, and so admission, is still capped at the window.
+//! to the newest admitted one. Under [`LaneSync::Barrier`] that span is at
+//! most two consecutive rounds plus one node. Under [`LaneSync::Free`] a
+//! long-latency old node can hold the span open past the window while
+//! younger nodes retire around it; the resident count, and so admission,
+//! is still capped at the window.
 //!
 //! # Exactness
 //!
 //! One loop runs both stores, so they can differ only in *when* a node
 //! becomes resident. The streamed store admits after each cycle's
-//! retirements and before its issue phases. Under the default
+//! retirements and before its issue phases, so nodes a retirement wakes
+//! are resident before that cycle issues. Under the default
 //! [`LaneSync::Barrier`] model, iteration instances are monotone in
 //! program order, so each barrier round occupies a contiguous node-id
-//! range; whenever `window_nodes` is at least the largest round's node
-//! count, every node is admitted no later than the cycle it could first
-//! become ready, and the result — including `stepped_cycles` and busy
-//! intervals — is bit-identical to the prepared store. Smaller windows
+//! range. Admitting through the first node of round `current_round + 2`
+//! keeps round `current_round + 1` final, so the barrier advances in the
+//! same cycle as on the prepared store. Whenever `window_nodes` is at
+//! least the largest round's node count, every node is admitted no later
+//! than the cycle it could first become ready, and the result — including
+//! `stepped_cycles` and busy intervals — is bit-identical to the prepared
+//! store. Smaller windows
 //! (and [`LaneSync::Free`]) remain *sound*: every dependence is still
 //! honored and the schedule completes, but late admission can delay issue,
 //! so cycle counts may differ. The equivalence and property tests in this
 //! module and in `tests/` certify both claims.
 //!
 //! [`try_schedule_prepared`]: crate::try_schedule_prepared
+//! [`SchedulerWorkspace`]: crate::SchedulerWorkspace
 //! [`LaneSync::Barrier`]: crate::LaneSync::Barrier
 //! [`LaneSync::Free`]: crate::LaneSync::Free
 
@@ -95,7 +109,7 @@ const INLINE_SUCCS: usize = 4;
 
 /// A node's successor ids, kept in the order they were added: the first
 /// [`INLINE_SUCCS`] inline, the rest in `spill`.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Succs {
     len: u32,
     inline: [u32; INLINE_SUCCS],
@@ -125,6 +139,7 @@ impl Succs {
 /// A node slot: the slice of [`TraceNode`] plus graph state the loop
 /// needs between admission and retirement. A retired slot stays in the
 /// ring (with `live` cleared) until every older slot has retired too.
+#[derive(Debug)]
 struct WNode {
     opcode: Opcode,
     mem: Option<MemRef>,
@@ -139,8 +154,8 @@ struct WNode {
 /// program order, so slot `i` always holds node `base + i`; retirement
 /// clears a slot and trims retired slots off the front, advancing `base`
 /// to the oldest unretired id.
-#[derive(Default)]
-struct NodeRing {
+#[derive(Debug, Default)]
+pub(crate) struct NodeRing {
     base: u32,
     slots: VecDeque<WNode>,
     /// Unretired nodes — the count admission is gated on.
@@ -169,28 +184,24 @@ impl NodeRing {
         &mut self.slots[(id - self.base) as usize]
     }
 
-    /// A ring for `window` resident nodes, allocated once for up to the
-    /// default window plus the eighth a full window overshoots by, so a
-    /// streamed run does not grow it through a chain of reallocations.
-    fn new(window: usize) -> Self {
-        let slots = window.min(DEFAULT_WINDOW_NODES);
-        NodeRing {
-            window,
-            slots: VecDeque::with_capacity(slots + slots / 8),
-            ..NodeRing::default()
-        }
+    /// Empty the ring for a run with `window` resident nodes, keeping the
+    /// slots' capacity.
+    fn reset(&mut self, window: usize) {
+        self.slots.clear();
+        self.base = 0;
+        self.live = 0;
+        self.window = window;
     }
 
     /// Append node `id`, which must be the next id in program order. An
     /// empty ring needs no re-basing: trimming advanced `base` past every
     /// retired id, so it already equals `id`.
     ///
-    /// A ring starts with room for its window plus an eighth (for at most
-    /// the default window); up to the window it doubles as it fills, and
-    /// past it, it grows by an eighth. A full window's span overshoots the
-    /// window by only the few retired slots not yet trimmed, and the head
-    /// wraps through the ring's whole capacity, so doubling there would
-    /// nearly double the memory a full-window run touches.
+    /// Up to the window the ring doubles as it fills; past it, it grows by
+    /// an eighth. A full window's span overshoots the window by only the
+    /// few retired slots not yet trimmed, and the head wraps through the
+    /// ring's whole capacity, so doubling there would nearly double the
+    /// memory a full-window run touches.
     #[inline]
     fn push(&mut self, id: u32, node: WNode) {
         debug_assert_eq!(id, self.base + self.slots.len() as u32);
@@ -219,7 +230,8 @@ impl NodeRing {
 }
 
 /// The streamed store: a node stream admitted in program order into a
-/// [`NodeRing`] of at most `window` live nodes.
+/// [`NodeRing`] of at most `window` live nodes, and under the barrier no
+/// further than the barrier frontier.
 ///
 /// Being generic over the stream, the scheduling loop over this store is
 /// compiled in the caller's crate. The small per-node helpers it calls
@@ -232,6 +244,8 @@ struct Streamed<I: Iterator> {
     lanes: u32,
     nodes: NodeRing,
     admitted: u64,
+    /// Round of the last admitted node.
+    last_round: u32,
     instances: Instances,
     eof: bool,
     peak_resident: u64,
@@ -264,6 +278,7 @@ where
         let lane = instance % self.lanes;
         let round = instance / self.lanes;
         st.add_to_round(round);
+        self.last_round = round;
 
         let idx = node.id.index() as u32;
         let mut indeg = 0u32;
@@ -334,11 +349,13 @@ where
         round
     }
 
-    /// Admit nodes until the window is full or the stream ends, then
-    /// probe (without consuming) whether the stream is exhausted so
-    /// end-of-trace is known the moment the last node is admitted.
+    /// Admit nodes until the window is full, the last admitted node is
+    /// past the barrier frontier, or the stream ends, then probe (without
+    /// consuming) whether the stream is exhausted so end-of-trace is known
+    /// the moment the last node is admitted.
     fn admit(&mut self, st: &mut SchedState) -> Result<(), SimError> {
-        while self.nodes.live < self.window {
+        let frontier = st.admit_frontier();
+        while self.last_round <= frontier && self.nodes.live < self.window {
             match self.iter.next() {
                 Some(Ok(node)) => self.admit_node(&node, st)?,
                 Some(Err(d)) => return Err(SimError::from(d)),
@@ -403,20 +420,24 @@ where
     I: IntoIterator<Item = Result<TraceNode, Diagnostic>>,
 {
     let window = window_nodes.max(1);
+    let mut ring = std::mem::take(&mut ws.ring);
+    ring.reset(window);
     let mut store = Streamed {
         iter: nodes.into_iter().peekable(),
         window,
         lanes: cfg.lanes,
-        nodes: NodeRing::new(window),
+        nodes: ring,
         admitted: 0,
+        last_round: 0,
         instances: Instances::default(),
         eof: false,
         peak_resident: 0,
         stats: StatsAccumulator::new(),
     };
-    let result = ws.state.run(&mut store, cfg, mem, start, watchdog)?;
+    let result = ws.state.run(&mut store, cfg, mem, start, watchdog);
+    ws.ring = store.nodes;
     Ok(WindowedOutcome {
-        result,
+        result: result?,
         peak_resident_nodes: store.peak_resident,
         stats: store.stats.finish(),
     })
@@ -676,7 +697,8 @@ mod tests {
             succs: Succs::default(),
         };
         const WINDOW: usize = 64;
-        let mut ring = NodeRing::new(WINDOW);
+        let mut ring = NodeRing::default();
+        ring.reset(WINDOW);
         for id in 0..=WINDOW as u32 {
             ring.push(id, slot());
         }

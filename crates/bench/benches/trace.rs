@@ -4,9 +4,9 @@
 //! The headline experiment generates a multi-million-node kernel straight
 //! to disk (the tracer never materializes it), then schedules it from the
 //! file through the windowed DDDG scheduler. The peak resident node count
-//! stays at the window size while the materialized path would need the
-//! whole trace live — that gap is the bounded-memory claim behind
-//! `BENCH_trace.json`.
+//! stays within the window (under the lane barrier, within two rounds)
+//! while the materialized path would need the whole trace live — that gap
+//! is the bounded-memory claim behind `BENCH_trace.json`.
 //!
 //! Self-contained harness (the workspace builds with no crate registry):
 //! small-kernel tracing, encode and decode runs for a fixed wall-time
@@ -33,8 +33,9 @@ const BIG_NODES: u64 = 5_000_000;
 
 /// The commit whose numbers this bench's output is compared against:
 /// the parent of the change that last moved one of its metrics (here the
-/// stream-fma node rate, with the file decoded ahead on a second thread).
-const BEFORE_COMMIT: &str = "4c08aaf";
+/// stream-fma resident peak and node rate, with admission stopped at the
+/// lane barrier's frontier).
+const BEFORE_COMMIT: &str = "500c20b";
 
 const DESCRIPTION: &str = "Streaming `.atrc` trace codec throughput and windowed-scheduler \
 node rate. Measured with `cargo bench --bench trace -p aladdin-bench` (release profile), which \
@@ -45,7 +46,9 @@ count. The stream-fma row is the paper-scale++ experiment: \
 a 5M-node synthetic kernel traced straight to disk (never materialized), then decoded once \
 (decode_mb_per_sec) and scheduled from the file by simulate_source through the windowed DDDG \
 scheduler with the default 65536-node window, the file decoded ahead on a second thread. \
-peak_resident_nodes is the scheduler's resident high-water mark; \
+peak_resident_nodes is the scheduler's resident high-water mark: under the default lane \
+barrier it admits nodes only through the first node of the round after next, so at most two \
+rounds plus one node (13 for stream-fma's 6-node rounds) are resident; \
 materialized_resident_nodes is what the in-memory path would hold live (every node plus its \
 DDDG edges) — the gap is the bounded-memory claim.";
 

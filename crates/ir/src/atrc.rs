@@ -57,9 +57,9 @@
 //!
 //! [`AtrcTrace::nodes_ahead`] runs that same pass on a second thread and
 //! hands its nodes over in batches of one block's worth (4096), through a
-//! channel two batches deep, so decoding overlaps whatever consumes the
-//! nodes; it yields the same items in the same order, the closing
-//! `L0280` included, and holds a few blocks of decoded nodes. The thread
+//! channel sixteen batches deep, so decoding overlaps whatever consumes
+//! the nodes; it yields the same items in the same order, the closing
+//! `L0280` included, and holds up to 18 blocks of decoded nodes. The thread
 //! is joined when the stream ends or is dropped. It is meant for one long
 //! run on an otherwise idle core: the one-shot `simulate_source` in
 //! `aladdin-core` uses it, while sweep workers, which already fill every
@@ -961,7 +961,7 @@ impl AtrcTrace {
     /// [`nodes`](AtrcTrace::nodes), decoded ahead of the reader on a
     /// second thread: the same items in the same order, including the
     /// closing `L0280`, handed over a block's worth at a time. It costs
-    /// one thread and a few blocks of decoded nodes, so it suits one
+    /// one thread and up to 18 blocks of decoded nodes, so it suits one
     /// long streamed run; runs that already fill every core (a sweep's
     /// workers) should read [`nodes`](AtrcTrace::nodes) inline. If the
     /// thread cannot be spawned, the stream decodes inline instead.
@@ -1225,8 +1225,11 @@ impl Iterator for AtrcNodeIter {
 }
 
 /// Batches a decode-ahead stream keeps in flight between its decoder
-/// thread and its reader.
-const AHEAD_BATCHES: usize = 2;
+/// thread and its reader. Sixteen blocks (65,536 nodes, ~3.7 MB) carry a
+/// reader that keeps only a few nodes resident through the few
+/// milliseconds a busy host may deschedule the decoder; with two, such a
+/// reader waits on the channel instead.
+const AHEAD_BATCHES: usize = 16;
 
 /// What the decoder thread hands across: a batch of nodes, stored in
 /// reverse so the reader can move them out from the back, or the error
@@ -1238,8 +1241,8 @@ type Batch = Result<Vec<TraceNode>, Diagnostic>;
 /// [`AtrcTrace::nodes_ahead`].
 ///
 /// The thread runs an [`AtrcNodeIter`] and sends its nodes in batches of
-/// one `.atrc` block's worth (4096) through a channel two batches deep;
-/// the reader hands emptied batches back for reuse, so at most four
+/// one `.atrc` block's worth (4096) through a channel sixteen batches
+/// deep; the reader hands emptied batches back for reuse, so at most 18
 /// batches exist at once. Items, their order and the closing `L0280`
 /// are exactly those of [`AtrcTrace::nodes`]. Dropping the iterator
 /// disconnects the channel and joins the thread, so an abandoned or
@@ -1692,7 +1695,9 @@ mod tests {
 
     #[test]
     fn a_dropped_stream_has_joined_its_decoder() {
-        let atrc = multi_block_trace(3);
+        // More blocks than the channel holds, so early drops find the
+        // decoder blocked on a full channel.
+        let atrc = multi_block_trace(AHEAD_BATCHES + 3);
         let total = usize::try_from(atrc.node_count()).expect("fits");
         for k in [0, 1, BLOCK_NODES, 2 * BLOCK_NODES + 1, total, total + 1] {
             let mut ahead = atrc.nodes_ahead();

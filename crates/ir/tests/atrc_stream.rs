@@ -361,7 +361,9 @@ fn decode_ahead_yields_what_nodes_yields() {
 fn a_dropped_stream_leaves_no_decoder_running() {
     let _lock = ahead_lock();
     let path = scratch("ahead-drop.atrc");
-    let summary = generate(&path, 20_000, 0);
+    // More blocks than a decode-ahead stream buffers, so early drops
+    // find the decoder blocked on a full channel.
+    let summary = generate(&path, 100_000, 0);
     let atrc = AtrcTrace::open(&path).expect("opens");
     let total = usize::try_from(summary.nodes).expect("fits");
     let reference: Vec<_> = atrc.nodes().take(total).collect();

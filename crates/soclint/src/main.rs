@@ -53,12 +53,9 @@ use aladdin_core::SocConfig;
 use aladdin_dse::{preflight_cache, preflight_dma, DesignSpace};
 use aladdin_ir::{Diagnostic, Report};
 use aladdin_lint::{
-    bounds_for_point, lint_design, lint_trace, point_diagnostic, summarize_bounds,
-    uncertified_diagnostic, ProtocolChecker, SeededBug,
+    lint_design, lint_trace, point_diagnostic, uncertified_diagnostic, ProtocolChecker, SeededBug,
 };
-use aladdin_spec::{
-    for_each_point_trace, plan_bounds, CampaignPlan, CampaignSpec, CommonArgs, OutputFormat,
-};
+use aladdin_spec::{plan_bounds, CampaignPlan, CampaignSpec, CommonArgs, OutputFormat};
 use aladdin_workloads::{all_kernels, by_name};
 
 /// One named analysis target and its report.
@@ -493,7 +490,7 @@ fn lint_campaigns(args: &[String]) -> Vec<Target> {
             let report = match expand_campaign(path) {
                 Ok(plan) => {
                     let mut report = plan.report.clone();
-                    let (bounds, _) = plan_bounds(&plan);
+                    let bounds = plan_bounds(&plan).summary;
                     if bounds.points > 0 {
                         report.push(bounds.plan_diagnostic());
                     }
@@ -547,42 +544,20 @@ fn lint_bounds(paths: &[String]) -> Vec<Target> {
 /// point of one kernel can only ever be pruned against results of the
 /// same kernel, so cross-kernel comparisons would be meaningless.
 fn bounds_report(plan: &CampaignPlan) -> Report {
+    let bounds = plan_bounds(plan);
     let mut report = Report::new();
-    let mut all = Vec::new();
-    let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
-    let mut unloadable: Option<String> = None;
-    for_each_point_trace(plan, |index, kernel, point, trace| {
-        let trace = match trace {
-            Ok(trace) => trace,
-            Err(e) => {
-                // One finding per run of the kernel's points, not per point.
-                if unloadable.as_deref() != Some(kernel) {
-                    report.merge(e.to_report());
-                    unloadable = Some(kernel.to_owned());
-                }
-                return;
-            }
-        };
-        match bounds_for_point(trace, &point.dp, &point.soc, point.kind, &plan.harness) {
+    for (index, point) in bounds.points {
+        match point {
             Ok(b) => {
                 report.push(point_diagnostic(index, &b));
                 if let Some(w) = uncertified_diagnostic(index, &b) {
                     report.push(w);
                 }
-                if !matches!(groups.last(), Some((name, _)) if name == kernel) {
-                    groups.push((kernel.to_owned(), Vec::new()));
-                }
-                groups.last_mut().expect("just pushed").1.push(b);
-                all.push(b);
             }
             Err(r) => report.merge(r),
         }
-    });
-    let mut summary = summarize_bounds(&all);
-    summary.dominated = 0;
-    for (kernel, bs) in &groups {
-        let s = summarize_bounds(bs);
-        summary.dominated += s.dominated;
+    }
+    for (kernel, s) in &bounds.kernels {
         if let Some(d) = s.dominance_diagnostic() {
             report.push(Diagnostic::info(
                 aladdin_lint::CODE_DOMINATED,
@@ -590,7 +565,7 @@ fn bounds_report(plan: &CampaignPlan) -> Report {
             ));
         }
     }
-    report.push(summary.summary_diagnostic());
+    report.push(bounds.summary.summary_diagnostic());
     report
 }
 

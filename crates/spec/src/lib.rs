@@ -52,6 +52,4 @@ pub use coordinator::{
     WorkerConfig, WorkerSummary,
 };
 pub use journal::{json_string, quarantine_path, read_finished, scan_journal, JournalScan};
-pub use runner::{
-    for_each_point_trace, forecast_cached, plan_bounds, run_campaign, RunOptions, RunSummary,
-};
+pub use runner::{forecast_cached, plan_bounds, run_campaign, PlanBounds, RunOptions, RunSummary};

@@ -28,7 +28,7 @@ use aladdin_dse::{
     TraceMemo,
 };
 use aladdin_ir::{AtrcTrace, Diagnostic, Report, Trace};
-use aladdin_lint::BoundsSummary;
+use aladdin_lint::{bounds_for_point, summarize_bounds, BoundsSummary, CycleBounds};
 use aladdin_workloads::{by_name, Kernel};
 
 use crate::campaign::{CampaignPlan, PlannedPoint};
@@ -481,21 +481,6 @@ fn for_each_single<T>(
     }
 }
 
-/// Call `f` on every single point of `plan`, in plan order, with its
-/// index in `plan.points`, its kernel, and the kernel's materialized
-/// trace, or the error that kept it from loading: `L0262` for an unknown
-/// name, `L0280` for an `.atrc` file damaged or deleted since the plan
-/// was validated. Each kernel is loaded once per contiguous run of its
-/// points. Job-set points are skipped.
-pub fn for_each_point_trace(
-    plan: &CampaignPlan,
-    mut f: impl FnMut(usize, &str, &PointSpec, Result<&Trace, &SimError>),
-) {
-    for_each_single(plan, materialize_trace, |index, kernel, point, trace| {
-        f(index, kernel, point, trace.as_ref());
-    });
-}
-
 /// How many of the plan's single points the process-wide result cache
 /// already holds (the `sweep plan` forecast). Probing promotes disk-tier
 /// hits into memory, pre-warming the subsequent run. Bundled kernels are
@@ -528,42 +513,78 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
     cached
 }
 
-/// Static cycle-bound forecast for a plan's single points: the `L0275`
-/// campaign summary shown by `sweep plan` and `soclint campaign` next to
-/// the cache forecast, computed without running the scheduler.
-///
-/// Returns the aggregate [`BoundsSummary`] over every single point whose
-/// configuration admits bounds, plus the count of points where bounds
-/// were unavailable (the configuration itself fails validation, `L0273`,
-/// or the trace cannot be loaded).
-/// Job-set (multi-accelerator) points carry no static bounds and are not
-/// counted. The summary's dominance count is judged within each kernel's
-/// point group — pruning only ever compares results of the same kernel.
+/// A plan's static cycle bounds, from [`plan_bounds`].
+#[derive(Debug, Clone)]
+pub struct PlanBounds {
+    /// Aggregate over every single point that has bounds. Its dominance
+    /// count is summed over the kernel groups: pruning only ever compares
+    /// results of the same kernel.
+    pub summary: BoundsSummary,
+    /// Each single point in plan order, with its index in `plan.points`:
+    /// its bounds, or the findings that kept it from having any. Those
+    /// are the configuration's own (`L0273`), or its kernel's load error:
+    /// `L0262` for an unknown name, `L0280` for an `.atrc` file damaged or
+    /// deleted since the plan was validated. Only the first point of a
+    /// kernel that failed to load carries that error; the kernel's later
+    /// points carry an empty report.
+    pub points: Vec<(usize, Result<CycleBounds, Report>)>,
+    /// Each contiguous run of one kernel's points with bounds, in plan
+    /// order, summarized on its own.
+    pub kernels: Vec<(String, BoundsSummary)>,
+}
+
+impl PlanBounds {
+    /// Single points without bounds.
+    #[must_use]
+    pub fn unavailable(&self) -> usize {
+        self.points.iter().filter(|(_, b)| b.is_err()).count()
+    }
+}
+
+/// Static cycle-bound forecast for a plan's single points, computed
+/// without running the scheduler: the `L0275` campaign summary that
+/// `sweep plan` and `soclint campaign` show next to the cache forecast,
+/// and the per-point intervals `soclint bounds` lists. Job-set
+/// (multi-accelerator) points carry no static bounds and are skipped.
 #[must_use]
-pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
-    let mut all = Vec::new();
-    let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
-    let mut unavailable = 0usize;
-    for_each_point_trace(plan, |_, kernel, point, trace| {
-        let bounds = trace.ok().and_then(|t| {
-            aladdin_lint::bounds_for_point(t, &point.dp, &point.soc, point.kind, &plan.harness).ok()
-        });
-        let Some(b) = bounds else {
-            unavailable += 1;
-            return;
+pub fn plan_bounds(plan: &CampaignPlan) -> PlanBounds {
+    let mut points = Vec::new();
+    let mut groups: Vec<(String, Vec<CycleBounds>)> = Vec::new();
+    let mut unloadable: Option<String> = None;
+    // Each kernel is materialized once per contiguous run of its points.
+    for_each_single(plan, materialize_trace, |index, kernel, point, trace| {
+        let bounds = match trace {
+            Ok(t) => bounds_for_point(t, &point.dp, &point.soc, point.kind, &plan.harness),
+            // One finding per kernel that fails to load, not per point.
+            Err(_) if unloadable.as_deref() == Some(kernel) => Err(Report::new()),
+            Err(e) => {
+                unloadable = Some(kernel.to_owned());
+                Err(e.to_report())
+            }
         };
-        if !matches!(groups.last(), Some((name, _)) if name == kernel) {
-            groups.push((kernel.to_owned(), Vec::new()));
+        if let Ok(b) = bounds {
+            if !matches!(groups.last(), Some((name, _)) if name == kernel) {
+                groups.push((kernel.to_owned(), Vec::new()));
+            }
+            groups.last_mut().expect("just pushed").1.push(b);
         }
-        groups.last_mut().expect("just pushed").1.push(b);
-        all.push(b);
+        points.push((index, bounds));
     });
-    let mut summary = aladdin_lint::summarize_bounds(&all);
-    summary.dominated = groups
+    let all: Vec<CycleBounds> = points
         .iter()
-        .map(|(_, bs)| aladdin_lint::summarize_bounds(bs).dominated)
-        .sum();
-    (summary, unavailable)
+        .filter_map(|(_, b)| b.as_ref().ok().copied())
+        .collect();
+    let kernels: Vec<(String, BoundsSummary)> = groups
+        .into_iter()
+        .map(|(kernel, bs)| (kernel, summarize_bounds(&bs)))
+        .collect();
+    let mut summary = summarize_bounds(&all);
+    summary.dominated = kernels.iter().map(|(_, s)| s.dominated).sum();
+    PlanBounds {
+        summary,
+        points,
+        kernels,
+    }
 }
 
 #[cfg(test)]
@@ -1023,8 +1044,10 @@ mem = "isolated"
     #[test]
     fn plan_bounds_cover_every_single_point() {
         let plan = tiny_plan();
-        let (summary, unavailable) = plan_bounds(&plan);
+        let bounds = plan_bounds(&plan);
+        let (summary, unavailable) = (bounds.summary, bounds.unavailable());
         assert_eq!(summary.points + unavailable, plan.points.len());
+        assert_eq!(bounds.points.len(), plan.points.len());
         assert_eq!(unavailable, 0, "a clean plan has bounds everywhere");
         assert!(summary.min_lo > 0);
         assert!(summary.certified == summary.points);
@@ -1355,8 +1378,7 @@ partitions = [1, 2]
         let (hashes, builds) = (hashed(), built());
         let _ = forecast_cached(&plan);
         assert_eq!((hashed() - hashes, built() - builds), (3, 0));
-        let (_, unavailable) = plan_bounds(&plan);
-        assert_eq!(unavailable, 0);
+        assert_eq!(plan_bounds(&plan).unavailable(), 0);
         assert_eq!(built() - builds, 3, "one build per kernel in all");
     }
 

@@ -321,7 +321,9 @@ fn cmd_coordinate(args: &Args, plan: &CampaignPlan) -> ! {
 fn emit_plan(plan: &CampaignPlan, cached: usize, format: OutputFormat) {
     // The L0275 static forecast: certified cycle intervals for every
     // single point, computed without running the scheduler.
-    let (bounds, unbounded) = plan_bounds(plan);
+    let bounds = plan_bounds(plan);
+    let unbounded = bounds.unavailable();
+    let bounds = bounds.summary;
     match format {
         OutputFormat::Human => {
             println!("campaign: {}", plan.spec.name);

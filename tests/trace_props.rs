@@ -8,12 +8,16 @@
 //! covering the whole trace is bit-exact with the materialized path —
 //! full `FlowResult` equality across every bundled kernel and every
 //! memory-system kind — while any smaller window still completes with a
-//! bounded resident set. Decoding an `.atrc` source ahead on a second
+//! bounded resident set. Under the lane barrier only the barrier frontier
+//! is admitted, so the resident set stays within two rounds whatever the
+//! window; without the barrier admission fills the window. Decoding an `.atrc` source ahead on a second
 //! thread (the one-shot `simulate_source`) or inline (the sweep path)
 //! gives the same run, and a run that fails mid-stream leaves no decoder
 //! behind.
 
-use aladdin_accel::{DatapathConfig, SchedulerWorkspace, DEFAULT_WINDOW_NODES};
+use aladdin_accel::{
+    DatapathConfig, LaneSync, PreparedDddg, SchedulerWorkspace, DEFAULT_WINDOW_NODES,
+};
 use aladdin_core::{
     simulate, simulate_source, simulate_source_prepared, DmaOptLevel, FaultPlan, FlowSpec, MemKind,
     SimHarness, SocConfig, TraceSource, Watchdog,
@@ -274,6 +278,99 @@ fn small_windows_bound_memory_across_flows() {
     }
 }
 
+/// Every kernel at lanes 1, 2, 8 and 16 under the lane barrier, streamed
+/// from its `.atrc` bytes with the default window and with a window of
+/// exactly its largest round, reproduces the prepared `FlowResult`
+/// (stepped cycles and events included) for every memory-system kind.
+/// Admission stops at the barrier frontier, so no more than the two
+/// largest consecutive rounds plus one node are ever resident.
+#[test]
+fn barrier_streams_admit_only_the_frontier_and_stay_bit_exact() {
+    let soc = SocConfig::default();
+    let mut ws = SchedulerWorkspace::new();
+    for k in all_kernels() {
+        let trace = k.run().trace;
+        let atrc = AtrcTrace::from_bytes(encode_trace(&trace)).expect("valid bytes");
+        let graph = PreparedDddg::new(&trace, &DatapathConfig::default());
+        for lanes in [1u32, 2, 8, 16] {
+            let dp = DatapathConfig {
+                lanes,
+                partition: lanes,
+                ..DatapathConfig::default()
+            };
+            assert_eq!(dp.sync, LaneSync::Barrier);
+            let rounds: Vec<usize> = graph.round_totals(lanes).collect();
+            let largest = rounds.iter().copied().max().unwrap_or(0).max(1);
+            let two_rounds = rounds.windows(2).map(|w| w[0] + w[1]).max();
+            let bound = two_rounds.unwrap_or(largest) + 1;
+            for kind in KINDS {
+                let ctx = format!("{} lanes={lanes} {kind:?}", k.name());
+                let spec = FlowSpec::new(kind);
+                let base = simulate(&trace, &dp, &soc, &spec).expect("prepared");
+                let default = simulate_source(&TraceSource::Atrc(&atrc), &dp, &soc, &spec)
+                    .expect("default window");
+                let tight = simulate_source_prepared(
+                    &TraceSource::Atrc(&atrc),
+                    &dp,
+                    &soc,
+                    &spec.with_window(largest),
+                    &mut ws,
+                )
+                .expect("largest-round window");
+                for (window, run) in [("default", &default), ("largest-round", &tight)] {
+                    assert_eq!(run.result, base, "{ctx}: {window} window");
+                    let peak = run.peak_resident_nodes.expect("streamed runs report peak");
+                    assert!(
+                        peak <= bound as u64,
+                        "{ctx}: {window} window held {peak} nodes, bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Without the lane barrier admission stays eager: gemm-ncubed at four
+/// free-running lanes fills the default window, and its schedule is the
+/// one eager admission has always produced (pinned), equal to the
+/// prepared store's.
+#[test]
+fn free_lanes_admit_eagerly_up_to_the_window() {
+    let soc = SocConfig::default();
+    let dp = DatapathConfig {
+        lanes: 4,
+        sync: LaneSync::Free,
+        ..DatapathConfig::default()
+    };
+    let trace = by_name("gemm-ncubed").expect("kernel").run().trace;
+    assert!(trace.nodes().len() > DEFAULT_WINDOW_NODES);
+    let atrc = AtrcTrace::from_bytes(encode_trace(&trace)).expect("valid bytes");
+    // (total cycles, stepped cycles, events)
+    let pinned = [
+        (MemKind::Isolated, (32_838, 32_809, 264_192)),
+        (MemKind::Cache, (48_370, 48_354, 264_192)),
+    ];
+    for (kind, counts) in pinned {
+        let spec = FlowSpec::new(kind);
+        let run = simulate_source(&TraceSource::Atrc(&atrc), &dp, &soc, &spec).expect("streams");
+        assert_eq!(
+            run.peak_resident_nodes,
+            Some(DEFAULT_WINDOW_NODES as u64),
+            "{kind:?}"
+        );
+        let r = &run.result;
+        assert_eq!(
+            (r.total_cycles, r.sched_stepped_cycles, r.sched_events),
+            counts,
+            "{kind:?}"
+        );
+        assert_eq!(
+            run.result,
+            simulate(&trace, &dp, &soc, &spec).expect("prepared")
+        );
+    }
+}
+
 /// The one-shot `simulate_source` decodes an `.atrc` source ahead on a
 /// second thread; the sweep path, `simulate_source_prepared`, decodes it
 /// inline. Both return the same `SourceFlowRun`, equal to streaming the
@@ -325,9 +422,9 @@ fn holds_open(path: &std::path::Path) -> bool {
 fn a_failed_streamed_run_joins_its_decoder() {
     let dp = DatapathConfig::default();
     let soc = SocConfig::default();
-    let trace = by_name("md-knn").expect("kernel").run().trace;
+    let trace = by_name("gemm-ncubed").expect("kernel").run().trace;
     assert!(
-        trace.nodes().len() > 5 * 4096,
+        trace.nodes().len() > 19 * 4096,
         "more batches than are decoded ahead"
     );
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("failed-run.atrc");
